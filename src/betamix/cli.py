@@ -34,7 +34,7 @@ from .concentration import (
     tail_deviations,
     truncate,
 )
-from .config import ExperimentConfig, load_config_file, resolve_config
+from .config import ExperimentConfig, load_config_file, resolve_config, resolve_t
 from .errors import BetamixError, ConfigError, FitError
 from .mixing import (
     FiniteChain,
@@ -187,19 +187,6 @@ CONCENTRATION_HEADER = ["experiment_id", "n", "epsilon", "B", "p_hat", "ci", "bo
 LAPLACE_HEADER = ["experiment_id", "A", "gamma", "estimate", "std_error", "bound_value", "C", "seed"]
 
 
-def _resolve_t(rule: str, n: int) -> int:
-    if rule == "last":
-        return n
-    if rule == "middle":
-        return max(n // 2, 1)
-    if rule.startswith("index:"):
-        t = int(rule.split(":", 1)[1])
-        if not 1 <= t <= n:
-            raise ConfigError(f"field 't_rule': index {t} outside [1, {n}]")
-        return t
-    raise ConfigError(f"field 't_rule': unsupported value {rule!r}")
-
-
 def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list[str]]:
     process = config.chain_spec()
     fspec = make_fspec(config.fspec_name, process, seed=config.seed)
@@ -210,7 +197,7 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list
 
     tails_by_eps = {eps: [] for eps in config.epsilon_grid}
     for n in config.n_grid:
-        t = _resolve_t(config.t_rule, n)
+        t = resolve_t(config.t_rule, n)
         devs = tail_deviations(
             fspec, process, n, t, config.reps, config.seed, workers=config.workers
         )
@@ -281,7 +268,7 @@ def _laplace_section(config, process, fspec, bound_b):
     reps = max(config.reps, 100)
     estimates = {}
     for a in a_grid:
-        t = _resolve_t(config.t_rule, int(math.floor(a)))
+        t = resolve_t(config.t_rule, int(math.floor(a)))
         estimates[a] = empirical_laplace(fspec, process, gamma, a, t, reps, config.seed)
     c_value = calibrate_laplace_constant(
         [estimates[a_min].value], kappa0, kappa1, gamma, bound_b, a_min

@@ -152,6 +152,20 @@ def _to_float_list(raw: str, name: str) -> tuple[float, ...]:
     return tuple(_to_float(tok.strip(), name) for tok in raw.split(","))
 
 
+def resolve_t(rule: str, n: int) -> int:
+    """Query index in [1, n] named by a t_rule: last | middle | index:<k>."""
+    if rule == "last":
+        return n
+    if rule == "middle":
+        return max(n // 2, 1)
+    if rule.startswith("index:"):
+        t = _to_int(rule.split(":", 1)[1], "t_rule")
+        if not 1 <= t <= n:
+            raise ConfigError(f"field 't_rule': index {t} outside [1, {n}]")
+        return t
+    raise ConfigError(f"field 't_rule': unsupported value {rule!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved, validated experiment description."""

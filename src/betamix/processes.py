@@ -147,8 +147,11 @@ class Far1Spec:
 
     The operator A is an integral operator discretized with trapezoid
     quadrature; `rho` is its operator-norm bound and must stay below 1.
-    Innovations are a finite sine expansion with bounded uniform coefficients,
-    so sample paths are almost surely norm-bounded.
+    "separable" is the rank-one A = rho * phi <phi, .>_w with phi the
+    eigenfunction below, so its paths reduce to a scalar AR(1) on the
+    phi-coefficient; "gaussian-bump" is a full-rank Gaussian kernel scaled to
+    norm rho. Innovations are a finite sine expansion with bounded uniform
+    coefficients, so sample paths are almost surely norm-bounded.
     """
 
     kernel: str = "separable"
@@ -252,7 +255,14 @@ def _bump_operator(grid: np.ndarray, rho: float, width: float) -> np.ndarray:
 
 
 def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: int) -> FunctionalPath:
-    """Curve-valued AR(1) path of length n on a uniform grid."""
+    """Curve-valued AR(1) path of length n on a uniform grid.
+
+    The separable operator rho * phi <phi, .>_w has rank one, so its path is
+    driven by the scalar c_t = <phi, X_t>_w, itself an AR(1) with coefficient
+    rho <phi, phi>_w: one lfilter call runs it, and only the kept curves
+    X_t = rho c_{t-1} phi + noise_{t-1} are built. The gaussian-bump operator
+    is iterated curve by curve.
+    """
     if n < 1:
         raise ValidationError("path length must be >= 1")
     if grid_size < 8:
@@ -261,15 +271,6 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: int) -> Function
     w = trapezoid_weights(grid)
     phi = spec.eigenfunction(grid)
 
-    if spec.kernel == "separable":
-        def apply_op(x):
-            return spec.rho * phi * float(w @ (phi * x))
-    else:
-        op = _bump_operator(grid, spec.rho, spec.bump_width)
-
-        def apply_op(x):
-            return op @ x
-
     modes = np.arange(1, spec.noise_terms + 1)
     basis = np.sqrt(2.0) * np.sin(np.pi * modes[:, None] * grid[None, :])
     sigmas = spec.noise_scale / modes
@@ -277,14 +278,30 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: int) -> Function
     rng = rng_for(seed)
     total = spec.burn_in + n
     xi = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(max(total - 1, 0), spec.noise_terms))
-    noise = (xi * sigmas[None, :]) @ basis
-
+    coeffs = xi * sigmas[None, :]
     x = phi.copy() if spec.initial == "eigenfunction" else np.zeros(grid_size)
+
+    if spec.kernel == "separable":
+        wphi = w * phi
+        ar = spec.rho * float(wphi @ phi)
+        c = np.empty(total)
+        c[0] = float(wphi @ x)
+        if total > 1:
+            c[1:], _ = lfilter([1.0], [1.0, -ar], coeffs @ (basis @ wphi), zi=[ar * c[0]])
+        # rows t - 1 for the kept steps t >= max(burn_in, 1)
+        kept = slice(max(spec.burn_in, 1) - 1, total - 1)
+        curves = spec.rho * c[kept, None] * phi[None, :] + coeffs[kept] @ basis
+        if spec.burn_in == 0:
+            curves = np.concatenate([x[None, :], curves])
+        return FunctionalPath(grid=grid, curves=curves)
+
+    op = _bump_operator(grid, spec.rho, spec.bump_width)
+    noise = coeffs @ basis
     curves = np.empty((n, grid_size))
     if spec.burn_in == 0:
         curves[0] = x
     for t in range(1, total):
-        x = apply_op(x) + noise[t - 1]
+        x = op @ x + noise[t - 1]
         if t >= spec.burn_in:
             curves[t - spec.burn_in] = x
     return FunctionalPath(grid=grid, curves=curves)

@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import resolve_t
 from .errors import ConfigError, DomainError, ModelViolationError, ValidationError
 from .processes import (
     Far1Spec,
@@ -27,6 +28,7 @@ from .processes import (
     make_regression_sample,
     simulate_far1,
     trapezoid_weights,
+    uniform_grid,
 )
 from .seeding import AUX_STREAM_SALT, derive_seed
 
@@ -155,7 +157,6 @@ class RegressionFit:
     bandwidth: float
     training: FunctionalPath
     reference_curves: np.ndarray
-    m_hat: Optional[float] = None
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -228,14 +229,25 @@ def estimate_small_ball(
     if h_grid.ndim != 1 or h_grid.size == 0 or np.any(h_grid <= 0) or np.any(np.diff(h_grid) <= 0):
         raise ValidationError("h_grid must be positive and strictly increasing")
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
-    m = sample.shape[0]
-    if m < 100:
-        raise ValidationError(f"reference sample has {m} < 100 members")
     x = np.asarray(x, dtype=float)
     if grid is None:
         dists = np.sqrt(((sample - x[None, :]) ** 2).sum(axis=1))
     else:
         dists = curve_distances(sample, x, np.asarray(grid, dtype=float))
+    return _small_ball_from_distances(x, h_grid, dists, s_grid, dimension_d)
+
+
+def _small_ball_from_distances(
+    x: np.ndarray,
+    h_grid: np.ndarray,
+    dists: np.ndarray,
+    s_grid: Optional[Sequence[float]] = None,
+    dimension_d: Optional[int] = None,
+) -> SmallBallModel:
+    """F_hat and tau_hat of estimate_small_ball from the reference distances
+    to x, for callers that already hold them."""
+    if dists.size < 100:
+        raise ValidationError(f"reference sample has {dists.size} < 100 members")
     f_hat = np.array([np.mean(dists <= h) for h in h_grid])
     if not np.any(f_hat > 0):
         raise DomainError("bandwidth grid too small: every F_hat(h) is zero")
@@ -261,7 +273,7 @@ def m_constant(kernel: KernelSpec, tau: Callable[[np.ndarray], np.ndarray]) -> f
     if np.any(tau_vals < -1e-9) or np.any(tau_vals > 1.0 + 1e-9):
         raise ValidationError("tau must map [0, 1] into [0, 1]")
     integrand = kernel.derivative(s) * tau_vals
-    m_value = kernel.at_one - float(np.trapezoid(integrand, s))
+    m_value = kernel.at_one - float(trapezoid_weights(s) @ integrand)
     if m_value <= 0:
         raise ModelViolationError(f"kernel constant M = {m_value} is not positive")
     return m_value
@@ -300,19 +312,6 @@ def bandwidth_schedule(
     return BandwidthChoice(h=h, level=level, summand=summand)
 
 
-def _resolve_t(t_rule: str, n: int) -> int:
-    if t_rule == "last":
-        return n
-    if t_rule == "middle":
-        return max(n // 2, 1)
-    if t_rule.startswith("index:"):
-        t = int(t_rule.split(":", 1)[1])
-        if not 1 <= t <= n:
-            raise ConfigError(f"t = {t} outside [1, {n}]")
-        return t
-    raise ConfigError(f"unsupported t_rule {t_rule!r}")
-
-
 @dataclass(frozen=True)
 class ForecastSummary:
     """Per-n aggregate of the dynamic forecast experiment."""
@@ -327,8 +326,10 @@ class ForecastSummary:
 
 
 def _forecast_block(args) -> np.ndarray:
-    (process, psi, noise_sd, kernel_name, theta, n, t_rule, grid_size, seed, indices) = args
+    (process, psi, noise_sd, kernel_name, theta, n, t, grid_size, seed, indices) = args
     kernel = KernelSpec(kernel_name)
+    grid = uniform_grid(grid_size)
+    psi_func, _ = make_psi(psi, grid)
     rows = np.empty((len(indices), 5))
     for pos, rep in enumerate(indices):
         path = simulate_far1(process, n, grid_size, derive_seed(seed, rep))
@@ -338,20 +339,16 @@ def _forecast_block(args) -> np.ndarray:
         reference = simulate_far1(
             process, n, grid_size, derive_seed(seed, rep, AUX_STREAM_SALT)
         )
-        t = _resolve_t(t_rule, n)
         x = path.curves[t - 1]
-        ref_dists = curve_distances(reference.curves, x, path.grid)
+        ref_dists = curve_distances(reference.curves, x, grid)
         h = bandwidth_schedule(n, theta, ref_dists).h
-        ball = estimate_small_ball(
-            x, [h], reference.curves, grid=path.grid
-        )
+        ball = _small_ball_from_distances(x, np.array([h]), ref_dists)
         m_hat = m_constant(kernel, ball.tau)
         fit = RegressionFit(
             kernel=kernel, bandwidth=h, training=sample,
-            reference_curves=reference.curves, m_hat=m_hat,
+            reference_curves=reference.curves,
         )
         out = fit.evaluate(x)
-        psi_func, _ = make_psi(psi, path.grid)
         psi_true = float(psi_func(x[None, :])[0])
         err = abs(out.psi_hat - psi_true) if out.defined else math.nan
         rows[pos] = (
@@ -390,8 +387,9 @@ def dynamic_forecast_experiment(
         raise ValidationError("reps must be >= 1")
     summaries = []
     for n in n_grid:
+        t = resolve_t(t_rule, int(n))
         blocks = [
-            (process, psi, noise_sd, kernel.name, theta, int(n), t_rule,
+            (process, psi, noise_sd, kernel.name, theta, int(n), t,
              grid_size, seed, range(start, min(start + FORECAST_BLOCK, reps)))
             for start in range(0, reps, FORECAST_BLOCK)
         ]

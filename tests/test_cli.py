@@ -83,6 +83,12 @@ class TestExitCodes:
         code = run_cli("verify-all", "--seed", "7", "--output", str(tmp_path), *FAST_MIXING)
         assert code == 0
 
+    def test_malformed_t_rule_index_exits_2(self, tmp_path, capsys):
+        code = run_cli("fkr", "--seed", "1", "--output", str(tmp_path),
+                       "--set", "grid.n=120", "--set", "t_rule=index:abc")
+        assert code == 2
+        assert "t_rule" in capsys.readouterr().err
+
     def test_check_failure_exits_1(self, tmp_path):
         # 3 usable n-points cannot support the 4-point rate fit
         code = run_cli(

@@ -9,6 +9,7 @@ from betamix.processes import (
     Far1Spec,
     FunctionalPath,
     PsiSpec,
+    _bump_operator,
     _simulate_chain_columns,
     binned_lag_joint,
     estimate_chain_mixing,
@@ -21,6 +22,7 @@ from betamix.processes import (
     trapezoid_weights,
     uniform_grid,
 )
+from betamix.seeding import rng_for
 
 
 def halving_spec(**kw):
@@ -128,6 +130,55 @@ class TestFar1:
         # contraction + bounded noise => norm stays under noise_bound/(1-rho)
         noise_bound = np.sqrt(3) * sum(0.3 / m for m in range(1, 9)) * np.sqrt(2)
         assert norms.max() <= noise_bound / (1 - 0.8)
+
+    @staticmethod
+    def _per_step_far1(spec, n, grid_size, seed):
+        """Reference: iterate the discretized operator one curve at a time."""
+        grid = uniform_grid(grid_size)
+        w = trapezoid_weights(grid)
+        phi = spec.eigenfunction(grid)
+        if spec.kernel == "separable":
+            def apply_op(x):
+                return spec.rho * phi * float(w @ (phi * x))
+        else:
+            op = _bump_operator(grid, spec.rho, spec.bump_width)
+
+            def apply_op(x):
+                return op @ x
+        modes = np.arange(1, spec.noise_terms + 1)
+        basis = np.sqrt(2.0) * np.sin(np.pi * modes[:, None] * grid[None, :])
+        total = spec.burn_in + n
+        xi = rng_for(seed).uniform(
+            -np.sqrt(3.0), np.sqrt(3.0), size=(total - 1, spec.noise_terms)
+        )
+        noise = (xi * (spec.noise_scale / modes)[None, :]) @ basis
+        x = phi.copy() if spec.initial == "eigenfunction" else np.zeros(grid_size)
+        curves = np.empty((n, grid_size))
+        if spec.burn_in == 0:
+            curves[0] = x
+        for t in range(1, total):
+            x = apply_op(x) + noise[t - 1]
+            if t >= spec.burn_in:
+                curves[t - spec.burn_in] = x
+        return curves
+
+    @pytest.mark.parametrize("initial", ["zero", "eigenfunction"])
+    @pytest.mark.parametrize("burn_in", [0, 1, 5])
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_separable_matches_per_step_recursion(self, initial, burn_in, n):
+        spec = Far1Spec(kernel="separable", rho=0.7, noise_scale=0.3,
+                        burn_in=burn_in, initial=initial)
+        path = simulate_far1(spec, n, grid_size=32, seed=21)
+        want = self._per_step_far1(spec, n, 32, seed=21)
+        assert path.curves.shape == want.shape
+        assert_allclose(path.curves, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("burn_in, n", [(0, 1), (5, 50)])
+    def test_gaussian_bump_is_the_per_step_recursion(self, burn_in, n):
+        spec = Far1Spec(kernel="gaussian-bump", rho=0.8, bump_width=0.2,
+                        burn_in=burn_in, initial="eigenfunction")
+        path = simulate_far1(spec, n, grid_size=24, seed=4)
+        assert_array_equal(path.curves, self._per_step_far1(spec, n, 24, seed=4))
 
     def test_contraction_violation_rejected(self):
         with pytest.raises(ConfigError):
