@@ -15,7 +15,6 @@ from .concentration import (
     calibrate_laplace_constant,
     corollary_bound,
     empirical_laplace,
-    empirical_tail,
     empirical_tail_grid,
     laplace_bound,
     make_fspec,

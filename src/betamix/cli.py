@@ -24,14 +24,13 @@ import scipy
 from . import __version__
 from .concentration import (
     BoundParams,
-    TailEstimate,
     calibrate_corollary,
     calibrate_laplace_constant,
     corollary_bound,
     empirical_laplace,
+    empirical_tail_grid,
     laplace_bound,
     make_fspec,
-    tail_deviations,
     truncate,
 )
 from .config import ExperimentConfig, load_config_file, resolve_config, resolve_t
@@ -198,16 +197,12 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list
     tails_by_eps = {eps: [] for eps in config.epsilon_grid}
     for n in config.n_grid:
         t = resolve_t(config.t_rule, n)
-        devs = tail_deviations(
-            fspec, process, n, t, config.reps, config.seed, workers=config.workers
+        tails = empirical_tail_grid(
+            fspec, process, n, t, config.epsilon_grid, config.reps, config.seed,
+            workers=config.workers,
         )
-        for eps in config.epsilon_grid:
-            p_hat = float(np.mean(devs >= eps))
-            ci = 1.96 * math.sqrt(p_hat * (1 - p_hat) / config.reps)
-            tails_by_eps[eps].append(
-                TailEstimate(epsilon=eps, n=n, reps=config.reps, p_hat=p_hat,
-                             ci_half_width=ci)
-            )
+        for eps, te in zip(config.epsilon_grid, tails):
+            tails_by_eps[eps].append(te)
 
     rows = []
     for eps, tails in tails_by_eps.items():
@@ -265,11 +260,12 @@ def _laplace_section(config, process, fspec, bound_b):
     else:
         cap = min(min(1.0, kappa1) / 2.0, kappa1 / (4.0 * math.log(max(a_grid))))
         gamma = 0.9 * cap / bound_b
-    reps = max(config.reps, 100)
     estimates = {}
     for a in a_grid:
         t = resolve_t(config.t_rule, int(math.floor(a)))
-        estimates[a] = empirical_laplace(fspec, process, gamma, a, t, reps, config.seed)
+        estimates[a] = empirical_laplace(
+            fspec, process, gamma, a, t, config.reps, config.seed, workers=config.workers
+        )
     c_value = calibrate_laplace_constant(
         [estimates[a_min].value], kappa0, kappa1, gamma, bound_b, a_min
     )

@@ -13,7 +13,6 @@ a log grid so the functional form can be falsified against the estimates.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FitError, MomentError, ValidationError
 from .processes import ContractiveChainSpec, _simulate_chain_columns
-from .seeding import AUX_STREAM_SALT, derive_seed
+from .seeding import AUX_STREAM_SALT, derive_seed, replicate
 
 REP_BLOCK = 1000          # replication block size, fixed so results are
                           # identical for any worker count
@@ -346,13 +345,13 @@ def make_fspec(
     return FSpec(name=name, bound=bound, center_bins=bins, center_values=values, center_se=se)
 
 
-def _deviation_block(args) -> np.ndarray:
+def _centered_sums(args) -> np.ndarray:
+    """sum_{k=1..n} f(X_k, X_t) - n E f(X_0, x)|_{x=X_t} per replication."""
     fspec, process, n, t, seed, indices = args
     seeds = [derive_seed(seed, r) for r in indices]
     paths = _simulate_chain_columns(process, n, seeds)
     x_t = paths[t - 1]
-    sums = fspec(paths, x_t[None, :]).sum(axis=0)
-    return np.abs(sums / n - fspec.center(x_t))
+    return fspec(paths, x_t[None, :]).sum(axis=0) - n * fspec.center(x_t)
 
 
 def tail_deviations(
@@ -366,21 +365,13 @@ def tail_deviations(
 ) -> np.ndarray:
     """|n^-1 sum_k f(X_k, X_t) - E f(X_0, x)|_{x=X_t}| per replication.
 
-    Replication r always uses derive_seed(seed, r); work is split into fixed
-    blocks so the result is identical for any worker count.
+    Replications run through `replicate`, so the result is identical for any
+    worker count.
     """
     if not 1 <= t <= n:
         raise ValidationError(f"t = {t} must lie in [1, n] = [1, {n}]")
-    blocks = [
-        (fspec, process, n, t, seed, range(start, min(start + REP_BLOCK, reps)))
-        for start in range(0, reps, REP_BLOCK)
-    ]
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_deviation_block, blocks))
-    else:
-        parts = [_deviation_block(b) for b in blocks]
-    return np.concatenate(parts)
+    sums = replicate(_centered_sums, (fspec, process, n, t, seed), reps, REP_BLOCK, workers)
+    return np.abs(sums / n)
 
 
 def _tail_from_deviations(devs: np.ndarray, epsilon: float, n: int) -> TailEstimate:
@@ -388,23 +379,6 @@ def _tail_from_deviations(devs: np.ndarray, epsilon: float, n: int) -> TailEstim
     p_hat = float(np.mean(devs >= epsilon))
     ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / reps)
     return TailEstimate(epsilon=epsilon, n=n, reps=reps, p_hat=p_hat, ci_half_width=ci)
-
-
-def empirical_tail(
-    fspec: FSpec,
-    process: ContractiveChainSpec,
-    n: int,
-    t: int,
-    epsilon: float,
-    reps: int,
-    seed: int,
-    workers: int = 1,
-) -> TailEstimate:
-    """MC estimate of the tail probability at threshold epsilon."""
-    if reps < 100:
-        raise ValidationError("reps must be >= 100")
-    devs = tail_deviations(fspec, process, n, t, reps, seed, workers)
-    return _tail_from_deviations(devs, epsilon, n)
 
 
 def empirical_tail_grid(
@@ -432,11 +406,14 @@ def empirical_laplace(
     t: int,
     reps: int,
     seed: int,
+    workers: int = 1,
 ) -> LaplaceEstimate:
     """MC mean of exp(gamma * sum_{k=1..floor(A)} f(X_k, X_t)), centered.
 
     The interval integral is realized as the discrete sum over k = 1..floor(A).
-    Overflow is reported as an infinite value with a flag, never an exception.
+    Replications run through `replicate`, so the result is identical for any
+    worker count. Overflow is reported as an infinite value with a flag,
+    never an exception.
     """
     if gamma < 0:
         raise ValidationError("gamma must be >= 0")
@@ -447,19 +424,13 @@ def empirical_laplace(
         raise ValidationError(f"t = {t} must lie in [1, floor(A)] = [1, {m}]")
     if reps < 100:
         raise ValidationError("reps must be >= 100")
-    values = np.empty(reps)
-    for start in range(0, reps, REP_BLOCK):
-        indices = range(start, min(start + REP_BLOCK, reps))
-        seeds = [derive_seed(seed, r) for r in indices]
-        paths = _simulate_chain_columns(process, m, seeds)
-        x_t = paths[t - 1]
-        sums = (fspec(paths, x_t[None, :]) - fspec.center(x_t)[None, :]).sum(axis=0)
-        with np.errstate(over="ignore"):
-            values[indices.start : indices.stop] = np.exp(gamma * sums)
+    sums = replicate(_centered_sums, (fspec, process, m, t, seed), reps, REP_BLOCK, workers)
+    with np.errstate(over="ignore"):
+        values = np.exp(gamma * sums)
     if not np.all(np.isfinite(values)):
         return LaplaceEstimate(value=math.inf, std_error=math.inf, overflowed=True)
     mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    se = float(values.std(ddof=1) / math.sqrt(reps))
     return LaplaceEstimate(value=mean, std_error=se, overflowed=False)
 
 

@@ -297,18 +297,21 @@ def resolve_config(
     config = ExperimentConfig(
         suite=suite, seed=seed, reps=reps, output=output, workers=workers, raw=merged
     )
-    if suite == "concentration":
+    if suite in ("concentration", "fkr"):
         if not config.n_grid:
-            raise ConfigError("field 'grid.n': concentration suite needs a nonempty n grid")
+            raise ConfigError(f"field 'grid.n': {suite} suite needs a nonempty n grid")
+        if any(n < 3 for n in config.n_grid):
+            raise ConfigError("field 'grid.n': every n must be >= 3")
+    if suite == "concentration":
         if not config.epsilon_grid:
             raise ConfigError(
                 "field 'grid.epsilon': concentration suite needs a nonempty epsilon grid"
             )
-        if any(n < 3 for n in config.n_grid):
-            raise ConfigError("field 'grid.n': every n must be >= 3")
+        if not all(np.isfinite(e) and e > 0 for e in config.epsilon_grid):
+            raise ConfigError("field 'grid.epsilon': every epsilon must be finite and > 0")
     if suite == "fkr":
-        if not config.n_grid:
-            raise ConfigError("field 'grid.n': fkr suite needs a nonempty n grid")
+        if config.grid_size < 8:
+            raise ConfigError("field 'grid_size': must be >= 8")
         if not 0.0 < config.theta < 0.5:
             raise ConfigError("field 'grid.theta': must lie in (0, 1/2)")
     if suite == "mixing":

@@ -12,7 +12,6 @@ process itself.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,7 +29,7 @@ from .processes import (
     trapezoid_weights,
     uniform_grid,
 )
-from .seeding import AUX_STREAM_SALT, derive_seed
+from .seeding import AUX_STREAM_SALT, derive_seed, replicate
 
 KERNEL_NAMES = ("uniform", "downslope-linear", "quadratic-decreasing")
 NOISE_STREAM_SALT = 0xC2B2AE3D27D4EB4F
@@ -203,7 +202,6 @@ class SmallBallModel:
     h_ref: float
     s_grid: np.ndarray
     tau_hat: np.ndarray
-    dimension_d: Optional[int] = None
 
     def tau(self, s: np.ndarray) -> np.ndarray:
         """Linear interpolation of the profile, anchored at tau(0) = 0."""
@@ -218,7 +216,6 @@ def estimate_small_ball(
     sample: np.ndarray,
     grid: Optional[np.ndarray] = None,
     s_grid: Optional[Sequence[float]] = None,
-    dimension_d: Optional[int] = None,
 ) -> SmallBallModel:
     """Estimate F_x(h) over a bandwidth grid from an independent sample.
 
@@ -234,7 +231,7 @@ def estimate_small_ball(
         dists = np.sqrt(((sample - x[None, :]) ** 2).sum(axis=1))
     else:
         dists = curve_distances(sample, x, np.asarray(grid, dtype=float))
-    return _small_ball_from_distances(x, h_grid, dists, s_grid, dimension_d)
+    return _small_ball_from_distances(x, h_grid, dists, s_grid)
 
 
 def _small_ball_from_distances(
@@ -242,7 +239,6 @@ def _small_ball_from_distances(
     h_grid: np.ndarray,
     dists: np.ndarray,
     s_grid: Optional[Sequence[float]] = None,
-    dimension_d: Optional[int] = None,
 ) -> SmallBallModel:
     """F_hat and tau_hat of estimate_small_ball from the reference distances
     to x, for callers that already hold them."""
@@ -258,8 +254,7 @@ def _small_ball_from_distances(
     s_grid = np.asarray(s_grid, dtype=float)
     tau_hat = np.array([np.mean(dists <= h_ref * s) for s in s_grid]) / f_ref
     return SmallBallModel(
-        x=x, h_grid=h_grid, f_hat=f_hat, h_ref=h_ref,
-        s_grid=s_grid, tau_hat=tau_hat, dimension_d=dimension_d,
+        x=x, h_grid=h_grid, f_hat=f_hat, h_ref=h_ref, s_grid=s_grid, tau_hat=tau_hat
     )
 
 
@@ -388,17 +383,11 @@ def dynamic_forecast_experiment(
     summaries = []
     for n in n_grid:
         t = resolve_t(t_rule, int(n))
-        blocks = [
-            (process, psi, noise_sd, kernel.name, theta, int(n), t,
-             grid_size, seed, range(start, min(start + FORECAST_BLOCK, reps)))
-            for start in range(0, reps, FORECAST_BLOCK)
-        ]
-        if workers > 1 and len(blocks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_forecast_block, blocks))
-        else:
-            parts = [_forecast_block(b) for b in blocks]
-        rows = np.concatenate(parts, axis=0)
+        rows = replicate(
+            _forecast_block,
+            (process, psi, noise_sd, kernel.name, theta, int(n), t, grid_size, seed),
+            reps, FORECAST_BLOCK, workers,
+        )
         undefined = float(rows[:, 0].mean())
         if undefined > 0.5:
             raise DomainError(

@@ -257,7 +257,7 @@ def test_criterion_6_small_ball_oracle():
     points = np.column_stack([radii * np.cos(angle), radii * np.sin(angle)])
     model = estimate_small_ball(
         np.zeros(2), [0.1, 0.2, 0.4, 0.8], points,
-        s_grid=[0.25, 0.5, 0.75, 1.0], dimension_d=2,
+        s_grid=[0.25, 0.5, 0.75, 1.0],
     )
     f_ok = all(
         abs(f - h**2) <= 3.0 * math.sqrt(h**2 * (1 - h**2) / m)

@@ -89,6 +89,29 @@ class TestExitCodes:
         assert code == 2
         assert "t_rule" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("concentration", "--set", "grid.epsilon=nan"), "grid.epsilon"),
+            (("concentration", "--set", "grid.epsilon=-0.1"), "grid.epsilon"),
+            (("concentration", "--set", "grid.epsilon=0.05,inf"), "grid.epsilon"),
+            (("concentration", "--set", "grid.epsilon=0"), "grid.epsilon"),
+            (("fkr", "--set", "grid.n=2"), "grid.n"),
+            (("fkr", "--set", "grid.n=200,2"), "grid.n"),
+            (("fkr", "--set", "grid.n=200", "--set", "grid_size=4"), "grid_size"),
+        ],
+    )
+    def test_invalid_grid_field_exits_2(self, tmp_path, capsys, argv, field):
+        suite, *sets = argv
+        if suite == "concentration":
+            sets += ["--set", "grid.n=50,100,200,400"]
+        code = run_cli(suite, "--seed", "1", "--reps", "100",
+                       "--output", str(tmp_path), *sets)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"field {field!r}" in err
+        assert "Traceback" not in err
+
     def test_check_failure_exits_1(self, tmp_path):
         # 3 usable n-points cannot support the 4-point rate fit
         code = run_cli(
@@ -111,6 +134,21 @@ class TestDeterminism:
         body_a = (tmp_path / "a" / "concentration_report.csv").read_bytes()
         body_b = (tmp_path / "b" / "concentration_report.csv").read_bytes()
         assert body_a == body_b
+
+    def test_reports_identical_across_worker_counts(self, tmp_path):
+        # 2500 reps span three replication blocks, so workers = 2 uses a pool
+        def run(workers):
+            out = tmp_path / f"w{workers}"
+            run_cli(
+                "concentration", "--seed", "13", "--reps", "2500", "--output", str(out),
+                "--workers", str(workers),
+                "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05,0.1",
+                "--set", "grid.A=14,20", "--set", "process.burn_in=100",
+            )
+            return [(out / name).read_bytes()
+                    for name in ("concentration_report.csv", "laplace_report.csv")]
+
+        assert run(1) == run(2)
 
     def test_manifest_records_resolved_config_and_hash(self, tmp_path):
         run_cli("mixing", "--seed", "9", "--output", str(tmp_path), *FAST_MIXING)

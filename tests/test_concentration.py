@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from betamix.concentration import (
+    REP_BLOCK,
     BoundParams,
     MomentInputs,
     calibrate_corollary,
     calibrate_laplace_constant,
     corollary_bound,
     empirical_laplace,
-    empirical_tail,
     empirical_tail_grid,
     laplace_bound,
     laplace_bound_terms,
@@ -32,7 +32,8 @@ from betamix.errors import (
     MomentError,
     ValidationError,
 )
-from betamix.processes import ContractiveChainSpec
+from betamix.processes import ContractiveChainSpec, _simulate_chain_columns
+from betamix.seeding import derive_seed
 
 mp.dps = 50
 
@@ -230,8 +231,8 @@ class TestEmpiricalTail:
     def test_zero_function_never_deviates(self):
         fspec = make_fspec("zero", UNIFORM_CHAIN)
         for eps in (1e-9, 0.1, 1.0):
-            te = empirical_tail(fspec, UNIFORM_CHAIN, n=50, t=10, epsilon=eps,
-                                reps=200, seed=3)
+            te = empirical_tail_grid(fspec, UNIFORM_CHAIN, n=50, t=10, epsilons=[eps],
+                                     reps=200, seed=3)[0]
             assert te.p_hat == 0.0
 
     def test_clt_tail_for_iid_mean(self):
@@ -239,7 +240,8 @@ class TestEmpiricalTail:
         sd = 1.0 / math.sqrt(3.0)
         eps = 3.0 * sd / math.sqrt(n)
         fspec = make_fspec("first", UNIFORM_CHAIN)
-        te = empirical_tail(fspec, UNIFORM_CHAIN, n=n, t=1, epsilon=eps, reps=reps, seed=12)
+        te = empirical_tail_grid(fspec, UNIFORM_CHAIN, n=n, t=1, epsilons=[eps],
+                                 reps=reps, seed=12)[0]
         target = 0.0026998
         assert abs(te.p_hat - target) <= te.ci_half_width
 
@@ -256,7 +258,7 @@ class TestEmpiricalTail:
         fspec = make_fspec("odd-clip", chain)
         eps = 0.05
         tails = [
-            empirical_tail(fspec, chain, n=n, t=n, epsilon=eps, reps=2000, seed=55)
+            empirical_tail_grid(fspec, chain, n=n, t=n, epsilons=[eps], reps=2000, seed=55)[0]
             for n in (100, 200, 400, 800)
         ]
         for a, b in zip(tails, tails[1:]):
@@ -272,7 +274,8 @@ class TestEmpiricalTail:
     def test_t_out_of_range_rejected(self):
         fspec = make_fspec("zero", UNIFORM_CHAIN)
         with pytest.raises(ValidationError):
-            empirical_tail(fspec, UNIFORM_CHAIN, n=10, t=11, epsilon=0.1, reps=100, seed=0)
+            empirical_tail_grid(fspec, UNIFORM_CHAIN, n=10, t=11, epsilons=[0.1], reps=100,
+                                seed=0)
 
     def test_unsupported_fspec_rejected(self):
         with pytest.raises(ConfigError):
@@ -289,8 +292,8 @@ class TestPilotCentering:
 
     def test_pilot_centered_tail_runs(self):
         fspec = make_fspec("ball-indicator", UNIFORM_CHAIN, seed=5, pilot_draws=20_000)
-        te = empirical_tail(fspec, UNIFORM_CHAIN, n=200, t=100, epsilon=0.2,
-                            reps=200, seed=9)
+        te = empirical_tail_grid(fspec, UNIFORM_CHAIN, n=200, t=100, epsilons=[0.2],
+                                 reps=200, seed=9)[0]
         assert 0.0 <= te.p_hat <= 1.0
 
 
@@ -314,6 +317,54 @@ class TestEmpiricalLaplace:
                                 reps=100, seed=4)
         assert est.overflowed
         assert est.value == math.inf
+
+    def test_worker_count_does_not_change_results(self):
+        chain = ContractiveChainSpec(a=0.4, burn_in=20)
+        fspec = make_fspec("odd-clip-damped", chain)
+        args = (fspec, chain, 0.2, 20.0, 10, 2500, 77)
+        assert empirical_laplace(*args, workers=1) == empirical_laplace(*args, workers=2)
+
+
+class TestCenteredSums:
+    """The tail and Laplace estimators against the per-replication arithmetic
+    they replaced, written out here as the oracle, on one block of
+    replications (reps <= REP_BLOCK) seeded by derive_seed(seed, r)."""
+
+    CHAIN = ContractiveChainSpec(a=0.5, burn_in=50)
+    N, T, REPS, SEED, GAMMA = 40, 20, 300, 17, 0.2
+
+    def _oracle(self, fspec):
+        seeds = [derive_seed(self.SEED, r) for r in range(self.REPS)]
+        paths = _simulate_chain_columns(self.CHAIN, self.N, seeds)
+        x_t = paths[self.T - 1]
+        f = fspec(paths, x_t[None, :])
+        c = fspec.center(x_t)
+        devs = np.abs(f.sum(axis=0) / self.N - c)
+        with np.errstate(over="ignore"):
+            values = np.exp(self.GAMMA * (f - c[None, :]).sum(axis=0))
+        return devs, values
+
+    def _estimates(self, fspec):
+        devs = tail_deviations(fspec, self.CHAIN, self.N, self.T, self.REPS, self.SEED)
+        est = empirical_laplace(fspec, self.CHAIN, self.GAMMA, float(self.N), self.T,
+                                self.REPS, self.SEED)
+        return devs, est
+
+    def test_exactly_centered_fspec_is_bit_identical(self):
+        assert self.REPS <= REP_BLOCK
+        fspec = make_fspec("odd-clip-damped", self.CHAIN)
+        want_devs, want_values = self._oracle(fspec)
+        devs, est = self._estimates(fspec)
+        np.testing.assert_array_equal(devs, want_devs)
+        assert est.value == float(want_values.mean())
+        assert est.std_error == float(want_values.std(ddof=1) / math.sqrt(self.REPS))
+
+    def test_pilot_centered_fspec_agrees_to_last_bits(self):
+        fspec = make_fspec("ball-indicator", self.CHAIN, seed=5, pilot_draws=20_000)
+        want_devs, want_values = self._oracle(fspec)
+        devs, est = self._estimates(fspec)
+        np.testing.assert_allclose(devs, want_devs, rtol=0, atol=1e-15)
+        assert abs(est.value - float(want_values.mean())) <= 1e-15
 
 
 class TestRateFit:

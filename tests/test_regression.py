@@ -164,7 +164,7 @@ class TestSmallBall:
         pts = np.column_stack([radii * np.cos(angle), radii * np.sin(angle)])
         model = estimate_small_ball(
             np.zeros(2), [0.1, 0.2, 0.4, 0.8], pts,
-            s_grid=[0.25, 0.5, 0.75, 1.0], dimension_d=2,
+            s_grid=[0.25, 0.5, 0.75, 1.0],
         )
         for h, f in zip(model.h_grid, model.f_hat):
             se = math.sqrt(h**2 * (1 - h**2) / m)
