@@ -189,8 +189,7 @@ LAPLACE_HEADER = ["experiment_id", "A", "gamma", "estimate", "std_error", "bound
 def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list[str]]:
     process = config.chain_spec()
     fspec = make_fspec(config.fspec_name, process, seed=config.seed)
-    b_raw = config["bound.B"].strip()
-    bound_b = float(b_raw) if b_raw else fspec.bound
+    bound_b = config.bound_b if config.bound_b is not None else fspec.bound
     checks: list[Check] = []
     reports: list[str] = []
 
@@ -254,10 +253,8 @@ def _laplace_section(config, process, fspec, bound_b):
     mixing_fit = estimate_chain_mixing(process, seed=config.seed, n_steps=10**5)
     kappa0 = max(mixing_fit.kappa0, 1e-6)
     kappa1 = max(mixing_fit.kappa1, 1e-6)
-    gamma_raw = config["gamma"].strip()
-    if gamma_raw:
-        gamma = float(gamma_raw)
-    else:
+    gamma = config.gamma
+    if gamma is None:
         cap = min(min(1.0, kappa1) / 2.0, kappa1 / (4.0 * math.log(max(a_grid))))
         gamma = 0.9 * cap / bound_b
     estimates = {}

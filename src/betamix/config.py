@@ -256,6 +256,18 @@ class ExperimentConfig:
     def noise_sd(self) -> float:
         return _to_float(self.raw["noise_sd"], "noise_sd")
 
+    @property
+    def gamma(self) -> Optional[float]:
+        """Laplace argument, or None to derive it from the fitted mixing rate."""
+        raw = self.raw["gamma"]
+        return _to_float(raw, "gamma") if raw.strip() else None
+
+    @property
+    def bound_b(self) -> Optional[float]:
+        """Function bound override, or None for the fspec's own bound."""
+        raw = self.raw["bound.B"]
+        return _to_float(raw, "bound.B") if raw.strip() else None
+
 
 def resolve_config(
     mapping: dict[str, str], overrides: Optional[dict[str, str]] = None
@@ -309,11 +321,19 @@ def resolve_config(
             )
         if not all(np.isfinite(e) and e > 0 for e in config.epsilon_grid):
             raise ConfigError("field 'grid.epsilon': every epsilon must be finite and > 0")
+        # A >= 14 is the Laplace bound's fixed floor; A >= 2 kappa1 needs the fit
+        if not all(np.isfinite(a) and a >= 14 for a in config.a_grid):
+            raise ConfigError("field 'grid.A': every A must be finite and >= 14")
+        for key, value in (("gamma", config.gamma), ("bound.B", config.bound_b)):
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"field {key!r}: must be finite and > 0")
     if suite == "fkr":
         if config.grid_size < 8:
             raise ConfigError("field 'grid_size': must be >= 8")
         if not 0.0 < config.theta < 0.5:
             raise ConfigError("field 'grid.theta': must lie in (0, 1/2)")
+        if not (np.isfinite(config.noise_sd) and config.noise_sd >= 0):
+            raise ConfigError("field 'noise_sd': must be finite and >= 0")
     if suite == "mixing":
         for key in ("mixing.joints", "mixing.chains", "mixing.max_states"):
             if _to_int(merged[key], key) < 1:

@@ -10,10 +10,10 @@ output never depends on execution order or worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, ValidationError
@@ -220,21 +220,18 @@ def _simulate_chain_columns(
     """One path per seed, stacked as columns of an (n, len(seeds)) array.
 
     Column j is bit-for-bit the path of simulate_contractive_chain(spec, n,
-    seeds[j]); the linear-map fast path performs the identical multiply-add
-    recursion inside lfilter.
+    seeds[j]). Several columns advance together, one contiguous row per time
+    step; a single linear-map path runs as the scalar recursion of _ar1_path,
+    which performs the identical multiply-add.
     """
     if n < 1:
         raise ValidationError("path length must be >= 1")
     total = spec.burn_in + n
-    eps = np.empty((max(total - 1, 0), len(seeds)))
+    eps = np.empty((total - 1, len(seeds)))
     for col, seed in enumerate(seeds):
         eps[:, col] = _draw_innovations(spec, rng_for(seed), total - 1)
-    if spec.map == "linear":
-        x0_row = np.full((1, len(seeds)), spec.x0)
-        states, _ = lfilter(
-            [1.0], [1.0, -spec.a], eps, axis=0, zi=spec.a * x0_row
-        )
-        full = np.concatenate([x0_row, states], axis=0)
+    if spec.map == "linear" and len(seeds) == 1:
+        full = _ar1_path(spec.a, eps[:, 0], spec.x0)[:, None]
     else:
         full = np.empty((total, len(seeds)))
         x = np.full(len(seeds), spec.x0)
@@ -243,6 +240,16 @@ def _simulate_chain_columns(
             x = spec.apply_map(x) + eps[t - 1]
             full[t] = x
     return full[spec.burn_in:]
+
+
+def _ar1_path(coef: float, drive: np.ndarray, start: float) -> np.ndarray:
+    """States y_0 = start, y_t = coef * y_{t-1} + drive[t-1] of a scalar AR(1).
+
+    Python floats round like float64, so the states are those of the same
+    recursion stepped in NumPy; one scalar step costs far less than a NumPy call.
+    """
+    steps = accumulate(drive.tolist(), lambda y, d: coef * y + d, initial=start)
+    return np.fromiter(steps, dtype=float, count=drive.size + 1)
 
 
 def _bump_operator(grid: np.ndarray, rho: float, width: float) -> np.ndarray:
@@ -259,7 +266,7 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: int) -> Function
 
     The separable operator rho * phi <phi, .>_w has rank one, so its path is
     driven by the scalar c_t = <phi, X_t>_w, itself an AR(1) with coefficient
-    rho <phi, phi>_w: one lfilter call runs it, and only the kept curves
+    rho <phi, phi>_w: _ar1_path runs it, and only the kept curves
     X_t = rho c_{t-1} phi + noise_{t-1} are built. The gaussian-bump operator
     is iterated curve by curve.
     """
@@ -283,11 +290,7 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: int) -> Function
 
     if spec.kernel == "separable":
         wphi = w * phi
-        ar = spec.rho * float(wphi @ phi)
-        c = np.empty(total)
-        c[0] = float(wphi @ x)
-        if total > 1:
-            c[1:], _ = lfilter([1.0], [1.0, -ar], coeffs @ (basis @ wphi), zi=[ar * c[0]])
+        c = _ar1_path(spec.rho * float(wphi @ phi), coeffs @ (basis @ wphi), float(wphi @ x))
         # rows t - 1 for the kept steps t >= max(burn_in, 1)
         kept = slice(max(spec.burn_in, 1) - 1, total - 1)
         curves = spec.rho * c[kept, None] * phi[None, :] + coeffs[kept] @ basis

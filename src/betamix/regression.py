@@ -163,7 +163,9 @@ class RegressionFit:
         if self.training.responses is None:
             raise ValidationError("training path must carry responses")
 
-    def evaluate(self, x: np.ndarray) -> NWEvaluation:
+    def evaluate(self, x: np.ndarray, ref_dists: Optional[np.ndarray] = None) -> NWEvaluation:
+        """Estimator at x; `ref_dists` are the reference curves' distances to
+        x, for callers that already hold them."""
         grid = self.training.grid
         h = self.bandwidth
         d = curve_distances(self.training.curves, x, grid)
@@ -171,8 +173,9 @@ class RegressionFit:
         denom = float(wts.sum())
         n_eff = int(np.count_nonzero(d <= h))
         n = self.training.n_curves
-        ref_d = curve_distances(self.reference_curves, x, grid)
-        f_ref = float(np.mean(ref_d <= h))
+        if ref_dists is None:
+            ref_dists = curve_distances(self.reference_curves, x, grid)
+        f_ref = float(np.mean(ref_dists <= h))
         if f_ref > 0:
             f_hat = denom / (n * f_ref)
             g_hat = float(self.training.responses @ wts) / (n * f_ref)
@@ -343,7 +346,7 @@ def _forecast_block(args) -> np.ndarray:
             kernel=kernel, bandwidth=h, training=sample,
             reference_curves=reference.curves,
         )
-        out = fit.evaluate(x)
+        out = fit.evaluate(x, ref_dists)
         psi_true = float(psi_func(x[None, :])[0])
         err = abs(out.psi_hat - psi_true) if out.defined else math.nan
         rows[pos] = (

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import betamix
 from betamix.cli import emit_plotdata, main
 from betamix.config import parse_config_text, resolve_config
 from betamix.errors import ConfigError
@@ -12,6 +17,16 @@ FAST_MIXING = ["--set", "mixing.joints=15", "--set", "mixing.chains=8"]
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # loaded-module check, not timing: these subpackages cost about 1 s to import
+    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize"]
+    code = f"import sys, betamix.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfigParsing:
@@ -99,12 +114,22 @@ class TestExitCodes:
             (("fkr", "--set", "grid.n=2"), "grid.n"),
             (("fkr", "--set", "grid.n=200,2"), "grid.n"),
             (("fkr", "--set", "grid.n=200", "--set", "grid_size=4"), "grid_size"),
+            (("concentration", "--set", "grid.A=nan"), "grid.A"),
+            (("concentration", "--set", "grid.A=14,5"), "grid.A"),
+            (("concentration", "--set", "grid.A=14", "--set", "bound.B=0"), "bound.B"),
+            (("concentration", "--set", "grid.A=14", "--set", "bound.B=-2"), "bound.B"),
+            (("concentration", "--set", "grid.A=14", "--set", "gamma=-1"), "gamma"),
+            (("concentration", "--set", "grid.A=14", "--set", "gamma=inf"), "gamma"),
+            (("fkr", "--set", "grid.n=200", "--set", "noise_sd=nan"), "noise_sd"),
+            (("fkr", "--set", "grid.n=200", "--set", "noise_sd=-0.1"), "noise_sd"),
         ],
     )
     def test_invalid_grid_field_exits_2(self, tmp_path, capsys, argv, field):
         suite, *sets = argv
         if suite == "concentration":
             sets += ["--set", "grid.n=50,100,200,400"]
+            if field != "grid.epsilon":
+                sets += ["--set", "grid.epsilon=0.05"]
         code = run_cli(suite, "--seed", "1", "--reps", "100",
                        "--output", str(tmp_path), *sets)
         err = capsys.readouterr().err

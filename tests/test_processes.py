@@ -52,14 +52,33 @@ class TestContractiveChain:
 
     @pytest.mark.parametrize("map_name", ["linear", "clipped-linear", "sine-perturbed"])
     def test_batch_columns_match_single_paths(self, map_name):
-        spec = ContractiveChainSpec(
-            map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
-            innovation="truncated-gaussian", sigma=0.5, trunc=1.5, burn_in=7,
-        )
-        seeds = [5, 6, 11]
-        batch = _simulate_chain_columns(spec, 40, seeds)
-        for j, s in enumerate(seeds):
-            assert_array_equal(batch[:, j], simulate_contractive_chain(spec, 40, s).values)
+        for innovation in ("truncated-gaussian", "uniform"):
+            spec = ContractiveChainSpec(
+                map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
+                innovation=innovation, sigma=0.5, trunc=1.5, halfwidth=0.8, burn_in=7,
+            )
+            seeds = [5, 6, 11]
+            batch = _simulate_chain_columns(spec, 40, seeds)
+            for j, s in enumerate(seeds):
+                assert_array_equal(batch[:, j], simulate_contractive_chain(spec, 40, s).values)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("burn_in", [0, 1, 7])
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_linear_columns_are_the_per_step_recursion(self, width, burn_in, n):
+        spec = ContractiveChainSpec(map="linear", a=-0.9, innovation="uniform",
+                                    halfwidth=0.8, burn_in=burn_in, x0=0.25)
+        seeds = [13 + j for j in range(width)]
+        want = np.empty((n, width))
+        for j, seed in enumerate(seeds):
+            eps = rng_for(seed).uniform(-0.8, 0.8, size=burn_in + n - 1)
+            x = np.float64(0.25)
+            states = [x]
+            for e in eps:
+                x = spec.a * x + e
+                states.append(x)
+            want[:, j] = states[burn_in:]
+        assert_array_equal(_simulate_chain_columns(spec, n, seeds), want)
 
     def test_half_means_agree_under_stationarity(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=1000)
