@@ -345,11 +345,10 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[st
         rng.uniform(-2.0, 2.0, 30_000),
     ])
     levels = rng.choice(np.array([0.5, 1.0, 1.0 + 2.0**-52, 3.7]), size=values.size)
-    mismatches = sum(
-        1
-        for v, b in zip(values, levels)
-        if (lambda tr: tr.plus + tr.zero + tr.minus != v)(truncate(float(v), float(b)))
-    )
+    mismatches = 0
+    for v, b in zip(values.tolist(), levels.tolist()):
+        plus, zero, minus = truncate(v, b)
+        mismatches += plus + zero + minus != v
     rows.append(("truncate_reconstruction", float(mismatches), 0.0, mismatches == 0, seed))
     checks.append(Check(name="truncate_reconstruction", passed=mismatches == 0))
 

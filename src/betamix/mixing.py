@@ -188,17 +188,29 @@ def alpha_exact(j: FiniteJointDistribution) -> float:
 
 
 def _alpha_table(dev: np.ndarray, cap: int = 16) -> float:
-    """max_{A, B} |sum_{A x B} dev| for a signed table with zero row/col sums."""
+    """max_{A, B} |sum_{A x B} dev| for a signed table with zero row/col sums.
+
+    subset_sums[mask] holds the column sums of dev over the rows in `mask`,
+    built by the recursion sums[mask] = sums[mask ^ (1 << i)] + dev[i], with
+    i the lowest set bit of mask. The fill runs one bit plane at a time, from
+    the highest bit down: the masks whose lowest set bit is i are
+    k * 2^(i+1) + 2^i, and each one's source k * 2^(i+1) is 0 or has its
+    lowest set bit above i, so it is already filled. In the
+    (-1, 2^(i+1), cols) view of the table the whole plane is one add of
+    slot 0 into slot 2^i. Every entry gets the same single addition from the
+    same source as in a loop over the masks in increasing order, so the table
+    and the result are the same to the bit; `out=` writes in place and adds
+    no temporary array.
+    """
     if dev.shape[0] > dev.shape[1]:
         dev = dev.T
-    m = dev.shape[0]
+    m, cols = dev.shape
     if m > cap:
         raise SizeError(f"enumeration side {m} exceeds internal cap {cap}")
-    # subset_sums[mask] = column vector of row sums over the subset `mask`
-    subset_sums = np.zeros((1 << m, dev.shape[1]))
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        subset_sums[mask] = subset_sums[mask ^ low] + dev[low.bit_length() - 1]
+    subset_sums = np.zeros((1 << m, cols))
+    for i in reversed(range(m)):
+        view = subset_sums.reshape(-1, 1 << (i + 1), cols)
+        np.add(view[:, 0], dev[i], out=view[:, 1 << i])
     pos = np.maximum(subset_sums, 0.0).sum(axis=1)
     neg = -np.minimum(subset_sums, 0.0).sum(axis=1)
     return float(np.maximum(pos, neg).max())

@@ -9,6 +9,7 @@ output never depends on execution order or worker count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
@@ -23,6 +24,15 @@ CHAIN_MAPS = ("linear", "clipped-linear", "sine-perturbed")
 CHAIN_INNOVATIONS = ("uniform", "truncated-gaussian", "none")
 FAR_KERNELS = ("separable", "gaussian-bump")
 PSI_NAMES = ("linear", "norm")
+
+
+def _require_finite(spec, names: Sequence[str]) -> None:
+    """Reject NaN and infinite numeric fields: every comparison with NaN is
+    False, so the range checks of the specs would let NaN through."""
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"field 'process.{name}': must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +64,7 @@ class ContractiveChainSpec:
             raise ConfigError(
                 f"unsupported innovation {self.innovation!r}; choose from {CHAIN_INNOVATIONS}"
             )
+        _require_finite(self, ("a", "b", "clip_at", "halfwidth", "sigma", "trunc", "x0"))
         if self.lipschitz >= 1.0:
             raise ConfigError(
                 f"declared Lipschitz constant {self.lipschitz} must be < 1"
@@ -165,6 +176,7 @@ class Far1Spec:
     def __post_init__(self):
         if self.kernel not in FAR_KERNELS:
             raise ConfigError(f"unsupported kernel {self.kernel!r}; choose from {FAR_KERNELS}")
+        _require_finite(self, ("rho", "bump_width", "noise_scale"))
         if abs(self.rho) >= 1.0:
             raise ConfigError(f"operator norm bound rho={self.rho} violates contraction (|rho| < 1)")
         if self.initial not in ("zero", "eigenfunction"):
@@ -345,8 +357,8 @@ def make_regression_sample(
     path: FunctionalPath, psi: PsiSpec, noise_sd: float, seed: int
 ) -> FunctionalPath:
     """Fill responses Y_k = psi(X_k) + eps_k with centered Gaussian noise."""
-    if noise_sd < 0:
-        raise ConfigError("noise_sd must be >= 0")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     func, _ = make_psi(psi, path.grid)
     signal = func(path.curves)
     noise = rng_for(seed).normal(0.0, noise_sd, size=path.n_curves) if noise_sd > 0 else 0.0

@@ -122,6 +122,9 @@ class TestExitCodes:
             (("concentration", "--set", "grid.A=14", "--set", "gamma=inf"), "gamma"),
             (("fkr", "--set", "grid.n=200", "--set", "noise_sd=nan"), "noise_sd"),
             (("fkr", "--set", "grid.n=200", "--set", "noise_sd=-0.1"), "noise_sd"),
+            (("concentration", "--set", "process.a=nan"), "process.a"),
+            (("concentration", "--set", "process.halfwidth=nan"), "process.halfwidth"),
+            (("fkr", "--set", "grid.n=200", "--set", "process.rho=nan"), "process.rho"),
         ],
     )
     def test_invalid_grid_field_exits_2(self, tmp_path, capsys, argv, field):

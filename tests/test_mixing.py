@@ -8,6 +8,7 @@ from betamix.errors import FitError, SizeError, ValidationError
 from betamix.mixing import (
     FiniteChain,
     FiniteJointDistribution,
+    _alpha_table,
     alpha_exact,
     beta_exact,
     davydov_check,
@@ -84,6 +85,54 @@ class TestAlphaExact:
         joint = np.full((13, 2), 1.0 / 26)
         with pytest.raises(SizeError):
             alpha_exact(FiniteJointDistribution(joint))
+
+
+def per_mask_alpha_table(dev):
+    """The per-mask subset-sum recursion, one Python iteration per row subset."""
+    if dev.shape[0] > dev.shape[1]:
+        dev = dev.T
+    m = dev.shape[0]
+    subset_sums = np.zeros((1 << m, dev.shape[1]))
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        subset_sums[mask] = subset_sums[mask ^ low] + dev[low.bit_length() - 1]
+    pos = np.maximum(subset_sums, 0.0).sum(axis=1)
+    neg = -np.minimum(subset_sums, 0.0).sum(axis=1)
+    return float(np.maximum(pos, neg).max())
+
+
+class TestAlphaTable:
+    @pytest.mark.parametrize("side", range(1, 17))
+    def test_bit_identical_to_per_mask_recursion(self, side):
+        rng = np.random.default_rng(side)
+        for cols in (side, side + 3):
+            joint = rng.dirichlet(np.ones(side * cols)).reshape(side, cols)
+            dev = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
+            for table in (dev, dev.T):
+                assert _alpha_table(table) == per_mask_alpha_table(table)
+
+    def test_ibragimov_grouped_tables_bit_identical(self, monkeypatch):
+        tables = []
+
+        def recording_alpha_table(dev, cap=16):
+            tables.append(dev)
+            return _alpha_table(dev, cap)
+
+        monkeypatch.setattr("betamix.mixing._alpha_table", recording_alpha_table)
+        rng = np.random.default_rng(47)
+        for m, n in [(2, 2), (3, 3), (4, 4), (4, 3), (2, 4), (3, 4)] * 4:
+            chain = FiniteChain.from_transition(random_transition(rng, m))
+            lags = np.sort(rng.choice(np.arange(1, 9), size=n, replace=False))
+            funcs = [rng.uniform(0.0, 2.0, size=m) for _ in range(n)]
+            ibragimov_check(chain, funcs, lags)
+        assert max(min(t.shape) for t in tables) == 16
+        for table in tables:
+            assert _alpha_table(table) == per_mask_alpha_table(table)
+
+    @pytest.mark.parametrize("shape", [(17, 17), (17, 20), (20, 17)])
+    def test_side_above_cap_rejected(self, shape):
+        with pytest.raises(SizeError):
+            _alpha_table(np.zeros(shape))
 
 
 class TestValidation:

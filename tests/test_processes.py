@@ -111,6 +111,14 @@ class TestContractiveChain:
         with pytest.raises(ConfigError):
             ContractiveChainSpec(map="sine-perturbed", a=0.7, b=0.4)
 
+    @pytest.mark.parametrize(
+        "field", ["a", "b", "clip_at", "halfwidth", "sigma", "trunc", "x0"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"process.{field}"):
+            ContractiveChainSpec(**{field: value})
+
 
 class TestFar1:
     def test_eigenfunction_iteration(self):
@@ -203,6 +211,12 @@ class TestFar1:
         with pytest.raises(ConfigError):
             Far1Spec(rho=1.0)
 
+    @pytest.mark.parametrize("field", ["rho", "bump_width", "noise_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"process.{field}"):
+            Far1Spec(**{field: value})
+
     def test_determinism_in_seed(self):
         spec = Far1Spec(rho=0.3, noise_scale=0.2, burn_in=10)
         a = simulate_far1(spec, 20, 16, seed=8)
@@ -232,6 +246,12 @@ class TestRegressionSample:
         resid = sample.responses  # psi(0) = 0
         se = 0.09 * np.sqrt(2.0 / len(resid))
         assert abs(resid.var() - 0.09) < 3 * se
+
+    @pytest.mark.parametrize("noise_sd", [np.nan, np.inf, -0.1])
+    def test_non_finite_or_negative_noise_sd_rejected(self, noise_sd):
+        path = FunctionalPath(grid=uniform_grid(16), curves=np.zeros((5, 16)))
+        with pytest.raises(ConfigError, match="noise_sd"):
+            make_regression_sample(path, PsiSpec("norm"), noise_sd, seed=0)
 
     def test_unsupported_psi_rejected(self):
         with pytest.raises(ConfigError):
