@@ -68,7 +68,6 @@ from .regression import (
     hilbert_norm,
     kernel_spec,
     m_constant,
-    nadaraya_watson,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

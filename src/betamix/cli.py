@@ -50,9 +50,8 @@ from .regression import (
     dynamic_forecast_experiment,
     kernel_spec,
     m_constant,
-    nadaraya_watson,
 )
-from .seeding import rng_for
+from .seeding import Stream, keyed_rng
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,8 @@ MIXING_HEADER = ["check_name", "lhs", "rhs", "holds", "seed"]
 
 
 def _mixing_rows(config: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
-    rng = rng_for(config.seed)
+    # the random models draw from the root stream, which no keyed stream shares
+    rng = np.random.default_rng(config.seed)
     seed = config.seed
     max_states = int(config["mixing.max_states"])
     n_joints = int(config["mixing.joints"])
@@ -250,7 +250,8 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list
 def _laplace_section(config, process, fspec, bound_b):
     a_grid = sorted(config.a_grid)
     a_min = a_grid[0]
-    mixing_fit = estimate_chain_mixing(process, seed=config.seed, n_steps=10**5)
+    mixing_rng = keyed_rng(config.seed, Stream.MIXING_FIT)
+    mixing_fit = estimate_chain_mixing(process, seed=mixing_rng, n_steps=10**5)
     kappa0 = max(mixing_fit.kappa0, 1e-6)
     kappa1 = max(mixing_fit.kappa1, 1e-6)
     gamma = config.gamma
@@ -318,7 +319,7 @@ def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], list[str]]:
     checks = [
         Check(
             name="forecast_error_decreases",
-            passed=len(medians) < 2 or medians[-1] < medians[0],
+            passed=medians[-1] < medians[0],
             detail=f"median@{summaries[0].n}={medians[0]:.4g} "
                    f"median@{summaries[-1].n}={medians[-1]:.4g}",
         ),
@@ -338,7 +339,7 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[st
     rows, checks = _mixing_rows(config)
     seed = config.seed
 
-    rng = rng_for(seed, salt=0x7E57)
+    rng = keyed_rng(seed, Stream.TRUNCATE_SAMPLE)
     values = np.concatenate([
         rng.normal(0.0, 1.0, 40_000),
         rng.normal(0.0, 1e6, 30_000),
@@ -373,7 +374,7 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[st
         kernel=kernel_spec("downslope-linear"), bandwidth=1.0, training=training,
         reference_curves=np.linspace(0.0, 2.0, 12)[:, None] * np.ones((1, 5)),
     )
-    nw = nadaraya_watson(fit, np.zeros(5))
+    nw = fit.evaluate(np.zeros(5))
     holds = nw.defined and abs(nw.psi_hat - 8.8 / 4.8) <= 1e-12
     rows.append(("nadaraya_watson_hand_example", nw.psi_hat, 8.8 / 4.8, holds, seed))
     checks.append(Check(name="nadaraya_watson_hand_example", passed=holds))

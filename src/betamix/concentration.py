@@ -19,11 +19,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, FitError, MomentError, ValidationError
-from .processes import ContractiveChainSpec, _simulate_chain_columns
-from .seeding import AUX_STREAM_SALT, derive_seed, replicate
+from .processes import ContractiveChainSpec, _simulate_chain_columns, simulate_contractive_chain
+from .seeding import Stream, keyed_rng, replicate
 
-REP_BLOCK = 1000          # replication block size, fixed so results are
-                          # identical for any worker count
+REP_BLOCK = 1000          # replications per keyed generator; results depend
+                          # on it, never on the worker count
 B_GRID_POINTS = 240
 B_GRID_LO = 1.0 + 1e-3
 B_GRID_HI = 1e6
@@ -263,11 +263,11 @@ def _f_first(x, y):
 
 
 def _f_odd_clip(x, y):
-    return np.sign(x) * np.minimum(np.abs(x), 1.0) * np.ones_like(y)
+    return np.clip(x, -1.0, 1.0) * np.ones_like(y)
 
 
 def _f_odd_clip_damped(x, y):
-    return np.sign(x) * np.minimum(np.abs(x), 1.0) / (1.0 + y**2)
+    return np.clip(x, -1.0, 1.0) / (1.0 + y**2)
 
 
 def _f_sine_product(x, y):
@@ -286,7 +286,6 @@ _F_FUNCS = {
     "sine-product": _f_sine_product,
     "ball-indicator": _f_ball_indicator,
 }
-_PILOT_CENTERED = frozenset({"ball-indicator"})
 PILOT_BINS = 512
 PILOT_DRAWS = 10**6
 
@@ -323,33 +322,26 @@ def make_fspec(
     """Resolve a named aggregating function against a chain spec."""
     if name not in _F_FUNCS:
         raise ConfigError(f"unsupported fspec {name!r}; choose from {sorted(_F_FUNCS)}")
-    if name == "first":
-        bound = process.state_bound()
-    else:
-        bound = 1.0
-    if name not in _PILOT_CENTERED:
+    bound = process.state_bound() if name == "first" else 1.0
+    if name != "ball-indicator":
         return FSpec(name=name, bound=bound)
     span = process.state_bound()
     bins = np.linspace(-span, span, PILOT_BINS)
-    draws = _simulate_chain_columns(
-        process, pilot_draws, [derive_seed(seed, 0, AUX_STREAM_SALT)]
-    )[:, 0]
-    func = _F_FUNCS[name]
-    values = np.empty(PILOT_BINS)
-    sq = np.empty(PILOT_BINS)
-    for i, y in enumerate(bins):
-        fv = func(draws, np.full(1, y))
-        values[i] = fv.mean()
-        sq[i] = fv.var()
-    se = float(np.sqrt(sq.max() / pilot_draws))
+    path = simulate_contractive_chain(process, pilot_draws, keyed_rng(seed, Stream.PILOT))
+    draws = np.sort(path.values)
+    # ball-indicator: count the draws x with y - 1/2 <= x <= y + 1/2
+    upper = np.searchsorted(draws, bins + 0.5, "right")
+    values = (upper - np.searchsorted(draws, bins - 0.5, "left")) / pilot_draws
+    se = float(np.sqrt((values * (1.0 - values)).max() / pilot_draws))
     return FSpec(name=name, bound=bound, center_bins=bins, center_values=values, center_se=se)
 
 
 def _centered_sums(args) -> np.ndarray:
-    """sum_{k=1..n} f(X_k, X_t) - n E f(X_0, x)|_{x=X_t} per replication."""
-    fspec, process, n, t, seed, indices = args
-    seeds = [derive_seed(seed, r) for r in indices]
-    paths = _simulate_chain_columns(process, n, seeds)
+    """sum_{k=1..n} f(X_k, X_t) - n E f(X_0, x)|_{x=X_t} per replication of
+    one block, all its paths drawn from the block's generator of `stream`."""
+    fspec, process, n, t, seed, stream, indices = args
+    rng = keyed_rng(seed, stream, n, indices.start // REP_BLOCK)
+    paths = _simulate_chain_columns(process, n, indices, rng)
     x_t = paths[t - 1]
     return fspec(paths, x_t[None, :]).sum(axis=0) - n * fspec.center(x_t)
 
@@ -370,8 +362,8 @@ def tail_deviations(
     """
     if not 1 <= t <= n:
         raise ValidationError(f"t = {t} must lie in [1, n] = [1, {n}]")
-    sums = replicate(_centered_sums, (fspec, process, n, t, seed), reps, REP_BLOCK, workers)
-    return np.abs(sums / n)
+    args = (fspec, process, n, t, seed, Stream.CHAIN_TAIL)
+    return np.abs(replicate(_centered_sums, args, reps, REP_BLOCK, workers) / n)
 
 
 def _tail_from_deviations(devs: np.ndarray, epsilon: float, n: int) -> TailEstimate:
@@ -424,7 +416,8 @@ def empirical_laplace(
         raise ValidationError(f"t = {t} must lie in [1, floor(A)] = [1, {m}]")
     if reps < 100:
         raise ValidationError("reps must be >= 100")
-    sums = replicate(_centered_sums, (fspec, process, m, t, seed), reps, REP_BLOCK, workers)
+    args = (fspec, process, m, t, seed, Stream.CHAIN_LAPLACE)
+    sums = replicate(_centered_sums, args, reps, REP_BLOCK, workers)
     with np.errstate(over="ignore"):
         values = np.exp(gamma * sums)
     if not np.all(np.isfinite(values)):

@@ -334,6 +334,9 @@ def resolve_config(
             raise ConfigError("field 'grid.theta': must lie in (0, 1/2)")
         if not (np.isfinite(config.noise_sd) and config.noise_sd >= 0):
             raise ConfigError("field 'noise_sd': must be finite and >= 0")
+        # with one n the error-decrease checks would hold by construction
+        if len(set(config.n_grid)) < 2:
+            raise ConfigError("field 'grid.n': fkr suite needs at least 2 distinct n values")
     if suite == "mixing":
         for key in ("mixing.joints", "mixing.chains", "mixing.max_states"):
             if _to_int(merged[key], key) < 1:

@@ -3,8 +3,8 @@
 Three generators: a contractive scalar Markov chain (Lipschitz map plus i.i.d.
 innovations), a curve-valued first-order autoregression on a fixed grid, and
 regression responses on top of a curve sample. Every simulation is a pure
-function of (spec, n, seed); batch drivers derive per-replication seeds so
-output never depends on execution order or worker count.
+function of (spec, n, seed), the seed being anything np.random.default_rng
+takes; batch drivers pass one keyed generator per replication block.
 """
 
 from __future__ import annotations
@@ -12,18 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, ValidationError
-from .seeding import rng_for
 
 CHAIN_MAPS = ("linear", "clipped-linear", "sine-perturbed")
 CHAIN_INNOVATIONS = ("uniform", "truncated-gaussian", "none")
 FAR_KERNELS = ("separable", "gaussian-bump")
 PSI_NAMES = ("linear", "norm")
+Seed = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
 def _require_finite(spec, names: Sequence[str]) -> None:
@@ -112,10 +112,9 @@ class ContractiveChainSpec:
 
 @dataclass(frozen=True)
 class PathSample:
-    """A simulated scalar path together with the seed that produced it."""
+    """A simulated scalar path."""
 
     values: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -220,28 +219,27 @@ def _draw_innovations(spec: ContractiveChainSpec, rng: np.random.Generator, shap
     return np.zeros(shape)
 
 
-def simulate_contractive_chain(spec: ContractiveChainSpec, n: int, seed: int) -> PathSample:
+def simulate_contractive_chain(spec: ContractiveChainSpec, n: int, seed: Seed) -> PathSample:
     """Length-n path after discarding the spec's burn-in prefix."""
-    values = _simulate_chain_columns(spec, n, [seed])[:, 0]
-    return PathSample(values=values, seed=seed)
+    values = _simulate_chain_columns(spec, n, range(1), np.random.default_rng(seed))[:, 0]
+    return PathSample(values=values)
 
 
 def _simulate_chain_columns(
-    spec: ContractiveChainSpec, n: int, seeds: Sequence[int]
+    spec: ContractiveChainSpec, n: int, seeds: Sequence[int], rng: np.random.Generator
 ) -> np.ndarray:
-    """One path per seed, stacked as columns of an (n, len(seeds)) array.
+    """One path per entry of `seeds` (a block's replication indices), stacked
+    as columns of an (n, len(seeds)) array.
 
-    Column j is bit-for-bit the path of simulate_contractive_chain(spec, n,
-    seeds[j]). Several columns advance together, one contiguous row per time
-    step; a single linear-map path runs as the scalar recursion of _ar1_path,
-    which performs the identical multiply-add.
+    Column j is the recursion over column j of one (burn_in + n - 1,
+    len(seeds)) innovation draw from `rng`. The columns advance together, one
+    contiguous row per time step; a single linear-map path runs as the scalar
+    recursion of _ar1_path, which performs the identical multiply-add.
     """
     if n < 1:
         raise ValidationError("path length must be >= 1")
     total = spec.burn_in + n
-    eps = np.empty((total - 1, len(seeds)))
-    for col, seed in enumerate(seeds):
-        eps[:, col] = _draw_innovations(spec, rng_for(seed), total - 1)
+    eps = _draw_innovations(spec, rng, (total - 1, len(seeds)))
     if spec.map == "linear" and len(seeds) == 1:
         full = _ar1_path(spec.a, eps[:, 0], spec.x0)[:, None]
     else:
@@ -273,7 +271,7 @@ def _bump_operator(grid: np.ndarray, rho: float, width: float) -> np.ndarray:
     return (rho / norm) * kernel * w[None, :]
 
 
-def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: int) -> FunctionalPath:
+def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed) -> FunctionalPath:
     """Curve-valued AR(1) path of length n on a uniform grid.
 
     The separable operator rho * phi <phi, .>_w has rank one, so its path is
@@ -294,7 +292,7 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: int) -> Function
     basis = np.sqrt(2.0) * np.sin(np.pi * modes[:, None] * grid[None, :])
     sigmas = spec.noise_scale / modes
 
-    rng = rng_for(seed)
+    rng = np.random.default_rng(seed)
     total = spec.burn_in + n
     xi = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(max(total - 1, 0), spec.noise_terms))
     coeffs = xi * sigmas[None, :]
@@ -354,14 +352,15 @@ def make_psi(spec: PsiSpec, grid: np.ndarray) -> tuple[Callable[[np.ndarray], np
 
 
 def make_regression_sample(
-    path: FunctionalPath, psi: PsiSpec, noise_sd: float, seed: int
+    path: FunctionalPath, psi: PsiSpec, noise_sd: float, seed: Seed
 ) -> FunctionalPath:
     """Fill responses Y_k = psi(X_k) + eps_k with centered Gaussian noise."""
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     func, _ = make_psi(psi, path.grid)
     signal = func(path.curves)
-    noise = rng_for(seed).normal(0.0, noise_sd, size=path.n_curves) if noise_sd > 0 else 0.0
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, noise_sd, size=path.n_curves) if noise_sd > 0 else 0.0
     return FunctionalPath(grid=path.grid, curves=path.curves, responses=signal + noise)
 
 
@@ -378,7 +377,7 @@ def binned_lag_joint(values: np.ndarray, lag: int, n_bins: int) -> np.ndarray:
 
 def estimate_chain_mixing(
     spec: ContractiveChainSpec,
-    seed: int,
+    seed: Seed,
     lags: Sequence[int] = (1, 2, 3, 4, 5),
     n_steps: int = 10**6,
     n_bins: int = 8,

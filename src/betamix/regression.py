@@ -29,13 +29,12 @@ from .processes import (
     trapezoid_weights,
     uniform_grid,
 )
-from .seeding import AUX_STREAM_SALT, derive_seed, replicate
+from .seeding import Stream, keyed_rng, replicate
 
 KERNEL_NAMES = ("uniform", "downslope-linear", "quadratic-decreasing")
-NOISE_STREAM_SALT = 0xC2B2AE3D27D4EB4F
 M_QUADRATURE_POINTS = 1000
 KERNEL_CHECK_POINTS = 1000
-FORECAST_BLOCK = 25
+FORECAST_BLOCK = 25       # replications per keyed generator of each stream
 
 
 def _k_uniform(s):
@@ -189,11 +188,6 @@ class RegressionFit:
         return NWEvaluation(psi_hat=psi_hat, f_hat=f_hat, g_hat=g_hat, n_effective=n_eff)
 
 
-def nadaraya_watson(fit: RegressionFit, x: np.ndarray) -> NWEvaluation:
-    """Kernel-weighted response average at x, with small-ball normalization."""
-    return fit.evaluate(x)
-
-
 @dataclass(frozen=True)
 class SmallBallModel:
     """Empirical small-ball probabilities F_x(h) and the scaling profile
@@ -328,15 +322,14 @@ def _forecast_block(args) -> np.ndarray:
     kernel = KernelSpec(kernel_name)
     grid = uniform_grid(grid_size)
     psi_func, _ = make_psi(psi, grid)
+    block = indices.start // FORECAST_BLOCK
+    streams = (Stream.FAR_PATH, Stream.REGRESSION_NOISE, Stream.REFERENCE_SAMPLE)
+    path_rng, noise_rng, reference_rng = (keyed_rng(seed, s, n, block) for s in streams)
     rows = np.empty((len(indices), 5))
-    for pos, rep in enumerate(indices):
-        path = simulate_far1(process, n, grid_size, derive_seed(seed, rep))
-        sample = make_regression_sample(
-            path, psi, noise_sd, derive_seed(seed, rep, NOISE_STREAM_SALT)
-        )
-        reference = simulate_far1(
-            process, n, grid_size, derive_seed(seed, rep, AUX_STREAM_SALT)
-        )
+    for pos in range(len(indices)):
+        path = simulate_far1(process, n, grid_size, path_rng)
+        sample = make_regression_sample(path, psi, noise_sd, noise_rng)
+        reference = simulate_far1(process, n, grid_size, reference_rng)
         x = path.curves[t - 1]
         ref_dists = curve_distances(reference.curves, x, grid)
         h = bandwidth_schedule(n, theta, ref_dists).h

@@ -1,29 +1,38 @@
-"""Deterministic seed derivation and the replication driver for parallel
-Monte Carlo replications.
+"""Keyed random streams and the replication driver for parallel Monte Carlo.
 
-Replication r of a run with master seed s always uses ``derive_seed(s, r)``,
-so results do not depend on execution order, chunking, or worker count.
+Every random draw of a suite comes from a named stream keyed by
+np.random.SeedSequence(seed, spawn_key=(stream, grid_value, block)), NumPy's
+scheme for independent parallel streams. Results depend on the fixed block
+sizes, never on execution order or worker count.
 """
 
 from concurrent.futures import ProcessPoolExecutor
+from enum import IntEnum
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-# Fixed salt separating auxiliary streams (reference samples, noise) from the
-# main replication stream.
-AUX_STREAM_SALT = 0x9E3779B97F4A7C15
+
+class Stream(IntEnum):
+    """Named random streams: the first word of every spawn key."""
+
+    CHAIN_TAIL = 0        # chain paths of the tail estimator, per (n, block)
+    CHAIN_LAPLACE = 1     # chain paths of the Laplace estimator, per (floor A, block)
+    PILOT = 2             # pilot path of a pilot-centered fspec
+    MIXING_FIT = 3        # long path of the Laplace section's mixing fit
+    FAR_PATH = 4          # FAR(1) training paths, per (n, block)
+    REGRESSION_NOISE = 5  # regression response noise, per (n, block)
+    REFERENCE_SAMPLE = 6  # independent FAR(1) reference paths, per (n, block)
+    TRUNCATE_SAMPLE = 7   # verify-all's truncation sample
 
 
-def derive_seed(master: int, index: int, salt: int = 0) -> int:
-    """Seed for replication `index` of a run seeded with `master`."""
-    if master < 0 or index < 0:
-        raise ValueError("seeds and replication indices must be non-negative")
-    return (master ^ index ^ salt) & _MASK64
-
-
-def rng_for(master: int, index: int = 0, salt: int = 0) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master, index, salt))
+def keyed_rng(
+    seed: int, stream: Stream, grid_value: int = 0, block: int = 0
+) -> np.random.Generator:
+    """Generator of `stream` for one grid value and one replication block of a
+    run seeded with `seed`. The key holds the grid value itself (n, or
+    floor(A)), so a grid point's sample does not depend on the rest of the grid."""
+    key = (int(stream), grid_value, block)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def replicate(block_fn, args: tuple, reps: int, block_size: int, workers: int) -> np.ndarray:
@@ -31,7 +40,7 @@ def replicate(block_fn, args: tuple, reps: int, block_size: int, workers: int) -
     0..reps-1 and concatenate the results in replication order.
 
     The blocks are range(s, min(s + block_size, reps)) whatever the worker
-    count, and each block seeds its replications from their indices, so the
+    count, and each block keys its generators by its own position, so the
     result is identical for any `workers`. A process pool is used only when
     workers > 1 and there is more than one block.
     """

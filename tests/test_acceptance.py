@@ -46,7 +46,6 @@ from betamix.regression import (
     estimate_small_ball,
     kernel_spec,
     m_constant,
-    nadaraya_watson,
 )
 from oracles import partition_beta, random_joint, random_transition
 from test_concentration import corollary_oracle, laplace_oracle, unbounded_oracle
@@ -346,7 +345,7 @@ def test_criterion_9_exactness_micro_suite(tmp_path):
         kernel=kernel_spec("downslope-linear"), bandwidth=1.0, training=training,
         reference_curves=np.linspace(0.0, 2.0, 12)[:, None] * np.ones((1, 5)),
     )
-    nw = nadaraya_watson(fit, np.zeros(5))
+    nw = fit.evaluate(np.zeros(5))
     nw_ok = nw.defined and abs(nw.psi_hat - 8.8 / 4.8) <= 1e-12
 
     args = lambda out: [

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import betamix
+from betamix import concentration, processes
 from betamix.cli import emit_plotdata, main
 from betamix.config import parse_config_text, resolve_config
 from betamix.errors import ConfigError
@@ -100,7 +102,7 @@ class TestExitCodes:
 
     def test_malformed_t_rule_index_exits_2(self, tmp_path, capsys):
         code = run_cli("fkr", "--seed", "1", "--output", str(tmp_path),
-                       "--set", "grid.n=120", "--set", "t_rule=index:abc")
+                       "--set", "grid.n=120,240", "--set", "t_rule=index:abc")
         assert code == 2
         assert "t_rule" in capsys.readouterr().err
 
@@ -124,7 +126,9 @@ class TestExitCodes:
             (("fkr", "--set", "grid.n=200", "--set", "noise_sd=-0.1"), "noise_sd"),
             (("concentration", "--set", "process.a=nan"), "process.a"),
             (("concentration", "--set", "process.halfwidth=nan"), "process.halfwidth"),
-            (("fkr", "--set", "grid.n=200", "--set", "process.rho=nan"), "process.rho"),
+            (("fkr", "--set", "grid.n=200,400", "--set", "process.rho=nan"), "process.rho"),
+            (("fkr", "--set", "grid.n=200"), "grid.n"),
+            (("fkr", "--set", "grid.n=200,200"), "grid.n"),
         ],
     )
     def test_invalid_grid_field_exits_2(self, tmp_path, capsys, argv, field):
@@ -177,6 +181,37 @@ class TestDeterminism:
                     for name in ("concentration_report.csv", "laplace_report.csv")]
 
         assert run(1) == run(2)
+
+    def test_fkr_seeds_404_to_407_write_distinct_reports(self, tmp_path):
+        # the former seed ^ index streams wrote one body for all four seeds
+        bodies = set()
+        for seed in (404, 405, 406, 407):
+            out = tmp_path / str(seed)
+            run_cli("fkr", "--seed", str(seed), "--reps", "100", "--output", str(out),
+                    "--set", "grid.n=100,200", "--set", "grid_size=16",
+                    "--set", "process.burn_in=50")
+            bodies.add((out / "fkr_report.csv").read_bytes())
+        assert len(bodies) == 4
+
+    def test_every_chain_stream_of_a_run_is_distinct(self, tmp_path, monkeypatch):
+        # the pilot, each n, the mixing fit and each A draw from their own
+        # streams, and none from the root stream of the mixing suite's models
+        starts = []
+        simulate = processes._simulate_chain_columns
+
+        def recording(spec, n, seeds, rng):
+            starts.append(rng.bit_generator.state["state"]["state"])
+            return simulate(spec, n, seeds, rng)
+
+        monkeypatch.setattr(processes, "_simulate_chain_columns", recording)
+        monkeypatch.setattr(concentration, "_simulate_chain_columns", recording)
+        run_cli("concentration", "--seed", "3", "--reps", "100", "--output", str(tmp_path),
+                "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05",
+                "--set", "grid.A=14,20", "--set", "fspec=ball-indicator",
+                "--set", "process.burn_in=100")
+        root = np.random.default_rng(3).bit_generator.state["state"]["state"]
+        assert len(starts) == 1 + 4 + 1 + 2
+        assert len(set(starts) | {root}) == len(starts) + 1
 
     def test_manifest_records_resolved_config_and_hash(self, tmp_path):
         run_cli("mixing", "--seed", "9", "--output", str(tmp_path), *FAST_MIXING)

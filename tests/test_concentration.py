@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from betamix.concentration import (
+    PILOT_BINS,
     REP_BLOCK,
     BoundParams,
     MomentInputs,
@@ -32,8 +33,12 @@ from betamix.errors import (
     MomentError,
     ValidationError,
 )
-from betamix.processes import ContractiveChainSpec, _simulate_chain_columns
-from betamix.seeding import derive_seed
+from betamix.processes import (
+    ContractiveChainSpec,
+    _simulate_chain_columns,
+    simulate_contractive_chain,
+)
+from betamix.seeding import Stream, keyed_rng
 
 mp.dps = 50
 
@@ -271,11 +276,35 @@ class TestEmpiricalTail:
         devs2 = tail_deviations(*args, workers=2)
         np.testing.assert_array_equal(devs1, devs2)
 
+    def test_xor_related_master_seeds_draw_independent_samples(self):
+        # seeds s, s^1 and s^7 once gave the same multiset of deviations; two
+        # blocks, so a block index folded into the seed would show as well
+        chain = ContractiveChainSpec(a=0.5, burn_in=1000)
+        fspec = make_fspec("odd-clip-damped", chain)
+        s = 20250810
+        devs = [tail_deviations(fspec, chain, 200, 200, 2 * REP_BLOCK, seed)
+                for seed in (s, s ^ 1, s ^ 7)]
+        p_hats = {float(np.mean(d >= 0.03)) for d in devs}
+        assert len(p_hats) == 3
+        for i in range(3):
+            for j in range(i):
+                assert np.intersect1d(devs[i], devs[j]).size == 0
+
     def test_t_out_of_range_rejected(self):
         fspec = make_fspec("zero", UNIFORM_CHAIN)
         with pytest.raises(ValidationError):
             empirical_tail_grid(fspec, UNIFORM_CHAIN, n=10, t=11, epsilons=[0.1], reps=100,
                                 seed=0)
+
+    def test_odd_clip_functions_are_the_sign_min_formula(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.uniform(-3, 3, (50, 4)), [[0.0, 1.0, -1.0, 1.0 + 2**-52]]])
+        y = rng.uniform(-3, 3, (1, 4))
+        clipped = np.sign(x) * np.minimum(np.abs(x), 1.0)
+        np.testing.assert_array_equal(make_fspec("odd-clip", UNIFORM_CHAIN)(x, y),
+                                      clipped * np.ones_like(y))
+        np.testing.assert_array_equal(make_fspec("odd-clip-damped", UNIFORM_CHAIN)(x, y),
+                                      clipped / (1.0 + y**2))
 
     def test_unsupported_fspec_rejected(self):
         with pytest.raises(ConfigError):
@@ -289,6 +318,18 @@ class TestPilotCentering:
         center = fspec.center(np.array([0.0]))[0]
         assert abs(center - 0.5) < 3 * math.sqrt(0.25 / 100_000) + 1e-3
         assert fspec.center_se < 0.01
+
+    def test_center_values_equal_the_per_bin_loop(self):
+        fspec = make_fspec("ball-indicator", UNIFORM_CHAIN, seed=5, pilot_draws=20_000)
+        draws = simulate_contractive_chain(
+            UNIFORM_CHAIN, 20_000, keyed_rng(5, Stream.PILOT)
+        ).values
+        values, variances = np.empty(PILOT_BINS), np.empty(PILOT_BINS)
+        for i, y in enumerate(fspec.center_bins):
+            fv = fspec(draws, np.full(1, y))
+            values[i], variances[i] = fv.mean(), fv.var()
+        np.testing.assert_array_equal(fspec.center_values, values)
+        assert fspec.center_se == float(np.sqrt(variances.max() / 20_000))
 
     def test_pilot_centered_tail_runs(self):
         fspec = make_fspec("ball-indicator", UNIFORM_CHAIN, seed=5, pilot_draws=20_000)
@@ -328,18 +369,21 @@ class TestEmpiricalLaplace:
 class TestCenteredSums:
     """The tail and Laplace estimators against the per-replication arithmetic
     they replaced, written out here as the oracle, on one block of
-    replications (reps <= REP_BLOCK) seeded by derive_seed(seed, r)."""
+    replications (reps <= REP_BLOCK) drawn from the block's keyed generator."""
 
     CHAIN = ContractiveChainSpec(a=0.5, burn_in=50)
     N, T, REPS, SEED, GAMMA = 40, 20, 300, 17, 0.2
 
     def _oracle(self, fspec):
-        seeds = [derive_seed(self.SEED, r) for r in range(self.REPS)]
-        paths = _simulate_chain_columns(self.CHAIN, self.N, seeds)
-        x_t = paths[self.T - 1]
-        f = fspec(paths, x_t[None, :])
-        c = fspec.center(x_t)
+        def block(stream):
+            rng = keyed_rng(self.SEED, stream, self.N, 0)
+            paths = _simulate_chain_columns(self.CHAIN, self.N, range(self.REPS), rng)
+            x_t = paths[self.T - 1]
+            return fspec(paths, x_t[None, :]), fspec.center(x_t)
+
+        f, c = block(Stream.CHAIN_TAIL)
         devs = np.abs(f.sum(axis=0) / self.N - c)
+        f, c = block(Stream.CHAIN_LAPLACE)
         with np.errstate(over="ignore"):
             values = np.exp(self.GAMMA * (f - c[None, :]).sum(axis=0))
         return devs, values

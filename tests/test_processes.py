@@ -10,6 +10,7 @@ from betamix.processes import (
     FunctionalPath,
     PsiSpec,
     _bump_operator,
+    _draw_innovations,
     _simulate_chain_columns,
     binned_lag_joint,
     estimate_chain_mixing,
@@ -22,7 +23,6 @@ from betamix.processes import (
     trapezoid_weights,
     uniform_grid,
 )
-from betamix.seeding import rng_for
 
 
 def halving_spec(**kw):
@@ -50,17 +50,32 @@ class TestContractiveChain:
         assert_array_equal(a, b)
         assert np.any(a[:10] != c[:10])
 
+    @staticmethod
+    def _per_step_columns(spec, eps):
+        """Reference: each column of `eps` drives its own width-1 recursion."""
+        want = np.empty((eps.shape[0] + 1, eps.shape[1]))
+        for j in range(eps.shape[1]):
+            x = np.full(1, spec.x0)
+            want[0, j] = x[0]
+            for t, e in enumerate(eps[:, j], start=1):
+                x = spec.apply_map(x) + e
+                want[t, j] = x[0]
+        return want[spec.burn_in:]
+
     @pytest.mark.parametrize("map_name", ["linear", "clipped-linear", "sine-perturbed"])
     def test_batch_columns_match_single_paths(self, map_name):
+        # column j is the recursion over column j of the block's single draw
         for innovation in ("truncated-gaussian", "uniform"):
             spec = ContractiveChainSpec(
                 map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
                 innovation=innovation, sigma=0.5, trunc=1.5, halfwidth=0.8, burn_in=7,
             )
-            seeds = [5, 6, 11]
-            batch = _simulate_chain_columns(spec, 40, seeds)
-            for j, s in enumerate(seeds):
-                assert_array_equal(batch[:, j], simulate_contractive_chain(spec, 40, s).values)
+            batch = _simulate_chain_columns(spec, 40, range(3), np.random.default_rng(5))
+            eps = _draw_innovations(spec, np.random.default_rng(5), (46, 3))
+            assert_array_equal(batch, self._per_step_columns(spec, eps))
+            single = simulate_contractive_chain(spec, 40, 5).values
+            eps = _draw_innovations(spec, np.random.default_rng(5), (46, 1))
+            assert_array_equal(single, self._per_step_columns(spec, eps)[:, 0])
 
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("burn_in", [0, 1, 7])
@@ -68,17 +83,17 @@ class TestContractiveChain:
     def test_linear_columns_are_the_per_step_recursion(self, width, burn_in, n):
         spec = ContractiveChainSpec(map="linear", a=-0.9, innovation="uniform",
                                     halfwidth=0.8, burn_in=burn_in, x0=0.25)
-        seeds = [13 + j for j in range(width)]
+        draws = np.random.default_rng(13).uniform(-0.8, 0.8, size=(burn_in + n - 1, width))
         want = np.empty((n, width))
-        for j, seed in enumerate(seeds):
-            eps = rng_for(seed).uniform(-0.8, 0.8, size=burn_in + n - 1)
+        for j in range(width):
             x = np.float64(0.25)
             states = [x]
-            for e in eps:
+            for e in draws[:, j]:
                 x = spec.a * x + e
                 states.append(x)
             want[:, j] = states[burn_in:]
-        assert_array_equal(_simulate_chain_columns(spec, n, seeds), want)
+        got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(13))
+        assert_array_equal(got, want)
 
     def test_half_means_agree_under_stationarity(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=1000)
@@ -175,7 +190,7 @@ class TestFar1:
         modes = np.arange(1, spec.noise_terms + 1)
         basis = np.sqrt(2.0) * np.sin(np.pi * modes[:, None] * grid[None, :])
         total = spec.burn_in + n
-        xi = rng_for(seed).uniform(
+        xi = np.random.default_rng(seed).uniform(
             -np.sqrt(3.0), np.sqrt(3.0), size=(total - 1, spec.noise_terms)
         )
         noise = (xi * (spec.noise_scale / modes)[None, :]) @ basis

@@ -14,7 +14,6 @@ from betamix.regression import (
     hilbert_norm,
     kernel_spec,
     m_constant,
-    nadaraya_watson,
 )
 
 
@@ -75,25 +74,25 @@ class TestHilbertNorm:
 class TestNadarayaWatson:
     def test_constant_responses(self):
         fit = constant_curve_fit([0.1, 0.5, 0.9], [3.0, 3.0, 3.0])
-        out = nadaraya_watson(fit, ZERO_QUERY)
+        out = fit.evaluate(ZERO_QUERY)
         assert out.defined
         assert out.psi_hat == pytest.approx(3.0, rel=1e-14)
 
     def test_single_neighbor(self):
         fit = constant_curve_fit([0.4, 5.0, 7.0], [2.5, -1.0, 4.0])
-        out = nadaraya_watson(fit, ZERO_QUERY)
+        out = fit.evaluate(ZERO_QUERY)
         assert out.n_effective == 1
         assert out.psi_hat == pytest.approx(2.5, rel=1e-14)
 
     def test_five_point_hand_example(self):
         fit = constant_curve_fit([0.1, 0.2, 0.9, 1.5, 2.0], [1, 2, 3, 4, 5])
-        out = nadaraya_watson(fit, ZERO_QUERY)
+        out = fit.evaluate(ZERO_QUERY)
         assert out.n_effective == 3
         assert abs(out.psi_hat - 8.8 / 4.8) < 1e-12
 
     def test_undefined_when_no_neighbors(self):
         fit = constant_curve_fit([1.5, 2.0, 3.0], [1.0, 2.0, 3.0])
-        out = nadaraya_watson(fit, ZERO_QUERY)
+        out = fit.evaluate(ZERO_QUERY)
         assert not out.defined
         assert out.psi_hat is None
         assert out.n_effective == 0
@@ -101,7 +100,7 @@ class TestNadarayaWatson:
     def test_ratio_identity(self):
         rng = np.random.default_rng(3)
         fit = constant_curve_fit(rng.uniform(0, 2, 20), rng.normal(size=20))
-        out = nadaraya_watson(fit, ZERO_QUERY)
+        out = fit.evaluate(ZERO_QUERY)
         assert out.f_hat > 0
         assert out.psi_hat == pytest.approx(out.g_hat / out.f_hat, rel=1e-12)
 
@@ -110,23 +109,22 @@ class TestNadarayaWatson:
         for _ in range(20):
             d = rng.uniform(0, 2, 15)
             y = rng.normal(size=15)
-            out = nadaraya_watson(constant_curve_fit(d, y), ZERO_QUERY)
+            out = constant_curve_fit(d, y).evaluate(ZERO_QUERY)
             if out.defined:
                 assert y.min() - 1e-12 <= out.psi_hat <= y.max() + 1e-12
 
     def test_far_points_do_not_change_estimate(self):
-        out1 = nadaraya_watson(constant_curve_fit([0.2, 0.7], [1.0, 5.0]), ZERO_QUERY)
-        out2 = nadaraya_watson(
-            constant_curve_fit([0.2, 0.7, 1.01, 40.0], [1.0, 5.0, 100.0, -7.0]), ZERO_QUERY
-        )
+        out1 = constant_curve_fit([0.2, 0.7], [1.0, 5.0]).evaluate(ZERO_QUERY)
+        far = constant_curve_fit([0.2, 0.7, 1.01, 40.0], [1.0, 5.0, 100.0, -7.0])
+        out2 = far.evaluate(ZERO_QUERY)
         assert out1.psi_hat == pytest.approx(out2.psi_hat, rel=1e-14)
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(7)
         d = rng.uniform(0, 1.5, 10)
         y = rng.normal(size=10)
-        base = nadaraya_watson(constant_curve_fit(d, y), ZERO_QUERY).psi_hat
-        scaled = nadaraya_watson(constant_curve_fit(d, 3.0 * y + 2.0), ZERO_QUERY).psi_hat
+        base = constant_curve_fit(d, y).evaluate(ZERO_QUERY).psi_hat
+        scaled = constant_curve_fit(d, 3.0 * y + 2.0).evaluate(ZERO_QUERY).psi_hat
         assert scaled == pytest.approx(3.0 * base + 2.0, rel=1e-12)
 
 

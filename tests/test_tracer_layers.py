@@ -1,15 +1,22 @@
 """The benchmark tracer wraps package functions by name; every name must resolve.
 
 `perfbench/traced.py` installs its spans after import by looking up each
-(module, attribute) of its LAYER_CALLS table on `betamix.<module>`. A rename
-in the package would otherwise surface only as a failed benchmark run.
+(module, attribute) of its LAYER_CALLS table on `betamix.<module>`, and takes
+its step counters from the wrapped calls' `spec`, `n` and `seeds` arguments.
+A rename in the package would otherwise surface only as a failed benchmark run.
 """
 
 import importlib
 import importlib.util
+import marshal
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import betamix
 
 TRACED_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 
@@ -35,3 +42,36 @@ def test_layer_call_resolves(module_name, attr):
         assert method in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+def traced_counters(tmp_path, suite, *cli_args):
+    """Counters of one traced CLI run at workers = 1; the run must exit 0."""
+    spans = tmp_path / "spans"
+    env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
+    argv = [sys.executable, str(TRACED_PATH), str(spans), suite, "--workers", "1",
+            "--output", str(tmp_path / "out"), *cli_args]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    with open(spans, "rb") as fh:
+        return marshal.load(fh)[-1]
+
+
+def test_traced_concentration_counts_chain_steps(tmp_path):
+    counters = traced_counters(
+        tmp_path, "concentration", "--seed", "2", "--reps", "200",
+        "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.1",
+        "--set", "grid.A=14,20", "--set", "fspec=odd-clip", "--set", "process.burn_in=100",
+    )
+    tail = sum(200 * (100 + n) for n in (50, 100, 200, 400))
+    laplace = sum(200 * (100 + a) for a in (14, 20))
+    mixing_fit = 100 + 10**5
+    assert counters["processes.chain_steps"] == tail + laplace + mixing_fit
+
+
+def test_traced_fkr_counts_far1_steps(tmp_path):
+    counters = traced_counters(
+        tmp_path, "fkr", "--seed", "405", "--reps", "100",
+        "--set", "grid.n=100,200", "--set", "grid_size=16", "--set", "process.burn_in=50",
+    )
+    # a training path and a reference path per replication
+    assert counters["processes.far1_steps"] == sum(2 * 100 * (50 + n) for n in (100, 200))
