@@ -43,7 +43,6 @@ from .processes import (
     ContractiveChainSpec,
     Far1Spec,
     FunctionalPath,
-    PathSample,
     PsiSpec,
     estimate_chain_mixing,
     load_functional_path,

@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .concentration import (
@@ -65,8 +64,6 @@ class Check:
 class SuiteResult:
     exit_code: int
     checks: tuple[Check, ...]
-    report_paths: tuple[str, ...]
-    manifest_path: str
 
 
 def _fmt(value) -> str:
@@ -100,7 +97,6 @@ def _write_manifest(
         "versions": {
             "betamix": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "checks": [dataclasses.asdict(c) for c in checks],
@@ -407,52 +403,50 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     manifest = os.path.join(config.output, f"{config.suite.replace('-', '_')}_manifest.json")
     _write_manifest(manifest, config, checks, reports)
     exit_code = 0 if all(c.passed for c in checks) else 1
-    return SuiteResult(
-        exit_code=exit_code,
-        checks=tuple(checks),
-        report_paths=tuple(reports),
-        manifest_path=manifest,
-    )
+    return SuiteResult(exit_code=exit_code, checks=tuple(checks))
 
 
 PLOTDATA_HEADER = ["series", "x", "y", "y_lo", "y_hi"]
 
 
 def emit_plotdata(report_path: str, kind: str, output_path: str) -> None:
-    """Tidy a wide suite report into long-format (series, x, y, y_lo, y_hi)."""
+    """Tidy a wide suite report into long-format (series, x, y, y_lo, y_hi).
+
+    A row with the wrong cell count, a non-numeric cell, or (concentration)
+    an n < 3, where log log n is undefined, raises ConfigError naming its line.
+    """
+    expected = {"concentration": CONCENTRATION_HEADER, "fkr": FKR_HEADER}.get(kind)
+    if expected is None:
+        raise ConfigError(f"unsupported plotdata kind {kind!r}")
     try:
         with open(report_path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+            lines = [(i, ln.rstrip("\n").split(",")) for i, ln in enumerate(fh, 1) if ln.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read report {report_path}: {exc}") from exc
     if not lines:
         raise ConfigError(f"report {report_path} is empty")
-    header = lines[0].split(",")
-    body = [ln.split(",") for ln in lines[1:]]
+    header = lines[0][1]
+    if header != expected:
+        raise ConfigError(f"report schema mismatch: expected {expected}, got {header}")
+    text = 1 if kind == "concentration" else 0  # experiment_id is the only text cell
     out_rows: list[tuple] = []
-    if kind == "concentration":
-        if header != CONCENTRATION_HEADER:
-            raise ConfigError(
-                f"report schema mismatch: expected {CONCENTRATION_HEADER}, got {header}"
-            )
-        for cells in body:
-            n = float(cells[1])
-            eps = cells[2]
-            p_hat, ci = float(cells[4]), float(cells[5])
+    for lineno, cells in lines[1:]:
+        where = f"report {report_path} line {lineno}"
+        if len(cells) != len(expected):
+            raise ConfigError(f"{where}: expected {len(expected)} cells, got {len(cells)}")
+        try:
+            values = cells[:text] + [float(c) for c in cells[text:]]
+        except ValueError as exc:
+            raise ConfigError(f"{where}: non-numeric cell ({exc})") from exc
+        if kind == "concentration":
+            n, p_hat, ci = values[1], values[4], values[5]
+            if not n >= 3:
+                raise ConfigError(f"{where}: n = {cells[1]} < 3 leaves log log n undefined")
             x = n / (math.log(n) * math.log(math.log(n)))
-            out_rows.append((f"eps={eps}", x, p_hat, p_hat - ci, p_hat + ci))
-    elif kind == "fkr":
-        if header != FKR_HEADER:
-            raise ConfigError(f"report schema mismatch: expected {FKR_HEADER}, got {header}")
-        for cells in body:
-            if float(cells[1]) != 0.5:
-                continue
-            n = float(cells[0])
+            out_rows.append((f"eps={cells[2]}", x, p_hat, p_hat - ci, p_hat + ci))
+        elif values[1] == 0.5:
             for series, idx in (("forecast_error", 2), ("f_hat_error", 3), ("g_hat_error", 4)):
-                y = float(cells[idx])
-                out_rows.append((series, n, y, y, y))
-    else:
-        raise ConfigError(f"unsupported plotdata kind {kind!r}")
+                out_rows.append((series, values[0], values[idx], values[idx], values[idx]))
     _write_csv(output_path, PLOTDATA_HEADER, out_rows)
 
 

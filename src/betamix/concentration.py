@@ -82,7 +82,6 @@ class BoundParams:
 class TailEstimate(NamedTuple):
     epsilon: float
     n: int
-    reps: int
     p_hat: float
     ci_half_width: float
 
@@ -254,37 +253,13 @@ def _golden_section_log(func, lo: float, hi: float, rel_tol: float) -> tuple[flo
 # stationary laws), the rest are centered by a pilot estimate of E f(X_0, y).
 # ---------------------------------------------------------------------------
 
-def _f_zero(x, y):
-    return np.zeros(np.broadcast(x, y).shape)
-
-
-def _f_first(x, y):
-    return x * np.ones_like(y)
-
-
-def _f_odd_clip(x, y):
-    return np.clip(x, -1.0, 1.0) * np.ones_like(y)
-
-
-def _f_odd_clip_damped(x, y):
-    return np.clip(x, -1.0, 1.0) / (1.0 + y**2)
-
-
-def _f_sine_product(x, y):
-    return np.sin(x * y)
-
-
-def _f_ball_indicator(x, y):
-    return (np.abs(x - y) <= 0.5).astype(float)
-
-
 _F_FUNCS = {
-    "zero": _f_zero,
-    "first": _f_first,
-    "odd-clip": _f_odd_clip,
-    "odd-clip-damped": _f_odd_clip_damped,
-    "sine-product": _f_sine_product,
-    "ball-indicator": _f_ball_indicator,
+    "zero": lambda x, y: np.zeros(np.broadcast(x, y).shape),
+    "first": lambda x, y: x * np.ones_like(y),
+    "odd-clip": lambda x, y: np.clip(x, -1.0, 1.0) * np.ones_like(y),
+    "odd-clip-damped": lambda x, y: np.clip(x, -1.0, 1.0) / (1.0 + y**2),
+    "sine-product": lambda x, y: np.sin(x * y),
+    "ball-indicator": lambda x, y: (np.abs(x - y) <= 0.5).astype(float),
 }
 PILOT_BINS = 512
 PILOT_DRAWS = 10**6
@@ -327,8 +302,7 @@ def make_fspec(
         return FSpec(name=name, bound=bound)
     span = process.state_bound()
     bins = np.linspace(-span, span, PILOT_BINS)
-    path = simulate_contractive_chain(process, pilot_draws, keyed_rng(seed, Stream.PILOT))
-    draws = np.sort(path.values)
+    draws = np.sort(simulate_contractive_chain(process, pilot_draws, keyed_rng(seed, Stream.PILOT)))
     # ball-indicator: count the draws x with y - 1/2 <= x <= y + 1/2
     upper = np.searchsorted(draws, bins + 0.5, "right")
     values = (upper - np.searchsorted(draws, bins - 0.5, "left")) / pilot_draws
@@ -367,10 +341,9 @@ def tail_deviations(
 
 
 def _tail_from_deviations(devs: np.ndarray, epsilon: float, n: int) -> TailEstimate:
-    reps = devs.size
     p_hat = float(np.mean(devs >= epsilon))
-    ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / reps)
-    return TailEstimate(epsilon=epsilon, n=n, reps=reps, p_hat=p_hat, ci_half_width=ci)
+    ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / devs.size)
+    return TailEstimate(epsilon=epsilon, n=n, p_hat=p_hat, ci_half_width=ci)
 
 
 def empirical_tail_grid(

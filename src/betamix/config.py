@@ -13,7 +13,8 @@ Schema (defaults in parentheses; -- means required):
     output             report directory      ($BETAMIX_OUTPUT_DIR or cwd)
     workers            worker processes                              (1)
 
-    process.kind       contractive-chain | far1       (suite-specific)
+    process.kind       contractive-chain for concentration, far1 for fkr;
+                       any other value is an error          (the suite's)
     process.map        linear | clipped-linear | sine-perturbed  (linear)
     process.a .b .clip_at                       (0.5, 0.0, 1.0)
     process.innovation uniform | truncated-gaussian | none      (uniform)
@@ -55,6 +56,7 @@ from .errors import ConfigError
 from .processes import ContractiveChainSpec, Far1Spec, PsiSpec, uniform_grid
 
 SUITES = ("mixing", "concentration", "fkr", "verify-all")
+_SUITE_PROCESS = {"concentration": "contractive-chain", "fkr": "far1"}
 
 _DEFAULTS = {
     "process.kind": None,
@@ -206,17 +208,16 @@ class ExperimentConfig:
             initial=r["process.initial"],
         )
 
-    def psi_spec(self, grid_size: Optional[int] = None) -> PsiSpec:
+    def psi_spec(self) -> PsiSpec:
         name = self.raw["psi"]
         if name == "norm":
             return PsiSpec("norm")
         if name in ("linear:eigenfunction", "linear:constant"):
-            size = grid_size if grid_size is not None else self.grid_size
-            grid = uniform_grid(size)
+            grid = uniform_grid(self.grid_size)
             if name.endswith("eigenfunction"):
                 weight = self.far1_spec().eigenfunction(grid)
             else:
-                weight = np.ones(size)
+                weight = np.ones(grid.size)
             return PsiSpec("linear", weight=weight)
         raise ConfigError(f"field 'psi': unsupported value {name!r}")
 
@@ -309,7 +310,13 @@ def resolve_config(
     config = ExperimentConfig(
         suite=suite, seed=seed, reps=reps, output=output, workers=workers, raw=merged
     )
-    if suite in ("concentration", "fkr"):
+    if suite in _SUITE_PROCESS:
+        kind = merged.get("process.kind", _SUITE_PROCESS[suite])
+        if kind != _SUITE_PROCESS[suite]:
+            raise ConfigError(
+                f"field 'process.kind': {suite} suite simulates "
+                f"{_SUITE_PROCESS[suite]!r}, got {kind!r}"
+            )
         if not config.n_grid:
             raise ConfigError(f"field 'grid.n': {suite} suite needs a nonempty n grid")
         if any(n < 3 for n in config.n_grid):

@@ -128,17 +128,9 @@ class FiniteChain:
 class MixingDecayFit:
     """Exponential-decay fit beta(n) ~ kappa0 * exp(-kappa1 * n)."""
 
-    lags: tuple[int, ...]
-    betas: tuple[float, ...]
     kappa0: float
     kappa1: float
     r_squared: float
-
-    def __post_init__(self):
-        if any(b < 0 or b > 1 + MASS_TOL for b in self.betas):
-            raise ValidationError("beta values must lie in [0, 1]")
-        if self.kappa1 < 0:
-            raise ValidationError("decay rate kappa1 must be >= 0")
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
@@ -253,13 +245,7 @@ def fit_geometric_decay(lags: Sequence[int], betas: Sequence[float]) -> MixingDe
     resid = logb - (intercept + slope * lags_arr)
     ss_tot = float(((logb - logb.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - float((resid**2).sum()) / ss_tot
-    return MixingDecayFit(
-        lags=tuple(int(v) for v in lags_arr),
-        betas=tuple(float(v) for v in betas_arr),
-        kappa0=float(np.exp(intercept)),
-        kappa1=kappa1,
-        r_squared=r2,
-    )
+    return MixingDecayFit(kappa0=float(np.exp(intercept)), kappa1=kappa1, r_squared=r2)
 
 
 def _holder_conjugate(p: float) -> float:

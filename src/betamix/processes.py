@@ -15,7 +15,6 @@ from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, ValidationError
 
@@ -82,10 +81,6 @@ class ContractiveChainSpec:
             return abs(self.a) + abs(self.b)
         return abs(self.a)
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.innovation == "none"
-
     def innovation_bound(self) -> float:
         if self.innovation == "uniform":
             return self.halfwidth
@@ -108,13 +103,6 @@ class ContractiveChainSpec:
         if self.map == "clipped-linear":
             return np.clip(self.a * x, -self.clip_at, self.clip_at)
         return self.a * x + self.b * np.sin(x)
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """A simulated scalar path."""
-
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -183,10 +171,6 @@ class Far1Spec:
         if self.noise_terms < 1 or self.noise_scale < 0 or self.burn_in < 0:
             raise ConfigError("noise_terms >= 1, noise_scale >= 0, burn_in >= 0 required")
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.noise_scale == 0.0
-
     def eigenfunction(self, grid: np.ndarray) -> np.ndarray:
         """Quadrature-normalized sqrt(2) sin(pi u); exact eigencurve of the
         separable operator on this grid."""
@@ -213,16 +197,38 @@ def _draw_innovations(spec: ContractiveChainSpec, rng: np.random.Generator, shap
     if spec.innovation == "uniform":
         return rng.uniform(-spec.halfwidth, spec.halfwidth, size=shape)
     if spec.innovation == "truncated-gaussian":
-        b = spec.trunc / spec.sigma
-        lo, hi = ndtr(-b), ndtr(b)
-        return spec.sigma * ndtri(lo + rng.random(shape) * (hi - lo))
+        return _truncated_gaussian(spec.sigma, spec.trunc, rng, shape)
     return np.zeros(shape)
 
 
-def simulate_contractive_chain(spec: ContractiveChainSpec, n: int, seed: Seed) -> PathSample:
+def _truncated_gaussian(sigma: float, trunc: float, rng: np.random.Generator, shape) -> np.ndarray:
+    """N(0, sigma^2) conditioned on |x| <= trunc, by rejection from `rng`.
+
+    With trunc / sigma >= sqrt(pi / 2) the proposals are N(0, sigma^2);
+    below it they are U(-trunc, trunc), each kept with probability
+    exp(-x^2 / 2 sigma^2). Either accepts at least erf(sqrt(pi) / 2) = 0.790 of
+    its proposals; the two rates meet at the switch. Only the rejected
+    entries are redrawn, in order, so the draw is a function of the
+    generator's state alone.
+    """
+    flat = np.empty(math.prod(shape))
+    todo = np.arange(flat.size)
+    normal = trunc / sigma >= math.sqrt(math.pi / 2.0)
+    while todo.size:
+        if normal:
+            x = sigma * rng.standard_normal(todo.size)
+            keep = np.abs(x) <= trunc
+        else:
+            x = rng.uniform(-trunc, trunc, todo.size)  # never leaves [-trunc, trunc]
+            keep = rng.random(todo.size) < np.exp(-0.5 * (x / sigma) ** 2)
+        flat[todo[keep]] = x[keep]
+        todo = todo[~keep]
+    return flat.reshape(shape)
+
+
+def simulate_contractive_chain(spec: ContractiveChainSpec, n: int, seed: Seed) -> np.ndarray:
     """Length-n path after discarding the spec's burn-in prefix."""
-    values = _simulate_chain_columns(spec, n, range(1), np.random.default_rng(seed))[:, 0]
-    return PathSample(values=values)
+    return _simulate_chain_columns(spec, n, range(1), np.random.default_rng(seed))[:, 0]
 
 
 def _simulate_chain_columns(
@@ -391,7 +397,7 @@ def estimate_chain_mixing(
     """
     from .mixing import FiniteJointDistribution, beta_exact, fit_geometric_decay
 
-    values = simulate_contractive_chain(spec, n_steps, seed).values
+    values = simulate_contractive_chain(spec, n_steps, seed)
     betas = [
         beta_exact(FiniteJointDistribution(binned_lag_joint(values, lag, n_bins)))
         for lag in lags

@@ -31,40 +31,15 @@ from .processes import (
 )
 from .seeding import Stream, keyed_rng, replicate
 
-KERNEL_NAMES = ("uniform", "downslope-linear", "quadratic-decreasing")
 M_QUADRATURE_POINTS = 1000
 KERNEL_CHECK_POINTS = 1000
 FORECAST_BLOCK = 25       # replications per keyed generator of each stream
 
-
-def _k_uniform(s):
-    return np.ones_like(s)
-
-
-def _k_downslope(s):
-    return 2.0 - s
-
-
-def _k_quadratic(s):
-    return 1.5 - 0.5 * s**2
-
-
-def _kp_uniform(s):
-    return np.zeros_like(s)
-
-
-def _kp_downslope(s):
-    return -np.ones_like(s)
-
-
-def _kp_quadratic(s):
-    return -s
-
-
+# name -> (K, K') on [0, 1]
 _KERNEL_FUNCS = {
-    "uniform": (_k_uniform, _kp_uniform),
-    "downslope-linear": (_k_downslope, _kp_downslope),
-    "quadratic-decreasing": (_k_quadratic, _kp_quadratic),
+    "uniform": (np.ones_like, np.zeros_like),
+    "downslope-linear": (lambda s: 2.0 - s, lambda s: -np.ones_like(s)),
+    "quadratic-decreasing": (lambda s: 1.5 - 0.5 * s**2, lambda s: -s),
 }
 
 
@@ -77,7 +52,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.name not in _KERNEL_FUNCS:
             raise ConfigError(
-                f"unsupported kernel {self.name!r}; choose from {KERNEL_NAMES}"
+                f"unsupported kernel {self.name!r}; choose from {tuple(_KERNEL_FUNCS)}"
             )
 
     def evaluate(self, s: np.ndarray) -> np.ndarray:
@@ -193,7 +168,6 @@ class SmallBallModel:
     """Empirical small-ball probabilities F_x(h) and the scaling profile
     tau(s) = F_x(h_ref s) / F_x(h_ref) at the smallest grid h with mass."""
 
-    x: np.ndarray
     h_grid: np.ndarray
     f_hat: np.ndarray
     h_ref: float
@@ -228,17 +202,14 @@ def estimate_small_ball(
         dists = np.sqrt(((sample - x[None, :]) ** 2).sum(axis=1))
     else:
         dists = curve_distances(sample, x, np.asarray(grid, dtype=float))
-    return _small_ball_from_distances(x, h_grid, dists, s_grid)
+    return _small_ball_from_distances(h_grid, dists, s_grid)
 
 
 def _small_ball_from_distances(
-    x: np.ndarray,
-    h_grid: np.ndarray,
-    dists: np.ndarray,
-    s_grid: Optional[Sequence[float]] = None,
+    h_grid: np.ndarray, dists: np.ndarray, s_grid: Optional[Sequence[float]] = None
 ) -> SmallBallModel:
     """F_hat and tau_hat of estimate_small_ball from the reference distances
-    to x, for callers that already hold them."""
+    to the query, for callers that already hold them."""
     if dists.size < 100:
         raise ValidationError(f"reference sample has {dists.size} < 100 members")
     f_hat = np.array([np.mean(dists <= h) for h in h_grid])
@@ -250,9 +221,7 @@ def _small_ball_from_distances(
         s_grid = np.linspace(0.05, 1.0, 20)
     s_grid = np.asarray(s_grid, dtype=float)
     tau_hat = np.array([np.mean(dists <= h_ref * s) for s in s_grid]) / f_ref
-    return SmallBallModel(
-        x=x, h_grid=h_grid, f_hat=f_hat, h_ref=h_ref, s_grid=s_grid, tau_hat=tau_hat
-    )
+    return SmallBallModel(h_grid=h_grid, f_hat=f_hat, h_ref=h_ref, s_grid=s_grid, tau_hat=tau_hat)
 
 
 def m_constant(kernel: KernelSpec, tau: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -276,7 +245,6 @@ class BandwidthChoice:
     """Quantile bandwidth with its summability-condition summand."""
 
     h: float
-    level: float
     summand: float
 
 
@@ -301,7 +269,7 @@ def bandwidth_schedule(
     # degenerate all-equal pilots (e.g. a constant process) would give h = 0
     h = max(float(np.quantile(pilot, level)), 1e-12)
     summand = n ** (2 * theta_eff - 2) * math.log(n) ** 2 * math.log(math.log(n)) ** 2
-    return BandwidthChoice(h=h, level=level, summand=summand)
+    return BandwidthChoice(h=h, summand=summand)
 
 
 @dataclass(frozen=True)
@@ -314,7 +282,6 @@ class ForecastSummary:
     median_f_error: float
     median_g_error: float
     undefined_fraction: float
-    median_bandwidth: float
 
 
 def _forecast_block(args) -> np.ndarray:
@@ -325,7 +292,7 @@ def _forecast_block(args) -> np.ndarray:
     block = indices.start // FORECAST_BLOCK
     streams = (Stream.FAR_PATH, Stream.REGRESSION_NOISE, Stream.REFERENCE_SAMPLE)
     path_rng, noise_rng, reference_rng = (keyed_rng(seed, s, n, block) for s in streams)
-    rows = np.empty((len(indices), 5))
+    rows = np.empty((len(indices), 4))
     for pos in range(len(indices)):
         path = simulate_far1(process, n, grid_size, path_rng)
         sample = make_regression_sample(path, psi, noise_sd, noise_rng)
@@ -333,7 +300,7 @@ def _forecast_block(args) -> np.ndarray:
         x = path.curves[t - 1]
         ref_dists = curve_distances(reference.curves, x, grid)
         h = bandwidth_schedule(n, theta, ref_dists).h
-        ball = _small_ball_from_distances(x, np.array([h]), ref_dists)
+        ball = _small_ball_from_distances(np.array([h]), ref_dists)
         m_hat = m_constant(kernel, ball.tau)
         fit = RegressionFit(
             kernel=kernel, bandwidth=h, training=sample,
@@ -347,7 +314,6 @@ def _forecast_block(args) -> np.ndarray:
             err,
             abs(out.f_hat - m_hat),
             abs(out.g_hat - psi_true * m_hat),
-            h,
         )
     return rows
 
@@ -398,7 +364,6 @@ def dynamic_forecast_experiment(
                 median_f_error=float(np.median(defined[:, 2])),
                 median_g_error=float(np.median(defined[:, 3])),
                 undefined_fraction=undefined,
-                median_bandwidth=float(np.median(rows[:, 4])),
             )
         )
     return summaries

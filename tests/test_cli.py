@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,13 +24,31 @@ def run_cli(*argv):
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
-    # loaded-module check, not timing: these subpackages cost about 1 s to import
-    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize"]
-    code = f"import sys, betamix.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # loaded-module check, not timing: no scipy module may load at all
+    code = ("import sys, betamix.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # every import statement counts, also those inside functions
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(betamix.__file__).parent
+    imported = set()
+    for source in package.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"betamix"}
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0)
+                for dep in pyproject["project"]["dependencies"]}
+    assert third_party == declared
 
 
 class TestConfigParsing:
@@ -129,6 +149,10 @@ class TestExitCodes:
             (("fkr", "--set", "grid.n=200,400", "--set", "process.rho=nan"), "process.rho"),
             (("fkr", "--set", "grid.n=200"), "grid.n"),
             (("fkr", "--set", "grid.n=200,200"), "grid.n"),
+            (("concentration", "--set", "process.kind=banana"), "process.kind"),
+            (("concentration", "--set", "process.kind=far1"), "process.kind"),
+            (("fkr", "--set", "grid.n=200,400", "--set", "process.kind=contractive-chain"),
+             "process.kind"),
         ],
     )
     def test_invalid_grid_field_exits_2(self, tmp_path, capsys, argv, field):
@@ -302,6 +326,33 @@ class TestPlotdata:
                        "--output", str(tmp_path / "o.csv"))
         assert code == 2
         assert "schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, row, problem",
+        [
+            ("concentration", "tail,abc,0.05", "cells"),
+            ("concentration", "tail(eps=0.1),abc,0.1,1.0,0.25,0.01,0.5,7", "non-numeric"),
+            ("concentration", "tail(eps=0.1),100,0.1,1.0,x,0.01,0.5,7", "non-numeric"),
+            ("concentration", "tail(eps=0.1),2,0.1,1.0,0.25,0.01,0.5,7", "log log n"),
+            ("fkr", "200,0.5,0.1", "cells"),
+            ("fkr", "200,0.5,0.1,0.2,0.3,0.0,9", "cells"),
+            ("fkr", "200,0.9,0.4,abc,0.3,0.0", "non-numeric"),
+        ],
+    )
+    def test_malformed_row_exits_2_naming_its_line(self, tmp_path, capsys, kind, row, problem):
+        good = {"concentration": "tail(eps=0.1),100,0.1,1.0,0.25,0.01,0.5,7",
+                "fkr": "200,0.5,0.1,0.2,0.3,0.0"}[kind]
+        header = {"concentration": "experiment_id,n,epsilon,B,p_hat,ci,bound_value,seed",
+                  "fkr": "n,rep_quantile_level,forecast_error,f_hat_error,g_hat_error,"
+                         "undefined_fraction"}[kind]
+        report = tmp_path / "report.csv"
+        report.write_text(f"{header}\n{good}\n{row}\n")
+        code = run_cli("plotdata", str(report), "--kind", kind,
+                       "--output", str(tmp_path / "o.csv"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 3" in err and problem in err
+        assert "Traceback" not in err
 
     def test_missing_report_exits_2(self, tmp_path):
         code = run_cli("plotdata", str(tmp_path / "absent.csv"), "--kind", "fkr",

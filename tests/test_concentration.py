@@ -321,9 +321,7 @@ class TestPilotCentering:
 
     def test_center_values_equal_the_per_bin_loop(self):
         fspec = make_fspec("ball-indicator", UNIFORM_CHAIN, seed=5, pilot_draws=20_000)
-        draws = simulate_contractive_chain(
-            UNIFORM_CHAIN, 20_000, keyed_rng(5, Stream.PILOT)
-        ).values
+        draws = simulate_contractive_chain(UNIFORM_CHAIN, 20_000, keyed_rng(5, Stream.PILOT))
         values, variances = np.empty(PILOT_BINS), np.empty(PILOT_BINS)
         for i, y in enumerate(fspec.center_bins):
             fv = fspec(draws, np.full(1, y))
@@ -451,7 +449,7 @@ class TestRateFit:
 def TailLike(n: int, p_hat: float):
     from betamix.concentration import TailEstimate
 
-    return TailEstimate(epsilon=0.1, n=n, reps=10_000, p_hat=p_hat,
+    return TailEstimate(epsilon=0.1, n=n, p_hat=p_hat,
                         ci_half_width=1.96 * math.sqrt(p_hat * (1 - p_hat) / 10_000))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -32,21 +34,21 @@ def halving_spec(**kw):
 class TestContractiveChain:
     def test_deterministic_contraction_is_exact(self):
         path = simulate_contractive_chain(halving_spec(), 12, seed=0)
-        assert_array_equal(path.values, 2.0 ** -np.arange(12))
+        assert_array_equal(path, 2.0 ** -np.arange(12))
 
     def test_stationary_variance_matches_ar1_formula(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", halfwidth=1.0)
         n = 100_000
-        values = simulate_contractive_chain(spec, n, seed=2024).values
+        values = simulate_contractive_chain(spec, n, seed=2024)
         target = (1.0 / 3.0) / (1.0 - 0.25)
         se = target * np.sqrt(2.0 / n * (1 + 0.25) / (1 - 0.25))
         assert abs(values.var() - target) < 3 * se
 
     def test_same_seed_identical_nearby_seed_differs(self):
         spec = ContractiveChainSpec(a=0.4, burn_in=5)
-        a = simulate_contractive_chain(spec, 50, seed=99).values
-        b = simulate_contractive_chain(spec, 50, seed=99).values
-        c = simulate_contractive_chain(spec, 50, seed=100).values
+        a = simulate_contractive_chain(spec, 50, seed=99)
+        b = simulate_contractive_chain(spec, 50, seed=99)
+        c = simulate_contractive_chain(spec, 50, seed=100)
         assert_array_equal(a, b)
         assert np.any(a[:10] != c[:10])
 
@@ -73,7 +75,7 @@ class TestContractiveChain:
             batch = _simulate_chain_columns(spec, 40, range(3), np.random.default_rng(5))
             eps = _draw_innovations(spec, np.random.default_rng(5), (46, 3))
             assert_array_equal(batch, self._per_step_columns(spec, eps))
-            single = simulate_contractive_chain(spec, 40, 5).values
+            single = simulate_contractive_chain(spec, 40, 5)
             eps = _draw_innovations(spec, np.random.default_rng(5), (46, 1))
             assert_array_equal(single, self._per_step_columns(spec, eps)[:, 0])
 
@@ -97,7 +99,7 @@ class TestContractiveChain:
 
     def test_half_means_agree_under_stationarity(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=1000)
-        values = simulate_contractive_chain(spec, 100_000, seed=7).values
+        values = simulate_contractive_chain(spec, 100_000, seed=7)
         half = len(values) // 2
         var_mean = (1.0 / 3.0) / (1 - 0.5) ** 2 / half
         combined_se = np.sqrt(2 * var_mean)
@@ -111,7 +113,7 @@ class TestContractiveChain:
 
     def test_binned_lag_joint_is_a_distribution(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=100)
-        values = simulate_contractive_chain(spec, 20_000, seed=3).values
+        values = simulate_contractive_chain(spec, 20_000, seed=3)
         table = binned_lag_joint(values, lag=2, n_bins=8)
         j = FiniteJointDistribution(table)
         assert beta_exact(j) <= 1.0
@@ -133,6 +135,66 @@ class TestContractiveChain:
     def test_non_finite_fields_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"process.{field}"):
             ContractiveChainSpec(**{field: value})
+
+
+class TestTruncatedGaussian:
+    # (1, 3) takes normal proposals, (2, 1) and (1, 1e-3) uniform ones
+    CASES = [(1.0, 3.0), (2.0, 1.0), (1.0, 1e-3)]
+    DRAWS = 100_000
+
+    @staticmethod
+    def _draw(sigma, trunc, rng, shape=(1000, 100)):
+        spec = ContractiveChainSpec(innovation="truncated-gaussian", sigma=sigma, trunc=trunc)
+        return _draw_innovations(spec, rng, shape)
+
+    @staticmethod
+    def _cdf(x, sigma, trunc):
+        phi = lambda z: 0.5 * (1.0 + math.erf(z / (sigma * math.sqrt(2.0))))
+        return (phi(x) - phi(-trunc)) / (phi(trunc) - phi(-trunc))
+
+    @pytest.mark.parametrize("sigma, trunc", CASES)
+    def test_draws_stay_within_the_cutoff(self, sigma, trunc):
+        x = self._draw(sigma, trunc, np.random.default_rng(1))
+        assert x.shape == (1000, 100)
+        assert np.all(np.abs(x) <= trunc)
+
+    @pytest.mark.parametrize("sigma, trunc", CASES)
+    def test_empirical_cdf_matches_the_truncated_normal(self, sigma, trunc):
+        x = self._draw(sigma, trunc, np.random.default_rng(2)).ravel()
+        for q in (-0.8, -0.4, 0.0, 0.4, 0.8):
+            point = q * trunc
+            want = self._cdf(point, sigma, trunc)
+            se = math.sqrt(want * (1.0 - want) / self.DRAWS)
+            assert abs(np.mean(x <= point) - want) <= 4.0 * se
+
+    @pytest.mark.parametrize("sigma, trunc", CASES)
+    def test_same_seed_gives_the_same_bits(self, sigma, trunc):
+        a = self._draw(sigma, trunc, np.random.default_rng(3))
+        b = self._draw(sigma, trunc, np.random.default_rng(3))
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("sigma, trunc", CASES + [(1.0, math.sqrt(math.pi / 2.0))])
+    def test_most_proposals_are_accepted(self, sigma, trunc):
+        # the worst case, trunc / sigma = sqrt(pi / 2), accepts erf(sqrt(pi) / 2) = 0.790
+        rng = np.random.default_rng(4)
+        proposals = 0
+
+        class Counting:
+            def standard_normal(self, size):
+                nonlocal proposals
+                proposals += size
+                return rng.standard_normal(size)
+
+            def uniform(self, low, high, size):
+                nonlocal proposals
+                proposals += size
+                return rng.uniform(low, high, size)
+
+            def random(self, size):
+                return rng.random(size)
+
+        self._draw(sigma, trunc, Counting())
+        assert self.DRAWS / proposals >= 0.78
 
 
 class TestFar1:
