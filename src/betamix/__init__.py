@@ -65,7 +65,6 @@ from .regression import (
     dynamic_forecast_experiment,
     estimate_small_ball,
     hilbert_norm,
-    kernel_spec,
     m_constant,
 )
 

@@ -32,7 +32,7 @@ from .concentration import (
     make_fspec,
     truncate,
 )
-from .config import ExperimentConfig, load_config_file, resolve_config, resolve_t
+from .config import ExperimentConfig, load_config_file, resolve_config
 from .errors import BetamixError, ConfigError, FitError
 from .mixing import (
     FiniteChain,
@@ -44,12 +44,7 @@ from .mixing import (
     markov_beta_lag,
 )
 from .processes import FunctionalPath, estimate_chain_mixing, uniform_grid
-from .regression import (
-    RegressionFit,
-    dynamic_forecast_experiment,
-    kernel_spec,
-    m_constant,
-)
+from .regression import KernelSpec, RegressionFit, dynamic_forecast_experiment, m_constant
 from .seeding import Stream, keyed_rng
 
 
@@ -115,9 +110,7 @@ def _mixing_rows(config: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     # the random models draw from the root stream, which no keyed stream shares
     rng = np.random.default_rng(config.seed)
     seed = config.seed
-    max_states = int(config["mixing.max_states"])
-    n_joints = int(config["mixing.joints"])
-    n_chains = int(config["mixing.chains"])
+    max_states = config.mixing_max_states
     rows: list[tuple] = []
     families: dict[str, bool] = {
         "alpha_le_quarter": True,
@@ -133,7 +126,7 @@ def _mixing_rows(config: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
         rows.append((name, lhs, rhs, holds, seed))
         families[family] &= holds
 
-    for i in range(n_joints):
+    for i in range(config.mixing_joints):
         m, ell = (int(v) for v in rng.integers(2, max_states + 1, size=2))
         joint = FiniteJointDistribution(rng.dirichlet(np.ones(m * ell)).reshape(m, ell))
         a, b = alpha_exact(joint), beta_exact(joint)
@@ -147,7 +140,7 @@ def _mixing_rows(config: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
             rows.append((name, res.lhs, res.rhs, res.holds, seed))
             families["davydov"] &= res.holds
 
-    for i in range(n_chains):
+    for i in range(config.mixing_chains):
         m = int(rng.integers(2, min(max_states, 4) + 1))
         chain = FiniteChain.from_transition(rng.dirichlet(np.ones(m), size=m))
         n_funcs = int(rng.integers(2, 5))
@@ -183,20 +176,18 @@ LAPLACE_HEADER = ["experiment_id", "A", "gamma", "estimate", "std_error", "bound
 
 
 def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list[str]]:
-    process = config.chain_spec()
-    fspec = make_fspec(config.fspec_name, process, seed=config.seed)
+    fspec = make_fspec(config.fspec_name, config.process, seed=config.seed)
     bound_b = config.bound_b if config.bound_b is not None else fspec.bound
     checks: list[Check] = []
     reports: list[str] = []
 
-    tails_by_eps = {eps: [] for eps in config.epsilon_grid}
-    for n in config.n_grid:
-        t = resolve_t(config.t_rule, n)
+    tails_by_eps = {eps: [] for eps in config.epsilons}
+    for n, t in config.n_points:
         tails = empirical_tail_grid(
-            fspec, process, n, t, config.epsilon_grid, config.reps, config.seed,
+            fspec, config.process, n, t, config.epsilons, config.reps, config.seed,
             workers=config.workers,
         )
-        for eps, te in zip(config.epsilon_grid, tails):
+        for eps, te in zip(config.epsilons, tails):
             tails_by_eps[eps].append(te)
 
     rows = []
@@ -236,41 +227,40 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list
     _write_csv(report, CONCENTRATION_HEADER, rows)
     reports.append(report)
 
-    if config.a_grid:
-        checks_l, report_l = _laplace_section(config, process, fspec, bound_b)
+    if config.a_points:
+        checks_l, report_l = _laplace_section(config, fspec, bound_b)
         checks.extend(checks_l)
         reports.append(report_l)
     return checks, reports
 
 
-def _laplace_section(config, process, fspec, bound_b):
-    a_grid = sorted(config.a_grid)
-    a_min = a_grid[0]
+def _laplace_section(config, fspec, bound_b):
+    a_min, a_max = config.a_points[0][0], config.a_points[-1][0]
     mixing_rng = keyed_rng(config.seed, Stream.MIXING_FIT)
-    mixing_fit = estimate_chain_mixing(process, seed=mixing_rng, n_steps=10**5)
+    mixing_fit = estimate_chain_mixing(config.process, seed=mixing_rng, n_steps=10**5)
     kappa0 = max(mixing_fit.kappa0, 1e-6)
     kappa1 = max(mixing_fit.kappa1, 1e-6)
     gamma = config.gamma
     if gamma is None:
-        cap = min(min(1.0, kappa1) / 2.0, kappa1 / (4.0 * math.log(max(a_grid))))
+        cap = min(min(1.0, kappa1) / 2.0, kappa1 / (4.0 * math.log(a_max)))
         gamma = 0.9 * cap / bound_b
-    estimates = {}
-    for a in a_grid:
-        t = resolve_t(config.t_rule, int(math.floor(a)))
-        estimates[a] = empirical_laplace(
-            fspec, process, gamma, a, t, config.reps, config.seed, workers=config.workers
+    estimates = [
+        empirical_laplace(
+            fspec, config.process, gamma, a, t, config.reps, config.seed,
+            workers=config.workers,
         )
+        for a, t in config.a_points
+    ]
     c_value = calibrate_laplace_constant(
-        [estimates[a_min].value], kappa0, kappa1, gamma, bound_b, a_min
+        [estimates[0].value], kappa0, kappa1, gamma, bound_b, a_min
     )
     rows, checks = [], []
     all_below = True
-    for a in a_grid:
+    for (a, _), est in zip(config.a_points, estimates):
         params = BoundParams(
             kappa0=kappa0, kappa1=kappa1, C=c_value, gamma=gamma, B=bound_b, A=a
         )
         bound_value = laplace_bound(params)
-        est = estimates[a]
         all_below &= est.value <= bound_value
         rows.append(
             ("laplace", a, gamma, est.value, est.std_error, bound_value, c_value, config.seed)
@@ -289,19 +279,13 @@ FKR_HEADER = [
 
 
 def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], list[str]]:
-    summaries = dynamic_forecast_experiment(
-        process=config.far1_spec(),
-        psi=config.psi_spec(),
-        noise_sd=config.noise_sd,
-        kernel=kernel_spec(config.kernel_name),
-        theta=config.theta,
-        n_grid=config.n_grid,
-        t_rule=config.t_rule,
-        reps=config.reps,
-        seed=config.seed,
-        grid_size=config.grid_size,
-        workers=config.workers,
-    )
+    summaries = [
+        dynamic_forecast_experiment(
+            config.process, config.psi, config.noise_sd, config.kernel, config.theta,
+            n, t, config.reps, config.seed, config.grid_size, config.workers,
+        )
+        for n, t in config.n_points
+    ]
     rows = []
     for s in summaries:
         rows.append((s.n, 0.5, s.median_error, s.median_f_error, s.median_g_error,
@@ -349,8 +333,9 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[st
     rows.append(("truncate_reconstruction", float(mismatches), 0.0, mismatches == 0, seed))
     checks.append(Check(name="truncate_reconstruction", passed=mismatches == 0))
 
-    m_lin = m_constant(kernel_spec("downslope-linear"), lambda s: s)
-    m_sq = m_constant(kernel_spec("downslope-linear"), lambda s: s**2)
+    kernel = KernelSpec("downslope-linear")
+    m_lin = m_constant(kernel, lambda s: s)
+    m_sq = m_constant(kernel, lambda s: s**2)
     for name, got, want in (
         ("m_constant_tau_linear", m_lin, 1.5),
         ("m_constant_tau_square", m_sq, 4.0 / 3.0),
@@ -367,7 +352,7 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[st
         responses=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
     )
     fit = RegressionFit(
-        kernel=kernel_spec("downslope-linear"), bandwidth=1.0, training=training,
+        kernel=kernel, bandwidth=1.0, training=training,
         reference_curves=np.linspace(0.0, 2.0, 12)[:, None] * np.ones((1, 5)),
     )
     nw = fit.evaluate(np.zeros(5))

@@ -146,10 +146,8 @@ def laplace_bound(params: BoundParams) -> float:
 
 
 def corollary_bound(params: BoundParams) -> float:
-    """a1 exp(-a2 eps n / (B log n log log n)); needs n >= 3."""
+    """a1 exp(-a2 eps n / (B log n log log n)); BoundParams keeps n >= 3."""
     n = params.n
-    if n < 3:
-        raise DomainError("n must be >= 3 so log log n is positive")
     rate = params.epsilon * n / (params.B * math.log(n) * math.log(math.log(n)))
     return params.a1 * math.exp(-params.a2 * rate)
 
@@ -261,6 +259,7 @@ _F_FUNCS = {
     "sine-product": lambda x, y: np.sin(x * y),
     "ball-indicator": lambda x, y: (np.abs(x - y) <= 0.5).astype(float),
 }
+FSPEC_NAMES = tuple(_F_FUNCS)
 PILOT_BINS = 512
 PILOT_DRAWS = 10**6
 
@@ -295,8 +294,10 @@ def make_fspec(
     pilot_draws: int = PILOT_DRAWS,
 ) -> FSpec:
     """Resolve a named aggregating function against a chain spec."""
-    if name not in _F_FUNCS:
-        raise ConfigError(f"unsupported fspec {name!r}; choose from {sorted(_F_FUNCS)}")
+    if name not in FSPEC_NAMES:
+        raise ConfigError(
+            f"field 'fspec': unsupported value {name!r}; choose from {FSPEC_NAMES}"
+        )
     bound = process.state_bound() if name == "first" else 1.0
     if name != "ball-indicator":
         return FSpec(name=name, bound=bound)

@@ -3,7 +3,10 @@
 Format: one `key = value` per line, `#` comments, values are scalars or
 comma-separated lists. Nested blocks use dotted keys (process.map = linear).
 Parsing reports the offending line, validation reports the offending field;
-the CLI turns either into exit code 2.
+the CLI turns either into exit code 2. All validation happens in
+resolve_config: it parses every key the suite reads once, builds the
+process, psi and kernel specs and resolves every t from t_rule, so a config
+error stops a run before any output is written.
 
 Schema (defaults in parentheses; -- means required):
 
@@ -41,19 +44,24 @@ Schema (defaults in parentheses; -- means required):
     grid.theta         bandwidth exponent in (0, 1/2)              (0.3)
     grid_size          curve grid size                              (64)
 
-    mixing.joints mixing.chains mixing.max_states   (200, 100, 5)
+    mixing.joints mixing.chains   counts, each >= 1              (200, 100)
+    mixing.max_states  largest model size, 2..12                    (5)
+                       (mixing.* keys are read by mixing and verify-all)
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
+from .concentration import FSPEC_NAMES
 from .errors import ConfigError
 from .processes import ContractiveChainSpec, Far1Spec, PsiSpec, uniform_grid
+from .regression import KernelSpec
 
 SUITES = ("mixing", "concentration", "fkr", "verify-all")
 _SUITE_PROCESS = {"concentration": "contractive-chain", "fkr": "far1"}
@@ -142,16 +150,10 @@ def _to_float(raw: str, name: str) -> float:
         raise ConfigError(f"field {name!r}: expected a number, got {raw!r}") from exc
 
 
-def _to_int_list(raw: str, name: str) -> tuple[int, ...]:
+def _to_list(raw: str, name: str, parse) -> tuple:
     if not raw.strip():
         return ()
-    return tuple(_to_int(tok.strip(), name) for tok in raw.split(","))
-
-
-def _to_float_list(raw: str, name: str) -> tuple[float, ...]:
-    if not raw.strip():
-        return ()
-    return tuple(_to_float(tok.strip(), name) for tok in raw.split(","))
+    return tuple(parse(tok.strip(), name) for tok in raw.split(","))
 
 
 def resolve_t(rule: str, n: int) -> int:
@@ -170,7 +172,11 @@ def resolve_t(rule: str, n: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved, validated experiment description."""
+    """Resolved, validated experiment description.
+
+    `raw` keeps the merged key = value strings for the manifest; the typed
+    fields below it hold what the suite reads and stay empty for the others.
+    """
 
     suite: str
     seed: int
@@ -178,102 +184,142 @@ class ExperimentConfig:
     output: str
     workers: int
     raw: dict[str, str] = field(repr=False)
+    process: Union[ContractiveChainSpec, Far1Spec, None] = None
+    fspec_name: str = ""
+    n_points: tuple[tuple[int, int], ...] = ()     # (n, t) in grid order
+    epsilons: tuple[float, ...] = ()
+    a_points: tuple[tuple[float, int], ...] = ()   # (A, t) in ascending A
+    gamma: Optional[float] = None      # None: derive from the fitted mixing rate
+    bound_b: Optional[float] = None    # None: the fspec's own bound
+    psi: Optional[PsiSpec] = None
+    kernel: Optional[KernelSpec] = None
+    noise_sd: float = 0.0
+    theta: float = 0.0
+    grid_size: int = 0
+    mixing_joints: int = 0
+    mixing_chains: int = 0
+    mixing_max_states: int = 0
 
-    def __getitem__(self, key: str) -> str:
-        return self.raw[key]
 
-    def chain_spec(self) -> ContractiveChainSpec:
-        r = self.raw
-        return ContractiveChainSpec(
-            map=r["process.map"],
-            a=_to_float(r["process.a"], "process.a"),
-            b=_to_float(r["process.b"], "process.b"),
-            clip_at=_to_float(r["process.clip_at"], "process.clip_at"),
-            innovation=r["process.innovation"],
-            halfwidth=_to_float(r["process.halfwidth"], "process.halfwidth"),
-            sigma=_to_float(r["process.sigma"], "process.sigma"),
-            trunc=_to_float(r["process.trunc"], "process.trunc"),
-            burn_in=_to_int(r["process.burn_in"], "process.burn_in"),
+def _process_values(r: dict[str, str], parse, names: tuple[str, ...]) -> dict:
+    return {name: parse(r[f"process.{name}"], f"process.{name}") for name in names}
+
+
+def _n_points(r: dict[str, str], suite: str) -> tuple[tuple[int, int], ...]:
+    n_grid = _to_list(r["grid.n"], "grid.n", _to_int)
+    if not n_grid:
+        raise ConfigError(f"field 'grid.n': {suite} suite needs a nonempty n grid")
+    if any(n < 3 for n in n_grid):
+        raise ConfigError("field 'grid.n': every n must be >= 3")
+    return tuple((n, resolve_t(r["t_rule"], n)) for n in n_grid)
+
+
+def _optional_positive(r: dict[str, str], key: str) -> Optional[float]:
+    if not r[key].strip():
+        return None
+    value = _to_float(r[key], key)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"field {key!r}: must be finite and > 0")
+    return value
+
+
+def _concentration_fields(r: dict[str, str]) -> dict:
+    process = ContractiveChainSpec(
+        map=r["process.map"],
+        innovation=r["process.innovation"],
+        **_process_values(r, _to_float, ("a", "b", "clip_at", "halfwidth", "sigma", "trunc")),
+        **_process_values(r, _to_int, ("burn_in",)),
+    )
+    if r["fspec"] not in FSPEC_NAMES:
+        raise ConfigError(
+            f"field 'fspec': unsupported value {r['fspec']!r}; choose from {FSPEC_NAMES}"
         )
-
-    def far1_spec(self) -> Far1Spec:
-        r = self.raw
-        return Far1Spec(
-            kernel=r["process.kernel"],
-            rho=_to_float(r["process.rho"], "process.rho"),
-            bump_width=_to_float(r["process.bump_width"], "process.bump_width"),
-            noise_scale=_to_float(r["process.noise_scale"], "process.noise_scale"),
-            noise_terms=_to_int(r["process.noise_terms"], "process.noise_terms"),
-            burn_in=_to_int(r["process.burn_in"], "process.burn_in"),
-            initial=r["process.initial"],
+    epsilons = _to_list(r["grid.epsilon"], "grid.epsilon", _to_float)
+    if not epsilons:
+        raise ConfigError(
+            "field 'grid.epsilon': concentration suite needs a nonempty epsilon grid"
         )
+    if not all(math.isfinite(e) and e > 0 for e in epsilons):
+        raise ConfigError("field 'grid.epsilon': every epsilon must be finite and > 0")
+    a_grid = _to_list(r["grid.A"], "grid.A", _to_float)
+    # A >= 14 is the Laplace bound's fixed floor; A >= 2 kappa1 needs the fit
+    if not all(math.isfinite(a) and a >= 14 for a in a_grid):
+        raise ConfigError("field 'grid.A': every A must be finite and >= 14")
+    return dict(
+        process=process,
+        fspec_name=r["fspec"],
+        n_points=_n_points(r, "concentration"),
+        epsilons=epsilons,
+        a_points=tuple((a, resolve_t(r["t_rule"], math.floor(a))) for a in sorted(a_grid)),
+        gamma=_optional_positive(r, "gamma"),
+        bound_b=_optional_positive(r, "bound.B"),
+    )
 
-    def psi_spec(self) -> PsiSpec:
-        name = self.raw["psi"]
-        if name == "norm":
-            return PsiSpec("norm")
-        if name in ("linear:eigenfunction", "linear:constant"):
-            grid = uniform_grid(self.grid_size)
-            if name.endswith("eigenfunction"):
-                weight = self.far1_spec().eigenfunction(grid)
-            else:
-                weight = np.ones(grid.size)
-            return PsiSpec("linear", weight=weight)
+
+def _psi_spec(name: str, process: Far1Spec, grid_size: int) -> PsiSpec:
+    if name == "norm":
+        return PsiSpec("norm")
+    if name not in ("linear:eigenfunction", "linear:constant"):
         raise ConfigError(f"field 'psi': unsupported value {name!r}")
+    grid = uniform_grid(grid_size)
+    if name.endswith("eigenfunction"):
+        return PsiSpec("linear", weight=process.eigenfunction(grid))
+    return PsiSpec("linear", weight=np.ones(grid.size))
 
-    @property
-    def n_grid(self) -> tuple[int, ...]:
-        return _to_int_list(self.raw["grid.n"], "grid.n")
 
-    @property
-    def epsilon_grid(self) -> tuple[float, ...]:
-        return _to_float_list(self.raw["grid.epsilon"], "grid.epsilon")
+def _fkr_fields(r: dict[str, str]) -> dict:
+    process = Far1Spec(
+        kernel=r["process.kernel"],
+        initial=r["process.initial"],
+        **_process_values(r, _to_float, ("rho", "bump_width", "noise_scale")),
+        **_process_values(r, _to_int, ("noise_terms", "burn_in")),
+    )
+    grid_size = _to_int(r["grid_size"], "grid_size")
+    if grid_size < 8:
+        raise ConfigError("field 'grid_size': must be >= 8")
+    theta = _to_float(r["grid.theta"], "grid.theta")
+    if not 0.0 < theta < 0.5:
+        raise ConfigError("field 'grid.theta': must lie in (0, 1/2)")
+    noise_sd = _to_float(r["noise_sd"], "noise_sd")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ConfigError("field 'noise_sd': must be finite and >= 0")
+    n_points = _n_points(r, "fkr")
+    # with one n the error-decrease checks would hold by construction
+    if len({n for n, _ in n_points}) < 2:
+        raise ConfigError("field 'grid.n': fkr suite needs at least 2 distinct n values")
+    return dict(
+        process=process,
+        psi=_psi_spec(r["psi"], process, grid_size),
+        kernel=KernelSpec(r["kernel"]),
+        n_points=n_points,
+        noise_sd=noise_sd,
+        theta=theta,
+        grid_size=grid_size,
+    )
 
-    @property
-    def a_grid(self) -> tuple[float, ...]:
-        return _to_float_list(self.raw["grid.A"], "grid.A")
 
-    @property
-    def theta(self) -> float:
-        return _to_float(self.raw["grid.theta"], "grid.theta")
+def _mixing_fields(r: dict[str, str]) -> dict:
+    joints, chains, max_states = (
+        _to_int(r[key], key) for key in ("mixing.joints", "mixing.chains", "mixing.max_states")
+    )
+    for key, count in (("mixing.joints", joints), ("mixing.chains", chains)):
+        if count < 1:
+            raise ConfigError(f"field {key!r}: must be >= 1")
+    # a random model has at least 2 states; the exhaustive checks cap at 12
+    if not 2 <= max_states <= 12:
+        raise ConfigError("field 'mixing.max_states': must lie in 2..12")
+    return dict(mixing_joints=joints, mixing_chains=chains, mixing_max_states=max_states)
 
-    @property
-    def grid_size(self) -> int:
-        return _to_int(self.raw["grid_size"], "grid_size")
 
-    @property
-    def t_rule(self) -> str:
-        return self.raw["t_rule"]
-
-    @property
-    def fspec_name(self) -> str:
-        return self.raw["fspec"]
-
-    @property
-    def kernel_name(self) -> str:
-        return self.raw["kernel"]
-
-    @property
-    def noise_sd(self) -> float:
-        return _to_float(self.raw["noise_sd"], "noise_sd")
-
-    @property
-    def gamma(self) -> Optional[float]:
-        """Laplace argument, or None to derive it from the fitted mixing rate."""
-        raw = self.raw["gamma"]
-        return _to_float(raw, "gamma") if raw.strip() else None
-
-    @property
-    def bound_b(self) -> Optional[float]:
-        """Function bound override, or None for the fspec's own bound."""
-        raw = self.raw["bound.B"]
-        return _to_float(raw, "bound.B") if raw.strip() else None
+_SUITE_FIELDS = {"mixing": _mixing_fields, "concentration": _concentration_fields,
+                 "fkr": _fkr_fields, "verify-all": _mixing_fields}
 
 
 def resolve_config(
     mapping: dict[str, str], overrides: Optional[dict[str, str]] = None
 ) -> ExperimentConfig:
-    """Merge defaults, file values, and flag overrides; validate invariants."""
+    """Merge defaults, file values, and flag overrides, then parse and check
+    every key the suite reads; no suite raises ConfigError afterwards."""
     merged = {k: v for k, v in _DEFAULTS.items() if v is not None}
     merged.update(mapping)
     for key, value in (overrides or {}).items():
@@ -307,9 +353,6 @@ def resolve_config(
     if workers < 1:
         raise ConfigError("field 'workers': must be >= 1")
 
-    config = ExperimentConfig(
-        suite=suite, seed=seed, reps=reps, output=output, workers=workers, raw=merged
-    )
     if suite in _SUITE_PROCESS:
         kind = merged.get("process.kind", _SUITE_PROCESS[suite])
         if kind != _SUITE_PROCESS[suite]:
@@ -317,37 +360,7 @@ def resolve_config(
                 f"field 'process.kind': {suite} suite simulates "
                 f"{_SUITE_PROCESS[suite]!r}, got {kind!r}"
             )
-        if not config.n_grid:
-            raise ConfigError(f"field 'grid.n': {suite} suite needs a nonempty n grid")
-        if any(n < 3 for n in config.n_grid):
-            raise ConfigError("field 'grid.n': every n must be >= 3")
-    if suite == "concentration":
-        if not config.epsilon_grid:
-            raise ConfigError(
-                "field 'grid.epsilon': concentration suite needs a nonempty epsilon grid"
-            )
-        if not all(np.isfinite(e) and e > 0 for e in config.epsilon_grid):
-            raise ConfigError("field 'grid.epsilon': every epsilon must be finite and > 0")
-        # A >= 14 is the Laplace bound's fixed floor; A >= 2 kappa1 needs the fit
-        if not all(np.isfinite(a) and a >= 14 for a in config.a_grid):
-            raise ConfigError("field 'grid.A': every A must be finite and >= 14")
-        for key, value in (("gamma", config.gamma), ("bound.B", config.bound_b)):
-            if value is not None and not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"field {key!r}: must be finite and > 0")
-    if suite == "fkr":
-        if config.grid_size < 8:
-            raise ConfigError("field 'grid_size': must be >= 8")
-        if not 0.0 < config.theta < 0.5:
-            raise ConfigError("field 'grid.theta': must lie in (0, 1/2)")
-        if not (np.isfinite(config.noise_sd) and config.noise_sd >= 0):
-            raise ConfigError("field 'noise_sd': must be finite and >= 0")
-        # with one n the error-decrease checks would hold by construction
-        if len(set(config.n_grid)) < 2:
-            raise ConfigError("field 'grid.n': fkr suite needs at least 2 distinct n values")
-    if suite == "mixing":
-        for key in ("mixing.joints", "mixing.chains", "mixing.max_states"):
-            if _to_int(merged[key], key) < 1:
-                raise ConfigError(f"field {key!r}: must be >= 1")
-        if _to_int(merged["mixing.max_states"], "mixing.max_states") > 12:
-            raise ConfigError("field 'mixing.max_states': exhaustive checks cap at 12")
-    return config
+    return ExperimentConfig(
+        suite=suite, seed=seed, reps=reps, output=output, workers=workers, raw=merged,
+        **_SUITE_FIELDS[suite](merged),
+    )

@@ -58,22 +58,30 @@ class ContractiveChainSpec:
 
     def __post_init__(self):
         if self.map not in CHAIN_MAPS:
-            raise ConfigError(f"unsupported map {self.map!r}; choose from {CHAIN_MAPS}")
+            raise ConfigError(
+                f"field 'process.map': unsupported value {self.map!r}; choose from {CHAIN_MAPS}"
+            )
         if self.innovation not in CHAIN_INNOVATIONS:
             raise ConfigError(
-                f"unsupported innovation {self.innovation!r}; choose from {CHAIN_INNOVATIONS}"
+                f"field 'process.innovation': unsupported value {self.innovation!r}; "
+                f"choose from {CHAIN_INNOVATIONS}"
             )
         _require_finite(self, ("a", "b", "clip_at", "halfwidth", "sigma", "trunc", "x0"))
         if self.lipschitz >= 1.0:
+            also_b = ", field 'process.b'" if self.map == "sine-perturbed" else ""
             raise ConfigError(
-                f"declared Lipschitz constant {self.lipschitz} must be < 1"
+                f"field 'process.a'{also_b}: Lipschitz constant {self.lipschitz} must be < 1"
             )
         if self.burn_in < 0:
-            raise ConfigError("burn_in must be >= 0")
+            raise ConfigError("field 'process.burn_in': must be >= 0")
         if self.innovation == "uniform" and self.halfwidth <= 0:
-            raise ConfigError("uniform innovation needs halfwidth > 0")
-        if self.innovation == "truncated-gaussian" and (self.sigma <= 0 or self.trunc <= 0):
-            raise ConfigError("truncated-gaussian innovation needs sigma > 0 and trunc > 0")
+            raise ConfigError("field 'process.halfwidth': uniform innovation needs halfwidth > 0")
+        if self.innovation == "truncated-gaussian":
+            for name in ("sigma", "trunc"):
+                if getattr(self, name) <= 0:
+                    raise ConfigError(
+                        f"field 'process.{name}': truncated-gaussian innovation needs {name} > 0"
+                    )
 
     @property
     def lipschitz(self) -> float:
@@ -162,14 +170,22 @@ class Far1Spec:
 
     def __post_init__(self):
         if self.kernel not in FAR_KERNELS:
-            raise ConfigError(f"unsupported kernel {self.kernel!r}; choose from {FAR_KERNELS}")
+            raise ConfigError(
+                f"field 'process.kernel': unsupported value {self.kernel!r}; "
+                f"choose from {FAR_KERNELS}"
+            )
         _require_finite(self, ("rho", "bump_width", "noise_scale"))
         if abs(self.rho) >= 1.0:
-            raise ConfigError(f"operator norm bound rho={self.rho} violates contraction (|rho| < 1)")
+            raise ConfigError(
+                f"field 'process.rho': operator norm bound {self.rho} violates |rho| < 1"
+            )
         if self.initial not in ("zero", "eigenfunction"):
-            raise ConfigError("initial must be 'zero' or 'eigenfunction'")
-        if self.noise_terms < 1 or self.noise_scale < 0 or self.burn_in < 0:
-            raise ConfigError("noise_terms >= 1, noise_scale >= 0, burn_in >= 0 required")
+            raise ConfigError("field 'process.initial': must be 'zero' or 'eigenfunction'")
+        if self.bump_width <= 0:
+            raise ConfigError("field 'process.bump_width': must be > 0")
+        for name, low in (("noise_terms", 1), ("noise_scale", 0), ("burn_in", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"field 'process.{name}': must be >= {low}")
 
     def eigenfunction(self, grid: np.ndarray) -> np.ndarray:
         """Quadrature-normalized sqrt(2) sin(pi u); exact eigencurve of the

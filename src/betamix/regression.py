@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import resolve_t
 from .errors import ConfigError, DomainError, ModelViolationError, ValidationError
 from .processes import (
     Far1Spec,
@@ -32,7 +31,6 @@ from .processes import (
 from .seeding import Stream, keyed_rng, replicate
 
 M_QUADRATURE_POINTS = 1000
-KERNEL_CHECK_POINTS = 1000
 FORECAST_BLOCK = 25       # replications per keyed generator of each stream
 
 # name -> (K, K') on [0, 1]
@@ -52,7 +50,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.name not in _KERNEL_FUNCS:
             raise ConfigError(
-                f"unsupported kernel {self.name!r}; choose from {tuple(_KERNEL_FUNCS)}"
+                f"field 'kernel': unsupported value {self.name!r}; "
+                f"choose from {tuple(_KERNEL_FUNCS)}"
             )
 
     def evaluate(self, s: np.ndarray) -> np.ndarray:
@@ -67,23 +66,6 @@ class KernelSpec:
     @property
     def at_one(self) -> float:
         return float(_KERNEL_FUNCS[self.name][0](np.float64(1.0)))
-
-
-def kernel_spec(name: str) -> KernelSpec:
-    """Build a kernel and verify its shape conditions numerically."""
-    spec = KernelSpec(name)
-    s = np.linspace(0.0, 1.0, KERNEL_CHECK_POINTS, endpoint=False)
-    values = spec.evaluate(s)
-    diffs = np.diff(values) / np.diff(s)
-    if np.any(diffs > 1e-9):
-        raise ValidationError(f"kernel {name!r} is not non-increasing on [0, 1)")
-    if np.any(spec.derivative(s) > 1e-9):
-        raise ValidationError(f"kernel {name!r} has positive derivative on [0, 1)")
-    if not spec.at_one > 0:
-        raise ValidationError(f"kernel {name!r} must satisfy K(1) > 0")
-    if spec.evaluate(np.array([1.0 + 1e-9, -1e-9, 2.0])).any():
-        raise ValidationError(f"kernel {name!r} must vanish outside [0, 1]")
-    return spec
 
 
 def hilbert_norm(curve: np.ndarray, grid: np.ndarray) -> float:
@@ -285,8 +267,7 @@ class ForecastSummary:
 
 
 def _forecast_block(args) -> np.ndarray:
-    (process, psi, noise_sd, kernel_name, theta, n, t, grid_size, seed, indices) = args
-    kernel = KernelSpec(kernel_name)
+    (process, psi, noise_sd, kernel, theta, n, t, grid_size, seed, indices) = args
     grid = uniform_grid(grid_size)
     psi_func, _ = make_psi(psi, grid)
     block = indices.start // FORECAST_BLOCK
@@ -324,46 +305,42 @@ def dynamic_forecast_experiment(
     noise_sd: float,
     kernel: KernelSpec,
     theta: float,
-    n_grid: Sequence[int],
-    t_rule: str = "last",
+    n: int,
+    t: int,
     reps: int = 200,
     seed: int = 0,
     grid_size: int = 64,
     workers: int = 1,
-) -> list[ForecastSummary]:
-    """Replicate the fit-and-forecast pipeline over an n grid.
+) -> ForecastSummary:
+    """Replicate the fit-and-forecast pipeline at sample size n.
 
     Per replication: simulate a training path and an independent reference
     sample, choose the bandwidth from reference distances at the query
-    X_t (t from t_rule, default the last index), fit, and record the absolute
-    errors of the forecast, of the normalized denominator against the kernel
-    constant, and of the normalized numerator against psi(X_t) M. Undefined
-    estimates (empty neighborhoods) are counted, never averaged in.
+    X_t, fit, and record the absolute errors of the forecast, of the
+    normalized denominator against the kernel constant, and of the normalized
+    numerator against psi(X_t) M. Undefined estimates (empty neighborhoods)
+    are counted, never averaged in.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    summaries = []
-    for n in n_grid:
-        t = resolve_t(t_rule, int(n))
-        rows = replicate(
-            _forecast_block,
-            (process, psi, noise_sd, kernel.name, theta, int(n), t, grid_size, seed),
-            reps, FORECAST_BLOCK, workers,
+    if not 1 <= t <= n:
+        raise ValidationError(f"t = {t} must lie in [1, n] = [1, {n}]")
+    rows = replicate(
+        _forecast_block,
+        (process, psi, noise_sd, kernel, theta, n, t, grid_size, seed),
+        reps, FORECAST_BLOCK, workers,
+    )
+    undefined = float(rows[:, 0].mean())
+    if undefined > 0.5:
+        raise DomainError(
+            f"bandwidth schedule failed: {undefined:.0%} undefined estimates at n = {n}"
         )
-        undefined = float(rows[:, 0].mean())
-        if undefined > 0.5:
-            raise DomainError(
-                f"bandwidth schedule failed: {undefined:.0%} undefined estimates at n = {n}"
-            )
-        defined = rows[rows[:, 0] == 0.0]
-        summaries.append(
-            ForecastSummary(
-                n=int(n),
-                median_error=float(np.median(defined[:, 1])),
-                q90_error=float(np.quantile(defined[:, 1], 0.9)),
-                median_f_error=float(np.median(defined[:, 2])),
-                median_g_error=float(np.median(defined[:, 3])),
-                undefined_fraction=undefined,
-            )
-        )
-    return summaries
+    defined = rows[rows[:, 0] == 0.0]
+    return ForecastSummary(
+        n=n,
+        median_error=float(np.median(defined[:, 1])),
+        q90_error=float(np.quantile(defined[:, 1], 0.9)),
+        median_f_error=float(np.median(defined[:, 2])),
+        median_g_error=float(np.median(defined[:, 3])),
+        undefined_fraction=undefined,
+    )

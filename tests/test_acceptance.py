@@ -41,10 +41,10 @@ from betamix.processes import (
     uniform_grid,
 )
 from betamix.regression import (
+    KernelSpec,
     RegressionFit,
     dynamic_forecast_experiment,
     estimate_small_ball,
-    kernel_spec,
     m_constant,
 )
 from oracles import partition_beta, random_joint, random_transition
@@ -277,7 +277,7 @@ def test_criterion_6_small_ball_oracle():
 
 
 def test_criterion_7_m_constant():
-    kernel = kernel_spec("downslope-linear")
+    kernel = KernelSpec("downslope-linear")
     m_lin = m_constant(kernel, lambda s: s)
     m_sq = m_constant(kernel, lambda s: s**2)
     ok = abs(m_lin - 1.5) <= 1e-6 and abs(m_sq - 4.0 / 3.0) <= 1e-6
@@ -293,11 +293,14 @@ def test_criterion_8_dynamic_forecast_consistency():
     process = Far1Spec(rho=0.5, noise_scale=0.3, burn_in=1000)
     grid = uniform_grid(64)
     psi = PsiSpec("linear", weight=process.eigenfunction(grid))
-    summaries = dynamic_forecast_experiment(
-        process=process, psi=psi, noise_sd=0.1,
-        kernel=kernel_spec("downslope-linear"), theta=0.3,
-        n_grid=[200, 800, 3200], reps=200, seed=SEED, grid_size=64,
-    )
+    summaries = [
+        dynamic_forecast_experiment(
+            process=process, psi=psi, noise_sd=0.1,
+            kernel=KernelSpec("downslope-linear"), theta=0.3,
+            n=n, t=n, reps=200, seed=SEED, grid_size=64,
+        )
+        for n in (200, 800, 3200)
+    ]
     medians = [s.median_error for s in summaries]
     f_errors = [s.median_f_error for s in summaries]
     undefined = [s.undefined_fraction for s in summaries]
@@ -342,7 +345,7 @@ def test_criterion_9_exactness_micro_suite(tmp_path):
         responses=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
     )
     fit = RegressionFit(
-        kernel=kernel_spec("downslope-linear"), bandwidth=1.0, training=training,
+        kernel=KernelSpec("downslope-linear"), bandwidth=1.0, training=training,
         reference_curves=np.linspace(0.0, 2.0, 12)[:, None] * np.ones((1, 5)),
     )
     nw = fit.evaluate(np.zeros(5))

@@ -9,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betamix
 from betamix import concentration, processes
 from betamix.cli import emit_plotdata, main
-from betamix.config import parse_config_text, resolve_config
+from betamix.config import KNOWN_KEYS, SUITES, parse_config_text, resolve_config
 from betamix.errors import ConfigError
 
 FAST_MIXING = ["--set", "mixing.joints=15", "--set", "mixing.chains=8"]
@@ -49,6 +51,25 @@ def test_third_party_imports_are_the_declared_dependencies():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0)
                 for dep in pyproject["project"]["dependencies"]}
     assert third_party == declared
+
+
+def test_library_layers_import_neither_config_nor_cli():
+    # config and cli resolve and run what the library layers compute, never
+    # the other way round
+    package = Path(betamix.__file__).parent
+    for layer in ("mixing", "processes", "concentration", "regression", "seeding"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / f"{layer}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                base = "betamix." if node.level else ""
+                names = ([base + node.module] if node.module
+                         else [base + alias.name for alias in node.names])
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            imported.update(n.split(".")[1] for n in names if n.startswith("betamix."))
+        assert not imported & {"config", "cli"}, layer
 
 
 class TestConfigParsing:
@@ -89,11 +110,54 @@ class TestConfigParsing:
             {"suite": "mixing", "seed": "1", "mixing.joints": "5"},
             overrides={"mixing.joints": "9"},
         )
-        assert config["mixing.joints"] == "9"
+        assert config.raw["mixing.joints"] == "9"
 
     def test_bad_suite_rejected(self):
         with pytest.raises(ConfigError, match="suite"):
             resolve_config({"suite": "everything", "seed": "1"})
+
+    def test_bad_t_rule_rejected(self):
+        mapping = {"suite": "fkr", "seed": "0", "grid.n": "120,240", "t_rule": "everywhere",
+                   "process.rho": "0.4", "process.noise_scale": "0.25",
+                   "process.burn_in": "10", "noise_sd": "0.1", "kernel": "uniform",
+                   "grid.theta": "0.3", "grid_size": "16"}
+        with pytest.raises(ConfigError, match="t_rule"):
+            resolve_config(mapping)
+
+
+# Every suite resolves this mapping; the sine-perturbed map makes process.b
+# part of the Lipschitz check.
+VALID_BASE = {"seed": "1", "reps": "100", "grid.n": "50,100,200,400",
+              "grid.epsilon": "0.05", "grid.A": "14,20",
+              "process.map": "sine-perturbed", "process.b": "0.3"}
+NAMES = ["banana", "last", "middle", "norm", "linear:constant", "linear:eigenfunction",
+         "linear", "uniform", "truncated-gaussian", "none", "separable", "gaussian-bump",
+         "eigenfunction", "zero", "first", "ball-indicator", "quadratic-decreasing",
+         "contractive-chain", "far1", *SUITES]
+DRAWN_VALUES = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "0", "-1", "nan", "inf", "-inf", "1e400", "14,nan", "50,2", "3,3"]),
+    st.integers(-3, 500).map(lambda k: f"index:{k}"),
+    st.sampled_from(NAMES),
+    st.lists(st.integers().map(str) | st.floats().map(repr), min_size=1, max_size=4)
+    .map(",".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(suite=st.sampled_from(SUITES), key=st.sampled_from(sorted(KNOWN_KEYS)),
+       value=DRAWN_VALUES)
+def test_resolve_config_returns_or_names_the_drawn_key(suite, key, value):
+    # resolve_config only: running a suite with a drawn workers or reps could
+    # start thousands of processes
+    mapping = dict(VALID_BASE, suite=suite)
+    mapping[key] = value
+    try:
+        resolve_config(mapping)
+    except ConfigError as exc:
+        assert f"field {key!r}" in str(exc)
 
 
 class TestExitCodes:
@@ -153,6 +217,15 @@ class TestExitCodes:
             (("concentration", "--set", "process.kind=far1"), "process.kind"),
             (("fkr", "--set", "grid.n=200,400", "--set", "process.kind=contractive-chain"),
              "process.kind"),
+            (("mixing", "--set", "mixing.max_states=1"), "mixing.max_states"),
+            (("verify-all", "--set", "mixing.max_states=1"), "mixing.max_states"),
+            (("verify-all", "--set", "mixing.max_states=40"), "mixing.max_states"),
+            (("verify-all", "--set", "mixing.joints=0"), "mixing.joints"),
+            (("verify-all", "--set", "mixing.chains=-3"), "mixing.chains"),
+            (("concentration", "--set", "grid.A=14,20", "--set", "t_rule=index:30"), "t_rule"),
+            (("fkr", "--set", "grid.n=120,240", "--set", "kernel=banana"), "kernel"),
+            (("fkr", "--set", "grid.n=120,240", "--set", "process.kernel=gaussian-bump",
+              "--set", "process.bump_width=0"), "process.bump_width"),
         ],
     )
     def test_invalid_grid_field_exits_2(self, tmp_path, capsys, argv, field):
@@ -161,12 +234,14 @@ class TestExitCodes:
             sets += ["--set", "grid.n=50,100,200,400"]
             if field != "grid.epsilon":
                 sets += ["--set", "grid.epsilon=0.05"]
+        output = tmp_path / "out"
         code = run_cli(suite, "--seed", "1", "--reps", "100",
-                       "--output", str(tmp_path), *sets)
+                       "--output", str(output), *sets)
         err = capsys.readouterr().err
         assert code == 2
         assert f"field {field!r}" in err
         assert "Traceback" not in err
+        assert not output.exists()
 
     def test_check_failure_exits_1(self, tmp_path):
         # 3 usable n-points cannot support the 4-point rate fit

@@ -7,12 +7,12 @@ from numpy.testing import assert_allclose
 from betamix.errors import ConfigError, DomainError, ValidationError
 from betamix.processes import Far1Spec, FunctionalPath, PsiSpec, uniform_grid
 from betamix.regression import (
+    KernelSpec,
     RegressionFit,
     bandwidth_schedule,
     dynamic_forecast_experiment,
     estimate_small_ball,
     hilbert_norm,
-    kernel_spec,
     m_constant,
 )
 
@@ -25,7 +25,7 @@ def constant_curve_fit(distances, responses, h=1.0, kernel="downslope-linear", r
     path = FunctionalPath(grid=grid, curves=curves, responses=np.asarray(responses, float))
     reference = np.asarray(ref, dtype=float)[:, None] * np.ones((1, 5)) if ref is not None \
         else np.linspace(0, 2, 12)[:, None] * np.ones((1, 5))
-    return RegressionFit(kernel=kernel_spec(kernel), bandwidth=h, training=path,
+    return RegressionFit(kernel=KernelSpec(kernel), bandwidth=h, training=path,
                          reference_curves=reference)
 
 
@@ -35,21 +35,24 @@ ZERO_QUERY = np.zeros(5)
 class TestKernels:
     @pytest.mark.parametrize("name", ["uniform", "downslope-linear", "quadratic-decreasing"])
     def test_shape_conditions(self, name):
-        k = kernel_spec(name)
+        k = KernelSpec(name)
         assert k.at_one > 0
         s = np.linspace(0, 1, 100)
         assert np.all(k.derivative(s[:-1]) <= 1e-12)
         assert np.all(k.evaluate(np.array([-0.5, 1.5])) == 0.0)
+        assert not k.evaluate(np.array([1.0 + 1e-9, -1e-9, 2.0])).any()
+        s = np.linspace(0.0, 1.0, 1000, endpoint=False)
+        assert np.all(np.diff(k.evaluate(s)) / np.diff(s) <= 1e-9)
 
     def test_values(self):
-        k = kernel_spec("downslope-linear")
+        k = KernelSpec("downslope-linear")
         assert_allclose(k.evaluate(np.array([0.0, 0.5, 1.0])), [2.0, 1.5, 1.0])
-        q = kernel_spec("quadratic-decreasing")
+        q = KernelSpec("quadratic-decreasing")
         assert_allclose(q.evaluate(np.array([0.0, 1.0])), [1.5, 1.0])
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            kernel_spec("gaussian")
+            KernelSpec("gaussian")
 
 
 class TestHilbertNorm:
@@ -184,29 +187,29 @@ class TestSmallBall:
 
 class TestMConstant:
     def test_uniform_kernel_always_one(self):
-        k = kernel_spec("uniform")
+        k = KernelSpec("uniform")
         for tau in (lambda s: s, lambda s: s**2, lambda s: np.sqrt(s)):
             assert m_constant(k, tau) == pytest.approx(1.0, abs=1e-12)
 
     def test_downslope_linear_tau_s(self):
-        assert m_constant(kernel_spec("downslope-linear"), lambda s: s) == pytest.approx(
+        assert m_constant(KernelSpec("downslope-linear"), lambda s: s) == pytest.approx(
             1.5, abs=1e-6
         )
 
     def test_downslope_linear_tau_s_squared(self):
-        assert m_constant(kernel_spec("downslope-linear"), lambda s: s**2) == pytest.approx(
+        assert m_constant(KernelSpec("downslope-linear"), lambda s: s**2) == pytest.approx(
             4.0 / 3.0, abs=1e-6
         )
 
     def test_m_at_least_k_at_one(self):
         for name in ("uniform", "downslope-linear", "quadratic-decreasing"):
-            k = kernel_spec(name)
+            k = KernelSpec(name)
             for tau in (lambda s: s, lambda s: s**2, lambda s: np.sqrt(s)):
                 assert m_constant(k, tau) >= k.at_one
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValidationError):
-            m_constant(kernel_spec("uniform"), lambda s: 2.0 * s)
+            m_constant(KernelSpec("uniform"), lambda s: 2.0 * s)
 
 
 class TestBandwidthSchedule:
@@ -256,10 +259,13 @@ class TestDynamicForecast:
     def test_degenerate_constant_process_has_zero_error(self):
         process = Far1Spec(rho=0.5, noise_scale=0.0, burn_in=10, initial="zero")
         psi = PsiSpec("linear", weight=np.ones(24))
-        out = dynamic_forecast_experiment(
-            process, psi, noise_sd=0.0, kernel=kernel_spec("downslope-linear"),
-            theta=0.3, n_grid=[120, 200], reps=5, seed=1, grid_size=24,
-        )
+        out = [
+            dynamic_forecast_experiment(
+                process, psi, noise_sd=0.0, kernel=KernelSpec("downslope-linear"),
+                theta=0.3, n=n, t=n, reps=5, seed=1, grid_size=24,
+            )
+            for n in (120, 200)
+        ]
         for summary in out:
             assert summary.median_error == pytest.approx(0.0, abs=1e-12)
             assert summary.undefined_fraction == 0.0
@@ -269,31 +275,32 @@ class TestDynamicForecast:
         psi = PsiSpec("norm")
         kwargs = dict(
             process=process, psi=psi, noise_sd=0.1,
-            kernel=kernel_spec("downslope-linear"), theta=0.3,
-            n_grid=[150], reps=20, seed=7, grid_size=24,
+            kernel=KernelSpec("downslope-linear"), theta=0.3,
+            n=150, t=150, reps=20, seed=7, grid_size=24,
         )
         a = dynamic_forecast_experiment(**kwargs)
         b = dynamic_forecast_experiment(**kwargs)
         assert a == b
-        assert a[0].undefined_fraction < 0.5
-        assert a[0].median_error >= 0.0
+        assert a.undefined_fraction < 0.5
+        assert a.median_error >= 0.0
 
     def test_worker_count_invariance(self):
         process = Far1Spec(rho=0.4, noise_scale=0.25, burn_in=50)
         psi = PsiSpec("norm")
         kwargs = dict(
             process=process, psi=psi, noise_sd=0.05,
-            kernel=kernel_spec("downslope-linear"), theta=0.25,
-            n_grid=[120], reps=60, seed=13, grid_size=16,
+            kernel=KernelSpec("downslope-linear"), theta=0.25,
+            n=120, t=120, reps=60, seed=13, grid_size=16,
         )
         a = dynamic_forecast_experiment(workers=1, **kwargs)
         b = dynamic_forecast_experiment(workers=2, **kwargs)
         assert a == b
 
-    def test_bad_t_rule_rejected(self):
+    def test_query_index_outside_the_path_rejected(self):
         process = Far1Spec(rho=0.4, noise_scale=0.25, burn_in=10)
-        with pytest.raises(ConfigError):
-            dynamic_forecast_experiment(
-                process, PsiSpec("norm"), 0.1, kernel_spec("uniform"), 0.3,
-                n_grid=[120], t_rule="everywhere", reps=2, seed=0, grid_size=16,
-            )
+        for t in (0, 121):
+            with pytest.raises(ValidationError):
+                dynamic_forecast_experiment(
+                    process, PsiSpec("norm"), 0.1, KernelSpec("uniform"), 0.3,
+                    n=120, t=t, reps=2, seed=0, grid_size=16,
+                )
