@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -29,11 +30,12 @@ from .concentration import (
     empirical_laplace,
     empirical_tail_grid,
     laplace_bound,
+    laplace_gamma_cap,
     make_fspec,
     truncate,
 )
 from .config import ExperimentConfig, load_config_file, resolve_config
-from .errors import BetamixError, ConfigError, FitError
+from .errors import BetamixError, ConfigError, DomainError, FitError
 from .mixing import (
     FiniteChain,
     FiniteJointDistribution,
@@ -45,7 +47,7 @@ from .mixing import (
 )
 from .processes import FunctionalPath, estimate_chain_mixing, uniform_grid
 from .regression import KernelSpec, RegressionFit, dynamic_forecast_experiment, m_constant
-from .seeding import Stream, keyed_rng
+from .seeding import Stream, _pool, keyed_rng, one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,18 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
 
 
 def _write_manifest(
-    path: str, config: ExperimentConfig, checks: list[Check], reports: list[str]
+    path: str,
+    config: ExperimentConfig,
+    checks: list[Check],
+    reports: list[str],
+    execution: dict,
 ) -> None:
     resolved = dict(sorted(config.raw.items()))
     manifest = {
         "suite": config.suite,
         "seed": config.seed,
         "reps": config.reps,
-        "workers": config.workers,
+        "execution": execution,
         "config": resolved,
         "config_sha256": hashlib.sha256(
             json.dumps(resolved, sort_keys=True).encode()
@@ -178,6 +184,9 @@ LAPLACE_HEADER = ["experiment_id", "A", "gamma", "estimate", "std_error", "bound
 def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list[str]]:
     fspec = make_fspec(config.fspec_name, config.process, seed=config.seed)
     bound_b = config.bound_b if config.bound_b is not None else fspec.bound
+    # the Laplace bound's domain depends on the fitted mixing rate, so fit it
+    # and check A and gamma before any estimate runs
+    laplace = _laplace_parameters(config, bound_b) if config.a_points else None
     checks: list[Check] = []
     reports: list[str] = []
 
@@ -227,23 +236,42 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list
     _write_csv(report, CONCENTRATION_HEADER, rows)
     reports.append(report)
 
-    if config.a_points:
-        checks_l, report_l = _laplace_section(config, fspec, bound_b)
+    if laplace is not None:
+        checks_l, report_l = _laplace_section(config, fspec, bound_b, *laplace)
         checks.extend(checks_l)
         reports.append(report_l)
     return checks, reports
 
 
-def _laplace_section(config, fspec, bound_b):
+def _laplace_parameters(config, bound_b):
+    """kappa0, kappa1 of the mixing fit and the gamma of the Laplace section.
+    Raises DomainError when an A or a user gamma lies outside the bound's
+    domain at the fitted kappa1."""
     a_min, a_max = config.a_points[0][0], config.a_points[-1][0]
     mixing_rng = keyed_rng(config.seed, Stream.MIXING_FIT)
     mixing_fit = estimate_chain_mixing(config.process, seed=mixing_rng, n_steps=10**5)
     kappa0 = max(mixing_fit.kappa0, 1e-6)
     kappa1 = max(mixing_fit.kappa1, 1e-6)
+    if a_min < 2.0 * kappa1:
+        raise DomainError(
+            f"grid.A: A = {a_min} is below 2*kappa1 = {2.0 * kappa1:.4g} "
+            f"at the fitted kappa1 = {kappa1:.4g}"
+        )
+    cap = laplace_gamma_cap(kappa1, a_max)
     gamma = config.gamma
     if gamma is None:
-        cap = min(min(1.0, kappa1) / 2.0, kappa1 / (4.0 * math.log(a_max)))
         gamma = 0.9 * cap / bound_b
+    elif gamma * bound_b > cap:
+        raise DomainError(
+            f"gamma = {gamma} gives gamma*B = {gamma * bound_b:.4g} above the cap "
+            f"min((1 and kappa1)/2, kappa1/(4 log A_max)) = {cap:.4g} "
+            f"at the fitted kappa1 = {kappa1:.4g}"
+        )
+    return kappa0, kappa1, gamma
+
+
+def _laplace_section(config, fspec, bound_b, kappa0, kappa1, gamma):
+    a_min = config.a_points[0][0]
     estimates = [
         empirical_laplace(
             fspec, config.process, gamma, a, t, config.reps, config.seed,
@@ -382,11 +410,26 @@ _SUITE_RUNNERS = {
 
 
 def run_suite(config: ExperimentConfig) -> SuiteResult:
-    """Run one suite: write reports and a manifest, return checks + exit code."""
+    """Run one suite: write reports and a manifest, return checks + exit code.
+
+    The run has one execution context: BLAS pinned to one thread before the
+    suite starts, in this process and so in every pool worker it forks, and
+    at most one process pool, shut down when the suite ends.
+    """
     os.makedirs(config.output, exist_ok=True)
+    execution = {"workers": config.workers, "blas_threads": one_blas_thread()}
     checks, reports = _SUITE_RUNNERS[config.suite](config)
+    execution["pools_opened"] = _pool.cache_info().currsize
+    if execution["pools_opened"]:
+        # reaped workers report their peak memory through RUSAGE_CHILDREN
+        _pool(config.workers).shutdown()
+        _pool.cache_clear()
+    # ru_maxrss is in KiB on Linux
+    peak_kib = max(resource.getrusage(who).ru_maxrss
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    execution["peak_rss_mb"] = round(peak_kib / 1024, 1)
     manifest = os.path.join(config.output, f"{config.suite.replace('-', '_')}_manifest.json")
-    _write_manifest(manifest, config, checks, reports)
+    _write_manifest(manifest, config, checks, reports, execution)
     exit_code = 0 if all(c.passed for c in checks) else 1
     return SuiteResult(exit_code=exit_code, checks=tuple(checks))
 

@@ -121,6 +121,12 @@ class MomentInputs:
             raise MomentError("moments must be positive")
 
 
+def laplace_gamma_cap(kappa1: float, A: float) -> float:
+    """Largest gamma * B the Laplace bound admits at interval length A:
+    min((1 and kappa1)/2, kappa1/(4 log A))."""
+    return min(min(1.0, kappa1) / 2.0, kappa1 / (4.0 * math.log(A)))
+
+
 def laplace_bound_terms(params: BoundParams) -> tuple[float, float]:
     """Both summands of the Laplace-transform bound, preconditions enforced."""
     k0, k1, c = params.kappa0, params.kappa1, params.C
@@ -128,7 +134,7 @@ def laplace_bound_terms(params: BoundParams) -> tuple[float, float]:
     if a < max(14.0, 2.0 * k1):
         raise DomainError(f"A = {a} violates A >= max(14, 2*kappa1) = {max(14.0, 2.0 * k1)}")
     log_a = math.log(a)
-    gamma_cap = min((1.0 if k1 > 1.0 else k1) / 2.0, k1 / (4.0 * log_a))
+    gamma_cap = laplace_gamma_cap(k1, a)
     if not 0.0 < gamma * b <= gamma_cap:
         raise DomainError(
             f"gamma*B = {gamma * b} violates 0 < gamma*B <= "

@@ -34,6 +34,7 @@ Schema (defaults in parentheses; -- means required):
     grid.n             comma ints          (suite-specific, nonempty)
     grid.epsilon       comma floats        (concentration, nonempty)
     grid.A             comma floats        (concentration laplace; empty)
+                       (no value may repeat within a grid)
     gamma              Laplace argument    (auto from fitted mixing rate)
     bound.B            function bound override        (fspec's bound)
 
@@ -151,9 +152,15 @@ def _to_float(raw: str, name: str) -> float:
 
 
 def _to_list(raw: str, name: str, parse) -> tuple:
+    """Parsed comma-separated grid values; a repeated value would run its
+    grid point twice, so it is an error."""
     if not raw.strip():
         return ()
-    return tuple(parse(tok.strip(), name) for tok in raw.split(","))
+    values = tuple(parse(tok.strip(), name) for tok in raw.split(","))
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"field {name!r}: repeated value(s) {repeated}")
+    return values
 
 
 def resolve_t(rule: str, n: int) -> int:
@@ -285,8 +292,8 @@ def _fkr_fields(r: dict[str, str]) -> dict:
         raise ConfigError("field 'noise_sd': must be finite and >= 0")
     n_points = _n_points(r, "fkr")
     # with one n the error-decrease checks would hold by construction
-    if len({n for n, _ in n_points}) < 2:
-        raise ConfigError("field 'grid.n': fkr suite needs at least 2 distinct n values")
+    if len(n_points) < 2:
+        raise ConfigError("field 'grid.n': fkr suite needs at least 2 n values")
     return dict(
         process=process,
         psi=_psi_spec(r["psi"], process, grid_size),

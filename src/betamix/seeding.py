@@ -4,12 +4,28 @@ Every random draw of a suite comes from a named stream keyed by
 np.random.SeedSequence(seed, spawn_key=(stream, grid_value, block)), NumPy's
 scheme for independent parallel streams. Results depend on the fixed block
 sizes, never on execution order or worker count.
+
+A process runs its blocks on one execution context: BLAS on one thread
+(`one_blas_thread`) and at most one process pool per worker count, opened at
+the first parallel call and reused by every later one.
 """
 
+import ctypes
+import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from enum import IntEnum
+from typing import Optional
 
 import numpy as np
+
+# thread-count setters exported by the OpenBLAS builds numpy links, in order of
+# preference; each has a getter named with "_get_" for "_set_"
+_BLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+)
 
 
 class Stream(IntEnum):
@@ -35,22 +51,71 @@ def keyed_rng(
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _openblas_thread_calls():
+    """(setter, getter) of the thread count of the OpenBLAS mapped into this
+    process, or None when no mapped OpenBLAS exports one (another OS, an MKL
+    build)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.rstrip("\n").split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    paths = {f[5] for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            if hasattr(lib, name):
+                setter, getter = getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def one_blas_thread() -> Optional[int]:
+    """Pin the OpenBLAS that numpy loaded to one thread for the rest of the
+    process, overriding OPENBLAS_NUM_THREADS, and return the count read back;
+    return None and change nothing when no OpenBLAS is found.
+
+    The package's matrix products, (n x 8)(8 x 64) curve builds and (n x 64)
+    distance reductions, are too small to gain from a second BLAS thread, and
+    a second thread in every pool worker oversubscribes the CPUs.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        return None
+    setter, getter = calls
+    setter(1)
+    return getter()
+
+
+@functools.cache
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of `workers` workers. Its workers start at the first
+    task and stop at `shutdown()` or in the interpreter's exit hook; each pins
+    its own BLAS, which matters under start methods that do not fork the
+    pinned parent."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=one_blas_thread)
+
+
 def replicate(block_fn, args: tuple, reps: int, block_size: int, workers: int) -> np.ndarray:
     """Run `block_fn((*args, indices))` over fixed blocks of replications
     0..reps-1 and concatenate the results in replication order.
 
     The blocks are range(s, min(s + block_size, reps)) whatever the worker
     count, and each block keys its generators by its own position, so the
-    result is identical for any `workers`. A process pool is used only when
-    workers > 1 and there is more than one block.
+    result is identical for any `workers`. The process pool of `workers`
+    workers is used only when workers > 1 and there is more than one block.
     """
     blocks = [
         (*args, range(start, min(start + block_size, reps)))
         for start in range(0, reps, block_size)
     ]
     if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(block_fn, blocks))
+        parts = list(_pool(workers).map(block_fn, blocks))
     else:
         parts = [block_fn(b) for b in blocks]
     return np.concatenate(parts)

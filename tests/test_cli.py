@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betamix
-from betamix import concentration, processes
+from betamix import cli, concentration, processes, seeding
 from betamix.cli import emit_plotdata, main
 from betamix.config import KNOWN_KEYS, SUITES, parse_config_text, resolve_config
 from betamix.errors import ConfigError
@@ -226,14 +227,16 @@ class TestExitCodes:
             (("fkr", "--set", "grid.n=120,240", "--set", "kernel=banana"), "kernel"),
             (("fkr", "--set", "grid.n=120,240", "--set", "process.kernel=gaussian-bump",
               "--set", "process.bump_width=0"), "process.bump_width"),
+            (("concentration", "--set", "grid.epsilon=0.05,0.05"), "grid.epsilon"),
+            (("concentration", "--set", "grid.n=50,100,100,200"), "grid.n"),
+            (("concentration", "--set", "grid.A=14,20,14"), "grid.A"),
         ],
     )
     def test_invalid_grid_field_exits_2(self, tmp_path, capsys, argv, field):
         suite, *sets = argv
         if suite == "concentration":
-            sets += ["--set", "grid.n=50,100,200,400"]
-            if field != "grid.epsilon":
-                sets += ["--set", "grid.epsilon=0.05"]
+            # a case's own --set comes later and wins
+            sets = ["--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05", *sets]
         output = tmp_path / "out"
         code = run_cli(suite, "--seed", "1", "--reps", "100",
                        "--output", str(output), *sets)
@@ -349,6 +352,100 @@ class TestLaplaceSection:
         assert "laplace_domination" in names
         assert (tmp_path / "laplace_report.csv").exists()
         assert code in (0, 1)
+
+    def test_gamma_above_fitted_cap_stops_before_any_estimate(self, tmp_path, capsys,
+                                                              monkeypatch):
+        tail_calls = []
+        monkeypatch.setattr(cli, "empirical_tail_grid",
+                            lambda *a, **k: tail_calls.append(a))
+        code = run_cli(
+            "concentration", "--seed", "1", "--reps", "100", "--output", str(tmp_path),
+            "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05",
+            "--set", "grid.A=14", "--set", "gamma=100", "--set", "process.burn_in=100",
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "gamma" in err and "cap" in err
+        assert tail_calls == []
+        assert not (tmp_path / "concentration_report.csv").exists()
+        assert not (tmp_path / "laplace_report.csv").exists()
+
+    def test_a_below_twice_fitted_kappa1_stops_before_any_estimate(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # no chain of the config grammar fits kappa1 near 7, so the fit is replaced
+        monkeypatch.setattr(cli, "estimate_chain_mixing",
+                            lambda *a, **k: SimpleNamespace(kappa0=1.0, kappa1=10.0))
+        code = run_cli(
+            "concentration", "--seed", "1", "--reps", "100", "--output", str(tmp_path),
+            "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05",
+            "--set", "grid.A=14,30", "--set", "process.burn_in=100",
+        )
+        assert code == 1
+        assert "grid.A" in capsys.readouterr().err
+        assert not (tmp_path / "concentration_report.csv").exists()
+
+
+class TestExecutionContext:
+    CONCENTRATION = ("--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05",
+                     "--set", "grid.A=14,20", "--set", "process.burn_in=100")
+
+    def test_w2_run_opens_one_pool(self, tmp_path, monkeypatch):
+        # 1100 reps make two replication blocks at every n and A, so each of
+        # the 6 grid points maps over the pool
+        opened = []
+
+        class CountingPool(seeding.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(seeding, "ProcessPoolExecutor", CountingPool)
+        seeding._pool.cache_clear()
+        try:
+            code = run_cli("concentration", "--seed", "2", "--reps", "1100",
+                           "--workers", "2", "--output", str(tmp_path), *self.CONCENTRATION)
+            manifest = json.loads((tmp_path / "concentration_manifest.json").read_text())
+        finally:
+            seeding._pool.cache_clear()
+            for pool in opened:
+                pool.shutdown()
+        assert code in (0, 1)
+        assert len(opened) == 1
+        execution = manifest["execution"]
+        assert execution["workers"] == 2
+        assert execution["pools_opened"] == 1
+        assert execution["blas_threads"] == seeding.one_blas_thread()
+        assert execution["peak_rss_mb"] > 0
+
+    def test_w1_run_opens_no_pool(self, tmp_path):
+        seeding._pool.cache_clear()
+        run_cli("mixing", "--seed", "4", "--output", str(tmp_path), *FAST_MIXING)
+        manifest = json.loads((tmp_path / "mixing_manifest.json").read_text())
+        assert manifest["execution"]["pools_opened"] == 0
+        assert manifest["execution"]["workers"] == 1
+
+    def test_pool_workers_run_blas_on_one_thread(self):
+        if seeding.one_blas_thread() is None:
+            pytest.skip("no OpenBLAS thread setter in this numpy build")
+        setter, getter = seeding._openblas_thread_calls()
+        # a parent on 2 threads: only the pool's initializer can pin the workers
+        setter(2)
+        assert getter() == 2
+        seeding._pool.cache_clear()
+        try:
+            counts = seeding.replicate(_worker_blas_threads, (), 4, 1, 2)
+        finally:
+            seeding._pool(2).shutdown()
+            seeding._pool.cache_clear()
+            setter(1)
+        assert counts.tolist() == [1, 1, 1, 1]
+
+
+def _worker_blas_threads(args):
+    """Block function: the worker's OpenBLAS thread count, once per replication."""
+    (indices,) = args
+    _, getter = seeding._openblas_thread_calls()
+    return np.full(len(indices), getter())
 
 
 class TestPlotdata:
