@@ -47,7 +47,7 @@ from .mixing import (
 )
 from .processes import FunctionalPath, estimate_chain_mixing, uniform_grid
 from .regression import KernelSpec, RegressionFit, dynamic_forecast_experiment, m_constant
-from .seeding import Stream, _pool, keyed_rng, one_blas_thread
+from .seeding import Stream, _pool, keyed_rng, one_blas_thread, pool_size
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,7 @@ def _write_manifest(
     checks: list[Check],
     reports: list[str],
     execution: dict,
+    diagnostics: dict,
 ) -> None:
     resolved = dict(sorted(config.raw.items()))
     manifest = {
@@ -91,6 +92,7 @@ def _write_manifest(
         "seed": config.seed,
         "reps": config.reps,
         "execution": execution,
+        "diagnostics": diagnostics,
         "config": resolved,
         "config_sha256": hashlib.sha256(
             json.dumps(resolved, sort_keys=True).encode()
@@ -170,18 +172,22 @@ def _mixing_rows(config: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
     return rows, checks
 
 
-def run_mixing_suite(config: ExperimentConfig) -> tuple[list[Check], list[str]]:
+def run_mixing_suite(config: ExperimentConfig) -> tuple[list[Check], list[str], dict]:
     rows, checks = _mixing_rows(config)
     report = os.path.join(config.output, "mixing_report.csv")
     _write_csv(report, MIXING_HEADER, rows)
-    return checks, [report]
+    return checks, [report], {}
 
 
 CONCENTRATION_HEADER = ["experiment_id", "n", "epsilon", "B", "p_hat", "ci", "bound_value", "seed"]
 LAPLACE_HEADER = ["experiment_id", "A", "gamma", "estimate", "std_error", "bound_value", "C", "seed"]
 
 
-def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list[str]]:
+def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list[str], dict]:
+    """Tail section, then the Laplace section when grid.A is set. The returned
+    diagnostics hold the fitted internals the checks rest on: each epsilon's
+    rate fit and, with grid.A, the mixing fit, gamma, C and each A's overflow
+    flag."""
     fspec = make_fspec(config.fspec_name, config.process, seed=config.seed)
     bound_b = config.bound_b if config.bound_b is not None else fspec.bound
     # the Laplace bound's domain depends on the fitted mixing rate, so fit it
@@ -189,6 +195,7 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list
     laplace = _laplace_parameters(config, bound_b) if config.a_points else None
     checks: list[Check] = []
     reports: list[str] = []
+    diagnostics: dict = {"rate_fits": []}
 
     tails_by_eps = {eps: [] for eps in config.epsilons}
     for n, t in config.n_points:
@@ -204,6 +211,8 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list
         bound_at = {}
         try:
             params, fit = calibrate_corollary(tails, B=bound_b, epsilon=eps)
+            diagnostics["rate_fits"].append({"epsilon": eps, "a1": fit.a1_hat,
+                                             "a2": fit.a2_hat, "r_squared": fit.r_squared})
             for te in tails:
                 bound_at[te.n] = corollary_bound(dataclasses.replace(params, n=te.n))
             checks.append(
@@ -219,6 +228,7 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list
             checks.append(Check(name=f"bound_dominates(eps={eps})", passed=dominated))
         except FitError as exc:
             checks.append(Check(name=f"rate_fit(eps={eps})", passed=False, detail=str(exc)))
+            diagnostics["rate_fits"].append({"epsilon": eps, "error": str(exc)})
         for te in tails:
             rows.append(
                 (
@@ -237,16 +247,17 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list
     reports.append(report)
 
     if laplace is not None:
-        checks_l, report_l = _laplace_section(config, fspec, bound_b, *laplace)
+        checks_l, report_l, diagnostics_l = _laplace_section(config, fspec, bound_b, *laplace)
         checks.extend(checks_l)
         reports.append(report_l)
-    return checks, reports
+        diagnostics.update(diagnostics_l)
+    return checks, reports, diagnostics
 
 
 def _laplace_parameters(config, bound_b):
-    """kappa0, kappa1 of the mixing fit and the gamma of the Laplace section.
-    Raises DomainError when an A or a user gamma lies outside the bound's
-    domain at the fitted kappa1."""
+    """The mixing fit, the kappa0 and kappa1 the bound takes from it, and the
+    gamma of the Laplace section. Raises DomainError when an A or a user
+    gamma lies outside the bound's domain at the fitted kappa1."""
     a_min, a_max = config.a_points[0][0], config.a_points[-1][0]
     mixing_rng = keyed_rng(config.seed, Stream.MIXING_FIT)
     mixing_fit = estimate_chain_mixing(config.process, seed=mixing_rng, n_steps=10**5)
@@ -267,10 +278,10 @@ def _laplace_parameters(config, bound_b):
             f"min((1 and kappa1)/2, kappa1/(4 log A_max)) = {cap:.4g} "
             f"at the fitted kappa1 = {kappa1:.4g}"
         )
-    return kappa0, kappa1, gamma
+    return mixing_fit, kappa0, kappa1, gamma
 
 
-def _laplace_section(config, fspec, bound_b, kappa0, kappa1, gamma):
+def _laplace_section(config, fspec, bound_b, mixing_fit, kappa0, kappa1, gamma):
     a_min = config.a_points[0][0]
     estimates = [
         empirical_laplace(
@@ -297,7 +308,14 @@ def _laplace_section(config, fspec, bound_b, kappa0, kappa1, gamma):
                         detail=f"C={c_value:.4g} gamma={gamma:.4g}"))
     report = os.path.join(config.output, "laplace_report.csv")
     _write_csv(report, LAPLACE_HEADER, rows)
-    return checks, report
+    diagnostics = {
+        "mixing_fit": dataclasses.asdict(mixing_fit),
+        "gamma": gamma,
+        "C": c_value,
+        "laplace_overflows": [{"A": a, "overflowed": est.overflowed}
+                              for (a, _), est in zip(config.a_points, estimates)],
+    }
+    return checks, report, diagnostics
 
 
 FKR_HEADER = [
@@ -306,7 +324,7 @@ FKR_HEADER = [
 ]
 
 
-def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], list[str]]:
+def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], list[str], dict]:
     summaries = [
         dynamic_forecast_experiment(
             config.process, config.psi, config.noise_sd, config.kernel, config.theta,
@@ -340,10 +358,10 @@ def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], list[str]]:
             passed=all(s.undefined_fraction < 0.1 for s in summaries),
         ),
     ]
-    return checks, [report]
+    return checks, [report], {}
 
 
-def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[str]]:
+def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[str], dict]:
     rows, checks = _mixing_rows(config)
     seed = config.seed
 
@@ -398,7 +416,7 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[st
 
     report = os.path.join(config.output, "verify_report.csv")
     _write_csv(report, MIXING_HEADER, rows)
-    return checks, [report]
+    return checks, [report], {}
 
 
 _SUITE_RUNNERS = {
@@ -418,8 +436,9 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     """
     os.makedirs(config.output, exist_ok=True)
     execution = {"workers": config.workers, "blas_threads": one_blas_thread()}
-    checks, reports = _SUITE_RUNNERS[config.suite](config)
+    checks, reports, diagnostics = _SUITE_RUNNERS[config.suite](config)
     execution["pools_opened"] = _pool.cache_info().currsize
+    execution["pool_workers"] = pool_size(config.workers) if execution["pools_opened"] else 0
     if execution["pools_opened"]:
         # reaped workers report their peak memory through RUSAGE_CHILDREN
         _pool(config.workers).shutdown()
@@ -429,7 +448,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     execution["peak_rss_mb"] = round(peak_kib / 1024, 1)
     manifest = os.path.join(config.output, f"{config.suite.replace('-', '_')}_manifest.json")
-    _write_manifest(manifest, config, checks, reports, execution)
+    _write_manifest(manifest, config, checks, reports, execution, diagnostics)
     exit_code = 0 if all(c.passed for c in checks) else 1
     return SuiteResult(exit_code=exit_code, checks=tuple(checks))
 

@@ -24,6 +24,7 @@ from .seeding import Stream, keyed_rng, replicate
 
 REP_BLOCK = 1000          # replications per keyed generator; results depend
                           # on it, never on the worker count
+SUM_ROWS = 64             # path rows per evaluation of f in _centered_sums
 B_GRID_POINTS = 240
 B_GRID_LO = 1.0 + 1e-3
 B_GRID_HI = 1e6
@@ -319,12 +320,23 @@ def make_fspec(
 
 def _centered_sums(args) -> np.ndarray:
     """sum_{k=1..n} f(X_k, X_t) - n E f(X_0, x)|_{x=X_t} per replication of
-    one block, all its paths drawn from the block's generator of `stream`."""
+    one block, all its paths drawn from the block's generator of `stream`.
+
+    f is evaluated on SUM_ROWS rows of the paths at a time and the chunks are
+    added in row order, the order of a whole-array axis-0 sum, so the block
+    holds its one path-sized array and two chunk-sized temporaries. A single
+    column is summed whole: NumPy sums a lone column pairwise.
+    """
     fspec, process, n, t, seed, stream, indices = args
     rng = keyed_rng(seed, stream, n, indices.start // REP_BLOCK)
     paths = _simulate_chain_columns(process, n, indices, rng)
     x_t = paths[t - 1]
-    return fspec(paths, x_t[None, :]).sum(axis=0) - n * fspec.center(x_t)
+    rows = SUM_ROWS if paths.shape[1] > 1 else n
+    sums = fspec(paths[:rows], x_t[None, :]).sum(axis=0)
+    for start in range(rows, n, rows):
+        chunk = fspec(paths[start:start + rows], x_t[None, :])
+        sums = np.concatenate([sums[None, :], chunk]).sum(axis=0)
+    return sums - n * fspec.center(x_t)
 
 
 def tail_deviations(

@@ -255,7 +255,10 @@ def _simulate_chain_columns(
 
     Column j is the recursion over column j of one (burn_in + n - 1,
     len(seeds)) innovation draw from `rng`. The columns advance together, one
-    contiguous row per time step; a single linear-map path runs as the scalar
+    contiguous row per time step, in place: row t - 1 of the draw becomes
+    x_t = psi(x_{t-1}) + eps_{t-1}, and the kept rows are returned as a view of
+    it, so a block holds that one path-sized array (plus an x0 row copied in
+    front when burn_in = 0). A single linear-map path runs as the scalar
     recursion of _ar1_path, which performs the identical multiply-add.
     """
     if n < 1:
@@ -263,15 +266,14 @@ def _simulate_chain_columns(
     total = spec.burn_in + n
     eps = _draw_innovations(spec, rng, (total - 1, len(seeds)))
     if spec.map == "linear" and len(seeds) == 1:
-        full = _ar1_path(spec.a, eps[:, 0], spec.x0)[:, None]
-    else:
-        full = np.empty((total, len(seeds)))
-        x = np.full(len(seeds), spec.x0)
-        full[0] = x
-        for t in range(1, total):
-            x = spec.apply_map(x) + eps[t - 1]
-            full[t] = x
-    return full[spec.burn_in:]
+        return _ar1_path(spec.a, eps[:, 0], spec.x0)[spec.burn_in:, None]
+    x = np.full(len(seeds), spec.x0)
+    for row in eps:
+        row += spec.apply_map(x)
+        x = row
+    if spec.burn_in == 0:
+        return np.concatenate([np.full((1, len(seeds)), spec.x0), eps])
+    return eps[spec.burn_in - 1:]
 
 
 def _ar1_path(coef: float, drive: np.ndarray, start: float) -> np.ndarray:

@@ -92,13 +92,22 @@ def one_blas_thread() -> Optional[int]:
     return getter()
 
 
+def pool_size(workers: int) -> int:
+    """Worker processes a pool for `workers` opens: no more than the CPUs this
+    process may run on. Results do not depend on it."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(workers, len(os.sched_getaffinity(0)))
+    return min(workers, os.cpu_count() or 1)
+
+
 @functools.cache
 def _pool(workers: int) -> ProcessPoolExecutor:
-    """The process's pool of `workers` workers. Its workers start at the first
-    task and stop at `shutdown()` or in the interpreter's exit hook; each pins
-    its own BLAS, which matters under start methods that do not fork the
-    pinned parent."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=one_blas_thread)
+    """The process's pool for `workers` workers, of pool_size(workers)
+    processes: under fork every one of them starts at the first task. They
+    stop at `shutdown()` or in the interpreter's exit hook; each pins its own
+    BLAS, which matters under start methods that do not fork the pinned
+    parent."""
+    return ProcessPoolExecutor(max_workers=pool_size(workers), initializer=one_blas_thread)
 
 
 def replicate(block_fn, args: tuple, reps: int, block_size: int, workers: int) -> np.ndarray:

@@ -353,6 +353,51 @@ class TestLaplaceSection:
         assert (tmp_path / "laplace_report.csv").exists()
         assert code in (0, 1)
 
+    def test_manifest_diagnostics_are_the_fits_behind_the_reports(self, tmp_path):
+        sets = {"grid.n": "50,100,200,400", "grid.epsilon": "0.05,0.1", "grid.A": "14,20",
+                "fspec": "odd-clip", "process.burn_in": "100"}
+        code = run_cli("concentration", "--seed", "21", "--reps", "300",
+                       "--output", str(tmp_path),
+                       *[a for kv in sets.items() for a in ("--set", "=".join(kv))])
+        assert code in (0, 1)
+        diagnostics = json.loads((tmp_path / "concentration_manifest.json").read_text())[
+            "diagnostics"
+        ]
+        config = resolve_config({}, {"suite": "concentration", "seed": "21", **sets})
+        fit = processes.estimate_chain_mixing(
+            config.process, seed=seeding.keyed_rng(21, seeding.Stream.MIXING_FIT),
+            n_steps=10**5,
+        )
+        assert diagnostics["mixing_fit"] == {
+            "kappa0": fit.kappa0, "kappa1": fit.kappa1, "r_squared": fit.r_squared,
+        }
+        tails = [line.split(",") for line in
+                 (tmp_path / "concentration_report.csv").read_text().splitlines()[1:]]
+        for eps, entry in zip((0.05, 0.1), diagnostics["rate_fits"]):
+            points = [SimpleNamespace(n=int(r[1]), p_hat=float(r[4]))
+                      for r in tails if float(r[2]) == eps]
+            want = concentration.rate_fit(points, B=1.0, epsilon=eps)
+            assert entry == {"epsilon": eps, "a1": want.a1_hat, "a2": want.a2_hat,
+                             "r_squared": want.r_squared}
+        laplace = [line.split(",") for line in
+                   (tmp_path / "laplace_report.csv").read_text().splitlines()[1:]]
+        assert diagnostics["gamma"] == float(laplace[0][2])
+        assert diagnostics["C"] == float(laplace[0][6])
+        assert diagnostics["laplace_overflows"] == [
+            {"A": float(r[1]), "overflowed": float(r[3]) == math.inf} for r in laplace
+        ]
+
+    def test_failed_rate_fit_is_recorded_with_its_reason(self, tmp_path):
+        run_cli("concentration", "--seed", "3", "--reps", "200", "--output", str(tmp_path),
+                "--set", "grid.n=50,100,200", "--set", "grid.epsilon=0.05",
+                "--set", "process.burn_in=100")
+        diagnostics = json.loads((tmp_path / "concentration_manifest.json").read_text())[
+            "diagnostics"
+        ]
+        assert diagnostics == {"rate_fits": [
+            {"epsilon": 0.05, "error": "need >= 4 tail points with 0 < p_hat < 1, have 3"}
+        ]}
+
     def test_gamma_above_fitted_cap_stops_before_any_estimate(self, tmp_path, capsys,
                                                               monkeypatch):
         tail_calls = []
@@ -414,14 +459,44 @@ class TestExecutionContext:
         execution = manifest["execution"]
         assert execution["workers"] == 2
         assert execution["pools_opened"] == 1
+        assert execution["pool_workers"] == min(2, len(os.sched_getaffinity(0)))
         assert execution["blas_threads"] == seeding.one_blas_thread()
         assert execution["peak_rss_mb"] > 0
+
+    def test_pool_is_capped_at_the_usable_cpus(self, tmp_path, monkeypatch):
+        # the stub starts no process: it records its size and runs the blocks here
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(seeding, "ProcessPoolExecutor", InlinePool)
+        seeding._pool.cache_clear()
+        try:
+            code = run_cli("concentration", "--seed", "2", "--reps", "1100",
+                           "--workers", "5000", "--output", str(tmp_path), *self.CONCENTRATION)
+        finally:
+            seeding._pool.cache_clear()
+        cpus = len(os.sched_getaffinity(0))
+        assert code in (0, 1)
+        assert sizes == [cpus]
+        execution = json.loads((tmp_path / "concentration_manifest.json").read_text())["execution"]
+        assert execution["workers"] == 5000
+        assert execution["pool_workers"] == cpus
 
     def test_w1_run_opens_no_pool(self, tmp_path):
         seeding._pool.cache_clear()
         run_cli("mixing", "--seed", "4", "--output", str(tmp_path), *FAST_MIXING)
         manifest = json.loads((tmp_path / "mixing_manifest.json").read_text())
         assert manifest["execution"]["pools_opened"] == 0
+        assert manifest["execution"]["pool_workers"] == 0
         assert manifest["execution"]["workers"] == 1
 
     def test_pool_workers_run_blas_on_one_thread(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from betamix.concentration import (
+    FSPEC_NAMES,
     PILOT_BINS,
     REP_BLOCK,
+    SUM_ROWS,
     BoundParams,
     MomentInputs,
     calibrate_corollary,
+    _centered_sums,
     calibrate_laplace_constant,
     corollary_bound,
     empirical_laplace,
@@ -407,6 +411,32 @@ class TestCenteredSums:
         devs, est = self._estimates(fspec)
         np.testing.assert_allclose(devs, want_devs, rtol=0, atol=1e-15)
         assert abs(est.value - float(want_values.mean())) <= 1e-15
+
+    @pytest.mark.parametrize("name", FSPEC_NAMES)
+    @pytest.mark.parametrize("n", [1, SUM_ROWS - 1, SUM_ROWS, SUM_ROWS + 1, 3 * SUM_ROWS + 5])
+    def test_chunked_sums_are_the_whole_path_sum(self, name, n):
+        fspec = make_fspec(name, self.CHAIN, seed=5, pilot_draws=20_000)
+        for width in (1, 7):
+            for t in sorted({1, (n + 1) // 2, n}):
+                args = (fspec, self.CHAIN, n, t, self.SEED, Stream.CHAIN_TAIL, range(width))
+                rng = keyed_rng(self.SEED, Stream.CHAIN_TAIL, n, 0)
+                paths = _simulate_chain_columns(self.CHAIN, n, range(width), rng)
+                x_t = paths[t - 1]
+                want = fspec(paths, x_t[None, :]).sum(axis=0) - n * fspec.center(x_t)
+                np.testing.assert_array_equal(_centered_sums(args), want)
+
+    def test_block_peak_memory_is_one_innovation_draw(self):
+        chain = ContractiveChainSpec(a=0.5, burn_in=1000)
+        fspec = make_fspec("odd-clip-damped", chain)
+        n, width = 2000, 1000
+        draw_bytes = (chain.burn_in + n - 1) * width * 8
+        tracemalloc.start()
+        try:
+            _centered_sums((fspec, chain, n, n, 3, Stream.CHAIN_TAIL, range(width)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * draw_bytes
 
 
 class TestRateFit:

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from betamix.errors import ConfigError, ValidationError
 from betamix.mixing import FiniteJointDistribution, beta_exact
 from betamix.processes import (
+    CHAIN_INNOVATIONS,
+    CHAIN_MAPS,
     ContractiveChainSpec,
     Far1Spec,
     FunctionalPath,
@@ -96,6 +98,37 @@ class TestContractiveChain:
             want[:, j] = states[burn_in:]
         got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(13))
         assert_array_equal(got, want)
+
+    @staticmethod
+    def _two_array_recursion(spec, n, width, rng):
+        """Reference: the draw plus a second (burn_in + n, width) array that
+        the recursion writes its states into."""
+        total = spec.burn_in + n
+        eps = _draw_innovations(spec, rng, (total - 1, width))
+        full = np.empty((total, width))
+        x = np.full(width, spec.x0)
+        full[0] = x
+        for t in range(1, total):
+            x = spec.apply_map(x) + eps[t - 1]
+            full[t] = x
+        return full[spec.burn_in:]
+
+    @pytest.mark.parametrize("map_name", CHAIN_MAPS)
+    @pytest.mark.parametrize("innovation", CHAIN_INNOVATIONS)
+    @pytest.mark.parametrize("burn_in", [0, 1, 7])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_in_place_recursion_is_the_two_array_loop(self, map_name, innovation, burn_in,
+                                                      width):
+        spec = ContractiveChainSpec(
+            map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
+            innovation=innovation, sigma=0.5, trunc=1.5, halfwidth=0.8, burn_in=burn_in,
+            x0=0.25,
+        )
+        for n in (1, 40):
+            got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(21))
+            want = self._two_array_recursion(spec, n, width, np.random.default_rng(21))
+            assert got.shape == (n, width)
+            assert_array_equal(got, want)
 
     def test_half_means_agree_under_stationarity(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=1000)
