@@ -103,7 +103,7 @@ def _write_manifest(
             "python": sys.version.split()[0],
         },
         "checks": [dataclasses.asdict(c) for c in checks],
-        "reports": [os.path.basename(r) for r in reports],
+        "reports": reports,
         "created_unix": time.time(),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -114,39 +114,38 @@ def _write_manifest(
 MIXING_HEADER = ["check_name", "lhs", "rhs", "holds", "seed"]
 
 
-def _mixing_rows(config: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
+def _checks_from_rows(rows: list[tuple]) -> list[Check]:
+    """One check per row family, in order of first appearance: a family is the
+    row name up to its first '[' and passes when every one of its rows holds."""
+    families: dict[str, bool] = {}
+    for name, _, _, holds, _ in rows:
+        family = name.split("[", 1)[0]
+        families[family] = families.get(family, True) and bool(holds)
+    return [Check(name=k, passed=v) for k, v in families.items()]
+
+
+def _mixing_rows(config: ExperimentConfig) -> list[tuple]:
     # the random models draw from the root stream, which no keyed stream shares
     rng = np.random.default_rng(config.seed)
     seed = config.seed
     max_states = config.mixing_max_states
     rows: list[tuple] = []
-    families: dict[str, bool] = {
-        "alpha_le_quarter": True,
-        "alpha_beta_ordering": True,
-        "beta_le_one": True,
-        "davydov": True,
-        "ibragimov": True,
-        "markov_lag_consistency": True,
-    }
 
-    def add(name: str, lhs: float, rhs: float, family: str, tol: float = 1e-10):
-        holds = bool(lhs <= rhs + tol)
-        rows.append((name, lhs, rhs, holds, seed))
-        families[family] &= holds
+    def add(name: str, lhs: float, rhs: float):
+        rows.append((name, lhs, rhs, bool(lhs <= rhs + 1e-12), seed))
 
     for i in range(config.mixing_joints):
         m, ell = (int(v) for v in rng.integers(2, max_states + 1, size=2))
         joint = FiniteJointDistribution(rng.dirichlet(np.ones(m * ell)).reshape(m, ell))
         a, b = alpha_exact(joint), beta_exact(joint)
-        add(f"alpha_le_quarter[{i}]", a, 0.25, "alpha_le_quarter", tol=1e-12)
-        add(f"alpha_beta_ordering[{i}]", 2.0 * a, b, "alpha_beta_ordering", tol=1e-12)
-        add(f"beta_le_one[{i}]", b, 1.0, "beta_le_one", tol=1e-12)
+        add(f"alpha_le_quarter[{i}]", a, 0.25)
+        add(f"alpha_beta_ordering[{i}]", 2.0 * a, b)
+        add(f"beta_le_one[{i}]", b, 1.0)
         h = rng.normal(0.0, 2.0, size=(m, ell))
         for p in (1.5, 2.0, 3.0, math.inf):
             res = davydov_check(joint, h, p)
             name = f"davydov[p={'inf' if math.isinf(p) else p}][{i}]"
             rows.append((name, res.lhs, res.rhs, res.holds, seed))
-            families["davydov"] &= res.holds
 
     for i in range(config.mixing_chains):
         m = int(rng.integers(2, min(max_states, 4) + 1))
@@ -156,34 +155,23 @@ def _mixing_rows(config: ExperimentConfig) -> tuple[list[tuple], list[Check]]:
         funcs = [rng.uniform(0.0, 2.0, size=m) for _ in range(n_funcs)]
         res = ibragimov_check(chain, funcs, lags)
         rows.append((f"ibragimov[{i}]", res.lhs, res.rhs, res.holds, seed))
-        families["ibragimov"] &= res.holds
         lag = int(rng.integers(1, 6))
         direct = markov_beta_lag(chain, lag)
         via_joint = beta_exact(chain.lag_joint(lag))
-        add(
-            f"markov_lag_consistency[{i}]",
-            abs(direct - via_joint),
-            0.0,
-            "markov_lag_consistency",
-            tol=1e-12,
-        )
-
-    checks = [Check(name=k, passed=v) for k, v in families.items()]
-    return rows, checks
+        add(f"markov_lag_consistency[{i}]", abs(direct - via_joint), 0.0)
+    return rows
 
 
-def run_mixing_suite(config: ExperimentConfig) -> tuple[list[Check], list[str], dict]:
-    rows, checks = _mixing_rows(config)
-    report = os.path.join(config.output, "mixing_report.csv")
-    _write_csv(report, MIXING_HEADER, rows)
-    return checks, [report], {}
+def run_mixing_suite(config: ExperimentConfig) -> tuple[list[Check], dict, dict]:
+    rows = _mixing_rows(config)
+    return _checks_from_rows(rows), {"mixing_report.csv": (MIXING_HEADER, rows)}, {}
 
 
 CONCENTRATION_HEADER = ["experiment_id", "n", "epsilon", "B", "p_hat", "ci", "bound_value", "seed"]
 LAPLACE_HEADER = ["experiment_id", "A", "gamma", "estimate", "std_error", "bound_value", "C", "seed"]
 
 
-def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list[str], dict]:
+def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     """Tail section, then the Laplace section when grid.A is set. The returned
     diagnostics hold the fitted internals the checks rest on: each epsilon's
     rate fit and, with grid.A, the mixing fit, gamma, C and each A's overflow
@@ -194,7 +182,6 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list
     # and check A and gamma before any estimate runs
     laplace = _laplace_parameters(config, bound_b) if config.a_points else None
     checks: list[Check] = []
-    reports: list[str] = []
     diagnostics: dict = {"rate_fits": []}
 
     tails_by_eps = {eps: [] for eps in config.epsilons}
@@ -242,14 +229,12 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], list
                     config.seed,
                 )
             )
-    report = os.path.join(config.output, "concentration_report.csv")
-    _write_csv(report, CONCENTRATION_HEADER, rows)
-    reports.append(report)
+    reports = {"concentration_report.csv": (CONCENTRATION_HEADER, rows)}
 
     if laplace is not None:
-        checks_l, report_l, diagnostics_l = _laplace_section(config, fspec, bound_b, *laplace)
-        checks.extend(checks_l)
-        reports.append(report_l)
+        check_l, rows_l, diagnostics_l = _laplace_section(config, fspec, bound_b, *laplace)
+        checks.append(check_l)
+        reports["laplace_report.csv"] = (LAPLACE_HEADER, rows_l)
         diagnostics.update(diagnostics_l)
     return checks, reports, diagnostics
 
@@ -293,21 +278,16 @@ def _laplace_section(config, fspec, bound_b, mixing_fit, kappa0, kappa1, gamma):
     c_value = calibrate_laplace_constant(
         [estimates[0].value], kappa0, kappa1, gamma, bound_b, a_min
     )
-    rows, checks = [], []
-    all_below = True
-    for (a, _), est in zip(config.a_points, estimates):
-        params = BoundParams(
-            kappa0=kappa0, kappa1=kappa1, C=c_value, gamma=gamma, B=bound_b, A=a
-        )
-        bound_value = laplace_bound(params)
-        all_below &= est.value <= bound_value
-        rows.append(
-            ("laplace", a, gamma, est.value, est.std_error, bound_value, c_value, config.seed)
-        )
-    checks.append(Check(name="laplace_domination", passed=bool(all_below),
-                        detail=f"C={c_value:.4g} gamma={gamma:.4g}"))
-    report = os.path.join(config.output, "laplace_report.csv")
-    _write_csv(report, LAPLACE_HEADER, rows)
+    bounds = [
+        laplace_bound(BoundParams(kappa0=kappa0, kappa1=kappa1, C=c_value, gamma=gamma,
+                                  B=bound_b, A=a))
+        for a, _ in config.a_points
+    ]
+    rows = [("laplace", a, gamma, est.value, est.std_error, bound, c_value, config.seed)
+            for (a, _), est, bound in zip(config.a_points, estimates, bounds)]
+    check = Check(name="laplace_domination",
+                  passed=all(est.value <= bound for est, bound in zip(estimates, bounds)),
+                  detail=f"C={c_value:.4g} gamma={gamma:.4g}")
     diagnostics = {
         "mixing_fit": dataclasses.asdict(mixing_fit),
         "gamma": gamma,
@@ -315,7 +295,7 @@ def _laplace_section(config, fspec, bound_b, mixing_fit, kappa0, kappa1, gamma):
         "laplace_overflows": [{"A": a, "overflowed": est.overflowed}
                               for (a, _), est in zip(config.a_points, estimates)],
     }
-    return checks, report, diagnostics
+    return check, rows, diagnostics
 
 
 FKR_HEADER = [
@@ -324,7 +304,7 @@ FKR_HEADER = [
 ]
 
 
-def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], list[str], dict]:
+def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     summaries = [
         dynamic_forecast_experiment(
             config.process, config.psi, config.noise_sd, config.kernel, config.theta,
@@ -332,14 +312,8 @@ def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], list[str], dic
         )
         for n, t in config.n_points
     ]
-    rows = []
-    for s in summaries:
-        rows.append((s.n, 0.5, s.median_error, s.median_f_error, s.median_g_error,
-                     s.undefined_fraction))
-        rows.append((s.n, 0.9, s.q90_error, s.median_f_error, s.median_g_error,
-                     s.undefined_fraction))
-    report = os.path.join(config.output, "fkr_report.csv")
-    _write_csv(report, FKR_HEADER, rows)
+    rows = [(s.n, level, error, s.median_f_error, s.median_g_error, s.undefined_fraction)
+            for s in summaries for level, error in ((0.5, s.median_error), (0.9, s.q90_error))]
     medians = [s.median_error for s in summaries]
     f_errors = [s.median_f_error for s in summaries]
     checks = [
@@ -358,11 +332,11 @@ def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], list[str], dic
             passed=all(s.undefined_fraction < 0.1 for s in summaries),
         ),
     ]
-    return checks, [report], {}
+    return checks, {"fkr_report.csv": (FKR_HEADER, rows)}, {}
 
 
-def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[str], dict]:
-    rows, checks = _mixing_rows(config)
+def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], dict, dict]:
+    rows = _mixing_rows(config)
     seed = config.seed
 
     rng = keyed_rng(seed, Stream.TRUNCATE_SAMPLE)
@@ -377,18 +351,13 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[st
         plus, zero, minus = truncate(v, b)
         mismatches += plus + zero + minus != v
     rows.append(("truncate_reconstruction", float(mismatches), 0.0, mismatches == 0, seed))
-    checks.append(Check(name="truncate_reconstruction", passed=mismatches == 0))
 
     kernel = KernelSpec("downslope-linear")
-    m_lin = m_constant(kernel, lambda s: s)
-    m_sq = m_constant(kernel, lambda s: s**2)
     for name, got, want in (
-        ("m_constant_tau_linear", m_lin, 1.5),
-        ("m_constant_tau_square", m_sq, 4.0 / 3.0),
+        ("m_constant_tau_linear", m_constant(kernel, lambda s: s), 1.5),
+        ("m_constant_tau_square", m_constant(kernel, lambda s: s**2), 4.0 / 3.0),
     ):
-        holds = abs(got - want) <= 1e-6
-        rows.append((name, got, want, holds, seed))
-        checks.append(Check(name=name, passed=holds))
+        rows.append((name, got, want, abs(got - want) <= 1e-6, seed))
 
     grid = uniform_grid(5)
     dists = np.array([0.1, 0.2, 0.9, 1.5, 2.0])
@@ -404,7 +373,6 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[st
     nw = fit.evaluate(np.zeros(5))
     holds = nw.defined and abs(nw.psi_hat - 8.8 / 4.8) <= 1e-12
     rows.append(("nadaraya_watson_hand_example", nw.psi_hat, 8.8 / 4.8, holds, seed))
-    checks.append(Check(name="nadaraya_watson_hand_example", passed=holds))
 
     ns = list(range(16, 400, 7))
     bounds = [
@@ -412,11 +380,7 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], list[st
     ]
     holds = all(b < a for a, b in zip(bounds, bounds[1:]))
     rows.append(("corollary_bound_decreasing", float(not holds), 0.0, holds, seed))
-    checks.append(Check(name="corollary_bound_decreasing", passed=holds))
-
-    report = os.path.join(config.output, "verify_report.csv")
-    _write_csv(report, MIXING_HEADER, rows)
-    return checks, [report], {}
+    return _checks_from_rows(rows), {"verify_report.csv": (MIXING_HEADER, rows)}, {}
 
 
 _SUITE_RUNNERS = {
@@ -432,9 +396,14 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
 
     The run has one execution context: BLAS pinned to one thread before the
     suite starts, in this process and so in every pool worker it forks, and
-    at most one process pool, shut down when the suite ends.
+    at most one process pool, shut down when the suite ends. Reports are
+    written once the whole suite has returned, so a run stopped by an error
+    writes none.
     """
-    os.makedirs(config.output, exist_ok=True)
+    try:
+        os.makedirs(config.output, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"field 'output': cannot create {config.output}: {exc}") from exc
     execution = {"workers": config.workers, "blas_threads": one_blas_thread()}
     checks, reports, diagnostics = _SUITE_RUNNERS[config.suite](config)
     execution["pools_opened"] = _pool.cache_info().currsize
@@ -447,8 +416,10 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     peak_kib = max(resource.getrusage(who).ru_maxrss
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     execution["peak_rss_mb"] = round(peak_kib / 1024, 1)
+    for name, (header, rows) in reports.items():
+        _write_csv(os.path.join(config.output, name), header, rows)
     manifest = os.path.join(config.output, f"{config.suite.replace('-', '_')}_manifest.json")
-    _write_manifest(manifest, config, checks, reports, execution, diagnostics)
+    _write_manifest(manifest, config, checks, list(reports), execution, diagnostics)
     exit_code = 0 if all(c.passed for c in checks) else 1
     return SuiteResult(exit_code=exit_code, checks=tuple(checks))
 
@@ -468,7 +439,7 @@ def emit_plotdata(report_path: str, kind: str, output_path: str) -> None:
     try:
         with open(report_path, encoding="utf-8") as fh:
             lines = [(i, ln.rstrip("\n").split(",")) for i, ln in enumerate(fh, 1) if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read report {report_path}: {exc}") from exc
     if not lines:
         raise ConfigError(f"report {report_path} is empty")
@@ -494,7 +465,10 @@ def emit_plotdata(report_path: str, kind: str, output_path: str) -> None:
         elif values[1] == 0.5:
             for series, idx in (("forecast_error", 2), ("f_hat_error", 3), ("g_hat_error", 4)):
                 out_rows.append((series, values[0], values[idx], values[idx], values[idx]))
-    _write_csv(output_path, PLOTDATA_HEADER, out_rows)
+    try:
+        _write_csv(output_path, PLOTDATA_HEADER, out_rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {output_path}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -55,7 +55,6 @@ class BoundParams:
     B: float = 1.0
     epsilon: float = 0.1
     n: int = 100
-    t: int = 1
     p: float = 2.0
     q: float = 2.0
     r: float = 2.0
@@ -70,8 +69,6 @@ class BoundParams:
             raise ValidationError("gamma and epsilon must be >= 0")
         if self.n < 3:
             raise ValidationError("n must be >= 3 so log log n > 0")
-        if self.t < 1:
-            raise ValidationError("t must be >= 1")
         if min(self.p, self.q, self.r, self.u) <= 1 or self.k <= 1:
             raise ValidationError("p, q, r, u, k must all exceed 1")
         if not _conjugate_ok(self.p, self.q):

@@ -133,7 +133,7 @@ def load_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
 

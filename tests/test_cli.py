@@ -17,7 +17,7 @@ import betamix
 from betamix import cli, concentration, processes, seeding
 from betamix.cli import emit_plotdata, main
 from betamix.config import KNOWN_KEYS, SUITES, parse_config_text, resolve_config
-from betamix.errors import ConfigError
+from betamix.errors import ConfigError, FitError
 
 FAST_MIXING = ["--set", "mixing.joints=15", "--set", "mixing.chains=8"]
 
@@ -246,6 +246,39 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not output.exists()
 
+    @pytest.mark.parametrize("case", ["output-is-file", "output-under-file",
+                                      "plotdata-output-under-file", "config-not-utf8",
+                                      "report-not-utf8"])
+    def test_file_error_exits_2_naming_the_path(self, tmp_path, capsys, case):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        report = tmp_path / "fkr_report.csv"
+        report.write_text(
+            "n,rep_quantile_level,forecast_error,f_hat_error,g_hat_error,undefined_fraction\n"
+            "200,0.5,0.1,0.2,0.3,0.0\n"
+        )
+        not_utf8 = tmp_path / "latin1.txt"
+        not_utf8.write_bytes(b"seed = 1 # caf\xe9\n")
+        path, argv = {
+            "output-is-file": (blocker, ("mixing", "--seed", "1", "--output", str(blocker))),
+            "output-under-file": (blocker / "out",
+                                  ("mixing", "--seed", "1", "--output", str(blocker / "out"))),
+            "plotdata-output-under-file": (blocker / "x.csv",
+                                           ("plotdata", str(report), "--kind", "fkr",
+                                            "--output", str(blocker / "x.csv"))),
+            "config-not-utf8": (not_utf8, ("mixing", "--config", str(not_utf8),
+                                           "--output", str(tmp_path / "out"))),
+            "report-not-utf8": (not_utf8, ("plotdata", str(not_utf8), "--kind", "fkr",
+                                           "--output", str(tmp_path / "o.csv"))),
+        }[case]
+        code = run_cli(*argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert str(path) in err and "Traceback" not in err
+        if case.startswith("output"):
+            # the suite stopped before any work
+            assert "field 'output'" in err and out == ""
+
     def test_check_failure_exits_1(self, tmp_path):
         # 3 usable n-points cannot support the 4-point rate fit
         code = run_cli(
@@ -254,6 +287,38 @@ class TestExitCodes:
             "--set", "process.burn_in=100",
         )
         assert code == 1
+
+
+FAILING = SimpleNamespace(lhs=1.0, rhs=0.0, holds=False)
+UNDEFINED_FIT = SimpleNamespace(evaluate=lambda curve: SimpleNamespace(defined=False,
+                                                                      psi_hat=math.nan))
+
+
+@pytest.mark.parametrize(
+    "check, name, stub",
+    [
+        ("alpha_le_quarter", "alpha_exact", lambda joint: 0.3),
+        ("alpha_beta_ordering", "beta_exact", lambda joint: 0.0),
+        ("beta_le_one", "beta_exact", lambda joint: 1.5),
+        ("davydov", "davydov_check", lambda joint, h, p: FAILING),
+        ("ibragimov", "ibragimov_check", lambda chain, funcs, lags: FAILING),
+        ("markov_lag_consistency", "markov_beta_lag", lambda chain, lag: 2.0),
+        ("truncate_reconstruction", "truncate", lambda v, b: (v, 0.0, 1.0)),
+        ("m_constant_tau_linear", "m_constant", lambda kernel, tau: 0.0),
+        ("m_constant_tau_square", "m_constant", lambda kernel, tau: 1.5),
+        ("nadaraya_watson_hand_example", "RegressionFit", lambda **fields: UNDEFINED_FIT),
+        ("corollary_bound_decreasing", "corollary_bound", lambda params: 1.0),
+    ],
+)
+def test_every_verify_all_check_can_fail(tmp_path, capsys, monkeypatch, check, name, stub):
+    # one wrong oracle makes rows of one family fail, and so its check
+    monkeypatch.setattr(cli, name, stub)
+    code = run_cli("verify-all", "--seed", "7", "--output", str(tmp_path),
+                   "--set", "mixing.joints=2", "--set", "mixing.chains=2")
+    assert code == 1
+    assert f"[check] {check}: FAIL\n" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "verify_all_manifest.json").read_text())
+    assert len(manifest["checks"]) == 11
 
 
 class TestDeterminism:
@@ -397,6 +462,21 @@ class TestLaplaceSection:
         assert diagnostics == {"rate_fits": [
             {"epsilon": 0.05, "error": "need >= 4 tail points with 0 < p_hat < 1, have 3"}
         ]}
+
+    def test_failed_laplace_calibration_exits_1_and_writes_no_report(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        def no_fit(*args):
+            raise FitError("no C on the grid dominates the estimate")
+
+        monkeypatch.setattr(cli, "calibrate_laplace_constant", no_fit)
+        code = run_cli(
+            "concentration", "--seed", "1", "--reps", "100", "--output", str(tmp_path),
+            "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05",
+            "--set", "grid.A=14,20", "--set", "process.burn_in=100",
+        )
+        assert code == 1
+        assert "no C on the grid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_gamma_above_fitted_cap_stops_before_any_estimate(self, tmp_path, capsys,
                                                               monkeypatch):
