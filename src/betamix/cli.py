@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .concentration import (
+    _LOG_GRID,
     BoundParams,
     calibrate_corollary,
     calibrate_laplace_constant,
@@ -172,34 +173,34 @@ LAPLACE_HEADER = ["experiment_id", "A", "gamma", "estimate", "std_error", "bound
 
 
 def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict, dict]:
-    """Tail section, then the Laplace section when grid.A is set. The returned
-    diagnostics hold the fitted internals the checks rest on: each epsilon's
-    rate fit and, with grid.A, the mixing fit, gamma, C and each A's overflow
-    flag."""
+    """Tail section, then the Laplace section when grid.A is set, each one
+    `replicate` call. The returned diagnostics hold the internals the checks
+    rest on: the pilot-centering SE, each epsilon's rate fit and whether its
+    calibrated a1 sits on the grid floor and, with grid.A, the mixing fit,
+    gamma, C, whether C sits on the grid floor, and each A's overflow flag."""
     fspec = make_fspec(config.fspec_name, config.process, seed=config.seed)
     bound_b = config.bound_b if config.bound_b is not None else fspec.bound
     # the Laplace bound's domain depends on the fitted mixing rate, so fit it
     # and check A and gamma before any estimate runs
     laplace = _laplace_parameters(config, bound_b) if config.a_points else None
     checks: list[Check] = []
-    diagnostics: dict = {"rate_fits": []}
+    diagnostics: dict = {"pilot_se": fspec.center_se, "rate_fits": []}
 
-    tails_by_eps = {eps: [] for eps in config.epsilons}
-    for n, t in config.n_points:
-        tails = empirical_tail_grid(
-            fspec, config.process, n, t, config.epsilons, config.reps, config.seed,
-            workers=config.workers,
-        )
-        for eps, te in zip(config.epsilons, tails):
-            tails_by_eps[eps].append(te)
+    tails_by_point = empirical_tail_grid(
+        fspec, config.process, config.n_points, config.epsilons, config.reps, config.seed,
+        workers=config.workers,
+    )
+    tails_by_eps = dict(zip(config.epsilons, zip(*tails_by_point)))
 
     rows = []
     for eps, tails in tails_by_eps.items():
         bound_at = {}
         try:
             params, fit = calibrate_corollary(tails, B=bound_b, epsilon=eps)
-            diagnostics["rate_fits"].append({"epsilon": eps, "a1": fit.a1_hat,
-                                             "a2": fit.a2_hat, "r_squared": fit.r_squared})
+            diagnostics["rate_fits"].append({
+                "epsilon": eps, "a1": fit.a1_hat, "a2": fit.a2_hat, "r_squared": fit.r_squared,
+                "calibrated_a1_on_grid_floor": bool(params.a1 == _LOG_GRID[0]),
+            })
             for te in tails:
                 bound_at[te.n] = corollary_bound(dataclasses.replace(params, n=te.n))
             checks.append(
@@ -268,13 +269,8 @@ def _laplace_parameters(config, bound_b):
 
 def _laplace_section(config, fspec, bound_b, mixing_fit, kappa0, kappa1, gamma):
     a_min = config.a_points[0][0]
-    estimates = [
-        empirical_laplace(
-            fspec, config.process, gamma, a, t, config.reps, config.seed,
-            workers=config.workers,
-        )
-        for a, t in config.a_points
-    ]
+    estimates = empirical_laplace(fspec, config.process, gamma, config.a_points, config.reps,
+                                  config.seed, workers=config.workers)
     c_value = calibrate_laplace_constant(
         [estimates[0].value], kappa0, kappa1, gamma, bound_b, a_min
     )
@@ -292,6 +288,7 @@ def _laplace_section(config, fspec, bound_b, mixing_fit, kappa0, kappa1, gamma):
         "mixing_fit": dataclasses.asdict(mixing_fit),
         "gamma": gamma,
         "C": c_value,
+        "C_on_grid_floor": bool(c_value == _LOG_GRID[0]),
         "laplace_overflows": [{"A": a, "overflowed": est.overflowed}
                               for (a, _), est in zip(config.a_points, estimates)],
     }

@@ -336,24 +336,35 @@ def _centered_sums(args) -> np.ndarray:
     return sums - n * fspec.center(x_t)
 
 
+def _sums_longest_first(fspec, process, points, stream, reps, seed, workers) -> list:
+    """_centered_sums of every (path length, t) point in `points`, in the
+    caller's order, from one `replicate` call that gets the points longest
+    path first."""
+    order = sorted(range(len(points)), key=lambda i: -points[i][0])
+    args = [(fspec, process, *points[i], seed, stream) for i in order]
+    by_point = dict(zip(order, replicate(_centered_sums, args, reps, REP_BLOCK, workers)))
+    return [by_point[i] for i in range(len(points))]
+
+
 def tail_deviations(
     fspec: FSpec,
     process: ContractiveChainSpec,
-    n: int,
-    t: int,
+    points: Sequence[tuple[int, int]],
     reps: int,
     seed: int,
     workers: int = 1,
-) -> np.ndarray:
-    """|n^-1 sum_k f(X_k, X_t) - E f(X_0, x)|_{x=X_t}| per replication.
+) -> list[np.ndarray]:
+    """|n^-1 sum_k f(X_k, X_t) - E f(X_0, x)|_{x=X_t}| per replication, one
+    array per (n, t) point of `points`, in their order.
 
-    Replications run through `replicate`, so the result is identical for any
-    worker count.
+    All the points run through one `replicate` call, so the result is
+    identical for any worker count and any order of the points.
     """
-    if not 1 <= t <= n:
-        raise ValidationError(f"t = {t} must lie in [1, n] = [1, {n}]")
-    args = (fspec, process, n, t, seed, Stream.CHAIN_TAIL)
-    return np.abs(replicate(_centered_sums, args, reps, REP_BLOCK, workers) / n)
+    for n, t in points:
+        if not 1 <= t <= n:
+            raise ValidationError(f"t = {t} must lie in [1, n] = [1, {n}]")
+    sums = _sums_longest_first(fspec, process, points, Stream.CHAIN_TAIL, reps, seed, workers)
+    return [np.abs(s / n) for s, (n, _) in zip(sums, points)]
 
 
 def _tail_from_deviations(devs: np.ndarray, epsilon: float, n: int) -> TailEstimate:
@@ -365,55 +376,54 @@ def _tail_from_deviations(devs: np.ndarray, epsilon: float, n: int) -> TailEstim
 def empirical_tail_grid(
     fspec: FSpec,
     process: ContractiveChainSpec,
-    n: int,
-    t: int,
+    points: Sequence[tuple[int, int]],
     epsilons: Sequence[float],
     reps: int,
     seed: int,
     workers: int = 1,
-) -> list[TailEstimate]:
-    """Tail estimates over an epsilon grid sharing one set of replications."""
+) -> list[list[TailEstimate]]:
+    """Tail estimates over an epsilon grid at every (n, t) point, one list per
+    point; the epsilons of a point share one set of replications."""
     if reps < 100:
         raise ValidationError("reps must be >= 100")
-    devs = tail_deviations(fspec, process, n, t, reps, seed, workers)
-    return [_tail_from_deviations(devs, float(e), n) for e in epsilons]
+    devs = tail_deviations(fspec, process, points, reps, seed, workers)
+    return [[_tail_from_deviations(d, float(e), n) for e in epsilons]
+            for d, (n, _) in zip(devs, points)]
 
 
 def empirical_laplace(
     fspec: FSpec,
     process: ContractiveChainSpec,
     gamma: float,
-    A: float,
-    t: int,
+    points: Sequence[tuple[float, int]],
     reps: int,
     seed: int,
     workers: int = 1,
-) -> LaplaceEstimate:
-    """MC mean of exp(gamma * sum_{k=1..floor(A)} f(X_k, X_t)), centered.
+) -> list[LaplaceEstimate]:
+    """MC mean of exp(gamma * sum_{k=1..floor(A)} f(X_k, X_t)), centered, at
+    every (A, t) point of `points`, in their order.
 
     The interval integral is realized as the discrete sum over k = 1..floor(A).
-    Replications run through `replicate`, so the result is identical for any
-    worker count. Overflow is reported as an infinite value with a flag,
-    never an exception.
+    All the points run through one `replicate` call, so the result is
+    identical for any worker count and any order of the points. Overflow is
+    reported as an infinite value with a flag, never an exception.
     """
     if gamma < 0:
         raise ValidationError("gamma must be >= 0")
-    m = int(math.floor(A))
-    if m < 1:
-        raise ValidationError("A must be >= 1")
-    if not 1 <= t <= m:
-        raise ValidationError(f"t = {t} must lie in [1, floor(A)] = [1, {m}]")
+    lengths = [(int(math.floor(a)), t) for a, t in points]
+    for m, t in lengths:
+        if m < 1:
+            raise ValidationError("A must be >= 1")
+        if not 1 <= t <= m:
+            raise ValidationError(f"t = {t} must lie in [1, floor(A)] = [1, {m}]")
     if reps < 100:
         raise ValidationError("reps must be >= 100")
-    args = (fspec, process, m, t, seed, Stream.CHAIN_LAPLACE)
-    sums = replicate(_centered_sums, args, reps, REP_BLOCK, workers)
+    sums = _sums_longest_first(fspec, process, lengths, Stream.CHAIN_LAPLACE, reps, seed, workers)
     with np.errstate(over="ignore"):
-        values = np.exp(gamma * sums)
-    if not np.all(np.isfinite(values)):
-        return LaplaceEstimate(value=math.inf, std_error=math.inf, overflowed=True)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(reps))
-    return LaplaceEstimate(value=mean, std_error=se, overflowed=False)
+        values = [np.exp(gamma * s) for s in sums]
+    return [LaplaceEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(reps)), False)
+            if np.all(np.isfinite(v)) else LaplaceEstimate(math.inf, math.inf, True)
+            for v in values]
 
 
 def rate_argument(n, epsilon: float, B: float):

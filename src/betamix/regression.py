@@ -325,9 +325,9 @@ def dynamic_forecast_experiment(
         raise ValidationError("reps must be >= 1")
     if not 1 <= t <= n:
         raise ValidationError(f"t = {t} must lie in [1, n] = [1, {n}]")
-    rows = replicate(
+    (rows,) = replicate(
         _forecast_block,
-        (process, psi, noise_sd, kernel, theta, n, t, grid_size, seed),
+        [(process, psi, noise_sd, kernel, theta, n, t, grid_size, seed)],
         reps, FORECAST_BLOCK, workers,
     )
     undefined = float(rows[:, 0].mean())

@@ -7,7 +7,9 @@ sizes, never on execution order or worker count.
 
 A process runs its blocks on one execution context: BLAS on one thread
 (`one_blas_thread`) and at most one process pool per worker count, opened at
-the first parallel call and reused by every later one.
+the first parallel call and reused by every later one. `replicate` sends all
+the blocks of a section's grid points through one map of that pool, in the
+order the caller gives the points.
 """
 
 import ctypes
@@ -110,21 +112,26 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=pool_size(workers), initializer=one_blas_thread)
 
 
-def replicate(block_fn, args: tuple, reps: int, block_size: int, workers: int) -> np.ndarray:
+def replicate(
+    block_fn, points: list[tuple], reps: int, block_size: int, workers: int
+) -> list[np.ndarray]:
     """Run `block_fn((*args, indices))` over fixed blocks of replications
-    0..reps-1 and concatenate the results in replication order.
+    0..reps-1 for every argument tuple `args` in `points`, and return one
+    array per point: its blocks' results concatenated in replication order.
 
     The blocks are range(s, min(s + block_size, reps)) whatever the worker
     count, and each block keys its generators by its own position, so the
-    result is identical for any `workers`. The process pool of `workers`
-    workers is used only when workers > 1 and there is more than one block.
+    result is identical for any `workers`. All the blocks of all the points
+    go through one map of the process pool of `workers` workers, or run here
+    when workers = 1 or there is one block, point by point in the order
+    given: a caller that lists its longest points first keeps the last
+    blocks of the map short.
     """
-    blocks = [
-        (*args, range(start, min(start + block_size, reps)))
-        for start in range(0, reps, block_size)
-    ]
+    starts = range(0, reps, block_size)
+    blocks = [(*args, range(s, min(s + block_size, reps))) for args in points for s in starts]
     if workers > 1 and len(blocks) > 1:
         parts = list(_pool(workers).map(block_fn, blocks))
     else:
         parts = [block_fn(b) for b in blocks]
-    return np.concatenate(parts)
+    k = len(starts)
+    return [np.concatenate(parts[i:i + k]) for i in range(0, len(parts), k)]

@@ -198,7 +198,7 @@ def test_criterion_4_rate_verification():
     epsilon = 0.04
     n_grid = [200, 400, 800, 1600, 3200]
     tails = [
-        empirical_tail_grid(fspec, RATE_CHAIN, n, n, [epsilon], 10_000, SEED)[0]
+        empirical_tail_grid(fspec, RATE_CHAIN, [(n, n)], [epsilon], 10_000, SEED)[0][0]
         for n in n_grid
     ]
     params, fit = calibrate_corollary(tails, B=fspec.bound, epsilon=epsilon)
@@ -224,7 +224,7 @@ def test_criterion_5_laplace_domination():
     cap = min(min(1.0, kappa1) / 2.0, kappa1 / (4.0 * math.log(max(a_grid))))
     gamma = 0.9 * cap / fspec.bound
     estimates = {
-        a: empirical_laplace(fspec, RATE_CHAIN, gamma, a, t=1, reps=20_000, seed=SEED)
+        a: empirical_laplace(fspec, RATE_CHAIN, gamma, [(a, 1)], reps=20_000, seed=SEED)[0]
         for a in a_grid
     }
     c_value = calibrate_laplace_constant(

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -443,7 +444,7 @@ class TestLaplaceSection:
                       for r in tails if float(r[2]) == eps]
             want = concentration.rate_fit(points, B=1.0, epsilon=eps)
             assert entry == {"epsilon": eps, "a1": want.a1_hat, "a2": want.a2_hat,
-                             "r_squared": want.r_squared}
+                             "r_squared": want.r_squared, "calibrated_a1_on_grid_floor": False}
         laplace = [line.split(",") for line in
                    (tmp_path / "laplace_report.csv").read_text().splitlines()[1:]]
         assert diagnostics["gamma"] == float(laplace[0][2])
@@ -459,9 +460,54 @@ class TestLaplaceSection:
         diagnostics = json.loads((tmp_path / "concentration_manifest.json").read_text())[
             "diagnostics"
         ]
-        assert diagnostics == {"rate_fits": [
+        assert diagnostics == {"pilot_se": 0.0, "rate_fits": [
             {"epsilon": 0.05, "error": "need >= 4 tail points with 0 < p_hat < 1, have 3"}
         ]}
+
+    def test_pilot_se_is_the_fspec_centering_se(self, tmp_path):
+        for fspec in ("ball-indicator", "odd-clip"):
+            sets = {"grid.n": "50,100,200,400", "grid.epsilon": "0.05", "fspec": fspec,
+                    "process.burn_in": "100"}
+            out = tmp_path / fspec
+            run_cli("concentration", "--seed", "8", "--reps", "100", "--output", str(out),
+                    *[a for kv in sets.items() for a in ("--set", "=".join(kv))])
+            diagnostics = json.loads((out / "concentration_manifest.json").read_text())[
+                "diagnostics"
+            ]
+            config = resolve_config({}, {"suite": "concentration", "seed": "8", **sets})
+            want = concentration.make_fspec(fspec, config.process, seed=8).center_se
+            assert diagnostics["pilot_se"] == want
+            assert (want > 0.0) == (fspec == "ball-indicator")
+
+    def test_constants_on_the_grid_floor_are_flagged(self, tmp_path, monkeypatch):
+        sets = ("--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05,0.1",
+                "--set", "grid.A=14,20", "--set", "process.burn_in=100")
+
+        def diagnostics(out):
+            return json.loads((out / "concentration_manifest.json").read_text())["diagnostics"]
+
+        # estimates near 1 need no C above the grid's lowest value
+        code = run_cli("concentration", "--seed", "5", "--reps", "300",
+                       "--output", str(tmp_path / "floor"), *sets)
+        floored = diagnostics(tmp_path / "floor")
+        assert code == 0
+        assert floored["C"] == 1e-8
+        assert floored["C_on_grid_floor"] is True
+        assert [f["calibrated_a1_on_grid_floor"] for f in floored["rate_fits"]] == [False, False]
+
+        # a1 >= p_hat >= 1/reps, so only a stubbed calibration puts a1 on the floor
+        def floored_a1(tails, B, epsilon):
+            params, fit = concentration.calibrate_corollary(tails, B=B, epsilon=epsilon)
+            return dataclasses.replace(params, a1=1e-8), fit
+
+        monkeypatch.setattr(cli, "calibrate_corollary", floored_a1)
+        monkeypatch.setattr(cli, "calibrate_laplace_constant", lambda *args: 1.0)
+        run_cli("concentration", "--seed", "5", "--reps", "300",
+                "--output", str(tmp_path / "stub"), *sets)
+        stubbed = diagnostics(tmp_path / "stub")
+        assert stubbed["C"] == 1.0
+        assert stubbed["C_on_grid_floor"] is False
+        assert [f["calibrated_a1_on_grid_floor"] for f in stubbed["rate_fits"]] == [True, True]
 
     def test_failed_laplace_calibration_exits_1_and_writes_no_report(self, tmp_path, capsys,
                                                                      monkeypatch):
@@ -571,6 +617,39 @@ class TestExecutionContext:
         assert execution["workers"] == 5000
         assert execution["pool_workers"] == cpus
 
+    def test_each_section_is_one_map_longest_path_first(self, tmp_path, monkeypatch):
+        # the stub runs the blocks here and records each map's (stream, path
+        # length, first replication) per block; 14 and 14.5 share floor 14
+        maps = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer):
+                pass
+
+            def map(self, fn, items):
+                items = list(items)
+                maps.append([(item[5], item[2], item[-1].start) for item in items])
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(seeding, "ProcessPoolExecutor", RecordingPool)
+        seeding._pool.cache_clear()
+        try:
+            code = run_cli("concentration", "--seed", "2", "--reps", "1100", "--workers", "2",
+                           "--output", str(tmp_path), "--set", "grid.n=100,400,50,200",
+                           "--set", "grid.epsilon=0.05", "--set", "grid.A=14,20,14.5",
+                           "--set", "process.burn_in=100")
+        finally:
+            seeding._pool.cache_clear()
+        assert code in (0, 1)
+        tail, laplace = seeding.Stream.CHAIN_TAIL, seeding.Stream.CHAIN_LAPLACE
+        assert maps == [
+            [(tail, n, start) for n in (400, 200, 100, 50) for start in (0, 1000)],
+            [(laplace, m, start) for m in (20, 14, 14) for start in (0, 1000)],
+        ]
+
     def test_w1_run_opens_no_pool(self, tmp_path):
         seeding._pool.cache_clear()
         run_cli("mixing", "--seed", "4", "--output", str(tmp_path), *FAST_MIXING)
@@ -588,7 +667,7 @@ class TestExecutionContext:
         assert getter() == 2
         seeding._pool.cache_clear()
         try:
-            counts = seeding.replicate(_worker_blas_threads, (), 4, 1, 2)
+            (counts,) = seeding.replicate(_worker_blas_threads, [()], 4, 1, 2)
         finally:
             seeding._pool(2).shutdown()
             seeding._pool.cache_clear()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -42,7 +43,7 @@ from betamix.processes import (
     _simulate_chain_columns,
     simulate_contractive_chain,
 )
-from betamix.seeding import Stream, keyed_rng
+from betamix.seeding import Stream, keyed_rng, replicate
 
 mp.dps = 50
 
@@ -240,8 +241,8 @@ class TestEmpiricalTail:
     def test_zero_function_never_deviates(self):
         fspec = make_fspec("zero", UNIFORM_CHAIN)
         for eps in (1e-9, 0.1, 1.0):
-            te = empirical_tail_grid(fspec, UNIFORM_CHAIN, n=50, t=10, epsilons=[eps],
-                                     reps=200, seed=3)[0]
+            te = empirical_tail_grid(fspec, UNIFORM_CHAIN, [(50, 10)], epsilons=[eps],
+                                     reps=200, seed=3)[0][0]
             assert te.p_hat == 0.0
 
     def test_clt_tail_for_iid_mean(self):
@@ -249,8 +250,8 @@ class TestEmpiricalTail:
         sd = 1.0 / math.sqrt(3.0)
         eps = 3.0 * sd / math.sqrt(n)
         fspec = make_fspec("first", UNIFORM_CHAIN)
-        te = empirical_tail_grid(fspec, UNIFORM_CHAIN, n=n, t=1, epsilons=[eps],
-                                 reps=reps, seed=12)[0]
+        te = empirical_tail_grid(fspec, UNIFORM_CHAIN, [(n, 1)], epsilons=[eps],
+                                 reps=reps, seed=12)[0][0]
         target = 0.0026998
         assert abs(te.p_hat - target) <= te.ci_half_width
 
@@ -258,7 +259,7 @@ class TestEmpiricalTail:
         fspec = make_fspec("odd-clip", ContractiveChainSpec(a=0.5, burn_in=100))
         eps_grid = [0.01, 0.02, 0.05, 0.1, 0.2]
         tails = empirical_tail_grid(fspec, ContractiveChainSpec(a=0.5, burn_in=100),
-                                    n=100, t=50, epsilons=eps_grid, reps=300, seed=8)
+                                    [(100, 50)], epsilons=eps_grid, reps=300, seed=8)[0]
         p = [te.p_hat for te in tails]
         assert all(b <= a for a, b in zip(p, p[1:]))
 
@@ -267,7 +268,7 @@ class TestEmpiricalTail:
         fspec = make_fspec("odd-clip", chain)
         eps = 0.05
         tails = [
-            empirical_tail_grid(fspec, chain, n=n, t=n, epsilons=[eps], reps=2000, seed=55)[0]
+            empirical_tail_grid(fspec, chain, [(n, n)], epsilons=[eps], reps=2000, seed=55)[0][0]
             for n in (100, 200, 400, 800)
         ]
         for a, b in zip(tails, tails[1:]):
@@ -275,10 +276,30 @@ class TestEmpiricalTail:
 
     def test_worker_count_does_not_change_results(self):
         fspec = make_fspec("odd-clip-damped", ContractiveChainSpec(a=0.4, burn_in=20))
-        args = (fspec, ContractiveChainSpec(a=0.4, burn_in=20), 60, 30, 2500, 77)
+        args = (fspec, ContractiveChainSpec(a=0.4, burn_in=20), [(60, 30)], 2500, 77)
         devs1 = tail_deviations(*args, workers=1)
         devs2 = tail_deviations(*args, workers=2)
         np.testing.assert_array_equal(devs1, devs2)
+
+    def test_replicate_returns_each_point_whatever_the_order_and_workers(self):
+        chain = ContractiveChainSpec(a=0.4, burn_in=20)
+        fspec = make_fspec("odd-clip-damped", chain)
+        points = [(fspec, chain, n, t, 77, Stream.CHAIN_TAIL)
+                  for n, t in ((30, 30), (90, 5), (60, 60))]
+        want = replicate(_centered_sums, points, 2500, REP_BLOCK, 1)
+        for order in itertools.permutations(range(3)):
+            for workers in (1, 2):
+                got = replicate(_centered_sums, [points[i] for i in order], 2500, REP_BLOCK,
+                                workers)
+                assert len(got) == 3
+                for i, sums in zip(order, got):
+                    np.testing.assert_array_equal(sums, want[i])
+        points = [(60, 30), (200, 7), (100, 100)]
+        devs = tail_deviations(fspec, chain, points, 1100, 77, workers=2)
+        for order in itertools.permutations(range(3)):
+            got = tail_deviations(fspec, chain, [points[i] for i in order], 1100, 77)
+            for i, d in zip(order, got):
+                np.testing.assert_array_equal(d, devs[i])
 
     def test_xor_related_master_seeds_draw_independent_samples(self):
         # seeds s, s^1 and s^7 once gave the same multiset of deviations; two
@@ -286,7 +307,7 @@ class TestEmpiricalTail:
         chain = ContractiveChainSpec(a=0.5, burn_in=1000)
         fspec = make_fspec("odd-clip-damped", chain)
         s = 20250810
-        devs = [tail_deviations(fspec, chain, 200, 200, 2 * REP_BLOCK, seed)
+        devs = [tail_deviations(fspec, chain, [(200, 200)], 2 * REP_BLOCK, seed)[0]
                 for seed in (s, s ^ 1, s ^ 7)]
         p_hats = {float(np.mean(d >= 0.03)) for d in devs}
         assert len(p_hats) == 3
@@ -297,7 +318,7 @@ class TestEmpiricalTail:
     def test_t_out_of_range_rejected(self):
         fspec = make_fspec("zero", UNIFORM_CHAIN)
         with pytest.raises(ValidationError):
-            empirical_tail_grid(fspec, UNIFORM_CHAIN, n=10, t=11, epsilons=[0.1], reps=100,
+            empirical_tail_grid(fspec, UNIFORM_CHAIN, [(10, 11)], epsilons=[0.1], reps=100,
                                 seed=0)
 
     def test_odd_clip_functions_are_the_sign_min_formula(self):
@@ -335,36 +356,36 @@ class TestPilotCentering:
 
     def test_pilot_centered_tail_runs(self):
         fspec = make_fspec("ball-indicator", UNIFORM_CHAIN, seed=5, pilot_draws=20_000)
-        te = empirical_tail_grid(fspec, UNIFORM_CHAIN, n=200, t=100, epsilons=[0.2],
-                                 reps=200, seed=9)[0]
+        te = empirical_tail_grid(fspec, UNIFORM_CHAIN, [(200, 100)], epsilons=[0.2],
+                                 reps=200, seed=9)[0][0]
         assert 0.0 <= te.p_hat <= 1.0
 
 
 class TestEmpiricalLaplace:
     def test_gamma_zero_is_exactly_one(self):
         fspec = make_fspec("odd-clip", UNIFORM_CHAIN)
-        est = empirical_laplace(fspec, UNIFORM_CHAIN, gamma=0.0, A=20.0, t=5,
-                                reps=200, seed=2)
+        (est,) = empirical_laplace(fspec, UNIFORM_CHAIN, gamma=0.0, points=[(20.0, 5)],
+                                   reps=200, seed=2)
         assert est.value == 1.0
         assert not est.overflowed
 
     def test_zero_function_is_exactly_one(self):
         fspec = make_fspec("zero", UNIFORM_CHAIN)
-        est = empirical_laplace(fspec, UNIFORM_CHAIN, gamma=0.3, A=15.0, t=3,
-                                reps=200, seed=2)
+        (est,) = empirical_laplace(fspec, UNIFORM_CHAIN, gamma=0.3, points=[(15.0, 3)],
+                                   reps=200, seed=2)
         assert est.value == 1.0
 
     def test_overflow_reported_not_raised(self):
         fspec = make_fspec("first", UNIFORM_CHAIN)
-        est = empirical_laplace(fspec, UNIFORM_CHAIN, gamma=1e6, A=50.0, t=10,
-                                reps=100, seed=4)
+        (est,) = empirical_laplace(fspec, UNIFORM_CHAIN, gamma=1e6, points=[(50.0, 10)],
+                                   reps=100, seed=4)
         assert est.overflowed
         assert est.value == math.inf
 
     def test_worker_count_does_not_change_results(self):
         chain = ContractiveChainSpec(a=0.4, burn_in=20)
         fspec = make_fspec("odd-clip-damped", chain)
-        args = (fspec, chain, 0.2, 20.0, 10, 2500, 77)
+        args = (fspec, chain, 0.2, [(20.0, 10)], 2500, 77)
         assert empirical_laplace(*args, workers=1) == empirical_laplace(*args, workers=2)
 
 
@@ -391,9 +412,9 @@ class TestCenteredSums:
         return devs, values
 
     def _estimates(self, fspec):
-        devs = tail_deviations(fspec, self.CHAIN, self.N, self.T, self.REPS, self.SEED)
-        est = empirical_laplace(fspec, self.CHAIN, self.GAMMA, float(self.N), self.T,
-                                self.REPS, self.SEED)
+        (devs,) = tail_deviations(fspec, self.CHAIN, [(self.N, self.T)], self.REPS, self.SEED)
+        (est,) = empirical_laplace(fspec, self.CHAIN, self.GAMMA, [(float(self.N), self.T)],
+                                   self.REPS, self.SEED)
         return devs, est
 
     def test_exactly_centered_fspec_is_bit_identical(self):
