@@ -217,19 +217,8 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict
         except FitError as exc:
             checks.append(Check(name=f"rate_fit(eps={eps})", passed=False, detail=str(exc)))
             diagnostics["rate_fits"].append({"epsilon": eps, "error": str(exc)})
-        for te in tails:
-            rows.append(
-                (
-                    f"tail(eps={eps})",
-                    te.n,
-                    te.epsilon,
-                    bound_b,
-                    te.p_hat,
-                    te.ci_half_width,
-                    bound_at.get(te.n, math.nan),
-                    config.seed,
-                )
-            )
+        rows += [(f"tail(eps={eps})", te.n, te.epsilon, bound_b, te.p_hat, te.ci_half_width,
+                  bound_at.get(te.n, math.nan), config.seed) for te in tails]
     reports = {"concentration_report.csv": (CONCENTRATION_HEADER, rows)}
 
     if laplace is not None:
@@ -302,13 +291,10 @@ FKR_HEADER = [
 
 
 def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], dict, dict]:
-    summaries = [
-        dynamic_forecast_experiment(
-            config.process, config.psi, config.noise_sd, config.kernel, config.theta,
-            n, t, config.reps, config.seed, config.grid_size, config.workers,
-        )
-        for n, t in config.n_points
-    ]
+    summaries = dynamic_forecast_experiment(
+        config.process, config.psi, config.noise_sd, config.kernel, config.theta,
+        config.n_points, config.reps, config.seed, config.grid_size, config.workers,
+    )
     rows = [(s.n, level, error, s.median_f_error, s.median_g_error, s.undefined_fraction)
             for s in summaries for level, error in ((0.5, s.median_error), (0.9, s.q90_error))]
     medians = [s.median_error for s in summaries]

@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, FitError, MomentError, ValidationError
+from .mixing import line_fit
 from .processes import ContractiveChainSpec, _simulate_chain_columns, simulate_contractive_chain
 from .seeding import Stream, keyed_rng, replicate
 
@@ -324,7 +325,7 @@ def _centered_sums(args) -> np.ndarray:
     holds its one path-sized array and two chunk-sized temporaries. A single
     column is summed whole: NumPy sums a lone column pairwise.
     """
-    fspec, process, n, t, seed, stream, indices = args
+    fspec, process, seed, stream, n, t, indices = args
     rng = keyed_rng(seed, stream, n, indices.start // REP_BLOCK)
     paths = _simulate_chain_columns(process, n, indices, rng)
     x_t = paths[t - 1]
@@ -334,16 +335,6 @@ def _centered_sums(args) -> np.ndarray:
         chunk = fspec(paths[start:start + rows], x_t[None, :])
         sums = np.concatenate([sums[None, :], chunk]).sum(axis=0)
     return sums - n * fspec.center(x_t)
-
-
-def _sums_longest_first(fspec, process, points, stream, reps, seed, workers) -> list:
-    """_centered_sums of every (path length, t) point in `points`, in the
-    caller's order, from one `replicate` call that gets the points longest
-    path first."""
-    order = sorted(range(len(points)), key=lambda i: -points[i][0])
-    args = [(fspec, process, *points[i], seed, stream) for i in order]
-    by_point = dict(zip(order, replicate(_centered_sums, args, reps, REP_BLOCK, workers)))
-    return [by_point[i] for i in range(len(points))]
 
 
 def tail_deviations(
@@ -360,10 +351,8 @@ def tail_deviations(
     All the points run through one `replicate` call, so the result is
     identical for any worker count and any order of the points.
     """
-    for n, t in points:
-        if not 1 <= t <= n:
-            raise ValidationError(f"t = {t} must lie in [1, n] = [1, {n}]")
-    sums = _sums_longest_first(fspec, process, points, Stream.CHAIN_TAIL, reps, seed, workers)
+    sums = replicate(_centered_sums, (fspec, process, seed, Stream.CHAIN_TAIL), points, reps,
+                     REP_BLOCK, workers)
     return [np.abs(s / n) for s, (n, _) in zip(sums, points)]
 
 
@@ -410,15 +399,11 @@ def empirical_laplace(
     """
     if gamma < 0:
         raise ValidationError("gamma must be >= 0")
-    lengths = [(int(math.floor(a)), t) for a, t in points]
-    for m, t in lengths:
-        if m < 1:
-            raise ValidationError("A must be >= 1")
-        if not 1 <= t <= m:
-            raise ValidationError(f"t = {t} must lie in [1, floor(A)] = [1, {m}]")
     if reps < 100:
         raise ValidationError("reps must be >= 100")
-    sums = _sums_longest_first(fspec, process, lengths, Stream.CHAIN_LAPLACE, reps, seed, workers)
+    lengths = [(math.floor(a), t) for a, t in points]
+    sums = replicate(_centered_sums, (fspec, process, seed, Stream.CHAIN_LAPLACE), lengths, reps,
+                     REP_BLOCK, workers)
     with np.errstate(over="ignore"):
         values = [np.exp(gamma * s) for s in sums]
     return [LaplaceEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(reps)), False)
@@ -444,11 +429,7 @@ def rate_fit(tails: Sequence[TailEstimate], B: float, epsilon: float) -> RateFit
     if len(usable) < 4:
         raise FitError(f"need >= 4 tail points with 0 < p_hat < 1, have {len(usable)}")
     xs = rate_argument([te.n for te in usable], epsilon, B)
-    ys = -np.log([te.p_hat for te in usable])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (intercept + slope * xs)
-    ss_tot = float(((ys - ys.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot < 1e-30 else 1.0 - float((resid**2).sum()) / ss_tot
+    slope, intercept, r2 = line_fit(xs, -np.log([te.p_hat for te in usable]))
     return RateFit(a1_hat=float(np.exp(-intercept)), a2_hat=float(slope), r_squared=r2)
 
 

@@ -31,7 +31,7 @@ Schema (defaults in parentheses; -- means required):
     fspec              zero | first | odd-clip | odd-clip-damped |
                        sine-product | ball-indicator     (odd-clip-damped)
     t_rule             last | middle | index:<k>                  (last)
-    grid.n             comma ints          (suite-specific, nonempty)
+    grid.n             comma ints   (suite-specific, nonempty; fkr: >= 100)
     grid.epsilon       comma floats        (concentration, nonempty)
     grid.A             comma floats        (concentration laplace; empty)
                        (no value may repeat within a grid)
@@ -62,7 +62,7 @@ import numpy as np
 from .concentration import FSPEC_NAMES
 from .errors import ConfigError
 from .processes import ContractiveChainSpec, Far1Spec, PsiSpec, uniform_grid
-from .regression import KernelSpec
+from .regression import MIN_REFERENCE_CURVES, KernelSpec
 
 SUITES = ("mixing", "concentration", "fkr", "verify-all")
 _SUITE_PROCESS = {"concentration": "contractive-chain", "fkr": "far1"}
@@ -294,6 +294,10 @@ def _fkr_fields(r: dict[str, str]) -> dict:
     # with one n the error-decrease checks would hold by construction
     if len(n_points) < 2:
         raise ConfigError("field 'grid.n': fkr suite needs at least 2 n values")
+    # each replication's reference sample has n curves
+    if min(n for n, _ in n_points) < MIN_REFERENCE_CURVES:
+        raise ConfigError(f"field 'grid.n': every fkr n must be >= {MIN_REFERENCE_CURVES}, "
+                          "the fewest reference curves of a small-ball estimate")
     return dict(
         process=process,
         psi=_psi_spec(r["psi"], process, grid_size),

@@ -221,6 +221,23 @@ def markov_beta_lag(c: FiniteChain, n: int) -> float:
     return float(c.stationary @ tv_rows)
 
 
+def line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """(slope, intercept, R^2) of the least-squares line through (xs, ys), R^2 = 1
+    for constant ys. Raises FitError when the fit fails or its slope is not finite."""
+    # polyfit divides the xs by their norm: one that underflows hands LAPACK NaNs
+    if not 0.0 < float((xs * xs).sum()) < np.inf:
+        raise FitError("cannot fit a line: the sum of squares of the xs is 0 or not finite")
+    try:
+        slope, intercept = np.polyfit(xs, ys, 1)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"least-squares line fit failed: {exc}") from exc
+    if not np.isfinite(slope):
+        raise FitError(f"fitted slope {slope} is not finite")
+    ss_res = float(((ys - (intercept + slope * xs)) ** 2).sum())
+    ss_tot = float(((ys - ys.mean()) ** 2).sum())
+    return slope, intercept, 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
+
+
 def fit_geometric_decay(lags: Sequence[int], betas: Sequence[float]) -> MixingDecayFit:
     """Least-squares fit of log beta(n) against n.
 
@@ -236,15 +253,11 @@ def fit_geometric_decay(lags: Sequence[int], betas: Sequence[float]) -> MixingDe
     lags_arr, betas_arr = lags_arr[keep], betas_arr[keep]
     if lags_arr.size < 3:
         raise FitError(f"need >= 3 positive beta values, have {lags_arr.size}")
-    logb = np.log(betas_arr)
-    slope, intercept = np.polyfit(lags_arr, logb, 1)
+    slope, intercept, r2 = line_fit(lags_arr, np.log(betas_arr))
     kappa1 = -float(slope)
     if kappa1 < -1e-9:
         raise FitError(f"fitted decay rate is negative ({kappa1:.3e}); not a decay")
     kappa1 = max(kappa1, 0.0)
-    resid = logb - (intercept + slope * lags_arr)
-    ss_tot = float(((logb - logb.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot < 1e-30 else 1.0 - float((resid**2).sum()) / ss_tot
     return MixingDecayFit(kappa0=float(np.exp(intercept)), kappa1=kappa1, r_squared=r2)
 
 

@@ -74,6 +74,8 @@ class ContractiveChainSpec:
             )
         if self.burn_in < 0:
             raise ConfigError("field 'process.burn_in': must be >= 0")
+        if self.map == "clipped-linear" and self.clip_at <= 0:
+            raise ConfigError("field 'process.clip_at': clipped-linear map needs clip_at > 0")
         if self.innovation == "uniform" and self.halfwidth <= 0:
             raise ConfigError("field 'process.halfwidth': uniform innovation needs halfwidth > 0")
         if self.innovation == "truncated-gaussian":
@@ -181,8 +183,9 @@ class Far1Spec:
             )
         if self.initial not in ("zero", "eigenfunction"):
             raise ConfigError("field 'process.initial': must be 'zero' or 'eigenfunction'")
-        if self.bump_width <= 0:
-            raise ConfigError("field 'process.bump_width': must be > 0")
+        # the bump kernel divides by 2 w^2
+        if not (self.bump_width > 0 and 0.0 < 2.0 * self.bump_width * self.bump_width < math.inf):
+            raise ConfigError("field 'process.bump_width': must be > 0 with 2 w^2 in (0, inf)")
         for name, low in (("noise_terms", 1), ("noise_scale", 0), ("burn_in", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"field 'process.{name}': must be >= {low}")

@@ -31,6 +31,7 @@ from .processes import (
 from .seeding import Stream, keyed_rng, replicate
 
 M_QUADRATURE_POINTS = 1000
+MIN_REFERENCE_CURVES = 100   # fewest reference curves a small-ball estimate takes
 FORECAST_BLOCK = 25       # replications per keyed generator of each stream
 
 # name -> (K, K') on [0, 1]
@@ -192,8 +193,8 @@ def _small_ball_from_distances(
 ) -> SmallBallModel:
     """F_hat and tau_hat of estimate_small_ball from the reference distances
     to the query, for callers that already hold them."""
-    if dists.size < 100:
-        raise ValidationError(f"reference sample has {dists.size} < 100 members")
+    if dists.size < MIN_REFERENCE_CURVES:
+        raise ValidationError(f"reference sample has {dists.size} < {MIN_REFERENCE_CURVES} members")
     f_hat = np.array([np.mean(dists <= h) for h in h_grid])
     if not np.any(f_hat > 0):
         raise DomainError("bandwidth grid too small: every F_hat(h) is zero")
@@ -267,7 +268,7 @@ class ForecastSummary:
 
 
 def _forecast_block(args) -> np.ndarray:
-    (process, psi, noise_sd, kernel, theta, n, t, grid_size, seed, indices) = args
+    (process, psi, noise_sd, kernel, theta, grid_size, seed, n, t, indices) = args
     grid = uniform_grid(grid_size)
     psi_func, _ = make_psi(psi, grid)
     block = indices.start // FORECAST_BLOCK
@@ -305,42 +306,41 @@ def dynamic_forecast_experiment(
     noise_sd: float,
     kernel: KernelSpec,
     theta: float,
-    n: int,
-    t: int,
+    points: Sequence[tuple[int, int]],
     reps: int = 200,
     seed: int = 0,
     grid_size: int = 64,
     workers: int = 1,
-) -> ForecastSummary:
-    """Replicate the fit-and-forecast pipeline at sample size n.
+) -> list[ForecastSummary]:
+    """Replicate the fit-and-forecast pipeline at every (n, t) point of
+    `points`: one summary per point, in their order.
 
     Per replication: simulate a training path and an independent reference
     sample, choose the bandwidth from reference distances at the query
     X_t, fit, and record the absolute errors of the forecast, of the
     normalized denominator against the kernel constant, and of the normalized
     numerator against psi(X_t) M. Undefined estimates (empty neighborhoods)
-    are counted, never averaged in.
+    are counted, never averaged in. All the points run through one
+    `replicate` call, so the result is identical for any worker count and
+    any order of the points.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    if not 1 <= t <= n:
-        raise ValidationError(f"t = {t} must lie in [1, n] = [1, {n}]")
-    (rows,) = replicate(
-        _forecast_block,
-        [(process, psi, noise_sd, kernel, theta, n, t, grid_size, seed)],
-        reps, FORECAST_BLOCK, workers,
+    by_point = replicate(
+        _forecast_block, (process, psi, noise_sd, kernel, theta, grid_size, seed),
+        points, reps, FORECAST_BLOCK, workers,
     )
-    undefined = float(rows[:, 0].mean())
-    if undefined > 0.5:
-        raise DomainError(
-            f"bandwidth schedule failed: {undefined:.0%} undefined estimates at n = {n}"
-        )
-    defined = rows[rows[:, 0] == 0.0]
-    return ForecastSummary(
-        n=n,
-        median_error=float(np.median(defined[:, 1])),
-        q90_error=float(np.quantile(defined[:, 1], 0.9)),
-        median_f_error=float(np.median(defined[:, 2])),
-        median_g_error=float(np.median(defined[:, 3])),
-        undefined_fraction=undefined,
-    )
+    summaries = []
+    for rows, (n, _) in zip(by_point, points):
+        undefined = float(rows[:, 0].mean())
+        if undefined > 0.5:
+            raise DomainError(
+                f"bandwidth schedule failed: {undefined:.0%} undefined estimates at n = {n}"
+            )
+        errors, f_errors, g_errors = rows[rows[:, 0] == 0.0, 1:].T
+        summaries.append(ForecastSummary(
+            n=n, median_error=float(np.median(errors)), q90_error=float(np.quantile(errors, 0.9)),
+            median_f_error=float(np.median(f_errors)), median_g_error=float(np.median(g_errors)),
+            undefined_fraction=undefined,
+        ))
+    return summaries

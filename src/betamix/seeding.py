@@ -7,9 +7,10 @@ sizes, never on execution order or worker count.
 
 A process runs its blocks on one execution context: BLAS on one thread
 (`one_blas_thread`) and at most one process pool per worker count, opened at
-the first parallel call and reused by every later one. `replicate` sends all
-the blocks of a section's grid points through one map of that pool, in the
-order the caller gives the points.
+the first parallel call and reused by every later one. `replicate` is the
+driver of every Monte Carlo section: it checks each grid point's query index
+against its path length and sends all the blocks of the section's points
+through one map of that pool, longest path first.
 """
 
 import ctypes
@@ -17,9 +18,11 @@ import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from enum import IntEnum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+
+from .errors import ValidationError
 
 # thread-count setters exported by the OpenBLAS builds numpy links, in order of
 # preference; each has a getter named with "_get_" for "_set_"
@@ -112,26 +115,33 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=pool_size(workers), initializer=one_blas_thread)
 
 
-def replicate(
-    block_fn, points: list[tuple], reps: int, block_size: int, workers: int
-) -> list[np.ndarray]:
-    """Run `block_fn((*args, indices))` over fixed blocks of replications
-    0..reps-1 for every argument tuple `args` in `points`, and return one
-    array per point: its blocks' results concatenated in replication order.
+def replicate(block_fn, shared: tuple, points: Sequence[tuple[int, int]], reps: int,
+              block_size: int, workers: int) -> list[np.ndarray]:
+    """Run `block_fn((*shared, length, t, indices))` over fixed blocks of
+    replications 0..reps-1 at every (path length, t) point of `points`, and
+    return one array per point, in the order of `points`: its blocks' results
+    concatenated in replication order. Raises ValidationError, before any
+    block runs, when a t lies outside [1, length].
 
     The blocks are range(s, min(s + block_size, reps)) whatever the worker
     count, and each block keys its generators by its own position, so the
-    result is identical for any `workers`. All the blocks of all the points
-    go through one map of the process pool of `workers` workers, or run here
-    when workers = 1 or there is one block, point by point in the order
-    given: a caller that lists its longest points first keeps the last
-    blocks of the map short.
+    result is identical for any `workers` and any order of the points. All the
+    blocks of all the points go through one map of the process pool of
+    `workers` workers, or run here when workers = 1 or there is one block,
+    longest path first, so the last blocks of the map are short. The sort is
+    stable: points of equal length keep their order.
     """
+    for length, t in points:
+        if not 1 <= t <= length:
+            raise ValidationError(f"t = {t} must lie in [1, path length] = [1, {length}]")
+    order = sorted(range(len(points)), key=lambda i: -points[i][0])
     starts = range(0, reps, block_size)
-    blocks = [(*args, range(s, min(s + block_size, reps))) for args in points for s in starts]
+    blocks = [(*shared, *points[i], range(s, min(s + block_size, reps)))
+              for i in order for s in starts]
     if workers > 1 and len(blocks) > 1:
         parts = list(_pool(workers).map(block_fn, blocks))
     else:
         parts = [block_fn(b) for b in blocks]
     k = len(starts)
-    return [np.concatenate(parts[i:i + k]) for i in range(0, len(parts), k)]
+    by_point = dict(zip(order, (np.concatenate(parts[j:j + k]) for j in range(0, len(parts), k))))
+    return [by_point[i] for i in range(len(points))]

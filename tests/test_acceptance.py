@@ -293,14 +293,11 @@ def test_criterion_8_dynamic_forecast_consistency():
     process = Far1Spec(rho=0.5, noise_scale=0.3, burn_in=1000)
     grid = uniform_grid(64)
     psi = PsiSpec("linear", weight=process.eigenfunction(grid))
-    summaries = [
-        dynamic_forecast_experiment(
-            process=process, psi=psi, noise_sd=0.1,
-            kernel=KernelSpec("downslope-linear"), theta=0.3,
-            n=n, t=n, reps=200, seed=SEED, grid_size=64,
-        )
-        for n in (200, 800, 3200)
-    ]
+    summaries = dynamic_forecast_experiment(
+        process=process, psi=psi, noise_sd=0.1,
+        kernel=KernelSpec("downslope-linear"), theta=0.3,
+        points=[(n, n) for n in (200, 800, 3200)], reps=200, seed=SEED, grid_size=64,
+    )
     medians = [s.median_error for s in summaries]
     f_errors = [s.median_f_error for s in summaries]
     undefined = [s.undefined_fraction for s in summaries]

@@ -129,7 +129,7 @@ class TestConfigParsing:
 
 # Every suite resolves this mapping; the sine-perturbed map makes process.b
 # part of the Lipschitz check.
-VALID_BASE = {"seed": "1", "reps": "100", "grid.n": "50,100,200,400",
+VALID_BASE = {"seed": "1", "reps": "100", "grid.n": "100,200,400,800",
               "grid.epsilon": "0.05", "grid.A": "14,20",
               "process.map": "sine-perturbed", "process.b": "0.3"}
 NAMES = ["banana", "last", "middle", "norm", "linear:constant", "linear:eigenfunction",
@@ -228,6 +228,13 @@ class TestExitCodes:
             (("fkr", "--set", "grid.n=120,240", "--set", "kernel=banana"), "kernel"),
             (("fkr", "--set", "grid.n=120,240", "--set", "process.kernel=gaussian-bump",
               "--set", "process.bump_width=0"), "process.bump_width"),
+            (("fkr", "--set", "grid.n=120,240", "--set", "process.kernel=gaussian-bump",
+              "--set", "process.bump_width=1e-300"), "process.bump_width"),
+            (("fkr", "--set", "grid.n=120,240", "--set", "process.kernel=gaussian-bump",
+              "--set", "process.bump_width=1e300"), "process.bump_width"),
+            (("fkr", "--set", "grid.n=50,100"), "grid.n"),
+            (("concentration", "--set", "process.map=clipped-linear", "--set", "fspec=first",
+              "--set", "process.clip_at=-5"), "process.clip_at"),
             (("concentration", "--set", "grid.epsilon=0.05,0.05"), "grid.epsilon"),
             (("concentration", "--set", "grid.n=50,100,100,200"), "grid.n"),
             (("concentration", "--set", "grid.A=14,20,14"), "grid.A"),
@@ -464,6 +471,18 @@ class TestLaplaceSection:
             {"epsilon": 0.05, "error": "need >= 4 tail points with 0 < p_hat < 1, have 3"}
         ]}
 
+    def test_underflowing_rate_fit_fails_its_check_and_writes_reports(self, tmp_path, capsys):
+        code = run_cli("concentration", "--seed", "1", "--reps", "100", "--output",
+                       str(tmp_path), "--set", "grid.n=50,100,200,400",
+                       "--set", "grid.epsilon=0.05", "--set", "bound.B=1e200")
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "[check] rate_fit(eps=0.05): FAIL (cannot fit a line" in out
+        assert "Traceback" not in err
+        assert len((tmp_path / "concentration_report.csv").read_text().splitlines()) == 5
+        manifest = json.loads((tmp_path / "concentration_manifest.json").read_text())
+        assert "error" in manifest["diagnostics"]["rate_fits"][0]
+
     def test_pilot_se_is_the_fspec_centering_se(self, tmp_path):
         for fspec in ("ball-indicator", "odd-clip"):
             sets = {"grid.n": "50,100,200,400", "grid.epsilon": "0.05", "fspec": fspec,
@@ -628,7 +647,7 @@ class TestExecutionContext:
 
             def map(self, fn, items):
                 items = list(items)
-                maps.append([(item[5], item[2], item[-1].start) for item in items])
+                maps.append([(item[3], item[4], item[-1].start) for item in items])
                 return map(fn, items)
 
             def shutdown(self):
@@ -650,6 +669,34 @@ class TestExecutionContext:
             [(laplace, m, start) for m in (20, 14, 14) for start in (0, 1000)],
         ]
 
+    def test_fkr_is_one_map_longest_path_first(self, tmp_path, monkeypatch):
+        # the stub runs the blocks here and records the map's (path length,
+        # first replication) per block; 100 reps make 4 blocks per n
+        maps = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer):
+                pass
+
+            def map(self, fn, items):
+                items = list(items)
+                maps.append([(item[-3], item[-1].start) for item in items])
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(seeding, "ProcessPoolExecutor", RecordingPool)
+        seeding._pool.cache_clear()
+        try:
+            code = run_cli("fkr", "--seed", "2", "--reps", "100", "--workers", "2",
+                           "--output", str(tmp_path), "--set", "grid.n=100,300,200",
+                           "--set", "grid_size=16", "--set", "process.burn_in=50")
+        finally:
+            seeding._pool.cache_clear()
+        assert code in (0, 1)
+        assert maps == [[(n, start) for n in (300, 200, 100) for start in (0, 25, 50, 75)]]
+
     def test_w1_run_opens_no_pool(self, tmp_path):
         seeding._pool.cache_clear()
         run_cli("mixing", "--seed", "4", "--output", str(tmp_path), *FAST_MIXING)
@@ -667,7 +714,7 @@ class TestExecutionContext:
         assert getter() == 2
         seeding._pool.cache_clear()
         try:
-            (counts,) = seeding.replicate(_worker_blas_threads, [()], 4, 1, 2)
+            (counts,) = seeding.replicate(_worker_blas_threads, (), [(1, 1)], 4, 1, 2)
         finally:
             seeding._pool(2).shutdown()
             seeding._pool.cache_clear()
@@ -677,7 +724,7 @@ class TestExecutionContext:
 
 def _worker_blas_threads(args):
     """Block function: the worker's OpenBLAS thread count, once per replication."""
-    (indices,) = args
+    _, _, indices = args
     _, getter = seeding._openblas_thread_calls()
     return np.full(len(indices), getter())
 

@@ -284,13 +284,13 @@ class TestEmpiricalTail:
     def test_replicate_returns_each_point_whatever_the_order_and_workers(self):
         chain = ContractiveChainSpec(a=0.4, burn_in=20)
         fspec = make_fspec("odd-clip-damped", chain)
-        points = [(fspec, chain, n, t, 77, Stream.CHAIN_TAIL)
-                  for n, t in ((30, 30), (90, 5), (60, 60))]
-        want = replicate(_centered_sums, points, 2500, REP_BLOCK, 1)
+        shared = (fspec, chain, 77, Stream.CHAIN_TAIL)
+        points = [(30, 30), (90, 5), (60, 60)]
+        want = replicate(_centered_sums, shared, points, 2500, REP_BLOCK, 1)
         for order in itertools.permutations(range(3)):
             for workers in (1, 2):
-                got = replicate(_centered_sums, [points[i] for i in order], 2500, REP_BLOCK,
-                                workers)
+                got = replicate(_centered_sums, shared, [points[i] for i in order], 2500,
+                                REP_BLOCK, workers)
                 assert len(got) == 3
                 for i, sums in zip(order, got):
                     np.testing.assert_array_equal(sums, want[i])
@@ -300,6 +300,20 @@ class TestEmpiricalTail:
             got = tail_deviations(fspec, chain, [points[i] for i in order], 1100, 77)
             for i, d in zip(order, got):
                 np.testing.assert_array_equal(d, devs[i])
+
+    def test_replicate_checks_every_t_before_any_block_runs(self):
+        calls = []
+
+        def block(args):
+            calls.append(args)
+            return np.zeros(len(args[-1]))
+
+        # the bad point comes last, after one that would run
+        for points in ([(5, 5), (3, 4)], [(5, 5), (5, 0)], [(0, 1)]):
+            for workers in (1, 2):
+                with pytest.raises(ValidationError, match=r"t = \d+ must lie in"):
+                    replicate(block, ("shared",), points, 10, 5, workers)
+        assert calls == []
 
     def test_xor_related_master_seeds_draw_independent_samples(self):
         # seeds s, s^1 and s^7 once gave the same multiset of deviations; two
@@ -439,7 +453,7 @@ class TestCenteredSums:
         fspec = make_fspec(name, self.CHAIN, seed=5, pilot_draws=20_000)
         for width in (1, 7):
             for t in sorted({1, (n + 1) // 2, n}):
-                args = (fspec, self.CHAIN, n, t, self.SEED, Stream.CHAIN_TAIL, range(width))
+                args = (fspec, self.CHAIN, self.SEED, Stream.CHAIN_TAIL, n, t, range(width))
                 rng = keyed_rng(self.SEED, Stream.CHAIN_TAIL, n, 0)
                 paths = _simulate_chain_columns(self.CHAIN, n, range(width), rng)
                 x_t = paths[t - 1]
@@ -453,7 +467,7 @@ class TestCenteredSums:
         draw_bytes = (chain.burn_in + n - 1) * width * 8
         tracemalloc.start()
         try:
-            _centered_sums((fspec, chain, n, n, 3, Stream.CHAIN_TAIL, range(width)))
+            _centered_sums((fspec, chain, 3, Stream.CHAIN_TAIL, n, n, range(width)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -489,6 +503,13 @@ class TestRateFit:
         tails[1] = TailLike(n=20, p_hat=0.0)
         fit = rate_fit(tails, B=1.0, epsilon=0.1)
         assert fit.a2_hat == pytest.approx(1.0, abs=1e-9)
+
+    def test_underflowing_rate_arguments_raise_fit_error(self):
+        # B = 1e200 puts every x_n near 1e-202, whose squares underflow to 0
+        tails = [TailLike(n=n, p_hat=p) for n, p in ((200, 0.4), (400, 0.3), (800, 0.2),
+                                                     (1600, 0.1))]
+        with pytest.raises(FitError, match="sum of squares"):
+            rate_fit(tails, B=1e200, epsilon=0.05)
 
     def test_too_few_points_rejected(self):
         tails = [TailLike(n=10, p_hat=0.5), TailLike(n=20, p_hat=0.0),

@@ -169,6 +169,11 @@ class TestContractiveChain:
         with pytest.raises(ConfigError, match=f"process.{field}"):
             ContractiveChainSpec(**{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_nonpositive_clip_level_rejected(self, value):
+        with pytest.raises(ConfigError, match="process.clip_at"):
+            ContractiveChainSpec(map="clipped-linear", clip_at=value)
+
 
 class TestTruncatedGaussian:
     # (1, 3) takes normal proposals, (2, 1) and (1, 1e-3) uniform ones
@@ -326,6 +331,12 @@ class TestFar1:
     def test_non_finite_fields_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"process.{field}"):
             Far1Spec(**{field: value})
+
+    # 2 w^2 is 0 at 1e-300 and overflows at 1e300
+    @pytest.mark.parametrize("value", [1e-300, 1e300])
+    def test_bump_width_without_a_finite_positive_spread_rejected(self, value):
+        with pytest.raises(ConfigError, match="process.bump_width"):
+            Far1Spec(kernel="gaussian-bump", bump_width=value)
 
     def test_determinism_in_seed(self):
         spec = Far1Spec(rho=0.3, noise_scale=0.2, burn_in=10)

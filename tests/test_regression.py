@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -259,13 +260,10 @@ class TestDynamicForecast:
     def test_degenerate_constant_process_has_zero_error(self):
         process = Far1Spec(rho=0.5, noise_scale=0.0, burn_in=10, initial="zero")
         psi = PsiSpec("linear", weight=np.ones(24))
-        out = [
-            dynamic_forecast_experiment(
-                process, psi, noise_sd=0.0, kernel=KernelSpec("downslope-linear"),
-                theta=0.3, n=n, t=n, reps=5, seed=1, grid_size=24,
-            )
-            for n in (120, 200)
-        ]
+        out = dynamic_forecast_experiment(
+            process, psi, noise_sd=0.0, kernel=KernelSpec("downslope-linear"),
+            theta=0.3, points=[(n, n) for n in (120, 200)], reps=5, seed=1, grid_size=24,
+        )
         for summary in out:
             assert summary.median_error == pytest.approx(0.0, abs=1e-12)
             assert summary.undefined_fraction == 0.0
@@ -276,10 +274,10 @@ class TestDynamicForecast:
         kwargs = dict(
             process=process, psi=psi, noise_sd=0.1,
             kernel=KernelSpec("downslope-linear"), theta=0.3,
-            n=150, t=150, reps=20, seed=7, grid_size=24,
+            points=[(150, 150)], reps=20, seed=7, grid_size=24,
         )
-        a = dynamic_forecast_experiment(**kwargs)
-        b = dynamic_forecast_experiment(**kwargs)
+        (a,) = dynamic_forecast_experiment(**kwargs)
+        (b,) = dynamic_forecast_experiment(**kwargs)
         assert a == b
         assert a.undefined_fraction < 0.5
         assert a.median_error >= 0.0
@@ -290,11 +288,28 @@ class TestDynamicForecast:
         kwargs = dict(
             process=process, psi=psi, noise_sd=0.05,
             kernel=KernelSpec("downslope-linear"), theta=0.25,
-            n=120, t=120, reps=60, seed=13, grid_size=16,
+            points=[(120, 120)], reps=60, seed=13, grid_size=16,
         )
         a = dynamic_forecast_experiment(workers=1, **kwargs)
         b = dynamic_forecast_experiment(workers=2, **kwargs)
         assert a == b
+
+    def test_summaries_do_not_depend_on_the_order_of_the_points(self):
+        # 30 reps make a full and a partial block of FORECAST_BLOCK at each n
+        kwargs = dict(
+            process=Far1Spec(rho=0.4, noise_scale=0.25, burn_in=20), psi=PsiSpec("norm"),
+            noise_sd=0.05, kernel=KernelSpec("downslope-linear"), theta=0.25,
+            reps=30, seed=21, grid_size=16,
+        )
+        points = [(120, 120), (160, 80), (100, 100)]
+        want = dynamic_forecast_experiment(points=points, **kwargs)
+        assert [s.n for s in want] == [120, 160, 100]
+        for order in itertools.permutations(range(3)):
+            for workers in (1, 2):
+                got = dynamic_forecast_experiment(
+                    points=[points[i] for i in order], workers=workers, **kwargs
+                )
+                assert got == [want[i] for i in order]
 
     def test_query_index_outside_the_path_rejected(self):
         process = Far1Spec(rho=0.4, noise_scale=0.25, burn_in=10)
@@ -302,5 +317,5 @@ class TestDynamicForecast:
             with pytest.raises(ValidationError):
                 dynamic_forecast_experiment(
                     process, PsiSpec("norm"), 0.1, KernelSpec("uniform"), 0.3,
-                    n=120, t=t, reps=2, seed=0, grid_size=16,
+                    points=[(120, t)], reps=2, seed=0, grid_size=16,
                 )
