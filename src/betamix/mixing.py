@@ -2,8 +2,10 @@
 
 Everything in this module is exact up to double-precision roundoff: mixing
 coefficients of finite joint distributions, lag coefficients of finite-state
-Markov chains, and both sides of the Davydov-type and product (Ibragimov)
-inequalities. These serve as ground-truth oracles for the Monte Carlo layers.
+Markov chains (stationary law from one linear solve), and both sides of the
+Davydov-type and product (Ibragimov) inequalities. These serve as
+ground-truth oracles for the Monte Carlo layers. Tables with a negative or
+non-finite entry are rejected.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class FiniteJointDistribution:
         joint = np.asarray(self.joint, dtype=float)
         if joint.ndim != 2:
             raise ValidationError("joint table must be a 2-d matrix")
-        if np.any(joint < 0):
-            raise ValidationError("joint table has a negative entry")
+        if not np.all((joint >= 0) & np.isfinite(joint)):
+            raise ValidationError("joint table has a negative or non-finite entry")
         total = float(joint.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"joint mass is {total!r}, not 1 within {MASS_TOL}")
@@ -71,16 +73,10 @@ class FiniteChain:
     stationary: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.transition, dtype=float)
+        p = _transition_matrix(self.transition)
         pi = np.asarray(self.stationary, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValidationError("transition matrix must be square")
-        if np.any(p < 0):
-            raise ValidationError("transition matrix has a negative entry")
-        if np.any(np.abs(p.sum(axis=1) - 1.0) > MASS_TOL):
-            raise ValidationError("a transition row does not sum to 1")
-        if np.max(np.abs(pi @ p - pi)) > 1e-10:
-            raise ValidationError("stationary vector fails pi @ P = pi within 1e-10")
+        if not np.all(np.isfinite(pi)) or np.max(np.abs(pi @ p - pi)) > 1e-10:
+            raise ValidationError("stationary vector is not finite or fails pi @ P = pi within 1e-10")
         object.__setattr__(self, "transition", p)
         object.__setattr__(self, "stationary", pi)
 
@@ -90,31 +86,23 @@ class FiniteChain:
 
     @classmethod
     def from_transition(cls, transition: np.ndarray) -> "FiniteChain":
-        """Build a chain, computing pi by power iteration on (P + I) / 2.
+        """Build a chain, computing pi from one linear solve.
 
-        The half-lazy kernel has the same stationary law and converges even
-        for periodic chains. Reducible chains (non-unique pi) are rejected.
+        pi solves pi Q = 0 with the last equation replaced by sum(pi) = 1, where
+        Q is the generator of the off-diagonal entries (Q[x, y] = P[x, y] for
+        x != y, Q[x, x] = -sum_{y != x} P[x, y]); Q never forms 1 - P[x, x], so a
+        nearly decomposable chain loses no digits. Reducible chains (non-unique
+        pi, a singular system) are rejected before the solve.
         """
-        p = np.asarray(transition, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValidationError("transition matrix must be square")
+        p = _transition_matrix(transition)
         if not _strongly_connected(p > 0):
             raise ValidationError(
                 "transition graph is not irreducible; stationary law not unique"
             )
-        lazy = 0.5 * (p + np.eye(p.shape[0]))
-        pi = np.full(p.shape[0], 1.0 / p.shape[0])
-        prev_step = np.inf
-        for _ in range(10**6):
-            nxt = pi @ lazy
-            step = np.abs(nxt - pi).sum()
-            pi = nxt
-            # iterate down to the numerical floor, well inside the 1e-12 target
-            if step < 1e-15 or (step >= prev_step and step < 1e-10):
-                break
-            prev_step = step
-        pi = pi / pi.sum()
-        return cls(transition=p, stationary=pi)
+        off = p - np.diag(np.diag(p))
+        system = (off - np.diag(off.sum(axis=1))).T
+        system[-1] = 1.0
+        return cls(transition=p, stationary=np.linalg.solve(system, np.eye(len(p))[-1]))
 
     def lag_joint(self, n: int) -> FiniteJointDistribution:
         """Exact joint law of (X_0, X_n) under stationarity: pi(x) P^n(x, y)."""
@@ -133,23 +121,23 @@ class MixingDecayFit:
     r_squared: float
 
 
+def _transition_matrix(transition: np.ndarray) -> np.ndarray:
+    p = np.asarray(transition, dtype=float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValidationError("transition matrix must be square")
+    if not np.all((p >= 0) & np.isfinite(p)):
+        raise ValidationError("transition matrix has a negative or non-finite entry")
+    if np.any(np.abs(p.sum(axis=1) - 1.0) > MASS_TOL):
+        raise ValidationError("a transition row does not sum to 1")
+    return p
+
+
 def _strongly_connected(adj: np.ndarray) -> bool:
-    # Every state reaches 0 and is reachable from 0  <=>  strong connectivity.
-    return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
-
-
-def _reaches_all(adj: np.ndarray, start: int) -> bool:
-    m = adj.shape[0]
-    seen = np.zeros(m, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+    # k squarings of adj | I cover every path of length <= 2^k; 2^bit_length(m) > m.
+    reach = adj | np.eye(adj.shape[0], dtype=bool)
+    for _ in range(adj.shape[0].bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 def beta_exact(j: FiniteJointDistribution) -> float:
@@ -371,21 +359,18 @@ def ibragimov_check(
             raise ValidationError("funcs must be non-negative")
 
     pi = chain.stationary
-    # E[prod Z_i] via a chain of (weight, step-matrix) products.
-    v = pi * funcs[0]
-    for (prev, nxt), f in zip(zip(lags[:-1], lags[1:]), funcs[1:]):
-        v = (v @ np.linalg.matrix_power(chain.transition, nxt - prev)) * f
-    joint_expectation = float(v.sum())
+    tensor = _lag_path_tensor(chain, lags)
+    joint_expectation = tensor
+    for f in reversed(funcs):  # contract the last axis, Z_n first
+        joint_expectation = joint_expectation @ f
     marginal_product = float(np.prod([float(pi @ f) for f in funcs]))
-    lhs = abs(joint_expectation - marginal_product)
+    lhs = abs(float(joint_expectation) - marginal_product)
 
     alpha = 0.0
-    if n >= 2:
-        tensor = _lag_path_tensor(chain, lags)
-        for k in range(1, n):
-            table = _grouped_joint(tensor, funcs, k)
-            dev = table - np.outer(table.sum(axis=1), table.sum(axis=0))
-            alpha = max(alpha, _alpha_table(dev))
+    for k in range(1, n):
+        table = _grouped_joint(tensor, funcs, k)
+        dev = table - np.outer(table.sum(axis=1), table.sum(axis=0))
+        alpha = max(alpha, _alpha_table(dev))
     support = pi > 0
     sup_product = float(np.prod([f[support].max() for f in funcs]))
     rhs = (n - 1) * alpha * sup_product

@@ -67,6 +67,9 @@ class ContractiveChainSpec:
                 f"choose from {CHAIN_INNOVATIONS}"
             )
         _require_finite(self, ("a", "b", "clip_at", "halfwidth", "sigma", "trunc", "x0"))
+        for name in ("halfwidth", "trunc"):  # the draws span an interval of width 2 w
+            if not math.isfinite(2.0 * getattr(self, name)):
+                raise ConfigError(f"field 'process.{name}': 2 * {name} must be finite")
         if self.lipschitz >= 1.0:
             also_b = ", field 'process.b'" if self.map == "sine-perturbed" else ""
             raise ConfigError(
@@ -290,7 +293,9 @@ def _ar1_path(coef: float, drive: np.ndarray, start: float) -> np.ndarray:
 
 
 def _bump_operator(grid: np.ndarray, rho: float, width: float) -> np.ndarray:
-    kernel = np.exp(-((grid[:, None] - grid[None, :]) ** 2) / (2.0 * width**2))
+    # a subnormal 2 w^2 overflows the off-diagonal quotients: exp(-inf) = 0 is the right limit
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-((grid[:, None] - grid[None, :]) ** 2) / (2.0 * width**2))
     w = trapezoid_weights(grid)
     sw = np.sqrt(w)
     sym = sw[:, None] * kernel * sw[None, :]

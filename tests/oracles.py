@@ -74,6 +74,24 @@ def alpha_bruteforce(joint: np.ndarray) -> float:
     return best
 
 
+def product_expectation_bruteforce(transition, stationary, funcs, lags) -> float:
+    """E[prod_i funcs[i](X_{lags[i]})] for a stationary chain, summed over every
+    one-step state path from time lags[0] to lags[-1]."""
+    m, start = len(stationary), lags[0]
+    span = lags[-1] - start
+    if m ** (span + 1) > 100_000:
+        raise ValueError("path enumeration limited to 100000 paths")
+    total = 0.0
+    for path in itertools.product(range(m), repeat=span + 1):
+        weight = stationary[path[0]]
+        for a, b in zip(path, path[1:]):
+            weight *= transition[a][b]
+        for f, t in zip(funcs, lags):
+            weight *= f[path[t - start]]
+        total += weight
+    return total
+
+
 def random_joint(rng: np.random.Generator, m: int, ell: int) -> np.ndarray:
     return rng.dirichlet(np.ones(m * ell)).reshape(m, ell)
 

@@ -238,6 +238,9 @@ class TestExitCodes:
             (("concentration", "--set", "grid.epsilon=0.05,0.05"), "grid.epsilon"),
             (("concentration", "--set", "grid.n=50,100,100,200"), "grid.n"),
             (("concentration", "--set", "grid.A=14,20,14"), "grid.A"),
+            (("concentration", "--set", "process.halfwidth=1e308"), "process.halfwidth"),
+            (("concentration", "--set", "process.innovation=truncated-gaussian",
+              "--set", "process.trunc=1e308", "--set", "process.sigma=1e308"), "process.trunc"),
         ],
     )
     def test_invalid_grid_field_exits_2(self, tmp_path, capsys, argv, field):

@@ -20,7 +20,14 @@ from betamix.mixing import (
     save_chain,
     save_joint,
 )
-from oracles import alpha_bruteforce, event_beta, partition_beta, random_joint, random_transition
+from oracles import (
+    alpha_bruteforce,
+    event_beta,
+    partition_beta,
+    product_expectation_bruteforce,
+    random_joint,
+    random_transition,
+)
 
 TWO_STATE = np.array([[0.9, 0.1], [0.2, 0.8]])
 
@@ -151,13 +158,46 @@ class TestValidation:
         assert_allclose(j.marginal_x, joint.sum(axis=1), rtol=0, atol=0)
         assert_allclose(j.marginal_y, joint.sum(axis=0), rtol=0, atol=0)
 
-    def test_reducible_chain_rejected(self):
+    @pytest.mark.parametrize(
+        "transition",
+        [np.eye(2), [[0.5, 0.5], [0.0, 1.0]], [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]],
+    )
+    def test_reducible_chain_rejected(self, transition):
         with pytest.raises(ValidationError):
-            FiniteChain.from_transition(np.eye(2))
+            FiniteChain.from_transition(np.asarray(transition))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "build", ["joint", "load_joint", "chain_transition", "chain_stationary", "from_transition"]
+    )
+    def test_non_finite_entry_rejected(self, tmp_path, build, value):
+        table = np.array([[value, 0.5], [0.25, 0.25]])
+        transition = np.array([[value, 0.5], [0.5, 0.5]])
+        path = tmp_path / "joint.txt"
+        path.write_text(f"2 2\n{value} 0.5\n0.25 0.25\n")
+        builders = {
+            "joint": lambda: FiniteJointDistribution(table),
+            "load_joint": lambda: load_joint(path),
+            "chain_transition": lambda: FiniteChain(transition, np.array([0.5, 0.5])),
+            "chain_stationary": lambda: FiniteChain(TWO_STATE, np.array([value, 1.0])),
+            "from_transition": lambda: FiniteChain.from_transition(transition),
+        }
+        with pytest.raises(ValidationError, match="non-finite|not finite"):
+            builders[build]()
 
     def test_bad_row_sum_rejected(self):
         with pytest.raises(ValidationError):
             FiniteChain(np.array([[0.5, 0.4], [0.2, 0.8]]), np.array([0.5, 0.5]))
+
+
+class TestFromTransition:
+    # P = [[1 - d, d], [2 d, 1 - 2 d]] has pi = [2/3, 1/3] for every d; a small d
+    # makes the chain nearly decomposable
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-10, 1e-14])
+    def test_nearly_decomposable_two_state_chain_exact(self, delta):
+        p = np.array([[1.0 - delta, delta], [2.0 * delta, 1.0 - 2.0 * delta]])
+        chain = FiniteChain.from_transition(p)
+        assert_allclose(chain.stationary, [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
 
 
 class TestMarkovBetaLag:
@@ -289,6 +329,19 @@ class TestIbragimov:
             lags = np.sort(rng.choice(np.arange(1, 9), size=n, replace=False))
             funcs = [rng.uniform(0.0, 2.0, size=m) for _ in range(n)]
             assert ibragimov_check(chain, funcs, lags).holds
+
+    def test_lhs_matches_path_enumeration_on_dependent_chains(self):
+        rng = np.random.default_rng(53)
+        for m in (2, 3, 3, 4):
+            p = 0.5 * (random_transition(rng, m) + np.eye(m))  # sticky, so the Z_i correlate
+            chain = FiniteChain.from_transition(p)
+            n = int(rng.integers(2, 5))
+            lags = np.sort(rng.choice(np.arange(1, 7), size=n, replace=False))
+            funcs = [rng.uniform(0.0, 2.0, size=m) for _ in range(n)]
+            joint = product_expectation_bruteforce(p, chain.stationary, funcs, list(lags))
+            gap = abs(joint - np.prod([chain.stationary @ f for f in funcs]))
+            assert gap > 1e-4
+            assert abs(ibragimov_check(chain, funcs, lags).lhs - gap) < 1e-12
 
     def test_negative_func_rejected(self):
         chain = FiniteChain.from_transition(TWO_STATE)

@@ -169,6 +169,16 @@ class TestContractiveChain:
         with pytest.raises(ConfigError, match=f"process.{field}"):
             ContractiveChainSpec(**{field: value})
 
+    # 2 w overflows at 1e308; trunc = sigma = 1e308 takes the uniform proposals
+    @pytest.mark.parametrize(
+        "field, extra",
+        [("halfwidth", {}), ("trunc", {"innovation": "truncated-gaussian", "sigma": 1e308})],
+        ids=["halfwidth", "trunc"],
+    )
+    def test_innovation_width_without_a_finite_span_rejected(self, field, extra):
+        with pytest.raises(ConfigError, match=f"process.{field}"):
+            ContractiveChainSpec(**{field: 1e308}, **extra)
+
     @pytest.mark.parametrize("value", [0.0, -5.0])
     def test_nonpositive_clip_level_rejected(self, value):
         with pytest.raises(ConfigError, match="process.clip_at"):
@@ -337,6 +347,13 @@ class TestFar1:
     def test_bump_width_without_a_finite_positive_spread_rejected(self, value):
         with pytest.raises(ConfigError, match="process.bump_width"):
             Far1Spec(kernel="gaussian-bump", bump_width=value)
+
+    def test_subnormal_bump_spread_runs_without_a_warning(self, recwarn):
+        # 2 w^2 is subnormal at 1e-160: the off-diagonal exponents are -inf
+        spec = Far1Spec(kernel="gaussian-bump", bump_width=1e-160, burn_in=5)
+        path = simulate_far1(spec, 20, grid_size=16, seed=2)
+        assert len(recwarn) == 0
+        assert np.all(np.isfinite(path.curves))
 
     def test_determinism_in_seed(self):
         spec = Far1Spec(rho=0.3, noise_scale=0.2, burn_in=10)
