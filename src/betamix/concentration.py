@@ -322,7 +322,7 @@ def _centered_sums(args) -> np.ndarray:
 
     f is evaluated on SUM_ROWS rows of the paths at a time and the chunks are
     added in row order, the order of a whole-array axis-0 sum, so the block
-    holds its one path-sized array and two chunk-sized temporaries. A single
+    holds its (n, width) kept rows and two chunk-sized temporaries. A single
     column is summed whole: NumPy sums a lone column pairwise.
     """
     fspec, process, seed, stream, n, t, indices = args

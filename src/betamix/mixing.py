@@ -77,6 +77,12 @@ class FiniteChain:
         pi = np.asarray(self.stationary, dtype=float)
         if not np.all(np.isfinite(pi)) or np.max(np.abs(pi @ p - pi)) > 1e-10:
             raise ValidationError("stationary vector is not finite or fails pi @ P = pi within 1e-10")
+        # the tolerance admits the roundoff of a solved pi
+        if np.min(pi) < -1e-10 or abs(pi.sum() - 1.0) > 1e-10:
+            raise ValidationError(
+                "stationary vector is not a probability law: an entry below -1e-10 "
+                "or a sum off 1 by more than 1e-10"
+            )
         object.__setattr__(self, "transition", p)
         object.__setattr__(self, "stationary", pi)
 

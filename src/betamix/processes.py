@@ -23,6 +23,7 @@ CHAIN_INNOVATIONS = ("uniform", "truncated-gaussian", "none")
 FAR_KERNELS = ("separable", "gaussian-bump")
 PSI_NAMES = ("linear", "norm")
 Seed = Union[int, np.random.SeedSequence, np.random.Generator]
+BURN_ROWS = 64  # innovation rows per burn-in draw of _simulate_chain_columns
 
 
 def _require_finite(spec, names: Sequence[str]) -> None:
@@ -259,27 +260,44 @@ def _simulate_chain_columns(
     """One path per entry of `seeds` (a block's replication indices), stacked
     as columns of an (n, len(seeds)) array.
 
-    Column j is the recursion over column j of one (burn_in + n - 1,
-    len(seeds)) innovation draw from `rng`. The columns advance together, one
-    contiguous row per time step, in place: row t - 1 of the draw becomes
-    x_t = psi(x_{t-1}) + eps_{t-1}, and the kept rows are returned as a view of
-    it, so a block holds that one path-sized array (plus an x0 row copied in
-    front when burn_in = 0). A single linear-map path runs as the scalar
-    recursion of _ar1_path, which performs the identical multiply-add.
+    Column j is x_t = psi(x_{t-1}) + eps_t from x_0 = x0, keeping
+    x_burn_in, ..., x_{burn_in + n - 1}. The innovations come from `rng` one
+    (rows, len(seeds)) draw at a time: the burn-in steps before the kept rows
+    in draws of at most BURN_ROWS rows, of which only the state row is carried
+    on, then the kept rows in one draw that the recursion overwrites with the
+    states. So a block holds one burn-in draw at a time, then its n kept rows
+    (n - 1 and a copied x0 row when burn_in = 0). Uniform and "none" draws
+    take their values in order, so the split leaves their paths those of one
+    whole draw; a rejection sampler's paths depend on it.
     """
     if n < 1:
         raise ValidationError("path length must be >= 1")
-    total = spec.burn_in + n
-    eps = _draw_innovations(spec, rng, (total - 1, len(seeds)))
-    if spec.map == "linear" and len(seeds) == 1:
-        return _ar1_path(spec.a, eps[:, 0], spec.x0)[spec.burn_in:, None]
-    x = np.full(len(seeds), spec.x0)
+    width = len(seeds)
+    x = np.full(width, spec.x0)
+    burn = max(spec.burn_in - 1, 0)  # steps before the draw that yields x_burn_in
+    for start in range(0, burn, BURN_ROWS):
+        rows = min(BURN_ROWS, burn - start)
+        x = _advance_chain(spec, x, _draw_innovations(spec, rng, (rows, width)))[-1].copy()
+    if spec.burn_in == 0:
+        paths = _advance_chain(spec, x, _draw_innovations(spec, rng, (n - 1, width)))
+        return np.concatenate([x[None, :], paths])
+    return _advance_chain(spec, x, _draw_innovations(spec, rng, (n, width)))
+
+
+def _advance_chain(spec: ContractiveChainSpec, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """States x_1, ..., x_rows after x_0 = x, written over the innovation
+    rows of `eps` (x_t = psi(x_{t-1}) + eps[t - 1]). The columns advance
+    together, one contiguous row per step. A single linear-map column runs as
+    the scalar recursion of _ar1_path, which performs the identical
+    multiply-add.
+    """
+    if spec.map == "linear" and eps.shape[1] == 1:
+        eps[:, 0] = _ar1_path(spec.a, eps[:, 0], float(x[0]))[1:]
+        return eps
     for row in eps:
         row += spec.apply_map(x)
         x = row
-    if spec.burn_in == 0:
-        return np.concatenate([np.full((1, len(seeds)), spec.x0), eps])
-    return eps[spec.burn_in - 1:]
+    return eps
 
 
 def _ar1_path(coef: float, drive: np.ndarray, start: float) -> np.ndarray:

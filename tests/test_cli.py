@@ -360,6 +360,25 @@ class TestDeterminism:
 
         assert run(1) == run(2)
 
+    def test_truncated_gaussian_reports_identical_across_worker_counts(self, tmp_path):
+        # trunc = sigma rejects about 20% of the proposals, and a 200-step
+        # burn-in spans several burn-in draws of each block
+        def run(workers):
+            out = tmp_path / f"w{workers}"
+            code = run_cli(
+                "concentration", "--seed", "13", "--reps", "1100", "--output", str(out),
+                "--workers", str(workers),
+                "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.1",
+                "--set", "grid.A=14,20", "--set", "process.burn_in=200",
+                "--set", "process.innovation=truncated-gaussian",
+                "--set", "process.sigma=1", "--set", "process.trunc=1",
+            )
+            assert code in (0, 1)
+            return [(out / name).read_bytes()
+                    for name in ("concentration_report.csv", "laplace_report.csv")]
+
+        assert run(1) == run(2)
+
     def test_fkr_seeds_404_to_407_write_distinct_reports(self, tmp_path):
         # the former seed ^ index streams wrote one body for all four seeds
         bodies = set()

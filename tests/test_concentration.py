@@ -473,6 +473,19 @@ class TestCenteredSums:
             tracemalloc.stop()
         assert peak <= 1.25 * draw_bytes
 
+    def test_block_peak_memory_is_its_kept_rows(self):
+        # the burn-in is drawn BURN_ROWS rows at a time, not as part of the path
+        chain = ContractiveChainSpec(a=0.5, burn_in=1000)
+        fspec = make_fspec("odd-clip-damped", chain)
+        n, width = 2000, 1000
+        tracemalloc.start()
+        try:
+            _centered_sums((fspec, chain, 3, Stream.CHAIN_TAIL, n, n, range(width)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * width * 8
+
 
 class TestRateFit:
     def test_exact_unit_slope(self):

@@ -189,6 +189,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             FiniteChain(np.array([[0.5, 0.4], [0.2, 0.8]]), np.array([0.5, 0.5]))
 
+    # each solves pi @ P = pi for TWO_STATE; markov_beta_lag at lag 1 was
+    # 0.0, -1.0 and 1.089 on them
+    @pytest.mark.parametrize("pi", [[0.0, 0.0], [-2 / 3, -1 / 3], [4 / 3, 2 / 3]])
+    def test_stationary_vector_must_be_a_probability_law(self, pi):
+        with pytest.raises(ValidationError, match="not a probability law"):
+            FiniteChain(TWO_STATE, np.array(pi))
+
 
 class TestFromTransition:
     # P = [[1 - d, d], [2 d, 1 - 2 d]] has pi = [2/3, 1/3] for every d; a small d

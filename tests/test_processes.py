@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from betamix.errors import ConfigError, ValidationError
 from betamix.mixing import FiniteJointDistribution, beta_exact
 from betamix.processes import (
+    BURN_ROWS,
     CHAIN_INNOVATIONS,
     CHAIN_MAPS,
     ContractiveChainSpec,
@@ -103,8 +104,13 @@ class TestContractiveChain:
     def _two_array_recursion(spec, n, width, rng):
         """Reference: the draw plus a second (burn_in + n, width) array that
         the recursion writes its states into."""
-        total = spec.burn_in + n
-        eps = _draw_innovations(spec, rng, (total - 1, width))
+        eps = _draw_innovations(spec, rng, (spec.burn_in + n - 1, width))
+        return TestContractiveChain._two_array_states(spec, eps)
+
+    @staticmethod
+    def _two_array_states(spec, eps):
+        """The kept states of the recursion over all rows of `eps`."""
+        total, width = eps.shape[0] + 1, eps.shape[1]
         full = np.empty((total, width))
         x = np.full(width, spec.x0)
         full[0] = x
@@ -129,6 +135,51 @@ class TestContractiveChain:
             want = self._two_array_recursion(spec, n, width, np.random.default_rng(21))
             assert got.shape == (n, width)
             assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("map_name", CHAIN_MAPS)
+    @pytest.mark.parametrize("innovation", ["uniform", "none"])
+    @pytest.mark.parametrize("burn_in", [2, BURN_ROWS - 1, BURN_ROWS, BURN_ROWS + 1,
+                                         2 * BURN_ROWS + 1, 1000])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_chunked_burn_in_is_the_whole_draw(self, map_name, innovation, burn_in, width):
+        # uniform values are taken in order, so splitting the draw keeps them
+        spec = ContractiveChainSpec(
+            map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
+            innovation=innovation, halfwidth=0.8, burn_in=burn_in, x0=0.25,
+        )
+        for n in (1, 40):
+            got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(21))
+            want = self._two_array_recursion(spec, n, width, np.random.default_rng(21))
+            assert got.shape == (n, width)
+            assert_array_equal(got, want)
+
+    @staticmethod
+    def _chunked_draw(spec, n, width, rng):
+        """Reference draw order: the burn_in - 1 steps before the kept rows in
+        BURN_ROWS-row draws, then the rows of x_burn_in onwards in one draw."""
+        burn = max(spec.burn_in - 1, 0)
+        sizes = [BURN_ROWS] * (burn // BURN_ROWS) + [burn % BURN_ROWS]
+        sizes.append(spec.burn_in + n - 1 - burn)
+        return np.concatenate([_draw_innovations(spec, rng, (rows, width)) for rows in sizes])
+
+    @pytest.mark.parametrize("map_name", CHAIN_MAPS)
+    @pytest.mark.parametrize("burn_in", [0, 1, 2, BURN_ROWS, BURN_ROWS + 1, 200])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_truncated_gaussian_draws_burn_in_chunks_then_kept_rows(self, map_name,
+                                                                    burn_in, width):
+        # trunc = sigma takes uniform proposals and rejects about 20% of them,
+        # so each draw redraws its own rejects
+        spec = ContractiveChainSpec(
+            map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
+            innovation="truncated-gaussian", sigma=1.0, trunc=1.0, burn_in=burn_in, x0=0.25,
+        )
+        for n in (1, 40):
+            got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(8))
+            eps = self._chunked_draw(spec, n, width, np.random.default_rng(8))
+            assert_array_equal(got, self._two_array_states(spec, eps))
+            if burn_in > BURN_ROWS:
+                whole = self._two_array_recursion(spec, n, width, np.random.default_rng(8))
+                assert not np.array_equal(got, whole)
 
     def test_half_means_agree_under_stationarity(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=1000)
