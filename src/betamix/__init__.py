@@ -7,6 +7,7 @@ from .concentration import (
     BoundParams,
     FSpec,
     LaplaceEstimate,
+    LaplaceSection,
     MomentInputs,
     RateFit,
     TailEstimate,
@@ -17,6 +18,7 @@ from .concentration import (
     empirical_laplace,
     empirical_tail_grid,
     laplace_bound,
+    laplace_section,
     make_fspec,
     rate_argument,
     rate_fit,

@@ -26,17 +26,14 @@ from .concentration import (
     _LOG_GRID,
     BoundParams,
     calibrate_corollary,
-    calibrate_laplace_constant,
     corollary_bound,
-    empirical_laplace,
     empirical_tail_grid,
-    laplace_bound,
-    laplace_gamma_cap,
+    laplace_section,
     make_fspec,
     truncate,
 )
 from .config import ExperimentConfig, load_config_file, resolve_config
-from .errors import BetamixError, ConfigError, DomainError, FitError
+from .errors import BetamixError, ConfigError, FitError
 from .mixing import (
     FiniteChain,
     FiniteJointDistribution,
@@ -46,7 +43,7 @@ from .mixing import (
     ibragimov_check,
     markov_beta_lag,
 )
-from .processes import FunctionalPath, estimate_chain_mixing, uniform_grid
+from .processes import FunctionalPath, uniform_grid
 from .regression import KernelSpec, RegressionFit, dynamic_forecast_experiment, m_constant
 from .seeding import Stream, _pool, keyed_rng, one_blas_thread, pool_size
 
@@ -173,27 +170,26 @@ LAPLACE_HEADER = ["experiment_id", "A", "gamma", "estimate", "std_error", "bound
 
 
 def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict, dict]:
-    """Tail section, then the Laplace section when grid.A is set, each one
-    `replicate` call. The returned diagnostics hold the internals the checks
-    rest on: the pilot-centering SE, each epsilon's rate fit and whether its
+    """The Laplace section when grid.A is set, so that a domain error stops
+    the run before any MC, then the tail section; each draws from its own
+    keyed stream. The returned diagnostics hold the internals the checks rest
+    on: the pilot-centering SE, each epsilon's rate fit and whether its
     calibrated a1 sits on the grid floor and, with grid.A, the mixing fit,
     gamma, C, whether C sits on the grid floor, and each A's overflow flag."""
     fspec = make_fspec(config.fspec_name, config.process, seed=config.seed)
     bound_b = config.bound_b if config.bound_b is not None else fspec.bound
-    # the Laplace bound's domain depends on the fitted mixing rate, so fit it
-    # and check A and gamma before any estimate runs
-    laplace = _laplace_parameters(config, bound_b) if config.a_points else None
+    laplace = (laplace_section(fspec, config.process, bound_b, config.gamma, config.a_points,
+                               config.reps, config.seed, config.workers)
+               if config.a_points else None)
     checks: list[Check] = []
     diagnostics: dict = {"pilot_se": fspec.center_se, "rate_fits": []}
 
-    tails_by_point = empirical_tail_grid(
+    tails_by_eps = empirical_tail_grid(
         fspec, config.process, config.n_points, config.epsilons, config.reps, config.seed,
         workers=config.workers,
     )
-    tails_by_eps = dict(zip(config.epsilons, zip(*tails_by_point)))
-
     rows = []
-    for eps, tails in tails_by_eps.items():
+    for eps, tails in zip(config.epsilons, tails_by_eps):
         bound_at = {}
         try:
             params, fit = calibrate_corollary(tails, B=bound_b, epsilon=eps)
@@ -201,18 +197,12 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict
                 "epsilon": eps, "a1": fit.a1_hat, "a2": fit.a2_hat, "r_squared": fit.r_squared,
                 "calibrated_a1_on_grid_floor": bool(params.a1 == _LOG_GRID[0]),
             })
-            for te in tails:
-                bound_at[te.n] = corollary_bound(dataclasses.replace(params, n=te.n))
-            checks.append(
-                Check(
-                    name=f"rate_fit(eps={eps})",
-                    passed=fit.a2_hat > 0 and fit.r_squared > 0.9,
-                    detail=f"a2={fit.a2_hat:.4g} r2={fit.r_squared:.4g}",
-                )
-            )
-            dominated = all(
-                bound_at[te.n] >= te.p_hat + te.ci_half_width for te in tails
-            )
+            bound_at = {te.n: corollary_bound(dataclasses.replace(params, n=te.n))
+                        for te in tails}
+            checks.append(Check(name=f"rate_fit(eps={eps})",
+                                passed=fit.a2_hat > 0 and fit.r_squared > 0.9,
+                                detail=f"a2={fit.a2_hat:.4g} r2={fit.r_squared:.4g}"))
+            dominated = all(bound_at[te.n] >= te.p_hat + te.ci_half_width for te in tails)
             checks.append(Check(name=f"bound_dominates(eps={eps})", passed=dominated))
         except FitError as exc:
             checks.append(Check(name=f"rate_fit(eps={eps})", passed=False, detail=str(exc)))
@@ -222,66 +212,23 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict
     reports = {"concentration_report.csv": (CONCENTRATION_HEADER, rows)}
 
     if laplace is not None:
-        check_l, rows_l, diagnostics_l = _laplace_section(config, fspec, bound_b, *laplace)
-        checks.append(check_l)
-        reports["laplace_report.csv"] = (LAPLACE_HEADER, rows_l)
-        diagnostics.update(diagnostics_l)
+        gamma, c_value, estimates = laplace.gamma, laplace.C, laplace.estimates
+        checks.append(Check(
+            name="laplace_domination",
+            passed=all(est.value <= bound for est, bound in zip(estimates, laplace.bounds)),
+            detail=f"C={c_value:.4g} gamma={gamma:.4g}",
+        ))
+        reports["laplace_report.csv"] = (LAPLACE_HEADER, [
+            ("laplace", a, gamma, est.value, est.std_error, bound, c_value, config.seed)
+            for (a, _), est, bound in zip(config.a_points, estimates, laplace.bounds)
+        ])
+        diagnostics.update(
+            mixing_fit=dataclasses.asdict(laplace.mixing_fit), gamma=gamma, C=c_value,
+            C_on_grid_floor=bool(c_value == _LOG_GRID[0]),
+            laplace_overflows=[{"A": a, "overflowed": est.overflowed}
+                               for (a, _), est in zip(config.a_points, estimates)],
+        )
     return checks, reports, diagnostics
-
-
-def _laplace_parameters(config, bound_b):
-    """The mixing fit, the kappa0 and kappa1 the bound takes from it, and the
-    gamma of the Laplace section. Raises DomainError when an A or a user
-    gamma lies outside the bound's domain at the fitted kappa1."""
-    a_min, a_max = config.a_points[0][0], config.a_points[-1][0]
-    mixing_rng = keyed_rng(config.seed, Stream.MIXING_FIT)
-    mixing_fit = estimate_chain_mixing(config.process, seed=mixing_rng, n_steps=10**5)
-    kappa0 = max(mixing_fit.kappa0, 1e-6)
-    kappa1 = max(mixing_fit.kappa1, 1e-6)
-    if a_min < 2.0 * kappa1:
-        raise DomainError(
-            f"grid.A: A = {a_min} is below 2*kappa1 = {2.0 * kappa1:.4g} "
-            f"at the fitted kappa1 = {kappa1:.4g}"
-        )
-    cap = laplace_gamma_cap(kappa1, a_max)
-    gamma = config.gamma
-    if gamma is None:
-        gamma = 0.9 * cap / bound_b
-    elif gamma * bound_b > cap:
-        raise DomainError(
-            f"gamma = {gamma} gives gamma*B = {gamma * bound_b:.4g} above the cap "
-            f"min((1 and kappa1)/2, kappa1/(4 log A_max)) = {cap:.4g} "
-            f"at the fitted kappa1 = {kappa1:.4g}"
-        )
-    return mixing_fit, kappa0, kappa1, gamma
-
-
-def _laplace_section(config, fspec, bound_b, mixing_fit, kappa0, kappa1, gamma):
-    a_min = config.a_points[0][0]
-    estimates = empirical_laplace(fspec, config.process, gamma, config.a_points, config.reps,
-                                  config.seed, workers=config.workers)
-    c_value = calibrate_laplace_constant(
-        [estimates[0].value], kappa0, kappa1, gamma, bound_b, a_min
-    )
-    bounds = [
-        laplace_bound(BoundParams(kappa0=kappa0, kappa1=kappa1, C=c_value, gamma=gamma,
-                                  B=bound_b, A=a))
-        for a, _ in config.a_points
-    ]
-    rows = [("laplace", a, gamma, est.value, est.std_error, bound, c_value, config.seed)
-            for (a, _), est, bound in zip(config.a_points, estimates, bounds)]
-    check = Check(name="laplace_domination",
-                  passed=all(est.value <= bound for est, bound in zip(estimates, bounds)),
-                  detail=f"C={c_value:.4g} gamma={gamma:.4g}")
-    diagnostics = {
-        "mixing_fit": dataclasses.asdict(mixing_fit),
-        "gamma": gamma,
-        "C": c_value,
-        "C_on_grid_floor": bool(c_value == _LOG_GRID[0]),
-        "laplace_overflows": [{"A": a, "overflowed": est.overflowed}
-                              for (a, _), est in zip(config.a_points, estimates)],
-    }
-    return check, rows, diagnostics
 
 
 FKR_HEADER = [
@@ -297,14 +244,16 @@ def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     )
     rows = [(s.n, level, error, s.median_f_error, s.median_g_error, s.undefined_fraction)
             for s in summaries for level, error in ((0.5, s.median_error), (0.9, s.q90_error))]
-    medians = [s.median_error for s in summaries]
-    f_errors = [s.median_f_error for s in summaries]
+    # the checks compare ascending n, whatever the order of grid.n
+    ascending = sorted(summaries, key=lambda s: s.n)
+    medians = [s.median_error for s in ascending]
+    f_errors = [s.median_f_error for s in ascending]
     checks = [
         Check(
             name="forecast_error_decreases",
             passed=medians[-1] < medians[0],
-            detail=f"median@{summaries[0].n}={medians[0]:.4g} "
-                   f"median@{summaries[-1].n}={medians[-1]:.4g}",
+            detail=f"median@{ascending[0].n}={medians[0]:.4g} "
+                   f"median@{ascending[-1].n}={medians[-1]:.4g}",
         ),
         Check(
             name="f_hat_error_decreases",

@@ -19,8 +19,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, FitError, MomentError, ValidationError
-from .mixing import line_fit
-from .processes import ContractiveChainSpec, _simulate_chain_columns, simulate_contractive_chain
+from .mixing import MixingDecayFit, line_fit
+from .processes import ContractiveChainSpec, estimate_chain_mixing, simulate_contractive_chain
+from .processes import _simulate_chain_columns
 from .seeding import Stream, keyed_rng, replicate
 
 REP_BLOCK = 1000          # replications per keyed generator; results depend
@@ -89,6 +90,14 @@ class LaplaceEstimate(NamedTuple):
     value: float
     std_error: float
     overflowed: bool
+
+
+class LaplaceSection(NamedTuple):
+    mixing_fit: MixingDecayFit
+    gamma: float
+    C: float
+    estimates: list[LaplaceEstimate]
+    bounds: list[float]
 
 
 class TruncationTriple(NamedTuple):
@@ -371,13 +380,14 @@ def empirical_tail_grid(
     seed: int,
     workers: int = 1,
 ) -> list[list[TailEstimate]]:
-    """Tail estimates over an epsilon grid at every (n, t) point, one list per
-    point; the epsilons of a point share one set of replications."""
+    """Tail estimates over an epsilon grid at every (n, t) point: one list per
+    epsilon, in its order, over the points in theirs. All the epsilons share
+    one set of replications per point."""
     if reps < 100:
         raise ValidationError("reps must be >= 100")
     devs = tail_deviations(fspec, process, points, reps, seed, workers)
-    return [[_tail_from_deviations(d, float(e), n) for e in epsilons]
-            for d, (n, _) in zip(devs, points)]
+    return [[_tail_from_deviations(d, float(e), n) for d, (n, _) in zip(devs, points)]
+            for e in epsilons]
 
 
 def empirical_laplace(
@@ -471,3 +481,39 @@ def calibrate_laplace_constant(
         if laplace_bound(params) >= max(observed):
             return float(c)
     raise FitError("no grid C makes the Laplace bound dominate the estimates")
+
+
+def laplace_section(
+    fspec: FSpec, process: ContractiveChainSpec, B: float, gamma: Optional[float],
+    points: Sequence[tuple[float, int]], reps: int, seed: int, workers: int = 1,
+) -> LaplaceSection:
+    """The Laplace bound against its MC estimates at every (A, t) point, in
+    ascending A. The mixing rate is fitted first and A and gamma are checked
+    at the fitted kappa1 before any estimate runs (a DomainError names
+    `grid.A` or `gamma`); `gamma=None` takes 0.9 of the cap at the largest A.
+    C is calibrated on the estimate at the smallest A."""
+    a_min, a_max = points[0][0], points[-1][0]
+    mixing_fit = estimate_chain_mixing(process, seed=keyed_rng(seed, Stream.MIXING_FIT),
+                                       n_steps=10**5)
+    kappa0 = max(mixing_fit.kappa0, 1e-6)
+    kappa1 = max(mixing_fit.kappa1, 1e-6)
+    if a_min < 2.0 * kappa1:
+        raise DomainError(
+            f"grid.A: A = {a_min} is below 2*kappa1 = {2.0 * kappa1:.4g} "
+            f"at the fitted kappa1 = {kappa1:.4g}"
+        )
+    cap = laplace_gamma_cap(kappa1, a_max)
+    if gamma is None:
+        gamma = 0.9 * cap / B
+    elif gamma * B > cap:
+        raise DomainError(
+            f"gamma = {gamma} gives gamma*B = {gamma * B:.4g} above the cap "
+            f"min((1 and kappa1)/2, kappa1/(4 log A_max)) = {cap:.4g} "
+            f"at the fitted kappa1 = {kappa1:.4g}"
+        )
+    estimates = empirical_laplace(fspec, process, gamma, points, reps, seed, workers)
+    c_value = calibrate_laplace_constant([estimates[0].value], kappa0, kappa1, gamma, B, a_min)
+    bounds = [laplace_bound(BoundParams(kappa0=kappa0, kappa1=kappa1, C=c_value, gamma=gamma,
+                                        B=B, A=a))
+              for a, _ in points]
+    return LaplaceSection(mixing_fit, gamma, c_value, estimates, bounds)

@@ -19,6 +19,7 @@ from betamix import cli, concentration, processes, seeding
 from betamix.cli import emit_plotdata, main
 from betamix.config import KNOWN_KEYS, SUITES, parse_config_text, resolve_config
 from betamix.errors import ConfigError, FitError
+from betamix.regression import ForecastSummary
 
 FAST_MIXING = ["--set", "mixing.joints=15", "--set", "mixing.chains=8"]
 
@@ -332,6 +333,57 @@ def test_every_verify_all_check_can_fail(tmp_path, capsys, monkeypatch, check, n
     assert len(manifest["checks"]) == 11
 
 
+def _summary(n, median, f_error, undefined=0.0):
+    return ForecastSummary(n=n, median_error=median, q90_error=2 * median, median_f_error=f_error,
+                           median_g_error=0.1, undefined_fraction=undefined)
+
+
+FKR_CHECKS = ("forecast_error_decreases", "f_hat_error_decreases",
+              "undefined_fraction_below_10pct")
+
+
+@pytest.mark.parametrize(
+    "check, summaries",
+    [
+        ("forecast_error_decreases",
+         [_summary(100, 0.2, 0.3), _summary(200, 0.1, 0.2), _summary(400, 0.25, 0.1)]),
+        ("f_hat_error_decreases",
+         [_summary(100, 0.2, 0.3), _summary(200, 0.1, 0.35), _summary(400, 0.05, 0.1)]),
+        ("undefined_fraction_below_10pct",
+         [_summary(100, 0.2, 0.3), _summary(200, 0.1, 0.2, 0.1), _summary(400, 0.05, 0.1)]),
+    ],
+)
+def test_every_fkr_check_can_fail(tmp_path, capsys, monkeypatch, check, summaries):
+    # each summary set breaks exactly one check
+    monkeypatch.setattr(cli, "dynamic_forecast_experiment", lambda *args: summaries)
+    code = run_cli("fkr", "--seed", "3", "--reps", "100", "--output", str(tmp_path),
+                   "--set", "grid.n=100,200,400")
+    out = capsys.readouterr().out
+    assert code == 1
+    for name in FKR_CHECKS:
+        assert (f"[check] {name}: FAIL" in out) == (name == check)
+        assert (f"[check] {name}: PASS" in out) == (name != check)
+
+
+def test_fkr_verdicts_do_not_depend_on_the_order_of_grid_n(tmp_path, capsys):
+    # the checks compare ascending n; the report keeps grid order
+    def run(order):
+        out = tmp_path / order
+        code = run_cli("fkr", "--seed", "5", "--reps", "100", "--output", str(out),
+                       "--set", f"grid.n={order}", "--set", "grid_size=16",
+                       "--set", "process.burn_in=50")
+        rows = (out / "fkr_report.csv").read_text().splitlines()
+        return code, capsys.readouterr().out, rows[0], rows[1:]
+
+    code_a, checks_a, header_a, rows_a = run("100,800")
+    code_b, checks_b, header_b, rows_b = run("800,100")
+    assert code_a == code_b == 0
+    assert checks_a == checks_b
+    assert header_a == header_b
+    assert [r.split(",")[0] for r in rows_b] == ["800", "800", "100", "100"]
+    assert rows_b == rows_a[2:] + rows_a[:2]
+
+
 class TestDeterminism:
     def test_same_config_gives_byte_identical_reports(self, tmp_path):
         args = lambda out: (
@@ -542,7 +594,7 @@ class TestLaplaceSection:
             return dataclasses.replace(params, a1=1e-8), fit
 
         monkeypatch.setattr(cli, "calibrate_corollary", floored_a1)
-        monkeypatch.setattr(cli, "calibrate_laplace_constant", lambda *args: 1.0)
+        monkeypatch.setattr(concentration, "calibrate_laplace_constant", lambda *args: 1.0)
         run_cli("concentration", "--seed", "5", "--reps", "300",
                 "--output", str(tmp_path / "stub"), *sets)
         stubbed = diagnostics(tmp_path / "stub")
@@ -555,7 +607,7 @@ class TestLaplaceSection:
         def no_fit(*args):
             raise FitError("no C on the grid dominates the estimate")
 
-        monkeypatch.setattr(cli, "calibrate_laplace_constant", no_fit)
+        monkeypatch.setattr(concentration, "calibrate_laplace_constant", no_fit)
         code = run_cli(
             "concentration", "--seed", "1", "--reps", "100", "--output", str(tmp_path),
             "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05",
@@ -567,9 +619,11 @@ class TestLaplaceSection:
 
     def test_gamma_above_fitted_cap_stops_before_any_estimate(self, tmp_path, capsys,
                                                               monkeypatch):
-        tail_calls = []
+        tail_calls, laplace_calls = [], []
         monkeypatch.setattr(cli, "empirical_tail_grid",
                             lambda *a, **k: tail_calls.append(a))
+        monkeypatch.setattr(concentration, "empirical_laplace",
+                            lambda *a, **k: laplace_calls.append(a))
         code = run_cli(
             "concentration", "--seed", "1", "--reps", "100", "--output", str(tmp_path),
             "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05",
@@ -578,15 +632,17 @@ class TestLaplaceSection:
         err = capsys.readouterr().err
         assert code == 1
         assert "gamma" in err and "cap" in err
-        assert tail_calls == []
+        assert tail_calls == [] and laplace_calls == []
         assert not (tmp_path / "concentration_report.csv").exists()
         assert not (tmp_path / "laplace_report.csv").exists()
 
     def test_a_below_twice_fitted_kappa1_stops_before_any_estimate(self, tmp_path, capsys,
                                                                    monkeypatch):
         # no chain of the config grammar fits kappa1 near 7, so the fit is replaced
-        monkeypatch.setattr(cli, "estimate_chain_mixing",
+        monkeypatch.setattr(concentration, "estimate_chain_mixing",
                             lambda *a, **k: SimpleNamespace(kappa0=1.0, kappa1=10.0))
+        blocks = []
+        monkeypatch.setattr(concentration, "_centered_sums", blocks.append)
         code = run_cli(
             "concentration", "--seed", "1", "--reps", "100", "--output", str(tmp_path),
             "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05",
@@ -594,6 +650,7 @@ class TestLaplaceSection:
         )
         assert code == 1
         assert "grid.A" in capsys.readouterr().err
+        assert blocks == []
         assert not (tmp_path / "concentration_report.csv").exists()
 
 
@@ -687,8 +744,8 @@ class TestExecutionContext:
         assert code in (0, 1)
         tail, laplace = seeding.Stream.CHAIN_TAIL, seeding.Stream.CHAIN_LAPLACE
         assert maps == [
-            [(tail, n, start) for n in (400, 200, 100, 50) for start in (0, 1000)],
             [(laplace, m, start) for m in (20, 14, 14) for start in (0, 1000)],
+            [(tail, n, start) for n in (400, 200, 100, 50) for start in (0, 1000)],
         ]
 
     def test_fkr_is_one_map_longest_path_first(self, tmp_path, monkeypatch):

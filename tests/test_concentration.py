@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from betamix import concentration
 from betamix.concentration import (
     FSPEC_NAMES,
     PILOT_BINS,
@@ -23,6 +24,8 @@ from betamix.concentration import (
     empirical_tail_grid,
     laplace_bound,
     laplace_bound_terms,
+    laplace_gamma_cap,
+    laplace_section,
     make_fspec,
     rate_argument,
     rate_fit,
@@ -38,9 +41,11 @@ from betamix.errors import (
     MomentError,
     ValidationError,
 )
+from betamix.mixing import MixingDecayFit
 from betamix.processes import (
     ContractiveChainSpec,
     _simulate_chain_columns,
+    estimate_chain_mixing,
     simulate_contractive_chain,
 )
 from betamix.seeding import Stream, keyed_rng, replicate
@@ -258,10 +263,19 @@ class TestEmpiricalTail:
     def test_monotone_in_epsilon_with_shared_replications(self):
         fspec = make_fspec("odd-clip", ContractiveChainSpec(a=0.5, burn_in=100))
         eps_grid = [0.01, 0.02, 0.05, 0.1, 0.2]
-        tails = empirical_tail_grid(fspec, ContractiveChainSpec(a=0.5, burn_in=100),
-                                    [(100, 50)], epsilons=eps_grid, reps=300, seed=8)[0]
-        p = [te.p_hat for te in tails]
+        by_eps = empirical_tail_grid(fspec, ContractiveChainSpec(a=0.5, burn_in=100),
+                                     [(100, 50)], epsilons=eps_grid, reps=300, seed=8)
+        assert [[te.epsilon for te in tails] for tails in by_eps] == [[e] for e in eps_grid]
+        p = [tails[0].p_hat for tails in by_eps]
         assert all(b <= a for a, b in zip(p, p[1:]))
+
+    def test_one_list_per_epsilon_over_the_points_in_their_order(self):
+        fspec = make_fspec("zero", UNIFORM_CHAIN)
+        by_eps = empirical_tail_grid(fspec, UNIFORM_CHAIN, [(60, 5), (20, 3), (40, 1)],
+                                     epsilons=[0.3, 0.1], reps=100, seed=4)
+        assert [[(te.epsilon, te.n) for te in tails] for tails in by_eps] == [
+            [(eps, n) for n in (60, 20, 40)] for eps in (0.3, 0.1)
+        ]
 
     def test_non_increasing_in_n_up_to_two_ci_widths(self):
         chain = ContractiveChainSpec(a=0.5, burn_in=200)
@@ -401,6 +415,57 @@ class TestEmpiricalLaplace:
         fspec = make_fspec("odd-clip-damped", chain)
         args = (fspec, chain, 0.2, [(20.0, 10)], 2500, 77)
         assert empirical_laplace(*args, workers=1) == empirical_laplace(*args, workers=2)
+
+
+class TestLaplaceSection:
+    CHAIN = ContractiveChainSpec(a=0.5, burn_in=100)
+    POINTS = [(14.0, 1), (20.0, 1)]
+
+    @pytest.fixture
+    def laplace_calls(self, monkeypatch):
+        calls = []
+        estimate = concentration.empirical_laplace
+        monkeypatch.setattr(concentration, "empirical_laplace",
+                            lambda *a, **k: calls.append(a) or estimate(*a, **k))
+        return calls
+
+    def run(self, gamma=None):
+        fspec = make_fspec("odd-clip", self.CHAIN)
+        return laplace_section(fspec, self.CHAIN, 1.0, gamma, self.POINTS, reps=100, seed=6)
+
+    def test_a_below_twice_fitted_kappa1_raises_before_any_estimate(self, monkeypatch,
+                                                                     laplace_calls):
+        # 2 * 7.5 = 15 > A_min = 14
+        fit = MixingDecayFit(kappa0=1.0, kappa1=7.5, r_squared=1.0)
+        monkeypatch.setattr(concentration, "estimate_chain_mixing", lambda *a, **k: fit)
+        with pytest.raises(DomainError, match=r"grid\.A: A = 14\.0 is below 2\*kappa1 = 15"):
+            self.run()
+        assert laplace_calls == []
+
+    def test_gamma_above_the_cap_raises_before_any_estimate(self, monkeypatch, laplace_calls):
+        fit = MixingDecayFit(kappa0=1.0, kappa1=1.0, r_squared=1.0)
+        monkeypatch.setattr(concentration, "estimate_chain_mixing", lambda *a, **k: fit)
+        with pytest.raises(DomainError, match=r"gamma = 0\.5 .* above the cap") as info:
+            self.run(gamma=0.5)
+        assert f"= {laplace_gamma_cap(1.0, 20.0):.4g} at" in str(info.value)
+        assert laplace_calls == []
+
+    def test_default_gamma_is_nine_tenths_of_the_cap_at_the_largest_a(self, laplace_calls):
+        section = self.run()
+        fit = estimate_chain_mixing(self.CHAIN, seed=keyed_rng(6, Stream.MIXING_FIT),
+                                    n_steps=10**5)
+        kappa0, kappa1 = max(fit.kappa0, 1e-6), max(fit.kappa1, 1e-6)
+        assert section.mixing_fit == fit
+        assert section.gamma == 0.9 * laplace_gamma_cap(kappa1, 20.0) / 1.0
+        assert len(laplace_calls) == 1
+        assert section.C == calibrate_laplace_constant(
+            [section.estimates[0].value], kappa0, kappa1, section.gamma, 1.0, 14.0
+        )
+        assert section.bounds == [
+            laplace_bound(BoundParams(kappa0=kappa0, kappa1=kappa1, C=section.C,
+                                      gamma=section.gamma, B=1.0, A=a))
+            for a, _ in self.POINTS
+        ]
 
 
 class TestCenteredSums:
