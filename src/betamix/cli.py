@@ -295,7 +295,7 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], dict, d
     dists = np.array([0.1, 0.2, 0.9, 1.5, 2.0])
     training = FunctionalPath(
         grid=grid,
-        curves=dists[:, None] * np.ones((1, 5)),
+        coords=dists[:, None] * np.ones((1, 5)),
         responses=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
     )
     fit = RegressionFit(

@@ -10,7 +10,8 @@ takes; batch drivers pass one keyed generator per replication block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
@@ -121,36 +122,110 @@ class ContractiveChainSpec:
 
 @dataclass(frozen=True)
 class FunctionalPath:
-    """Curves sampled on a fixed grid of [0, 1], with optional responses."""
+    """Curves sampled on a fixed grid of [0, 1], with optional responses.
+
+    The path holds each curve's coordinates in a frame: curve k is
+    coords[k] @ frame, whose rows span every curve of the path. A grid-valued
+    path has frame None, the identity: its coordinates are the curves.
+    `curves` builds the (n, grid size) array only when it is first read; the
+    quadrature geometry the estimators use comes from the coordinates alone,
+    through `distances` and `inner`. `gram_factor` is a square-root factor R
+    of the frame's Gram matrix F W F^T (W the trapezoid weights), computed
+    from the frame when not given.
+    """
 
     grid: np.ndarray
-    curves: np.ndarray
+    coords: np.ndarray
     responses: Optional[np.ndarray] = None
+    frame: Optional[np.ndarray] = None
+    gram_factor: Optional[np.ndarray] = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
-        curves = np.atleast_2d(np.asarray(self.curves, dtype=float))
+        coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
         if grid.ndim != 1 or grid.size < 2:
             raise ValidationError("grid must be a 1-d array with >= 2 points")
-        if np.any(np.diff(grid) <= 0):
+        if (np.diff(grid) <= 0).any():
             raise ValidationError("grid must be strictly increasing")
         if abs(grid[0]) > 1e-12 or abs(grid[-1] - 1.0) > 1e-12:
             raise ValidationError("grid endpoints must be 0 and 1")
-        if curves.shape[1] != grid.size:
-            raise ValidationError("curves must have one column per grid point")
-        if not np.all(np.isfinite(curves)):
+        if self.frame is None:
+            if coords.shape[1] != grid.size:
+                raise ValidationError("curves must have one column per grid point")
+        else:
+            frame = np.asarray(self.frame, dtype=float)
+            if frame.shape != (coords.shape[1], grid.size):
+                raise ValidationError("frame must have one row per coordinate and one "
+                                      "column per grid point")
+            if not np.isfinite(frame).all():
+                raise ValidationError("frame values must be finite")
+            if self.gram_factor is None:
+                object.__setattr__(self, "gram_factor", _gram_factor(frame, grid))
+            object.__setattr__(self, "frame", frame)
+        if not np.isfinite(coords).all():
             raise ValidationError("curve values must be finite")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "coords", coords)
         if self.responses is not None:
             resp = np.asarray(self.responses, dtype=float)
-            if resp.shape != (curves.shape[0],):
+            if resp.shape != (coords.shape[0],):
                 raise ValidationError("responses must have one value per curve")
             object.__setattr__(self, "responses", resp)
 
     @property
     def n_curves(self) -> int:
-        return self.curves.shape[0]
+        return self.coords.shape[0]
+
+    @cached_property
+    def curves(self) -> np.ndarray:
+        """The (n, grid size) curve values: the first frame row scaled by the
+        first coordinate, plus the rest of the coordinates through the rest
+        of the frame."""
+        if self.frame is None:
+            return self.coords
+        return self.coords[:, :1] * self.frame[0] + self.coords[:, 1:] @ self.frame[1:]
+
+    def shares_frame(self, other: FunctionalPath) -> bool:
+        """Whether `other` holds its coordinates in this path's frame."""
+        return self.frame is other.frame or np.array_equal(self.frame, other.frame)
+
+    def distances(self, query: Optional[FunctionalPath] = None) -> np.ndarray:
+        """Trapezoid L2 distances of every curve to the one curve of `query`,
+        a path on this grid and in this frame, or the curves' norms when
+        query is None. Only coordinates are read: |X_k - X_q|_w is the
+        Euclidean norm of (z_k - z_q) R, with R the Gram factor, or sqrt(W)
+        on a grid-valued path."""
+        diff = self.coords
+        if query is not None:
+            if query.n_curves != 1 or not np.array_equal(query.grid, self.grid):
+                raise ValidationError("the query must be one curve on the path's grid")
+            if not self.shares_frame(query):
+                raise ValidationError("the query must be held in the path's frame")
+            diff = diff - query.coords
+        if self.frame is None:
+            rows = diff * np.sqrt(trapezoid_weights(self.grid))
+        else:
+            rows = diff @ self.gram_factor
+        return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+    def inner(self, g: np.ndarray) -> np.ndarray:
+        """Trapezoid inner products <X_k, g>_w of every curve with the curve g:
+        coords (F (w g))."""
+        wg = trapezoid_weights(self.grid) * g
+        return self.coords @ (wg if self.frame is None else self.frame @ wg)
+
+    def take(self, k: int) -> FunctionalPath:
+        """Curve k alone, as a one-curve path in this path's frame."""
+        return replace(self, coords=self.coords[[k]], responses=None)
+
+
+def _gram_factor(frame: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """R with R R^T = F W F^T, the Gram matrix of the frame's rows under the
+    trapezoid weights of `grid`. The matrix may be singular (the rows of a
+    FAR(1) frame are dependent), so R comes from its eigenvectors, scaled by
+    the square roots of its eigenvalues clipped at 0."""
+    values, vectors = np.linalg.eigh((frame * trapezoid_weights(grid)) @ frame.T)
+    return vectors * np.sqrt(np.clip(values, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -234,19 +309,33 @@ def _truncated_gaussian(sigma: float, trunc: float, rng: np.random.Generator, sh
     entries are redrawn, in order, so the draw is a function of the
     generator's state alone.
     """
-    flat = np.empty(math.prod(shape))
-    todo = np.arange(flat.size)
     normal = trunc / sigma >= math.sqrt(math.pi / 2.0)
-    while todo.size:
+    if normal:
+        flat = rng.standard_normal(math.prod(shape))
+        flat *= sigma
+        todo = np.flatnonzero((flat > trunc) | (flat < -trunc))
+    else:
+        flat = rng.uniform(-trunc, trunc, math.prod(shape))  # never leaves [-trunc, trunc]
+        todo = np.flatnonzero(rng.random(flat.size) >= _acceptance(flat, sigma))
+    while todo.size:  # redraw the rejected entries, in order
         if normal:
             x = sigma * rng.standard_normal(todo.size)
             keep = np.abs(x) <= trunc
         else:
-            x = rng.uniform(-trunc, trunc, todo.size)  # never leaves [-trunc, trunc]
-            keep = rng.random(todo.size) < np.exp(-0.5 * (x / sigma) ** 2)
+            x = rng.uniform(-trunc, trunc, todo.size)
+            keep = rng.random(todo.size) < _acceptance(x, sigma)
         flat[todo[keep]] = x[keep]
         todo = todo[~keep]
     return flat.reshape(shape)
+
+
+def _acceptance(x: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-x^2 / 2 sigma^2), the acceptance probability of a uniform proposal
+    x, computed in one temporary."""
+    out = x / sigma
+    out *= out
+    out *= -0.5
+    return np.exp(out, out=out)
 
 
 def simulate_contractive_chain(spec: ContractiveChainSpec, n: int, seed: Seed) -> np.ndarray:
@@ -321,43 +410,63 @@ def _bump_operator(grid: np.ndarray, rho: float, width: float) -> np.ndarray:
     return (rho / norm) * kernel * w[None, :]
 
 
+@lru_cache(maxsize=8)
+def _far1_frame(spec: Far1Spec, grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniform grid of `grid_size` points, the frame [phi; b_1; ...; b_M]
+    of the spec's paths on it (phi the eigenfunction, b_m = sqrt(2) sin(pi m u)
+    the innovation basis) and the frame's Gram factor, all read-only: every
+    path of one (spec, grid_size) shares them."""
+    grid = uniform_grid(grid_size)
+    modes = np.arange(1, spec.noise_terms + 1)
+    basis = np.sqrt(2.0) * np.sin(np.pi * modes[:, None] * grid[None, :])
+    frame = np.vstack([spec.eigenfunction(grid), basis])
+    factor = _gram_factor(frame, grid)
+    for array in (grid, frame, factor):
+        array.flags.writeable = False
+    return grid, frame, factor
+
+
 def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed) -> FunctionalPath:
     """Curve-valued AR(1) path of length n on a uniform grid.
 
     The separable operator rho * phi <phi, .>_w has rank one, so its path is
     driven by the scalar c_t = <phi, X_t>_w, itself an AR(1) with coefficient
-    rho <phi, phi>_w: _ar1_path runs it, and only the kept curves
-    X_t = rho c_{t-1} phi + noise_{t-1} are built. The gaussian-bump operator
-    is iterated curve by curve.
+    rho <phi, phi>_w, which _ar1_path runs. Every kept curve
+    X_t = rho c_{t-1} phi + sum_m coeffs_{t-1,m} b_m then lies in the span of
+    the frame [phi; b_1; ...; b_M], and the path holds its coordinates
+    (rho c_{t-1}, coeffs_{t-1}) and that frame: no curve is built until
+    `.curves` is read. The gaussian-bump operator is iterated curve by curve,
+    and its path is grid-valued.
     """
     if n < 1:
         raise ValidationError("path length must be >= 1")
     if grid_size < 8:
         raise ValidationError("grid_size must be >= 8")
-    grid = uniform_grid(grid_size)
-    w = trapezoid_weights(grid)
-    phi = spec.eigenfunction(grid)
-
-    modes = np.arange(1, spec.noise_terms + 1)
-    basis = np.sqrt(2.0) * np.sin(np.pi * modes[:, None] * grid[None, :])
-    sigmas = spec.noise_scale / modes
+    grid, frame, factor = _far1_frame(spec, grid_size)
+    phi, basis = frame[0], frame[1:]
+    sigmas = spec.noise_scale / np.arange(1, spec.noise_terms + 1)
 
     rng = np.random.default_rng(seed)
     total = spec.burn_in + n
-    xi = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(max(total - 1, 0), spec.noise_terms))
-    coeffs = xi * sigmas[None, :]
-    x = phi.copy() if spec.initial == "eigenfunction" else np.zeros(grid_size)
+    coeffs = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(max(total - 1, 0), spec.noise_terms))
+    coeffs *= sigmas
 
     if spec.kernel == "separable":
-        wphi = w * phi
-        c = _ar1_path(spec.rho * float(wphi @ phi), coeffs @ (basis @ wphi), float(wphi @ x))
+        wphi = trapezoid_weights(grid) * phi
+        phi_sq = float(wphi @ phi)  # <phi, phi>_w
+        start = 1.0 if spec.initial == "eigenfunction" else 0.0  # X_0 = start * phi
+        c = _ar1_path(spec.rho * phi_sq, coeffs @ (basis @ wphi), start * phi_sq)
+        coords = np.zeros((n, 1 + spec.noise_terms))
+        first = 0
+        if spec.burn_in == 0:  # X_0 is the first kept curve
+            coords[0, 0], first = start, 1
         # rows t - 1 for the kept steps t >= max(burn_in, 1)
         kept = slice(max(spec.burn_in, 1) - 1, total - 1)
-        curves = spec.rho * c[kept, None] * phi[None, :] + coeffs[kept] @ basis
-        if spec.burn_in == 0:
-            curves = np.concatenate([x[None, :], curves])
-        return FunctionalPath(grid=grid, curves=curves)
+        coords[first:, 0] = spec.rho * c[kept]
+        coords[first:, 1:] = coeffs[kept]
+        return FunctionalPath(grid, coords, frame=frame, gram_factor=factor)
 
+    x = phi.copy() if spec.initial == "eigenfunction" else np.zeros(grid_size)
     op = _bump_operator(grid, spec.rho, spec.bump_width)
     noise = coeffs @ basis
     curves = np.empty((n, grid_size))
@@ -367,7 +476,7 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed) -> Functio
         x = op @ x + noise[t - 1]
         if t >= spec.burn_in:
             curves[t - spec.burn_in] = x
-    return FunctionalPath(grid=grid, curves=curves)
+    return FunctionalPath(grid, curves)
 
 
 @dataclass(frozen=True)
@@ -388,17 +497,20 @@ class PsiSpec:
             raise ConfigError("linear psi needs a weight curve")
 
 
-def make_psi(spec: PsiSpec, grid: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """Resolve a PsiSpec into (vectorized functional, Lipschitz constant)."""
-    w = trapezoid_weights(grid)
+def make_psi(
+    spec: PsiSpec, grid: np.ndarray
+) -> tuple[Callable[[FunctionalPath], np.ndarray], float]:
+    """Resolve a PsiSpec into (functional of every curve of a path on `grid`,
+    Lipschitz constant). Both functionals read the path's coordinates:
+    "linear" through FunctionalPath.inner, "norm" through
+    FunctionalPath.distances."""
     if spec.name == "linear":
         weight = np.asarray(spec.weight, dtype=float)
         if weight.shape != grid.shape:
             raise ConfigError("psi weight curve must live on the path grid")
-        wv = w * weight
-        lipschitz = float(np.sqrt(w @ weight**2))
-        return (lambda curves: np.atleast_2d(curves) @ wv), lipschitz
-    return (lambda curves: np.sqrt(np.atleast_2d(curves) ** 2 @ w)), 1.0
+        lipschitz = float(np.sqrt(trapezoid_weights(grid) @ weight**2))
+        return (lambda path: path.inner(weight)), lipschitz
+    return (lambda path: path.distances()), 1.0
 
 
 def make_regression_sample(
@@ -408,10 +520,10 @@ def make_regression_sample(
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     func, _ = make_psi(psi, path.grid)
-    signal = func(path.curves)
+    signal = func(path)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_sd, size=path.n_curves) if noise_sd > 0 else 0.0
-    return FunctionalPath(grid=path.grid, curves=path.curves, responses=signal + noise)
+    return replace(path, responses=signal + noise)
 
 
 def binned_lag_joint(values: np.ndarray, lag: int, n_bins: int) -> np.ndarray:
@@ -489,6 +601,6 @@ def load_functional_path(path) -> FunctionalPath:
             responses.append(float(cells[-1]))
     return FunctionalPath(
         grid=grid,
-        curves=np.asarray(curves),
+        coords=np.asarray(curves),
         responses=np.asarray(responses) if has_response else None,
     )

@@ -69,24 +69,28 @@ class KernelSpec:
         return float(_KERNEL_FUNCS[self.name][0](np.float64(1.0)))
 
 
+def _as_path(curves, grid: np.ndarray) -> FunctionalPath:
+    """`curves` itself when it is a FunctionalPath, else the grid-valued path
+    of its rows on `grid`."""
+    if isinstance(curves, FunctionalPath):
+        return curves
+    return FunctionalPath(grid, np.atleast_2d(np.asarray(curves, dtype=float)))
+
+
 def hilbert_norm(curve: np.ndarray, grid: np.ndarray) -> float:
     """Trapezoid approximation of the L2[0, 1] norm of a curve."""
-    curve = np.asarray(curve, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    if curve.shape != grid.shape:
-        raise ValidationError(f"curve shape {curve.shape} != grid shape {grid.shape}")
-    w = trapezoid_weights(grid)
-    return float(np.sqrt(np.maximum(w @ curve**2, 0.0)))
+    if np.shape(curve) != np.shape(grid):
+        raise ValidationError(f"curve shape {np.shape(curve)} != grid shape {np.shape(grid)}")
+    return float(_as_path(curve, np.asarray(grid, dtype=float)).distances()[0])
 
 
-def curve_distances(curves: np.ndarray, x: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Quadrature L2 distances from each row of `curves` to the curve x."""
-    curves = np.atleast_2d(np.asarray(curves, dtype=float))
-    if curves.shape[1] != grid.size or np.asarray(x).shape != (grid.size,):
-        raise ValidationError("curves and query must live on the given grid")
-    w = trapezoid_weights(grid)
-    sq = (curves - x[None, :]) ** 2 @ w
-    return np.sqrt(np.maximum(sq, 0.0))
+def curve_distances(sample: FunctionalPath, query: FunctionalPath) -> np.ndarray:
+    """Trapezoid L2 distances from each curve of `sample` to the one curve of
+    `query`, by FunctionalPath.distances on their coordinates. Paths in
+    different frames are compared as grid-valued paths."""
+    if not sample.shares_frame(query):
+        sample, query = (FunctionalPath(p.grid, p.curves) for p in (sample, query))
+    return sample.distances(query)
 
 
 @dataclass(frozen=True)
@@ -107,32 +111,36 @@ class NWEvaluation:
 @dataclass(frozen=True)
 class RegressionFit:
     """Trained estimator state: kernel, bandwidth, training data, and the
-    independent reference curves used for small-ball normalization."""
+    independent reference sample used for small-ball normalization: a
+    FunctionalPath, or its curves on the training grid."""
 
     kernel: KernelSpec
     bandwidth: float
     training: FunctionalPath
-    reference_curves: np.ndarray
+    reference_curves: FunctionalPath
 
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise ValidationError("bandwidth must be positive")
         if self.training.responses is None:
             raise ValidationError("training path must carry responses")
+        reference = _as_path(self.reference_curves, self.training.grid)
+        object.__setattr__(self, "reference_curves", reference)
 
-    def evaluate(self, x: np.ndarray, ref_dists: Optional[np.ndarray] = None) -> NWEvaluation:
-        """Estimator at x; `ref_dists` are the reference curves' distances to
-        x, for callers that already hold them."""
-        grid = self.training.grid
+    def evaluate(self, x, f_ref: Optional[float] = None) -> NWEvaluation:
+        """Estimator at the query x, a one-curve FunctionalPath or a curve on
+        the training grid. `f_ref` is the reference sample's small-ball
+        fraction at the bandwidth, for callers that already hold it."""
+        query = _as_path(x, self.training.grid)
         h = self.bandwidth
-        d = curve_distances(self.training.curves, x, grid)
+        d = curve_distances(self.training, query)
         wts = self.kernel.evaluate(d / h)
         denom = float(wts.sum())
         n_eff = int(np.count_nonzero(d <= h))
         n = self.training.n_curves
-        if ref_dists is None:
-            ref_dists = curve_distances(self.reference_curves, x, grid)
-        f_ref = float(np.mean(ref_dists <= h))
+        if f_ref is None:
+            ref_dists = curve_distances(self.reference_curves, query)
+            f_ref = np.count_nonzero(ref_dists <= h) / ref_dists.size
         if f_ref > 0:
             f_hat = denom / (n * f_ref)
             g_hat = float(self.training.responses @ wts) / (n * f_ref)
@@ -184,7 +192,8 @@ def estimate_small_ball(
     if grid is None:
         dists = np.sqrt(((sample - x[None, :]) ** 2).sum(axis=1))
     else:
-        dists = curve_distances(sample, x, np.asarray(grid, dtype=float))
+        grid = np.asarray(grid, dtype=float)
+        dists = curve_distances(_as_path(sample, grid), _as_path(x, grid))
     return _small_ball_from_distances(h_grid, dists, s_grid)
 
 
@@ -192,18 +201,20 @@ def _small_ball_from_distances(
     h_grid: np.ndarray, dists: np.ndarray, s_grid: Optional[Sequence[float]] = None
 ) -> SmallBallModel:
     """F_hat and tau_hat of estimate_small_ball from the reference distances
-    to the query, for callers that already hold them."""
+    to the query, for callers that already hold them. Every fraction is a
+    count in one sorted copy of the distances."""
     if dists.size < MIN_REFERENCE_CURVES:
         raise ValidationError(f"reference sample has {dists.size} < {MIN_REFERENCE_CURVES} members")
-    f_hat = np.array([np.mean(dists <= h) for h in h_grid])
-    if not np.any(f_hat > 0):
-        raise DomainError("bandwidth grid too small: every F_hat(h) is zero")
-    h_ref = float(h_grid[np.argmax(f_hat > 0)])
-    f_ref = float(np.mean(dists <= h_ref))
     if s_grid is None:
         s_grid = np.linspace(0.05, 1.0, 20)
     s_grid = np.asarray(s_grid, dtype=float)
-    tau_hat = np.array([np.mean(dists <= h_ref * s) for s in s_grid]) / f_ref
+    sorted_dists = np.sort(dists)
+    f_hat = np.searchsorted(sorted_dists, h_grid, "right") / dists.size
+    if not np.any(f_hat > 0):
+        raise DomainError("bandwidth grid too small: every F_hat(h) is zero")
+    ref = int(np.argmax(f_hat > 0))
+    h_ref = float(h_grid[ref])
+    tau_hat = np.searchsorted(sorted_dists, h_ref * s_grid, "right") / dists.size / f_hat[ref]
     return SmallBallModel(h_grid=h_grid, f_hat=f_hat, h_ref=h_ref, s_grid=s_grid, tau_hat=tau_hat)
 
 
@@ -279,17 +290,14 @@ def _forecast_block(args) -> np.ndarray:
         path = simulate_far1(process, n, grid_size, path_rng)
         sample = make_regression_sample(path, psi, noise_sd, noise_rng)
         reference = simulate_far1(process, n, grid_size, reference_rng)
-        x = path.curves[t - 1]
-        ref_dists = curve_distances(reference.curves, x, grid)
+        x = sample.take(t - 1)
+        ref_dists = curve_distances(reference, x)
         h = bandwidth_schedule(n, theta, ref_dists).h
         ball = _small_ball_from_distances(np.array([h]), ref_dists)
         m_hat = m_constant(kernel, ball.tau)
-        fit = RegressionFit(
-            kernel=kernel, bandwidth=h, training=sample,
-            reference_curves=reference.curves,
-        )
-        out = fit.evaluate(x, ref_dists)
-        psi_true = float(psi_func(x[None, :])[0])
+        fit = RegressionFit(kernel=kernel, bandwidth=h, training=sample, reference_curves=reference)
+        out = fit.evaluate(x, float(ball.f_hat[0]))
+        psi_true = float(psi_func(x)[0])
         err = abs(out.psi_hat - psi_true) if out.defined else math.nan
         rows[pos] = (
             0.0 if out.defined else 1.0,

@@ -85,9 +85,10 @@ def one_blas_thread() -> Optional[int]:
     process, overriding OPENBLAS_NUM_THREADS, and return the count read back;
     return None and change nothing when no OpenBLAS is found.
 
-    The package's matrix products, (n x 8)(8 x 64) curve builds and (n x 64)
-    distance reductions, are too small to gain from a second BLAS thread, and
-    a second thread in every pool worker oversubscribes the CPUs.
+    The package's matrix products, such as the (n x 9)(9 x 9) products of the
+    forecast's frame coordinates with their Gram factor, are too small to gain
+    from a second BLAS thread, and a second thread in every pool worker
+    oversubscribes the CPUs.
     """
     calls = _openblas_thread_calls()
     if calls is None:

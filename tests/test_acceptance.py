@@ -338,7 +338,7 @@ def test_criterion_9_exactness_micro_suite(tmp_path):
     grid = uniform_grid(5)
     dists = np.array([0.1, 0.2, 0.9, 1.5, 2.0])
     training = FunctionalPath(
-        grid=grid, curves=dists[:, None] * np.ones((1, 5)),
+        grid=grid, coords=dists[:, None] * np.ones((1, 5)),
         responses=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
     )
     fit = RegressionFit(

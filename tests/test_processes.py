@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,21 @@ class TestTruncatedGaussian:
         self._draw(sigma, trunc, Counting())
         assert self.DRAWS / proposals >= 0.78
 
+    # the normal-proposal branch holds its draw and two boolean masks, the
+    # uniform one its draw, the acceptance uniforms and their thresholds
+    @pytest.mark.parametrize("sigma, trunc, bound", [(1.0, 3.0, 1.5), (1.0, 1.0, 3.5)])
+    def test_block_peak_memory_is_a_few_kept_rows(self, sigma, trunc, bound):
+        spec = ContractiveChainSpec(innovation="truncated-gaussian", sigma=sigma, trunc=trunc,
+                                    burn_in=1000)
+        n, width = 2000, 1000
+        tracemalloc.start()
+        try:
+            _simulate_chain_columns(spec, n, range(width), np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n * width * 8
+
 
 class TestFar1:
     def test_eigenfunction_iteration(self):
@@ -420,17 +436,19 @@ class TestRegressionSample:
         weight = np.cos(np.pi * path.grid)
         sample = make_regression_sample(path, PsiSpec("linear", weight), 0.0, seed=2)
         w = trapezoid_weights(path.grid)
-        assert_array_equal(sample.responses, path.curves @ (w * weight))
+        assert_array_equal(sample.responses, path.inner(weight))
+        # the inner product in frame coordinates is the grid quadrature's up to rounding
+        assert_allclose(sample.responses, path.curves @ (w * weight), rtol=1e-12, atol=1e-15)
 
     def test_norm_psi_of_unit_constant_curve(self):
         grid = uniform_grid(64)
-        path = FunctionalPath(grid=grid, curves=np.ones((3, 64)))
+        path = FunctionalPath(grid=grid, coords=np.ones((3, 64)))
         sample = make_regression_sample(path, PsiSpec("norm"), 0.0, seed=0)
         assert_allclose(sample.responses, 1.0, atol=1e-12)
 
     def test_noise_variance_recovered(self):
         grid = uniform_grid(16)
-        path = FunctionalPath(grid=grid, curves=np.zeros((10_000, 16)))
+        path = FunctionalPath(grid=grid, coords=np.zeros((10_000, 16)))
         sample = make_regression_sample(path, PsiSpec("norm"), 0.3, seed=11)
         resid = sample.responses  # psi(0) = 0
         se = 0.09 * np.sqrt(2.0 / len(resid))
@@ -438,7 +456,7 @@ class TestRegressionSample:
 
     @pytest.mark.parametrize("noise_sd", [np.nan, np.inf, -0.1])
     def test_non_finite_or_negative_noise_sd_rejected(self, noise_sd):
-        path = FunctionalPath(grid=uniform_grid(16), curves=np.zeros((5, 16)))
+        path = FunctionalPath(grid=uniform_grid(16), coords=np.zeros((5, 16)))
         with pytest.raises(ConfigError, match="noise_sd"):
             make_regression_sample(path, PsiSpec("norm"), noise_sd, seed=0)
 

@@ -1,16 +1,28 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from betamix.errors import ConfigError, DomainError, ValidationError
-from betamix.processes import Far1Spec, FunctionalPath, PsiSpec, uniform_grid
+from betamix.processes import (
+    Far1Spec,
+    FunctionalPath,
+    PsiSpec,
+    make_psi,
+    simulate_far1,
+    trapezoid_weights,
+    uniform_grid,
+)
 from betamix.regression import (
+    FORECAST_BLOCK,
     KernelSpec,
     RegressionFit,
+    _forecast_block,
     bandwidth_schedule,
+    curve_distances,
     dynamic_forecast_experiment,
     estimate_small_ball,
     hilbert_norm,
@@ -23,7 +35,7 @@ def constant_curve_fit(distances, responses, h=1.0, kernel="downslope-linear", r
     are exactly the given values."""
     grid = uniform_grid(5)
     curves = np.asarray(distances, dtype=float)[:, None] * np.ones((1, 5))
-    path = FunctionalPath(grid=grid, curves=curves, responses=np.asarray(responses, float))
+    path = FunctionalPath(grid=grid, coords=curves, responses=np.asarray(responses, float))
     reference = np.asarray(ref, dtype=float)[:, None] * np.ones((1, 5)) if ref is not None \
         else np.linspace(0, 2, 12)[:, None] * np.ones((1, 5))
     return RegressionFit(kernel=KernelSpec(kernel), bandwidth=h, training=path,
@@ -73,6 +85,45 @@ class TestHilbertNorm:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             hilbert_norm(np.ones(8), uniform_grid(16))
+
+
+class TestFrameGeometry:
+    """Distances and psi values from frame coordinates against the grid
+    quadrature of the built curves. 20 sine modes on 8 points alias, so that
+    frame is rank-deficient."""
+
+    @pytest.mark.parametrize("psi", ["norm", "linear:eigenfunction", "linear:constant"])
+    @pytest.mark.parametrize("noise_terms", [1, 8, 20])
+    @pytest.mark.parametrize("grid_size", [8, 64])
+    @pytest.mark.parametrize("initial", ["zero", "eigenfunction"])
+    @pytest.mark.parametrize("burn_in", [0, 1, 5])
+    @pytest.mark.parametrize("kernel", ["separable", "gaussian-bump"])
+    def test_coordinates_match_grid_quadrature(self, kernel, burn_in, initial, grid_size,
+                                               noise_terms, psi):
+        spec = Far1Spec(kernel=kernel, rho=0.6, burn_in=burn_in, initial=initial,
+                        noise_terms=noise_terms)
+        path = simulate_far1(spec, 30, grid_size, seed=9)
+        other = simulate_far1(spec, 30, grid_size, seed=10)
+        grid, curves = path.grid, path.curves
+        w = trapezoid_weights(grid)
+        for source, k in ((path, 0), (path, 17), (other, 29)):
+            want = np.sqrt((curves - source.curves[k]) ** 2 @ w)
+            assert_allclose(curve_distances(path, source.take(k)), want, rtol=1e-12, atol=0)
+        if psi == "norm":
+            spec_psi, want = PsiSpec("norm"), np.sqrt(curves**2 @ w)
+        else:
+            g = spec.eigenfunction(grid) if psi.endswith("eigenfunction") else np.ones(grid_size)
+            spec_psi, want = PsiSpec("linear", weight=g), curves @ (w * g)
+        func, _ = make_psi(spec_psi, grid)
+        # a signed inner product has rounding error on the scale of its largest values
+        assert_allclose(func(path), want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
+
+    def test_paths_in_different_frames_are_compared_on_the_grid(self):
+        path = simulate_far1(Far1Spec(burn_in=5), 30, 16, seed=1)
+        query = FunctionalPath(path.grid, np.sin(path.grid)[None, :])
+        w = trapezoid_weights(path.grid)
+        want = np.sqrt((path.curves - query.curves) ** 2 @ w)
+        assert_allclose(curve_distances(path, query), want, rtol=1e-12)
 
 
 class TestNadarayaWatson:
@@ -310,6 +361,22 @@ class TestDynamicForecast:
                     points=[points[i] for i in order], workers=workers, **kwargs
                 )
                 assert got == [want[i] for i in order]
+
+    def test_block_holds_no_curve_array(self):
+        # one (3200, 64) curve array is 1.56 MiB; the block builds none
+        process = Far1Spec(kernel="separable", rho=0.5, burn_in=1000)
+        grid = uniform_grid(64)
+        psi = PsiSpec("linear", weight=process.eigenfunction(grid))
+        args = (process, psi, 0.1, KernelSpec("downslope-linear"), 0.3, 64, 7, 3200, 3200,
+                range(FORECAST_BLOCK))
+        _forecast_block(args)  # the frame of (process, 64) is cached once per process
+        tracemalloc.start()
+        try:
+            _forecast_block(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
 
     def test_query_index_outside_the_path_rejected(self):
         process = Far1Spec(rho=0.4, noise_scale=0.25, burn_in=10)
