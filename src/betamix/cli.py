@@ -298,11 +298,9 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], dict, d
         coords=dists[:, None] * np.ones((1, 5)),
         responses=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
     )
-    fit = RegressionFit(
-        kernel=kernel, bandwidth=1.0, training=training,
-        reference_curves=np.linspace(0.0, 2.0, 12)[:, None] * np.ones((1, 5)),
-    )
-    nw = fit.evaluate(np.zeros(5))
+    # F_x(1) = 6/12, as for the reference sample of 12 constant curves 0, 2/11, ..., 2
+    fit = RegressionFit(kernel=kernel, bandwidth=1.0, training=training)
+    nw = fit.evaluate(np.zeros(5), 6 / 12)
     holds = nw.defined and abs(nw.psi_hat - 8.8 / 4.8) <= 1e-12
     rows.append(("nadaraya_watson_hand_example", nw.psi_hat, 8.8 / 4.8, holds, seed))
 

@@ -185,8 +185,14 @@ def _alpha_table(dev: np.ndarray, cap: int = 16) -> float:
     (-1, 2^(i+1), cols) view of the table the whole plane is one add of
     slot 0 into slot 2^i. Every entry gets the same single addition from the
     same source as in a loop over the masks in increasing order, so the table
-    and the result are the same to the bit; `out=` writes in place and adds
-    no temporary array.
+    is the same to the bit; `out=` writes in place and adds no temporary
+    array.
+
+    For each row set A the best B takes the columns of one sign, so the
+    maximum is max(pos, neg) of A's positive and negative column-sum parts.
+    A's column sums add up to the total of A's row sums, which is zero, so
+    pos = neg up to rounding: the positive part alone is taken, clipped in
+    place.
     """
     if dev.shape[0] > dev.shape[1]:
         dev = dev.T
@@ -197,9 +203,7 @@ def _alpha_table(dev: np.ndarray, cap: int = 16) -> float:
     for i in reversed(range(m)):
         view = subset_sums.reshape(-1, 1 << (i + 1), cols)
         np.add(view[:, 0], dev[i], out=view[:, 1 << i])
-    pos = np.maximum(subset_sums, 0.0).sum(axis=1)
-    neg = -np.minimum(subset_sums, 0.0).sum(axis=1)
-    return float(np.maximum(pos, neg).max())
+    return float(np.maximum(subset_sums, 0.0, out=subset_sums).sum(axis=1).max())
 
 
 def markov_beta_lag(c: FiniteChain, n: int) -> float:

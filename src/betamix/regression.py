@@ -3,10 +3,12 @@
 Curves live in L2[0, 1] via trapezoid quadrature on a fixed grid. The
 estimator is the kernel-weighted response average at a query curve; its
 numerator and denominator are additionally normalized by n times the
-small-ball probability estimated from an auxiliary reference sample, so their
-limits are the kernel constant M and psi(x) * M respectively. The dynamic
-forecast experiment tracks all three errors at a query drawn from the
-process itself.
+small-ball probability F_x(h), so their limits are the kernel constant M and
+psi(x) * M respectively. F_x(h) has one estimator, `estimate_small_ball`,
+which counts the distances of an independent reference sample to x; the
+caller computes those distances and passes the estimate to
+`RegressionFit.evaluate`. The dynamic forecast experiment tracks all three
+errors at a query drawn from the process itself.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ class NWEvaluation:
     psi_hat: Optional[float]
     f_hat: float
     g_hat: float
-    n_effective: int
 
     @property
     def defined(self) -> bool:
@@ -110,37 +111,30 @@ class NWEvaluation:
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Trained estimator state: kernel, bandwidth, training data, and the
-    independent reference sample used for small-ball normalization: a
-    FunctionalPath, or its curves on the training grid."""
+    """Trained estimator state: kernel, bandwidth and training path."""
 
     kernel: KernelSpec
     bandwidth: float
     training: FunctionalPath
-    reference_curves: FunctionalPath
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValidationError("bandwidth must be positive")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValidationError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         if self.training.responses is None:
             raise ValidationError("training path must carry responses")
-        reference = _as_path(self.reference_curves, self.training.grid)
-        object.__setattr__(self, "reference_curves", reference)
 
-    def evaluate(self, x, f_ref: Optional[float] = None) -> NWEvaluation:
+    def evaluate(self, x, f_ref: float) -> NWEvaluation:
         """Estimator at the query x, a one-curve FunctionalPath or a curve on
-        the training grid. `f_ref` is the reference sample's small-ball
-        fraction at the bandwidth, for callers that already hold it."""
-        query = _as_path(x, self.training.grid)
+        the training grid. `f_ref` is F_x(h), the share of an independent
+        reference sample within the bandwidth of x (estimate_small_ball)."""
+        f_ref = float(f_ref)
+        if not 0.0 <= f_ref <= 1.0:
+            raise ValidationError(f"f_ref must be a fraction in [0, 1], got {f_ref}")
         h = self.bandwidth
-        d = curve_distances(self.training, query)
+        d = curve_distances(self.training, _as_path(x, self.training.grid))
         wts = self.kernel.evaluate(d / h)
         denom = float(wts.sum())
-        n_eff = int(np.count_nonzero(d <= h))
         n = self.training.n_curves
-        if f_ref is None:
-            ref_dists = curve_distances(self.reference_curves, query)
-            f_ref = np.count_nonzero(ref_dists <= h) / ref_dists.size
         if f_ref > 0:
             f_hat = denom / (n * f_ref)
             g_hat = float(self.training.responses @ wts) / (n * f_ref)
@@ -151,7 +145,7 @@ class RegressionFit:
             psi_hat = float(self.training.responses @ wts) / denom
         else:
             psi_hat = None
-        return NWEvaluation(psi_hat=psi_hat, f_hat=f_hat, g_hat=g_hat, n_effective=n_eff)
+        return NWEvaluation(psi_hat=psi_hat, f_hat=f_hat, g_hat=g_hat)
 
 
 @dataclass(frozen=True)
@@ -173,41 +167,22 @@ class SmallBallModel:
 
 
 def estimate_small_ball(
-    x: np.ndarray,
-    h_grid: Sequence[float],
-    sample: np.ndarray,
-    grid: Optional[np.ndarray] = None,
-    s_grid: Optional[Sequence[float]] = None,
+    distances: np.ndarray, h_grid: Sequence[float], s_grid: Optional[Sequence[float]] = None
 ) -> SmallBallModel:
-    """Estimate F_x(h) over a bandwidth grid from an independent sample.
-
-    `sample` holds curves on `grid`, or plain d-dimensional points when
-    `grid` is None (the finite-dimensional surrogate, Euclidean distance).
+    """Estimate F_x(h) over a bandwidth grid, and tau over `s_grid`, from the
+    distances of an independent reference sample to the query x:
+    `curve_distances(reference, x)` for curves, Euclidean distances for
+    points. Every fraction is a count in one sorted copy of the distances.
     """
-    h_grid = np.asarray(h_grid, dtype=float)
-    if h_grid.ndim != 1 or h_grid.size == 0 or np.any(h_grid <= 0) or np.any(np.diff(h_grid) <= 0):
-        raise ValidationError("h_grid must be positive and strictly increasing")
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
-    x = np.asarray(x, dtype=float)
-    if grid is None:
-        dists = np.sqrt(((sample - x[None, :]) ** 2).sum(axis=1))
-    else:
-        grid = np.asarray(grid, dtype=float)
-        dists = curve_distances(_as_path(sample, grid), _as_path(x, grid))
-    return _small_ball_from_distances(h_grid, dists, s_grid)
-
-
-def _small_ball_from_distances(
-    h_grid: np.ndarray, dists: np.ndarray, s_grid: Optional[Sequence[float]] = None
-) -> SmallBallModel:
-    """F_hat and tau_hat of estimate_small_ball from the reference distances
-    to the query, for callers that already hold them. Every fraction is a
-    count in one sorted copy of the distances."""
+    h_grid = _increasing(h_grid, "h_grid")
+    if h_grid[0] <= 0:
+        raise ValidationError("h_grid must be positive")
+    s_grid = np.linspace(0.05, 1.0, 20) if s_grid is None else _increasing(s_grid, "s_grid")
+    if s_grid[0] <= 0 or s_grid[-1] > 1:
+        raise ValidationError("s_grid must lie in (0, 1]")
+    dists = _distances(distances, "reference distances")
     if dists.size < MIN_REFERENCE_CURVES:
         raise ValidationError(f"reference sample has {dists.size} < {MIN_REFERENCE_CURVES} members")
-    if s_grid is None:
-        s_grid = np.linspace(0.05, 1.0, 20)
-    s_grid = np.asarray(s_grid, dtype=float)
     sorted_dists = np.sort(dists)
     f_hat = np.searchsorted(sorted_dists, h_grid, "right") / dists.size
     if not np.any(f_hat > 0):
@@ -218,14 +193,32 @@ def _small_ball_from_distances(
     return SmallBallModel(h_grid=h_grid, f_hat=f_hat, h_ref=h_ref, s_grid=s_grid, tau_hat=tau_hat)
 
 
+def _increasing(values, name: str) -> np.ndarray:
+    """`values` as a non-empty, finite, strictly increasing 1-D array."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)) \
+            or np.any(np.diff(values) <= 0):
+        raise ValidationError(f"{name} must be finite and strictly increasing")
+    return values
+
+
+def _distances(values, name: str) -> np.ndarray:
+    """`values` as a 1-D array of finite, non-negative distances."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or not np.all((values >= 0) & np.isfinite(values)):
+        raise ValidationError(f"{name} must be finite and non-negative")
+    return values
+
+
 def m_constant(kernel: KernelSpec, tau: Callable[[np.ndarray], np.ndarray]) -> float:
     """K(1) - integral of K'(s) tau(s) over [0, 1], composite trapezoid.
 
-    The model requires the result to be positive; nonpositive values raise.
+    The model requires the result to be positive; nonpositive values raise,
+    and so does a tau value outside [0, 1], NaN included.
     """
     s = np.linspace(0.0, 1.0, M_QUADRATURE_POINTS)
     tau_vals = np.asarray(tau(s), dtype=float)
-    if np.any(tau_vals < -1e-9) or np.any(tau_vals > 1.0 + 1e-9):
+    if not np.all((tau_vals >= -1e-9) & (tau_vals <= 1.0 + 1e-9)):
         raise ValidationError("tau must map [0, 1] into [0, 1]")
     integrand = kernel.derivative(s) * tau_vals
     m_value = kernel.at_one - float(trapezoid_weights(s) @ integrand)
@@ -253,7 +246,7 @@ def bandwidth_schedule(
     """
     if not 0.0 < theta < 0.5:
         raise DomainError(f"theta = {theta} outside (0, 1/2)")
-    pilot = np.asarray(pilot_distances, dtype=float)
+    pilot = _distances(pilot_distances, "pilot distances")
     if pilot.size == 0:
         raise ValidationError("pilot distance sample is empty")
     if n < 3:
@@ -293,10 +286,10 @@ def _forecast_block(args) -> np.ndarray:
         x = sample.take(t - 1)
         ref_dists = curve_distances(reference, x)
         h = bandwidth_schedule(n, theta, ref_dists).h
-        ball = _small_ball_from_distances(np.array([h]), ref_dists)
+        ball = estimate_small_ball(ref_dists, [h])
         m_hat = m_constant(kernel, ball.tau)
-        fit = RegressionFit(kernel=kernel, bandwidth=h, training=sample, reference_curves=reference)
-        out = fit.evaluate(x, float(ball.f_hat[0]))
+        fit = RegressionFit(kernel=kernel, bandwidth=h, training=sample)
+        out = fit.evaluate(x, ball.f_hat[0])
         psi_true = float(psi_func(x)[0])
         err = abs(out.psi_hat - psi_true) if out.defined else math.nan
         rows[pos] = (

@@ -255,7 +255,7 @@ def test_criterion_6_small_ball_oracle():
     angle = rng.uniform(0.0, 2.0 * np.pi, m)
     points = np.column_stack([radii * np.cos(angle), radii * np.sin(angle)])
     model = estimate_small_ball(
-        np.zeros(2), [0.1, 0.2, 0.4, 0.8], points,
+        np.sqrt((points**2).sum(axis=1)), [0.1, 0.2, 0.4, 0.8],
         s_grid=[0.25, 0.5, 0.75, 1.0],
     )
     f_ok = all(
@@ -341,11 +341,8 @@ def test_criterion_9_exactness_micro_suite(tmp_path):
         grid=grid, coords=dists[:, None] * np.ones((1, 5)),
         responses=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
     )
-    fit = RegressionFit(
-        kernel=KernelSpec("downslope-linear"), bandwidth=1.0, training=training,
-        reference_curves=np.linspace(0.0, 2.0, 12)[:, None] * np.ones((1, 5)),
-    )
-    nw = fit.evaluate(np.zeros(5))
+    fit = RegressionFit(kernel=KernelSpec("downslope-linear"), bandwidth=1.0, training=training)
+    nw = fit.evaluate(np.zeros(5), 6 / 12)
     nw_ok = nw.defined and abs(nw.psi_hat - 8.8 / 4.8) <= 1e-12
 
     args = lambda out: [

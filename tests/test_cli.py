@@ -302,8 +302,8 @@ class TestExitCodes:
 
 
 FAILING = SimpleNamespace(lhs=1.0, rhs=0.0, holds=False)
-UNDEFINED_FIT = SimpleNamespace(evaluate=lambda curve: SimpleNamespace(defined=False,
-                                                                      psi_hat=math.nan))
+UNDEFINED_FIT = SimpleNamespace(evaluate=lambda curve, f_ref: SimpleNamespace(defined=False,
+                                                                             psi_hat=math.nan))
 
 
 @pytest.mark.parametrize(

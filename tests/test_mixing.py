@@ -94,7 +94,7 @@ class TestAlphaExact:
             alpha_exact(FiniteJointDistribution(joint))
 
 
-def per_mask_alpha_table(dev):
+def per_mask_subset_sums(dev):
     """The per-mask subset-sum recursion, one Python iteration per row subset."""
     if dev.shape[0] > dev.shape[1]:
         dev = dev.T
@@ -103,9 +103,12 @@ def per_mask_alpha_table(dev):
     for mask in range(1, 1 << m):
         low = mask & -mask
         subset_sums[mask] = subset_sums[mask ^ low] + dev[low.bit_length() - 1]
-    pos = np.maximum(subset_sums, 0.0).sum(axis=1)
-    neg = -np.minimum(subset_sums, 0.0).sum(axis=1)
-    return float(np.maximum(pos, neg).max())
+    return subset_sums
+
+
+def per_mask_alpha_table(dev):
+    """max over row sets of the positive part of their column sums."""
+    return float(np.maximum(per_mask_subset_sums(dev), 0.0).sum(axis=1).max())
 
 
 class TestAlphaTable:
@@ -135,6 +138,19 @@ class TestAlphaTable:
         assert max(min(t.shape) for t in tables) == 16
         for table in tables:
             assert _alpha_table(table) == per_mask_alpha_table(table)
+
+    @pytest.mark.parametrize("side", [2, 5, 11, 16])
+    def test_positive_and_negative_parts_agree(self, side):
+        # zero row sums make each row set's positive and negative column-sum
+        # parts equal, so the negative one need not be reduced
+        rng = np.random.default_rng(side + 100)
+        joint = rng.dirichlet(np.ones(side * (side + 3))).reshape(side, side + 3)
+        dev = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
+        sums = per_mask_subset_sums(dev)
+        pos = np.maximum(sums, 0.0).sum(axis=1)
+        neg = -np.minimum(sums, 0.0).sum(axis=1)
+        assert_allclose(pos, neg, rtol=0, atol=1e-15)
+        assert abs(_alpha_table(dev) - np.maximum(pos, neg).max()) <= 1e-15
 
     @pytest.mark.parametrize("shape", [(17, 17), (17, 20), (20, 17)])
     def test_side_above_cap_rejected(self, shape):

@@ -12,6 +12,7 @@ from betamix.processes import (
     FunctionalPath,
     PsiSpec,
     make_psi,
+    make_regression_sample,
     simulate_far1,
     trapezoid_weights,
     uniform_grid,
@@ -30,19 +31,22 @@ from betamix.regression import (
 )
 
 
-def constant_curve_fit(distances, responses, h=1.0, kernel="downslope-linear", ref=None):
+def constant_curve_fit(distances, responses, h=1.0, kernel="downslope-linear"):
     """Training curves that are constants, so L2 distances to the zero curve
     are exactly the given values."""
     grid = uniform_grid(5)
     curves = np.asarray(distances, dtype=float)[:, None] * np.ones((1, 5))
     path = FunctionalPath(grid=grid, coords=curves, responses=np.asarray(responses, float))
-    reference = np.asarray(ref, dtype=float)[:, None] * np.ones((1, 5)) if ref is not None \
-        else np.linspace(0, 2, 12)[:, None] * np.ones((1, 5))
-    return RegressionFit(kernel=KernelSpec(kernel), bandwidth=h, training=path,
-                         reference_curves=reference)
+    return RegressionFit(kernel=KernelSpec(kernel), bandwidth=h, training=path)
+
+
+def euclidean(points, x):
+    return np.sqrt(((points - x) ** 2).sum(axis=1))
 
 
 ZERO_QUERY = np.zeros(5)
+# F_0(1) of the 12 constant reference curves 0, 2/11, ..., 2: 6 lie within h = 1
+F_REF = 6 / 12
 
 
 class TestKernels:
@@ -129,33 +133,30 @@ class TestFrameGeometry:
 class TestNadarayaWatson:
     def test_constant_responses(self):
         fit = constant_curve_fit([0.1, 0.5, 0.9], [3.0, 3.0, 3.0])
-        out = fit.evaluate(ZERO_QUERY)
+        out = fit.evaluate(ZERO_QUERY, F_REF)
         assert out.defined
         assert out.psi_hat == pytest.approx(3.0, rel=1e-14)
 
     def test_single_neighbor(self):
         fit = constant_curve_fit([0.4, 5.0, 7.0], [2.5, -1.0, 4.0])
-        out = fit.evaluate(ZERO_QUERY)
-        assert out.n_effective == 1
+        out = fit.evaluate(ZERO_QUERY, F_REF)
         assert out.psi_hat == pytest.approx(2.5, rel=1e-14)
 
     def test_five_point_hand_example(self):
         fit = constant_curve_fit([0.1, 0.2, 0.9, 1.5, 2.0], [1, 2, 3, 4, 5])
-        out = fit.evaluate(ZERO_QUERY)
-        assert out.n_effective == 3
+        out = fit.evaluate(ZERO_QUERY, F_REF)
         assert abs(out.psi_hat - 8.8 / 4.8) < 1e-12
 
     def test_undefined_when_no_neighbors(self):
         fit = constant_curve_fit([1.5, 2.0, 3.0], [1.0, 2.0, 3.0])
-        out = fit.evaluate(ZERO_QUERY)
+        out = fit.evaluate(ZERO_QUERY, F_REF)
         assert not out.defined
         assert out.psi_hat is None
-        assert out.n_effective == 0
 
     def test_ratio_identity(self):
         rng = np.random.default_rng(3)
         fit = constant_curve_fit(rng.uniform(0, 2, 20), rng.normal(size=20))
-        out = fit.evaluate(ZERO_QUERY)
+        out = fit.evaluate(ZERO_QUERY, F_REF)
         assert out.f_hat > 0
         assert out.psi_hat == pytest.approx(out.g_hat / out.f_hat, rel=1e-12)
 
@@ -164,37 +165,60 @@ class TestNadarayaWatson:
         for _ in range(20):
             d = rng.uniform(0, 2, 15)
             y = rng.normal(size=15)
-            out = constant_curve_fit(d, y).evaluate(ZERO_QUERY)
+            out = constant_curve_fit(d, y).evaluate(ZERO_QUERY, F_REF)
             if out.defined:
                 assert y.min() - 1e-12 <= out.psi_hat <= y.max() + 1e-12
 
     def test_far_points_do_not_change_estimate(self):
-        out1 = constant_curve_fit([0.2, 0.7], [1.0, 5.0]).evaluate(ZERO_QUERY)
+        out1 = constant_curve_fit([0.2, 0.7], [1.0, 5.0]).evaluate(ZERO_QUERY, F_REF)
         far = constant_curve_fit([0.2, 0.7, 1.01, 40.0], [1.0, 5.0, 100.0, -7.0])
-        out2 = far.evaluate(ZERO_QUERY)
+        out2 = far.evaluate(ZERO_QUERY, F_REF)
         assert out1.psi_hat == pytest.approx(out2.psi_hat, rel=1e-14)
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(7)
         d = rng.uniform(0, 1.5, 10)
         y = rng.normal(size=10)
-        base = constant_curve_fit(d, y).evaluate(ZERO_QUERY).psi_hat
-        scaled = constant_curve_fit(d, 3.0 * y + 2.0).evaluate(ZERO_QUERY).psi_hat
+        base = constant_curve_fit(d, y).evaluate(ZERO_QUERY, F_REF).psi_hat
+        scaled = constant_curve_fit(d, 3.0 * y + 2.0).evaluate(ZERO_QUERY, F_REF).psi_hat
         assert scaled == pytest.approx(3.0 * base + 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("f_ref", [math.nan, math.inf, -0.1, 1.5])
+    def test_f_ref_outside_unit_interval_rejected(self, f_ref):
+        with pytest.raises(ValidationError):
+            constant_curve_fit([0.1, 0.5], [1.0, 2.0]).evaluate(ZERO_QUERY, f_ref)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
+    def test_bandwidth_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValidationError):
+            constant_curve_fit([0.1, 0.5], [1.0, 2.0], h=h)
+
+    def test_f_ref_from_the_reference_curves(self):
+        spec = Far1Spec(rho=0.5, burn_in=10)
+        sample = make_regression_sample(simulate_far1(spec, 150, 16, seed=1), PsiSpec("norm"),
+                                        0.1, np.random.default_rng(2))
+        reference = simulate_far1(spec, 150, 16, seed=3)
+        x = sample.take(149)
+        dists = curve_distances(reference, x)
+        h = float(np.median(dists))
+        f_ref = estimate_small_ball(dists, [h]).f_hat[0]
+        assert f_ref == np.count_nonzero(dists <= h) / 150
+        out = RegressionFit(KernelSpec("uniform"), h, sample).evaluate(x, f_ref)
+        assert out.f_hat == pytest.approx(np.mean(curve_distances(sample, x) <= h) / f_ref)
 
 
 class TestSmallBall:
     def test_extreme_bandwidths(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(-1, 1, size=(200, 3))
-        model = estimate_small_ball(np.zeros(3), [0.01, 5.0], pts)
+        model = estimate_small_ball(euclidean(pts, np.zeros(3)), [0.01, 5.0])
         assert model.f_hat[-1] == 1.0
         assert np.all(np.diff(model.f_hat) >= 0)
 
     def test_zero_below_minimum_distance(self):
         rng = np.random.default_rng(41)
         pts = rng.uniform(0.5, 1.0, size=(300, 2))  # distances to origin >= 0.5
-        model = estimate_small_ball(np.zeros(2), [0.1, 3.0], pts)
+        model = estimate_small_ball(euclidean(pts, np.zeros(2)), [0.1, 3.0])
         assert model.f_hat[0] == 0.0
         assert model.f_hat[1] == 1.0
         assert model.h_ref == 3.0
@@ -203,11 +227,11 @@ class TestSmallBall:
         rng = np.random.default_rng(13)
         pts = 1.0 + rng.uniform(0, 1, size=(150, 2))
         with pytest.raises(DomainError):
-            estimate_small_ball(np.zeros(2), [1e-6], pts)
+            estimate_small_ball(euclidean(pts, np.zeros(2)), [1e-6])
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValidationError):
-            estimate_small_ball(np.zeros(2), [0.5], np.zeros((50, 2)))
+            estimate_small_ball(np.zeros(50), [0.5])
 
     def test_uniform_disk_surrogate(self):
         rng = np.random.default_rng(17)
@@ -216,8 +240,7 @@ class TestSmallBall:
         angle = rng.uniform(0, 2 * np.pi, m)
         pts = np.column_stack([radii * np.cos(angle), radii * np.sin(angle)])
         model = estimate_small_ball(
-            np.zeros(2), [0.1, 0.2, 0.4, 0.8], pts,
-            s_grid=[0.25, 0.5, 0.75, 1.0],
+            euclidean(pts, np.zeros(2)), [0.1, 0.2, 0.4, 0.8], s_grid=[0.25, 0.5, 0.75, 1.0],
         )
         for h, f in zip(model.h_grid, model.f_hat):
             se = math.sqrt(h**2 * (1 - h**2) / m)
@@ -232,9 +255,28 @@ class TestSmallBall:
     def test_tau_interpolation_anchored_at_zero(self):
         rng = np.random.default_rng(19)
         pts = rng.uniform(-1, 1, size=(500, 2))
-        model = estimate_small_ball(np.zeros(2), [0.5, 1.0], pts)
+        model = estimate_small_ball(euclidean(pts, np.zeros(2)), [0.5, 1.0])
         assert model.tau(np.array([0.0]))[0] == 0.0
         assert np.all(model.tau(np.linspace(0, 1, 50)) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("h_grid", [[math.nan], [math.inf], [0.5, math.nan], [0.0, 1.0],
+                                        [1.0, 0.5], []])
+    def test_bandwidth_grid_must_be_finite_positive_and_increasing(self, h_grid):
+        with pytest.raises(ValidationError):
+            estimate_small_ball(np.linspace(0.0, 2.0, 200), h_grid)
+
+    @pytest.mark.parametrize("s_grid", [[math.nan, -1.0, 2.0], [0.0, 1.0], [0.5, 1.5],
+                                        [0.5, 0.25], [math.nan]])
+    def test_profile_grid_must_increase_within_unit_interval(self, s_grid):
+        with pytest.raises(ValidationError):
+            estimate_small_ball(np.linspace(0.0, 2.0, 200), [1.0], s_grid=s_grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_distances_must_be_finite_and_non_negative(self, bad):
+        dists = np.linspace(0.0, 2.0, 200)
+        dists[7] = bad
+        with pytest.raises(ValidationError):
+            estimate_small_ball(dists, [1.0])
 
 
 class TestMConstant:
@@ -262,6 +304,10 @@ class TestMConstant:
     def test_bad_tau_rejected(self):
         with pytest.raises(ValidationError):
             m_constant(KernelSpec("uniform"), lambda s: 2.0 * s)
+
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValidationError):
+            m_constant(KernelSpec("downslope-linear"), lambda s: np.where(s > 0.5, np.nan, s))
 
 
 class TestBandwidthSchedule:
@@ -305,6 +351,11 @@ class TestBandwidthSchedule:
             bandwidth_schedule(100, 0.6, np.array([1.0]))
         with pytest.raises(DomainError):
             bandwidth_schedule(100, 0.0, np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_pilot_distances_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValidationError):
+            bandwidth_schedule(100, 0.3, np.array([0.2, bad, 1.0]))
 
 
 class TestDynamicForecast:

@@ -12,6 +12,7 @@ import marshal
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,8 +45,9 @@ def test_layer_call_resolves(module_name, attr):
         assert callable(getattr(module, attr))
 
 
-def traced_counters(tmp_path, suite, *cli_args):
-    """Counters of one traced CLI run at workers = 1; the run must exit 0."""
+def traced_run(tmp_path, suite, *cli_args):
+    """The marshal dump of one traced CLI run at workers = 1: (names, name
+    index, starts, ends, parents, counters) of its spans; the run must exit 0."""
     spans = tmp_path / "spans"
     env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
     argv = [sys.executable, str(TRACED_PATH), str(spans), suite, "--workers", "1",
@@ -53,11 +55,11 @@ def traced_counters(tmp_path, suite, *cli_args):
     run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
     with open(spans, "rb") as fh:
-        return marshal.load(fh)[-1]
+        return marshal.load(fh)
 
 
 def test_traced_concentration_counts_chain_steps(tmp_path):
-    counters = traced_counters(
+    *_, counters = traced_run(
         tmp_path, "concentration", "--seed", "2", "--reps", "200",
         "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.1",
         "--set", "grid.A=14,20", "--set", "fspec=odd-clip", "--set", "process.burn_in=100",
@@ -68,10 +70,26 @@ def test_traced_concentration_counts_chain_steps(tmp_path):
     assert counters["processes.chain_steps"] == tail + laplace + mixing_fit
 
 
-def test_traced_fkr_counts_far1_steps(tmp_path):
-    counters = traced_counters(
-        tmp_path, "fkr", "--seed", "405", "--reps", "100",
+@pytest.fixture(scope="module")
+def traced_fkr(tmp_path_factory):
+    return traced_run(
+        tmp_path_factory.mktemp("fkr"), "fkr", "--seed", "405", "--reps", "100",
         "--set", "grid.n=100,200", "--set", "grid_size=16", "--set", "process.burn_in=50",
     )
+
+
+def test_traced_fkr_counts_far1_steps(traced_fkr):
+    counters = traced_fkr[-1]
     # a training path and a reference path per replication
     assert counters["processes.far1_steps"] == sum(2 * 100 * (50 + n) for n in (100, 200))
+
+
+def test_traced_fkr_sees_each_forecast_layer(traced_fkr):
+    names, name_idx = traced_fkr[:2]
+    spans = Counter(names[i] for i in name_idx)
+    replications = 2 * 100
+    # reference distances, then training distances inside the NW evaluation
+    assert spans["regression.distance"] == 2 * replications
+    assert spans["regression.small_ball"] == replications
+    assert spans["regression.bandwidth"] == replications
+    assert spans["regression.nw"] == replications
