@@ -3,6 +3,12 @@ kernel regression, with seeded simulators and an experiment CLI."""
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+if "numpy" not in sys.modules:  # read once, as numpy loads OpenBLAS: no server thread
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .concentration import (
     BoundParams,
     FSpec,

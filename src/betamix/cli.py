@@ -324,9 +324,10 @@ _SUITE_RUNNERS = {
 def run_suite(config: ExperimentConfig) -> SuiteResult:
     """Run one suite: write reports and a manifest, return checks + exit code.
 
-    The run has one execution context: BLAS pinned to one thread before the
-    suite starts, in this process and so in every pool worker it forks, and
-    at most one process pool, shut down when the suite ends. Reports are
+    The run has one execution context: BLAS on one thread, and at most one
+    process pool, shut down when the suite ends. Importing betamix before
+    numpy loads OpenBLAS on one thread, in this process and in every pool
+    worker; `one_blas_thread` pins one that numpy loaded first. Reports are
     written once the whole suite has returned, so a run stopped by an error
     writes none.
     """
@@ -360,8 +361,8 @@ PLOTDATA_HEADER = ["series", "x", "y", "y_lo", "y_hi"]
 def emit_plotdata(report_path: str, kind: str, output_path: str) -> None:
     """Tidy a wide suite report into long-format (series, x, y, y_lo, y_hi).
 
-    A row with the wrong cell count, a non-numeric cell, or (concentration)
-    an n < 3, where log log n is undefined, raises ConfigError naming its line.
+    A row with the wrong cell count, a non-numeric cell, a non-finite cell it
+    reads, or an n < 3 (concentration) raises ConfigError naming its line.
     """
     expected = {"concentration": CONCENTRATION_HEADER, "fkr": FKR_HEADER}.get(kind)
     if expected is None:
@@ -377,6 +378,8 @@ def emit_plotdata(report_path: str, kind: str, output_path: str) -> None:
     if header != expected:
         raise ConfigError(f"report schema mismatch: expected {expected}, got {header}")
     text = 1 if kind == "concentration" else 0  # experiment_id is the only text cell
+    # a failed rate fit leaves bound_value nan, and the plot reads no bound
+    read = (1, 2, 4, 5) if kind == "concentration" else range(5)
     out_rows: list[tuple] = []
     for lineno, cells in lines[1:]:
         where = f"report {report_path} line {lineno}"
@@ -386,9 +389,11 @@ def emit_plotdata(report_path: str, kind: str, output_path: str) -> None:
             values = cells[:text] + [float(c) for c in cells[text:]]
         except ValueError as exc:
             raise ConfigError(f"{where}: non-numeric cell ({exc})") from exc
+        if not all(math.isfinite(values[i]) for i in read):
+            raise ConfigError(f"{where}: non-finite cell")
         if kind == "concentration":
             n, p_hat, ci = values[1], values[4], values[5]
-            if not n >= 3:
+            if n < 3:
                 raise ConfigError(f"{where}: n = {cells[1]} < 3 leaves log log n undefined")
             x = n / (math.log(n) * math.log(math.log(n)))
             out_rows.append((f"eps={cells[2]}", x, p_hat, p_hat - ci, p_hat + ci))

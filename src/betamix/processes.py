@@ -215,7 +215,9 @@ class FunctionalPath:
         return self.coords @ (wg if self.frame is None else self.frame @ wg)
 
     def take(self, k: int) -> FunctionalPath:
-        """Curve k alone, as a one-curve path in this path's frame."""
+        """Curve k, 0 <= k < n_curves, alone, as a one-curve path in this path's frame."""
+        if not 0 <= k < self.n_curves:
+            raise ValidationError(f"curve index {k} outside [0, {self.n_curves})")
         return replace(self, coords=self.coords[[k]], responses=None)
 
 

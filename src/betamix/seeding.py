@@ -5,12 +5,12 @@ np.random.SeedSequence(seed, spawn_key=(stream, grid_value, block)), NumPy's
 scheme for independent parallel streams. Results depend on the fixed block
 sizes, never on execution order or worker count.
 
-A process runs its blocks on one execution context: BLAS on one thread
-(`one_blas_thread`) and at most one process pool per worker count, opened at
-the first parallel call and reused by every later one. `replicate` is the
-driver of every Monte Carlo section: it checks each grid point's query index
-against its path length and sends all the blocks of the section's points
-through one map of that pool, longest path first.
+A process runs its blocks on one execution context: BLAS on one thread (from
+the import of betamix, see `one_blas_thread`) and at most one process pool per
+worker count, opened at the first parallel call and reused by every later one.
+`replicate` is the driver of every Monte Carlo section: it checks each grid
+point's query index against its path length and sends all the blocks of the
+section's points through one map of that pool, longest path first.
 """
 
 import ctypes
@@ -82,14 +82,10 @@ def _openblas_thread_calls():
 
 def one_blas_thread() -> Optional[int]:
     """Pin the OpenBLAS that numpy loaded to one thread for the rest of the
-    process, overriding OPENBLAS_NUM_THREADS, and return the count read back;
-    return None and change nothing when no OpenBLAS is found.
-
-    The package's matrix products, such as the (n x 9)(9 x 9) products of the
-    forecast's frame coordinates with their Gram factor, are too small to gain
-    from a second BLAS thread, and a second thread in every pool worker
-    oversubscribes the CPUs.
-    """
+    process and return the count read back; None, with nothing changed, when
+    no OpenBLAS is found. Importing betamix before numpy loads it on one
+    thread; one loaded first keeps the server thread it started, idle after
+    this call. The package's small products gain nothing from a second one."""
     calls = _openblas_thread_calls()
     if calls is None:
         return None
@@ -110,9 +106,9 @@ def pool_size(workers: int) -> int:
 def _pool(workers: int) -> ProcessPoolExecutor:
     """The process's pool for `workers` workers, of pool_size(workers)
     processes: under fork every one of them starts at the first task. They
-    stop at `shutdown()` or in the interpreter's exit hook; each pins its own
-    BLAS, which matters under start methods that do not fork the pinned
-    parent."""
+    stop at `shutdown()` or in the interpreter's exit hook. Each inherits
+    OPENBLAS_NUM_THREADS=1 when betamix was imported before numpy, and pins
+    its own BLAS for a parent that imported numpy first."""
     return ProcessPoolExecutor(max_workers=pool_size(workers), initializer=one_blas_thread)
 
 

@@ -800,6 +800,44 @@ class TestExecutionContext:
             setter(1)
         assert counts.tolist() == [1, 1, 1, 1]
 
+    def test_import_loads_openblas_on_one_thread(self, tmp_path):
+        # a fresh interpreter: this one loaded numpy, and its OpenBLAS, before betamix
+        if not os.path.isdir("/proc/self/task") or seeding.one_blas_thread() is None:
+            pytest.skip("needs /proc/self/task and an OpenBLAS thread setter")
+        script = tmp_path / "threads.py"
+        script.write_text(_THREADS_CHILD)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="4",
+                   PYTHONPATH=str(Path(betamix.__file__).parents[1]))
+        out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert json.loads(out.stdout) == {"threads": 1, "variable": "1", "workers": [1] * 4}
+        # a caller that loaded numpy first keeps its own setting
+        code = "import os, numpy, betamix; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "4"
+
+
+_THREADS_CHILD = """
+import json
+import os
+
+import betamix.cli
+from betamix import seeding
+
+
+def threads(args):
+    import numpy as np
+    return np.full(len(args[-1]), len(os.listdir("/proc/self/task")))
+
+
+if __name__ == "__main__":
+    own = len(os.listdir("/proc/self/task"))
+    (workers,) = seeding.replicate(threads, (), [(1, 1)], 4, 1, 2)
+    print(json.dumps({"threads": own, "variable": os.environ["OPENBLAS_NUM_THREADS"],
+                      "workers": workers.tolist()}))
+"""
+
 
 def _worker_blas_threads(args):
     """Block function: the worker's OpenBLAS thread count, once per replication."""
@@ -869,6 +907,11 @@ class TestPlotdata:
             ("fkr", "200,0.5,0.1", "cells"),
             ("fkr", "200,0.5,0.1,0.2,0.3,0.0,9", "cells"),
             ("fkr", "200,0.9,0.4,abc,0.3,0.0", "non-numeric"),
+            ("concentration", "tail(eps=0.1),inf,0.1,1.0,0.25,0.01,0.5,7", "non-finite"),
+            ("concentration", "tail(eps=0.1),100,0.1,1.0,nan,0.01,0.5,7", "non-finite"),
+            ("fkr", "200,0.5,nan,0.2,0.3,0.0", "non-finite"),
+            ("fkr", "200,0.5,0.1,inf,0.3,0.0", "non-finite"),
+            ("fkr", "200,0.5,0.1,0.2,-inf,0.0", "non-finite"),
         ],
     )
     def test_malformed_row_exits_2_naming_its_line(self, tmp_path, capsys, kind, row, problem):
@@ -885,6 +928,15 @@ class TestPlotdata:
         assert code == 2
         assert "line 3" in err and problem in err
         assert "Traceback" not in err
+
+    def test_nan_bound_of_a_failed_rate_fit_is_plotted(self, tmp_path):
+        # the concentration suite writes bound_value = nan when a rate fit fails
+        report = tmp_path / "concentration_report.csv"
+        report.write_text("experiment_id,n,epsilon,B,p_hat,ci,bound_value,seed\n"
+                          "tail(eps=0.1),100,0.1,1.0,0.0,0.0,nan,7\n")
+        out = tmp_path / "plot.csv"
+        emit_plotdata(str(report), "concentration", str(out))
+        assert len(out.read_text().strip().split("\n")) == 2
 
     def test_missing_report_exits_2(self, tmp_path):
         code = run_cli("plotdata", str(tmp_path / "absent.csv"), "--kind", "fkr",

@@ -511,3 +511,11 @@ class TestGridValidation:
         grid = np.array([0.0, 0.5, 0.5, 1.0])
         with pytest.raises(ValidationError):
             FunctionalPath(grid, np.zeros((1, 4)))
+
+
+class TestTake:
+    @pytest.mark.parametrize("k", [-1, 6])
+    def test_index_outside_the_path_rejected(self, k):
+        path = simulate_far1(Far1Spec(kernel="separable", burn_in=10), 6, grid_size=16, seed=3)
+        with pytest.raises(ValidationError, match="curve index"):
+            path.take(k)
