@@ -131,7 +131,7 @@ class FunctionalPath:
     quadrature geometry the estimators use comes from the coordinates alone,
     through `distances` and `inner`. `gram_factor` is a square-root factor R
     of the frame's Gram matrix F W F^T (W the trapezoid weights), computed
-    from the frame when not given.
+    from the frame when not given (a grid-valued path takes none).
     """
 
     grid: np.ndarray
@@ -152,6 +152,8 @@ class FunctionalPath:
         if self.frame is None:
             if coords.shape[1] != grid.size:
                 raise ValidationError("curves must have one column per grid point")
+            if self.gram_factor is not None:
+                raise ValidationError("a gram_factor needs the frame it factors")
         else:
             frame = np.asarray(self.frame, dtype=float)
             if frame.shape != (coords.shape[1], grid.size):
@@ -159,9 +161,12 @@ class FunctionalPath:
                                       "column per grid point")
             if not np.isfinite(frame).all():
                 raise ValidationError("frame values must be finite")
-            if self.gram_factor is None:
-                object.__setattr__(self, "gram_factor", _gram_factor(frame, grid))
+            factor = (_gram_factor(frame, grid) if self.gram_factor is None
+                      else np.asarray(self.gram_factor, dtype=float))
+            if factor.shape != (len(frame),) * 2 or not np.isfinite(factor).all():
+                raise ValidationError(f"gram_factor must be a finite {(len(frame),) * 2} array")
             object.__setattr__(self, "frame", frame)
+            object.__setattr__(self, "gram_factor", factor)
         if not np.isfinite(coords).all():
             raise ValidationError("curve values must be finite")
         object.__setattr__(self, "grid", grid)
@@ -365,28 +370,30 @@ def _simulate_chain_columns(
         raise ValidationError("path length must be >= 1")
     width = len(seeds)
     x = np.full(width, spec.x0)
+    step = (spec.a, np.empty(width), None if spec.map == "linear" else spec.apply_map)
     burn = max(spec.burn_in - 1, 0)  # steps before the draw that yields x_burn_in
     for start in range(0, burn, BURN_ROWS):
         rows = min(BURN_ROWS, burn - start)
-        x = _advance_chain(spec, x, _draw_innovations(spec, rng, (rows, width)))[-1].copy()
+        x = _advance_chain(x, _draw_innovations(spec, rng, (rows, width)), *step)[-1].copy()
     if spec.burn_in == 0:
-        paths = _advance_chain(spec, x, _draw_innovations(spec, rng, (n - 1, width)))
+        paths = _advance_chain(x, _draw_innovations(spec, rng, (n - 1, width)), *step)
         return np.concatenate([x[None, :], paths])
-    return _advance_chain(spec, x, _draw_innovations(spec, rng, (n, width)))
+    return _advance_chain(x, _draw_innovations(spec, rng, (n, width)), *step)
 
 
-def _advance_chain(spec: ContractiveChainSpec, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
+def _advance_chain(x: np.ndarray, eps: np.ndarray, coef: float, prod: np.ndarray,
+                   apply_map: Optional[Callable] = None) -> np.ndarray:
     """States x_1, ..., x_rows after x_0 = x, written over the innovation
-    rows of `eps` (x_t = psi(x_{t-1}) + eps[t - 1]). The columns advance
-    together, one contiguous row per step. A single linear-map column runs as
-    the scalar recursion of _ar1_path, which performs the identical
-    multiply-add.
-    """
-    if spec.map == "linear" and eps.shape[1] == 1:
-        eps[:, 0] = _ar1_path(spec.a, eps[:, 0], float(x[0]))[1:]
+    rows of `eps`: x_t = coef * x_{t-1} + eps[t - 1], or apply_map(x_{t-1})
+    + eps[t - 1] when a map is given. The columns advance together, one row
+    per step, coef * x going to the preallocated `prod`. A single column of
+    the linear step runs as the scalar recursion of _ar1_path, which performs
+    the identical multiply-add."""
+    if apply_map is None and eps.shape[1] == 1:
+        eps[:, 0] = _ar1_path(coef, eps[:, 0], float(x[0]))[1:]
         return eps
     for row in eps:
-        row += spec.apply_map(x)
+        row += np.multiply(coef, x, out=prod) if apply_map is None else apply_map(x)
         x = row
     return eps
 
@@ -413,68 +420,117 @@ def _bump_operator(grid: np.ndarray, rho: float, width: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _far1_frame(spec: Far1Spec, grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _far1_frame(spec: Far1Spec, grid_size: int):
     """The uniform grid of `grid_size` points, the frame [phi; b_1; ...; b_M]
     of the spec's paths on it (phi the eigenfunction, b_m = sqrt(2) sin(pi m u)
-    the innovation basis) and the frame's Gram factor, all read-only: every
-    path of one (spec, grid_size) shares them."""
+    the innovation basis), its Gram factor, <b_m, phi>_w and <phi, phi>_w,
+    all read-only: every path of one (spec, grid_size) shares them."""
+    if grid_size < 8:
+        raise ValidationError("grid_size must be >= 8")
     grid = uniform_grid(grid_size)
     modes = np.arange(1, spec.noise_terms + 1)
     basis = np.sqrt(2.0) * np.sin(np.pi * modes[:, None] * grid[None, :])
     frame = np.vstack([spec.eigenfunction(grid), basis])
-    factor = _gram_factor(frame, grid)
-    for array in (grid, frame, factor):
+    wphi = trapezoid_weights(grid) * frame[0]
+    factor, loading = _gram_factor(frame, grid), frame[1:] @ wphi
+    for array in (grid, frame, factor, loading):
         array.flags.writeable = False
-    return grid, frame, factor
+    return grid, frame, factor, loading, float(wphi @ frame[0])
 
 
-def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed) -> FunctionalPath:
+def _far1_rows(spec: Far1Spec, n: int) -> tuple[int, int]:
+    """(first kept row, rows) of a path's coefficients: row t - 1 drives X_t."""
+    if n < 1:
+        raise ValidationError("path length must be >= 1")
+    return max(spec.burn_in, 1) - 1 if spec.kernel == "separable" else 0, spec.burn_in + n - 1
+
+
+def _far1_coeffs(spec: Far1Spec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with the next innovation coefficient rows: the values and end
+    state of rng.uniform(-sqrt(3), sqrt(3)), scaled by noise_scale / m."""
+    rng.random(out=out)
+    out *= 2.0 * math.sqrt(3.0)
+    out -= math.sqrt(3.0)
+    out *= spec.noise_scale / np.arange(1, spec.noise_terms + 1)
+    return out
+
+
+def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.ndarray, list]:
+    """Draw FAR(1) paths of length n, `count` from each (generator, count) of
+    `streams` in turn, as simulate_far1 draws them, and run all their
+    phi-score recursions c_t = rho <phi, phi>_w c_{t-1} + d_{t-1} together.
+    Path j's draw is split at its first kept row, with the values of one
+    draw, and states[j] is its generator state there. Only the drive
+    d = coeffs @ <b, phi>_w is kept, one product over all of its rows; the
+    burn-in rows run in their own array, then the kept rows in place in
+    column j of `scores` (no rows for a gaussian-bump path)."""
+    (first, rows), width = _far1_rows(spec, n), sum(count for _, count in streams)
+    _, _, _, loading, phi_sq = _far1_frame(spec, grid_size)
+    coeffs, burn = np.empty((rows, spec.noise_terms)), np.empty((first, width))
+    scores = np.empty((rows - first if spec.kernel == "separable" else 0, width))
+    states = []
+    for j, rng in enumerate(g for g, count in streams for _ in range(count)):
+        _far1_coeffs(spec, rng, coeffs[:first])
+        states.append(rng.bit_generator.state)
+        _far1_coeffs(spec, rng, coeffs[first:])
+        if len(scores):
+            drive = coeffs @ loading
+            burn[:, j], scores[1:, j] = drive[:first], drive[first:-1]
+    if len(scores):
+        coef, prod = spec.rho * phi_sq, np.empty(width)
+        c0 = np.full(width, float(spec.initial == "eigenfunction") * phi_sq)  # X_0 = c0 phi
+        scores[0] = _advance_chain(c0, burn, coef, prod)[-1] if first else c0
+        _advance_chain(scores[0], scores[1:], coef, prod)
+    return scores, states
+
+
+def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed,
+                  scores: Optional[np.ndarray] = None) -> FunctionalPath:
     """Curve-valued AR(1) path of length n on a uniform grid.
 
     The separable operator rho * phi <phi, .>_w has rank one, so its path is
     driven by the scalar c_t = <phi, X_t>_w, itself an AR(1) with coefficient
-    rho <phi, phi>_w, which _ar1_path runs. Every kept curve
+    rho <phi, phi>_w, which far1_scores runs. Every kept curve
     X_t = rho c_{t-1} phi + sum_m coeffs_{t-1,m} b_m then lies in the span of
     the frame [phi; b_1; ...; b_M], and the path holds its coordinates
     (rho c_{t-1}, coeffs_{t-1}) and that frame: no curve is built until
     `.curves` is read. The gaussian-bump operator is iterated curve by curve,
     and its path is grid-valued.
-    """
-    if n < 1:
-        raise ValidationError("path length must be >= 1")
-    if grid_size < 8:
-        raise ValidationError("grid_size must be >= 8")
-    grid, frame, factor = _far1_frame(spec, grid_size)
-    phi, basis = frame[0], frame[1:]
-    sigmas = spec.noise_scale / np.arange(1, spec.noise_terms + 1)
 
+    Given `scores`, its far1_scores column, and `seed` in the state recorded
+    there, only the kept rows are drawn and the scores are checked against
+    them. Alone, the path is a batch of one.
+    """
+    first, rows = _far1_rows(spec, n)
+    grid, frame, factor, loading, phi_sq = _far1_frame(spec, grid_size)
     rng = np.random.default_rng(seed)
-    total = spec.burn_in + n
-    coeffs = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(max(total - 1, 0), spec.noise_terms))
-    coeffs *= sigmas
+    if scores is None:
+        batch, (state,) = far1_scores(spec, n, grid_size, [(rng, 1)])
+        rng.bit_generator.state = state
+        scores = batch[:, 0]
+    coeffs = _far1_coeffs(spec, rng, np.empty((rows - first, spec.noise_terms)))
+    if scores.shape != (len(coeffs) if spec.kernel == "separable" else 0,):
+        raise ValidationError(f"scores of shape {scores.shape} do not fit the path's kept rows")
 
     if spec.kernel == "separable":
-        wphi = trapezoid_weights(grid) * phi
-        phi_sq = float(wphi @ phi)  # <phi, phi>_w
-        start = 1.0 if spec.initial == "eigenfunction" else 0.0  # X_0 = start * phi
-        c = _ar1_path(spec.rho * phi_sq, coeffs @ (basis @ wphi), start * phi_sq)
+        gap = scores[1:] - spec.rho * phi_sq * scores[:-1] - coeffs[:-1] @ loading
+        # BLAS may round the last rows of this product otherwise than far1_scores' whole-path one
+        if not (np.abs(gap) <= 1e-12 * np.abs(scores).max(initial=0.0)).all():
+            raise ValidationError("the scores do not follow the phi-score recursion of the draws")
         coords = np.zeros((n, 1 + spec.noise_terms))
-        first = 0
-        if spec.burn_in == 0:  # X_0 is the first kept curve
-            coords[0, 0], first = start, 1
-        # rows t - 1 for the kept steps t >= max(burn_in, 1)
-        kept = slice(max(spec.burn_in, 1) - 1, total - 1)
-        coords[first:, 0] = spec.rho * c[kept]
-        coords[first:, 1:] = coeffs[kept]
+        lead = n - len(coeffs)  # 1 when burn_in = 0: X_0 = 1 or 0 times phi is kept
+        coords[:lead, 0] = float(spec.initial == "eigenfunction")
+        coords[lead:, 0] = spec.rho * scores
+        coords[lead:, 1:] = coeffs
         return FunctionalPath(grid, coords, frame=frame, gram_factor=factor)
 
-    x = phi.copy() if spec.initial == "eigenfunction" else np.zeros(grid_size)
+    x = frame[0].copy() if spec.initial == "eigenfunction" else np.zeros(grid_size)
     op = _bump_operator(grid, spec.rho, spec.bump_width)
-    noise = coeffs @ basis
+    noise = coeffs @ frame[1:]
     curves = np.empty((n, grid_size))
     if spec.burn_in == 0:
         curves[0] = x
-    for t in range(1, total):
+    for t in range(1, rows + 1):
         x = op @ x + noise[t - 1]
         if t >= spec.burn_in:
             curves[t - spec.burn_in] = x

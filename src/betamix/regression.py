@@ -24,6 +24,7 @@ from .processes import (
     Far1Spec,
     FunctionalPath,
     PsiSpec,
+    far1_scores,
     make_psi,
     make_regression_sample,
     simulate_far1,
@@ -278,18 +279,21 @@ def _forecast_block(args) -> np.ndarray:
     block = indices.start // FORECAST_BLOCK
     streams = (Stream.FAR_PATH, Stream.REGRESSION_NOISE, Stream.REFERENCE_SAMPLE)
     path_rng, noise_rng, reference_rng = (keyed_rng(seed, s, n, block) for s in streams)
-    rows = np.empty((len(indices), 4))
-    for pos in range(len(indices)):
-        path = simulate_far1(process, n, grid_size, path_rng)
+    reps = len(indices)
+    scores, states = far1_scores(process, n, grid_size, [(path_rng, reps), (reference_rng, reps)])
+    rows = np.empty((reps, 4))
+    for pos in range(reps):  # each path is redrawn from its first kept row
+        path_rng.bit_generator.state = states[pos]
+        path = simulate_far1(process, n, grid_size, path_rng, scores[:, pos])
         sample = make_regression_sample(path, psi, noise_sd, noise_rng)
-        reference = simulate_far1(process, n, grid_size, reference_rng)
+        reference_rng.bit_generator.state = states[reps + pos]
+        reference = simulate_far1(process, n, grid_size, reference_rng, scores[:, reps + pos])
         x = sample.take(t - 1)
         ref_dists = curve_distances(reference, x)
         h = bandwidth_schedule(n, theta, ref_dists).h
         ball = estimate_small_ball(ref_dists, [h])
         m_hat = m_constant(kernel, ball.tau)
-        fit = RegressionFit(kernel=kernel, bandwidth=h, training=sample)
-        out = fit.evaluate(x, ball.f_hat[0])
+        out = RegressionFit(kernel=kernel, bandwidth=h, training=sample).evaluate(x, ball.f_hat[0])
         psi_true = float(psi_func(x)[0])
         err = abs(out.psi_hat - psi_true) if out.defined else math.nan
         rows[pos] = (

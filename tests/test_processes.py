@@ -15,11 +15,13 @@ from betamix.processes import (
     Far1Spec,
     FunctionalPath,
     PsiSpec,
+    _ar1_path,
     _bump_operator,
     _draw_innovations,
     _simulate_chain_columns,
     binned_lag_joint,
     estimate_chain_mixing,
+    far1_scores,
     load_functional_path,
     make_psi,
     make_regression_sample,
@@ -429,6 +431,90 @@ class TestFar1:
         assert_array_equal(a.curves, b.curves)
 
 
+class TestFar1Scores:
+    """far1_scores runs a batch of paths together; simulate_far1 assembles each
+    path from its scores and a redraw of its kept coefficient rows."""
+
+    @staticmethod
+    def _sequential_coords(spec, n, grid_size, rng):
+        """Reference: one path drawn whole from `rng`, its scores run by
+        _ar1_path (separable) or its operator iterated curve by curve
+        (gaussian-bump)."""
+        if spec.kernel == "gaussian-bump":
+            return TestFar1._per_step_far1(spec, n, grid_size, rng)
+        grid = uniform_grid(grid_size)
+        wphi = trapezoid_weights(grid) * spec.eigenfunction(grid)
+        modes = np.arange(1, spec.noise_terms + 1)
+        basis = np.sqrt(2.0) * np.sin(np.pi * modes[:, None] * grid[None, :])
+        total = spec.burn_in + n
+        coeffs = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(total - 1, spec.noise_terms))
+        coeffs *= spec.noise_scale / modes
+        phi_sq = float(wphi @ spec.eigenfunction(grid))
+        start = 1.0 if spec.initial == "eigenfunction" else 0.0
+        c = _ar1_path(spec.rho * phi_sq, coeffs @ (basis @ wphi), start * phi_sq)
+        coords = np.zeros((n, 1 + spec.noise_terms))
+        lead = 1 if spec.burn_in == 0 else 0  # X_0 = start * phi is kept
+        coords[:lead, 0] = start
+        kept = slice(max(spec.burn_in, 1) - 1, total - 1)
+        coords[lead:, 0] = spec.rho * c[kept]
+        coords[lead:, 1:] = coeffs[kept]
+        return coords
+
+    @pytest.mark.parametrize("counts", [(1,), (3, 2)])
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    @pytest.mark.parametrize("burn_in", [0, 1, 2, 50])
+    @pytest.mark.parametrize("kernel", ["separable", "gaussian-bump"])
+    def test_batch_paths_are_the_sequential_paths(self, kernel, burn_in, n, counts):
+        spec = Far1Spec(kernel=kernel, rho=0.7, noise_scale=0.3, burn_in=burn_in,
+                        initial="eigenfunction")
+        gens, refs = ([np.random.default_rng(40 + s) for s in range(len(counts))]
+                      for _ in range(2))
+        scores, states = far1_scores(spec, n, 16, list(zip(gens, counts)))
+        want = [self._sequential_coords(spec, n, 16, ref)
+                for ref, count in zip(refs, counts) for _ in range(count)]
+        ends = [ref.bit_generator.state for ref in refs]
+        assert [g.bit_generator.state for g in gens] == ends
+        owners = [g for g, count in zip(gens, counts) for _ in range(count)]
+        for j, (g, coords) in enumerate(zip(owners, want)):
+            g.bit_generator.state = states[j]
+            assert_array_equal(simulate_far1(spec, n, 16, g, scores[:, j]).coords, coords)
+        assert [g.bit_generator.state for g in gens] == ends
+
+    @pytest.mark.parametrize("kernel", ["separable", "gaussian-bump"])
+    @pytest.mark.parametrize("burn_in", [0, 1, 50])
+    def test_lone_path_is_the_sequential_path(self, kernel, burn_in):
+        spec = Far1Spec(kernel=kernel, burn_in=burn_in)
+        rng = np.random.default_rng(9)
+        path = simulate_far1(spec, 37, 16, rng)
+        ref = np.random.default_rng(9)
+        assert_array_equal(path.coords, self._sequential_coords(spec, 37, 16, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("defect", ["perturbed", "other path", "nan", "short",
+                                        "generator not restored"])
+    def test_scores_off_the_recursion_rejected(self, defect):
+        spec = Far1Spec(burn_in=5)
+        g = np.random.default_rng(3)
+        scores, states = far1_scores(spec, 20, 16, [(g, 2)])
+        column = scores[:, 0].copy()
+        if defect == "perturbed":
+            column[7] += 1e-9
+        elif defect == "other path":
+            column = scores[:, 1]
+        elif defect == "nan":
+            column[3] = np.nan
+        elif defect == "short":
+            column = column[:-1]
+        if defect != "generator not restored":
+            g.bit_generator.state = states[0]
+        with pytest.raises(ValidationError, match="scores"):
+            simulate_far1(spec, 20, 16, g, column)
+
+    def test_gaussian_bump_path_takes_no_scores(self):
+        spec = Far1Spec(kernel="gaussian-bump", burn_in=5)
+        with pytest.raises(ValidationError, match="kept rows"):
+            simulate_far1(spec, 20, 16, 0, np.zeros(20))
+
 class TestRegressionSample:
     def test_linear_psi_without_noise_is_exact_inner_product(self):
         spec = Far1Spec(rho=0.4, noise_scale=0.3, burn_in=20)
@@ -512,6 +598,24 @@ class TestGridValidation:
         with pytest.raises(ValidationError):
             FunctionalPath(grid, np.zeros((1, 4)))
 
+
+class TestGramFactor:
+    def _path(self, **kwargs):
+        grid = uniform_grid(16)
+        frame = np.vstack([np.ones(16), grid])
+        return FunctionalPath(grid, np.ones((4, 2)), frame=frame, **kwargs)
+
+    def test_factor_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValidationError, match="gram_factor must be a finite"):
+            self._path(gram_factor=np.eye(3))
+
+    def test_non_finite_factor_rejected(self):
+        with pytest.raises(ValidationError, match="gram_factor must be a finite"):
+            self._path(gram_factor=np.array([[1.0, 0.0], [np.nan, 1.0]]))
+
+    def test_factor_without_a_frame_rejected(self):
+        with pytest.raises(ValidationError, match="gram_factor needs the frame"):
+            FunctionalPath(uniform_grid(16), np.ones((4, 16)), gram_factor=np.eye(16))
 
 class TestTake:
     @pytest.mark.parametrize("k", [-1, 6])
