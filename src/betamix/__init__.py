@@ -41,11 +41,7 @@ from .mixing import (
     davydov_check,
     fit_geometric_decay,
     ibragimov_check,
-    load_chain,
-    load_joint,
     markov_beta_lag,
-    save_chain,
-    save_joint,
 )
 from .processes import (
     ContractiveChainSpec,
@@ -53,17 +49,14 @@ from .processes import (
     FunctionalPath,
     PsiSpec,
     estimate_chain_mixing,
-    load_functional_path,
     make_psi,
     make_regression_sample,
-    save_functional_path,
     simulate_contractive_chain,
     simulate_far1,
     trapezoid_weights,
     uniform_grid,
 )
 from .regression import (
-    BandwidthChoice,
     ForecastSummary,
     KernelSpec,
     NWEvaluation,
@@ -72,8 +65,20 @@ from .regression import (
     bandwidth_schedule,
     dynamic_forecast_experiment,
     estimate_small_ball,
-    hilbert_norm,
     m_constant,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BoundParams", "FSpec", "LaplaceEstimate", "LaplaceSection", "MomentInputs", "RateFit",
+    "TailEstimate", "TruncationTriple", "calibrate_corollary", "calibrate_laplace_constant",
+    "corollary_bound", "empirical_laplace", "empirical_tail_grid", "laplace_bound",
+    "laplace_section", "make_fspec", "rate_argument", "rate_fit", "truncate",
+    "unbounded_bound",
+    "CheckResult", "FiniteChain", "FiniteJointDistribution", "MixingDecayFit", "alpha_exact",
+    "beta_exact", "davydov_check", "fit_geometric_decay", "ibragimov_check", "markov_beta_lag",
+    "ContractiveChainSpec", "Far1Spec", "FunctionalPath", "PsiSpec", "estimate_chain_mixing",
+    "make_psi", "make_regression_sample", "simulate_contractive_chain", "simulate_far1",
+    "trapezoid_weights", "uniform_grid",
+    "ForecastSummary", "KernelSpec", "NWEvaluation", "RegressionFit", "SmallBallModel",
+    "bandwidth_schedule", "dynamic_forecast_experiment", "estimate_small_ball", "m_constant",
+]

@@ -385,55 +385,3 @@ def ibragimov_check(
     sup_product = float(np.prod([f[support].max() for f in funcs]))
     rhs = (n - 1) * alpha * sup_product
     return CheckResult(lhs, rhs, lhs <= rhs + INEQ_TOL)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text matrix files: first line "m l" (joint) or "m" (square transition),
-# then whitespace-separated rows.
-# ---------------------------------------------------------------------------
-
-def save_joint(path, j: FiniteJointDistribution) -> None:
-    m, ell = j.shape
-    _write_matrix(path, f"{m} {ell}", j.joint)
-
-
-def load_joint(path) -> FiniteJointDistribution:
-    header, rows = _read_matrix(path)
-    dims = header.split()
-    if len(dims) != 2:
-        raise ValidationError(f"joint file header must be 'm l', got {header!r}")
-    m, ell = int(dims[0]), int(dims[1])
-    if rows.shape != (m, ell):
-        raise ValidationError(f"expected {m}x{ell} entries, got {rows.shape}")
-    return FiniteJointDistribution(rows)
-
-
-def save_chain(path, c: FiniteChain) -> None:
-    _write_matrix(path, str(c.n_states), c.transition)
-
-
-def load_chain(path) -> FiniteChain:
-    header, rows = _read_matrix(path)
-    dims = header.split()
-    if len(dims) != 1:
-        raise ValidationError(f"chain file header must be 'm', got {header!r}")
-    m = int(dims[0])
-    if rows.shape != (m, m):
-        raise ValidationError(f"expected {m}x{m} entries, got {rows.shape}")
-    return FiniteChain.from_transition(rows)
-
-
-def _write_matrix(path, header: str, matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in matrix:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def _read_matrix(path) -> tuple[str, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValidationError("empty matrix file")
-    rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
-    return lines[0], np.asarray(rows, dtype=float)

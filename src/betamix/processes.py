@@ -126,10 +126,12 @@ class FunctionalPath:
 
     The path holds each curve's coordinates in a frame: curve k is
     coords[k] @ frame, whose rows span every curve of the path. A grid-valued
-    path has frame None, the identity: its coordinates are the curves.
-    `curves` builds the (n, grid size) array only when it is first read; the
+    path has frame None, the identity: its coordinates are the curves. The
     quadrature geometry the estimators use comes from the coordinates alone,
-    through `distances` and `inner`. `gram_factor` is a square-root factor R
+    through `distances` and `inner`, so a path is compared only with a path
+    in its frame; a raw curve counts as a grid-valued path. `curves` builds
+    the (n, grid size) array only when it is first read, for inspection and
+    as the grid oracle of the tests. `gram_factor` is a square-root factor R
     of the frame's Gram matrix F W F^T (W the trapezoid weights), computed
     from the frame when not given (a grid-valued path takes none).
     """
@@ -190,10 +192,6 @@ class FunctionalPath:
             return self.coords
         return self.coords[:, :1] * self.frame[0] + self.coords[:, 1:] @ self.frame[1:]
 
-    def shares_frame(self, other: FunctionalPath) -> bool:
-        """Whether `other` holds its coordinates in this path's frame."""
-        return self.frame is other.frame or np.array_equal(self.frame, other.frame)
-
     def distances(self, query: Optional[FunctionalPath] = None) -> np.ndarray:
         """Trapezoid L2 distances of every curve to the one curve of `query`,
         a path on this grid and in this frame, or the curves' norms when
@@ -204,7 +202,7 @@ class FunctionalPath:
         if query is not None:
             if query.n_curves != 1 or not np.array_equal(query.grid, self.grid):
                 raise ValidationError("the query must be one curve on the path's grid")
-            if not self.shares_frame(query):
+            if query.frame is not self.frame and not np.array_equal(query.frame, self.frame):
                 raise ValidationError("the query must be held in the path's frame")
             diff = diff - query.coords
         if self.frame is None:
@@ -617,48 +615,3 @@ def estimate_chain_mixing(
         for lag in lags
     ]
     return fit_geometric_decay(list(lags), betas)
-
-
-# ---------------------------------------------------------------------------
-# CSV format: header "grid", g_0, ..., g_{G-1} [, "response"]; one row per
-# curve, first column the curve index. repr() formatting round-trips exactly.
-# ---------------------------------------------------------------------------
-
-def save_functional_path(path, fpath: FunctionalPath) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        header = ["grid"] + [repr(float(g)) for g in fpath.grid]
-        if fpath.responses is not None:
-            header.append("response")
-        fh.write(",".join(header) + "\n")
-        for k in range(fpath.n_curves):
-            row = [str(k)] + [repr(float(v)) for v in fpath.curves[k]]
-            if fpath.responses is not None:
-                row.append(repr(float(fpath.responses[k])))
-            fh.write(",".join(row) + "\n")
-
-
-def load_functional_path(path) -> FunctionalPath:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise ValidationError("empty functional-path file")
-    header = lines[0].split(",")
-    if header[0] != "grid":
-        raise ValidationError("functional-path header must start with 'grid'")
-    has_response = header[-1] == "response"
-    grid_tokens = header[1:-1] if has_response else header[1:]
-    grid = np.array([float(tok) for tok in grid_tokens])
-    curves, responses = [], []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        expected = 1 + grid.size + (1 if has_response else 0)
-        if len(cells) != expected:
-            raise ValidationError(f"row has {len(cells)} cells, expected {expected}")
-        curves.append([float(tok) for tok in cells[1 : 1 + grid.size]])
-        if has_response:
-            responses.append(float(cells[-1]))
-    return FunctionalPath(
-        grid=grid,
-        coords=np.asarray(curves),
-        responses=np.asarray(responses) if has_response else None,
-    )

@@ -72,27 +72,10 @@ class KernelSpec:
         return float(_KERNEL_FUNCS[self.name][0](np.float64(1.0)))
 
 
-def _as_path(curves, grid: np.ndarray) -> FunctionalPath:
-    """`curves` itself when it is a FunctionalPath, else the grid-valued path
-    of its rows on `grid`."""
-    if isinstance(curves, FunctionalPath):
-        return curves
-    return FunctionalPath(grid, np.atleast_2d(np.asarray(curves, dtype=float)))
-
-
-def hilbert_norm(curve: np.ndarray, grid: np.ndarray) -> float:
-    """Trapezoid approximation of the L2[0, 1] norm of a curve."""
-    if np.shape(curve) != np.shape(grid):
-        raise ValidationError(f"curve shape {np.shape(curve)} != grid shape {np.shape(grid)}")
-    return float(_as_path(curve, np.asarray(grid, dtype=float)).distances()[0])
-
-
 def curve_distances(sample: FunctionalPath, query: FunctionalPath) -> np.ndarray:
     """Trapezoid L2 distances from each curve of `sample` to the one curve of
-    `query`, by FunctionalPath.distances on their coordinates. Paths in
-    different frames are compared as grid-valued paths."""
-    if not sample.shares_frame(query):
-        sample, query = (FunctionalPath(p.grid, p.curves) for p in (sample, query))
+    `query`, by FunctionalPath.distances on their coordinates; the query must
+    be held in the sample's frame."""
     return sample.distances(query)
 
 
@@ -125,14 +108,18 @@ class RegressionFit:
             raise ValidationError("training path must carry responses")
 
     def evaluate(self, x, f_ref: float) -> NWEvaluation:
-        """Estimator at the query x, a one-curve FunctionalPath or a curve on
-        the training grid. `f_ref` is F_x(h), the share of an independent
-        reference sample within the bandwidth of x (estimate_small_ball)."""
+        """Estimator at the query x, a one-curve FunctionalPath in the training
+        path's frame; a raw curve on the training grid is a valid query only
+        for a grid-valued training path. `f_ref` is F_x(h), the share of an
+        independent reference sample within the bandwidth of x
+        (estimate_small_ball)."""
         f_ref = float(f_ref)
         if not 0.0 <= f_ref <= 1.0:
             raise ValidationError(f"f_ref must be a fraction in [0, 1], got {f_ref}")
         h = self.bandwidth
-        d = curve_distances(self.training, _as_path(x, self.training.grid))
+        if not isinstance(x, FunctionalPath):
+            x = FunctionalPath(self.training.grid, x)
+        d = curve_distances(self.training, x)
         wts = self.kernel.evaluate(d / h)
         denom = float(wts.sum())
         n = self.training.n_curves
@@ -228,17 +215,7 @@ def m_constant(kernel: KernelSpec, tau: Callable[[np.ndarray], np.ndarray]) -> f
     return m_value
 
 
-@dataclass(frozen=True)
-class BandwidthChoice:
-    """Quantile bandwidth with its summability-condition summand."""
-
-    h: float
-    summand: float
-
-
-def bandwidth_schedule(
-    n: int, theta: float, pilot_distances: np.ndarray
-) -> BandwidthChoice:
+def bandwidth_schedule(n: int, theta: float, pilot_distances: np.ndarray) -> float:
     """Empirical n^(-theta) quantile of pilot distances.
 
     With F(h_n) ~ n^(-theta) the normalized second moment E F^(-2) grows like
@@ -255,9 +232,7 @@ def bandwidth_schedule(
     theta_eff = max(theta, 1e-3)
     level = float(n**-theta_eff)
     # degenerate all-equal pilots (e.g. a constant process) would give h = 0
-    h = max(float(np.quantile(pilot, level)), 1e-12)
-    summand = n ** (2 * theta_eff - 2) * math.log(n) ** 2 * math.log(math.log(n)) ** 2
-    return BandwidthChoice(h=h, summand=summand)
+    return max(float(np.quantile(pilot, level)), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -290,7 +265,7 @@ def _forecast_block(args) -> np.ndarray:
         reference = simulate_far1(process, n, grid_size, reference_rng, scores[:, reps + pos])
         x = sample.take(t - 1)
         ref_dists = curve_distances(reference, x)
-        h = bandwidth_schedule(n, theta, ref_dists).h
+        h = bandwidth_schedule(n, theta, ref_dists)
         ball = estimate_small_ball(ref_dists, [h])
         m_hat = m_constant(kernel, ball.tau)
         out = RegressionFit(kernel=kernel, bandwidth=h, training=sample).evaluate(x, ball.f_hat[0])

@@ -75,6 +75,25 @@ def test_library_layers_import_neither_config_nor_cli():
         assert not imported & {"config", "cli"}, layer
 
 
+def test_package_exports_only_its_classes_and_functions():
+    # no os, sys or submodule objects: `from betamix import *` binds these alone
+    assert sorted(betamix.__all__) == [
+        "BoundParams", "CheckResult", "ContractiveChainSpec", "FSpec", "Far1Spec",
+        "FiniteChain", "FiniteJointDistribution", "ForecastSummary", "FunctionalPath",
+        "KernelSpec", "LaplaceEstimate", "LaplaceSection", "MixingDecayFit", "MomentInputs",
+        "NWEvaluation", "PsiSpec", "RateFit", "RegressionFit", "SmallBallModel",
+        "TailEstimate", "TruncationTriple", "alpha_exact", "bandwidth_schedule", "beta_exact",
+        "calibrate_corollary", "calibrate_laplace_constant", "corollary_bound",
+        "davydov_check", "dynamic_forecast_experiment", "empirical_laplace",
+        "empirical_tail_grid", "estimate_chain_mixing", "estimate_small_ball",
+        "fit_geometric_decay", "ibragimov_check", "laplace_bound", "laplace_section",
+        "m_constant", "make_fspec", "make_psi", "make_regression_sample", "markov_beta_lag",
+        "rate_argument", "rate_fit", "simulate_contractive_chain", "simulate_far1",
+        "trapezoid_weights", "truncate", "unbounded_bound", "uniform_grid",
+    ]
+    assert all(callable(getattr(betamix, name)) for name in betamix.__all__)
+
+
 class TestConfigParsing:
     def test_round_trip_with_comments(self):
         text = """

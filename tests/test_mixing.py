@@ -14,11 +14,7 @@ from betamix.mixing import (
     davydov_check,
     fit_geometric_decay,
     ibragimov_check,
-    load_chain,
-    load_joint,
     markov_beta_lag,
-    save_chain,
-    save_joint,
 )
 from oracles import (
     alpha_bruteforce,
@@ -184,16 +180,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize(
-        "build", ["joint", "load_joint", "chain_transition", "chain_stationary", "from_transition"]
+        "build", ["joint", "chain_transition", "chain_stationary", "from_transition"]
     )
-    def test_non_finite_entry_rejected(self, tmp_path, build, value):
+    def test_non_finite_entry_rejected(self, build, value):
         table = np.array([[value, 0.5], [0.25, 0.25]])
         transition = np.array([[value, 0.5], [0.5, 0.5]])
-        path = tmp_path / "joint.txt"
-        path.write_text(f"2 2\n{value} 0.5\n0.25 0.25\n")
         builders = {
             "joint": lambda: FiniteJointDistribution(table),
-            "load_joint": lambda: load_joint(path),
             "chain_transition": lambda: FiniteChain(transition, np.array([0.5, 0.5])),
             "chain_stationary": lambda: FiniteChain(TWO_STATE, np.array([value, 1.0])),
             "from_transition": lambda: FiniteChain.from_transition(transition),
@@ -382,27 +375,3 @@ def test_orderings_hold_for_random_joints(seed):
     assert 0.0 <= a <= 0.25 + 1e-15
     assert 2 * a <= b + 1e-12
     assert b <= 1.0 + 1e-15
-
-
-class TestFileRoundTrip:
-    def test_joint_round_trip(self, tmp_path):
-        rng = np.random.default_rng(41)
-        j = FiniteJointDistribution(random_joint(rng, 3, 5))
-        path = tmp_path / "joint.txt"
-        save_joint(path, j)
-        loaded = load_joint(path)
-        assert_allclose(loaded.joint, j.joint, rtol=0, atol=0)
-
-    def test_chain_round_trip(self, tmp_path):
-        chain = FiniteChain.from_transition(TWO_STATE)
-        path = tmp_path / "chain.txt"
-        save_chain(path, chain)
-        loaded = load_chain(path)
-        assert_allclose(loaded.transition, chain.transition, rtol=0, atol=0)
-        assert_allclose(loaded.stationary, chain.stationary, atol=1e-12)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2 2\n0.5 0.5\n0.5 0.5\n")
-        with pytest.raises(ValidationError):
-            load_joint(path)

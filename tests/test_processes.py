@@ -22,10 +22,8 @@ from betamix.processes import (
     binned_lag_joint,
     estimate_chain_mixing,
     far1_scores,
-    load_functional_path,
     make_psi,
     make_regression_sample,
-    save_functional_path,
     simulate_contractive_chain,
     simulate_far1,
     trapezoid_weights,
@@ -559,33 +557,6 @@ class TestRegressionSample:
         weight = 2.0 * np.ones(32)
         _, l_lin = make_psi(PsiSpec("linear", weight), grid)
         assert_allclose(l_lin, 2.0, rtol=1e-12)
-
-
-class TestFunctionalPathCsv:
-    def test_round_trip_with_responses(self, tmp_path):
-        spec = Far1Spec(rho=0.25, noise_scale=0.2, burn_in=5)
-        path = simulate_far1(spec, 7, 16, seed=42)
-        sample = make_regression_sample(path, PsiSpec("norm"), 0.1, seed=43)
-        f = tmp_path / "sample.csv"
-        save_functional_path(f, sample)
-        loaded = load_functional_path(f)
-        assert_array_equal(loaded.grid, sample.grid)
-        assert_array_equal(loaded.curves, sample.curves)
-        assert_array_equal(loaded.responses, sample.responses)
-
-    def test_round_trip_without_responses(self, tmp_path):
-        path = FunctionalPath(uniform_grid(8), np.arange(16.0).reshape(2, 8) / 16.0)
-        f = tmp_path / "plain.csv"
-        save_functional_path(f, path)
-        loaded = load_functional_path(f)
-        assert loaded.responses is None
-        assert_array_equal(loaded.curves, path.curves)
-
-    def test_bad_header_rejected(self, tmp_path):
-        f = tmp_path / "bad.csv"
-        f.write_text("lattice,0.0,1.0\n0,1.0,2.0\n")
-        with pytest.raises(ValidationError):
-            load_functional_path(f)
 
 
 class TestGridValidation:
