@@ -94,6 +94,14 @@ def test_package_exports_only_its_classes_and_functions():
     assert all(callable(getattr(betamix, name)) for name in betamix.__all__)
 
 
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from betamix import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(betamix.__all__)
+    assert not any(isinstance(value, type(sys)) for value in namespace.values())
+
+
 class TestConfigParsing:
     def test_round_trip_with_comments(self):
         text = """

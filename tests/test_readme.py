@@ -4,17 +4,36 @@ The blocks share one namespace, in README order, because the later ones use
 names (such as `np`) that the first one binds.
 """
 
+import ast
 import re
 from pathlib import Path
+
+import betamix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def python_blocks():
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                      re.M | re.S)
+
+
 def test_python_blocks_run():
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
-                        re.M | re.S)
+    blocks = python_blocks()
     assert blocks
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["out"].defined
+
+
+def test_python_blocks_import_only_exported_names():
+    imported = {
+        alias.name
+        for block in python_blocks()
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "betamix"
+        for alias in node.names
+    }
+    assert imported
+    assert imported <= set(betamix.__all__)

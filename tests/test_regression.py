@@ -94,6 +94,12 @@ class TestHilbertNorm:
         with pytest.raises(ValidationError):
             grid_norm(np.ones(8), uniform_grid(16))
 
+    def test_distance_is_the_norm_of_the_difference(self):
+        grid = uniform_grid(64)
+        a, b = np.sin(2 * np.pi * grid), grid**2
+        got = FunctionalPath(grid, a[None]).distances(FunctionalPath(grid, b[None]))[0]
+        assert got == pytest.approx(grid_norm(a - b, grid), rel=1e-12)
+
 
 class TestFrameGeometry:
     """Distances and psi values from frame coordinates against the grid
@@ -135,6 +141,29 @@ class TestFrameGeometry:
         fit = RegressionFit(KernelSpec("uniform"), 1.0, training)
         with pytest.raises(ValidationError, match="frame"):
             fit.evaluate(curve, 0.5)
+
+    def test_grid_path_rejects_a_query_in_another_frame(self):
+        path = simulate_far1(Far1Spec(burn_in=5), 30, 16, seed=1)
+        with pytest.raises(ValidationError, match="frame"):
+            curve_distances(FunctionalPath(path.grid, path.curves), path.take(3))
+
+    def test_a_curve_is_at_distance_zero_from_itself(self):
+        path = simulate_far1(Far1Spec(burn_in=5), 30, 16, seed=1)
+        d = curve_distances(path, path.take(11))
+        assert d[11] == 0.0
+        assert (np.delete(d, 11) > 0).all()
+
+    def test_raw_curve_queries_a_grid_valued_training_path(self):
+        path = simulate_far1(Far1Spec(burn_in=5), 30, 16, seed=1)
+        sample = make_regression_sample(path, PsiSpec("norm"), 0.1, seed=2)
+        training = FunctionalPath(sample.grid, sample.curves, responses=sample.responses)
+        curve = np.sin(path.grid)
+        d = np.sqrt((training.curves - curve) ** 2 @ trapezoid_weights(path.grid))
+        h = float(np.median(d))  # 30 curves: no distance sits at h
+        fit = RegressionFit(KernelSpec("uniform"), h, training)
+        got = fit.evaluate(curve, 0.5)
+        assert got == fit.evaluate(FunctionalPath(path.grid, curve[None]), 0.5)
+        assert got.psi_hat == pytest.approx(training.responses[d <= h].mean(), rel=1e-12)
 
 
 class TestNadarayaWatson:
@@ -332,6 +361,15 @@ class TestBandwidthSchedule:
         f_at_h = np.mean(radii <= h)
         target = n**-0.4
         assert target / 2 <= f_at_h <= 2 * target
+
+    def test_bandwidth_is_the_pilot_quantile_as_a_float(self):
+        pilot = np.random.default_rng(31).uniform(0, 2, 1000)
+        h = bandwidth_schedule(400, 0.3, pilot)
+        assert type(h) is float
+        assert h == float(np.quantile(pilot, 400**-0.3))
+
+    def test_constant_pilot_gives_the_positive_floor(self):
+        assert bandwidth_schedule(100, 0.3, np.zeros(50)) == 1e-12
 
     def test_theta_domain(self):
         with pytest.raises(DomainError):
