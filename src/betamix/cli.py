@@ -278,10 +278,8 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], dict, d
         rng.uniform(-2.0, 2.0, 30_000),
     ])
     levels = rng.choice(np.array([0.5, 1.0, 1.0 + 2.0**-52, 3.7]), size=values.size)
-    mismatches = 0
-    for v, b in zip(values.tolist(), levels.tolist()):
-        plus, zero, minus = truncate(v, b)
-        mismatches += plus + zero + minus != v
+    plus, zero, minus = truncate(values, levels)
+    mismatches = np.count_nonzero(plus + zero + minus != values)
     rows.append(("truncate_reconstruction", float(mismatches), 0.0, mismatches == 0, seed))
 
     kernel = KernelSpec("downslope-linear")
@@ -325,24 +323,26 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     """Run one suite: write reports and a manifest, return checks + exit code.
 
     The run has one execution context: BLAS on one thread, and at most one
-    process pool, shut down when the suite ends. Importing betamix before
-    numpy loads OpenBLAS on one thread, in this process and in every pool
-    worker; `one_blas_thread` pins one that numpy loaded first. Reports are
-    written once the whole suite has returned, so a run stopped by an error
-    writes none.
+    process pool, shut down when the suite returns or raises. Importing
+    betamix before numpy loads OpenBLAS on one thread, in this process and in
+    every pool worker; `one_blas_thread` pins one that numpy loaded first.
+    Reports are written once the whole suite has returned, so a run stopped
+    by an error writes none.
     """
     try:
         os.makedirs(config.output, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"field 'output': cannot create {config.output}: {exc}") from exc
     execution = {"workers": config.workers, "blas_threads": one_blas_thread()}
-    checks, reports, diagnostics = _SUITE_RUNNERS[config.suite](config)
-    execution["pools_opened"] = _pool.cache_info().currsize
+    try:
+        checks, reports, diagnostics = _SUITE_RUNNERS[config.suite](config)
+    finally:
+        execution["pools_opened"] = _pool.cache_info().currsize
+        if execution["pools_opened"]:
+            # reaped workers report their peak memory through RUSAGE_CHILDREN
+            _pool(config.workers).shutdown()
+            _pool.cache_clear()
     execution["pool_workers"] = pool_size(config.workers) if execution["pools_opened"] else 0
-    if execution["pools_opened"]:
-        # reaped workers report their peak memory through RUSAGE_CHILDREN
-        _pool(config.workers).shutdown()
-        _pool.cache_clear()
     # ru_maxrss is in KiB on Linux
     peak_kib = max(resource.getrusage(who).ru_maxrss
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))

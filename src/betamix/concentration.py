@@ -166,34 +166,33 @@ def corollary_bound(params: BoundParams) -> float:
     return params.a1 * math.exp(-params.a2 * rate)
 
 
-def truncate(value: float, B: float) -> TruncationTriple:
-    """Split value into upper excess + clamped core + lower excess.
+def truncate(value, B) -> TruncationTriple:
+    """Split value into upper excess + clamped core + lower excess, entrywise.
 
     plus = value - min(value, B) >= 0, zero = clamp(value, -B, B),
     minus = value - max(value, -B) <= 0, each to one rounding of the exact
     decomposition, arranged so plus + zero + minus reconstructs value
     bit-for-bit: value - fl(value -+ B) is always exactly representable, and
     a one-ulp shift of the excess keeps the core inside [-B, B].
+
+    value and B broadcast against each other, and each part has their
+    broadcast shape; two scalars give a triple of floats.
     """
-    if not B > 0:
+    value, B = np.asarray(value, dtype=float), np.asarray(B, dtype=float)
+    if not np.all(B > 0):
         raise DomainError("truncation level B must be positive")
-    if not math.isfinite(value):
+    if not np.all(np.isfinite(value)):
         raise DomainError("value must be finite")
-    if value > B:
-        plus = value - B
-        zero = value - plus
-        if zero > B:
-            plus = math.nextafter(plus, math.inf)
-            zero = value - plus
-        return TruncationTriple(plus, zero, 0.0)
-    if value < -B:
-        minus = value + B
-        zero = value - minus
-        if zero < -B:
-            minus = math.nextafter(minus, -math.inf)
-            zero = value - minus
-        return TruncationTriple(0.0, zero, minus)
-    return TruncationTriple(0.0, value, 0.0)
+    shape = np.broadcast_shapes(value.shape, B.shape)
+    # value -+ B is formed only where |value| > B, so it never overflows
+    plus = np.subtract(value, B, out=np.zeros(shape), where=value > B)
+    minus = np.add(value, B, out=np.zeros(shape), where=value < -B)
+    plus = np.where(value - plus > B, np.nextafter(plus, np.inf), plus)
+    minus = np.where(value - minus < -B, np.nextafter(minus, -np.inf), minus)
+    zero = value - plus - minus
+    if shape == ():
+        return TruncationTriple(float(plus), float(zero), float(minus))
+    return TruncationTriple(plus, zero, minus)
 
 
 def unbounded_bound_terms(

@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's own computation paths: dependence
 coefficients are recomputed by exhaustive enumeration of partitions, events,
-and subset pairs on small alphabets.
+and subset pairs on small alphabets; truncation is the per-value scalar rule.
 """
 
 import functools
 import itertools
+import math
 
 import numpy as np
 from sympy.utilities.iterables import multiset_partitions
@@ -98,3 +99,23 @@ def random_joint(rng: np.random.Generator, m: int, ell: int) -> np.ndarray:
 
 def random_transition(rng: np.random.Generator, m: int) -> np.ndarray:
     return rng.dirichlet(np.ones(m), size=m)
+
+
+def truncate_scalar(value: float, B: float) -> tuple[float, float, float]:
+    """(plus, zero, minus) of one finite value at one level B > 0, by branches
+    on the sign of the excess and a `math.nextafter` shift of it."""
+    if value > B:
+        plus = value - B
+        zero = value - plus
+        if zero > B:
+            plus = math.nextafter(plus, math.inf)
+            zero = value - plus
+        return plus, zero, 0.0
+    if value < -B:
+        minus = value + B
+        zero = value - minus
+        if zero < -B:
+            minus = math.nextafter(minus, -math.inf)
+            zero = value - minus
+        return 0.0, zero, minus
+    return 0.0, value, 0.0

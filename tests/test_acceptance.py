@@ -328,11 +328,8 @@ def test_criterion_9_exactness_micro_suite(tmp_path):
     levels = rng.choice(
         np.array([0.5, 1.0, 1.0 + 2.0**-52, 2.5, 1e5]), size=values.size
     )
-    mismatch = 0
-    for v, b in zip(values, levels):
-        tr = truncate(float(v), float(b))
-        if tr.plus + tr.zero + tr.minus != v:
-            mismatch += 1
+    tr = truncate(values, levels)
+    mismatch = np.count_nonzero(tr.plus + tr.zero + tr.minus != values)
     truncate_ok = mismatch == 0
 
     grid = uniform_grid(5)

@@ -360,6 +360,19 @@ def test_every_verify_all_check_can_fail(tmp_path, capsys, monkeypatch, check, n
     assert len(manifest["checks"]) == 11
 
 
+def test_verify_all_truncates_its_sample_in_one_call(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(value, B):
+        calls.append(np.shape(value))
+        return concentration.truncate(value, B)
+
+    monkeypatch.setattr(cli, "truncate", counting)
+    assert run_cli("verify-all", "--seed", "7", "--output", str(tmp_path),
+                   "--set", "mixing.joints=2", "--set", "mixing.chains=2") == 0
+    assert calls == [(100_000,)]
+
+
 def _summary(n, median, f_error, undefined=0.0):
     return ForecastSummary(n=n, median_error=median, q90_error=2 * median, median_f_error=f_error,
                            median_g_error=0.1, undefined_fraction=undefined)
@@ -811,6 +824,22 @@ class TestExecutionContext:
         assert manifest["execution"]["pool_workers"] == 0
         assert manifest["execution"]["workers"] == 1
 
+    def test_suite_that_raises_shuts_its_pool_down(self, tmp_path, monkeypatch):
+        def opens_pool_then_fails(config):
+            seeding.replicate(_block_indices, (), [(1, 1)], 4, 1, 2)
+            raise FitError("no fit")
+
+        seeding._pool.cache_clear()
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "mixing", opens_pool_then_fails)
+        try:
+            assert run_cli("mixing", "--seed", "4", "--workers", "2",
+                           "--output", str(tmp_path / "fails")) == 1
+            assert seeding._pool.cache_info().currsize == 0
+        finally:
+            if seeding._pool.cache_info().currsize:
+                seeding._pool(2).shutdown()
+                seeding._pool.cache_clear()
+
     def test_pool_workers_run_blas_on_one_thread(self):
         if seeding.one_blas_thread() is None:
             pytest.skip("no OpenBLAS thread setter in this numpy build")
@@ -864,6 +893,11 @@ if __name__ == "__main__":
     print(json.dumps({"threads": own, "variable": os.environ["OPENBLAS_NUM_THREADS"],
                       "workers": workers.tolist()}))
 """
+
+
+def _block_indices(args):
+    """Block function: the replication indices of its block."""
+    return np.asarray(args[-1])
 
 
 def _worker_blas_threads(args):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from betamix.processes import (
     simulate_contractive_chain,
 )
 from betamix.seeding import Stream, keyed_rng, replicate
+from oracles import truncate_scalar
 
 mp.dps = 50
 
@@ -189,6 +191,35 @@ class TestTruncate:
     def test_bad_level_rejected(self):
         with pytest.raises(DomainError):
             truncate(1.0, 0.0)
+
+    @staticmethod
+    def _edge_cases():
+        tie_value, tie_level = 3.5 + 3 * 2.0**-51, 1.0 + 2.0**-52
+        pairs = [(0.0, 1.0), (-0.0, 1.0), (tie_value, tie_level), (-tie_value, tie_level)]
+        for b in (0.5, 1.0, tie_level, 3.7, 1e308):
+            for edge in (b, -b):
+                pairs += [(math.nextafter(edge, -math.inf), b), (edge, b),
+                          (math.nextafter(edge, math.inf), b)]
+        for v in (1.7e308, -1.7e308, np.finfo(float).max, -np.finfo(float).max):
+            pairs.append((v, 1e308))
+        values, levels = map(np.array, zip(*pairs))
+        return values, levels
+
+    @staticmethod
+    def _assert_bits_match(got, values, levels):
+        want = np.array([truncate_scalar(v, b) for v, b in zip(values.tolist(), levels.tolist())])
+        for part, column in zip(got, want.T):
+            assert np.array_equal(part.view(np.uint64), column.view(np.uint64))
+
+    def test_array_rule_matches_the_scalar_oracle_bit_for_bit(self):
+        values, levels = self._edge_cases()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = truncate(values, levels)
+            scalar_level = truncate(values, 1e308)
+        self._assert_bits_match(got, values, levels)
+        self._assert_bits_match(scalar_level, values, np.full(values.shape, 1e308))
+        assert [type(part) for part in truncate(-0.0, 1.0)] == [float] * 3
 
 
 class TestUnboundedBound:
