@@ -363,20 +363,70 @@ def _simulate_chain_columns(
     (n - 1 and a copied x0 row when burn_in = 0). Uniform and "none" draws
     take their values in order, so the split leaves their paths those of one
     whole draw; a rejection sampler's paths depend on it.
+
+    Most of a long uniform burn-in under a linear or clipped-linear map on a
+    PCG64 generator is not drawn: _coalesced_burn_in skips it with the bits
+    and generator end state of the full loop, which runs when it declines.
     """
     if n < 1:
         raise ValidationError("path length must be >= 1")
     width = len(seeds)
-    x = np.full(width, spec.x0)
     step = (spec.a, np.empty(width), None if spec.map == "linear" else spec.apply_map)
     burn = max(spec.burn_in - 1, 0)  # steps before the draw that yields x_burn_in
-    for start in range(0, burn, BURN_ROWS):
-        rows = min(BURN_ROWS, burn - start)
-        x = _advance_chain(x, _draw_innovations(spec, rng, (rows, width)), *step)[-1].copy()
+    x = _coalesced_burn_in(spec, burn, width, rng)
+    if x is None:
+        x = np.full(width, spec.x0)
+        for start in range(0, burn, BURN_ROWS):
+            rows = min(BURN_ROWS, burn - start)
+            x = _advance_chain(x, _draw_innovations(spec, rng, (rows, width)), *step)[-1].copy()
     if spec.burn_in == 0:
         paths = _advance_chain(x, _draw_innovations(spec, rng, (n - 1, width)), *step)
         return np.concatenate([x[None, :], paths])
     return _advance_chain(x, _draw_innovations(spec, rng, (n, width)), *step)
+
+
+def _bounding_rows(a: float) -> int:
+    """K, the burn-in rows _coalesced_burn_in draws: enough for |a|^K <= 2^-90, at least 128."""
+    return 128 if a == 0 else max(128, math.ceil(90 * math.log(2) / -math.log(abs(a))))
+
+
+def _coalesced_burn_in(spec: ContractiveChainSpec, burn: int, width: int,
+                       rng: np.random.Generator) -> Optional[np.ndarray]:
+    """The state after `burn` steps from x0 of `width` columns, drawing only
+    the last K = _bounding_rows(a) innovation rows; None, with `rng` left as
+    it was, when that cannot be shown exact.
+
+    The sandwiching of coupling from the past (Propp and Wilson 1996): a
+    PCG64 uniform draw takes one 64-bit output per value, so advancing the
+    generator by (burn - K) * width outputs skips the early rows exactly.
+    Two bounding chains from -S and S, S = 2 max(|x0|, state_bound), bracket
+    the unknown x_{burn - K}. fl(a x), the clip and fl(y + e) are monotone in
+    x (a < 0 swaps the pair at each step, and it still brackets), so if the
+    bounds end on the same values after the K real rows, the true chain ends
+    there too; no uniform draw is -0.0, so no state is, and equal values are
+    equal bits. Otherwise the generator state is restored and the caller runs
+    the full burn-in. Truncated-Gaussian draws take a random number of
+    outputs, sine-perturbed maps are not shown monotone in floating point,
+    and other bit generators are not known to take one output per value: all
+    decline.
+    """
+    gen, keep = rng.bit_generator, _bounding_rows(spec.a)
+    bound = 2.0 * max(abs(spec.x0), spec.state_bound())
+    if not (isinstance(gen, np.random.PCG64) and spec.innovation == "uniform"
+            and spec.map != "sine-perturbed" and burn > keep and math.isfinite(bound)):
+        return None
+    saved = gen.state
+    if saved["has_uint32"]:  # advance would drop the buffered 32-bit half
+        return None
+    gen.advance((burn - keep) * width)
+    bounds = np.repeat([[-bound], [bound]], width, axis=1)
+    for start in range(0, keep, BURN_ROWS):
+        for row in _draw_innovations(spec, rng, (min(BURN_ROWS, keep - start), width)):
+            bounds = spec.apply_map(bounds) + row
+    if np.array_equal(bounds[0], bounds[1]):
+        return bounds[0]
+    gen.state = saved
+    return None
 
 
 def _advance_chain(x: np.ndarray, eps: np.ndarray, coef: float, prod: np.ndarray,

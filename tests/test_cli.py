@@ -471,6 +471,31 @@ class TestDeterminism:
 
         assert run(1) == run(2)
 
+    def test_skipped_burn_in_leaves_the_reports_byte_identical(self, tmp_path, monkeypatch):
+        # the default burn_in = 1000 exceeds K = 128 rows, so every uniform
+        # block skips its early burn-in rows; without the skip each draws them all
+        skipped = []
+        coalesced = processes._coalesced_burn_in
+
+        def recording(*args):
+            x = coalesced(*args)
+            skipped.append(x is not None)
+            return x
+
+        def run(name):
+            out = tmp_path / name
+            run_cli("concentration", "--seed", "13", "--reps", "1100", "--output", str(out),
+                    "--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05,0.1",
+                    "--set", "grid.A=14,20")
+            return [(out / name).read_bytes()
+                    for name in ("concentration_report.csv", "laplace_report.csv")]
+
+        monkeypatch.setattr(processes, "_coalesced_burn_in", recording)
+        bodies = run("skip")
+        assert skipped and all(skipped)
+        monkeypatch.setattr(processes, "_coalesced_burn_in", lambda *args: None)
+        assert run("full") == bodies
+
     def test_fkr_seeds_404_to_407_write_distinct_reports(self, tmp_path):
         # the former seed ^ index streams wrote one body for all four seeds
         bodies = set()

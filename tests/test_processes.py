@@ -1,10 +1,14 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from betamix import processes
 from betamix.errors import ConfigError, ValidationError
 from betamix.mixing import FiniteJointDistribution, beta_exact
 from betamix.processes import (
@@ -16,6 +20,7 @@ from betamix.processes import (
     FunctionalPath,
     PsiSpec,
     _ar1_path,
+    _bounding_rows,
     _bump_operator,
     _draw_innovations,
     _simulate_chain_columns,
@@ -29,6 +34,20 @@ from betamix.processes import (
     trapezoid_weights,
     uniform_grid,
 )
+
+
+def _with_buffered_half(rng):
+    """`rng` after a 32-bit draw, which leaves half of a 64-bit output buffered."""
+    rng.integers(0, 10, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"]
+    return rng
+
+
+def end_state(rng):
+    """The whole state dict of `rng`'s bit generator, arrays as lists so == compares it."""
+    state = rng.bit_generator.state
+    inner = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in state["state"].items()}
+    return {**state, "state": inner}
 
 
 def halving_spec(**kw):
@@ -181,6 +200,90 @@ class TestContractiveChain:
             if burn_in > BURN_ROWS:
                 whole = self._two_array_recursion(spec, n, width, np.random.default_rng(8))
                 assert not np.array_equal(got, whole)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.one_of(st.just(0.0), st.floats(-0.99, 0.99)),  # K <= 6,209 rows
+        map_name=st.sampled_from(["linear", "clipped-linear"]),
+        x0_scale=st.sampled_from([0.0, 0.3, -1.0, 4.0, -25.0]),
+        halfwidth=st.floats(0.05, 5.0),
+        burn_from_k=st.sampled_from([-1, 0, 1, 2, None]),
+        width=st.sampled_from([1, 4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_skipped_burn_in_is_the_full_draw(self, a, map_name, x0_scale, halfwidth,
+                                              burn_from_k, width, seed):
+        # x0 ranges past state_bound() on both sides; burn_in K + 2 is the
+        # first that skips, and None stands for the workloads' 1000
+        k = _bounding_rows(a)
+        burn_in = 1000 if burn_from_k is None else k + burn_from_k
+        spec = ContractiveChainSpec(map=map_name, a=a, innovation="uniform",
+                                    halfwidth=halfwidth, clip_at=0.5, burn_in=burn_in)
+        spec = replace(spec, x0=x0_scale * spec.state_bound())
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _simulate_chain_columns(spec, 5, range(width), got_rng)
+        assert_array_equal(got, self._two_array_recursion(spec, 5, width, want_rng))
+        assert end_state(got_rng) == end_state(want_rng)
+
+    @staticmethod
+    def _counted_rows(monkeypatch, run):
+        """run() and the innovation rows it drew through _draw_innovations."""
+        rows = []
+        draw = processes._draw_innovations
+
+        def counting(spec, rng, shape):
+            rows.append(shape[0])
+            return draw(spec, rng, shape)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(processes, "_draw_innovations", counting)
+            out = run()
+        return out, sum(rows)
+
+    @pytest.mark.parametrize("a, x0, drawn", [
+        (0.5, 0.0, 128 + 30), (0.5, 1e200, 128 + 999 + 30), (0.0, 1e308, 999 + 30),
+    ], ids=["skips", "bounds-apart", "bound-overflows"])
+    def test_burn_in_draws_only_the_bounding_rows_unless_they_stay_apart(self, monkeypatch,
+                                                                        a, x0, drawn):
+        # the tail-mc chain: a 1e200 start leaves the bounds 1e162 apart after
+        # K = 128 rows, so the block restores the generator and draws it all;
+        # S = 2e308 is not a float, and 0 * inf would be NaN, so no bound is drawn
+        spec = ContractiveChainSpec(map="linear", a=a, innovation="uniform", halfwidth=1.0,
+                                    burn_in=1000, x0=x0)
+        assert _bounding_rows(spec.a) == 128
+        rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
+        got, rows = self._counted_rows(
+            monkeypatch, lambda: _simulate_chain_columns(spec, 30, range(1000), rng))
+        assert rows == drawn
+        assert_array_equal(got, self._two_array_recursion(spec, 30, 1000, want_rng))
+        assert end_state(rng) == end_state(want_rng)
+
+    @pytest.mark.parametrize("make_rng", [
+        lambda: np.random.Generator(np.random.MT19937(9)),
+        lambda: np.random.Generator(np.random.PCG64DXSM(9)),
+        lambda: _with_buffered_half(np.random.default_rng(9)),
+    ], ids=["MT19937", "PCG64DXSM", "PCG64-buffered-uint32"])
+    def test_generators_without_an_exact_advance_draw_the_full_burn_in(self, monkeypatch,
+                                                                      make_rng):
+        spec = ContractiveChainSpec(map="clipped-linear", a=-0.5, innovation="uniform",
+                                    burn_in=1000, x0=0.25)
+        rng, want_rng = make_rng(), make_rng()
+        got, rows = self._counted_rows(
+            monkeypatch, lambda: simulate_contractive_chain(spec, 30, rng))
+        assert rows == 999 + 30
+        assert_array_equal(got, self._two_array_recursion(spec, 30, 1, want_rng)[:, 0])
+        assert end_state(rng) == end_state(want_rng)
+
+    @pytest.mark.parametrize("spec", [
+        ContractiveChainSpec(map="sine-perturbed", a=0.5, b=0.3, burn_in=1000),
+        ContractiveChainSpec(innovation="truncated-gaussian", burn_in=1000),
+        ContractiveChainSpec(innovation="none", burn_in=1000, x0=1.0),
+    ], ids=["sine-perturbed", "truncated-gaussian", "none"])
+    def test_other_maps_and_innovations_draw_the_full_burn_in(self, monkeypatch, spec):
+        _, rows = self._counted_rows(
+            monkeypatch, lambda: _simulate_chain_columns(spec, 30, range(3),
+                                                         np.random.default_rng(4)))
+        assert rows == 999 + 30
 
     def test_half_means_agree_under_stationarity(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=1000)
