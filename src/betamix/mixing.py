@@ -20,6 +20,7 @@ from .errors import FitError, SizeError, ValidationError
 MASS_TOL = 1e-12      # distribution validation
 INEQ_TOL = 1e-10      # inequality verdicts
 ALPHABET_CAP = 12     # exhaustive subset enumeration limit per alphabet
+BLOCK_FLOATS = 1 << 16  # subset sums held at once by _alpha_table (512 KiB)
 
 
 class CheckResult(NamedTuple):
@@ -176,17 +177,21 @@ def alpha_exact(j: FiniteJointDistribution) -> float:
 def _alpha_table(dev: np.ndarray, cap: int = 16) -> float:
     """max_{A, B} |sum_{A x B} dev| for a signed table with zero row/col sums.
 
-    subset_sums[mask] holds the column sums of dev over the rows in `mask`,
-    built by the recursion sums[mask] = sums[mask ^ (1 << i)] + dev[i], with
-    i the lowest set bit of mask. The fill runs one bit plane at a time, from
-    the highest bit down: the masks whose lowest set bit is i are
-    k * 2^(i+1) + 2^i, and each one's source k * 2^(i+1) is 0 or has its
-    lowest set bit above i, so it is already filled. In the
-    (-1, 2^(i+1), cols) view of the table the whole plane is one add of
-    slot 0 into slot 2^i. Every entry gets the same single addition from the
-    same source as in a loop over the masks in increasing order, so the table
-    is the same to the bit; `out=` writes in place and adds no temporary
-    array.
+    The table is turned so that its rows are the shorter side, and the row
+    sets A are enumerated through their column sums, in blocks of at most
+    BLOCK_FLOATS floats (512 KiB): a block holds the 2^low row sets that share
+    one set of high rows, low = min(m, floor(log2(BLOCK_FLOATS / cols))).
+    `_double_subset_sums` first grows the small table of the high rows' sums
+    from a zero row; each of those sums then seeds one block, which it grows
+    over the low rows. Rows wider than BLOCK_FLOATS make one-row blocks.
+
+    Every sum adds its rows to +0.0 in descending index order, the high rows
+    before the low ones, which is the association of the per-mask recursion
+    sums[mask] = sums[mask without its lowest set bit] + dev[lowest set bit].
+    Each positive part is summed over one contiguous row of `cols` floats, as
+    in a table of all 2^m row sets, and the maximum does not depend on the
+    order of the blocks, so the result is the same to the bit; only where a
+    row set's sums sit in memory changes.
 
     For each row set A the best B takes the columns of one sign, so the
     maximum is max(pos, neg) of A's positive and negative column-sum parts.
@@ -199,11 +204,28 @@ def _alpha_table(dev: np.ndarray, cap: int = 16) -> float:
     m, cols = dev.shape
     if m > cap:
         raise SizeError(f"enumeration side {m} exceeds internal cap {cap}")
-    subset_sums = np.zeros((1 << m, cols))
-    for i in reversed(range(m)):
-        view = subset_sums.reshape(-1, 1 << (i + 1), cols)
-        np.add(view[:, 0], dev[i], out=view[:, 1 << i])
-    return float(np.maximum(subset_sums, 0.0, out=subset_sums).sum(axis=1).max())
+    low = min(m, max((BLOCK_FLOATS // max(cols, 1)).bit_length() - 1, 0))
+    bases = _double_subset_sums(np.zeros((1 << (m - low), cols)), dev[low:])
+    block = np.empty((1 << low, cols))
+    best = 0.0
+    for base in bases:
+        block[0] = base
+        _double_subset_sums(block, dev[:low])
+        best = max(best, float(np.maximum(block, 0.0, out=block).sum(axis=1).max()))
+    return best
+
+
+def _double_subset_sums(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill out[1:] with out[0] plus each subset of `rows`, in place.
+
+    The rows are taken in descending index order, each one doubling the
+    filled part: out[2^k : 2^(k+1)] = out[:2^k] + row. So out[j] adds, to
+    out[0], the rows of the set bits of j, bit 0 being the last row, in
+    descending index order.
+    """
+    for k, row in enumerate(rows[::-1]):
+        np.add(out[:1 << k], row, out=out[1 << k:2 << k])
+    return out
 
 
 def markov_beta_lag(c: FiniteChain, n: int) -> float:

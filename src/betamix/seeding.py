@@ -7,16 +7,17 @@ sizes, never on execution order or worker count.
 
 A process runs its blocks on one execution context: BLAS on one thread (from
 the import of betamix, see `one_blas_thread`) and at most one process pool per
-worker count, opened at the first parallel call and reused by every later one.
+worker count, opened (and its machinery imported) at the first parallel call
+and reused by every later one.
 `replicate` is the driver of every Monte Carlo section: it checks each grid
 point's query index against its path length and sends all the blocks of the
 section's points through one map of that pool, longest path first.
 """
 
+import atexit
 import ctypes
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from enum import IntEnum
 from typing import Optional, Sequence
 
@@ -103,13 +104,22 @@ def pool_size(workers: int) -> int:
 
 
 @functools.cache
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """The process's pool for `workers` workers, of pool_size(workers)
-    processes: under fork every one of them starts at the first task. They
-    stop at `shutdown()` or in the interpreter's exit hook. Each inherits
-    OPENBLAS_NUM_THREADS=1 when betamix was imported before numpy, and pins
-    its own BLAS for a parent that imported numpy first."""
-    return ProcessPoolExecutor(max_workers=pool_size(workers), initializer=one_blas_thread)
+def _pool(workers: int):
+    """The process's pool for `workers` workers, a ProcessPoolExecutor of
+    pool_size(workers) processes: under fork every one of them starts at the
+    first task. Each inherits OPENBLAS_NUM_THREADS=1 when betamix was imported
+    before numpy, and pins its own BLAS for a parent that imported numpy first.
+
+    The pool machinery (`concurrent.futures.process`, `multiprocessing`) is
+    imported here, at the first parallel call, so a run on one worker never
+    loads it. The workers stop at `shutdown()`, which an `atexit` hook also
+    calls, so a pool still cached at exit is shut down before the
+    interpreter tears its modules down."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=pool_size(workers), initializer=one_blas_thread)
+    atexit.register(pool.shutdown)
+    return pool
 
 
 def replicate(block_fn, shared: tuple, points: Sequence[tuple[int, int]], reps: int,

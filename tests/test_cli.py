@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -36,6 +37,35 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_pool_machinery_loads_only_with_a_pool(tmp_path):
+    # a one-worker run never opens a pool, so it never imports one
+    code = ("import sys, betamix.cli; "
+            "loaded = lambda: [m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules]; "
+            "print(loaded()); "
+            "betamix.cli.main(['verify-all', '--seed', '3', '--output', sys.argv[1]]); "
+            "print(loaded())")
+    env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert (tmp_path / "verify_report.csv").exists()
+
+
+def test_cached_pool_exits_quietly():
+    # the pool is never shut down by the caller; holding seeding on sys keeps
+    # the pool alive past the interpreter's teardown of the pool's own module,
+    # as a test session's modules do
+    code = ("import sys; from betamix import seeding; sys.betamix_seeding = seeding; "
+            "print(list(seeding._pool(2).map(abs, [-1, 2])))")
+    env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[1, 2]"
+    assert out.stderr == ""
 
 
 def test_third_party_imports_are_the_declared_dependencies():
@@ -728,12 +758,12 @@ class TestExecutionContext:
         # the 6 grid points maps over the pool
         opened = []
 
-        class CountingPool(seeding.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 opened.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(seeding, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         seeding._pool.cache_clear()
         try:
             code = run_cli("concentration", "--seed", "2", "--reps", "1100",
@@ -766,7 +796,7 @@ class TestExecutionContext:
             def shutdown(self):
                 pass
 
-        monkeypatch.setattr(seeding, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         seeding._pool.cache_clear()
         try:
             code = run_cli("concentration", "--seed", "2", "--reps", "1100",
@@ -797,7 +827,7 @@ class TestExecutionContext:
             def shutdown(self):
                 pass
 
-        monkeypatch.setattr(seeding, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         seeding._pool.cache_clear()
         try:
             code = run_cli("concentration", "--seed", "2", "--reps", "1100", "--workers", "2",
@@ -830,7 +860,7 @@ class TestExecutionContext:
             def shutdown(self):
                 pass
 
-        monkeypatch.setattr(seeding, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         seeding._pool.cache_clear()
         try:
             code = run_cli("fkr", "--seed", "2", "--reps", "100", "--workers", "2",

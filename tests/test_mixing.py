@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,35 @@ class TestAlphaTable:
         neg = -np.minimum(sums, 0.0).sum(axis=1)
         assert_allclose(pos, neg, rtol=0, atol=1e-15)
         assert abs(_alpha_table(dev) - np.maximum(pos, neg).max()) <= 1e-15
+
+    @pytest.mark.parametrize("cols", [16, 40, 64])
+    @pytest.mark.parametrize("side", range(13, 17))
+    def test_blocked_sums_bit_identical_to_per_mask_recursion(self, side, cols):
+        # the block height, floor(log2(2^16 / cols)) rows, depends on cols
+        rng = np.random.default_rng(side * cols)
+        joint = rng.dirichlet(np.ones(side * cols)).reshape(side, cols)
+        dev = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
+        want = per_mask_alpha_table(dev)
+        assert _alpha_table(dev) == want
+        assert _alpha_table(dev.T) == want
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_empty_table_is_zero(self, shape):
+        assert _alpha_table(np.zeros(shape)) == per_mask_alpha_table(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 64)])
+    def test_peak_memory_is_one_block(self, shape):
+        # one block holds 2^16 floats (512 KiB); a table of all 2^16 row sets
+        # would hold 2^16 * cols
+        dev = np.random.default_rng(3).standard_normal(shape)
+        dev -= dev.mean(axis=0)
+        tracemalloc.start()
+        try:
+            _alpha_table(dev)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (1 << 16) * 8
 
     @pytest.mark.parametrize("shape", [(17, 17), (17, 20), (20, 17)])
     def test_side_above_cap_rejected(self, shape):
