@@ -10,7 +10,7 @@ takes; batch drivers pass one keyed generator per replication block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
@@ -25,6 +25,9 @@ FAR_KERNELS = ("separable", "gaussian-bump")
 PSI_NAMES = ("linear", "norm")
 Seed = Union[int, np.random.SeedSequence, np.random.Generator]
 BURN_ROWS = 64  # innovation rows per burn-in draw of _simulate_chain_columns
+# far1_scores skips burn-in rows in whole blocks of SKIP_ROWS: a window of the
+# coefficient rows that starts on a block edge gets the whole product's bits
+SKIP_ROWS = 64
 
 
 def _require_finite(spec, names: Sequence[str]) -> None:
@@ -221,7 +224,15 @@ class FunctionalPath:
         """Curve k, 0 <= k < n_curves, alone, as a one-curve path in this path's frame."""
         if not 0 <= k < self.n_curves:
             raise ValidationError(f"curve index {k} outside [0, {self.n_curves})")
-        return replace(self, coords=self.coords[[k]], responses=None)
+        return self._derive(coords=self.coords[[k]], responses=None)
+
+    def _derive(self, **changes) -> FunctionalPath:
+        """This path with `changes`, given in the form the checks leave them
+        (float arrays of the right shapes), built without re-running the
+        checks of a path that has already passed them."""
+        path = object.__new__(FunctionalPath)
+        path.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)}, **changes)
+        return path
 
 
 def _gram_factor(frame: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -412,12 +423,10 @@ def _coalesced_burn_in(spec: ContractiveChainSpec, burn: int, width: int,
     """
     gen, keep = rng.bit_generator, _bounding_rows(spec.a)
     bound = 2.0 * max(abs(spec.x0), spec.state_bound())
-    if not (isinstance(gen, np.random.PCG64) and spec.innovation == "uniform"
-            and spec.map != "sine-perturbed" and burn > keep and math.isfinite(bound)):
+    if not (spec.innovation == "uniform" and spec.map != "sine-perturbed" and burn > keep
+            and math.isfinite(bound) and _advances_exactly(gen)):
         return None
     saved = gen.state
-    if saved["has_uint32"]:  # advance would drop the buffered 32-bit half
-        return None
     gen.advance((burn - keep) * width)
     bounds = np.repeat([[-bound], [bound]], width, axis=1)
     for start in range(0, keep, BURN_ROWS):
@@ -427,6 +436,13 @@ def _coalesced_burn_in(spec: ContractiveChainSpec, burn: int, width: int,
         return bounds[0]
     gen.state = saved
     return None
+
+
+def _advances_exactly(gen) -> bool:
+    """Whether gen.advance(k) skips exactly the next k uniform draws: a PCG64
+    takes one 64-bit output per draw, and advance would drop a buffered
+    32-bit half."""
+    return isinstance(gen, np.random.PCG64) and not gen.state["has_uint32"]
 
 
 def _advance_chain(x: np.ndarray, eps: np.ndarray, coef: float, prod: np.ndarray,
@@ -509,27 +525,73 @@ def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.nda
     phi-score recursions c_t = rho <phi, phi>_w c_{t-1} + d_{t-1} together.
     Path j's draw is split at its first kept row, with the values of one
     draw, and states[j] is its generator state there. Only the drive
-    d = coeffs @ <b, phi>_w is kept, one product over all of its rows; the
-    burn-in rows run in their own array, then the kept rows in place in
-    column j of `scores` (no rows for a gaussian-bump path)."""
+    d = coeffs @ <b, phi>_w is kept, one product over all of its drawn rows;
+    the burn-in rows run in their own array, then the kept rows in place in
+    column j of `scores` (no rows for a gaussian-bump path).
+
+    A long burn-in is mostly not drawn when every generator advances
+    exactly: each path skips the first `skip` rows (_far1_skip) and two
+    bounding chains from -S and S run through the rest, as in
+    _coalesced_burn_in. `skip` is a whole number of SKIP_ROWS blocks, so
+    every drawn row keeps its place in the whole-path product's row blocks
+    and its bits. A column whose bounds end apart, or on zero (whose sign
+    they cannot tell), is redrawn whole from its start state, and its
+    generator is put back. Scores, states and end states are those of the
+    full draw either way.
+    """
     (first, rows), width = _far1_rows(spec, n), sum(count for _, count in streams)
     _, _, _, loading, phi_sq = _far1_frame(spec, grid_size)
-    coeffs, burn = np.empty((rows, spec.noise_terms)), np.empty((first, width))
+    coef, c0 = spec.rho * phi_sq, float(spec.initial == "eigenfunction") * phi_sq  # X_0 = c0 phi
+    paths = [g for g, count in streams for _ in range(count)]
+    skip, bound = _far1_skip(spec, first, coef, c0, loading, [g for g, _ in streams])
+    coeffs, burn = np.empty((rows, spec.noise_terms)), np.empty((first - skip, width))
     scores = np.empty((rows - first if spec.kernel == "separable" else 0, width))
-    states = []
-    for j, rng in enumerate(g for g, count in streams for _ in range(count)):
-        _far1_coeffs(spec, rng, coeffs[:first])
+    starts, states = [], []
+    for j, rng in enumerate(paths):
+        if skip:
+            starts.append(rng.bit_generator.state)
+            rng.bit_generator.advance(skip * spec.noise_terms)
+        _far1_coeffs(spec, rng, coeffs[skip:first])
         states.append(rng.bit_generator.state)
         _far1_coeffs(spec, rng, coeffs[first:])
         if len(scores):
-            drive = coeffs @ loading
-            burn[:, j], scores[1:, j] = drive[:first], drive[first:-1]
-    if len(scores):
-        coef, prod = spec.rho * phi_sq, np.empty(width)
-        c0 = np.full(width, float(spec.initial == "eigenfunction") * phi_sq)  # X_0 = c0 phi
-        scores[0] = _advance_chain(c0, burn, coef, prod)[-1] if first else c0
-        _advance_chain(scores[0], scores[1:], coef, prod)
+            drive = coeffs[skip:] @ loading
+            burn[:, j], scores[1:, j] = drive[:first - skip], drive[first - skip:-1]
+    if not len(scores):
+        return scores, states
+    prod = np.empty(width)
+    if skip:
+        ends = _advance_chain(np.repeat([-bound, bound], width), np.tile(burn, 2), coef,
+                              np.empty(2 * width))[-1]
+        scores[0] = ends[:width]
+        for j in np.flatnonzero((ends[:width] != ends[width:]) | (ends[:width] == 0)):
+            gen = paths[j].bit_generator
+            end, gen.state = gen.state, starts[j]
+            drive = _far1_coeffs(spec, paths[j], coeffs) @ loading
+            gen.state = end
+            scores[0, j] = _ar1_path(coef, drive[:first], c0)[-1]
+    else:
+        scores[0] = _advance_chain(np.full(width, c0), burn, coef, prod)[-1] if first else c0
+    _advance_chain(scores[0], scores[1:], coef, prod)
     return scores, states
+
+
+def _far1_skip(spec: Far1Spec, first: int, coef: float, c0: float, loading: np.ndarray,
+               gens: Sequence[np.random.Generator]) -> tuple[int, float]:
+    """(skip, S): the burn-in rows far1_scores need not draw, the most whole
+    SKIP_ROWS blocks that leave at least K = _bounding_rows(coef) rows to
+    the bounding chains, and their start S = 2 max(|c0|, the stationary
+    bound sqrt(3) noise_scale sum_m |<b_m, phi>_w| / m / (1 - |coef|)).
+    skip is 0 when a generator does not advance exactly or S is not finite."""
+    keep = _bounding_rows(coef) if abs(coef) < 1.0 else math.inf  # rho <phi, phi>_w may round to 1
+    if first <= keep:
+        return 0, math.nan
+    drive_bound = math.sqrt(3.0) * spec.noise_scale * float(
+        np.abs(loading) @ (1.0 / np.arange(1, spec.noise_terms + 1)))
+    bound = 2.0 * max(abs(c0), drive_bound / (1.0 - abs(coef)))
+    if not (math.isfinite(bound) and all(_advances_exactly(g.bit_generator) for g in gens)):
+        return 0, math.nan
+    return (first - keep) // SKIP_ROWS * SKIP_ROWS, bound
 
 
 def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed,
@@ -629,7 +691,7 @@ def make_regression_sample(
     signal = func(path)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_sd, size=path.n_curves) if noise_sd > 0 else 0.0
-    return replace(path, responses=signal + noise)
+    return path._derive(responses=signal + noise)
 
 
 def binned_lag_joint(values: np.ndarray, lag: int, n_bins: int) -> np.ndarray:

@@ -232,7 +232,24 @@ def bandwidth_schedule(n: int, theta: float, pilot_distances: np.ndarray) -> flo
     theta_eff = max(theta, 1e-3)
     level = float(n**-theta_eff)
     # degenerate all-equal pilots (e.g. a constant process) would give h = 0
-    return max(float(np.quantile(pilot, level)), 1e-12)
+    return max(_linear_quantile(pilot, level), 1e-12)
+
+
+def _linear_quantile(values: np.ndarray, level: float) -> float:
+    """np.quantile(values, level) of a finite 1-D array at 0 <= level <= 1,
+    with its bits, from one np.partition of the two order statistics it
+    needs (np.quantile partitions through np.unique, which imports
+    numpy.ma). NumPy's "linear" rule: the virtual index (n - 1) level, the
+    order statistics at its floor and the next index (both the top one from
+    n - 1 on, where NumPy's floor index reads -1), and its lerp written out."""
+    last = values.size - 1
+    index = last * level
+    low = math.floor(index) if index < last else -1
+    high = low + 1 if low >= 0 else -1
+    part = np.partition(values, (low, high))
+    a, b, t = float(part[low]), float(part[high]), index - low
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
 @dataclass(frozen=True)

@@ -526,6 +526,32 @@ class TestDeterminism:
         monkeypatch.setattr(processes, "_coalesced_burn_in", lambda *args: None)
         assert run("full") == bodies
 
+    @pytest.mark.parametrize("rho", ["0.5", "-0.7"])
+    def test_fkr_skipped_burn_in_leaves_the_report_byte_identical(self, tmp_path, monkeypatch,
+                                                                  rho):
+        # burn_in = 1000 exceeds K + SKIP_ROWS rows, so every block skips
+        # whole blocks of burn-in rows; without the skip each path draws them all
+        skips = []
+        far1_skip = processes._far1_skip
+
+        def recording(*args):
+            skip = far1_skip(*args)
+            skips.append(skip[0])
+            return skip
+
+        def run(name):
+            out = tmp_path / name
+            run_cli("fkr", "--seed", "5", "--reps", "100", "--output", str(out),
+                    "--set", "grid.n=100,200", "--set", "grid_size=16",
+                    "--set", "process.burn_in=1000", "--set", f"process.rho={rho}")
+            return (out / "fkr_report.csv").read_bytes()
+
+        monkeypatch.setattr(processes, "_far1_skip", recording)
+        body = run("skip")
+        assert skips and all(skips)
+        monkeypatch.setattr(processes, "_far1_skip", lambda *args: (0, math.nan))
+        assert run("full") == body
+
     def test_fkr_seeds_404_to_407_write_distinct_reports(self, tmp_path):
         # the former seed ^ index streams wrote one body for all four seeds
         bodies = set()

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from betamix.processes import (
     BURN_ROWS,
     CHAIN_INNOVATIONS,
     CHAIN_MAPS,
+    SKIP_ROWS,
     ContractiveChainSpec,
     Far1Spec,
     FunctionalPath,
@@ -543,6 +544,20 @@ class TestFar1Scores:
         (gaussian-bump)."""
         if spec.kernel == "gaussian-bump":
             return TestFar1._per_step_far1(spec, n, grid_size, rng)
+        scores, kept_coeffs = TestFar1Scores._sequential_scores(spec, n, grid_size, rng)
+        start = 1.0 if spec.initial == "eigenfunction" else 0.0
+        coords = np.zeros((n, 1 + spec.noise_terms))
+        lead = 1 if spec.burn_in == 0 else 0  # X_0 = start * phi is kept
+        coords[:lead, 0] = start
+        coords[lead:, 0] = spec.rho * scores
+        coords[lead:, 1:] = kept_coeffs
+        return coords
+
+    @staticmethod
+    def _sequential_scores(spec, n, grid_size, rng):
+        """Reference of a separable path: its kept scores, run by _ar1_path
+        over the drive of one whole draw from `rng`, and its kept
+        coefficient rows."""
         grid = uniform_grid(grid_size)
         wphi = trapezoid_weights(grid) * spec.eigenfunction(grid)
         modes = np.arange(1, spec.noise_terms + 1)
@@ -553,13 +568,8 @@ class TestFar1Scores:
         phi_sq = float(wphi @ spec.eigenfunction(grid))
         start = 1.0 if spec.initial == "eigenfunction" else 0.0
         c = _ar1_path(spec.rho * phi_sq, coeffs @ (basis @ wphi), start * phi_sq)
-        coords = np.zeros((n, 1 + spec.noise_terms))
-        lead = 1 if spec.burn_in == 0 else 0  # X_0 = start * phi is kept
-        coords[:lead, 0] = start
         kept = slice(max(spec.burn_in, 1) - 1, total - 1)
-        coords[lead:, 0] = spec.rho * c[kept]
-        coords[lead:, 1:] = coeffs[kept]
-        return coords
+        return c[kept], coeffs[kept]
 
     @pytest.mark.parametrize("counts", [(1,), (3, 2)])
     @pytest.mark.parametrize("n", [1, 2, 37])
@@ -610,6 +620,120 @@ class TestFar1Scores:
             g.bit_generator.state = states[0]
         with pytest.raises(ValidationError, match="scores"):
             simulate_far1(spec, 20, 16, g, column)
+
+    def _assert_sequential(self, spec, n, streams, refs, scores, states):
+        """far1_scores(spec, n, 16, streams) gave `scores` and `states`: check
+        that each separable path's scores, kept rows from states[j] and the
+        generators' end states are those of drawing its path whole from
+        `refs`, copies of the streams' generators."""
+        want = [self._sequential_scores(spec, n, 16, ref)
+                for ref, (_, count) in zip(refs, streams) for _ in range(count)]
+        gens = [g for g, _ in streams]
+        ends = [end_state(ref) for ref in refs]
+        assert [end_state(g) for g in gens] == ends
+        owners = [g for g, count in streams for _ in range(count)]
+        for j, (g, (want_scores, want_coeffs)) in enumerate(zip(owners, want)):
+            assert_array_equal(scores[:, j], want_scores)
+            g.bit_generator.state = states[j]
+            assert_array_equal(simulate_far1(spec, n, 16, g, scores[:, j]).coords[:, 1:],
+                               want_coeffs)
+        assert [end_state(g) for g in gens] == ends
+
+    @staticmethod
+    def _counted_rows(monkeypatch, run):
+        """run() and the coefficient rows it drew through _far1_coeffs."""
+        rows = []
+        draw = processes._far1_coeffs
+
+        def counting(spec, rng, out):
+            rows.append(len(out))
+            return draw(spec, rng, out)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(processes, "_far1_coeffs", counting)
+            out = run()
+        return out, sum(rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rho=st.one_of(st.just(0.0), st.floats(-0.99, 0.99)),  # K <= 6,209 rows
+        burn_from_k=st.sampled_from([1, 2, 64, 65, None]),
+        initial=st.sampled_from(["zero", "eigenfunction"]),
+        counts=st.sampled_from([(1,), (3, 2)]),
+        n=st.sampled_from([1, 7, 200]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_skipped_burn_in_is_the_whole_draw(self, rho, burn_from_k, initial, counts, n, seed):
+        # burn_in K + 65 is the first that skips a block of SKIP_ROWS rows, and
+        # None stands for the workloads' 1000; rho < 0 swaps the bounds at each step
+        coef = rho * processes._far1_frame(Far1Spec(rho=rho), 16)[4]
+        burn_in = 1000 if burn_from_k is None else _bounding_rows(coef) + burn_from_k
+        spec = Far1Spec(rho=rho, burn_in=burn_in, initial=initial)
+        streams, refs = ([(np.random.default_rng(seed + s), count)
+                          for s, count in enumerate(counts)] for _ in range(2))
+        got = far1_scores(spec, n, 16, streams)
+        self._assert_sequential(spec, n, streams, [g for g, _ in refs], *got)
+
+    @pytest.mark.parametrize("n", [200, 3200])
+    def test_forecast_paths_draw_only_the_rows_after_the_skip(self, monkeypatch, n):
+        # the forecast workload's process: K = 128 of the 999 burn-in rows
+        # leave 13 whole blocks, 832 rows, to skip
+        spec = Far1Spec(kernel="separable", rho=0.5, burn_in=1000)
+        assert _bounding_rows(spec.rho * processes._far1_frame(spec, 64)[4]) == 128
+        skip, rows = 13 * SKIP_ROWS, 1000 + n - 1
+
+        def run():
+            gens = [np.random.default_rng(7), np.random.default_rng(8)]
+            return far1_scores(spec, n, 64, [(gens[0], 25), (gens[1], 25)]), gens
+
+        (got, gens), drawn = self._counted_rows(monkeypatch, run)
+        assert drawn == 50 * (rows - skip)
+        monkeypatch.setattr(processes, "_far1_skip", lambda *args: (0, math.nan))
+        (want, want_gens), drawn = self._counted_rows(monkeypatch, run)
+        assert drawn == 50 * rows
+        assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert [end_state(g) for g in gens] == [end_state(g) for g in want_gens]
+
+    @pytest.mark.parametrize("burn_in, redrawn", [(1003, 5), (1019, 3), (1000, 0)])
+    def test_columns_whose_bounds_stay_apart_redraw_their_whole_path(self, monkeypatch,
+                                                                     burn_in, redrawn):
+        # with K patched to 40 the bounds run 42, 58 and 103 rows from -S and S:
+        # 0.5^42 leaves every pair apart, after 58 rows 2 of the 5 meet, after
+        # 103 all; a product split at first = 1002 or 1018 would round
+        # otherwise than the whole path's
+        monkeypatch.setattr(processes, "_bounding_rows", lambda coef: 40)
+        spec = Far1Spec(rho=0.5, burn_in=burn_in)
+        first, rows = burn_in - 1, burn_in + 29
+        skip = (first - 40) // SKIP_ROWS * SKIP_ROWS
+        streams, refs = ([(np.random.default_rng(3), 3), (np.random.default_rng(4), 2)]
+                         for _ in range(2))
+        got, drawn = self._counted_rows(monkeypatch, lambda: far1_scores(spec, 30, 16, streams))
+        assert drawn == 5 * (rows - skip) + redrawn * rows
+        self._assert_sequential(spec, 30, streams, [g for g, _ in refs], *got)
+
+    @pytest.mark.parametrize("make_rng", [
+        lambda: np.random.Generator(np.random.MT19937(9)),
+        lambda: np.random.Generator(np.random.PCG64DXSM(9)),
+        lambda: _with_buffered_half(np.random.default_rng(9)),
+    ], ids=["MT19937", "PCG64DXSM", "PCG64-buffered-uint32"])
+    def test_generators_without_an_exact_advance_draw_the_full_burn_in(self, monkeypatch,
+                                                                      make_rng):
+        # one such generator in the block keeps every path on the full draw
+        spec = Far1Spec(rho=-0.7, burn_in=1000)
+        streams, refs = ([(np.random.default_rng(5), 2), (make_rng(), 3)] for _ in range(2))
+        got, drawn = self._counted_rows(monkeypatch, lambda: far1_scores(spec, 30, 16, streams))
+        assert drawn == 5 * (1000 + 29)
+        self._assert_sequential(spec, 30, streams, [g for g, _ in refs], *got)
+
+    def test_bound_that_is_not_a_float_declines(self):
+        # S = 2 sqrt(3) noise_scale sum |<b_m, phi>_w| / m / (1 - rho) overflows
+        spec = Far1Spec(rho=0.5, noise_scale=1e308, burn_in=1000)
+        _, _, _, loading, phi_sq = processes._far1_frame(spec, 16)
+        paths = [np.random.default_rng(1)]
+        assert processes._far1_skip(spec, 999, 0.5 * phi_sq, 0.0, loading, paths)[0] == 0
+        ordinary = replace(spec, noise_scale=0.3)
+        assert processes._far1_skip(ordinary, 999, 0.5 * phi_sq, 0.0, loading, paths)[0] == 832
 
     def test_gaussian_bump_path_takes_no_scores(self):
         spec = Far1Spec(kernel="gaussian-bump", burn_in=5)
@@ -697,3 +821,65 @@ class TestTake:
         path = simulate_far1(Far1Spec(kernel="separable", burn_in=10), 6, grid_size=16, seed=3)
         with pytest.raises(ValidationError, match="curve index"):
             path.take(k)
+
+
+class TestDerivedPaths:
+    """take and make_regression_sample copy a checked path without checking it again."""
+
+    @staticmethod
+    def _paths():
+        framed = simulate_far1(Far1Spec(burn_in=10), 6, grid_size=16, seed=3)
+        return [framed, FunctionalPath(framed.grid, framed.curves)]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["frame", "grid-valued"])
+    def test_derived_paths_equal_the_checked_replace(self, which):
+        path = self._paths()[which]
+        path.curves  # a cached curve array must not pass to the copies
+        taken = path.take(2)
+        sample = make_regression_sample(path, PsiSpec("norm"), 0.1, seed=4)
+        for derived, checked in [
+            (taken, replace(path, coords=path.coords[[2]], responses=None)),
+            (sample, replace(path, responses=sample.responses)),
+        ]:
+            assert type(derived) is FunctionalPath
+            for field in fields(FunctionalPath):
+                got, want = getattr(derived, field.name), getattr(checked, field.name)
+                assert (got is None) == (want is None), field.name
+                if want is not None:
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
+                    assert_array_equal(got, want)
+            assert_array_equal(derived.curves, checked.curves)
+            assert_array_equal(derived.distances(), checked.distances())
+
+    def test_derived_paths_skip_the_checks(self, monkeypatch):
+        path = self._paths()[0]
+
+        def refuse(self):
+            raise AssertionError("re-checked")
+
+        monkeypatch.setattr(FunctionalPath, "__post_init__", refuse)
+        assert path.take(5).n_curves == 1
+        assert make_regression_sample(path, PsiSpec("norm"), 0.0, seed=0).responses.shape == (6,)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(grid=np.zeros((2, 8))), "1-d array"),
+        (dict(grid=[0.0], coords=np.zeros((1, 1))), "1-d array"),
+        (dict(grid=[0.0, 0.5, 0.5, 1.0], coords=np.zeros((1, 4))), "strictly increasing"),
+        (dict(grid=np.linspace(0.0, 0.9, 8)), "endpoints"),
+        (dict(coords=np.zeros((2, 7))), "one column per grid point"),
+        (dict(gram_factor=np.eye(8)), "needs the frame"),
+        (dict(coords=np.zeros((2, 2)), frame=np.ones((3, 8))), "one row per coordinate"),
+        (dict(coords=np.zeros((2, 2)), frame=np.full((2, 8), np.inf)), "frame values"),
+        (dict(coords=np.zeros((2, 2)), frame=np.ones((2, 8)), gram_factor=np.eye(3)),
+         "gram_factor must be a finite"),
+        (dict(coords=np.zeros((2, 2)), frame=np.ones((2, 8)),
+              gram_factor=np.full((2, 2), np.nan)), "gram_factor must be a finite"),
+        (dict(coords=np.full((2, 8), np.nan)), "curve values"),
+        (dict(responses=np.zeros(3)), "one value per curve"),
+    ], ids=["grid-2d", "grid-one-point", "grid-repeats", "grid-endpoints", "coords-columns",
+            "factor-without-frame", "frame-shape", "frame-non-finite", "factor-shape",
+            "factor-non-finite", "coords-non-finite", "responses-shape"])
+    def test_public_constructor_still_rejects_bad_inputs(self, kwargs, message):
+        good = dict(grid=uniform_grid(8), coords=np.zeros((2, 8)))
+        with pytest.raises(ValidationError, match=message):
+            FunctionalPath(**{**good, **kwargs})

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import betamix
 from betamix.errors import ConfigError, DomainError, ValidationError
 from betamix.processes import (
     Far1Spec,
@@ -22,6 +27,7 @@ from betamix.regression import (
     KernelSpec,
     RegressionFit,
     _forecast_block,
+    _linear_quantile,
     bandwidth_schedule,
     curve_distances,
     dynamic_forecast_experiment,
@@ -381,6 +387,34 @@ class TestBandwidthSchedule:
     def test_pilot_distances_must_be_finite_and_non_negative(self, bad):
         with pytest.raises(ValidationError):
             bandwidth_schedule(100, 0.3, np.array([0.2, bad, 1.0]))
+
+    @pytest.mark.parametrize("kind", ["continuous", "ties"])
+    def test_quantile_has_the_bits_of_np_quantile(self, kind):
+        rng = np.random.default_rng(37)
+        sizes = [*range(1, 70), 127, 128, 129, 199, 200, 201, 1000, 3199, 3200, 4000]
+        for size in sizes:
+            pilot = (rng.uniform(0, 2, size) if kind == "continuous"
+                     else rng.integers(0, 4, size) * 0.3)
+            levels = [0.0, 5e-324, 1e-300, 1e-12, 0.25, 0.5, 0.75, 1 - 2**-53, 1.0,
+                      size**-0.3, 200**-0.3, 3200**-0.3, *rng.random(4)]
+            for level in levels:
+                got, want = _linear_quantile(pilot.copy(), level), float(np.quantile(pilot, level))
+                assert got.hex() == want.hex(), (size, level)
+
+    def test_forecast_block_leaves_numpy_ma_unloaded(self):
+        # np.quantile imports numpy.ma through np.unique in every pool worker
+        code = ("import sys; from betamix.processes import Far1Spec, PsiSpec, uniform_grid; "
+                "from betamix.regression import FORECAST_BLOCK, KernelSpec, _forecast_block; "
+                "p = Far1Spec(rho=0.5, burn_in=1000); "
+                "psi = PsiSpec('linear', weight=p.eigenfunction(uniform_grid(64))); "
+                "print('numpy.ma' in sys.modules); "
+                "_forecast_block((p, psi, 0.1, KernelSpec('downslope-linear'), 0.3, 64, 7, 200, "
+                "200, range(FORECAST_BLOCK))); "
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestDynamicForecast:
