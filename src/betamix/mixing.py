@@ -33,12 +33,16 @@ class CheckResult(NamedTuple):
 class FiniteJointDistribution:
     """Joint law of two finite-valued random variables as a probability table.
 
-    `joint[i, j] = P(X = i, Y = j)`; marginals are derived row/column sums.
+    `joint[i, j] = P(X = i, Y = j)`; the marginals are its row and column
+    sums, `product` the product measure's table P_X(i) P_Y(j), and
+    `deviation` = joint - product, the signed dependence gap per cell.
     """
 
     joint: np.ndarray
     marginal_x: np.ndarray = field(init=False)
     marginal_y: np.ndarray = field(init=False)
+    product: np.ndarray = field(init=False)
+    deviation: np.ndarray = field(init=False)
 
     def __post_init__(self):
         joint = np.asarray(self.joint, dtype=float)
@@ -52,18 +56,12 @@ class FiniteJointDistribution:
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "marginal_x", joint.sum(axis=1))
         object.__setattr__(self, "marginal_y", joint.sum(axis=0))
+        object.__setattr__(self, "product", np.outer(self.marginal_x, self.marginal_y))
+        object.__setattr__(self, "deviation", joint - self.product)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.joint.shape
-
-    def product_table(self) -> np.ndarray:
-        """Table of the product measure P_X(i) * P_Y(j)."""
-        return np.outer(self.marginal_x, self.marginal_y)
-
-    def deviation_table(self) -> np.ndarray:
-        """joint - product, the signed dependence gap per cell."""
-        return self.joint - self.product_table()
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,7 @@ def beta_exact(j: FiniteJointDistribution) -> float:
     the finest coordinate partitions attain the supremum in the partition
     form of the coefficient.
     """
-    return 0.5 * float(np.abs(j.deviation_table()).sum())
+    return 0.5 * float(np.abs(j.deviation).sum())
 
 
 def alpha_exact(j: FiniteJointDistribution) -> float:
@@ -171,7 +169,7 @@ def alpha_exact(j: FiniteJointDistribution) -> float:
         raise SizeError(
             f"alphabets ({m}, {ell}) exceed enumeration cap {ALPHABET_CAP}"
         )
-    return _alpha_table(j.deviation_table())
+    return _alpha_table(j.deviation)
 
 
 def _alpha_table(dev: np.ndarray, cap: int = 16) -> float:
@@ -305,20 +303,19 @@ def davydov_check(
     if h.shape != j.shape:
         raise ValidationError(f"h table shape {h.shape} != joint shape {j.shape}")
     q = _holder_conjugate(p)
-    prod = j.product_table()
-    lhs = abs(float((h * j.joint).sum()) - float((h * prod).sum()))
+    lhs = abs(float((h * j.joint).sum()) - float((h * j.product).sum()))
     beta = beta_exact(j)
     if np.isinf(p):
         rhs = 2.0 * float(np.abs(h).max()) * beta
     else:
-        support = prod > 0
+        support = j.product > 0
         if np.any(j.joint[~support] > 0):
             raise ValidationError(
                 "joint mass on a cell with zero product mass; "
                 "joint law not absolutely continuous w.r.t. the product"
             )
-        g_sup = float((j.joint[support] / prod[support]).max()) if support.any() else 0.0
-        h_norm = float((np.abs(h) ** p * prod).sum()) ** (1.0 / p)
+        g_sup = float((j.joint[support] / j.product[support]).max()) if support.any() else 0.0
+        h_norm = float((np.abs(h) ** p * j.product).sum()) ** (1.0 / p)
         beta_pow = 1.0 if np.isinf(q) else beta ** (1.0 / q)
         two_pow = 1.0 if np.isinf(q) else 2.0 ** (1.0 / q)
         rhs = two_pow * (1.0 + g_sup) ** (1.0 / p) * h_norm * beta_pow

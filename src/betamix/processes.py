@@ -375,21 +375,36 @@ def _simulate_chain_columns(
     take their values in order, so the split leaves their paths those of one
     whole draw; a rejection sampler's paths depend on it.
 
-    Most of a long uniform burn-in under a linear or clipped-linear map on a
-    PCG64 generator is not drawn: _coalesced_burn_in skips it with the bits
-    and generator end state of the full loop, which runs when it declines.
+    Most of a long uniform burn-in under a linear or clipped-linear map is not
+    drawn (_burn_in_skip). The columns share one generator, so if a pair of
+    bounds does not meet, the block puts it back and draws the whole burn-in.
+    Truncated-Gaussian draws take a random number of outputs, and
+    sine-perturbed maps are not shown monotone in floating point: neither
+    skips.
     """
     if n < 1:
         raise ValidationError("path length must be >= 1")
     width = len(seeds)
-    step = (spec.a, np.empty(width), None if spec.map == "linear" else spec.apply_map)
+    step = (spec.a, None if spec.map == "linear" else spec.apply_map)
     burn = max(spec.burn_in - 1, 0)  # steps before the draw that yields x_burn_in
-    x = _coalesced_burn_in(spec, burn, width, rng)
-    if x is None:
-        x = np.full(width, spec.x0)
-        for start in range(0, burn, BURN_ROWS):
-            rows = min(BURN_ROWS, burn - start)
-            x = _advance_chain(x, _draw_innovations(spec, rng, (rows, width)), *step)[-1].copy()
+
+    def run(x: np.ndarray, rows: int) -> np.ndarray:  # x after the next `rows` burn-in rows
+        for start in range(0, rows, BURN_ROWS):
+            eps = _draw_innovations(spec, rng, (min(BURN_ROWS, rows - start), width))
+            x = _advance_chain(x, eps if len(x) == width else np.tile(eps, 2), *step)[-1].copy()
+        return x
+
+    skip, bound = (_burn_in_skip(burn, spec.a, spec.x0, spec.state_bound(), [rng.bit_generator])
+                   if spec.innovation == "uniform" and spec.map != "sine-perturbed" else (0, 0.0))
+    if skip:
+        saved = rng.bit_generator.state
+        rng.bit_generator.advance(skip * width)
+        x, met = _bounds_meet(run(np.repeat([-bound, bound], width), burn - skip))
+        if not met.all():
+            rng.bit_generator.state = saved
+            skip = 0
+    if not skip:
+        x = run(np.full(width, spec.x0), burn)
     if spec.burn_in == 0:
         paths = _advance_chain(x, _draw_innovations(spec, rng, (n - 1, width)), *step)
         return np.concatenate([x[None, :], paths])
@@ -397,65 +412,57 @@ def _simulate_chain_columns(
 
 
 def _bounding_rows(a: float) -> int:
-    """K, the burn-in rows _coalesced_burn_in draws: enough for |a|^K <= 2^-90, at least 128."""
+    """K, the rows _burn_in_skip's bounding chains run: enough for |a|^K <= 2^-90, at least 128."""
     return 128 if a == 0 else max(128, math.ceil(90 * math.log(2) / -math.log(abs(a))))
 
 
-def _coalesced_burn_in(spec: ContractiveChainSpec, burn: int, width: int,
-                       rng: np.random.Generator) -> Optional[np.ndarray]:
-    """The state after `burn` steps from x0 of `width` columns, drawing only
-    the last K = _bounding_rows(a) innovation rows; None, with `rng` left as
-    it was, when that cannot be shown exact.
+def _burn_in_skip(burn: int, coef: float, start: float, stationary: float,
+                  gens: Sequence[np.random.BitGenerator], block: int = 1) -> tuple[int, float]:
+    """(skip, S) for `burn` burn-in rows of x_t = f(x_{t-1}) + d_t from
+    x_0 = start, f being coef x or a clip of it, and |x_t| <= stationary
+    almost surely: the early rows that the paths drawn by `gens` need not
+    draw, the most whole `block`s that leave K = _bounding_rows(coef) rows or
+    more, and the start S = 2 max(|start|, stationary) of the bounding
+    chains. skip is 0 when S is not a float, when a generator does not
+    advance exactly, or when no block is left.
 
-    The sandwiching of coupling from the past (Propp and Wilson 1996): a
-    PCG64 uniform draw takes one 64-bit output per value, so advancing the
-    generator by (burn - K) * width outputs skips the early rows exactly.
-    Two bounding chains from -S and S, S = 2 max(|x0|, state_bound), bracket
-    the unknown x_{burn - K}. fl(a x), the clip and fl(y + e) are monotone in
-    x (a < 0 swaps the pair at each step, and it still brackets), so if the
-    bounds end on the same values after the K real rows, the true chain ends
-    there too; no uniform draw is -0.0, so no state is, and equal values are
-    equal bits. Otherwise the generator state is restored and the caller runs
-    the full burn-in. Truncated-Gaussian draws take a random number of
-    outputs, sine-perturbed maps are not shown monotone in floating point,
-    and other bit generators are not known to take one output per value: all
-    decline.
+    The sandwiching of coupling from the past (Propp and Wilson 1996): a PCG64
+    uniform draw takes one 64-bit output per value, so advancing a generator
+    by the skipped rows' outputs skips them exactly, unless it holds a
+    buffered 32-bit half, which advance would drop. Chains from -S and S
+    bracket the unknown state after them. fl(coef x), the clip and fl(y + d)
+    are monotone in x (coef < 0 swaps the pair at each step, and it still
+    brackets), so where the pair ends on one value after the drawn rows, the
+    true chain ends there too. Equal values are equal bits except at zero,
+    whose sign the bounds cannot tell, so _bounds_meet takes no zero end.
     """
-    gen, keep = rng.bit_generator, _bounding_rows(spec.a)
-    bound = 2.0 * max(abs(spec.x0), spec.state_bound())
-    if not (spec.innovation == "uniform" and spec.map != "sine-perturbed" and burn > keep
-            and math.isfinite(bound) and _advances_exactly(gen)):
-        return None
-    saved = gen.state
-    gen.advance((burn - keep) * width)
-    bounds = np.repeat([[-bound], [bound]], width, axis=1)
-    for start in range(0, keep, BURN_ROWS):
-        for row in _draw_innovations(spec, rng, (min(BURN_ROWS, keep - start), width)):
-            bounds = spec.apply_map(bounds) + row
-    if np.array_equal(bounds[0], bounds[1]):
-        return bounds[0]
-    gen.state = saved
-    return None
+    keep = _bounding_rows(coef) if abs(coef) < 1.0 else math.inf  # rho <phi, phi>_w may round to 1
+    bound = 2.0 * max(abs(start), stationary)
+    exact = all(isinstance(g, np.random.PCG64) and not g.state["has_uint32"] for g in gens)
+    skips = burn > keep and math.isfinite(bound) and exact
+    return (burn - keep) // block * block if skips else 0, bound
 
 
-def _advances_exactly(gen) -> bool:
-    """Whether gen.advance(k) skips exactly the next k uniform draws: a PCG64
-    takes one 64-bit output per draw, and advance would drop a buffered
-    32-bit half."""
-    return isinstance(gen, np.random.PCG64) and not gen.state["has_uint32"]
+def _bounds_meet(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of the stacked ends of the bounding chains from -S and from S: the
+    first half, and where each pair met, on one value other than zero
+    (_burn_in_skip)."""
+    low, high = np.split(ends, 2)
+    return low, (low == high) & (low != 0)
 
 
-def _advance_chain(x: np.ndarray, eps: np.ndarray, coef: float, prod: np.ndarray,
+def _advance_chain(x: np.ndarray, eps: np.ndarray, coef: float,
                    apply_map: Optional[Callable] = None) -> np.ndarray:
     """States x_1, ..., x_rows after x_0 = x, written over the innovation
     rows of `eps`: x_t = coef * x_{t-1} + eps[t - 1], or apply_map(x_{t-1})
     + eps[t - 1] when a map is given. The columns advance together, one row
-    per step, coef * x going to the preallocated `prod`. A single column of
-    the linear step runs as the scalar recursion of _ar1_path, which performs
+    per step, coef * x going to one scratch row. A single column of the
+    linear step runs as the scalar recursion of _ar1_path, which performs
     the identical multiply-add."""
     if apply_map is None and eps.shape[1] == 1:
         eps[:, 0] = _ar1_path(coef, eps[:, 0], float(x[0]))[1:]
         return eps
+    prod = np.empty(eps.shape[1])
     for row in eps:
         row += np.multiply(coef, x, out=prod) if apply_map is None else apply_map(x)
         x = row
@@ -485,10 +492,12 @@ def _bump_operator(grid: np.ndarray, rho: float, width: float) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _far1_frame(spec: Far1Spec, grid_size: int):
-    """The uniform grid of `grid_size` points, the frame [phi; b_1; ...; b_M]
-    of the spec's paths on it (phi the eigenfunction, b_m = sqrt(2) sin(pi m u)
-    the innovation basis), its Gram factor, <b_m, phi>_w and <phi, phi>_w,
-    all read-only: every path of one (spec, grid_size) shares them."""
+    """A checked one-curve path on the uniform grid of `grid_size` points in
+    the frame [phi; b_1; ...; b_M] of the spec's paths (phi the eigenfunction,
+    b_m = sqrt(2) sin(pi m u) the innovation basis), with its Gram factor;
+    then <b_m, phi>_w and <phi, phi>_w. The arrays are read-only: every path
+    of one (spec, grid_size) shares them, and a separable path derives from
+    this one without checking them again."""
     if grid_size < 8:
         raise ValidationError("grid_size must be >= 8")
     grid = uniform_grid(grid_size)
@@ -496,10 +505,10 @@ def _far1_frame(spec: Far1Spec, grid_size: int):
     basis = np.sqrt(2.0) * np.sin(np.pi * modes[:, None] * grid[None, :])
     frame = np.vstack([spec.eigenfunction(grid), basis])
     wphi = trapezoid_weights(grid) * frame[0]
-    factor, loading = _gram_factor(frame, grid), frame[1:] @ wphi
-    for array in (grid, frame, factor, loading):
+    path, loading = FunctionalPath(grid, np.zeros((1, len(frame))), frame=frame), frame[1:] @ wphi
+    for array in (grid, frame, path.gram_factor, loading):
         array.flags.writeable = False
-    return grid, frame, factor, loading, float(wphi @ frame[0])
+    return path, loading, float(wphi @ frame[0])
 
 
 def _far1_rows(spec: Far1Spec, n: int) -> tuple[int, int]:
@@ -529,21 +538,23 @@ def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.nda
     the burn-in rows run in their own array, then the kept rows in place in
     column j of `scores` (no rows for a gaussian-bump path).
 
-    A long burn-in is mostly not drawn when every generator advances
-    exactly: each path skips the first `skip` rows (_far1_skip) and two
-    bounding chains from -S and S run through the rest, as in
-    _coalesced_burn_in. `skip` is a whole number of SKIP_ROWS blocks, so
-    every drawn row keeps its place in the whole-path product's row blocks
-    and its bits. A column whose bounds end apart, or on zero (whose sign
-    they cannot tell), is redrawn whole from its start state, and its
-    generator is put back. Scores, states and end states are those of the
-    full draw either way.
+    A long burn-in is mostly not drawn (_burn_in_skip): each path skips its
+    first `skip` rows, a whole number of SKIP_ROWS blocks, so every drawn row
+    keeps its place in the whole-path product's row blocks and its bits. Each
+    path has its own generator, so a column whose bounds do not meet is
+    redrawn whole from its start state, and its generator is put back.
+    Scores, states and end states are those of the full draw either way.
     """
     (first, rows), width = _far1_rows(spec, n), sum(count for _, count in streams)
-    _, _, _, loading, phi_sq = _far1_frame(spec, grid_size)
+    _, loading, phi_sq = _far1_frame(spec, grid_size)
     coef, c0 = spec.rho * phi_sq, float(spec.initial == "eigenfunction") * phi_sq  # X_0 = c0 phi
     paths = [g for g, count in streams for _ in range(count)]
-    skip, bound = _far1_skip(spec, first, coef, c0, loading, [g for g, _ in streams])
+    # |d| <= sqrt(3) noise_scale sum_m |<b_m, phi>_w| / m, and no bound holds once coef rounds to 1
+    drive_bound = math.sqrt(3.0) * spec.noise_scale * float(
+        np.abs(loading) @ (1.0 / np.arange(1, spec.noise_terms + 1)))
+    stationary = drive_bound / (1.0 - abs(coef)) if abs(coef) < 1.0 else math.inf
+    gens = [g.bit_generator for g, _ in streams]
+    skip, bound = _burn_in_skip(first, coef, c0, stationary, gens, SKIP_ROWS)
     coeffs, burn = np.empty((rows, spec.noise_terms)), np.empty((first - skip, width))
     scores = np.empty((rows - first if spec.kernel == "separable" else 0, width))
     starts, states = [], []
@@ -559,39 +570,19 @@ def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.nda
             burn[:, j], scores[1:, j] = drive[:first - skip], drive[first - skip:-1]
     if not len(scores):
         return scores, states
-    prod = np.empty(width)
-    if skip:
-        ends = _advance_chain(np.repeat([-bound, bound], width), np.tile(burn, 2), coef,
-                              np.empty(2 * width))[-1]
-        scores[0] = ends[:width]
-        for j in np.flatnonzero((ends[:width] != ends[width:]) | (ends[:width] == 0)):
+    if not skip:
+        scores[0] = _advance_chain(np.full(width, c0), burn, coef)[-1] if first else c0
+    else:
+        ends = _advance_chain(np.repeat([-bound, bound], width), np.tile(burn, 2), coef)[-1]
+        scores[0], met = _bounds_meet(ends)
+        for j in np.flatnonzero(~met):
             gen = paths[j].bit_generator
             end, gen.state = gen.state, starts[j]
             drive = _far1_coeffs(spec, paths[j], coeffs) @ loading
             gen.state = end
             scores[0, j] = _ar1_path(coef, drive[:first], c0)[-1]
-    else:
-        scores[0] = _advance_chain(np.full(width, c0), burn, coef, prod)[-1] if first else c0
-    _advance_chain(scores[0], scores[1:], coef, prod)
+    _advance_chain(scores[0], scores[1:], coef)
     return scores, states
-
-
-def _far1_skip(spec: Far1Spec, first: int, coef: float, c0: float, loading: np.ndarray,
-               gens: Sequence[np.random.Generator]) -> tuple[int, float]:
-    """(skip, S): the burn-in rows far1_scores need not draw, the most whole
-    SKIP_ROWS blocks that leave at least K = _bounding_rows(coef) rows to
-    the bounding chains, and their start S = 2 max(|c0|, the stationary
-    bound sqrt(3) noise_scale sum_m |<b_m, phi>_w| / m / (1 - |coef|)).
-    skip is 0 when a generator does not advance exactly or S is not finite."""
-    keep = _bounding_rows(coef) if abs(coef) < 1.0 else math.inf  # rho <phi, phi>_w may round to 1
-    if first <= keep:
-        return 0, math.nan
-    drive_bound = math.sqrt(3.0) * spec.noise_scale * float(
-        np.abs(loading) @ (1.0 / np.arange(1, spec.noise_terms + 1)))
-    bound = 2.0 * max(abs(c0), drive_bound / (1.0 - abs(coef)))
-    if not (math.isfinite(bound) and all(_advances_exactly(g.bit_generator) for g in gens)):
-        return 0, math.nan
-    return (first - keep) // SKIP_ROWS * SKIP_ROWS, bound
 
 
 def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed,
@@ -612,7 +603,7 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed,
     them. Alone, the path is a batch of one.
     """
     first, rows = _far1_rows(spec, n)
-    grid, frame, factor, loading, phi_sq = _far1_frame(spec, grid_size)
+    template, loading, phi_sq = _far1_frame(spec, grid_size)
     rng = np.random.default_rng(seed)
     if scores is None:
         batch, (state,) = far1_scores(spec, n, grid_size, [(rng, 1)])
@@ -632,11 +623,11 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed,
         coords[:lead, 0] = float(spec.initial == "eigenfunction")
         coords[lead:, 0] = spec.rho * scores
         coords[lead:, 1:] = coeffs
-        return FunctionalPath(grid, coords, frame=frame, gram_factor=factor)
+        return template._derive(coords=coords)
 
-    x = frame[0].copy() if spec.initial == "eigenfunction" else np.zeros(grid_size)
-    op = _bump_operator(grid, spec.rho, spec.bump_width)
-    noise = coeffs @ frame[1:]
+    x = template.frame[0].copy() if spec.initial == "eigenfunction" else np.zeros(grid_size)
+    op = _bump_operator(template.grid, spec.rho, spec.bump_width)
+    noise = coeffs @ template.frame[1:]
     curves = np.empty((n, grid_size))
     if spec.burn_in == 0:
         curves[0] = x
@@ -644,7 +635,7 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed,
         x = op @ x + noise[t - 1]
         if t >= spec.burn_in:
             curves[t - spec.burn_in] = x
-    return FunctionalPath(grid, curves)
+    return FunctionalPath(template.grid, curves)
 
 
 @dataclass(frozen=True)

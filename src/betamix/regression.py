@@ -252,6 +252,15 @@ def _linear_quantile(values: np.ndarray, level: float) -> float:
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a finite, non-empty 1-D array, with its bits but without
+    numpy.ma: the middle order statistic of an odd count, and the mean
+    (a + b) / 2 of the middle two of an even one."""
+    half = values.size // 2
+    a, b = np.partition(values, (half - 1, half))[[half - 1, half]]
+    return float(b) if values.size % 2 else (float(a) + float(b)) / 2
+
+
 @dataclass(frozen=True)
 class ForecastSummary:
     """Per-n aggregate of the dynamic forecast experiment."""
@@ -336,8 +345,8 @@ def dynamic_forecast_experiment(
             )
         errors, f_errors, g_errors = rows[rows[:, 0] == 0.0, 1:].T
         summaries.append(ForecastSummary(
-            n=n, median_error=float(np.median(errors)), q90_error=float(np.quantile(errors, 0.9)),
-            median_f_error=float(np.median(f_errors)), median_g_error=float(np.median(g_errors)),
+            n=n, median_error=_median(errors), q90_error=_linear_quantile(errors, 0.9),
+            median_f_error=_median(f_errors), median_g_error=_median(g_errors),
             undefined_fraction=undefined,
         ))
     return summaries

@@ -505,12 +505,12 @@ class TestDeterminism:
         # the default burn_in = 1000 exceeds K = 128 rows, so every uniform
         # block skips its early burn-in rows; without the skip each draws them all
         skipped = []
-        coalesced = processes._coalesced_burn_in
+        burn_in_skip = processes._burn_in_skip
 
         def recording(*args):
-            x = coalesced(*args)
-            skipped.append(x is not None)
-            return x
+            skip = burn_in_skip(*args)
+            skipped.append(skip[0] > 0)
+            return skip
 
         def run(name):
             out = tmp_path / name
@@ -520,10 +520,10 @@ class TestDeterminism:
             return [(out / name).read_bytes()
                     for name in ("concentration_report.csv", "laplace_report.csv")]
 
-        monkeypatch.setattr(processes, "_coalesced_burn_in", recording)
+        monkeypatch.setattr(processes, "_burn_in_skip", recording)
         bodies = run("skip")
         assert skipped and all(skipped)
-        monkeypatch.setattr(processes, "_coalesced_burn_in", lambda *args: None)
+        monkeypatch.setattr(processes, "_burn_in_skip", lambda *args: (0, math.nan))
         assert run("full") == bodies
 
     @pytest.mark.parametrize("rho", ["0.5", "-0.7"])
@@ -532,10 +532,10 @@ class TestDeterminism:
         # burn_in = 1000 exceeds K + SKIP_ROWS rows, so every block skips
         # whole blocks of burn-in rows; without the skip each path draws them all
         skips = []
-        far1_skip = processes._far1_skip
+        burn_in_skip = processes._burn_in_skip
 
         def recording(*args):
-            skip = far1_skip(*args)
+            skip = burn_in_skip(*args)
             skips.append(skip[0])
             return skip
 
@@ -546,10 +546,10 @@ class TestDeterminism:
                     "--set", "process.burn_in=1000", "--set", f"process.rho={rho}")
             return (out / "fkr_report.csv").read_bytes()
 
-        monkeypatch.setattr(processes, "_far1_skip", recording)
+        monkeypatch.setattr(processes, "_burn_in_skip", recording)
         body = run("skip")
         assert skips and all(skips)
-        monkeypatch.setattr(processes, "_far1_skip", lambda *args: (0, math.nan))
+        monkeypatch.setattr(processes, "_burn_in_skip", lambda *args: (0, math.nan))
         assert run("full") == body
 
     def test_fkr_seeds_404_to_407_write_distinct_reports(self, tmp_path):

@@ -666,7 +666,7 @@ class TestFar1Scores:
     def test_skipped_burn_in_is_the_whole_draw(self, rho, burn_from_k, initial, counts, n, seed):
         # burn_in K + 65 is the first that skips a block of SKIP_ROWS rows, and
         # None stands for the workloads' 1000; rho < 0 swaps the bounds at each step
-        coef = rho * processes._far1_frame(Far1Spec(rho=rho), 16)[4]
+        coef = rho * processes._far1_frame(Far1Spec(rho=rho), 16)[2]
         burn_in = 1000 if burn_from_k is None else _bounding_rows(coef) + burn_from_k
         spec = Far1Spec(rho=rho, burn_in=burn_in, initial=initial)
         streams, refs = ([(np.random.default_rng(seed + s), count)
@@ -679,7 +679,7 @@ class TestFar1Scores:
         # the forecast workload's process: K = 128 of the 999 burn-in rows
         # leave 13 whole blocks, 832 rows, to skip
         spec = Far1Spec(kernel="separable", rho=0.5, burn_in=1000)
-        assert _bounding_rows(spec.rho * processes._far1_frame(spec, 64)[4]) == 128
+        assert _bounding_rows(spec.rho * processes._far1_frame(spec, 64)[2]) == 128
         skip, rows = 13 * SKIP_ROWS, 1000 + n - 1
 
         def run():
@@ -688,7 +688,7 @@ class TestFar1Scores:
 
         (got, gens), drawn = self._counted_rows(monkeypatch, run)
         assert drawn == 50 * (rows - skip)
-        monkeypatch.setattr(processes, "_far1_skip", lambda *args: (0, math.nan))
+        monkeypatch.setattr(processes, "_burn_in_skip", lambda *args: (0, math.nan))
         (want, want_gens), drawn = self._counted_rows(monkeypatch, run)
         assert drawn == 50 * rows
         assert_array_equal(got[0], want[0])
@@ -726,19 +726,77 @@ class TestFar1Scores:
         assert drawn == 5 * (1000 + 29)
         self._assert_sequential(spec, 30, streams, [g for g, _ in refs], *got)
 
-    def test_bound_that_is_not_a_float_declines(self):
+    @staticmethod
+    def _decision(monkeypatch, spec):
+        """far1_scores' burn-in skip decision, (skip, S), for `spec` on 16
+        points with one path, stopped before any row is drawn."""
+        decide = processes._burn_in_skip
+
+        class Decided(Exception):
+            pass
+
+        def stop(*args):
+            raise Decided(decide(*args))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(processes, "_burn_in_skip", stop)
+            with pytest.raises(Decided) as decided:
+                far1_scores(spec, 30, 16, [(np.random.default_rng(1), 1)])
+        return decided.value.args[0]
+
+    def test_bound_that_is_not_a_float_declines(self, monkeypatch):
         # S = 2 sqrt(3) noise_scale sum |<b_m, phi>_w| / m / (1 - rho) overflows
         spec = Far1Spec(rho=0.5, noise_scale=1e308, burn_in=1000)
-        _, _, _, loading, phi_sq = processes._far1_frame(spec, 16)
-        paths = [np.random.default_rng(1)]
-        assert processes._far1_skip(spec, 999, 0.5 * phi_sq, 0.0, loading, paths)[0] == 0
+        assert self._decision(monkeypatch, spec)[0] == 0
         ordinary = replace(spec, noise_scale=0.3)
-        assert processes._far1_skip(ordinary, 999, 0.5 * phi_sq, 0.0, loading, paths)[0] == 832
+        assert self._decision(monkeypatch, ordinary)[0] == 832
+        # rho <phi, phi>_w rounds to 1 on 16 points, where no stationary bound holds
+        assert processes._far1_frame(spec, 16)[2] * (1 - 2**-53) == 1.0
+        assert self._decision(monkeypatch, replace(ordinary, rho=1 - 2**-53)) == (0, math.inf)
 
     def test_gaussian_bump_path_takes_no_scores(self):
         spec = Far1Spec(kernel="gaussian-bump", burn_in=5)
         with pytest.raises(ValidationError, match="kept rows"):
             simulate_far1(spec, 20, 16, 0, np.zeros(20))
+
+class TestBurnInSkip:
+    """The one decision both simulators skip their burn-in by, and the rule
+    by which a pair of bounding chains has met."""
+
+    TAIL_MC = ContractiveChainSpec(map="linear", a=0.5, halfwidth=1.0, burn_in=1000)
+
+    @pytest.mark.parametrize("burn, coef, start, stationary, make_rng, block, skip", [
+        (999, 0.5, 0.0, 1e308, np.random.default_rng, 1, 0),
+        (999, 0.5, 0.0, 2.0, lambda s: np.random.Generator(np.random.MT19937(s)), 1, 0),
+        (999, 0.5, 0.0, 2.0, lambda s: np.random.Generator(np.random.PCG64DXSM(s)), 1, 0),
+        (999, 0.5, 0.0, 2.0, lambda s: _with_buffered_half(np.random.default_rng(s)), 1, 0),
+        (128, 0.5, 0.0, 2.0, np.random.default_rng, 1, 0),
+        (999, 1.0, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 0),
+        (999, TAIL_MC.a, TAIL_MC.x0, TAIL_MC.state_bound(), np.random.default_rng, 1, 871),
+        (999, 0.5, -3.0, 2.0, np.random.default_rng, 1, 871),
+        (999, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 832),
+        (128 + SKIP_ROWS, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, SKIP_ROWS),
+        (127 + SKIP_ROWS, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 0),
+    ], ids=["S-overflows", "MT19937", "PCG64DXSM", "PCG64-buffered-uint32", "rows-at-K",
+            "coef-rounds-to-1", "tail-mc-chain", "start-past-stationary", "forecast-path",
+            "one-block-left", "no-block-left"])
+    def test_decision(self, burn, coef, start, stationary, make_rng, block, skip):
+        # K = 128 rows at coef 0.5; a chain skips whole rows, a FAR(1) path
+        # whole SKIP_ROWS blocks; one generator that does not advance exactly
+        # keeps every path on the full draw
+        gens = [np.random.default_rng(1).bit_generator, make_rng(2).bit_generator]
+        got, bound = processes._burn_in_skip(burn, coef, start, stationary, gens, block)
+        assert got == skip
+        assert bound == 2.0 * max(abs(start), stationary)
+
+    def test_bounds_meet_on_one_value_other_than_zero(self):
+        # ends of the chains from -S, then from S: one nonzero value meets;
+        # equal zeros of either sign and unequal ends do not
+        ends = np.array([1.5, 0.0, -0.0, 0.0, -2.0, 1.5, 0.0, 0.0, -0.0, -2.5])
+        low, met = processes._bounds_meet(ends)
+        assert_array_equal(low, ends[:5])
+        assert met.tolist() == [True, False, False, False, False]
+
 
 class TestRegressionSample:
     def test_linear_psi_without_noise_is_exact_inner_product(self):
@@ -860,6 +918,30 @@ class TestDerivedPaths:
         monkeypatch.setattr(FunctionalPath, "__post_init__", refuse)
         assert path.take(5).n_curves == 1
         assert make_regression_sample(path, PsiSpec("norm"), 0.0, seed=0).responses.shape == (6,)
+
+    @pytest.mark.parametrize("initial, burn_in", [("zero", 10), ("eigenfunction", 0)])
+    def test_separable_far1_path_is_the_checked_constructors(self, monkeypatch, initial,
+                                                            burn_in):
+        # simulate_far1 derives its path from _far1_frame's checked one; every
+        # field must carry the bits the checked constructor gives it
+        spec = Far1Spec(burn_in=burn_in, initial=initial)
+        path = simulate_far1(spec, 6, grid_size=16, seed=3)
+        template = processes._far1_frame(spec, 16)[0]
+        checked = FunctionalPath(template.grid, path.coords, frame=template.frame)
+        assert type(path) is FunctionalPath
+        for field in fields(FunctionalPath):
+            got, want = getattr(path, field.name), getattr(checked, field.name)
+            assert (got is None) == (want is None), field.name
+            if want is not None:
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
+                assert got.tobytes() == want.tobytes(), field.name
+        assert path.curves.tobytes() == checked.curves.tobytes()
+
+        def refuse(self):
+            raise AssertionError("re-checked")
+
+        monkeypatch.setattr(FunctionalPath, "__post_init__", refuse)
+        assert simulate_far1(spec, 6, grid_size=16, seed=4).n_curves == 6
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(grid=np.zeros((2, 8))), "1-d array"),

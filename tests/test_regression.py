@@ -28,6 +28,7 @@ from betamix.regression import (
     RegressionFit,
     _forecast_block,
     _linear_quantile,
+    _median,
     bandwidth_schedule,
     curve_distances,
     dynamic_forecast_experiment,
@@ -400,6 +401,33 @@ class TestBandwidthSchedule:
             for level in levels:
                 got, want = _linear_quantile(pilot.copy(), level), float(np.quantile(pilot, level))
                 assert got.hex() == want.hex(), (size, level)
+
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "wide"])
+    def test_median_has_the_bits_of_np_median(self, kind):
+        # odd and even counts; "wide" spans magnitudes, where a + b may round or overflow
+        rng = np.random.default_rng(41)
+        for size in [*range(1, 70), 99, 100, 101, 1000, 1001]:
+            for _ in range(5):
+                values = {
+                    "continuous": lambda: rng.uniform(0, 2, size),
+                    "ties": lambda: rng.integers(0, 4, size) * 0.3,
+                    "wide": lambda: rng.standard_normal(size) * 10.0 ** rng.integers(-300, 308),
+                }[kind]()
+                got, want = _median(values.copy()), float(np.median(values))
+                assert got.hex() == want.hex(), (size, values)
+
+    def test_fkr_run_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.median and np.quantile import numpy.ma through np.unique
+        code = ("import sys, betamix.cli; "
+                "betamix.cli.main(['fkr', '--seed', '3', '--reps', '100', '--workers', '1', "
+                "'--output', sys.argv[1], '--set', 'grid.n=100,200', '--set', 'grid_size=16', "
+                "'--set', 'process.burn_in=50']); "
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "fkr_report.csv").exists()
 
     def test_forecast_block_leaves_numpy_ma_unloaded(self):
         # np.quantile imports numpy.ma through np.unique in every pool worker
