@@ -411,8 +411,10 @@ def _simulate_chain_columns(
     return _advance_chain(x, _draw_innovations(spec, rng, (n, width)), *step)
 
 
-def _bounding_rows(a: float) -> int:
+def _bounding_rows(a: float) -> float:
     """K, the rows _burn_in_skip's bounding chains run: enough for |a|^K <= 2^-90, at least 128."""
+    if abs(a) >= 1.0:  # no K is enough, and rho <phi, phi>_w may round to 1: never skip
+        return math.inf
     return 128 if a == 0 else max(128, math.ceil(90 * math.log(2) / -math.log(abs(a))))
 
 
@@ -424,7 +426,7 @@ def _burn_in_skip(burn: int, coef: float, start: float, stationary: float,
     draw, the most whole `block`s that leave K = _bounding_rows(coef) rows or
     more, and the start S = 2 max(|start|, stationary) of the bounding
     chains. skip is 0 when S is not a float, when a generator does not
-    advance exactly, or when no block is left.
+    advance exactly, or when no block is left (always, once K = inf).
 
     The sandwiching of coupling from the past (Propp and Wilson 1996): a PCG64
     uniform draw takes one 64-bit output per value, so advancing a generator
@@ -436,7 +438,7 @@ def _burn_in_skip(burn: int, coef: float, start: float, stationary: float,
     true chain ends there too. Equal values are equal bits except at zero,
     whose sign the bounds cannot tell, so _bounds_meet takes no zero end.
     """
-    keep = _bounding_rows(coef) if abs(coef) < 1.0 else math.inf  # rho <phi, phi>_w may round to 1
+    keep = _bounding_rows(coef)
     bound = 2.0 * max(abs(start), stationary)
     exact = all(isinstance(g, np.random.PCG64) and not g.state["has_uint32"] for g in gens)
     skips = burn > keep and math.isfinite(bound) and exact

@@ -503,14 +503,20 @@ class TestDeterminism:
 
     def test_skipped_burn_in_leaves_the_reports_byte_identical(self, tmp_path, monkeypatch):
         # the default burn_in = 1000 exceeds K = 128 rows, so every uniform
-        # block skips its early burn-in rows; without the skip each draws them all
-        skipped = []
-        burn_in_skip = processes._burn_in_skip
+        # block skips its early burn-in rows and its bounds meet; without the
+        # skip each draws them all
+        skipped, met = [], []
+        burn_in_skip, bounds_meet = processes._burn_in_skip, processes._bounds_meet
 
         def recording(*args):
             skip = burn_in_skip(*args)
             skipped.append(skip[0] > 0)
             return skip
+
+        def recording_meet(ends):
+            low, meets = bounds_meet(ends)
+            met.append(meets.all())
+            return low, meets
 
         def run(name):
             out = tmp_path / name
@@ -521,7 +527,10 @@ class TestDeterminism:
                     for name in ("concentration_report.csv", "laplace_report.csv")]
 
         monkeypatch.setattr(processes, "_burn_in_skip", recording)
+        monkeypatch.setattr(processes, "_bounds_meet", recording_meet)
         bodies = run("skip")
+        assert len(met) == len(skipped)
+        skipped += met
         assert skipped and all(skipped)
         monkeypatch.setattr(processes, "_burn_in_skip", lambda *args: (0, math.nan))
         assert run("full") == bodies
@@ -530,14 +539,20 @@ class TestDeterminism:
     def test_fkr_skipped_burn_in_leaves_the_report_byte_identical(self, tmp_path, monkeypatch,
                                                                   rho):
         # burn_in = 1000 exceeds K + SKIP_ROWS rows, so every block skips
-        # whole blocks of burn-in rows; without the skip each path draws them all
-        skips = []
-        burn_in_skip = processes._burn_in_skip
+        # whole blocks of burn-in rows and every path's bounds meet; without
+        # the skip each path draws them all
+        skips, met = [], []
+        burn_in_skip, bounds_meet = processes._burn_in_skip, processes._bounds_meet
 
         def recording(*args):
             skip = burn_in_skip(*args)
             skips.append(skip[0])
             return skip
+
+        def recording_meet(ends):
+            low, meets = bounds_meet(ends)
+            met.append(meets.all())
+            return low, meets
 
         def run(name):
             out = tmp_path / name
@@ -547,8 +562,10 @@ class TestDeterminism:
             return (out / "fkr_report.csv").read_bytes()
 
         monkeypatch.setattr(processes, "_burn_in_skip", recording)
+        monkeypatch.setattr(processes, "_bounds_meet", recording_meet)
         body = run("skip")
         assert skips and all(skips)
+        assert len(met) == len(skips) and all(met)
         monkeypatch.setattr(processes, "_burn_in_skip", lambda *args: (0, math.nan))
         assert run("full") == body
 

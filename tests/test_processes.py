@@ -772,14 +772,15 @@ class TestBurnInSkip:
         (999, 0.5, 0.0, 2.0, lambda s: _with_buffered_half(np.random.default_rng(s)), 1, 0),
         (128, 0.5, 0.0, 2.0, np.random.default_rng, 1, 0),
         (999, 1.0, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 0),
+        (999, -1.5, 0.0, 2.0, np.random.default_rng, 1, 0),
         (999, TAIL_MC.a, TAIL_MC.x0, TAIL_MC.state_bound(), np.random.default_rng, 1, 871),
         (999, 0.5, -3.0, 2.0, np.random.default_rng, 1, 871),
         (999, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 832),
         (128 + SKIP_ROWS, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, SKIP_ROWS),
         (127 + SKIP_ROWS, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 0),
     ], ids=["S-overflows", "MT19937", "PCG64DXSM", "PCG64-buffered-uint32", "rows-at-K",
-            "coef-rounds-to-1", "tail-mc-chain", "start-past-stationary", "forecast-path",
-            "one-block-left", "no-block-left"])
+            "coef-rounds-to-1", "coef-past-1", "tail-mc-chain", "start-past-stationary",
+            "forecast-path", "one-block-left", "no-block-left"])
     def test_decision(self, burn, coef, start, stationary, make_rng, block, skip):
         # K = 128 rows at coef 0.5; a chain skips whole rows, a FAR(1) path
         # whole SKIP_ROWS blocks; one generator that does not advance exactly
