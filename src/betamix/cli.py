@@ -32,7 +32,7 @@ from .concentration import (
     make_fspec,
     truncate,
 )
-from .config import ExperimentConfig, load_config_file, resolve_config
+from .config import SUITES, ExperimentConfig, load_config_file, resolve_config
 from .errors import BetamixError, ConfigError, FitError
 from .mixing import (
     FiniteChain,
@@ -424,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override any config key (repeatable)",
     )
-    for suite in ("mixing", "concentration", "fkr", "verify-all"):
+    for suite in SUITES:
         sub.add_parser(suite, parents=[common], help=f"run the {suite} suite")
 
     plot = sub.add_parser("plotdata", help="tidy a suite report for plotting")

@@ -33,18 +33,15 @@ B_GRID_HI = 1e6
 GOLDEN_REL_TOL = 1e-6
 
 
-def _conjugate_ok(p: float, q: float) -> bool:
-    return abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12
-
-
 @dataclass(frozen=True)
 class BoundParams:
     """Parameter bag for the bound formulas.
 
     kappa0/kappa1 bound the mixing decay, C and (a1, a2) are the free bound
     constants, gamma the Laplace argument, A the interval length, B the
-    function bound (or truncation level), and (p, q), (r, u) are Hoelder
-    conjugate pairs with k the moment order of the unbounded extension.
+    function bound (or truncation level), and p and u the Hoelder exponents
+    of the unbounded extension, whose conjugates q = p / (p - 1) and
+    r = u / (u - 1) no formula reads, with k its moment order.
     """
 
     kappa0: float = 1.0
@@ -58,8 +55,6 @@ class BoundParams:
     epsilon: float = 0.1
     n: int = 100
     p: float = 2.0
-    q: float = 2.0
-    r: float = 2.0
     u: float = 2.0
     k: float = 3.0
 
@@ -71,12 +66,8 @@ class BoundParams:
             raise ValidationError("gamma and epsilon must be >= 0")
         if self.n < 3:
             raise ValidationError("n must be >= 3 so log log n > 0")
-        if min(self.p, self.q, self.r, self.u) <= 1 or self.k <= 1:
-            raise ValidationError("p, q, r, u, k must all exceed 1")
-        if not _conjugate_ok(self.p, self.q):
-            raise ValidationError("p and q are not Hoelder conjugate within 1e-12")
-        if not _conjugate_ok(self.r, self.u):
-            raise ValidationError("r and u are not Hoelder conjugate within 1e-12")
+        if min(self.p, self.u, self.k) <= 1:
+            raise ValidationError("p, u, k must all exceed 1")
 
 
 class TailEstimate(NamedTuple):
@@ -487,11 +478,12 @@ def laplace_section(
     points: Sequence[tuple[float, int]], reps: int, seed: int, workers: int = 1,
 ) -> LaplaceSection:
     """The Laplace bound against its MC estimates at every (A, t) point, in
-    ascending A. The mixing rate is fitted first and A and gamma are checked
-    at the fitted kappa1 before any estimate runs (a DomainError names
-    `grid.A` or `gamma`); `gamma=None` takes 0.9 of the cap at the largest A.
-    C is calibrated on the estimate at the smallest A."""
-    a_min, a_max = points[0][0], points[-1][0]
+    the order of `points`. The mixing rate is fitted first and A and gamma
+    are checked at the fitted kappa1 before any estimate runs (a DomainError
+    names `grid.A` or `gamma`); `gamma=None` takes 0.9 of the cap at the
+    largest A. C is calibrated on the estimates at the smallest A."""
+    lengths = [a for a, _ in points]
+    a_min, a_max = min(lengths), max(lengths)
     mixing_fit = estimate_chain_mixing(process, seed=keyed_rng(seed, Stream.MIXING_FIT),
                                        n_steps=10**5)
     kappa0 = max(mixing_fit.kappa0, 1e-6)
@@ -511,7 +503,8 @@ def laplace_section(
             f"at the fitted kappa1 = {kappa1:.4g}"
         )
     estimates = empirical_laplace(fspec, process, gamma, points, reps, seed, workers)
-    c_value = calibrate_laplace_constant([estimates[0].value], kappa0, kappa1, gamma, B, a_min)
+    at_a_min = [e.value for e, a in zip(estimates, lengths) if a == a_min]
+    c_value = calibrate_laplace_constant(at_a_min, kappa0, kappa1, gamma, B, a_min)
     bounds = [laplace_bound(BoundParams(kappa0=kappa0, kappa1=kappa1, C=c_value, gamma=gamma,
                                         B=B, A=a))
               for a, _ in points]

@@ -64,7 +64,6 @@ from .errors import ConfigError
 from .processes import ContractiveChainSpec, Far1Spec, PsiSpec, uniform_grid
 from .regression import MIN_REFERENCE_CURVES, KernelSpec
 
-SUITES = ("mixing", "concentration", "fkr", "verify-all")
 _SUITE_PROCESS = {"concentration": "contractive-chain", "fkr": "far1"}
 
 _DEFAULTS = {
@@ -324,6 +323,7 @@ def _mixing_fields(r: dict[str, str]) -> dict:
 
 _SUITE_FIELDS = {"mixing": _mixing_fields, "concentration": _concentration_fields,
                  "fkr": _fkr_fields, "verify-all": _mixing_fields}
+SUITES = tuple(_SUITE_FIELDS)
 
 
 def resolve_config(
@@ -354,7 +354,7 @@ def resolve_config(
         reps = _to_int(reps_raw, "reps")
     else:
         reps = _SUITE_DEFAULT_REPS.get(suite, 0)
-    if suite in ("concentration", "fkr") and reps < 100:
+    if suite in _SUITE_DEFAULT_REPS and reps < 100:
         raise ConfigError(f"field 'reps': MC suites need reps >= 100, got {reps}")
 
     output = merged.get("output", "").strip() or os.environ.get(

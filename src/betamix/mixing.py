@@ -66,17 +66,32 @@ class FiniteJointDistribution:
 
 @dataclass(frozen=True)
 class FiniteChain:
-    """Row-stochastic transition matrix with its unique stationary law."""
+    """Row-stochastic transition matrix with its unique stationary law.
+
+    `stationary` is derived: pi solves pi Q = 0 with the last equation
+    replaced by sum(pi) = 1, where Q is the generator of the off-diagonal
+    entries (Q[x, y] = P[x, y] for x != y, Q[x, x] = -sum_{y != x} P[x, y]);
+    Q never forms 1 - P[x, x], so a nearly decomposable chain loses no
+    digits. Reducible chains (non-unique pi, a singular system) are rejected
+    before the solve.
+    """
 
     transition: np.ndarray
-    stationary: np.ndarray
+    stationary: np.ndarray = field(init=False)
 
     def __post_init__(self):
         p = _transition_matrix(self.transition)
-        pi = np.asarray(self.stationary, dtype=float)
+        if not _strongly_connected(p > 0):
+            raise ValidationError(
+                "transition graph is not irreducible; stationary law not unique"
+            )
+        off = p - np.diag(np.diag(p))
+        system = (off - np.diag(off.sum(axis=1))).T
+        system[-1] = 1.0
+        pi = np.linalg.solve(system, np.eye(len(p))[-1])
         if not np.all(np.isfinite(pi)) or np.max(np.abs(pi @ p - pi)) > 1e-10:
             raise ValidationError("stationary vector is not finite or fails pi @ P = pi within 1e-10")
-        # the tolerance admits the roundoff of a solved pi
+        # the tolerance admits the roundoff of the solve
         if np.min(pi) < -1e-10 or abs(pi.sum() - 1.0) > 1e-10:
             raise ValidationError(
                 "stationary vector is not a probability law: an entry below -1e-10 "
@@ -91,23 +106,8 @@ class FiniteChain:
 
     @classmethod
     def from_transition(cls, transition: np.ndarray) -> "FiniteChain":
-        """Build a chain, computing pi from one linear solve.
-
-        pi solves pi Q = 0 with the last equation replaced by sum(pi) = 1, where
-        Q is the generator of the off-diagonal entries (Q[x, y] = P[x, y] for
-        x != y, Q[x, x] = -sum_{y != x} P[x, y]); Q never forms 1 - P[x, x], so a
-        nearly decomposable chain loses no digits. Reducible chains (non-unique
-        pi, a singular system) are rejected before the solve.
-        """
-        p = _transition_matrix(transition)
-        if not _strongly_connected(p > 0):
-            raise ValidationError(
-                "transition graph is not irreducible; stationary law not unique"
-            )
-        off = p - np.diag(np.diag(p))
-        system = (off - np.diag(off.sum(axis=1))).T
-        system[-1] = 1.0
-        return cls(transition=p, stationary=np.linalg.solve(system, np.eye(len(p))[-1]))
+        """The chain of `transition`, the same as cls(transition)."""
+        return cls(transition)
 
     def lag_joint(self, n: int) -> FiniteJointDistribution:
         """Exact joint law of (X_0, X_n) under stationarity: pi(x) P^n(x, y)."""
@@ -340,26 +340,20 @@ def _lag_path_tensor(c: FiniteChain, lags: Sequence[int]) -> np.ndarray:
 def _grouped_joint(
     tensor: np.ndarray, funcs: Sequence[np.ndarray], k: int
 ) -> np.ndarray:
-    """Joint table of the value tuples (Z_1..Z_k) vs (Z_{k+1}..Z_n)."""
-    n = tensor.ndim
+    """Joint table of the value tuples (Z_1..Z_k) vs (Z_{k+1}..Z_n); each
+    side's tuples are numbered in order of first appearance along its state
+    paths, in the row-major order of the tensor's axes."""
     m = tensor.shape[0]
-    flat = tensor.reshape(m**k, m ** (n - k))
+    flat = tensor.reshape(m**k, -1)
 
-    def group(axis_funcs, size):
+    def group(axis_funcs):
+        paths = np.indices((m,) * len(axis_funcs)).reshape(len(axis_funcs), -1)
         keys = {}
-        index = np.empty(size, dtype=int)
-        for flat_idx in range(size):
-            rest, states = flat_idx, []
-            for _ in axis_funcs:
-                states.append(rest % m)
-                rest //= m
-            states.reverse()
-            key = tuple(float(f[s]) for f, s in zip(axis_funcs, states))
-            index[flat_idx] = keys.setdefault(key, len(keys))
-        return index, len(keys)
+        values = zip(*(f[states].tolist() for f, states in zip(axis_funcs, paths)))
+        return np.array([keys.setdefault(key, len(keys)) for key in values]), len(keys)
 
-    row_idx, n_rows = group(funcs[:k], flat.shape[0])
-    col_idx, n_cols = group(funcs[k:], flat.shape[1])
+    row_idx, n_rows = group(funcs[:k])
+    col_idx, n_cols = group(funcs[k:])
     table = np.zeros((n_rows, n_cols))
     np.add.at(table, (row_idx[:, None], col_idx[None, :]), flat)
     return table

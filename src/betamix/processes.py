@@ -10,7 +10,7 @@ takes; batch drivers pass one keyed generator per replication block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
@@ -134,16 +134,16 @@ class FunctionalPath:
     through `distances` and `inner`, so a path is compared only with a path
     in its frame; a raw curve counts as a grid-valued path. `curves` builds
     the (n, grid size) array only when it is first read, for inspection and
-    as the grid oracle of the tests. `gram_factor` is a square-root factor R
-    of the frame's Gram matrix F W F^T (W the trapezoid weights), computed
-    from the frame when not given (a grid-valued path takes none).
+    as the grid oracle of the tests. `gram_factor` is derived from the frame:
+    a square-root factor R of its Gram matrix F W F^T (W the trapezoid
+    weights), None on a grid-valued path.
     """
 
     grid: np.ndarray
     coords: np.ndarray
     responses: Optional[np.ndarray] = None
     frame: Optional[np.ndarray] = None
-    gram_factor: Optional[np.ndarray] = None
+    gram_factor: Optional[np.ndarray] = field(init=False, default=None)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -157,8 +157,6 @@ class FunctionalPath:
         if self.frame is None:
             if coords.shape[1] != grid.size:
                 raise ValidationError("curves must have one column per grid point")
-            if self.gram_factor is not None:
-                raise ValidationError("a gram_factor needs the frame it factors")
         else:
             frame = np.asarray(self.frame, dtype=float)
             if frame.shape != (coords.shape[1], grid.size):
@@ -166,10 +164,9 @@ class FunctionalPath:
                                       "column per grid point")
             if not np.isfinite(frame).all():
                 raise ValidationError("frame values must be finite")
-            factor = (_gram_factor(frame, grid) if self.gram_factor is None
-                      else np.asarray(self.gram_factor, dtype=float))
-            if factor.shape != (len(frame),) * 2 or not np.isfinite(factor).all():
-                raise ValidationError(f"gram_factor must be a finite {(len(frame),) * 2} array")
+            factor = _gram_factor(frame, grid)
+            if not np.isfinite(factor).all():
+                raise ValidationError("the frame's Gram matrix overflows")
             object.__setattr__(self, "frame", frame)
             object.__setattr__(self, "gram_factor", factor)
         if not np.isfinite(coords).all():
@@ -658,20 +655,16 @@ class PsiSpec:
             raise ConfigError("linear psi needs a weight curve")
 
 
-def make_psi(
-    spec: PsiSpec, grid: np.ndarray
-) -> tuple[Callable[[FunctionalPath], np.ndarray], float]:
-    """Resolve a PsiSpec into (functional of every curve of a path on `grid`,
-    Lipschitz constant). Both functionals read the path's coordinates:
-    "linear" through FunctionalPath.inner, "norm" through
-    FunctionalPath.distances."""
+def make_psi(spec: PsiSpec, grid: np.ndarray) -> Callable[[FunctionalPath], np.ndarray]:
+    """Resolve a PsiSpec into the functional of every curve of a path on
+    `grid`. Both read the path's coordinates: "linear" through
+    FunctionalPath.inner, "norm" through FunctionalPath.distances."""
     if spec.name == "linear":
         weight = np.asarray(spec.weight, dtype=float)
         if weight.shape != grid.shape:
             raise ConfigError("psi weight curve must live on the path grid")
-        lipschitz = float(np.sqrt(trapezoid_weights(grid) @ weight**2))
-        return (lambda path: path.inner(weight)), lipschitz
-    return (lambda path: path.distances()), 1.0
+        return lambda path: path.inner(weight)
+    return lambda path: path.distances()
 
 
 def make_regression_sample(
@@ -680,18 +673,45 @@ def make_regression_sample(
     """Fill responses Y_k = psi(X_k) + eps_k with centered Gaussian noise."""
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
-    func, _ = make_psi(psi, path.grid)
-    signal = func(path)
+    signal = make_psi(psi, path.grid)(path)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_sd, size=path.n_curves) if noise_sd > 0 else 0.0
     return path._derive(responses=signal + noise)
+
+
+def _linear_quantile(values: np.ndarray, levels):
+    """np.quantile(values, levels) of a finite 1-D array at levels in [0, 1],
+    with its bits, from one np.partition of the order statistics it needs
+    (np.quantile partitions through np.unique, which imports numpy.ma). A
+    scalar level gives a float. NumPy's "linear" rule: the virtual index
+    (n - 1) level, the order statistics at its floor and the next index (both
+    the top one from n - 1 on, where NumPy's floor index reads -1), and its
+    lerp written out."""
+    last = values.size - 1
+    index = last * np.asarray(levels, dtype=float)
+    low = np.where(index < last, np.floor(index), -1).astype(int)
+    high = np.where(low >= 0, low + 1, -1)
+    part = np.partition(values, np.concatenate([low.ravel(), high.ravel()]))
+    a, b, t = part[low], part[high], index - low
+    diff = b - a
+    out = np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)
+    return float(out) if out.ndim == 0 else out
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a finite, non-empty 1-D array, with its bits but without
+    numpy.ma: the middle order statistic of an odd count, and the mean
+    (a + b) / 2 of the middle two of an even one."""
+    half = values.size // 2
+    a, b = np.partition(values, (half - 1, half))[[half - 1, half]]
+    return float(b) if values.size % 2 else (float(a) + float(b)) / 2
 
 
 def binned_lag_joint(values: np.ndarray, lag: int, n_bins: int) -> np.ndarray:
     """Empirical joint table of (X_k, X_{k+lag}) after quantile binning."""
     if lag < 1 or lag >= values.size:
         raise ValidationError("lag must satisfy 1 <= lag < len(values)")
-    edges = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+    edges = _linear_quantile(values, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
     bins = np.digitize(values, edges)
     pairs = bins[:-lag] * n_bins + bins[lag:]
     counts = np.bincount(pairs, minlength=n_bins * n_bins).astype(float)

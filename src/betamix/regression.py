@@ -24,6 +24,8 @@ from .processes import (
     Far1Spec,
     FunctionalPath,
     PsiSpec,
+    _linear_quantile,
+    _median,
     far1_scores,
     make_psi,
     make_regression_sample,
@@ -235,32 +237,6 @@ def bandwidth_schedule(n: int, theta: float, pilot_distances: np.ndarray) -> flo
     return max(_linear_quantile(pilot, level), 1e-12)
 
 
-def _linear_quantile(values: np.ndarray, level: float) -> float:
-    """np.quantile(values, level) of a finite 1-D array at 0 <= level <= 1,
-    with its bits, from one np.partition of the two order statistics it
-    needs (np.quantile partitions through np.unique, which imports
-    numpy.ma). NumPy's "linear" rule: the virtual index (n - 1) level, the
-    order statistics at its floor and the next index (both the top one from
-    n - 1 on, where NumPy's floor index reads -1), and its lerp written out."""
-    last = values.size - 1
-    index = last * level
-    low = math.floor(index) if index < last else -1
-    high = low + 1 if low >= 0 else -1
-    part = np.partition(values, (low, high))
-    a, b, t = float(part[low]), float(part[high]), index - low
-    diff = b - a
-    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
-
-
-def _median(values: np.ndarray) -> float:
-    """np.median of a finite, non-empty 1-D array, with its bits but without
-    numpy.ma: the middle order statistic of an odd count, and the mean
-    (a + b) / 2 of the middle two of an even one."""
-    half = values.size // 2
-    a, b = np.partition(values, (half - 1, half))[[half - 1, half]]
-    return float(b) if values.size % 2 else (float(a) + float(b)) / 2
-
-
 @dataclass(frozen=True)
 class ForecastSummary:
     """Per-n aggregate of the dynamic forecast experiment."""
@@ -276,7 +252,7 @@ class ForecastSummary:
 def _forecast_block(args) -> np.ndarray:
     (process, psi, noise_sd, kernel, theta, grid_size, seed, n, t, indices) = args
     grid = uniform_grid(grid_size)
-    psi_func, _ = make_psi(psi, grid)
+    psi_func = make_psi(psi, grid)
     block = indices.start // FORECAST_BLOCK
     streams = (Stream.FAR_PATH, Stream.REGRESSION_NOISE, Stream.REFERENCE_SAMPLE)
     path_rng, noise_rng, reference_rng = (keyed_rng(seed, s, n, block) for s in streams)

@@ -151,8 +151,6 @@ def _admissible_unbounded_draw(rng):
         n=int(rng.integers(10, 100_000)),
         k=float(rng.uniform(1.3, 4.0)),
         p=p,
-        q=p / (p - 1.0),
-        r=r,
         u=r / (r - 1.0),
     )
     moments = MomentInputs(

@@ -206,6 +206,12 @@ DRAWN_VALUES = st.one_of(
 )
 
 
+def test_the_parser_offers_every_suite_then_plotdata():
+    parser = cli._build_parser()
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    assert list(commands) == [*SUITES, "plotdata"]
+
+
 @settings(max_examples=500, deadline=None)
 @given(suite=st.sampled_from(SUITES), key=st.sampled_from(sorted(KNOWN_KEYS)),
        value=DRAWN_VALUES)

@@ -154,12 +154,6 @@ class TestCorollaryBound:
         with pytest.raises((ValidationError, DomainError)):
             BoundParams(n=2)
 
-    def test_broken_conjugacy_rejected(self):
-        with pytest.raises(ValidationError):
-            BoundParams(p=2.0, q=3.0)
-        with pytest.raises(ValidationError):
-            BoundParams(r=1.5, u=2.0)
-
 
 class TestTruncate:
     @pytest.mark.parametrize(
@@ -224,7 +218,7 @@ class TestTruncate:
 
 class TestUnboundedBound:
     def test_second_term_hand_value(self):
-        params = BoundParams(epsilon=2.0, n=100, k=3.0, p=1.5, q=3.0, r=2.0, u=2.0)
+        params = BoundParams(epsilon=2.0, n=100, k=3.0, p=1.5, u=2.0)
         moments = MomentInputs(m_pr=1.0, m_k=1.0)
         _, t2, _ = unbounded_bound_terms(params, moments, B=2.0)
         assert t2 == pytest.approx((1.0 / 2.0) / 2.0, rel=1e-12)  # 4/eps * 1/2 * 2^-2
@@ -250,7 +244,7 @@ class TestUnboundedBound:
             assert b_star > 1.0
 
     def test_value_matches_oracle_at_argmin(self):
-        params = BoundParams(a1=1.3, a2=0.8, epsilon=0.4, n=500, k=2.5, p=1.5, q=3.0)
+        params = BoundParams(a1=1.3, a2=0.8, epsilon=0.4, n=500, k=2.5, p=1.5)
         moments = MomentInputs(m_pr=3.0, m_k=7.0)
         value, b_star = unbounded_bound(params, moments)
         assert value == pytest.approx(unbounded_oracle(params, moments, b_star), rel=1e-12)
@@ -460,9 +454,9 @@ class TestLaplaceSection:
                             lambda *a, **k: calls.append(a) or estimate(*a, **k))
         return calls
 
-    def run(self, gamma=None):
+    def run(self, gamma=None, points=POINTS):
         fspec = make_fspec("odd-clip", self.CHAIN)
-        return laplace_section(fspec, self.CHAIN, 1.0, gamma, self.POINTS, reps=100, seed=6)
+        return laplace_section(fspec, self.CHAIN, 1.0, gamma, points, reps=100, seed=6)
 
     def test_a_below_twice_fitted_kappa1_raises_before_any_estimate(self, monkeypatch,
                                                                      laplace_calls):
@@ -480,6 +474,24 @@ class TestLaplaceSection:
             self.run(gamma=0.5)
         assert f"= {laplace_gamma_cap(1.0, 20.0):.4g} at" in str(info.value)
         assert laplace_calls == []
+
+    def test_descending_points_raise_each_domain_error_before_any_estimate(self, monkeypatch,
+                                                                           laplace_calls):
+        for kappa1, gamma, message in [(7.5, None, r"grid\.A: A = 14\.0 is below"),
+                                       (1.0, 0.5, r"gamma = 0\.5 .* above the cap")]:
+            fit = MixingDecayFit(kappa0=1.0, kappa1=kappa1, r_squared=1.0)
+            monkeypatch.setattr(concentration, "estimate_chain_mixing", lambda *a, **k: fit)
+            with pytest.raises(DomainError, match=message) as info:
+                self.run(gamma, self.POINTS[::-1])
+            if gamma is not None:
+                assert f"= {laplace_gamma_cap(1.0, 20.0):.4g} at" in str(info.value)
+        assert laplace_calls == []
+
+    def test_descending_points_give_the_ascending_section_reversed(self):
+        ascending, descending = self.run(), self.run(points=self.POINTS[::-1])
+        assert (descending.gamma, descending.C) == (ascending.gamma, ascending.C)
+        assert descending.estimates == ascending.estimates[::-1]
+        assert descending.bounds == ascending.bounds[::-1]
 
     def test_default_gamma_is_nine_tenths_of_the_cap_at_the_largest_a(self, laplace_calls):
         section = self.run()

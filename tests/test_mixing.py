@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from betamix.mixing import (
     FiniteChain,
     FiniteJointDistribution,
     _alpha_table,
+    _grouped_joint,
     alpha_exact,
     beta_exact,
     davydov_check,
@@ -137,6 +139,24 @@ class TestAlphaTable:
         for table in tables:
             assert _alpha_table(table) == per_mask_alpha_table(table)
 
+    def test_grouped_joint_numbers_value_tuples_in_order_of_first_appearance(self):
+        # the oracle walks the state paths in row-major order and numbers each
+        # new value tuple; ties in the funcs merge paths into one row or column
+        rng = np.random.default_rng(53)
+        for m, n in [(2, 2), (3, 3), (4, 4), (2, 5), (3, 4)]:
+            tensor = rng.dirichlet(np.ones(m**n)).reshape((m,) * n)
+            funcs = [rng.integers(0, 2, size=m) * 1.5 for _ in range(n)]
+            for k in range(1, n):
+                ids = []
+                for side in (funcs[:k], funcs[k:]):
+                    keys = {}
+                    ids.append([keys.setdefault(tuple(f[s] for f, s in zip(side, path)), len(keys))
+                                for path in itertools.product(range(m), repeat=len(side))])
+                want = np.zeros((max(ids[0]) + 1, max(ids[1]) + 1))
+                for (i, r), (j, c) in itertools.product(enumerate(ids[0]), enumerate(ids[1])):
+                    want[r, c] += tensor.reshape(m**k, -1)[i, j]
+                assert _grouped_joint(tensor, funcs, k).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("side", [2, 5, 11, 16])
     def test_positive_and_negative_parts_agree(self, side):
         # zero row sums make each row set's positive and negative column-sum
@@ -211,15 +231,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize(
-        "build", ["joint", "chain_transition", "chain_stationary", "from_transition"]
+        "build", ["joint", "chain_transition", "from_transition"]
     )
     def test_non_finite_entry_rejected(self, build, value):
         table = np.array([[value, 0.5], [0.25, 0.25]])
         transition = np.array([[value, 0.5], [0.5, 0.5]])
         builders = {
             "joint": lambda: FiniteJointDistribution(table),
-            "chain_transition": lambda: FiniteChain(transition, np.array([0.5, 0.5])),
-            "chain_stationary": lambda: FiniteChain(TWO_STATE, np.array([value, 1.0])),
+            "chain_transition": lambda: FiniteChain(transition),
             "from_transition": lambda: FiniteChain.from_transition(transition),
         }
         with pytest.raises(ValidationError, match="non-finite|not finite"):
@@ -227,17 +246,25 @@ class TestValidation:
 
     def test_bad_row_sum_rejected(self):
         with pytest.raises(ValidationError):
-            FiniteChain(np.array([[0.5, 0.4], [0.2, 0.8]]), np.array([0.5, 0.5]))
+            FiniteChain(np.array([[0.5, 0.4], [0.2, 0.8]]))
 
     # each solves pi @ P = pi for TWO_STATE; markov_beta_lag at lag 1 was
-    # 0.0, -1.0 and 1.089 on them
+    # 0.0, -1.0 and 1.089 on them. The guards catch a solve that returns one.
     @pytest.mark.parametrize("pi", [[0.0, 0.0], [-2 / 3, -1 / 3], [4 / 3, 2 / 3]])
-    def test_stationary_vector_must_be_a_probability_law(self, pi):
+    def test_stationary_vector_must_be_a_probability_law(self, monkeypatch, pi):
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: np.array(pi))
         with pytest.raises(ValidationError, match="not a probability law"):
-            FiniteChain(TWO_STATE, np.array(pi))
+            FiniteChain(TWO_STATE)
 
 
 class TestFromTransition:
+    def test_constructor_derives_the_stationary_law(self):
+        chain, solved = FiniteChain(TWO_STATE), FiniteChain.from_transition(TWO_STATE)
+        assert chain.stationary.tobytes() == solved.stationary.tobytes()
+        assert_allclose(chain.stationary, [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
+        with pytest.raises(TypeError):
+            FiniteChain(TWO_STATE, np.array([2.0 / 3.0, 1.0 / 3.0]))
+
     # P = [[1 - d, d], [2 d, 1 - 2 d]] has pi = [2/3, 1/3] for every d; a small d
     # makes the chain nearly decomposable
     @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-10, 1e-14])

@@ -16,6 +16,8 @@ from betamix.processes import (
     Far1Spec,
     FunctionalPath,
     PsiSpec,
+    _linear_quantile,
+    _median,
     make_psi,
     make_regression_sample,
     simulate_far1,
@@ -27,8 +29,6 @@ from betamix.regression import (
     KernelSpec,
     RegressionFit,
     _forecast_block,
-    _linear_quantile,
-    _median,
     bandwidth_schedule,
     curve_distances,
     dynamic_forecast_experiment,
@@ -135,7 +135,7 @@ class TestFrameGeometry:
         else:
             g = spec.eigenfunction(grid) if psi.endswith("eigenfunction") else np.ones(grid_size)
             spec_psi, want = PsiSpec("linear", weight=g), curves @ (w * g)
-        func, _ = make_psi(spec_psi, grid)
+        func = make_psi(spec_psi, grid)
         # a signed inner product has rounding error on the scale of its largest values
         assert_allclose(func(path), want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
 
@@ -416,18 +416,27 @@ class TestBandwidthSchedule:
                 got, want = _median(values.copy()), float(np.median(values))
                 assert got.hex() == want.hex(), (size, values)
 
-    def test_fkr_run_leaves_numpy_ma_unloaded(self, tmp_path):
+    @pytest.mark.parametrize("args, report", [
+        (["fkr", "--reps", "100", "--set", "grid.n=100,200", "--set", "grid_size=16",
+          "--set", "process.burn_in=50"], "fkr_report.csv"),
+        # grid.A runs the Laplace section's binned mixing fit
+        (["concentration", "--reps", "100", "--set", "grid.n=50,100", "--set", "grid.epsilon=0.1",
+          "--set", "grid.A=14", "--set", "process.burn_in=50"], "laplace_report.csv"),
+        (["mixing", "--set", "mixing.joints=5", "--set", "mixing.chains=5"], "mixing_report.csv"),
+        (["verify-all", "--set", "mixing.joints=5", "--set", "mixing.chains=5"],
+         "verify_report.csv"),
+    ], ids=["fkr", "concentration", "mixing", "verify-all"])
+    def test_suite_run_leaves_numpy_ma_unloaded(self, tmp_path, args, report):
         # np.median and np.quantile import numpy.ma through np.unique
         code = ("import sys, betamix.cli; "
-                "betamix.cli.main(['fkr', '--seed', '3', '--reps', '100', '--workers', '1', "
-                "'--output', sys.argv[1], '--set', 'grid.n=100,200', '--set', 'grid_size=16', "
-                "'--set', 'process.burn_in=50']); "
+                "betamix.cli.main(sys.argv[2:] + ['--seed', '3', '--workers', '1', "
+                "'--output', sys.argv[1]]); "
                 "print('numpy.ma' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *args], env=env,
                              capture_output=True, text=True, check=True, timeout=120)
         assert out.stdout.splitlines()[-1] == "False"
-        assert (tmp_path / "fkr_report.csv").exists()
+        assert (tmp_path / report).exists()
 
     def test_forecast_block_leaves_numpy_ma_unloaded(self):
         # np.quantile imports numpy.ma through np.unique in every pool worker
