@@ -10,7 +10,6 @@ if "numpy" not in sys.modules:  # read once, as numpy loads OpenBLAS: no server 
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .concentration import (
-    BoundParams,
     FSpec,
     LaplaceEstimate,
     LaplaceSection,
@@ -69,11 +68,10 @@ from .regression import (
 )
 
 __all__ = [
-    "BoundParams", "FSpec", "LaplaceEstimate", "LaplaceSection", "MomentInputs", "RateFit",
-    "TailEstimate", "TruncationTriple", "calibrate_corollary", "calibrate_laplace_constant",
-    "corollary_bound", "empirical_laplace", "empirical_tail_grid", "laplace_bound",
-    "laplace_section", "make_fspec", "rate_argument", "rate_fit", "truncate",
-    "unbounded_bound",
+    "FSpec", "LaplaceEstimate", "LaplaceSection", "MomentInputs", "RateFit", "TailEstimate",
+    "TruncationTriple", "calibrate_corollary", "calibrate_laplace_constant", "corollary_bound",
+    "empirical_laplace", "empirical_tail_grid", "laplace_bound", "laplace_section",
+    "make_fspec", "rate_argument", "rate_fit", "truncate", "unbounded_bound",
     "CheckResult", "FiniteChain", "FiniteJointDistribution", "MixingDecayFit", "alpha_exact",
     "beta_exact", "davydov_check", "fit_geometric_decay", "ibragimov_check", "markov_beta_lag",
     "ContractiveChainSpec", "Far1Spec", "FunctionalPath", "PsiSpec", "estimate_chain_mixing",

@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .concentration import (
     _LOG_GRID,
-    BoundParams,
     calibrate_corollary,
     corollary_bound,
     empirical_tail_grid,
@@ -57,8 +56,11 @@ class Check:
 
 @dataclass(frozen=True)
 class SuiteResult:
-    exit_code: int
     checks: tuple[Check, ...]
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if all(c.passed for c in self.checks) else 1
 
 
 def _fmt(value) -> str:
@@ -192,12 +194,13 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict
     for eps, tails in zip(config.epsilons, tails_by_eps):
         bound_at = {}
         try:
-            params, fit = calibrate_corollary(tails, B=bound_b, epsilon=eps)
+            a1, fit = calibrate_corollary(tails, B=bound_b, epsilon=eps)
             diagnostics["rate_fits"].append({
                 "epsilon": eps, "a1": fit.a1_hat, "a2": fit.a2_hat, "r_squared": fit.r_squared,
-                "calibrated_a1_on_grid_floor": bool(params.a1 == _LOG_GRID[0]),
+                "calibrated_a1_on_grid_floor": bool(a1 == _LOG_GRID[0]),
             })
-            bound_at = {te.n: corollary_bound(dataclasses.replace(params, n=te.n))
+            bound_at = {te.n: corollary_bound(a1=a1, a2=fit.a2_hat, B=bound_b, epsilon=eps,
+                                              n=te.n)
                         for te in tails}
             checks.append(Check(name=f"rate_fit(eps={eps})",
                                 passed=fit.a2_hat > 0 and fit.r_squared > 0.9,
@@ -303,9 +306,7 @@ def run_verify_all_suite(config: ExperimentConfig) -> tuple[list[Check], dict, d
     rows.append(("nadaraya_watson_hand_example", nw.psi_hat, 8.8 / 4.8, holds, seed))
 
     ns = list(range(16, 400, 7))
-    bounds = [
-        corollary_bound(BoundParams(a1=1.0, a2=0.5, B=1.0, epsilon=0.2, n=n)) for n in ns
-    ]
+    bounds = [corollary_bound(a1=1.0, a2=0.5, B=1.0, epsilon=0.2, n=n) for n in ns]
     holds = all(b < a for a, b in zip(bounds, bounds[1:]))
     rows.append(("corollary_bound_decreasing", float(not holds), 0.0, holds, seed))
     return _checks_from_rows(rows), {"verify_report.csv": (MIXING_HEADER, rows)}, {}
@@ -351,8 +352,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
         _write_csv(os.path.join(config.output, name), header, rows)
     manifest = os.path.join(config.output, f"{config.suite.replace('-', '_')}_manifest.json")
     _write_manifest(manifest, config, checks, list(reports), execution, diagnostics)
-    exit_code = 0 if all(c.passed for c in checks) else 1
-    return SuiteResult(exit_code=exit_code, checks=tuple(checks))
+    return SuiteResult(checks=tuple(checks))
 
 
 PLOTDATA_HEADER = ["series", "x", "y", "y_lo", "y_hi"]

@@ -33,43 +33,6 @@ B_GRID_HI = 1e6
 GOLDEN_REL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Parameter bag for the bound formulas.
-
-    kappa0/kappa1 bound the mixing decay, C and (a1, a2) are the free bound
-    constants, gamma the Laplace argument, A the interval length, B the
-    function bound (or truncation level), and p and u the Hoelder exponents
-    of the unbounded extension, whose conjugates q = p / (p - 1) and
-    r = u / (u - 1) no formula reads, with k its moment order.
-    """
-
-    kappa0: float = 1.0
-    kappa1: float = 1.0
-    C: float = 1.0
-    a1: float = 1.0
-    a2: float = 1.0
-    gamma: float = 0.01
-    A: float = 14.0
-    B: float = 1.0
-    epsilon: float = 0.1
-    n: int = 100
-    p: float = 2.0
-    u: float = 2.0
-    k: float = 3.0
-
-    def __post_init__(self):
-        for name in ("kappa0", "kappa1", "C", "a1", "a2", "A", "B"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.gamma < 0 or self.epsilon < 0:
-            raise ValidationError("gamma and epsilon must be >= 0")
-        if self.n < 3:
-            raise ValidationError("n must be >= 3 so log log n > 0")
-        if min(self.p, self.u, self.k) <= 1:
-            raise ValidationError("p, u, k must all exceed 1")
-
-
 class TailEstimate(NamedTuple):
     epsilon: float
     n: int
@@ -126,35 +89,54 @@ def laplace_gamma_cap(kappa1: float, A: float) -> float:
     return min(min(1.0, kappa1) / 2.0, kappa1 / (4.0 * math.log(A)))
 
 
-def laplace_bound_terms(params: BoundParams) -> tuple[float, float]:
+def _require_above(floor: float, **constants: float) -> None:
+    """ValidationError naming the first constant that is not above `floor`;
+    `not value > floor` also rejects NaN."""
+    for name, value in constants.items():
+        if not value > floor:
+            raise ValidationError(f"{name} must exceed {floor:g}, got {value!r}")
+
+
+def _rate(epsilon: float, n: int, B: float) -> float:
+    """x_n = eps n / (B log n log log n) in Python floats, n >= 3 so that
+    log log n > 0."""
+    if not n >= 3:
+        raise ValidationError(f"n must be >= 3 so log log n > 0, got {n!r}")
+    return epsilon * n / (B * math.log(n) * math.log(math.log(n)))
+
+
+def laplace_bound_terms(
+    *, kappa0: float, kappa1: float, C: float, gamma: float, B: float, A: float
+) -> tuple[float, float]:
     """Both summands of the Laplace-transform bound, preconditions enforced."""
-    k0, k1, c = params.kappa0, params.kappa1, params.C
-    gamma, b, a = params.gamma, params.B, params.A
-    if a < max(14.0, 2.0 * k1):
-        raise DomainError(f"A = {a} violates A >= max(14, 2*kappa1) = {max(14.0, 2.0 * k1)}")
-    log_a = math.log(a)
-    gamma_cap = laplace_gamma_cap(k1, a)
-    if not 0.0 < gamma * b <= gamma_cap:
+    _require_above(0.0, kappa0=kappa0, kappa1=kappa1, C=C, B=B, A=A)
+    if not A >= max(14.0, 2.0 * kappa1):
+        raise DomainError(f"A = {A} violates A >= max(14, 2*kappa1) = {max(14.0, 2.0 * kappa1)}")
+    log_a = math.log(A)
+    gamma_cap = laplace_gamma_cap(kappa1, A)
+    if not 0.0 < gamma * B <= gamma_cap:
         raise DomainError(
-            f"gamma*B = {gamma * b} violates 0 < gamma*B <= "
+            f"gamma*B = {gamma * B} violates 0 < gamma*B <= "
             f"min((1 and kappa1)/2, kappa1/(4 log A)) = {gamma_cap}"
         )
-    term1 = 3.0 * k0 * math.exp(-k1 * a / (4.0 * log_a))
-    term2 = math.exp(c * gamma**2 * b**2 * a * log_a + gamma * b * a / log_a)
+    term1 = 3.0 * kappa0 * math.exp(-kappa1 * A / (4.0 * log_a))
+    term2 = math.exp(C * gamma**2 * B**2 * A * log_a + gamma * B * A / log_a)
     return term1, term2
 
 
-def laplace_bound(params: BoundParams) -> float:
+def laplace_bound(*, kappa0: float, kappa1: float, C: float, gamma: float, B: float,
+                  A: float) -> float:
     """3 k0 exp(-k1 A / (4 log A)) + exp(C g^2 B^2 A log A + g B A / log A)."""
-    term1, term2 = laplace_bound_terms(params)
+    term1, term2 = laplace_bound_terms(kappa0=kappa0, kappa1=kappa1, C=C, gamma=gamma, B=B, A=A)
     return term1 + term2
 
 
-def corollary_bound(params: BoundParams) -> float:
-    """a1 exp(-a2 eps n / (B log n log log n)); BoundParams keeps n >= 3."""
-    n = params.n
-    rate = params.epsilon * n / (params.B * math.log(n) * math.log(math.log(n)))
-    return params.a1 * math.exp(-params.a2 * rate)
+def corollary_bound(*, a1: float, a2: float, B: float, epsilon: float, n: int) -> float:
+    """a1 exp(-a2 eps n / (B log n log log n)), for eps >= 0 and n >= 3."""
+    _require_above(0.0, a1=a1, a2=a2, B=B)
+    if not epsilon >= 0:
+        raise ValidationError(f"epsilon must be >= 0, got {epsilon!r}")
+    return a1 * math.exp(-a2 * _rate(epsilon, n, B))
 
 
 def truncate(value, B) -> TruncationTriple:
@@ -187,24 +169,24 @@ def truncate(value, B) -> TruncationTriple:
 
 
 def unbounded_bound_terms(
-    params: BoundParams, moments: MomentInputs, B: float
+    *, a1: float, a2: float, epsilon: float, n: int, p: float, u: float, k: float,
+    moments: MomentInputs, B: float,
 ) -> tuple[float, float, float]:
-    """The three summands of the unbounded-aggregate tail bound at level B."""
-    eps, n = params.epsilon, params.n
-    if eps <= 0:
+    """The three summands of the unbounded-aggregate tail bound at level B,
+    with Hoelder exponents p and u and moment order k."""
+    _require_above(0.0, a1=a1, a2=a2, B=B)
+    _require_above(1.0, p=p, u=u, k=k)
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
-    k, p, u = params.k, params.p, params.u
-    rate = eps * n / (B * math.log(n) * math.log(math.log(n)))
-    t1 = params.a1 / eps * math.exp(-params.a2 * rate)
-    t2 = 4.0 / (eps * (k - 1.0)) * B ** (-(k - 1.0)) * moments.m_k
-    t3 = params.a1 / (n * eps) * moments.m_pr * B ** (-k / (p * u)) * moments.m_k ** (1.0 / (p * u))
+    t1 = a1 / epsilon * math.exp(-a2 * _rate(epsilon, n, B))
+    t2 = 4.0 / (epsilon * (k - 1.0)) * B ** (-(k - 1.0)) * moments.m_k
+    t3 = a1 / (n * epsilon) * moments.m_pr * B ** (-k / (p * u)) * moments.m_k ** (1.0 / (p * u))
     return t1, t2, t3
 
 
 def unbounded_bound(
-    params: BoundParams,
-    moments: MomentInputs,
-    grid_points: int = B_GRID_POINTS,
+    *, a1: float, a2: float, epsilon: float, n: int, p: float, u: float, k: float,
+    moments: MomentInputs, grid_points: int = B_GRID_POINTS,
 ) -> tuple[float, float]:
     """Minimize the three-term expression over the truncation level B > 1.
 
@@ -214,7 +196,8 @@ def unbounded_bound(
     """
 
     def objective(b: float) -> float:
-        return sum(unbounded_bound_terms(params, moments, b))
+        return sum(unbounded_bound_terms(a1=a1, a2=a2, epsilon=epsilon, n=n, p=p, u=u, k=k,
+                                         moments=moments, B=b))
 
     grid = np.geomspace(B_GRID_LO, B_GRID_HI, grid_points)
     values = np.array([objective(b) for b in grid])
@@ -438,9 +421,9 @@ _LOG_GRID = 10.0 ** (np.arange(-64, 129) / 8.0)
 
 def calibrate_corollary(
     tails: Sequence[TailEstimate], B: float, epsilon: float
-) -> tuple[BoundParams, RateFit]:
+) -> tuple[float, RateFit]:
     """Fit a2 from the tails, then pick the smallest log-grid a1 dominating
-    every p_hat + CI. Returns bound params (a1, a2 filled in) and the fit."""
+    every p_hat + CI. Returns (a1, fit); the bound's a2 is fit.a2_hat."""
     fit = rate_fit(tails, B, epsilon)
     if fit.a2_hat <= 0:
         raise FitError("fitted rate slope is not positive; no decay to calibrate")
@@ -451,9 +434,7 @@ def calibrate_corollary(
     eligible = _LOG_GRID[_LOG_GRID >= required]
     if eligible.size == 0:
         raise FitError("required a1 exceeds the calibration grid")
-    params = BoundParams(a1=float(eligible[0]), a2=fit.a2_hat, B=B, epsilon=epsilon,
-                         n=max(te.n for te in tails))
-    return params, fit
+    return float(eligible[0]), fit
 
 
 def calibrate_laplace_constant(
@@ -467,8 +448,8 @@ def calibrate_laplace_constant(
     """Smallest log-grid C whose Laplace bound dominates all observed values
     at interval length A (the smallest admissible length)."""
     for c in _LOG_GRID:
-        params = BoundParams(kappa0=kappa0, kappa1=kappa1, C=float(c), gamma=gamma, B=B, A=A)
-        if laplace_bound(params) >= max(observed):
+        if laplace_bound(kappa0=kappa0, kappa1=kappa1, C=float(c), gamma=gamma, B=B,
+                         A=A) >= max(observed):
             return float(c)
     raise FitError("no grid C makes the Laplace bound dominate the estimates")
 
@@ -479,24 +460,25 @@ def laplace_section(
 ) -> LaplaceSection:
     """The Laplace bound against its MC estimates at every (A, t) point, in
     the order of `points`. The mixing rate is fitted first and A and gamma
-    are checked at the fitted kappa1 before any estimate runs (a DomainError
-    names `grid.A` or `gamma`); `gamma=None` takes 0.9 of the cap at the
-    largest A. C is calibrated on the estimates at the smallest A."""
+    are checked at the fitted kappa1 before any estimate runs: the smallest
+    A against max(14, 2 kappa1), gamma*B against the cap at the largest A (a
+    DomainError names `grid.A` or `gamma`); `gamma=None` takes 0.9 of that
+    cap. C is calibrated on the estimates at the smallest A."""
     lengths = [a for a, _ in points]
     a_min, a_max = min(lengths), max(lengths)
     mixing_fit = estimate_chain_mixing(process, seed=keyed_rng(seed, Stream.MIXING_FIT),
                                        n_steps=10**5)
     kappa0 = max(mixing_fit.kappa0, 1e-6)
     kappa1 = max(mixing_fit.kappa1, 1e-6)
-    if a_min < 2.0 * kappa1:
-        raise DomainError(
-            f"grid.A: A = {a_min} is below 2*kappa1 = {2.0 * kappa1:.4g} "
-            f"at the fitted kappa1 = {kappa1:.4g}"
-        )
+    a_floor = max(14.0, 2.0 * kappa1)
+    if not a_min >= a_floor:
+        below = "14" if a_floor == 14.0 else f"2*kappa1 = {a_floor:.4g}"
+        raise DomainError(f"grid.A: A = {a_min} is below {below} "
+                          f"at the fitted kappa1 = {kappa1:.4g}")
     cap = laplace_gamma_cap(kappa1, a_max)
     if gamma is None:
         gamma = 0.9 * cap / B
-    elif gamma * B > cap:
+    elif not gamma * B <= cap:
         raise DomainError(
             f"gamma = {gamma} gives gamma*B = {gamma * B:.4g} above the cap "
             f"min((1 and kappa1)/2, kappa1/(4 log A_max)) = {cap:.4g} "
@@ -505,7 +487,6 @@ def laplace_section(
     estimates = empirical_laplace(fspec, process, gamma, points, reps, seed, workers)
     at_a_min = [e.value for e, a in zip(estimates, lengths) if a == a_min]
     c_value = calibrate_laplace_constant(at_a_min, kappa0, kappa1, gamma, B, a_min)
-    bounds = [laplace_bound(BoundParams(kappa0=kappa0, kappa1=kappa1, C=c_value, gamma=gamma,
-                                        B=B, A=a))
-              for a, _ in points]
+    bounds = [laplace_bound(kappa0=kappa0, kappa1=kappa1, C=c_value, gamma=gamma, B=B, A=a)
+              for a in lengths]
     return LaplaceSection(mixing_fit, gamma, c_value, estimates, bounds)

@@ -707,15 +707,16 @@ def _median(values: np.ndarray) -> float:
     return float(b) if values.size % 2 else (float(a) + float(b)) / 2
 
 
-def binned_lag_joint(values: np.ndarray, lag: int, n_bins: int) -> np.ndarray:
-    """Empirical joint table of (X_k, X_{k+lag}) after quantile binning."""
-    if lag < 1 or lag >= values.size:
+def binned_lag_joints(values: np.ndarray, lags: Sequence[int], n_bins: int) -> list[np.ndarray]:
+    """Empirical joint table of (X_k, X_{k+lag}) after quantile binning, one
+    per lag in `lags`; the path is binned once for all of them."""
+    if not all(1 <= lag < values.size for lag in lags):
         raise ValidationError("lag must satisfy 1 <= lag < len(values)")
     edges = _linear_quantile(values, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
     bins = np.digitize(values, edges)
-    pairs = bins[:-lag] * n_bins + bins[lag:]
-    counts = np.bincount(pairs, minlength=n_bins * n_bins).astype(float)
-    return (counts / counts.sum()).reshape(n_bins, n_bins)
+    counts = [np.bincount(bins[:-lag] * n_bins + bins[lag:], minlength=n_bins * n_bins)
+              .astype(float) for lag in lags]
+    return [(c / c.sum()).reshape(n_bins, n_bins) for c in counts]
 
 
 def estimate_chain_mixing(
@@ -735,8 +736,6 @@ def estimate_chain_mixing(
     from .mixing import FiniteJointDistribution, beta_exact, fit_geometric_decay
 
     values = simulate_contractive_chain(spec, n_steps, seed)
-    betas = [
-        beta_exact(FiniteJointDistribution(binned_lag_joint(values, lag, n_bins)))
-        for lag in lags
-    ]
+    betas = [beta_exact(FiniteJointDistribution(table))
+             for table in binned_lag_joints(values, lags, n_bins)]
     return fit_geometric_decay(list(lags), betas)

@@ -1,7 +1,6 @@
 """Release acceptance suite: one test per criterion, each printing a
 pass/fail line and asserting at the criterion's stated tolerance."""
 
-import dataclasses
 import math
 import time
 
@@ -10,7 +9,6 @@ from mpmath import mp
 
 from betamix.cli import main as cli_main
 from betamix.concentration import (
-    BoundParams,
     MomentInputs,
     calibrate_corollary,
     calibrate_laplace_constant,
@@ -123,20 +121,21 @@ def _admissible_laplace_draw(rng):
         gamma = float(rng.uniform(0.05, 1.0)) * cap / b
         exponent = c * gamma**2 * b**2 * a * math.log(a) + gamma * b * a / math.log(a)
         if gamma > 0 and exponent < 250.0:
-            return BoundParams(kappa0=kappa0, kappa1=kappa1, C=c, gamma=gamma, A=a, B=b)
+            return dict(kappa0=kappa0, kappa1=kappa1, C=c, gamma=gamma, A=a, B=b)
 
 
 def _admissible_corollary_draw(rng):
     while True:
-        params = BoundParams(
+        params = dict(
             a1=float(rng.uniform(0.1, 10.0)),
             a2=float(rng.uniform(0.1, 5.0)),
             B=float(rng.uniform(0.5, 5.0)),
             epsilon=float(rng.uniform(0.01, 2.0)),
             n=int(rng.integers(3, 100_000)),
         )
-        n = params.n
-        exponent = params.a2 * params.epsilon * n / (params.B * math.log(n) * math.log(math.log(n)))
+        n = params["n"]
+        exponent = (params["a2"] * params["epsilon"] * n
+                    / (params["B"] * math.log(n) * math.log(math.log(n))))
         if exponent < 250.0:
             return params
 
@@ -144,7 +143,7 @@ def _admissible_corollary_draw(rng):
 def _admissible_unbounded_draw(rng):
     p = float(rng.uniform(1.2, 3.0))
     r = float(rng.uniform(1.2, 3.0))
-    params = BoundParams(
+    return dict(
         a1=float(rng.uniform(0.05, 3.0)),
         a2=float(rng.uniform(0.05, 3.0)),
         epsilon=float(rng.uniform(0.05, 3.0)),
@@ -152,11 +151,10 @@ def _admissible_unbounded_draw(rng):
         k=float(rng.uniform(1.3, 4.0)),
         p=p,
         u=r / (r - 1.0),
+        moments=MomentInputs(
+            m_pr=float(rng.uniform(0.05, 50.0)), m_k=float(rng.uniform(0.05, 50.0))
+        ),
     )
-    moments = MomentInputs(
-        m_pr=float(rng.uniform(0.05, 50.0)), m_k=float(rng.uniform(0.05, 50.0))
-    )
-    return params, moments
 
 
 def test_criterion_3_bound_formula_fidelity():
@@ -165,16 +163,16 @@ def test_criterion_3_bound_formula_fidelity():
     worst = 0.0
     for _ in range(50):
         params = _admissible_laplace_draw(rng)
-        worst = max(worst, abs(laplace_bound(params) / laplace_oracle(params) - 1.0))
+        worst = max(worst, abs(laplace_bound(**params) / laplace_oracle(**params) - 1.0))
     for _ in range(50):
         params = _admissible_corollary_draw(rng)
-        worst = max(worst, abs(corollary_bound(params) / corollary_oracle(params) - 1.0))
+        worst = max(worst, abs(corollary_bound(**params) / corollary_oracle(**params) - 1.0))
     worst_grid = 0.0
     for _ in range(50):
-        params, moments = _admissible_unbounded_draw(rng)
-        value, b_star = unbounded_bound(params, moments)
-        worst = max(worst, abs(value / unbounded_oracle(params, moments, b_star) - 1.0))
-        fine, _ = unbounded_bound(params, moments, grid_points=2400)
+        params = _admissible_unbounded_draw(rng)
+        value, b_star = unbounded_bound(**params)
+        worst = max(worst, abs(value / unbounded_oracle(**params, B=b_star) - 1.0))
+        fine, _ = unbounded_bound(**params, grid_points=2400)
         worst_grid = max(worst_grid, abs(value / fine - 1.0))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-12 and worst_grid <= 1e-6 and elapsed < 10.0
@@ -199,9 +197,10 @@ def test_criterion_4_rate_verification():
         empirical_tail_grid(fspec, RATE_CHAIN, [(n, n)], [epsilon], 10_000, SEED)[0][0]
         for n in n_grid
     ]
-    params, fit = calibrate_corollary(tails, B=fspec.bound, epsilon=epsilon)
+    a1, fit = calibrate_corollary(tails, B=fspec.bound, epsilon=epsilon)
     dominated = all(
-        corollary_bound(dataclasses.replace(params, n=te.n)) >= te.p_hat + te.ci_half_width
+        corollary_bound(a1=a1, a2=fit.a2_hat, B=fspec.bound, epsilon=epsilon, n=te.n)
+        >= te.p_hat + te.ci_half_width
         for te in tails
     )
     elapsed = time.monotonic() - start
@@ -230,10 +229,8 @@ def test_criterion_5_laplace_domination():
     )
     dominated = all(
         estimates[a].value
-        <= laplace_bound(
-            BoundParams(kappa0=kappa0, kappa1=kappa1, C=c_value, gamma=gamma,
-                        B=fspec.bound, A=a)
-        )
+        <= laplace_bound(kappa0=kappa0, kappa1=kappa1, C=c_value, gamma=gamma,
+                         B=fspec.bound, A=a)
         for a in a_grid
     )
     elapsed = time.monotonic() - start

@@ -1,6 +1,5 @@
 import ast
 import concurrent.futures
-import dataclasses
 import json
 import math
 import os
@@ -108,7 +107,7 @@ def test_library_layers_import_neither_config_nor_cli():
 def test_package_exports_only_its_classes_and_functions():
     # no os, sys or submodule objects: `from betamix import *` binds these alone
     assert sorted(betamix.__all__) == [
-        "BoundParams", "CheckResult", "ContractiveChainSpec", "FSpec", "Far1Spec",
+        "CheckResult", "ContractiveChainSpec", "FSpec", "Far1Spec",
         "FiniteChain", "FiniteJointDistribution", "ForecastSummary", "FunctionalPath",
         "KernelSpec", "LaplaceEstimate", "LaplaceSection", "MixingDecayFit", "MomentInputs",
         "NWEvaluation", "PsiSpec", "RateFit", "RegressionFit", "SmallBallModel",
@@ -382,7 +381,7 @@ UNDEFINED_FIT = SimpleNamespace(evaluate=lambda curve, f_ref: SimpleNamespace(de
         ("m_constant_tau_linear", "m_constant", lambda kernel, tau: 0.0),
         ("m_constant_tau_square", "m_constant", lambda kernel, tau: 1.5),
         ("nadaraya_watson_hand_example", "RegressionFit", lambda **fields: UNDEFINED_FIT),
-        ("corollary_bound_decreasing", "corollary_bound", lambda params: 1.0),
+        ("corollary_bound_decreasing", "corollary_bound", lambda **constants: 1.0),
     ],
 )
 def test_every_verify_all_check_can_fail(tmp_path, capsys, monkeypatch, check, name, stub):
@@ -734,8 +733,8 @@ class TestLaplaceSection:
 
         # a1 >= p_hat >= 1/reps, so only a stubbed calibration puts a1 on the floor
         def floored_a1(tails, B, epsilon):
-            params, fit = concentration.calibrate_corollary(tails, B=B, epsilon=epsilon)
-            return dataclasses.replace(params, a1=1e-8), fit
+            _, fit = concentration.calibrate_corollary(tails, B=B, epsilon=epsilon)
+            return 1e-8, fit
 
         monkeypatch.setattr(cli, "calibrate_corollary", floored_a1)
         monkeypatch.setattr(concentration, "calibrate_laplace_constant", lambda *args: 1.0)

@@ -15,7 +15,6 @@ from betamix.concentration import (
     PILOT_BINS,
     REP_BLOCK,
     SUM_ROWS,
-    BoundParams,
     MomentInputs,
     calibrate_corollary,
     _centered_sums,
@@ -55,24 +54,24 @@ from oracles import truncate_scalar
 mp.dps = 50
 
 
-def laplace_oracle(params: BoundParams) -> float:
-    k0, k1, c = mp.mpf(params.kappa0), mp.mpf(params.kappa1), mp.mpf(params.C)
-    g, b, a = mp.mpf(params.gamma), mp.mpf(params.B), mp.mpf(params.A)
+def laplace_oracle(*, kappa0, kappa1, C, gamma, B, A) -> float:
+    k0, k1, c = mp.mpf(kappa0), mp.mpf(kappa1), mp.mpf(C)
+    g, b, a = mp.mpf(gamma), mp.mpf(B), mp.mpf(A)
     term1 = 3 * k0 * mp.exp(-k1 * a / (4 * mp.log(a)))
     term2 = mp.exp(c * g**2 * b**2 * a * mp.log(a) + g * b * a / mp.log(a))
     return float(term1 + term2)
 
 
-def corollary_oracle(params: BoundParams) -> float:
-    a1, a2 = mp.mpf(params.a1), mp.mpf(params.a2)
-    eps, b, n = mp.mpf(params.epsilon), mp.mpf(params.B), mp.mpf(params.n)
+def corollary_oracle(*, a1, a2, B, epsilon, n) -> float:
+    a1, a2 = mp.mpf(a1), mp.mpf(a2)
+    eps, b, n = mp.mpf(epsilon), mp.mpf(B), mp.mpf(n)
     return float(a1 * mp.exp(-a2 * eps * n / (b * mp.log(n) * mp.log(mp.log(n)))))
 
 
-def unbounded_oracle(params: BoundParams, moments: MomentInputs, B: float) -> float:
-    eps, n = mp.mpf(params.epsilon), mp.mpf(params.n)
-    a1, a2 = mp.mpf(params.a1), mp.mpf(params.a2)
-    k, p, u = mp.mpf(params.k), mp.mpf(params.p), mp.mpf(params.u)
+def unbounded_oracle(*, a1, a2, epsilon, n, p, u, k, moments: MomentInputs, B) -> float:
+    eps, n = mp.mpf(epsilon), mp.mpf(n)
+    a1, a2 = mp.mpf(a1), mp.mpf(a2)
+    k, p, u = mp.mpf(k), mp.mpf(p), mp.mpf(u)
     m_pr, m_k = mp.mpf(moments.m_pr), mp.mpf(moments.m_k)
     b = mp.mpf(B)
     t1 = a1 / eps * mp.exp(-a2 * eps * n / (b * mp.log(n) * mp.log(mp.log(n))))
@@ -88,55 +87,53 @@ UNIFORM_CHAIN = ContractiveChainSpec(map="linear", a=0.0, innovation="uniform",
 class TestLaplaceBound:
     def test_reference_point_matches_high_precision_oracle(self):
         gamma = min(0.5, 1.0 / (4.0 * math.log(14.0)))
-        params = BoundParams(kappa0=1.0, kappa1=1.0, C=1.0, B=1.0, A=14.0, gamma=gamma)
-        assert laplace_bound(params) == pytest.approx(laplace_oracle(params), rel=1e-12)
+        params = dict(kappa0=1.0, kappa1=1.0, C=1.0, B=1.0, A=14.0, gamma=gamma)
+        assert laplace_bound(**params) == pytest.approx(laplace_oracle(**params), rel=1e-12)
 
     def test_vanishing_gamma_limit(self):
-        params = BoundParams(kappa0=2.0, kappa1=0.8, C=3.0, B=1.0, A=20.0, gamma=1e-300)
+        params = dict(kappa0=2.0, kappa1=0.8, C=3.0, B=1.0, A=20.0, gamma=1e-300)
         term1 = 3 * 2.0 * math.exp(-0.8 * 20.0 / (4 * math.log(20.0)))
-        assert laplace_bound(params) == pytest.approx(term1 + 1.0, rel=1e-12)
+        assert laplace_bound(**params) == pytest.approx(term1 + 1.0, rel=1e-12)
 
     def test_doubling_c_moves_only_second_term(self):
         gamma = 0.02
-        p1 = BoundParams(C=1.0, gamma=gamma, A=30.0)
-        p2 = BoundParams(C=2.0, gamma=gamma, A=30.0)
-        t1a, t2a = laplace_bound_terms(p1)
-        t1b, t2b = laplace_bound_terms(p2)
+        base = dict(kappa0=1.0, kappa1=1.0, gamma=gamma, B=1.0, A=30.0)
+        t1a, t2a = laplace_bound_terms(C=1.0, **base)
+        t1b, t2b = laplace_bound_terms(C=2.0, **base)
         assert t1a == t1b
         assert t2b > t2a
 
     def test_interval_length_precondition(self):
         with pytest.raises(DomainError, match="A"):
-            laplace_bound(BoundParams(A=13.0, gamma=0.01))
+            laplace_bound(kappa0=1.0, kappa1=1.0, C=1.0, B=1.0, A=13.0, gamma=0.01)
         with pytest.raises(DomainError, match="A"):
-            laplace_bound(BoundParams(kappa1=10.0, A=14.0, gamma=1e-4))
+            laplace_bound(kappa0=1.0, kappa1=10.0, C=1.0, B=1.0, A=14.0, gamma=1e-4)
 
     def test_gamma_precondition(self):
         with pytest.raises(DomainError, match="gamma"):
-            laplace_bound(BoundParams(A=14.0, gamma=0.5, B=1.0))
+            laplace_bound(kappa0=1.0, kappa1=1.0, C=1.0, B=1.0, A=14.0, gamma=0.5)
 
     def test_monotone_in_kappa0_and_gamma(self):
         base = dict(kappa1=1.0, C=1.0, B=1.0, A=25.0)
-        v = [laplace_bound(BoundParams(kappa0=k0, gamma=0.01, **base)) for k0 in (0.5, 1.0, 2.0)]
+        v = [laplace_bound(kappa0=k0, gamma=0.01, **base) for k0 in (0.5, 1.0, 2.0)]
         assert v[0] < v[1] < v[2]
-        w = [laplace_bound(BoundParams(kappa0=1.0, gamma=g, **base)) for g in (0.005, 0.01, 0.02)]
+        w = [laplace_bound(kappa0=1.0, gamma=g, **base) for g in (0.005, 0.01, 0.02)]
         assert w[0] < w[1] < w[2]
 
 
 class TestCorollaryBound:
     def test_zero_epsilon_returns_a1(self):
-        params = BoundParams(a1=0.7, a2=2.0, B=1.5, epsilon=0.0, n=50)
-        assert corollary_bound(params) == 0.7
+        assert corollary_bound(a1=0.7, a2=2.0, B=1.5, epsilon=0.0, n=50) == 0.7
 
     def test_reference_point_matches_high_precision_oracle(self):
-        params = BoundParams(a1=1.0, a2=1.0, B=1.0, epsilon=1.0, n=100)
+        params = dict(a1=1.0, a2=1.0, B=1.0, epsilon=1.0, n=100)
         expected = math.exp(-100.0 / (math.log(100.0) * math.log(math.log(100.0))))
-        assert corollary_bound(params) == pytest.approx(expected, rel=1e-12)
-        assert corollary_bound(params) == pytest.approx(corollary_oracle(params), rel=1e-12)
+        assert corollary_bound(**params) == pytest.approx(expected, rel=1e-12)
+        assert corollary_bound(**params) == pytest.approx(corollary_oracle(**params), rel=1e-12)
 
     def test_strictly_decreasing_for_n_at_least_16(self):
         values = [
-            corollary_bound(BoundParams(a1=1.0, a2=0.5, B=1.0, epsilon=0.2, n=n))
+            corollary_bound(a1=1.0, a2=0.5, B=1.0, epsilon=0.2, n=n)
             for n in range(16, 4096, 7)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -144,7 +141,7 @@ class TestCorollaryBound:
     def test_vanishes_along_dyadic_n(self):
         # epsilon small enough that exp never underflows across j <= 40
         values = [
-            corollary_bound(BoundParams(a1=2.0, a2=1.0, B=1.0, epsilon=5e-8, n=2**j))
+            corollary_bound(a1=2.0, a2=1.0, B=1.0, epsilon=5e-8, n=2**j)
             for j in range(4, 41)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -152,7 +149,28 @@ class TestCorollaryBound:
 
     def test_small_n_rejected(self):
         with pytest.raises((ValidationError, DomainError)):
-            BoundParams(n=2)
+            corollary_bound(a1=1.0, a2=1.0, B=1.0, epsilon=0.1, n=2)
+
+
+NAN_CASES = [
+    (laplace_bound, dict(kappa0=1.0, kappa1=1.0, C=1.0, gamma=0.01, B=1.0, A=14.0)),
+    (corollary_bound, dict(a1=1.0, a2=1.0, B=1.0, epsilon=0.1, n=100)),
+    (unbounded_bound_terms, dict(a1=1.0, a2=1.0, epsilon=0.1, n=100, p=2.0, u=2.0, k=3.0, B=2.0)),
+    (unbounded_bound, dict(a1=1.0, a2=1.0, epsilon=0.1, n=100, p=2.0, u=2.0, k=3.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "formula, constants, name",
+    [(f, c, name) for f, c in NAN_CASES for name in c],
+    ids=[f"{f.__name__}-{name}" for f, c in NAN_CASES for name in c],
+)
+def test_nan_constant_rejected(formula, constants, name):
+    if "p" in constants:
+        constants = dict(constants, moments=MomentInputs(m_pr=1.0, m_k=1.0))
+    assert math.isfinite(np.sum(formula(**constants)))
+    with pytest.raises((ValidationError, DomainError)):
+        formula(**dict(constants, **{name: math.nan}))
 
 
 class TestTruncate:
@@ -218,48 +236,51 @@ class TestTruncate:
 
 class TestUnboundedBound:
     def test_second_term_hand_value(self):
-        params = BoundParams(epsilon=2.0, n=100, k=3.0, p=1.5, u=2.0)
         moments = MomentInputs(m_pr=1.0, m_k=1.0)
-        _, t2, _ = unbounded_bound_terms(params, moments, B=2.0)
+        _, t2, _ = unbounded_bound_terms(a1=1.0, a2=1.0, epsilon=2.0, n=100, p=1.5, u=2.0, k=3.0,
+                                         moments=moments, B=2.0)
         assert t2 == pytest.approx((1.0 / 2.0) / 2.0, rel=1e-12)  # 4/eps * 1/2 * 2^-2
 
     def test_vanishes_as_epsilon_grows(self):
         moments = MomentInputs(m_pr=2.0, m_k=5.0)
-        value, _ = unbounded_bound(BoundParams(epsilon=1e12, n=1000), moments)
+        value, _ = unbounded_bound(a1=1.0, a2=1.0, epsilon=1e12, n=1000, p=2.0, u=2.0, k=3.0,
+                                   moments=moments)
         assert value < 1e-9
 
     def test_minimum_bounded_by_fixed_levels(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            params = BoundParams(
+            params = dict(
                 a1=float(rng.uniform(0.2, 4)), a2=float(rng.uniform(0.2, 4)),
                 epsilon=float(rng.uniform(0.05, 2)), n=int(rng.integers(10, 10_000)),
-                k=float(rng.uniform(1.5, 4)),
+                k=float(rng.uniform(1.5, 4)), p=2.0, u=2.0,
+                moments=MomentInputs(m_pr=float(rng.uniform(0.1, 10)),
+                                     m_k=float(rng.uniform(0.1, 10))),
             )
-            moments = MomentInputs(m_pr=float(rng.uniform(0.1, 10)), m_k=float(rng.uniform(0.1, 10)))
-            value, b_star = unbounded_bound(params, moments)
-            for b_ref in (2.0, float(params.n)):
-                ref = sum(unbounded_bound_terms(params, moments, b_ref))
+            value, b_star = unbounded_bound(**params)
+            for b_ref in (2.0, float(params["n"])):
+                ref = sum(unbounded_bound_terms(**params, B=b_ref))
                 assert value <= ref * (1 + 1e-9)
             assert b_star > 1.0
 
     def test_value_matches_oracle_at_argmin(self):
-        params = BoundParams(a1=1.3, a2=0.8, epsilon=0.4, n=500, k=2.5, p=1.5)
-        moments = MomentInputs(m_pr=3.0, m_k=7.0)
-        value, b_star = unbounded_bound(params, moments)
-        assert value == pytest.approx(unbounded_oracle(params, moments, b_star), rel=1e-12)
+        params = dict(a1=1.3, a2=0.8, epsilon=0.4, n=500, k=2.5, p=1.5, u=2.0,
+                      moments=MomentInputs(m_pr=3.0, m_k=7.0))
+        value, b_star = unbounded_bound(**params)
+        assert value == pytest.approx(unbounded_oracle(**params, B=b_star), rel=1e-12)
 
     def test_grid_matches_finer_grid(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            params = BoundParams(
+            params = dict(
                 a1=float(rng.uniform(0.2, 4)), a2=float(rng.uniform(0.2, 4)),
                 epsilon=float(rng.uniform(0.05, 2)), n=int(rng.integers(10, 10_000)),
-                k=float(rng.uniform(1.5, 4)),
+                k=float(rng.uniform(1.5, 4)), p=2.0, u=2.0,
+                moments=MomentInputs(m_pr=float(rng.uniform(0.1, 10)),
+                                     m_k=float(rng.uniform(0.1, 10))),
             )
-            moments = MomentInputs(m_pr=float(rng.uniform(0.1, 10)), m_k=float(rng.uniform(0.1, 10)))
-            coarse, _ = unbounded_bound(params, moments)
-            fine, _ = unbounded_bound(params, moments, grid_points=2400)
+            coarse, _ = unbounded_bound(**params)
+            fine, _ = unbounded_bound(**params, grid_points=2400)
             assert coarse == pytest.approx(fine, rel=1e-6)
 
     def test_infinite_moments_rejected(self):
@@ -467,6 +488,11 @@ class TestLaplaceSection:
             self.run()
         assert laplace_calls == []
 
+    def test_a_below_14_raises_before_any_estimate(self, laplace_calls):
+        with pytest.raises(DomainError, match=r"grid\.A: A = 10 is below 14 at the fitted"):
+            self.run(points=[(10, 10), (20, 20)])
+        assert laplace_calls == []
+
     def test_gamma_above_the_cap_raises_before_any_estimate(self, monkeypatch, laplace_calls):
         fit = MixingDecayFit(kappa0=1.0, kappa1=1.0, r_squared=1.0)
         monkeypatch.setattr(concentration, "estimate_chain_mixing", lambda *a, **k: fit)
@@ -505,8 +531,8 @@ class TestLaplaceSection:
             [section.estimates[0].value], kappa0, kappa1, section.gamma, 1.0, 14.0
         )
         assert section.bounds == [
-            laplace_bound(BoundParams(kappa0=kappa0, kappa1=kappa1, C=section.C,
-                                      gamma=section.gamma, B=1.0, A=a))
+            laplace_bound(kappa0=kappa0, kappa1=kappa1, C=section.C, gamma=section.gamma,
+                          B=1.0, A=a)
             for a, _ in self.POINTS
         ]
 
@@ -652,17 +678,14 @@ class TestCalibration:
         xs = rate_argument(ns, epsilon=0.1, B=1.0)
         # convex-in-x decay, the shape real MC tails show
         tails = [TailLike(n=n, p_hat=float(np.exp(-0.02 * x**1.3 - 0.3))) for n, x in zip(ns, xs)]
-        params, fit = calibrate_corollary(tails, B=1.0, epsilon=0.1)
+        a1, fit = calibrate_corollary(tails, B=1.0, epsilon=0.1)
         assert fit.a2_hat > 0
-        import dataclasses
-
         for te in tails:
-            bound = corollary_bound(dataclasses.replace(params, n=te.n))
+            bound = corollary_bound(a1=a1, a2=fit.a2_hat, B=1.0, epsilon=0.1, n=te.n)
             assert bound >= te.p_hat + te.ci_half_width
 
     def test_laplace_calibration_produces_dominating_constant(self):
         gamma = 0.02
         c = calibrate_laplace_constant([1.05, 1.1], kappa0=1.0, kappa1=0.7,
                                        gamma=gamma, B=1.0, A=14.0)
-        params = BoundParams(kappa0=1.0, kappa1=0.7, C=c, gamma=gamma, B=1.0, A=14.0)
-        assert laplace_bound(params) >= 1.1
+        assert laplace_bound(kappa0=1.0, kappa1=0.7, C=c, gamma=gamma, B=1.0, A=14.0) >= 1.1

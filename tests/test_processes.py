@@ -25,7 +25,7 @@ from betamix.processes import (
     _bump_operator,
     _draw_innovations,
     _simulate_chain_columns,
-    binned_lag_joint,
+    binned_lag_joints,
     estimate_chain_mixing,
     far1_scores,
     make_psi,
@@ -300,10 +300,19 @@ class TestContractiveChain:
         assert fit.r_squared > 0.95
         assert fit.kappa1 > 0.1
 
+    def test_mixing_fit_bins_its_path_once(self, monkeypatch):
+        calls = []
+        quantile = processes._linear_quantile
+        monkeypatch.setattr(processes, "_linear_quantile",
+                            lambda *a: calls.append(a[0].size) or quantile(*a))
+        spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=100)
+        estimate_chain_mixing(spec, seed=3, n_steps=20_000)
+        assert calls == [20_000]
+
     def test_binned_lag_joint_is_a_distribution(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=100)
         values = simulate_contractive_chain(spec, 20_000, seed=3)
-        table = binned_lag_joint(values, lag=2, n_bins=8)
+        (table,) = binned_lag_joints(values, lags=[2], n_bins=8)
         j = FiniteJointDistribution(table)
         assert beta_exact(j) <= 1.0
 
