@@ -303,8 +303,9 @@ def _centered_sums(args) -> np.ndarray:
     one block, all its paths drawn from the block's generator of `stream`.
 
     f is evaluated on SUM_ROWS rows of the paths at a time and the chunks are
-    added in row order, the order of a whole-array axis-0 sum, so the block
-    holds its (n, width) kept rows and two chunk-sized temporaries. A single
+    added in row order, the order of a whole-array axis-0 sum: the running
+    sums go into a chunk's first row in place (fl(s + r0) = fl(r0 + s)), so
+    the block holds its (n, width) kept rows and the chunk f returns. A single
     column is summed whole: NumPy sums a lone column pairwise.
     """
     fspec, process, seed, stream, n, t, indices = args
@@ -315,7 +316,8 @@ def _centered_sums(args) -> np.ndarray:
     sums = fspec(paths[:rows], x_t[None, :]).sum(axis=0)
     for start in range(rows, n, rows):
         chunk = fspec(paths[start:start + rows], x_t[None, :])
-        sums = np.concatenate([sums[None, :], chunk]).sum(axis=0)
+        chunk[0] += sums
+        sums = chunk.sum(axis=0)
     return sums - n * fspec.center(x_t)
 
 
@@ -461,7 +463,7 @@ def laplace_section(
     """The Laplace bound against its MC estimates at every (A, t) point, in
     the order of `points`. The mixing rate is fitted first and A and gamma
     are checked at the fitted kappa1 before any estimate runs: the smallest
-    A against max(14, 2 kappa1), gamma*B against the cap at the largest A (a
+    A against max(14, 2 kappa1), gamma*B in (0, cap] at the largest A (a
     DomainError names `grid.A` or `gamma`); `gamma=None` takes 0.9 of that
     cap. C is calibrated on the estimates at the smallest A."""
     lengths = [a for a, _ in points]
@@ -478,9 +480,10 @@ def laplace_section(
     cap = laplace_gamma_cap(kappa1, a_max)
     if gamma is None:
         gamma = 0.9 * cap / B
-    elif not gamma * B <= cap:
+    elif not 0.0 < gamma * B <= cap:
+        where = "above the cap" if gamma * B > 0.0 else "outside (0, cap], with the cap"
         raise DomainError(
-            f"gamma = {gamma} gives gamma*B = {gamma * B:.4g} above the cap "
+            f"gamma = {gamma} gives gamma*B = {gamma * B:.4g} {where} "
             f"min((1 and kappa1)/2, kappa1/(4 log A_max)) = {cap:.4g} "
             f"at the fitted kappa1 = {kappa1:.4g}"
         )

@@ -3,11 +3,15 @@
 These deliberately avoid the library's own computation paths: dependence
 coefficients are recomputed by exhaustive enumeration of partitions, events,
 and subset pairs on small alphabets; truncation is the per-value scalar rule.
+The mean of n i.i.d. U(-1, 1) draws has an exact tail (Irwin-Hall, in
+rationals) and an exact Laplace transform, the ground truth of the MC
+estimators on the chain with a = 0, uniform halfwidth 1 and f = first.
 """
 
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from sympy.utilities.iterables import multiset_partitions
@@ -119,3 +123,25 @@ def truncate_scalar(value: float, B: float) -> tuple[float, float, float]:
             zero = value - minus
         return 0.0, zero, minus
     return 0.0, value, 0.0
+
+
+def irwin_hall_cdf(n: int, x: Fraction) -> Fraction:
+    """P(U_1 + ... + U_n <= x) for i.i.d. U(0, 1), exactly:
+    sum_{k <= floor(x)} (-1)^k C(n, k) (x - k)^n / n!."""
+    if x <= 0:
+        return Fraction(0)
+    if x >= n:
+        return Fraction(1)
+    total = sum((-1) ** k * math.comb(n, k) * (x - k) ** n for k in range(math.floor(x) + 1))
+    return total / math.factorial(n)
+
+
+def uniform_mean_tail(n: int, epsilon: float) -> Fraction:
+    """P(|mean of n i.i.d. U(-1, 1)| >= epsilon) = 2 (1 - IH_n(n (1 + epsilon) / 2)),
+    exact in the binary value of epsilon."""
+    return 2 * (1 - irwin_hall_cdf(n, n * (1 + Fraction(epsilon)) / 2))
+
+
+def uniform_sum_laplace(length: int, gamma: float) -> float:
+    """E exp(gamma (V_1 + ... + V_length)) for i.i.d. V ~ U(-1, 1): (sinh gamma / gamma)^length."""
+    return (math.sinh(gamma) / gamma) ** length if gamma else 1.0

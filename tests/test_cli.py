@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -395,17 +396,32 @@ def test_every_verify_all_check_can_fail(tmp_path, capsys, monkeypatch, check, n
     assert len(manifest["checks"]) == 11
 
 
-def test_verify_all_truncates_its_sample_in_one_call(tmp_path, monkeypatch):
-    calls = []
+def test_verify_all_truncates_its_sample_in_pieces(tmp_path, monkeypatch):
+    sizes = []
 
     def counting(value, B):
-        calls.append(np.shape(value))
+        assert np.shape(value) == np.shape(B)
+        sizes.append(np.size(value))
         return concentration.truncate(value, B)
 
     monkeypatch.setattr(cli, "truncate", counting)
     assert run_cli("verify-all", "--seed", "7", "--output", str(tmp_path),
                    "--set", "mixing.joints=2", "--set", "mixing.chains=2") == 0
-    assert calls == [(100_000,)]
+    # each call checks one piece of at most 4,000 values, and the pieces add up to 10^5
+    assert max(sizes) <= 4_000
+    assert sum(sizes) == 100_000
+
+
+def test_verify_all_traced_peak_stays_under_one_mib():
+    config = resolve_config({"suite": "verify-all", "seed": "7", "mixing.joints": "2",
+                             "mixing.chains": "2"})
+    tracemalloc.start()
+    try:
+        cli.run_verify_all_suite(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _summary(n, median, f_error, undefined=0.0):

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from betamix.processes import (
     simulate_contractive_chain,
 )
 from betamix.seeding import Stream, keyed_rng, replicate
-from oracles import truncate_scalar
+from oracles import truncate_scalar, uniform_mean_tail, uniform_sum_laplace
 
 mp.dps = 50
 
@@ -463,6 +464,51 @@ class TestEmpiricalLaplace:
         assert empirical_laplace(*args, workers=1) == empirical_laplace(*args, workers=2)
 
 
+class TestExactUniformOracle:
+    """On UNIFORM_CHAIN (a = 0, uniform halfwidth 1) with f = first, S_n / n is
+    the mean of n i.i.d. U(-1, 1) draws, so the MC estimates have exact targets
+    (tests/oracles.py). Each estimate must lie within Z standard deviations of
+    its target, the deviation taken at the exact p or the exact variance: a
+    two-sided normal tail of 6.3e-5 per comparison. The tail cells have at
+    least 25 expected exceedances and non-exceedances, so that the binomial
+    count is close to normal."""
+
+    REPS = 20_000
+    Z = 4.0
+    # n = 100 sums its paths in two SUM_ROWS chunks
+    TAIL_CELLS = [(2, 0.1), (2, 0.55), (8, 0.3), (8, 0.55), (30, 0.1), (30, 0.3), (100, 0.1)]
+
+    def test_oracle_reference_values(self):
+        assert uniform_mean_tail(1, 0.25) == Fraction(3, 4)
+        assert uniform_mean_tail(2, 0.25) == Fraction(9, 16)  # (1 - eps)^2
+        assert uniform_mean_tail(8, 0.0) == 1
+        assert uniform_mean_tail(8, 1.0) == 0
+        assert round(float(uniform_mean_tail(8, 0.55)), 6) == 0.0054
+        assert round(uniform_sum_laplace(14, 0.05), 5) == 1.00585
+        assert round(uniform_sum_laplace(14, 0.3), 5) == 1.23291
+
+    def test_tail_estimates_match_the_irwin_hall_tail(self):
+        ns = sorted({n for n, _ in self.TAIL_CELLS})
+        epsilons = sorted({eps for _, eps in self.TAIL_CELLS})
+        fspec = make_fspec("first", UNIFORM_CHAIN)
+        by_eps = empirical_tail_grid(fspec, UNIFORM_CHAIN, [(n, n) for n in ns], epsilons,
+                                     reps=self.REPS, seed=3)
+        p_hat = {(te.n, te.epsilon): te.p_hat for tails in by_eps for te in tails}
+        for cell in self.TAIL_CELLS:
+            p = float(uniform_mean_tail(*cell))
+            assert min(p, 1.0 - p) * self.REPS >= 25
+            assert abs(p_hat[cell] - p) <= self.Z * math.sqrt(p * (1.0 - p) / self.REPS), cell
+
+    @pytest.mark.parametrize("a, gamma", [(14.0, 0.05), (14.0, 0.3), (20.5, 0.1)])
+    def test_laplace_estimates_match_the_exact_transform(self, a, gamma):
+        fspec = make_fspec("first", UNIFORM_CHAIN)
+        (est,) = empirical_laplace(fspec, UNIFORM_CHAIN, gamma, [(a, 1)], reps=self.REPS, seed=3)
+        length = math.floor(a)
+        exact = uniform_sum_laplace(length, gamma)
+        sd = math.sqrt(uniform_sum_laplace(length, 2.0 * gamma) - exact**2)
+        assert abs(est.value - exact) <= self.Z * sd / math.sqrt(self.REPS)
+
+
 class TestLaplaceSection:
     CHAIN = ContractiveChainSpec(a=0.5, burn_in=100)
     POINTS = [(14.0, 1), (20.0, 1)]
@@ -499,6 +545,12 @@ class TestLaplaceSection:
         with pytest.raises(DomainError, match=r"gamma = 0\.5 .* above the cap") as info:
             self.run(gamma=0.5)
         assert f"= {laplace_gamma_cap(1.0, 20.0):.4g} at" in str(info.value)
+        assert laplace_calls == []
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.01])
+    def test_gamma_not_above_zero_raises_before_any_estimate(self, laplace_calls, gamma):
+        with pytest.raises(DomainError, match=rf"gamma = {gamma} .* outside \(0, cap\]"):
+            self.run(gamma=gamma)
         assert laplace_calls == []
 
     def test_descending_points_raise_each_domain_error_before_any_estimate(self, monkeypatch,
