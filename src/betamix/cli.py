@@ -29,10 +29,11 @@ from .concentration import (
     empirical_tail_grid,
     laplace_section,
     make_fspec,
+    rate_argument,
     truncate,
 )
 from .config import SUITES, ExperimentConfig, load_config_file, resolve_config
-from .errors import BetamixError, ConfigError, FitError
+from .errors import BetamixError, ConfigError, FitError, ValidationError
 from .mixing import (
     FiniteChain,
     FiniteJointDistribution,
@@ -396,10 +397,11 @@ def emit_plotdata(report_path: str, kind: str, output_path: str) -> None:
         if not all(math.isfinite(values[i]) for i in read):
             raise ConfigError(f"{where}: non-finite cell")
         if kind == "concentration":
-            n, p_hat, ci = values[1], values[4], values[5]
-            if n < 3:
-                raise ConfigError(f"{where}: n = {cells[1]} < 3 leaves log log n undefined")
-            x = n / (math.log(n) * math.log(math.log(n)))
+            p_hat, ci = values[4], values[5]
+            try:
+                x = rate_argument(values[1], 1.0, 1.0)  # n / (log n log log n)
+            except ValidationError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
             out_rows.append((f"eps={cells[2]}", x, p_hat, p_hat - ci, p_hat + ci))
         elif values[1] == 0.5:
             for series, idx in (("forecast_error", 2), ("f_hat_error", 3), ("g_hat_error", 4)):

@@ -43,7 +43,10 @@ class TailEstimate(NamedTuple):
 class LaplaceEstimate(NamedTuple):
     value: float
     std_error: float
-    overflowed: bool
+
+    @property
+    def overflowed(self) -> bool:
+        return self.value == math.inf
 
 
 class LaplaceSection(NamedTuple):
@@ -97,9 +100,15 @@ def _require_above(floor: float, **constants: float) -> None:
             raise ValidationError(f"{name} must exceed {floor:g}, got {value!r}")
 
 
-def _rate(epsilon: float, n: int, B: float) -> float:
-    """x_n = eps n / (B log n log log n) in Python floats, n >= 3 so that
-    log log n > 0."""
+def rate_argument(n, epsilon: float, B: float):
+    """x_n = eps n / (B log n log log n) in Python floats, for n >= 3 (so that
+    log log n > 0), B > 0 and eps >= 0, else a ValidationError (NaN fails
+    each); a sequence of n gives the array of its x_n."""
+    _require_above(0.0, B=B)
+    if not epsilon >= 0:
+        raise ValidationError(f"epsilon must be >= 0, got {epsilon!r}")
+    if np.ndim(n):
+        return np.array([rate_argument(m, epsilon, B) for m in n])
     if not n >= 3:
         raise ValidationError(f"n must be >= 3 so log log n > 0, got {n!r}")
     return epsilon * n / (B * math.log(n) * math.log(math.log(n)))
@@ -133,10 +142,8 @@ def laplace_bound(*, kappa0: float, kappa1: float, C: float, gamma: float, B: fl
 
 def corollary_bound(*, a1: float, a2: float, B: float, epsilon: float, n: int) -> float:
     """a1 exp(-a2 eps n / (B log n log log n)), for eps >= 0 and n >= 3."""
-    _require_above(0.0, a1=a1, a2=a2, B=B)
-    if not epsilon >= 0:
-        raise ValidationError(f"epsilon must be >= 0, got {epsilon!r}")
-    return a1 * math.exp(-a2 * _rate(epsilon, n, B))
+    _require_above(0.0, a1=a1, a2=a2)
+    return a1 * math.exp(-a2 * rate_argument(n, epsilon, B))
 
 
 def truncate(value, B) -> TruncationTriple:
@@ -174,11 +181,9 @@ def unbounded_bound_terms(
 ) -> tuple[float, float, float]:
     """The three summands of the unbounded-aggregate tail bound at level B,
     with Hoelder exponents p and u and moment order k."""
-    _require_above(0.0, a1=a1, a2=a2, B=B)
+    _require_above(0.0, a1=a1, a2=a2, epsilon=epsilon)
     _require_above(1.0, p=p, u=u, k=k)
-    if not epsilon > 0:
-        raise DomainError("epsilon must be positive")
-    t1 = a1 / epsilon * math.exp(-a2 * _rate(epsilon, n, B))
+    t1 = a1 / epsilon * math.exp(-a2 * rate_argument(n, epsilon, B))
     t2 = 4.0 / (epsilon * (k - 1.0)) * B ** (-(k - 1.0)) * moments.m_k
     t3 = a1 / (n * epsilon) * moments.m_pr * B ** (-k / (p * u)) * moments.m_k ** (1.0 / (p * u))
     return t1, t2, t3
@@ -380,7 +385,7 @@ def empirical_laplace(
     The interval integral is realized as the discrete sum over k = 1..floor(A).
     All the points run through one `replicate` call, so the result is
     identical for any worker count and any order of the points. Overflow is
-    reported as an infinite value with a flag, never an exception.
+    reported as an infinite value (`overflowed`), never an exception.
     """
     if gamma < 0:
         raise ValidationError("gamma must be >= 0")
@@ -391,17 +396,9 @@ def empirical_laplace(
                      REP_BLOCK, workers)
     with np.errstate(over="ignore"):
         values = [np.exp(gamma * s) for s in sums]
-    return [LaplaceEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(reps)), False)
-            if np.all(np.isfinite(v)) else LaplaceEstimate(math.inf, math.inf, True)
+    return [LaplaceEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(reps)))
+            if np.all(np.isfinite(v)) else LaplaceEstimate(math.inf, math.inf)
             for v in values]
-
-
-def rate_argument(n, epsilon: float, B: float):
-    """x_n = eps n / (B log n log log n), the bound's rate argument."""
-    n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 3):
-        raise DomainError("rate argument needs n >= 3")
-    return epsilon * n_arr / (B * np.log(n_arr) * np.log(np.log(n_arr)))
 
 
 def rate_fit(tails: Sequence[TailEstimate], B: float, epsilon: float) -> RateFit:
@@ -430,7 +427,7 @@ def calibrate_corollary(
     if fit.a2_hat <= 0:
         raise FitError("fitted rate slope is not positive; no decay to calibrate")
     required = max(
-        (te.p_hat + te.ci_half_width) * math.exp(fit.a2_hat * float(rate_argument(te.n, epsilon, B)))
+        (te.p_hat + te.ci_half_width) * math.exp(fit.a2_hat * rate_argument(te.n, epsilon, B))
         for te in tails
     )
     eligible = _LOG_GRID[_LOG_GRID >= required]

@@ -251,6 +251,10 @@ def _concentration_fields(r: dict[str, str]) -> dict:
     # A >= 14 is the Laplace bound's fixed floor; A >= 2 kappa1 needs the fit
     if not all(math.isfinite(a) and a >= 14 for a in a_grid):
         raise ConfigError("field 'grid.A': every A must be finite and >= 14")
+    bound_b = _optional_positive(r, "bound.B")
+    if bound_b is None and r["fspec"] == "first" and not process.state_bound() > 0:
+        raise ConfigError(f"field 'fspec': first takes B = {process.state_bound()!r} from the "
+                          "chain's state bound, and B must be > 0: set bound.B")
     return dict(
         process=process,
         fspec_name=r["fspec"],
@@ -258,7 +262,7 @@ def _concentration_fields(r: dict[str, str]) -> dict:
         epsilons=epsilons,
         a_points=tuple((a, resolve_t(r["t_rule"], math.floor(a))) for a in sorted(a_grid)),
         gamma=_optional_positive(r, "gamma"),
-        bound_b=_optional_positive(r, "bound.B"),
+        bound_b=bound_b,
     )
 
 

@@ -494,9 +494,9 @@ def _far1_frame(spec: Far1Spec, grid_size: int):
     """A checked one-curve path on the uniform grid of `grid_size` points in
     the frame [phi; b_1; ...; b_M] of the spec's paths (phi the eigenfunction,
     b_m = sqrt(2) sin(pi m u) the innovation basis), with its Gram factor;
-    then <b_m, phi>_w and <phi, phi>_w. The arrays are read-only: every path
-    of one (spec, grid_size) shares them, and a separable path derives from
-    this one without checking them again."""
+    then <b_m, phi>_w, <phi, phi>_w and a gaussian-bump spec's operator. The
+    arrays are read-only: every path of one (spec, grid_size) shares them, and
+    a separable path derives from this one without checking them again."""
     if grid_size < 8:
         raise ValidationError("grid_size must be >= 8")
     grid = uniform_grid(grid_size)
@@ -505,9 +505,11 @@ def _far1_frame(spec: Far1Spec, grid_size: int):
     frame = np.vstack([spec.eigenfunction(grid), basis])
     wphi = trapezoid_weights(grid) * frame[0]
     path, loading = FunctionalPath(grid, np.zeros((1, len(frame))), frame=frame), frame[1:] @ wphi
-    for array in (grid, frame, path.gram_factor, loading):
+    op = (_bump_operator(grid, spec.rho, spec.bump_width) if spec.kernel == "gaussian-bump"
+          else np.empty(0))
+    for array in (grid, frame, path.gram_factor, loading, op):
         array.flags.writeable = False
-    return path, loading, float(wphi @ frame[0])
+    return path, loading, float(wphi @ frame[0]), op
 
 
 def _far1_rows(spec: Far1Spec, n: int) -> tuple[int, int]:
@@ -545,7 +547,7 @@ def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.nda
     Scores, states and end states are those of the full draw either way.
     """
     (first, rows), width = _far1_rows(spec, n), sum(count for _, count in streams)
-    _, loading, phi_sq = _far1_frame(spec, grid_size)
+    _, loading, phi_sq, _ = _far1_frame(spec, grid_size)
     coef, c0 = spec.rho * phi_sq, float(spec.initial == "eigenfunction") * phi_sq  # X_0 = c0 phi
     paths = [g for g, count in streams for _ in range(count)]
     # |d| <= sqrt(3) noise_scale sum_m |<b_m, phi>_w| / m, and no bound holds once coef rounds to 1
@@ -602,7 +604,7 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed,
     them. Alone, the path is a batch of one.
     """
     first, rows = _far1_rows(spec, n)
-    template, loading, phi_sq = _far1_frame(spec, grid_size)
+    template, loading, phi_sq, op = _far1_frame(spec, grid_size)
     rng = np.random.default_rng(seed)
     if scores is None:
         batch, (state,) = far1_scores(spec, n, grid_size, [(rng, 1)])
@@ -625,7 +627,6 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed,
         return template._derive(coords=coords)
 
     x = template.frame[0].copy() if spec.initial == "eigenfunction" else np.zeros(grid_size)
-    op = _bump_operator(template.grid, spec.rho, spec.bump_width)
     noise = coeffs @ template.frame[1:]
     curves = np.empty((n, grid_size))
     if spec.burn_in == 0:
@@ -696,15 +697,6 @@ def _linear_quantile(values: np.ndarray, levels):
     diff = b - a
     out = np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)
     return float(out) if out.ndim == 0 else out
-
-
-def _median(values: np.ndarray) -> float:
-    """np.median of a finite, non-empty 1-D array, with its bits but without
-    numpy.ma: the middle order statistic of an odd count, and the mean
-    (a + b) / 2 of the middle two of an even one."""
-    half = values.size // 2
-    a, b = np.partition(values, (half - 1, half))[[half - 1, half]]
-    return float(b) if values.size % 2 else (float(a) + float(b)) / 2
 
 
 def binned_lag_joints(values: np.ndarray, lags: Sequence[int], n_bins: int) -> list[np.ndarray]:

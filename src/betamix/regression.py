@@ -25,7 +25,6 @@ from .processes import (
     FunctionalPath,
     PsiSpec,
     _linear_quantile,
-    _median,
     far1_scores,
     make_psi,
     make_regression_sample,
@@ -321,8 +320,8 @@ def dynamic_forecast_experiment(
             )
         errors, f_errors, g_errors = rows[rows[:, 0] == 0.0, 1:].T
         summaries.append(ForecastSummary(
-            n=n, median_error=_median(errors), q90_error=_linear_quantile(errors, 0.9),
-            median_f_error=_median(f_errors), median_g_error=_median(g_errors),
-            undefined_fraction=undefined,
+            n=n, median_error=_linear_quantile(errors, 0.5),
+            q90_error=_linear_quantile(errors, 0.9), median_f_error=_linear_quantile(f_errors, 0.5),
+            median_g_error=_linear_quantile(g_errors, 0.5), undefined_fraction=undefined,
         ))
     return summaries

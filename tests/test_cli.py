@@ -321,6 +321,22 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not output.exists()
 
+    def test_derived_bound_of_zero_exits_2_like_a_set_one(self, tmp_path, capsys):
+        # fspec=first takes B from the chain's state bound, 0 without innovations
+        sets = ["--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05",
+                "--set", "process.burn_in=10", "--set", "process.innovation=none",
+                "--set", "fspec=first"]
+        output = tmp_path / "out"
+        code = run_cli("concentration", "--seed", "5", "--reps", "200",
+                       "--output", str(output), *sets)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "field 'fspec'" in err and "bound.B" in err
+        assert not output.exists()
+        overrides = dict(pair.split("=", 1) for pair in sets[1::2])
+        assert resolve_config({}, dict(overrides, suite="concentration", seed="5",
+                                       **{"bound.B": "1.5"})).bound_b == 1.5
+
     @pytest.mark.parametrize("case", ["output-is-file", "output-under-file",
                                       "plotdata-output-under-file", "config-not-utf8",
                                       "report-not-utf8"])

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from betamix import concentration
+from betamix.cli import emit_plotdata
 from betamix.concentration import (
     FSPEC_NAMES,
     PILOT_BINS,
     REP_BLOCK,
     SUM_ROWS,
     MomentInputs,
+    TailEstimate,
     calibrate_corollary,
     _centered_sums,
     calibrate_laplace_constant,
@@ -715,6 +717,63 @@ class TestRateFit:
                  TailLike(n=40, p_hat=1.0), TailLike(n=80, p_hat=0.2)]
         with pytest.raises(FitError):
             rate_fit(tails, B=1.0, epsilon=0.1)
+
+
+# (n grid, epsilons, B) of the benchmark's tail-mc workload and of CI's
+# concentration runs, then every n of those and of the fkr grids at
+# eps = B = 1, where x_n is plotdata's x
+RATE_GRIDS = [
+    ((200, 400, 800, 1600, 3200), (0.03, 0.04, 0.05), 1.0),
+    ((50, 100, 200, 400), (0.05, 0.1), 1.0),
+    ((50, 100, 200, 400), (0.05,), 1.5),
+    ((50, 100, 200, 400, 800, 1600, 3200), (1.0,), 1.0),
+]
+
+
+class TestOneRateArgument:
+    @pytest.mark.parametrize("ns, epsilons, B", RATE_GRIDS)
+    def test_every_reader_takes_the_same_x_n(self, monkeypatch, tmp_path, ns, epsilons, B):
+        fitted = []
+        fit_line = concentration.line_fit
+        monkeypatch.setattr(concentration, "line_fit",
+                            lambda xs, ys: fitted.append(xs.tolist()) or fit_line(xs, ys))
+        for eps in epsilons:
+            xs = [rate_argument(n, eps, B) for n in ns]
+            assert rate_argument(list(ns), eps, B).tolist() == xs
+            for n, x in zip(ns, xs):
+                assert corollary_bound(a1=1.0, a2=1.0, B=B, epsilon=eps, n=n) == math.exp(-x)
+                t1, _, _ = unbounded_bound_terms(a1=eps, a2=1.0, epsilon=eps, n=n, p=2.0, u=2.0,
+                                                 k=3.0, moments=MomentInputs(1.0, 1.0), B=B)
+                assert t1 == math.exp(-x)
+            tails = [TailEstimate(eps, n, math.exp(-x - n * 1e-4) / 2, 1e-3 * math.exp(-x))
+                     for n, x in zip(ns, xs)]
+            a1, fit = calibrate_corollary(tails, B=B, epsilon=eps)
+            assert fitted[-1] == xs
+            required = max((te.p_hat + te.ci_half_width) * math.exp(fit.a2_hat * x)
+                           for te, x in zip(tails, xs))
+            assert a1 == concentration._LOG_GRID[concentration._LOG_GRID >= required][0]
+        report, tidy = tmp_path / "report.csv", tmp_path / "tidy.csv"
+        report.write_text("experiment_id,n,epsilon,B,p_hat,ci,bound_value,seed\n" + "".join(
+            f"tail(eps=0.1),{n},0.1,1.0,0.25,0.01,0.5,7\n" for n in ns))
+        emit_plotdata(str(report), "concentration", str(tidy))
+        plotted = [float(line.split(",")[1]) for line in tidy.read_text().splitlines()[1:]]
+        assert plotted == [rate_argument(n, 1.0, 1.0) for n in ns]
+
+    @pytest.mark.parametrize("n, epsilon, B", [
+        (2, 0.1, 1.0), (100, 0.1, 0.0), (100, 0.1, -1.0), (100, 0.1, math.nan),
+        (100, -0.1, 1.0), (100, math.nan, 1.0),
+    ])
+    def test_every_entry_point_rejects_the_same_inputs(self, n, epsilon, B):
+        calls = [
+            lambda: rate_argument(n, epsilon, B),
+            lambda: rate_argument([100, n], epsilon, B),
+            lambda: corollary_bound(a1=1.0, a2=1.0, B=B, epsilon=epsilon, n=n),
+            lambda: unbounded_bound_terms(a1=1.0, a2=1.0, epsilon=epsilon, n=n, p=2.0, u=2.0,
+                                          k=3.0, moments=MomentInputs(1.0, 1.0), B=B),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError):
+                call()
 
 
 def TailLike(n: int, p_hat: float):

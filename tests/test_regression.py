@@ -11,13 +11,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import betamix
+from betamix import processes
 from betamix.errors import ConfigError, DomainError, ValidationError
 from betamix.processes import (
     Far1Spec,
     FunctionalPath,
     PsiSpec,
     _linear_quantile,
-    _median,
     make_psi,
     make_regression_sample,
     simulate_far1,
@@ -389,32 +389,24 @@ class TestBandwidthSchedule:
         with pytest.raises(ValidationError):
             bandwidth_schedule(100, 0.3, np.array([0.2, bad, 1.0]))
 
-    @pytest.mark.parametrize("kind", ["continuous", "ties"])
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "wide"])
     def test_quantile_has_the_bits_of_np_quantile(self, kind):
+        # odd and even counts; "wide" spans magnitudes, where the lerp of the
+        # middle two values at level 0.5 may round otherwise than their mean
         rng = np.random.default_rng(37)
-        sizes = [*range(1, 70), 127, 128, 129, 199, 200, 201, 1000, 3199, 3200, 4000]
+        sizes = [*range(1, 70), 99, 100, 101, 127, 128, 129, 199, 200, 201, 1000, 1001, 3199,
+                 3200, 4000]
         for size in sizes:
-            pilot = (rng.uniform(0, 2, size) if kind == "continuous"
-                     else rng.integers(0, 4, size) * 0.3)
+            pilot = {
+                "continuous": lambda: rng.uniform(0, 2, size),
+                "ties": lambda: rng.integers(0, 4, size) * 0.3,
+                "wide": lambda: rng.standard_normal(size) * 10.0 ** rng.integers(-300, 308),
+            }[kind]()
             levels = [0.0, 5e-324, 1e-300, 1e-12, 0.25, 0.5, 0.75, 1 - 2**-53, 1.0,
                       size**-0.3, 200**-0.3, 3200**-0.3, *rng.random(4)]
             for level in levels:
                 got, want = _linear_quantile(pilot.copy(), level), float(np.quantile(pilot, level))
                 assert got.hex() == want.hex(), (size, level)
-
-    @pytest.mark.parametrize("kind", ["continuous", "ties", "wide"])
-    def test_median_has_the_bits_of_np_median(self, kind):
-        # odd and even counts; "wide" spans magnitudes, where a + b may round or overflow
-        rng = np.random.default_rng(41)
-        for size in [*range(1, 70), 99, 100, 101, 1000, 1001]:
-            for _ in range(5):
-                values = {
-                    "continuous": lambda: rng.uniform(0, 2, size),
-                    "ties": lambda: rng.integers(0, 4, size) * 0.3,
-                    "wide": lambda: rng.standard_normal(size) * 10.0 ** rng.integers(-300, 308),
-                }[kind]()
-                got, want = _median(values.copy()), float(np.median(values))
-                assert got.hex() == want.hex(), (size, values)
 
     @pytest.mark.parametrize("args, report", [
         (["fkr", "--reps", "100", "--set", "grid.n=100,200", "--set", "grid_size=16",
@@ -524,6 +516,18 @@ class TestDynamicForecast:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 2**20
+
+    def test_block_builds_the_bump_operator_once(self, monkeypatch):
+        # every gaussian-bump path of one (spec, grid size) shares the cached operator
+        builds = []
+        build = processes._bump_operator
+        monkeypatch.setattr(processes, "_bump_operator",
+                            lambda *args: builds.append(args) or build(*args))
+        processes._far1_frame.cache_clear()
+        process = Far1Spec(kernel="gaussian-bump", rho=0.5, bump_width=0.2, burn_in=20)
+        _forecast_block((process, PsiSpec("norm"), 0.1, KernelSpec("downslope-linear"), 0.3, 16,
+                         7, 120, 120, range(FORECAST_BLOCK)))
+        assert len(builds) == 1
 
     def test_query_index_outside_the_path_rejected(self):
         process = Far1Spec(rho=0.4, noise_scale=0.25, burn_in=10)
