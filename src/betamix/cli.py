@@ -176,16 +176,16 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict
     """The Laplace section when grid.A is set, so that a domain error stops
     the run before any MC, then the tail section; each draws from its own
     keyed stream. The returned diagnostics hold the internals the checks rest
-    on: the pilot-centering SE, each epsilon's rate fit and whether its
-    calibrated a1 sits on the grid floor and, with grid.A, the mixing fit,
-    gamma, C, whether C sits on the grid floor, and each A's overflow flag."""
-    fspec = make_fspec(config.fspec_name, config.process, seed=config.seed)
+    on: each epsilon's rate fit and whether its calibrated a1 sits on the
+    grid floor and, with grid.A, the mixing fit, gamma, C, whether C sits on
+    the grid floor, and each A's overflow flag."""
+    fspec = make_fspec(config.fspec_name, config.process)
     bound_b = config.bound_b if config.bound_b is not None else fspec.bound
     laplace = (laplace_section(fspec, config.process, bound_b, config.gamma, config.a_points,
                                config.reps, config.seed, config.workers)
                if config.a_points else None)
     checks: list[Check] = []
-    diagnostics: dict = {"pilot_se": fspec.center_se, "rate_fits": []}
+    diagnostics: dict = {"rate_fits": []}
 
     tails_by_eps = empirical_tail_grid(
         fspec, config.process, config.n_points, config.epsilons, config.reps, config.seed,

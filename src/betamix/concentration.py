@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FitError, MomentError, ValidationError
 from .mixing import MixingDecayFit, line_fit
-from .processes import ContractiveChainSpec, estimate_chain_mixing, simulate_contractive_chain
-from .processes import _simulate_chain_columns
+from .processes import ContractiveChainSpec, _simulate_chain_columns, estimate_chain_mixing
+from .processes import transfer_chain
 from .seeding import Stream, keyed_rng, replicate
 
 REP_BLOCK = 1000          # replications per keyed generator; results depend
@@ -240,7 +240,7 @@ def _golden_section_log(func, lo: float, hi: float, rel_tol: float) -> tuple[flo
 # ---------------------------------------------------------------------------
 # Named aggregating functions f(x, y). All are bounded with a declared bound;
 # the odd-in-x ones are exactly centered (the supported chains have symmetric
-# stationary laws), the rest are centered by a pilot estimate of E f(X_0, y).
+# stationary laws), ball-indicator under transfer_chain's stationary law.
 # ---------------------------------------------------------------------------
 
 _F_FUNCS = {
@@ -252,55 +252,39 @@ _F_FUNCS = {
     "ball-indicator": lambda x, y: (np.abs(x - y) <= 0.5).astype(float),
 }
 FSPEC_NAMES = tuple(_F_FUNCS)
-PILOT_BINS = 512
-PILOT_DRAWS = 10**6
 
 
 @dataclass(frozen=True)
 class FSpec:
     """A named bounded aggregating function with its centering data.
 
-    `center_bins is None` means the centering E f(X_0, y) is exactly zero;
-    otherwise it is interpolated from a pilot estimate on a bin grid.
-    """
+    `edges is None` means the centering E f(X_0, y) is exactly zero;
+    otherwise it is ball-indicator's P(|X_0 - y| <= 1/2) under the
+    piecewise-uniform law whose CDF takes the values `cdf` at `edges`."""
 
     name: str
     bound: float
-    center_bins: Optional[np.ndarray] = None
-    center_values: Optional[np.ndarray] = None
-    center_se: float = 0.0
+    edges: Optional[np.ndarray] = None
+    cdf: Optional[np.ndarray] = None
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _F_FUNCS[self.name](x, y)
 
     def center(self, y: np.ndarray) -> np.ndarray:
-        if self.center_bins is None:
+        if self.edges is None:
             return np.zeros_like(np.asarray(y, dtype=float))
-        return np.interp(y, self.center_bins, self.center_values)
+        return np.interp(y + 0.5, self.edges, self.cdf) - np.interp(y - 0.5, self.edges, self.cdf)
 
 
-def make_fspec(
-    name: str,
-    process: ContractiveChainSpec,
-    seed: int = 0,
-    pilot_draws: int = PILOT_DRAWS,
-) -> FSpec:
-    """Resolve a named aggregating function against a chain spec."""
+def make_fspec(name: str, process: ContractiveChainSpec) -> FSpec:
+    """Resolve a named aggregating function against a chain spec, drawing nothing."""
     if name not in FSPEC_NAMES:
         raise ConfigError(
             f"field 'fspec': unsupported value {name!r}; choose from {FSPEC_NAMES}"
         )
     bound = process.state_bound() if name == "first" else 1.0
-    if name != "ball-indicator":
-        return FSpec(name=name, bound=bound)
-    span = process.state_bound()
-    bins = np.linspace(-span, span, PILOT_BINS)
-    draws = np.sort(simulate_contractive_chain(process, pilot_draws, keyed_rng(seed, Stream.PILOT)))
-    # ball-indicator: count the draws x with y - 1/2 <= x <= y + 1/2
-    upper = np.searchsorted(draws, bins + 0.5, "right")
-    values = (upper - np.searchsorted(draws, bins - 0.5, "left")) / pilot_draws
-    se = float(np.sqrt((values * (1.0 - values)).max() / pilot_draws))
-    return FSpec(name=name, bound=bound, center_bins=bins, center_values=values, center_se=se)
+    edges, cdf, _ = transfer_chain(process) if name == "ball-indicator" else (None, None, None)
+    return FSpec(name=name, bound=bound, edges=edges, cdf=cdf)
 
 
 def _centered_sums(args) -> np.ndarray:
@@ -465,8 +449,7 @@ def laplace_section(
     cap. C is calibrated on the estimates at the smallest A."""
     lengths = [a for a, _ in points]
     a_min, a_max = min(lengths), max(lengths)
-    mixing_fit = estimate_chain_mixing(process, seed=keyed_rng(seed, Stream.MIXING_FIT),
-                                       n_steps=10**5)
+    mixing_fit = estimate_chain_mixing(process)
     kappa0 = max(mixing_fit.kappa0, 1e-6)
     kappa1 = max(mixing_fit.kappa1, 1e-6)
     a_floor = max(14.0, 2.0 * kappa1)

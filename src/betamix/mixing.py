@@ -81,7 +81,7 @@ class FiniteChain:
 
     def __post_init__(self):
         p = _transition_matrix(self.transition)
-        if not _strongly_connected(p > 0):
+        if not _reachable(p > 0).all():
             raise ValidationError(
                 "transition graph is not irreducible; stationary law not unique"
             )
@@ -137,12 +137,13 @@ def _transition_matrix(transition: np.ndarray) -> np.ndarray:
     return p
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
+def _reachable(adj: np.ndarray) -> np.ndarray:
+    """reach[i, j]: the graph of `adj` has a path of 0 or more steps from i to j."""
     # k squarings of adj | I cover every path of length <= 2^k; 2^bit_length(m) > m.
     reach = adj | np.eye(adj.shape[0], dtype=bool)
     for _ in range(adj.shape[0].bit_length()):
         reach = reach @ reach
-    return bool(reach.all())
+    return reach
 
 
 def beta_exact(j: FiniteJointDistribution) -> float:

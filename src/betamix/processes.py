@@ -5,6 +5,7 @@ innovations), a curve-valued first-order autoregression on a fixed grid, and
 regression responses on top of a curve sample. Every simulation is a pure
 function of (spec, n, seed), the seed being anything np.random.default_rng
 takes; batch drivers pass one keyed generator per replication block.
+The chain's kernel is also discretised (transfer_chain), drawing nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, DomainError, FitError, ValidationError
+from .mixing import FiniteChain, _reachable, fit_geometric_decay, markov_beta_lag
 
 CHAIN_MAPS = ("linear", "clipped-linear", "sine-perturbed")
 CHAIN_INNOVATIONS = ("uniform", "truncated-gaussian", "none")
@@ -28,6 +30,8 @@ BURN_ROWS = 64  # innovation rows per burn-in draw of _simulate_chain_columns
 # far1_scores skips burn-in rows in whole blocks of SKIP_ROWS: a window of the
 # coefficient rows that starts on a block edge gets the whole product's bits
 SKIP_ROWS = 64
+TRANSFER_CELLS = 200  # equal cells of [-S, S] in transfer_chain
+TRANSFER_POINTS = 8   # points per cell whose transition rows transfer_chain averages
 
 
 def _require_finite(spec, names: Sequence[str]) -> None:
@@ -699,35 +703,48 @@ def _linear_quantile(values: np.ndarray, levels):
     return float(out) if out.ndim == 0 else out
 
 
-def binned_lag_joints(values: np.ndarray, lags: Sequence[int], n_bins: int) -> list[np.ndarray]:
-    """Empirical joint table of (X_k, X_{k+lag}) after quantile binning, one
-    per lag in `lags`; the path is binned once for all of them."""
-    if not all(1 <= lag < values.size for lag in lags):
-        raise ValidationError("lag must satisfy 1 <= lag < len(values)")
-    edges = _linear_quantile(values, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
-    bins = np.digitize(values, edges)
-    counts = [np.bincount(bins[:-lag] * n_bins + bins[lag:], minlength=n_bins * n_bins)
-              .astype(float) for lag in lags]
-    return [(c / c.sum()).reshape(n_bins, n_bins) for c in counts]
+@lru_cache(maxsize=8)
+def transfer_chain(spec: ContractiveChainSpec) -> tuple[np.ndarray, np.ndarray, FiniteChain]:
+    """Ulam's discretisation of the chain's transition kernel (Ulam 1960; Li
+    1976): the edges of TRANSFER_CELLS equal cells of [-S, S], S the state
+    bound, the CDF at the edges of the stationary law, uniform within each
+    cell, and the finite chain of the cells reachable from the cell of 0
+    (the rest would leave it reducible). Row i of its transition matrix is
+    P(psi(x) + eps in cell j), from the innovation's CDF, averaged over the
+    midpoints x of TRANSFER_POINTS equal parts of cell i; the outer cells
+    take the mass beyond [-S, S]. The arrays are read-only: the callers of
+    a spec share them."""
+    if spec.innovation == "none":
+        raise DomainError("field 'process.innovation': 'none' has no density to discretise")
+    span = spec.state_bound()
+    if not math.isfinite(2.0 * span):
+        raise DomainError(f"the state bound S = {span:.4g} overflows the cells of [-S, S]")
+    edges = np.linspace(-span, span, TRANSFER_CELLS + 1)
+    x = np.linspace(-span, span, 2 * TRANSFER_CELLS * TRANSFER_POINTS + 1)[1::2]
+    below = np.zeros((TRANSFER_CELLS, TRANSFER_CELLS - 1))
+    for point in x.reshape(TRANSFER_CELLS, TRANSFER_POINTS).T:  # one point of each cell
+        t = edges[1:-1] - spec.apply_map(point)[:, None]  # below[i, j] += P(eps <= t[i, j])
+        if spec.innovation == "uniform":
+            below += np.clip(t / (2.0 * spec.halfwidth) + 0.5, 0.0, 1.0)
+        else:  # the normal CDF restricted to [-trunc, trunc], through math.erf
+            scale = spec.sigma * math.sqrt(2.0)
+            erf = np.frompyfunc(math.erf, 1, 1)(np.clip(t, -spec.trunc, spec.trunc) / scale)
+            below += 0.5 + 0.5 * erf.astype(float) / math.erf(spec.trunc / scale)
+    rows = np.diff(below / TRANSFER_POINTS, prepend=0.0, append=1.0)
+    keep = _reachable(rows > 0)[np.searchsorted(edges, 0.0, "right") - 1]
+    chain = FiniteChain(rows[np.ix_(keep, keep)])
+    cdf = np.cumsum(np.bincount(np.flatnonzero(keep) + 1, chain.stationary, TRANSFER_CELLS + 1))
+    for array in (edges, cdf, chain.transition, chain.stationary):
+        array.flags.writeable = False
+    return edges, cdf, chain
 
 
-def estimate_chain_mixing(
-    spec: ContractiveChainSpec,
-    seed: Seed,
-    lags: Sequence[int] = (1, 2, 3, 4, 5),
-    n_steps: int = 10**6,
-    n_bins: int = 8,
-):
-    """Exponential-decay fit of the chain's binned lag coefficients.
-
-    Simulates one long path, bins it into `n_bins` equiprobable states, and
-    computes the exact coefficient of each binned lag joint; this proxy
-    underestimates the continuous-state coefficient but shares its decay
-    rate. Returns a mixing decay fit (kappa0, kappa1, R^2).
-    """
-    from .mixing import FiniteJointDistribution, beta_exact, fit_geometric_decay
-
-    values = simulate_contractive_chain(spec, n_steps, seed)
-    betas = [beta_exact(FiniteJointDistribution(table))
-             for table in binned_lag_joints(values, lags, n_bins)]
-    return fit_geometric_decay(list(lags), betas)
+def estimate_chain_mixing(spec: ContractiveChainSpec, lags: Sequence[int] = (1, 2, 3, 4, 5)):
+    """Exponential-decay fit (kappa0, kappa1, R^2) of the exact lag
+    coefficients beta(k), k in `lags`, of transfer_chain's chain on all its
+    cells: the chain's own beta up to the discretisation, from no random
+    draw. A constant map gives i.i.d. states and beta = 0: a FitError."""
+    _, _, chain = transfer_chain(spec)
+    if (chain.transition == chain.transition[0]).all():
+        raise FitError("beta is 0 at every lag: a constant map gives i.i.d. states, no decay")
+    return fit_geometric_decay(list(lags), [markov_beta_lag(chain, lag) for lag in lags])

@@ -35,12 +35,10 @@ _BLAS_SETTERS = (
 
 
 class Stream(IntEnum):
-    """Named random streams: the first word of every spawn key."""
+    """Named random streams: the first word of every spawn key; 2 and 3 are retired."""
 
     CHAIN_TAIL = 0        # chain paths of the tail estimator, per (n, block)
     CHAIN_LAPLACE = 1     # chain paths of the Laplace estimator, per (floor A, block)
-    PILOT = 2             # pilot path of a pilot-centered fspec
-    MIXING_FIT = 3        # long path of the Laplace section's mixing fit
     FAR_PATH = 4          # FAR(1) training paths, per (n, block)
     REGRESSION_NOISE = 5  # regression response noise, per (n, block)
     REFERENCE_SAMPLE = 6  # independent FAR(1) reference paths, per (n, block)

@@ -214,7 +214,7 @@ def test_criterion_4_rate_verification():
 
 def test_criterion_5_laplace_domination():
     start = time.monotonic()
-    mixing_fit = estimate_chain_mixing(RATE_CHAIN, seed=SEED)
+    mixing_fit = estimate_chain_mixing(RATE_CHAIN)
     kappa0, kappa1 = mixing_fit.kappa0, mixing_fit.kappa1
     fspec = make_fspec("odd-clip", RATE_CHAIN)
     a_grid = [14.0, 20.0, 50.0, 100.0]

@@ -618,8 +618,9 @@ class TestDeterminism:
         assert len(bodies) == 4
 
     def test_every_chain_stream_of_a_run_is_distinct(self, tmp_path, monkeypatch):
-        # the pilot, each n, the mixing fit and each A draw from their own
-        # streams, and none from the root stream of the mixing suite's models
+        # each n and each A draw from their own streams, and none from the root
+        # stream of the mixing suite's models; the centering and the mixing fit
+        # draw nothing
         starts = []
         simulate = processes._simulate_chain_columns
 
@@ -634,7 +635,7 @@ class TestDeterminism:
                 "--set", "grid.A=14,20", "--set", "fspec=ball-indicator",
                 "--set", "process.burn_in=100")
         root = np.random.default_rng(3).bit_generator.state["state"]["state"]
-        assert len(starts) == 1 + 4 + 1 + 2
+        assert len(starts) == 4 + 2
         assert len(set(starts) | {root}) == len(starts) + 1
 
     def test_manifest_records_resolved_config_and_hash(self, tmp_path):
@@ -686,10 +687,7 @@ class TestLaplaceSection:
             "diagnostics"
         ]
         config = resolve_config({}, {"suite": "concentration", "seed": "21", **sets})
-        fit = processes.estimate_chain_mixing(
-            config.process, seed=seeding.keyed_rng(21, seeding.Stream.MIXING_FIT),
-            n_steps=10**5,
-        )
+        fit = processes.estimate_chain_mixing(config.process)
         assert diagnostics["mixing_fit"] == {
             "kappa0": fit.kappa0, "kappa1": fit.kappa1, "r_squared": fit.r_squared,
         }
@@ -716,7 +714,7 @@ class TestLaplaceSection:
         diagnostics = json.loads((tmp_path / "concentration_manifest.json").read_text())[
             "diagnostics"
         ]
-        assert diagnostics == {"pilot_se": 0.0, "rate_fits": [
+        assert diagnostics == {"rate_fits": [
             {"epsilon": 0.05, "error": "need >= 4 tail points with 0 < p_hat < 1, have 3"}
         ]}
 
@@ -731,21 +729,6 @@ class TestLaplaceSection:
         assert len((tmp_path / "concentration_report.csv").read_text().splitlines()) == 5
         manifest = json.loads((tmp_path / "concentration_manifest.json").read_text())
         assert "error" in manifest["diagnostics"]["rate_fits"][0]
-
-    def test_pilot_se_is_the_fspec_centering_se(self, tmp_path):
-        for fspec in ("ball-indicator", "odd-clip"):
-            sets = {"grid.n": "50,100,200,400", "grid.epsilon": "0.05", "fspec": fspec,
-                    "process.burn_in": "100"}
-            out = tmp_path / fspec
-            run_cli("concentration", "--seed", "8", "--reps", "100", "--output", str(out),
-                    *[a for kv in sets.items() for a in ("--set", "=".join(kv))])
-            diagnostics = json.loads((out / "concentration_manifest.json").read_text())[
-                "diagnostics"
-            ]
-            config = resolve_config({}, {"suite": "concentration", "seed": "8", **sets})
-            want = concentration.make_fspec(fspec, config.process, seed=8).center_se
-            assert diagnostics["pilot_se"] == want
-            assert (want > 0.0) == (fspec == "ball-indicator")
 
     def test_constants_on_the_grid_floor_are_flagged(self, tmp_path, monkeypatch):
         sets = ("--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05,0.1",
@@ -827,6 +810,32 @@ class TestLaplaceSection:
         assert "grid.A" in capsys.readouterr().err
         assert blocks == []
         assert not (tmp_path / "concentration_report.csv").exists()
+
+    @pytest.mark.parametrize("sets", [["fspec=ball-indicator"], ["grid.A=14,20"]],
+                             ids=["ball-indicator", "grid.A"])
+    def test_chain_without_innovation_density_exits_1_naming_it(self, tmp_path, capsys, sets):
+        # the centering and the mixing fit both need the transfer operator
+        code = run_cli("concentration", "--seed", "1", "--reps", "100", "--output",
+                       str(tmp_path), "--set", "grid.n=50,100,200,400",
+                       "--set", "grid.epsilon=0.05", "--set", "process.burn_in=10",
+                       "--set", "process.innovation=none",
+                       *[a for kv in sets for a in ("--set", kv)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: field 'process.innovation': 'none' has no density" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_iid_chain_exits_1_saying_beta_is_0_at_every_lag(self, tmp_path, capsys):
+        code = run_cli("concentration", "--seed", "1", "--reps", "100", "--output",
+                       str(tmp_path), "--set", "grid.n=50,100,200,400",
+                       "--set", "grid.epsilon=0.05", "--set", "grid.A=14,20",
+                       "--set", "process.burn_in=10", "--set", "process.a=0")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: beta is 0 at every lag" in err and "i.i.d." in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExecutionContext:

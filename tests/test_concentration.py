@@ -14,7 +14,6 @@ from betamix import concentration
 from betamix.cli import emit_plotdata
 from betamix.concentration import (
     FSPEC_NAMES,
-    PILOT_BINS,
     REP_BLOCK,
     SUM_ROWS,
     MomentInputs,
@@ -49,7 +48,7 @@ from betamix.processes import (
     ContractiveChainSpec,
     _simulate_chain_columns,
     estimate_chain_mixing,
-    simulate_contractive_chain,
+    transfer_chain,
 )
 from betamix.seeding import Stream, keyed_rng, replicate
 from oracles import truncate_scalar, uniform_mean_tail, uniform_sum_laplace
@@ -413,29 +412,60 @@ class TestEmpiricalTail:
             make_fspec("kurtosis", UNIFORM_CHAIN)
 
 
-class TestPilotCentering:
-    def test_ball_indicator_center_matches_uniform_overlap(self):
-        fspec = make_fspec("ball-indicator", UNIFORM_CHAIN, seed=5, pilot_draws=100_000)
-        # X ~ U[-1,1]: P(|X - y| <= 1/2) at y = 0 is 1/2
-        center = fspec.center(np.array([0.0]))[0]
-        assert abs(center - 0.5) < 3 * math.sqrt(0.25 / 100_000) + 1e-3
-        assert fspec.center_se < 0.01
+class TestOperatorCentering:
+    """ball-indicator's centering P(|X_0 - y| <= 1/2) under the stationary law
+    of the chain's discretised transfer operator."""
 
-    def test_center_values_equal_the_per_bin_loop(self):
-        fspec = make_fspec("ball-indicator", UNIFORM_CHAIN, seed=5, pilot_draws=20_000)
-        draws = simulate_contractive_chain(UNIFORM_CHAIN, 20_000, keyed_rng(5, Stream.PILOT))
-        values, variances = np.empty(PILOT_BINS), np.empty(PILOT_BINS)
-        for i, y in enumerate(fspec.center_bins):
-            fv = fspec(draws, np.full(1, y))
-            values[i], variances[i] = fv.mean(), fv.var()
-        np.testing.assert_array_equal(fspec.center_values, values)
-        assert fspec.center_se == float(np.sqrt(variances.max() / 20_000))
+    CHAINS = [
+        ContractiveChainSpec(a=0.5, burn_in=200),
+        ContractiveChainSpec(map="clipped-linear", a=0.9, clip_at=0.5, burn_in=200),
+        ContractiveChainSpec(map="sine-perturbed", a=0.4, b=0.3, burn_in=200),
+        ContractiveChainSpec(innovation="truncated-gaussian", sigma=1.0, trunc=1.0, burn_in=200),
+    ]
+    IDS = ["linear", "clipped-linear", "sine-perturbed", "truncated-gaussian"]
 
-    def test_pilot_centered_tail_runs(self):
-        fspec = make_fspec("ball-indicator", UNIFORM_CHAIN, seed=5, pilot_draws=20_000)
+    def test_iid_chain_gives_the_exact_uniform_overlap(self):
+        # X_0 ~ U[-1, 1]: P(|X_0 - y| <= 1/2) = |[y - 1/2, y + 1/2] n [-1, 1]| / 2
+        y = np.concatenate([np.linspace(-2.0, 2.0, 401),
+                            np.random.default_rng(4).uniform(-2.0, 2.0, 200)])
+        exact = np.clip(np.minimum(y + 0.5, 1.0) - np.maximum(y - 0.5, -1.0), 0.0, None) / 2.0
+        center = make_fspec("ball-indicator", UNIFORM_CHAIN).center(y)
+        np.testing.assert_allclose(center, exact, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("chain", CHAINS, ids=IDS)
+    def test_centering_agrees_with_a_seeded_sample(self, chain):
+        # 2e5 draws: 1000 independent stationary paths of 200 steps; the binomial
+        # SE of one probability is at most 1.1e-3, a few times that per path's
+        # autocorrelation
+        draws = _simulate_chain_columns(chain, 200, range(1000), np.random.default_rng(11))
+        draws = np.sort(draws.ravel())
+        span = chain.state_bound()
+        y = np.linspace(-span, span, 41)
+        sample = (np.searchsorted(draws, y + 0.5, "right")
+                  - np.searchsorted(draws, y - 0.5, "left")) / draws.size
+        center = make_fspec("ball-indicator", chain).center(y)
+        assert np.abs(center - sample).max() < 0.01
+
+    def test_operator_centered_tail_runs(self):
+        fspec = make_fspec("ball-indicator", UNIFORM_CHAIN)
         te = empirical_tail_grid(fspec, UNIFORM_CHAIN, [(200, 100)], epsilons=[0.2],
                                  reps=200, seed=9)[0][0]
         assert 0.0 <= te.p_hat <= 1.0
+
+    def test_centering_draws_no_random_number(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a random generator was created")
+
+        transfer_chain.cache_clear()
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        fspec = make_fspec("ball-indicator", self.CHAINS[2])
+        assert 0.0 < fspec.center(np.zeros(1))[0] < 1.0
+
+    def test_chain_without_innovation_density_is_rejected(self):
+        chain = ContractiveChainSpec(innovation="none", x0=1.0)
+        with pytest.raises(DomainError, match="field 'process.innovation': 'none' has no density"):
+            make_fspec("ball-indicator", chain)
+        assert make_fspec("odd-clip", chain).center(np.ones(3)).tolist() == [0.0] * 3
 
 
 class TestEmpiricalLaplace:
@@ -575,8 +605,7 @@ class TestLaplaceSection:
 
     def test_default_gamma_is_nine_tenths_of_the_cap_at_the_largest_a(self, laplace_calls):
         section = self.run()
-        fit = estimate_chain_mixing(self.CHAIN, seed=keyed_rng(6, Stream.MIXING_FIT),
-                                    n_steps=10**5)
+        fit = estimate_chain_mixing(self.CHAIN)
         kappa0, kappa1 = max(fit.kappa0, 1e-6), max(fit.kappa1, 1e-6)
         assert section.mixing_fit == fit
         assert section.gamma == 0.9 * laplace_gamma_cap(kappa1, 20.0) / 1.0
@@ -628,8 +657,8 @@ class TestCenteredSums:
         assert est.value == float(want_values.mean())
         assert est.std_error == float(want_values.std(ddof=1) / math.sqrt(self.REPS))
 
-    def test_pilot_centered_fspec_agrees_to_last_bits(self):
-        fspec = make_fspec("ball-indicator", self.CHAIN, seed=5, pilot_draws=20_000)
+    def test_operator_centered_fspec_agrees_to_last_bits(self):
+        fspec = make_fspec("ball-indicator", self.CHAIN)
         want_devs, want_values = self._oracle(fspec)
         devs, est = self._estimates(fspec)
         np.testing.assert_allclose(devs, want_devs, rtol=0, atol=1e-15)
@@ -638,7 +667,7 @@ class TestCenteredSums:
     @pytest.mark.parametrize("name", FSPEC_NAMES)
     @pytest.mark.parametrize("n", [1, SUM_ROWS - 1, SUM_ROWS, SUM_ROWS + 1, 3 * SUM_ROWS + 5])
     def test_chunked_sums_are_the_whole_path_sum(self, name, n):
-        fspec = make_fspec(name, self.CHAIN, seed=5, pilot_draws=20_000)
+        fspec = make_fspec(name, self.CHAIN)
         for width in (1, 7):
             for t in sorted({1, (n + 1) // 2, n}):
                 args = (fspec, self.CHAIN, self.SEED, Stream.CHAIN_TAIL, n, t, range(width))

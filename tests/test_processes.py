@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from betamix import processes
-from betamix.errors import ConfigError, ValidationError
-from betamix.mixing import FiniteJointDistribution, beta_exact
+from betamix.concentration import make_fspec
+from betamix.errors import ConfigError, DomainError, FitError, ValidationError
+from betamix.mixing import fit_geometric_decay, markov_beta_lag
 from betamix.processes import (
     BURN_ROWS,
     CHAIN_INNOVATIONS,
@@ -25,13 +26,13 @@ from betamix.processes import (
     _bump_operator,
     _draw_innovations,
     _simulate_chain_columns,
-    binned_lag_joints,
     estimate_chain_mixing,
     far1_scores,
     make_psi,
     make_regression_sample,
     simulate_contractive_chain,
     simulate_far1,
+    transfer_chain,
     trapezoid_weights,
     uniform_grid,
 )
@@ -294,28 +295,6 @@ class TestContractiveChain:
         combined_se = np.sqrt(2 * var_mean)
         assert abs(values[:half].mean() - values[half:].mean()) < 4 * combined_se
 
-    def test_binned_beta_proxy_decays_log_linearly(self):
-        spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=1000)
-        fit = estimate_chain_mixing(spec, seed=31)
-        assert fit.r_squared > 0.95
-        assert fit.kappa1 > 0.1
-
-    def test_mixing_fit_bins_its_path_once(self, monkeypatch):
-        calls = []
-        quantile = processes._linear_quantile
-        monkeypatch.setattr(processes, "_linear_quantile",
-                            lambda *a: calls.append(a[0].size) or quantile(*a))
-        spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=100)
-        estimate_chain_mixing(spec, seed=3, n_steps=20_000)
-        assert calls == [20_000]
-
-    def test_binned_lag_joint_is_a_distribution(self):
-        spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=100)
-        values = simulate_contractive_chain(spec, 20_000, seed=3)
-        (table,) = binned_lag_joints(values, lags=[2], n_bins=8)
-        j = FiniteJointDistribution(table)
-        assert beta_exact(j) <= 1.0
-
     @pytest.mark.parametrize("spec", [
         ContractiveChainSpec(burn_in=100),
         ContractiveChainSpec(map="clipped-linear", a=-0.6, burn_in=100),
@@ -437,6 +416,94 @@ class TestTruncatedGaussian:
         finally:
             tracemalloc.stop()
         assert peak <= bound * n * width * 8
+
+
+@pytest.fixture
+def cells(monkeypatch):
+    """Set the transfer operator's cell count, dropping the cached operators."""
+    def use(m):
+        monkeypatch.setattr(processes, "TRANSFER_CELLS", m)
+        transfer_chain.cache_clear()
+    yield use
+    transfer_chain.cache_clear()
+
+
+class TestTransferChain:
+    CHAINS = [
+        ContractiveChainSpec(a=0.5),
+        ContractiveChainSpec(map="clipped-linear", a=0.9, clip_at=0.5),
+        ContractiveChainSpec(map="sine-perturbed", a=0.4, b=0.3),
+        ContractiveChainSpec(innovation="truncated-gaussian", sigma=1.0, trunc=1.0),
+    ]
+    IDS = ["linear", "clipped-linear", "sine-perturbed", "truncated-gaussian"]
+
+    def test_mixing_fit_is_the_chains_beta_decay(self):
+        _, _, chain = transfer_chain(self.CHAINS[0])
+        fit = estimate_chain_mixing(self.CHAINS[0])
+        betas = [markov_beta_lag(chain, k) for k in range(1, 6)]
+        assert fit == fit_geometric_decay([1, 2, 3, 4, 5], betas)
+        assert fit.r_squared > 0.99
+        assert 0.75 < fit.kappa1 < 0.77
+
+    @pytest.mark.parametrize("spec", CHAINS, ids=IDS)
+    def test_doubling_the_cells_moves_kappa1_by_less_than_0_2_percent(self, cells, spec):
+        kappa1 = []
+        for m in (200, 400):
+            cells(m)
+            kappa1.append(estimate_chain_mixing(spec).kappa1)
+        assert abs(kappa1[1] / kappa1[0] - 1.0) < 0.002
+
+    @pytest.mark.parametrize("spec", [CHAINS[0], CHAINS[2]], ids=[IDS[0], IDS[2]])
+    def test_doubling_the_cells_moves_the_centering_by_less_than_1e_4(self, cells, spec):
+        # the clipped map's kink makes its centering converge at first order only
+        y = np.linspace(-3.0, 3.0, 601)
+        centers = []
+        for m in (200, 400):
+            cells(m)
+            centers.append(make_fspec("ball-indicator", spec).center(y))
+        assert np.abs(centers[1] - centers[0]).max() < 1e-4
+
+    def test_chain_keeps_only_the_cells_reachable_from_0(self):
+        # 3 cells at each end of [-S, S] are out of reach of psi(x) + eps
+        edges, cdf, chain = transfer_chain(self.CHAINS[2])
+        law = np.diff(cdf)
+        assert len(edges) == len(law) + 1 == processes.TRANSFER_CELLS + 1
+        assert chain.n_states == 194
+        assert (law[3:-3] > 0).all() and (law[:3] == 0).all() and (law[-3:] == 0).all()
+        assert_allclose(law[3:-3], chain.stationary, rtol=1e-9, atol=1e-16)
+        assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_cached_arrays_are_read_only(self):
+        edges, cdf, chain = transfer_chain(self.CHAINS[0])
+        for array in (edges, cdf, chain.transition, chain.stationary):
+            assert not array.flags.writeable
+
+    def test_mixing_fit_draws_no_random_number(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a random generator was created")
+
+        transfer_chain.cache_clear()
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        assert estimate_chain_mixing(self.CHAINS[3]).kappa1 > 0
+
+    @pytest.mark.parametrize("spec", [ContractiveChainSpec(a=0.0),
+                                      ContractiveChainSpec(map="clipped-linear", a=0.0)],
+                             ids=["linear", "clipped-linear"])
+    def test_iid_chain_has_no_decay_to_fit(self, spec):
+        _, _, chain = transfer_chain(spec)
+        assert max(markov_beta_lag(chain, k) for k in range(1, 6)) < 1e-12
+        with pytest.raises(FitError, match="beta is 0 at every lag"):
+            estimate_chain_mixing(spec)
+
+    def test_chain_without_innovation_density_is_rejected(self):
+        with pytest.raises(DomainError, match="field 'process.innovation'"):
+            estimate_chain_mixing(ContractiveChainSpec(innovation="none"))
+
+    def test_state_bound_whose_double_overflows_is_rejected(self):
+        # S = 1.6e308 is finite, but the cells of [-S, S] are not
+        spec = ContractiveChainSpec(innovation="truncated-gaussian", trunc=8e307)
+        with pytest.raises(DomainError, match=r"state bound S = 1\.6e\+308 overflows"):
+            estimate_chain_mixing(spec)
 
 
 class TestFar1:
