@@ -243,13 +243,21 @@ def _golden_section_log(func, lo: float, hi: float, rel_tol: float) -> tuple[flo
 # stationary laws), ball-indicator under transfer_chain's stationary law.
 # ---------------------------------------------------------------------------
 
+def _zero(x, y, out):
+    out.fill(0.0)
+    return out
+
+
+# each writes f(x, y) into `out`, an array of the broadcast shape, and returns it
 _F_FUNCS = {
-    "zero": lambda x, y: np.zeros(np.broadcast(x, y).shape),
-    "first": lambda x, y: x * np.ones_like(y),
-    "odd-clip": lambda x, y: np.clip(x, -1.0, 1.0) * np.ones_like(y),
-    "odd-clip-damped": lambda x, y: np.clip(x, -1.0, 1.0) / (1.0 + y**2),
-    "sine-product": lambda x, y: np.sin(x * y),
-    "ball-indicator": lambda x, y: (np.abs(x - y) <= 0.5).astype(float),
+    "zero": _zero,
+    "first": lambda x, y, out: np.multiply(x, 1.0, out=out),
+    "odd-clip": lambda x, y, out: np.clip(x, -1.0, 1.0, out=out),  # x * 1 is x
+    "odd-clip-damped": lambda x, y, out: np.divide(np.clip(x, -1.0, 1.0, out=out), 1.0 + y**2,
+                                                   out=out),
+    "sine-product": lambda x, y, out: np.sin(np.multiply(x, y, out=out), out=out),
+    "ball-indicator": lambda x, y, out: np.less_equal(np.abs(np.subtract(x, y, out=out), out=out),
+                                                      0.5, out=out),
 }
 FSPEC_NAMES = tuple(_F_FUNCS)
 
@@ -258,8 +266,10 @@ FSPEC_NAMES = tuple(_F_FUNCS)
 class FSpec:
     """A named bounded aggregating function with its centering data.
 
-    `edges is None` means the centering E f(X_0, y) is exactly zero;
-    otherwise it is ball-indicator's P(|X_0 - y| <= 1/2) under the
+    Calling it gives f(x, y) over the broadcast shape of x and y, written
+    into `out` when one of that shape is given (and returned), else into a
+    new array. `edges is None` means the centering E f(X_0, y) is exactly
+    zero; otherwise it is ball-indicator's P(|X_0 - y| <= 1/2) under the
     piecewise-uniform law whose CDF takes the values `cdf` at `edges`."""
 
     name: str
@@ -267,8 +277,11 @@ class FSpec:
     edges: Optional[np.ndarray] = None
     cdf: Optional[np.ndarray] = None
 
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _F_FUNCS[self.name](x, y)
+    def __call__(self, x: np.ndarray, y: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        return _F_FUNCS[self.name](x, y, out)
 
     def center(self, y: np.ndarray) -> np.ndarray:
         if self.edges is None:
@@ -291,22 +304,24 @@ def _centered_sums(args) -> np.ndarray:
     """sum_{k=1..n} f(X_k, X_t) - n E f(X_0, x)|_{x=X_t} per replication of
     one block, all its paths drawn from the block's generator of `stream`.
 
-    f is evaluated on SUM_ROWS rows of the paths at a time and the chunks are
-    added in row order, the order of a whole-array axis-0 sum: the running
-    sums go into a chunk's first row in place (fl(s + r0) = fl(r0 + s)), so
-    the block holds its (n, width) kept rows and the chunk f returns. A single
-    column is summed whole: NumPy sums a lone column pairwise.
+    f is evaluated on SUM_ROWS rows of the paths at a time, into one
+    (SUM_ROWS, width) buffer, and the chunks are added in row order, the
+    order of a whole-array axis-0 sum: the running sums go into a chunk's
+    first row in place (fl(s + r0) = fl(r0 + s)), so the block holds its
+    (n, width) kept rows and that buffer. A single column is summed whole:
+    NumPy sums a lone column pairwise.
     """
     fspec, process, seed, stream, n, t, indices = args
     rng = keyed_rng(seed, stream, n, indices.start // REP_BLOCK)
     paths = _simulate_chain_columns(process, n, indices, rng)
     x_t = paths[t - 1]
     rows = SUM_ROWS if paths.shape[1] > 1 else n
-    sums = fspec(paths[:rows], x_t[None, :]).sum(axis=0)
+    buffer = np.empty((min(rows, n), paths.shape[1]))
+    sums = fspec(paths[:rows], x_t[None, :], buffer).sum(axis=0)
     for start in range(rows, n, rows):
-        chunk = fspec(paths[start:start + rows], x_t[None, :])
+        chunk = fspec(paths[start:start + rows], x_t[None, :], buffer[:n - start])
         chunk[0] += sums
-        sums = chunk.sum(axis=0)
+        chunk.sum(axis=0, out=sums)
     return sums - n * fspec.center(x_t)
 
 

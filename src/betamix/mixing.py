@@ -140,10 +140,12 @@ def _transition_matrix(transition: np.ndarray) -> np.ndarray:
 def _reachable(adj: np.ndarray) -> np.ndarray:
     """reach[i, j]: the graph of `adj` has a path of 0 or more steps from i to j."""
     # k squarings of adj | I cover every path of length <= 2^k; 2^bit_length(m) > m.
-    reach = adj | np.eye(adj.shape[0], dtype=bool)
+    # The squares are float 0/1 matrices clamped at 1: BLAS sums at most m
+    # ones exactly, and it is faster than NumPy's boolean matmul.
+    reach = (adj | np.eye(adj.shape[0], dtype=bool)).astype(float)
     for _ in range(adj.shape[0].bit_length()):
-        reach = reach @ reach
-    return reach
+        np.minimum(reach @ reach, 1.0, out=reach)
+    return reach > 0
 
 
 def beta_exact(j: FiniteJointDistribution) -> float:

@@ -26,7 +26,7 @@ CHAIN_INNOVATIONS = ("uniform", "truncated-gaussian", "none")
 FAR_KERNELS = ("separable", "gaussian-bump")
 PSI_NAMES = ("linear", "norm")
 Seed = Union[int, np.random.SeedSequence, np.random.Generator]
-BURN_ROWS = 64  # innovation rows per burn-in draw of _simulate_chain_columns
+BURN_ROWS = 64  # innovation rows per block that _simulate_chain_columns draws and advances
 # far1_scores skips burn-in rows in whole blocks of SKIP_ROWS: a window of the
 # coefficient rows that starts on a block edge gets the whole product's bits
 SKIP_ROWS = 64
@@ -308,16 +308,34 @@ def uniform_grid(size: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, size)
 
 
-def _draw_innovations(spec: ContractiveChainSpec, rng: np.random.Generator, shape) -> np.ndarray:
+def _draw_innovations(spec: ContractiveChainSpec, rng: np.random.Generator,
+                      out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous rows `out` with the next innovations from `rng`,
+    in row order, and return it. A uniform fill has the values and end state
+    of rng.uniform(-halfwidth, halfwidth, out.shape), so splitting a uniform
+    draw into blocks keeps its values; a truncated-Gaussian fill is one
+    rejection draw, whose values depend on the blocks."""
     if spec.innovation == "uniform":
-        return rng.uniform(-spec.halfwidth, spec.halfwidth, size=shape)
+        return _uniform_fill(rng, spec.halfwidth, out)
     if spec.innovation == "truncated-gaussian":
-        return _truncated_gaussian(spec.sigma, spec.trunc, rng, shape)
-    return np.zeros(shape)
+        return _truncated_gaussian(spec.sigma, spec.trunc, rng, out)
+    out.fill(0.0)
+    return out
 
 
-def _truncated_gaussian(sigma: float, trunc: float, rng: np.random.Generator, shape) -> np.ndarray:
-    """N(0, sigma^2) conditioned on |x| <= trunc, by rejection from `rng`.
+def _uniform_fill(rng: np.random.Generator, half: float, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with the values and end state of rng.uniform(-half, half,
+    out.shape), which NumPy computes as -half + (2 half) u."""
+    rng.random(out=out)
+    out *= 2.0 * half
+    out -= half
+    return out
+
+
+def _truncated_gaussian(sigma: float, trunc: float, rng: np.random.Generator,
+                        out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous `out` with N(0, sigma^2) conditioned on
+    |x| <= trunc, by rejection from `rng`, and return it.
 
     With trunc / sigma >= sqrt(pi / 2) the proposals are N(0, sigma^2);
     below it they are U(-trunc, trunc), each kept with probability
@@ -327,12 +345,13 @@ def _truncated_gaussian(sigma: float, trunc: float, rng: np.random.Generator, sh
     generator's state alone.
     """
     normal = trunc / sigma >= math.sqrt(math.pi / 2.0)
+    flat = out.reshape(-1)
     if normal:
-        flat = rng.standard_normal(math.prod(shape))
+        rng.standard_normal(out=flat)
         flat *= sigma
         todo = np.flatnonzero((flat > trunc) | (flat < -trunc))
     else:
-        flat = rng.uniform(-trunc, trunc, math.prod(shape))  # never leaves [-trunc, trunc]
+        _uniform_fill(rng, trunc, flat)  # never leaves [-trunc, trunc]
         todo = np.flatnonzero(rng.random(flat.size) >= _acceptance(flat, sigma))
     while todo.size:  # redraw the rejected entries, in order
         if normal:
@@ -343,7 +362,7 @@ def _truncated_gaussian(sigma: float, trunc: float, rng: np.random.Generator, sh
             keep = rng.random(todo.size) < _acceptance(x, sigma)
         flat[todo[keep]] = x[keep]
         todo = todo[~keep]
-    return flat.reshape(shape)
+    return out
 
 
 def _acceptance(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -367,14 +386,17 @@ def _simulate_chain_columns(
     as columns of an (n, len(seeds)) array.
 
     Column j is x_t = psi(x_{t-1}) + eps_t from x_0 = x0, keeping
-    x_burn_in, ..., x_{burn_in + n - 1}. The innovations come from `rng` one
-    (rows, len(seeds)) draw at a time: the burn-in steps before the kept rows
-    in draws of at most BURN_ROWS rows, of which only the state row is carried
-    on, then the kept rows in one draw that the recursion overwrites with the
-    states. So a block holds one burn-in draw at a time, then its n kept rows
-    (n - 1 and a copied x0 row when burn_in = 0). Uniform and "none" draws
-    take their values in order, so the split leaves their paths those of one
-    whole draw; a rejection sampler's paths depend on it.
+    x_burn_in, ..., x_{burn_in + n - 1}. The innovations come from `rng` in
+    row order. The burn-in steps before the kept rows are drawn and advanced
+    in one buffer of BURN_ROWS rows, of which only the state row is carried
+    on. The kept rows (n - 1 after a copied x0 row when burn_in = 0) are
+    drawn into the result itself, which the recursion overwrites with the
+    states: uniform and "none" rows BURN_ROWS at a time, each block advanced
+    while it is still in cache, and truncated-Gaussian rows, or a single
+    column (which steps as a scalar recursion), in one draw. So a block holds
+    its n kept rows and one burn-in buffer. Uniform and "none"
+    fills take their values in order, so the blocks leave their paths those
+    of one whole draw; a rejection sampler's paths depend on the split.
 
     Most of a long uniform burn-in under a linear or clipped-linear map is not
     drawn (_burn_in_skip). The columns share one generator, so if a pair of
@@ -388,10 +410,11 @@ def _simulate_chain_columns(
     width = len(seeds)
     step = (spec.a, None if spec.map == "linear" else spec.apply_map)
     burn = max(spec.burn_in - 1, 0)  # steps before the draw that yields x_burn_in
+    buffer = np.empty((min(BURN_ROWS, burn), width))
 
     def run(x: np.ndarray, rows: int) -> np.ndarray:  # x after the next `rows` burn-in rows
         for start in range(0, rows, BURN_ROWS):
-            eps = _draw_innovations(spec, rng, (min(BURN_ROWS, rows - start), width))
+            eps = _draw_innovations(spec, rng, buffer[:min(BURN_ROWS, rows - start)])
             x = _advance_chain(x, eps if len(x) == width else np.tile(eps, 2), *step)[-1].copy()
         return x
 
@@ -406,10 +429,13 @@ def _simulate_chain_columns(
             skip = 0
     if not skip:
         x = run(np.full(width, spec.x0), burn)
-    if spec.burn_in == 0:
-        paths = _advance_chain(x, _draw_innovations(spec, rng, (n - 1, width)), *step)
-        return np.concatenate([x[None, :], paths])
-    return _advance_chain(x, _draw_innovations(spec, rng, (n, width)), *step)
+    paths = np.empty((n, width))
+    lead = int(spec.burn_in == 0)  # x0 itself is kept
+    paths[:lead] = x
+    rows = BURN_ROWS if width > 1 and spec.innovation != "truncated-gaussian" else n
+    for start in range(lead, n, rows):
+        x = _advance_chain(x, _draw_innovations(spec, rng, paths[start:start + rows]), *step)[-1]
+    return paths
 
 
 def _bounding_rows(a: float) -> float:
@@ -526,9 +552,7 @@ def _far1_rows(spec: Far1Spec, n: int) -> tuple[int, int]:
 def _far1_coeffs(spec: Far1Spec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill `out` with the next innovation coefficient rows: the values and end
     state of rng.uniform(-sqrt(3), sqrt(3)), scaled by noise_scale / m."""
-    rng.random(out=out)
-    out *= 2.0 * math.sqrt(3.0)
-    out -= math.sqrt(3.0)
+    _uniform_fill(rng, math.sqrt(3.0), out)
     out *= spec.noise_scale / np.arange(1, spec.noise_terms + 1)
     return out
 

@@ -217,7 +217,8 @@ def m_constant(kernel: KernelSpec, tau: Callable[[np.ndarray], np.ndarray]) -> f
 
 
 def bandwidth_schedule(n: int, theta: float, pilot_distances: np.ndarray) -> float:
-    """Empirical n^(-theta) quantile of pilot distances.
+    """Empirical n^(-theta) quantile of a sample of distances to the query
+    curve (the forecast experiment passes its reference sample's).
 
     With F(h_n) ~ n^(-theta) the normalized second moment E F^(-2) grows like
     n^(2 theta), which keeps the series sum_n n^(2 theta - 2) (log n)^2
@@ -225,15 +226,15 @@ def bandwidth_schedule(n: int, theta: float, pilot_distances: np.ndarray) -> flo
     """
     if not 0.0 < theta < 0.5:
         raise DomainError(f"theta = {theta} outside (0, 1/2)")
-    pilot = _distances(pilot_distances, "pilot distances")
-    if pilot.size == 0:
-        raise ValidationError("pilot distance sample is empty")
+    sample = _distances(pilot_distances, "the bandwidth's distances")
+    if sample.size == 0:
+        raise ValidationError("the bandwidth's distance sample is empty")
     if n < 3:
         raise DomainError("n must be >= 3")
     theta_eff = max(theta, 1e-3)
     level = float(n**-theta_eff)
-    # degenerate all-equal pilots (e.g. a constant process) would give h = 0
-    return max(_linear_quantile(pilot, level), 1e-12)
+    # all-equal distances (e.g. of a constant process) would give h = 0
+    return max(_linear_quantile(sample, level), 1e-12)
 
 
 @dataclass(frozen=True)

@@ -703,6 +703,63 @@ class TestCenteredSums:
             tracemalloc.stop()
         assert peak <= 1.25 * n * width * 8
 
+    def test_block_peak_memory_leaves_no_chunk_temporaries(self):
+        # the kept rows, then one reused (SUM_ROWS, width) buffer for f and a
+        # few rows: one more chunk-sized temporary would pass 2 buffers (a
+        # bound of 1.05 (kept rows + 3 buffers) holds even with two of them)
+        chain = ContractiveChainSpec(a=0.5, burn_in=1000)
+        fspec = make_fspec("odd-clip-damped", chain)
+        n, width = 2000, 1000
+        tracemalloc.start()
+        try:
+            _centered_sums((fspec, chain, 3, Stream.CHAIN_TAIL, n, n, range(width)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * width * 8 + 2 * SUM_ROWS * width * 8
+
+
+# the allocating form of each f, the oracle of the in-place one
+ALLOCATING_F = {
+    "zero": lambda x, y: np.zeros(np.broadcast(x, y).shape),
+    "first": lambda x, y: x * np.ones_like(y),
+    "odd-clip": lambda x, y: np.clip(x, -1.0, 1.0) * np.ones_like(y),
+    "odd-clip-damped": lambda x, y: np.clip(x, -1.0, 1.0) / (1.0 + y**2),
+    "sine-product": lambda x, y: np.sin(x * y),
+    "ball-indicator": lambda x, y: (np.abs(x - y) <= 0.5).astype(float),
+}
+
+
+class TestFSpecIntoBuffer:
+    # signed zeros, the clip edges, |x - y| = 1/2 exactly and inexactly
+    EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 0.75, 1.5, -1.5, 0.1, 0.6, 3.0]
+
+    def test_oracle_names_every_fspec(self):
+        assert tuple(ALLOCATING_F) == FSPEC_NAMES
+
+    @pytest.mark.parametrize("name", FSPEC_NAMES)
+    def test_fill_has_the_bits_of_the_allocating_form(self, name):
+        fspec = make_fspec(name, UNIFORM_CHAIN)
+        edges = np.array(self.EDGES)
+        rng = np.random.default_rng(5)
+        pairs = [
+            (edges[:, None], edges[None, :]),  # every pair of edge values
+            (rng.uniform(-3.0, 3.0, (64, 9)), rng.uniform(-3.0, 3.0, (1, 9))),
+            (rng.uniform(-3.0, 3.0, (5, 9)), rng.uniform(-3.0, 3.0, (5, 9))),
+        ]
+        for x, y in pairs:
+            want = ALLOCATING_F[name](x, y)
+            out = np.full(want.shape, np.nan)
+            got = fspec(x, y, out)
+            assert got is out
+            assert got.tobytes() == want.tobytes()
+            assert fspec(x, y).tobytes() == want.tobytes()
+
+    def test_pairs_half_apart_are_in_the_ball(self):
+        fspec = make_fspec("ball-indicator", UNIFORM_CHAIN)
+        x, y = np.array([[0.75, -0.25, 0.5, -1.0]]), np.array([[0.25, 0.25, 0.0, -0.5]])
+        assert fspec(x, y, np.empty((1, 4))).tolist() == [[1.0, 1.0, 1.0, 1.0]]
+
 
 class TestRateFit:
     def test_exact_unit_slope(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from betamix.errors import FitError, SizeError, ValidationError
 from betamix.mixing import (
@@ -13,6 +13,7 @@ from betamix.mixing import (
     FiniteJointDistribution,
     _alpha_table,
     _grouped_joint,
+    _reachable,
     alpha_exact,
     beta_exact,
     davydov_check,
@@ -255,6 +256,38 @@ class TestValidation:
         monkeypatch.setattr(np.linalg, "solve", lambda *args: np.array(pi))
         with pytest.raises(ValidationError, match="not a probability law"):
             FiniteChain(TWO_STATE)
+
+
+def warshall_closure(adj):
+    """Reflexive-transitive closure of a boolean adjacency matrix, by Warshall's algorithm."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for k in range(len(adj)):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    return reach
+
+
+class TestReachable:
+    @pytest.mark.parametrize("size", [1, 2, 5, 200])
+    @pytest.mark.parametrize("density", [0.9, 0.02, 0.0], ids=["dense", "sparse", "empty"])
+    def test_equals_the_boolean_closure(self, size, density):
+        rng = np.random.default_rng(size)
+        for _ in range(5):
+            adj = rng.random((size, size)) < density
+            assert_array_equal(_reachable(adj), warshall_closure(adj))
+
+    @pytest.mark.parametrize("size", [2, 5, 200])
+    def test_disconnected_blocks_do_not_reach_each_other(self, size):
+        # a directed cycle (a long path at size 200, so the most squarings)
+        # on each half, and one edge from the first half into the second
+        half = size // 2
+        adj = np.zeros((size, size), dtype=bool)
+        for lo, hi in ((0, half), (half, size)):
+            nodes = np.arange(lo, hi)
+            adj[nodes, np.roll(nodes, -1)] = True
+        adj[0, half] = True
+        want = warshall_closure(adj)
+        assert_array_equal(_reachable(adj), want)
+        assert want[:half, half:].all() and not want[half:, :half].any()
 
 
 class TestFromTransition:

@@ -52,6 +52,38 @@ def end_state(rng):
     return {**state, "state": inner}
 
 
+def allocating_truncated_gaussian(sigma, trunc, rng, shape):
+    """The rejection sampler as one fresh draw of `shape`: the oracle of the
+    in-place fill."""
+    normal = trunc / sigma >= math.sqrt(math.pi / 2.0)
+    if normal:
+        flat = rng.standard_normal(math.prod(shape))
+        flat *= sigma
+        todo = np.flatnonzero((flat > trunc) | (flat < -trunc))
+    else:
+        flat = rng.uniform(-trunc, trunc, math.prod(shape))
+        todo = np.flatnonzero(rng.random(flat.size) >= np.exp(-0.5 * (flat / sigma) ** 2))
+    while todo.size:
+        if normal:
+            x = sigma * rng.standard_normal(todo.size)
+            keep = np.abs(x) <= trunc
+        else:
+            x = rng.uniform(-trunc, trunc, todo.size)
+            keep = rng.random(todo.size) < np.exp(-0.5 * (x / sigma) ** 2)
+        flat[todo[keep]] = x[keep]
+        todo = todo[~keep]
+    return flat.reshape(shape)
+
+
+def reference_draw(spec, rng, shape):
+    """The innovations of `shape` as NumPy's own allocating draws give them."""
+    if spec.innovation == "uniform":
+        return rng.uniform(-spec.halfwidth, spec.halfwidth, shape)
+    if spec.innovation == "truncated-gaussian":
+        return allocating_truncated_gaussian(spec.sigma, spec.trunc, rng, shape)
+    return np.zeros(shape)
+
+
 def halving_spec(**kw):
     return ContractiveChainSpec(map="linear", a=0.5, innovation="none", burn_in=0, x0=1.0, **kw)
 
@@ -98,10 +130,10 @@ class TestContractiveChain:
                 innovation=innovation, sigma=0.5, trunc=1.5, halfwidth=0.8, burn_in=7,
             )
             batch = _simulate_chain_columns(spec, 40, range(3), np.random.default_rng(5))
-            eps = _draw_innovations(spec, np.random.default_rng(5), (46, 3))
+            eps = reference_draw(spec, np.random.default_rng(5), (46, 3))
             assert_array_equal(batch, self._per_step_columns(spec, eps))
             single = simulate_contractive_chain(spec, 40, 5)
-            eps = _draw_innovations(spec, np.random.default_rng(5), (46, 1))
+            eps = reference_draw(spec, np.random.default_rng(5), (46, 1))
             assert_array_equal(single, self._per_step_columns(spec, eps)[:, 0])
 
     @pytest.mark.parametrize("width", [1, 3])
@@ -126,7 +158,7 @@ class TestContractiveChain:
     def _two_array_recursion(spec, n, width, rng):
         """Reference: the draw plus a second (burn_in + n, width) array that
         the recursion writes its states into."""
-        eps = _draw_innovations(spec, rng, (spec.burn_in + n - 1, width))
+        eps = reference_draw(spec, rng, (spec.burn_in + n - 1, width))
         return TestContractiveChain._two_array_states(spec, eps)
 
     @staticmethod
@@ -175,6 +207,26 @@ class TestContractiveChain:
             assert got.shape == (n, width)
             assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("halfwidth", [1.0, 0.3, 1e-3])
+    @pytest.mark.parametrize("n", [1, BURN_ROWS - 1, BURN_ROWS, BURN_ROWS + 1, 3 * BURN_ROWS + 5])
+    @pytest.mark.parametrize("width", [1, 3, 1000])
+    def test_uniform_blocks_are_numpys_whole_draw(self, halfwidth, n, width):
+        # the rows are filled and advanced BURN_ROWS at a time, with the values
+        # and the end state of one rng.uniform(-h, h) draw of all of them; at a
+        # halfwidth other than 1 the scale 2h u rounds; burn_in 1000 skips
+        # most of a linear or clipped-linear burn-in
+        for map_name in CHAIN_MAPS:
+            for burn_in in (0, 1, 1000):
+                spec = ContractiveChainSpec(
+                    map=map_name, a=-0.6, b=0.3 if map_name == "sine-perturbed" else 0.0,
+                    halfwidth=halfwidth, clip_at=0.5 * halfwidth, burn_in=burn_in, x0=0.25,
+                )
+                got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+                got = _simulate_chain_columns(spec, n, range(width), got_rng)
+                want = self._two_array_recursion(spec, n, width, want_rng)
+                assert_array_equal(got, want)
+                assert end_state(got_rng) == end_state(want_rng)
+
     @staticmethod
     def _chunked_draw(spec, n, width, rng):
         """Reference draw order: the burn_in - 1 steps before the kept rows in
@@ -182,7 +234,7 @@ class TestContractiveChain:
         burn = max(spec.burn_in - 1, 0)
         sizes = [BURN_ROWS] * (burn // BURN_ROWS) + [burn % BURN_ROWS]
         sizes.append(spec.burn_in + n - 1 - burn)
-        return np.concatenate([_draw_innovations(spec, rng, (rows, width)) for rows in sizes])
+        return np.concatenate([reference_draw(spec, rng, (rows, width)) for rows in sizes])
 
     @pytest.mark.parametrize("map_name", CHAIN_MAPS)
     @pytest.mark.parametrize("burn_in", [0, 1, 2, BURN_ROWS, BURN_ROWS + 1, 200])
@@ -233,9 +285,9 @@ class TestContractiveChain:
         rows = []
         draw = processes._draw_innovations
 
-        def counting(spec, rng, shape):
-            rows.append(shape[0])
-            return draw(spec, rng, shape)
+        def counting(spec, rng, out):
+            rows.append(len(out))
+            return draw(spec, rng, out)
 
         with monkeypatch.context() as patch:
             patch.setattr(processes, "_draw_innovations", counting)
@@ -351,7 +403,7 @@ class TestTruncatedGaussian:
     @staticmethod
     def _draw(sigma, trunc, rng, shape=(1000, 100)):
         spec = ContractiveChainSpec(innovation="truncated-gaussian", sigma=sigma, trunc=trunc)
-        return _draw_innovations(spec, rng, shape)
+        return _draw_innovations(spec, rng, np.empty(shape))
 
     @staticmethod
     def _cdf(x, sigma, trunc):
@@ -385,19 +437,23 @@ class TestTruncatedGaussian:
         rng = np.random.default_rng(4)
         proposals = 0
 
+        # the first proposals fill the draw in place (uniform ones through
+        # random(out=...)); the redraws and the acceptance uniforms take a size
         class Counting:
-            def standard_normal(self, size):
+            def standard_normal(self, size=None, out=None):
                 nonlocal proposals
-                proposals += size
-                return rng.standard_normal(size)
+                proposals += size if out is None else out.size
+                return rng.standard_normal(size, out=out)
 
             def uniform(self, low, high, size):
                 nonlocal proposals
                 proposals += size
                 return rng.uniform(low, high, size)
 
-            def random(self, size):
-                return rng.random(size)
+            def random(self, size=None, out=None):
+                nonlocal proposals
+                proposals += 0 if out is None else out.size
+                return rng.random(size, out=out)
 
         self._draw(sigma, trunc, Counting())
         assert self.DRAWS / proposals >= 0.78
