@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FitError, MomentError, ValidationError
 from .mixing import MixingDecayFit, line_fit
-from .processes import ContractiveChainSpec, _simulate_chain_columns, estimate_chain_mixing
-from .processes import transfer_chain
+from .processes import ContractiveChainSpec, _bounding_rows, _coupled_state
+from .processes import _simulate_chain_columns, estimate_chain_mixing, transfer_chain
 from .seeding import Stream, keyed_rng, replicate
 
 REP_BLOCK = 1000          # replications per keyed generator; results depend
@@ -267,10 +267,11 @@ class FSpec:
     """A named bounded aggregating function with its centering data.
 
     Calling it gives f(x, y) over the broadcast shape of x and y, written
-    into `out` when one of that shape is given (and returned), else into a
-    new array. `edges is None` means the centering E f(X_0, y) is exactly
-    zero; otherwise it is ball-indicator's P(|X_0 - y| <= 1/2) under the
-    piecewise-uniform law whose CDF takes the values `cdf` at `edges`."""
+    into `out` when one of that shape is given (and returned; it may be x
+    itself), else into a new array. `edges is None` means the centering
+    E f(X_0, y) is exactly zero; otherwise it is ball-indicator's
+    P(|X_0 - y| <= 1/2) under the piecewise-uniform law whose CDF takes the
+    values `cdf` at `edges`."""
 
     name: str
     bound: float
@@ -304,24 +305,44 @@ def _centered_sums(args) -> np.ndarray:
     """sum_{k=1..n} f(X_k, X_t) - n E f(X_0, x)|_{x=X_t} per replication of
     one block, all its paths drawn from the block's generator of `stream`.
 
-    f is evaluated on SUM_ROWS rows of the paths at a time, into one
-    (SUM_ROWS, width) buffer, and the chunks are added in row order, the
-    order of a whole-array axis-0 sum: the running sums go into a chunk's
-    first row in place (fl(s + r0) = fl(r0 + s)), so the block holds its
-    (n, width) kept rows and that buffer. A single column is summed whole:
-    NumPy sums a lone column pairwise.
+    f is evaluated over SUM_ROWS rows of states at a time, in place, and the
+    chunks are added in row order, the order of a whole-array axis-0 sum: the
+    running sums go into a chunk's first row in place (fl(s + r0) =
+    fl(r0 + s)). A single column is summed whole: NumPy sums a lone column
+    pairwise.
+
+    The block first finds X_t by coupling from the past (_coupled_state),
+    before any row is drawn, and puts the generator back. Then its paths
+    stream: each chunk of kept rows is summed as _simulate_chain_columns
+    draws it, so the block holds one chunk whatever n is. It keeps its whole
+    (n, width) path, and copies X_t out of it, for one column, n <= K, or a
+    chain that does not couple within its burn_in - 1 + t rows.
     """
     fspec, process, seed, stream, n, t, indices = args
     rng = keyed_rng(seed, stream, n, indices.start // REP_BLOCK)
-    paths = _simulate_chain_columns(process, n, indices, rng)
-    x_t = paths[t - 1]
-    rows = SUM_ROWS if paths.shape[1] > 1 else n
-    buffer = np.empty((min(rows, n), paths.shape[1]))
-    sums = fspec(paths[:rows], x_t[None, :], buffer).sum(axis=0)
-    for start in range(rows, n, rows):
-        chunk = fspec(paths[start:start + rows], x_t[None, :], buffer[:n - start])
-        chunk[0] += sums
-        chunk.sum(axis=0, out=sums)
+    rows = SUM_ROWS if len(indices) > 1 else n
+    sums = None
+
+    def add(states: np.ndarray) -> None:  # f over the rows of `states`, into the running sums
+        nonlocal sums
+        for start in range(0, len(states), rows):
+            chunk = states[start:start + rows]
+            fspec(chunk, x_t[None, :], chunk)
+            if sums is not None:
+                chunk[0] += sums
+            sums = chunk.sum(axis=0, out=sums)
+
+    x_t = None
+    if len(indices) > 1 and n > _bounding_rows(process.a):
+        saved = rng.bit_generator.state
+        x_t = _coupled_state(process, process.burn_in + t - 1, len(indices), rng)
+        rng.bit_generator.state = saved
+    if x_t is None:
+        paths = _simulate_chain_columns(process, n, indices, rng)
+        x_t = paths[t - 1].copy()
+        add(paths)
+    else:
+        _simulate_chain_columns(process, n, indices, rng, sink=add)
     return sums - n * fspec.center(x_t)
 
 

@@ -53,11 +53,17 @@ class FiniteJointDistribution:
         total = float(joint.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"joint mass is {total!r}, not 1 within {MASS_TOL}")
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "marginal_x", joint.sum(axis=1))
-        object.__setattr__(self, "marginal_y", joint.sum(axis=0))
-        object.__setattr__(self, "product", np.outer(self.marginal_x, self.marginal_y))
-        object.__setattr__(self, "deviation", joint - self.product)
+        self.__dict__.update(FiniteJointDistribution._derive(joint).__dict__)
+
+    @classmethod
+    def _derive(cls, joint: np.ndarray) -> "FiniteJointDistribution":
+        """The law of `joint`, a float table of a law already checked (a
+        validated chain's pi P^n), built without running the checks again."""
+        law, marginal_x, marginal_y = object.__new__(cls), joint.sum(axis=1), joint.sum(axis=0)
+        product = np.outer(marginal_x, marginal_y)
+        law.__dict__.update(joint=joint, marginal_x=marginal_x, marginal_y=marginal_y,
+                            product=product, deviation=joint - product)
+        return law
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -110,11 +116,12 @@ class FiniteChain:
         return cls(transition)
 
     def lag_joint(self, n: int) -> FiniteJointDistribution:
-        """Exact joint law of (X_0, X_n) under stationarity: pi(x) P^n(x, y)."""
+        """Exact joint law of (X_0, X_n) under stationarity: pi(x) P^n(x, y),
+        of the chain's checked P and pi, so it is not checked again."""
         if n < 1:
             raise ValidationError("lag must be >= 1")
         pn = np.linalg.matrix_power(self.transition, n)
-        return FiniteJointDistribution(self.stationary[:, None] * pn)
+        return FiniteJointDistribution._derive(self.stationary[:, None] * pn)
 
 
 @dataclass(frozen=True)

@@ -380,62 +380,89 @@ def simulate_contractive_chain(spec: ContractiveChainSpec, n: int, seed: Seed) -
 
 
 def _simulate_chain_columns(
-    spec: ContractiveChainSpec, n: int, seeds: Sequence[int], rng: np.random.Generator
-) -> np.ndarray:
-    """One path per entry of `seeds` (a block's replication indices), stacked
-    as columns of an (n, len(seeds)) array.
+    spec: ContractiveChainSpec, n: int, seeds: Sequence[int], rng: np.random.Generator,
+    sink: Optional[Callable[[np.ndarray], None]] = None,
+) -> Optional[np.ndarray]:
+    """One path per entry of `seeds` (a block's replication indices), as the
+    columns of an (n, len(seeds)) array; or, given a `sink`, passed to it in
+    row order one chunk of rows at a time, and None returned.
 
     Column j is x_t = psi(x_{t-1}) + eps_t from x_0 = x0, keeping
     x_burn_in, ..., x_{burn_in + n - 1}. The innovations come from `rng` in
-    row order. The burn-in steps before the kept rows are drawn and advanced
-    in one buffer of BURN_ROWS rows, of which only the state row is carried
-    on. The kept rows (n - 1 after a copied x0 row when burn_in = 0) are
-    drawn into the result itself, which the recursion overwrites with the
-    states: uniform and "none" rows BURN_ROWS at a time, each block advanced
-    while it is still in cache, and truncated-Gaussian rows, or a single
-    column (which steps as a scalar recursion), in one draw. So a block holds
-    its n kept rows and one burn-in buffer. Uniform and "none"
-    fills take their values in order, so the blocks leave their paths those
-    of one whole draw; a rejection sampler's paths depend on the split.
+    row order. Only the state row of the burn-in is carried on, and most of
+    a long one is not drawn at all (_chain_state, _coupled_state). The kept
+    rows (n - 1 after the x0 row when burn_in = 0) are drawn where the
+    recursion then writes their states: uniform and "none" rows BURN_ROWS at
+    a time, each chunk advanced while it is still in cache, and
+    truncated-Gaussian rows, or a single column (which steps as a scalar
+    recursion), in one draw. Uniform and "none" fills take their values in
+    order, so the chunks leave their paths those of one whole draw; a
+    rejection sampler's paths depend on the split.
 
-    Most of a long uniform burn-in under a linear or clipped-linear map is not
-    drawn (_burn_in_skip). The columns share one generator, so if a pair of
-    bounds does not meet, the block puts it back and draws the whole burn-in.
-    Truncated-Gaussian draws take a random number of outputs, and
-    sine-perturbed maps are not shown monotone in floating point: neither
-    skips.
+    Without a sink the chunks are slices of the result. With one, each is
+    drawn into one buffer and passed to the sink, which may overwrite it but
+    not keep it: the next chunk is drawn over it. So a streamed block holds
+    one chunk, not n rows.
     """
     if n < 1:
         raise ValidationError("path length must be >= 1")
     width = len(seeds)
-    step = (spec.a, None if spec.map == "linear" else spec.apply_map)
     burn = max(spec.burn_in - 1, 0)  # steps before the draw that yields x_burn_in
-    buffer = np.empty((min(BURN_ROWS, burn), width))
-
-    def run(x: np.ndarray, rows: int) -> np.ndarray:  # x after the next `rows` burn-in rows
-        for start in range(0, rows, BURN_ROWS):
-            eps = _draw_innovations(spec, rng, buffer[:min(BURN_ROWS, rows - start)])
-            x = _advance_chain(x, eps if len(x) == width else np.tile(eps, 2), *step)[-1].copy()
-        return x
-
-    skip, bound = (_burn_in_skip(burn, spec.a, spec.x0, spec.state_bound(), [rng.bit_generator])
-                   if spec.innovation == "uniform" and spec.map != "sine-perturbed" else (0, 0.0))
-    if skip:
-        saved = rng.bit_generator.state
-        rng.bit_generator.advance(skip * width)
-        x, met = _bounds_meet(run(np.repeat([-bound, bound], width), burn - skip))
-        if not met.all():
-            rng.bit_generator.state = saved
-            skip = 0
-    if not skip:
-        x = run(np.full(width, spec.x0), burn)
-    paths = np.empty((n, width))
-    lead = int(spec.burn_in == 0)  # x0 itself is kept
-    paths[:lead] = x
+    x = _coupled_state(spec, burn, width, rng)
+    if x is None:
+        x = _chain_state(spec, burn, np.full(width, spec.x0), rng)
     rows = BURN_ROWS if width > 1 and spec.innovation != "truncated-gaussian" else n
-    for start in range(lead, n, rows):
-        x = _advance_chain(x, _draw_innovations(spec, rng, paths[start:start + rows]), *step)[-1]
-    return paths
+    # the result, or with a sink the buffer of the one chunk it is given
+    paths = np.empty((n, width) if sink is None else (min(rows, n), width))
+    step = (spec.a, None if spec.map == "linear" else spec.apply_map)
+    if spec.burn_in == 0:  # x0 itself is kept, as a chunk of one row
+        paths[0] = x
+        if sink is not None:
+            sink(paths[:1])
+    for start in range(int(spec.burn_in == 0), n, rows):
+        out = paths[start:start + rows] if sink is None else paths[:n - start]
+        x = _advance_chain(x, _draw_innovations(spec, rng, out), *step)[-1].copy()
+        if sink is not None:
+            sink(out)
+    return paths if sink is None else None
+
+
+def _chain_state(spec: ContractiveChainSpec, rows: int, x: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The states after the next `rows` innovation rows of `rng` from x, a
+    row of states or a (2, width) pair of bounding chains that both run
+    through each innovation row, with _advance_chain's step fl(psi(x) + eps).
+    The rows are drawn BURN_ROWS at a time."""
+    buffer = np.empty((min(BURN_ROWS, rows), x.shape[-1]))
+    for start in range(0, rows, BURN_ROWS):
+        for row in _draw_innovations(spec, rng, buffer[:min(BURN_ROWS, rows - start)]):
+            x = spec.apply_map(x) + row
+    return x
+
+
+def _coupled_state(spec: ContractiveChainSpec, rows: int, width: int,
+                   rng: np.random.Generator) -> Optional[np.ndarray]:
+    """The states of `width` columns after `rows` innovation rows from x0,
+    by coupling from the past (_burn_in_skip): the generator skips all but
+    the last K rows, and chains from -S and S run through those. The
+    generator is left after the rows. None, with the generator as it was,
+    when the chain does not skip or any pair of bounds does not meet: the
+    columns share one generator. Truncated-Gaussian draws take a random
+    number of outputs, and sine-perturbed maps are not shown monotone in
+    floating point: neither skips."""
+    if spec.innovation != "uniform" or spec.map == "sine-perturbed":
+        return None
+    skip, bound = _burn_in_skip(rows, spec.a, spec.x0, spec.state_bound(), [rng.bit_generator])
+    if not skip:
+        return None
+    saved = rng.bit_generator.state
+    rng.bit_generator.advance(skip * width)
+    pair = _chain_state(spec, rows - skip, np.repeat([[-bound], [bound]], width, axis=1), rng)
+    x, met = _bounds_meet(pair.ravel())
+    if met.all():
+        return x
+    rng.bit_generator.state = saved
+    return None
 
 
 def _bounding_rows(a: float) -> float:
@@ -733,7 +760,9 @@ def transfer_chain(spec: ContractiveChainSpec) -> tuple[np.ndarray, np.ndarray, 
     1976): the edges of TRANSFER_CELLS equal cells of [-S, S], S the state
     bound, the CDF at the edges of the stationary law, uniform within each
     cell, and the finite chain of the cells reachable from the cell of 0
-    (the rest would leave it reducible). Row i of its transition matrix is
+    (the rest would leave it reducible), of which there must be 2 or more: a
+    near-unit-root chain's S can make the cells far wider than the
+    innovation (a DomainError). Row i of its transition matrix is
     P(psi(x) + eps in cell j), from the innovation's CDF, averaged over the
     midpoints x of TRANSFER_POINTS equal parts of cell i; the outer cells
     take the mass beyond [-S, S]. The arrays are read-only: the callers of
@@ -756,6 +785,12 @@ def transfer_chain(spec: ContractiveChainSpec) -> tuple[np.ndarray, np.ndarray, 
             below += 0.5 + 0.5 * erf.astype(float) / math.erf(spec.trunc / scale)
     rows = np.diff(below / TRANSFER_POINTS, prepend=0.0, append=1.0)
     keep = _reachable(rows > 0)[np.searchsorted(edges, 0.0, "right") - 1]
+    if keep.sum() < 2:  # one cell is a constant chain: beta would read 0, centring 1
+        raise DomainError(
+            f"field 'process.a': at a = {spec.a} the cells are 2S/{TRANSFER_CELLS} = "
+            f"{2.0 * span / TRANSFER_CELLS:.4g} wide against an innovation of width "
+            f"{2.0 * spec.innovation_bound():.4g}, so only {keep.sum()} of the "
+            f"{TRANSFER_CELLS} cells is reachable; the transfer operator needs 2 or more")
     chain = FiniteChain(rows[np.ix_(keep, keep)])
     cdf = np.cumsum(np.bincount(np.flatnonzero(keep) + 1, chain.stationary, TRANSFER_CELLS + 1))
     for array in (edges, cdf, chain.transition, chain.stationary):

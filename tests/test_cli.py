@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -27,6 +28,17 @@ FAST_MIXING = ["--set", "mixing.joints=15", "--set", "mixing.chains=8"]
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def ci_concentration_rows():
+    """(name, CLI arguments) of every concentration row of the worker-invariance
+    step of the tier1 workflow: `same_at_workers <name> $conc [flag ...]`."""
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+    text = workflow.read_text().replace("\\\n", " ")
+    conc = shlex.split(re.search(r'conc="([^"]*)"', text).group(1))
+    rows = [line.split() for line in text.splitlines()]
+    return [(words[1], conc + words[3:]) for words in rows
+            if words[:1] == ["same_at_workers"] and words[2] == "$conc"]
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
@@ -606,6 +618,21 @@ class TestDeterminism:
         monkeypatch.setattr(processes, "_burn_in_skip", lambda *args: (0, math.nan))
         assert run("full") == body
 
+    @pytest.mark.parametrize("name, argv", ci_concentration_rows(),
+                             ids=[name for name, _ in ci_concentration_rows()])
+    def test_streamed_blocks_write_the_whole_path_reports(self, tmp_path, monkeypatch,
+                                                          name, argv):
+        # each concentration row of CI's worker-invariance table, once as it
+        # runs and once with every block kept whole
+        def bodies(out):
+            assert run_cli(*argv, "--seed", "5", "--workers", "1", "--output", str(out)) == 0
+            return {csv: (out / csv).read_bytes()
+                    for csv in ("concentration_report.csv", "laplace_report.csv")}
+
+        streamed = bodies(tmp_path / "streamed")
+        monkeypatch.setattr(concentration, "_coupled_state", lambda *args: None)
+        assert bodies(tmp_path / "whole") == streamed
+
     def test_fkr_seeds_404_to_407_write_distinct_reports(self, tmp_path):
         # the former seed ^ index streams wrote one body for all four seeds
         bodies = set()
@@ -624,9 +651,9 @@ class TestDeterminism:
         starts = []
         simulate = processes._simulate_chain_columns
 
-        def recording(spec, n, seeds, rng):
+        def recording(spec, n, seeds, rng, **kwargs):
             starts.append(rng.bit_generator.state["state"]["state"])
-            return simulate(spec, n, seeds, rng)
+            return simulate(spec, n, seeds, rng, **kwargs)
 
         monkeypatch.setattr(processes, "_simulate_chain_columns", recording)
         monkeypatch.setattr(concentration, "_simulate_chain_columns", recording)
@@ -834,6 +861,20 @@ class TestLaplaceSection:
         err = capsys.readouterr().err
         assert code == 1
         assert "error: beta is 0 at every lag" in err and "i.i.d." in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_near_unit_root_chain_exits_1_naming_the_discretisation(self, tmp_path, capsys):
+        # a = 0.999999 leaves one reachable cell of the transfer operator, which
+        # would read as an i.i.d. chain
+        code = run_cli("concentration", "--seed", "3", "--reps", "100", "--output",
+                       str(tmp_path), "--set", "grid.n=50,100,200,400",
+                       "--set", "grid.epsilon=0.1", "--set", "grid.A=14",
+                       "--set", "process.a=0.999999")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: field 'process.a': at a = 0.999999 the cells are 2S/200 = 1e+04" in err
+        assert "innovation of width 2" in err and "i.i.d." not in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from betamix import concentration
+from betamix import concentration, processes
 from betamix.cli import emit_plotdata
 from betamix.concentration import (
     FSPEC_NAMES,
@@ -46,6 +47,7 @@ from betamix.errors import (
 from betamix.mixing import MixingDecayFit
 from betamix.processes import (
     ContractiveChainSpec,
+    _bounding_rows,
     _simulate_chain_columns,
     estimate_chain_mixing,
     transfer_chain,
@@ -719,6 +721,116 @@ class TestCenteredSums:
         assert peak <= n * width * 8 + 2 * SUM_ROWS * width * 8
 
 
+class TestStreamedSums:
+    """A block whose X_t couples from the past streams its paths through
+    _centered_sums; the oracle is the sum over the same block's whole path,
+    drawn from a generator of its own."""
+
+    K = 128  # _bounding_rows at |a| <= 0.6
+    CHAINS = [ContractiveChainSpec(a=0.5), ContractiveChainSpec(a=-0.6),
+              ContractiveChainSpec(map="clipped-linear", a=0.5, clip_at=0.5)]
+    IDS = ["linear", "negative-a", "clipped-linear"]
+
+    @staticmethod
+    def whole(fspec, chain, n, t, width):
+        """The whole-path sums of the block and its generator's end state."""
+        rng = keyed_rng(3, Stream.CHAIN_TAIL, n, 0)
+        paths = _simulate_chain_columns(chain, n, range(width), rng)
+        x_t = paths[t - 1]
+        return fspec(paths, x_t[None, :]).sum(axis=0) - n * fspec.center(x_t), \
+            rng.bit_generator.state
+
+    @staticmethod
+    def streamed(monkeypatch, fspec, chain, n, t, width):
+        """_centered_sums of the block, its generator's end state, and whether
+        X_t was found first."""
+        rngs, found = [], []
+        couple = concentration._coupled_state
+
+        def keyed(*args):
+            rngs.append(keyed_rng(*args))
+            return rngs[-1]
+
+        def recording(*args):
+            found.append(couple(*args))
+            return found[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(concentration, "keyed_rng", keyed)
+            patch.setattr(concentration, "_coupled_state", recording)
+            sums = _centered_sums((fspec, chain, 3, Stream.CHAIN_TAIL, n, t, range(width)))
+        return sums, rngs[0].bit_generator.state, any(x is not None for x in found)
+
+    def check(self, monkeypatch, chain, ns, ts, width):
+        assert _bounding_rows(chain.a) == self.K
+        fspec = make_fspec("odd-clip-damped", chain)
+        for n in ns:
+            for t in sorted({min(t, n) for t in ts(n)}):
+                want, want_state = self.whole(fspec, chain, n, t, width)
+                got, state, streamed = self.streamed(monkeypatch, fspec, chain, n, t, width)
+                np.testing.assert_array_equal(got, want)
+                assert state == want_state
+                # X_t couples once its burn_in - 1 + t rows leave more than K
+                assert streamed == (n > self.K and chain.burn_in - 1 + t > self.K)
+
+    @pytest.mark.parametrize("width", [2, 7])
+    @pytest.mark.parametrize("burn_in", [0, 1, 50, 1000])
+    @pytest.mark.parametrize("chain", CHAINS, ids=IDS)
+    def test_streamed_sums_are_the_whole_path_sums(self, monkeypatch, chain, burn_in, width):
+        k = self.K
+        self.check(monkeypatch, replace(chain, burn_in=burn_in),
+                   [k, k + 1, 3 * SUM_ROWS + 5, 2000],
+                   lambda n: [1, k - 1, k, k + 1, (n + 1) // 2, n], width)
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 50, 1000])
+    @pytest.mark.parametrize("chain", CHAINS, ids=IDS)
+    def test_streamed_block_of_1000_is_the_whole_path_sum(self, monkeypatch, chain, burn_in):
+        self.check(monkeypatch, replace(chain, burn_in=burn_in), [self.K + 1, 2000],
+                   lambda n: [self.K, n], 1000)
+
+    def test_bounds_apart_on_one_column_keep_the_whole_path(self, monkeypatch):
+        # at K = 58 the bounds of X_t meet on some columns of this block and
+        # not on others; the block then draws its whole path (burn_in - 1 < K:
+        # no burn-in skip either)
+        chain = ContractiveChainSpec(a=0.5, burn_in=50)
+        fspec = make_fspec("odd-clip-damped", chain)
+        n, width = 300, 7
+        want, want_state = self.whole(fspec, chain, n, n, width)
+        meets = []
+        meet = processes._bounds_meet
+
+        def recording(ends):
+            meets.append(meet(ends)[1])
+            return meet(ends)
+
+        monkeypatch.setattr(processes, "_bounding_rows", lambda a: 58)
+        monkeypatch.setattr(concentration, "_bounding_rows", lambda a: 58)
+        monkeypatch.setattr(processes, "_bounds_meet", recording)
+        got, state, streamed = self.streamed(monkeypatch, fspec, chain, n, n, width)
+        assert len(meets) == 1 and meets[0].any() and not meets[0].all()
+        assert not streamed
+        np.testing.assert_array_equal(got, want)
+        assert state == want_state
+
+    def test_streamed_block_peak_memory_does_not_grow_with_n(self):
+        # one (BURN_ROWS, width) buffer of rows, which f overwrites in place,
+        # and a few rows: the bounding pair, the states, the sums. A whole path
+        # holds n rows, and a (K, width) draw of X_t's coupling rows passes the
+        # bound
+        chain = ContractiveChainSpec(a=0.5, burn_in=1000)
+        fspec = make_fspec("odd-clip-damped", chain)
+        width = 1000
+        bound = 2 * SUM_ROWS * width * 8
+        for n in (2000, 16000):
+            tracemalloc.start()
+            try:
+                _centered_sums((fspec, chain, 3, Stream.CHAIN_TAIL, n, n, range(width)))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound < n * width * 8
+
+
 # the allocating form of each f, the oracle of the in-place one
 ALLOCATING_F = {
     "zero": lambda x, y: np.zeros(np.broadcast(x, y).shape),
@@ -754,6 +866,9 @@ class TestFSpecIntoBuffer:
             assert got is out
             assert got.tobytes() == want.tobytes()
             assert fspec(x, y).tobytes() == want.tobytes()
+            if x.shape == want.shape:  # over x itself, as _centered_sums evaluates it
+                x = x.copy()
+                assert fspec(x, y, x).tobytes() == want.tobytes()
 
     def test_pairs_half_apart_are_in_the_ball(self):
         fspec = make_fspec("ball-indicator", UNIFORM_CHAIN)

@@ -215,6 +215,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             FiniteJointDistribution(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
+    def test_non_matrix_table_rejected(self):
+        with pytest.raises(ValidationError, match="2-d"):
+            FiniteJointDistribution(np.array([0.5, 0.5]))
+
     def test_marginals_are_row_column_sums(self):
         rng = np.random.default_rng(3)
         joint = random_joint(rng, 4, 2)
@@ -326,6 +330,20 @@ class TestMarkovBetaLag:
             pn = np.linalg.matrix_power(TWO_STATE, n)
             explicit = FiniteJointDistribution(chain.stationary[:, None] * pn)
             assert abs(markov_beta_lag(chain, n) - beta_exact(explicit)) < 1e-13
+
+    @pytest.mark.parametrize("states", [2, 3, 7, 16])
+    def test_lag_joint_is_the_checked_law_bit_for_bit(self, states):
+        # lag_joint skips the constructor's checks of a validated chain's pi P^n
+        rng = np.random.default_rng(states)
+        for _ in range(5):
+            chain = FiniteChain.from_transition(random_transition(rng, states))
+            for n in (1, 2, 5):
+                got = chain.lag_joint(n)
+                want = FiniteJointDistribution(
+                    chain.stationary[:, None] * np.linalg.matrix_power(chain.transition, n))
+                assert type(got) is FiniteJointDistribution
+                for name in ("joint", "marginal_x", "marginal_y", "product", "deviation"):
+                    assert_array_equal(getattr(got, name), getattr(want, name), strict=True)
 
     def test_lazy_chain_monotone_in_lag(self):
         rng = np.random.default_rng(5)

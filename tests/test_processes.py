@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -550,6 +551,29 @@ class TestTransferChain:
         assert max(markov_beta_lag(chain, k) for k in range(1, 6)) < 1e-12
         with pytest.raises(FitError, match="beta is 0 at every lag"):
             estimate_chain_mixing(spec)
+
+    @pytest.mark.parametrize("spec, width", [
+        (ContractiveChainSpec(a=0.999999), "1e+04"),
+        (ContractiveChainSpec(a=0.9999), "100"),
+        (ContractiveChainSpec(a=0.9999, innovation="truncated-gaussian", trunc=1.0), "100"),
+    ], ids=["a=0.999999", "a=0.9999", "truncated-gaussian"])
+    def test_near_unit_root_with_one_reachable_cell_is_rejected(self, spec, width):
+        # S = 1 / (1 - |a|) spreads the 200 cells far wider than the innovation's
+        # reach of 2, so only the cell of 0 is left: a chain of one state would
+        # read beta = 0 at every lag and centre ball-indicator at 1
+        message = re.escape(f"field 'process.a': at a = {spec.a} the cells are 2S/200 = {width} "
+                            "wide against an innovation of width 2, so only 1 of the 200 cells")
+        with pytest.raises(DomainError, match=message):
+            transfer_chain(spec)
+        with pytest.raises(DomainError, match=message):
+            estimate_chain_mixing(spec)
+        with pytest.raises(DomainError, match=message):
+            make_fspec("ball-indicator", spec)
+
+    def test_near_unit_root_with_reachable_cells_is_discretised(self):
+        # at a = 0.999 the cells are 10 wide: 76 of them are in reach
+        _, _, chain = transfer_chain(ContractiveChainSpec(a=0.999))
+        assert chain.n_states == 76
 
     def test_chain_without_innovation_density_is_rejected(self):
         with pytest.raises(DomainError, match="field 'process.innovation'"):
