@@ -13,20 +13,14 @@ Schema (defaults in parentheses; -- means required):
     suite              mixing | concentration | fkr | verify-all   (--)
     seed               unsigned 64-bit integer                      (--)
     reps               replications; >= 100 for MC suites  (suite-specific)
-    output             report directory      ($BETAMIX_OUTPUT_DIR or cwd)
+    output             report directory ($BETAMIX_OUTPUT_DIR, else betamix-out)
     workers            worker processes                              (1)
 
     process.kind       contractive-chain for concentration, far1 for fkr;
                        any other value is an error          (the suite's)
-    process.map        linear | clipped-linear | sine-perturbed  (linear)
-    process.a .b .clip_at                       (0.5, 0.0, 1.0)
-    process.innovation uniform | truncated-gaussian | none      (uniform)
-    process.halfwidth .sigma .trunc             (1.0, 1.0, 3.0)
-    process.burn_in                             (1000)
-    process.kernel     separable | gaussian-bump             (separable)
-    process.rho .bump_width .noise_scale .noise_terms
-                                                (0.5, 0.15, 0.3, 8)
-    process.initial    zero | eigenfunction                     (zero)
+    process.<field>    every field of processes.ContractiveChainSpec
+                       (concentration) and processes.Far1Spec (fkr) but
+                       x0, read as its default's type       (the field's)
 
     fspec              zero | first | odd-clip | odd-clip-damped |
                        sine-product | ball-indicator     (odd-clip-damped)
@@ -54,7 +48,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -66,23 +60,17 @@ from .regression import MIN_REFERENCE_CURVES, KernelSpec
 
 _SUITE_PROCESS = {"concentration": "contractive-chain", "fkr": "far1"}
 
+
+def _spec_fields(spec: type) -> tuple:
+    """The fields of a process spec that a config sets: all but x0, the start
+    state that only the library sets."""
+    return tuple(f for f in fields(spec) if f.name != "x0")
+
+
 _DEFAULTS = {
     "process.kind": None,
-    "process.map": "linear",
-    "process.a": "0.5",
-    "process.b": "0.0",
-    "process.clip_at": "1.0",
-    "process.innovation": "uniform",
-    "process.halfwidth": "1.0",
-    "process.sigma": "1.0",
-    "process.trunc": "3.0",
-    "process.burn_in": "1000",
-    "process.kernel": "separable",
-    "process.rho": "0.5",
-    "process.bump_width": "0.15",
-    "process.noise_scale": "0.3",
-    "process.noise_terms": "8",
-    "process.initial": "zero",
+    **{f"process.{f.name}": str(f.default) for spec in (ContractiveChainSpec, Far1Spec)
+       for f in _spec_fields(spec)},
     "fspec": "odd-clip-damped",
     "t_rule": "last",
     "grid.n": "",
@@ -207,8 +195,12 @@ class ExperimentConfig:
     mixing_max_states: int = 0
 
 
-def _process_values(r: dict[str, str], parse, names: tuple[str, ...]) -> dict:
-    return {name: parse(r[f"process.{name}"], f"process.{name}") for name in names}
+def _spec(spec: type, r: dict[str, str]):
+    """The process spec of the process.<field> keys, each parsed by the type
+    of the field's default."""
+    parse = {str: lambda raw, _: raw, float: _to_float, int: _to_int}
+    return spec(**{f.name: parse[type(f.default)](r[f"process.{f.name}"], f"process.{f.name}")
+                   for f in _spec_fields(spec)})
 
 
 def _n_points(r: dict[str, str], suite: str) -> tuple[tuple[int, int], ...]:
@@ -230,12 +222,7 @@ def _optional_positive(r: dict[str, str], key: str) -> Optional[float]:
 
 
 def _concentration_fields(r: dict[str, str]) -> dict:
-    process = ContractiveChainSpec(
-        map=r["process.map"],
-        innovation=r["process.innovation"],
-        **_process_values(r, _to_float, ("a", "b", "clip_at", "halfwidth", "sigma", "trunc")),
-        **_process_values(r, _to_int, ("burn_in",)),
-    )
+    process = _spec(ContractiveChainSpec, r)
     if r["fspec"] not in FSPEC_NAMES:
         raise ConfigError(
             f"field 'fspec': unsupported value {r['fspec']!r}; choose from {FSPEC_NAMES}"
@@ -278,12 +265,7 @@ def _psi_spec(name: str, process: Far1Spec, grid_size: int) -> PsiSpec:
 
 
 def _fkr_fields(r: dict[str, str]) -> dict:
-    process = Far1Spec(
-        kernel=r["process.kernel"],
-        initial=r["process.initial"],
-        **_process_values(r, _to_float, ("rho", "bump_width", "noise_scale")),
-        **_process_values(r, _to_int, ("noise_terms", "burn_in")),
-    )
+    process = _spec(Far1Spec, r)
     grid_size = _to_int(r["grid_size"], "grid_size")
     if grid_size < 8:
         raise ConfigError("field 'grid_size': must be >= 8")
@@ -342,29 +324,25 @@ def resolve_config(
             raise ConfigError(f"field {key!r}: unknown key")
         merged[key] = value
 
-    suite = merged.get("suite", "")
+    suite = merged["suite"]
     if suite not in SUITES:
         raise ConfigError(f"field 'suite': expected one of {SUITES}, got {suite!r}")
 
-    seed_raw = merged.get("seed", "")
-    if not seed_raw.strip():
+    if not merged["seed"].strip():
         raise ConfigError("field 'seed': required, no wall-clock default")
-    seed = _to_int(seed_raw, "seed")
+    seed = _to_int(merged["seed"], "seed")
     if not 0 <= seed < 2**64:
         raise ConfigError("field 'seed': must fit an unsigned 64-bit integer")
 
-    reps_raw = merged.get("reps", "")
-    if reps_raw.strip():
-        reps = _to_int(reps_raw, "reps")
+    if merged["reps"].strip():
+        reps = _to_int(merged["reps"], "reps")
     else:
         reps = _SUITE_DEFAULT_REPS.get(suite, 0)
     if suite in _SUITE_DEFAULT_REPS and reps < 100:
         raise ConfigError(f"field 'reps': MC suites need reps >= 100, got {reps}")
 
-    output = merged.get("output", "").strip() or os.environ.get(
-        "BETAMIX_OUTPUT_DIR", "betamix-out"
-    )
-    workers = _to_int(merged.get("workers", "1"), "workers")
+    output = merged["output"].strip() or os.environ.get("BETAMIX_OUTPUT_DIR", "betamix-out")
+    workers = _to_int(merged["workers"], "workers")
     if workers < 1:
         raise ConfigError("field 'workers': must be >= 1")
 

@@ -735,25 +735,6 @@ def make_regression_sample(
     return path._derive(responses=signal + noise)
 
 
-def _linear_quantile(values: np.ndarray, levels):
-    """np.quantile(values, levels) of a finite 1-D array at levels in [0, 1],
-    with its bits, from one np.partition of the order statistics it needs
-    (np.quantile partitions through np.unique, which imports numpy.ma). A
-    scalar level gives a float. NumPy's "linear" rule: the virtual index
-    (n - 1) level, the order statistics at its floor and the next index (both
-    the top one from n - 1 on, where NumPy's floor index reads -1), and its
-    lerp written out."""
-    last = values.size - 1
-    index = last * np.asarray(levels, dtype=float)
-    low = np.where(index < last, np.floor(index), -1).astype(int)
-    high = np.where(low >= 0, low + 1, -1)
-    part = np.partition(values, np.concatenate([low.ravel(), high.ravel()]))
-    a, b, t = part[low], part[high], index - low
-    diff = b - a
-    out = np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)
-    return float(out) if out.ndim == 0 else out
-
-
 @lru_cache(maxsize=8)
 def transfer_chain(spec: ContractiveChainSpec) -> tuple[np.ndarray, np.ndarray, FiniteChain]:
     """Ulam's discretisation of the chain's transition kernel (Ulam 1960; Li
@@ -802,8 +783,16 @@ def estimate_chain_mixing(spec: ContractiveChainSpec, lags: Sequence[int] = (1, 
     """Exponential-decay fit (kappa0, kappa1, R^2) of the exact lag
     coefficients beta(k), k in `lags`, of transfer_chain's chain on all its
     cells: the chain's own beta up to the discretisation, from no random
-    draw. A constant map gives i.i.d. states and beta = 0: a FitError."""
+    draw. A constant map gives i.i.d. states and beta = 0: a FitError. A
+    kappa1 of at most 1e-9, the fit's zero, is no decay (near a = -1 the
+    reachable cells can swap at every step): a DomainError."""
     _, _, chain = transfer_chain(spec)
     if (chain.transition == chain.transition[0]).all():
         raise FitError("beta is 0 at every lag: a constant map gives i.i.d. states, no decay")
-    return fit_geometric_decay(list(lags), [markov_beta_lag(chain, lag) for lag in lags])
+    fit = fit_geometric_decay(list(lags), [markov_beta_lag(chain, lag) for lag in lags])
+    if fit.kappa1 <= 1e-9:
+        raise DomainError(
+            f"field 'process.a': at a = {spec.a} the beta of the {chain.n_states} reachable "
+            f"cells does not decay over lags {list(lags)} (fitted kappa1 = {fit.kappa1:.3g}), "
+            "so the chain has no mixing rate to fit")
+    return fit

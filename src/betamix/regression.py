@@ -24,7 +24,6 @@ from .processes import (
     Far1Spec,
     FunctionalPath,
     PsiSpec,
-    _linear_quantile,
     far1_scores,
     make_psi,
     make_regression_sample,
@@ -214,6 +213,23 @@ def m_constant(kernel: KernelSpec, tau: Callable[[np.ndarray], np.ndarray]) -> f
     if m_value <= 0:
         raise ModelViolationError(f"kernel constant M = {m_value} is not positive")
     return m_value
+
+
+def _linear_quantile(values: np.ndarray, level: float) -> float:
+    """np.quantile(values, level) of a finite 1-D array at a level in [0, 1],
+    with its bits, from one np.partition of the two order statistics it needs
+    (np.quantile partitions through np.unique, which imports numpy.ma).
+    NumPy's "linear" rule: the virtual index (n - 1) level, the order
+    statistics at its floor and the next index (both the top one from n - 1
+    on, where NumPy's floor index reads -1), and its lerp written out."""
+    last = values.size - 1
+    index = last * float(level)
+    low = math.floor(index) if index < last else -1
+    high = low + 1 if low >= 0 else -1
+    part = np.partition(values, [low, high])
+    a, b, t = part[low], part[high], index - low
+    diff = b - a
+    return float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
 
 
 def bandwidth_schedule(n: int, theta: float, pilot_distances: np.ndarray) -> float:

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from betamix import cli, concentration, processes, seeding
 from betamix.cli import emit_plotdata, main
 from betamix.config import KNOWN_KEYS, SUITES, parse_config_text, resolve_config
 from betamix.errors import ConfigError, FitError
+from betamix.processes import ContractiveChainSpec, Far1Spec
 from betamix.regression import ForecastSummary
 
 FAST_MIXING = ["--set", "mixing.joints=15", "--set", "mixing.chains=8"]
@@ -187,6 +189,28 @@ class TestConfigParsing:
     def test_bad_suite_rejected(self):
         with pytest.raises(ConfigError, match="suite"):
             resolve_config({"suite": "everything", "seed": "1"})
+
+    def test_process_keys_are_the_spec_fields_and_the_kind(self):
+        # x0, the start state, is set by library callers only
+        spec_keys = {f"process.{f.name}" for spec in (ContractiveChainSpec, Far1Spec)
+                     for f in fields(spec) if f.name != "x0"}
+        assert {k for k in KNOWN_KEYS if k.startswith("process.")} == spec_keys | {"process.kind"}
+
+    @pytest.mark.parametrize("suite, spec", [("concentration", ContractiveChainSpec()),
+                                             ("fkr", Far1Spec())])
+    def test_no_process_keys_give_the_default_spec(self, suite, spec):
+        mapping = {"suite": suite, "seed": "1", "grid.n": "100,200", "grid.epsilon": "0.1"}
+        assert resolve_config(mapping).process == spec
+
+    def test_specs_agree_on_the_default_of_every_shared_key(self):
+        chain, far1 = ContractiveChainSpec(), Far1Spec()
+        shared = {f.name for f in fields(chain)} & {f.name for f in fields(far1)}
+        assert shared == {"burn_in"}
+        assert all(getattr(chain, name) == getattr(far1, name) for name in shared)
+
+    def test_output_defaults_to_betamix_out(self, monkeypatch):
+        monkeypatch.delenv("BETAMIX_OUTPUT_DIR", raising=False)
+        assert resolve_config({"suite": "mixing", "seed": "1"}).output == "betamix-out"
 
     def test_bad_t_rule_rejected(self):
         mapping = {"suite": "fkr", "seed": "0", "grid.n": "120,240", "t_rule": "everywhere",
@@ -875,6 +899,21 @@ class TestLaplaceSection:
         assert code == 1
         assert "error: field 'process.a': at a = 0.999999 the cells are 2S/200 = 1e+04" in err
         assert "innovation of width 2" in err and "i.i.d." not in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+    def test_periodic_chain_exits_1_naming_process_a(self, tmp_path, capsys):
+        # at a = -0.9999 the 2 reachable cells swap at every step: beta = 0.5 at
+        # every lag, whose flat fit would pass laplace_domination
+        code = run_cli("concentration", "--seed", "3", "--reps", "100", "--output",
+                       str(tmp_path), "--set", "grid.n=50,100,200,400",
+                       "--set", "grid.epsilon=0.1", "--set", "grid.A=14",
+                       "--set", "process.a=-0.9999")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: field 'process.a': at a = -0.9999 the beta of the 2 reachable" in err
+        assert "does not decay" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 

@@ -348,20 +348,6 @@ class TestContractiveChain:
         combined_se = np.sqrt(2 * var_mean)
         assert abs(values[:half].mean() - values[half:].mean()) < 4 * combined_se
 
-    @pytest.mark.parametrize("spec", [
-        ContractiveChainSpec(burn_in=100),
-        ContractiveChainSpec(map="clipped-linear", a=-0.6, burn_in=100),
-        ContractiveChainSpec(map="sine-perturbed", a=0.3, b=0.4, burn_in=100,
-                             innovation="truncated-gaussian"),
-    ], ids=["linear", "clipped-negative", "sine-tg"])
-    def test_bin_edges_have_the_bits_of_np_quantile(self, spec):
-        for seed in range(20):
-            values = simulate_contractive_chain(spec, 2000, seed)
-            for n_bins in (2, 4, 8, 12):
-                levels = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-                got = processes._linear_quantile(values.copy(), levels)
-                assert got.tobytes() == np.quantile(values, levels).tobytes(), (seed, n_bins)
-
     def test_unsupported_names_rejected(self):
         with pytest.raises(ConfigError):
             ContractiveChainSpec(map="cubic")
@@ -569,6 +555,21 @@ class TestTransferChain:
             estimate_chain_mixing(spec)
         with pytest.raises(DomainError, match=message):
             make_fspec("ball-indicator", spec)
+
+    def test_periodic_chain_near_a_of_minus_1_is_rejected(self):
+        # at a = -0.9999 the 2 reachable cells swap at every step, so beta = 0.5 at
+        # every lag and the fit's kappa1, rounding noise near 1e-17, would read as a rate
+        spec = ContractiveChainSpec(a=-0.9999)
+        _, _, chain = transfer_chain(spec)
+        assert chain.n_states == 2
+        assert [markov_beta_lag(chain, k) for k in range(1, 6)] == pytest.approx([0.5] * 5)
+        message = (r"field 'process.a': at a = -0\.9999 the beta of the 2 reachable cells "
+                   r"does not decay over lags \[1, 2, 3, 4, 5\] \(fitted kappa1 = ")
+        with pytest.raises(DomainError, match=message):
+            estimate_chain_mixing(spec)
+        # one step further from -1, 76 cells are in reach and their beta decays
+        fit = estimate_chain_mixing(ContractiveChainSpec(a=-0.999))
+        assert fit.kappa1 == pytest.approx(0.0282, abs=1e-4)
 
     def test_near_unit_root_with_reachable_cells_is_discretised(self):
         # at a = 0.999 the cells are 10 wide: 76 of them are in reach

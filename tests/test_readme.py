@@ -9,6 +9,8 @@ import re
 from pathlib import Path
 
 import betamix
+from betamix.config import parse_config_text, resolve_config
+from betamix.processes import ContractiveChainSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +39,12 @@ def test_python_blocks_import_only_exported_names():
     }
     assert imported
     assert imported <= set(betamix.__all__)
+
+
+def test_ini_example_parses_and_resolves():
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                          re.M | re.S)
+    config = resolve_config(parse_config_text(block))
+    assert config.suite == "concentration"
+    assert config.process == ContractiveChainSpec()
+    assert [a for a, _ in config.a_points] == [14.0, 20.0, 50.0, 100.0]

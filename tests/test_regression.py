@@ -17,7 +17,6 @@ from betamix.processes import (
     Far1Spec,
     FunctionalPath,
     PsiSpec,
-    _linear_quantile,
     make_psi,
     make_regression_sample,
     simulate_far1,
@@ -25,6 +24,7 @@ from betamix.processes import (
     uniform_grid,
 )
 from betamix.regression import (
+    _linear_quantile,
     FORECAST_BLOCK,
     KernelSpec,
     RegressionFit,
@@ -411,7 +411,8 @@ class TestBandwidthSchedule:
     @pytest.mark.parametrize("args, report", [
         (["fkr", "--reps", "100", "--set", "grid.n=100,200", "--set", "grid_size=16",
           "--set", "process.burn_in=50"], "fkr_report.csv"),
-        # grid.A runs the Laplace section's binned mixing fit
+        # grid.A adds the Laplace section, its transfer-operator mixing fit and
+        # its MC estimates, to the tail section
         (["concentration", "--reps", "100", "--set", "grid.n=50,100", "--set", "grid.epsilon=0.1",
           "--set", "grid.A=14", "--set", "process.burn_in=50"], "laplace_report.csv"),
         (["mixing", "--set", "mixing.joints=5", "--set", "mixing.chains=5"], "mixing_report.csv"),
