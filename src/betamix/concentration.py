@@ -26,7 +26,6 @@ from .seeding import Stream, keyed_rng, replicate
 
 REP_BLOCK = 1000          # replications per keyed generator; results depend
                           # on it, never on the worker count
-SUM_ROWS = 64             # path rows per evaluation of f in _centered_sums
 B_GRID_POINTS = 240
 B_GRID_LO = 1.0 + 1e-3
 B_GRID_HI = 1e6
@@ -305,35 +304,33 @@ def _centered_sums(args) -> np.ndarray:
     """sum_{k=1..n} f(X_k, X_t) - n E f(X_0, x)|_{x=X_t} per replication of
     one block, all its paths drawn from the block's generator of `stream`.
 
-    f is evaluated over SUM_ROWS rows of states at a time, in place, and the
-    chunks are added in row order, the order of a whole-array axis-0 sum: the
-    running sums go into a chunk's first row in place (fl(s + r0) =
-    fl(r0 + s)). A single column is summed whole: NumPy sums a lone column
-    pairwise.
+    f is evaluated in place over the rows of states it is handed, which are
+    summed over axis 0, the running sums going into their first row in
+    place (fl(s + r0) = fl(r0 + s)). Over two or more columns that is the
+    row order of a whole-array axis-0 sum; NumPy sums a lone column
+    pairwise within each hand-over.
 
-    The block first finds X_t by coupling from the past (_coupled_state),
-    before any row is drawn, and puts the generator back. Then its paths
-    stream: each chunk of kept rows is summed as _simulate_chain_columns
-    draws it, so the block holds one chunk whatever n is. It keeps its whole
-    (n, width) path, and copies X_t out of it, for one column, n <= K, or a
-    chain that does not couple within its burn_in - 1 + t rows.
+    A block with n > K first finds X_t by coupling from the past
+    (_coupled_state), before any row is drawn, and puts the generator back.
+    Then its paths stream: each chunk of kept rows is summed as
+    _simulate_chain_columns draws it, so the block holds one chunk whatever
+    n is. It keeps its whole (n, width) path, hands it over at once, and
+    copies X_t out of it, for n <= K or a chain that does not couple within
+    its burn_in - 1 + t rows.
     """
     fspec, process, seed, stream, n, t, indices = args
     rng = keyed_rng(seed, stream, n, indices.start // REP_BLOCK)
-    rows = SUM_ROWS if len(indices) > 1 else n
     sums = None
 
     def add(states: np.ndarray) -> None:  # f over the rows of `states`, into the running sums
         nonlocal sums
-        for start in range(0, len(states), rows):
-            chunk = states[start:start + rows]
-            fspec(chunk, x_t[None, :], chunk)
-            if sums is not None:
-                chunk[0] += sums
-            sums = chunk.sum(axis=0, out=sums)
+        fspec(states, x_t[None, :], states)
+        if sums is not None:
+            states[0] += sums
+        sums = states.sum(axis=0, out=sums)
 
     x_t = None
-    if len(indices) > 1 and n > _bounding_rows(process.a):
+    if n > _bounding_rows(process.a):
         saved = rng.bit_generator.state
         x_t = _coupled_state(process, process.burn_in + t - 1, len(indices), rng)
         rng.bit_generator.state = saved

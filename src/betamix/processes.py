@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -374,11 +373,6 @@ def _acceptance(x: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def simulate_contractive_chain(spec: ContractiveChainSpec, n: int, seed: Seed) -> np.ndarray:
-    """Length-n path after discarding the spec's burn-in prefix."""
-    return _simulate_chain_columns(spec, n, range(1), np.random.default_rng(seed))[:, 0]
-
-
 def _simulate_chain_columns(
     spec: ContractiveChainSpec, n: int, seeds: Sequence[int], rng: np.random.Generator,
     sink: Optional[Callable[[np.ndarray], None]] = None,
@@ -391,13 +385,12 @@ def _simulate_chain_columns(
     x_burn_in, ..., x_{burn_in + n - 1}. The innovations come from `rng` in
     row order. Only the state row of the burn-in is carried on, and most of
     a long one is not drawn at all (_chain_state, _coupled_state). The kept
-    rows (n - 1 after the x0 row when burn_in = 0) are drawn where the
-    recursion then writes their states: uniform and "none" rows BURN_ROWS at
-    a time, each chunk advanced while it is still in cache, and
-    truncated-Gaussian rows, or a single column (which steps as a scalar
-    recursion), in one draw. Uniform and "none" fills take their values in
-    order, so the chunks leave their paths those of one whole draw; a
-    rejection sampler's paths depend on the split.
+    rows (n - 1 after the x0 row when burn_in = 0) are drawn BURN_ROWS at a
+    time, whatever the width or the innovation, where the recursion then
+    writes their states, and each chunk is advanced while it is still in
+    cache. Uniform and "none" fills take their values in order, so the
+    chunks leave their paths those of one whole draw; a truncated-Gaussian
+    path is that of its rejection draws in BURN_ROWS-row pieces.
 
     Without a sink the chunks are slices of the result. With one, each is
     drawn into one buffer and passed to the sink, which may overwrite it but
@@ -411,16 +404,15 @@ def _simulate_chain_columns(
     x = _coupled_state(spec, burn, width, rng)
     if x is None:
         x = _chain_state(spec, burn, np.full(width, spec.x0), rng)
-    rows = BURN_ROWS if width > 1 and spec.innovation != "truncated-gaussian" else n
     # the result, or with a sink the buffer of the one chunk it is given
-    paths = np.empty((n, width) if sink is None else (min(rows, n), width))
+    paths = np.empty((n, width) if sink is None else (min(BURN_ROWS, n), width))
     step = (spec.a, None if spec.map == "linear" else spec.apply_map)
     if spec.burn_in == 0:  # x0 itself is kept, as a chunk of one row
         paths[0] = x
         if sink is not None:
             sink(paths[:1])
-    for start in range(int(spec.burn_in == 0), n, rows):
-        out = paths[start:start + rows] if sink is None else paths[:n - start]
+    for start in range(int(spec.burn_in == 0), n, BURN_ROWS):
+        out = paths[start:start + BURN_ROWS] if sink is None else paths[:n - start]
         x = _advance_chain(x, _draw_innovations(spec, rng, out), *step)[-1].copy()
         if sink is not None:
             sink(out)
@@ -512,27 +504,12 @@ def _advance_chain(x: np.ndarray, eps: np.ndarray, coef: float,
     """States x_1, ..., x_rows after x_0 = x, written over the innovation
     rows of `eps`: x_t = coef * x_{t-1} + eps[t - 1], or apply_map(x_{t-1})
     + eps[t - 1] when a map is given. The columns advance together, one row
-    per step, coef * x going to one scratch row. A single column of the
-    linear step runs as the scalar recursion of _ar1_path, which performs
-    the identical multiply-add."""
-    if apply_map is None and eps.shape[1] == 1:
-        eps[:, 0] = _ar1_path(coef, eps[:, 0], float(x[0]))[1:]
-        return eps
+    per step, coef * x going to one scratch row."""
     prod = np.empty(eps.shape[1])
     for row in eps:
         row += np.multiply(coef, x, out=prod) if apply_map is None else apply_map(x)
         x = row
     return eps
-
-
-def _ar1_path(coef: float, drive: np.ndarray, start: float) -> np.ndarray:
-    """States y_0 = start, y_t = coef * y_{t-1} + drive[t-1] of a scalar AR(1).
-
-    Python floats round like float64, so the states are those of the same
-    recursion stepped in NumPy; one scalar step costs far less than a NumPy call.
-    """
-    steps = accumulate(drive.tolist(), lambda y, d: coef * y + d, initial=start)
-    return np.fromiter(steps, dtype=float, count=drive.size + 1)
 
 
 def _bump_operator(grid: np.ndarray, rho: float, width: float) -> np.ndarray:
@@ -636,7 +613,7 @@ def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.nda
             end, gen.state = gen.state, starts[j]
             drive = _far1_coeffs(spec, paths[j], coeffs) @ loading
             gen.state = end
-            scores[0, j] = _ar1_path(coef, drive[:first], c0)[-1]
+            scores[0, j] = _advance_chain(np.full(1, c0), drive[:first, None], coef)[-1, 0]
     _advance_chain(scores[0], scores[1:], coef)
     return scores, states
 

@@ -5,7 +5,9 @@ coefficients are recomputed by exhaustive enumeration of partitions, events,
 and subset pairs on small alphabets; truncation is the per-value scalar rule.
 The mean of n i.i.d. U(-1, 1) draws has an exact tail (Irwin-Hall, in
 rationals) and an exact Laplace transform, the ground truth of the MC
-estimators on the chain with a = 0, uniform halfwidth 1 and f = first.
+estimators on the chain with a = 0, uniform halfwidth 1 and f = first. At
+any a, the sum of a linear uniform chain's kept states is a weighted sum of
+its innovations, whose Laplace transform is a product of closed forms.
 """
 
 import functools
@@ -145,3 +147,22 @@ def uniform_mean_tail(n: int, epsilon: float) -> Fraction:
 def uniform_sum_laplace(length: int, gamma: float) -> float:
     """E exp(gamma (V_1 + ... + V_length)) for i.i.d. V ~ U(-1, 1): (sinh gamma / gamma)^length."""
     return (math.sinh(gamma) / gamma) ** length if gamma else 1.0
+
+
+def linear_uniform_sum_laplace(a: float, halfwidth: float, burn_in: int, n: int,
+                               gamma: float) -> float:
+    """E exp(gamma S) for S = x_burn_in + ... + x_{burn_in + n - 1} of the chain
+    x_t = a x_{t-1} + U_t from x_0 = 0, U_t i.i.d. U(-h, h), h = halfwidth.
+
+    S = sum_j c_j U_j over j = 1 .. hi = burn_in + n - 1, with c_j = a^(lo - j)
+    (1 - a^(hi - lo + 1)) / (1 - a) and lo = max(j, burn_in), so E exp(gamma S)
+    = prod_j sinh(gamma h c_j) / (gamma h c_j), summed here in logs; a factor
+    whose argument underflows to 0 is 1."""
+    hi = burn_in + n - 1
+    log_value = 0.0
+    for j in range(1, hi + 1):
+        lo = max(j, burn_in)
+        x = gamma * halfwidth * a ** (lo - j) * (1.0 - a ** (hi - lo + 1)) / (1.0 - a)
+        if x:
+            log_value += math.log(math.sinh(x) / x)
+    return math.exp(log_value)

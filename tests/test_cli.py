@@ -132,7 +132,7 @@ def test_package_exports_only_its_classes_and_functions():
         "empirical_tail_grid", "estimate_chain_mixing", "estimate_small_ball",
         "fit_geometric_decay", "ibragimov_check", "laplace_bound", "laplace_section",
         "m_constant", "make_fspec", "make_psi", "make_regression_sample", "markov_beta_lag",
-        "rate_argument", "rate_fit", "simulate_contractive_chain", "simulate_far1",
+        "rate_argument", "rate_fit", "simulate_far1",
         "trapezoid_weights", "truncate", "unbounded_bound", "uniform_grid",
     ]
     assert all(callable(getattr(betamix, name)) for name in betamix.__all__)
@@ -780,6 +780,21 @@ class TestLaplaceSection:
         assert len((tmp_path / "concentration_report.csv").read_text().splitlines()) == 5
         manifest = json.loads((tmp_path / "concentration_manifest.json").read_text())
         assert "error" in manifest["diagnostics"]["rate_fits"][0]
+
+    def test_negative_rate_slope_fails_its_check_with_no_bound(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a well-fitting line that rises with x_n: calibrate_corollary refuses it
+        monkeypatch.setattr(concentration, "rate_fit",
+                            lambda *args, **kwargs: concentration.RateFit(1.0, -0.5, 0.99))
+        code = run_cli("concentration", "--seed", "1", "--reps", "100", "--output",
+                       str(tmp_path), "--set", "grid.n=50,100,200,400",
+                       "--set", "grid.epsilon=0.05")
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[check] rate_fit(eps=0.05): FAIL (fitted rate slope is not positive" in out
+        rows = (tmp_path / "concentration_report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(math.isnan(float(row.split(",")[6])) for row in rows)
 
     def test_constants_on_the_grid_floor_are_flagged(self, tmp_path, monkeypatch):
         sets = ("--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05,0.1",

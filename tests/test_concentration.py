@@ -16,7 +16,6 @@ from betamix.cli import emit_plotdata
 from betamix.concentration import (
     FSPEC_NAMES,
     REP_BLOCK,
-    SUM_ROWS,
     MomentInputs,
     TailEstimate,
     calibrate_corollary,
@@ -46,6 +45,7 @@ from betamix.errors import (
 )
 from betamix.mixing import MixingDecayFit
 from betamix.processes import (
+    BURN_ROWS,
     ContractiveChainSpec,
     _bounding_rows,
     _simulate_chain_columns,
@@ -53,7 +53,12 @@ from betamix.processes import (
     transfer_chain,
 )
 from betamix.seeding import Stream, keyed_rng, replicate
-from oracles import truncate_scalar, uniform_mean_tail, uniform_sum_laplace
+from oracles import (
+    linear_uniform_sum_laplace,
+    truncate_scalar,
+    uniform_mean_tail,
+    uniform_sum_laplace,
+)
 
 mp.dps = 50
 
@@ -509,7 +514,8 @@ class TestExactUniformOracle:
 
     REPS = 20_000
     Z = 4.0
-    # n = 100 sums its paths in two SUM_ROWS chunks
+    # every n is at most K = 128, so each block sums its whole path at once;
+    # TestExactLinearOracle covers streamed blocks
     TAIL_CELLS = [(2, 0.1), (2, 0.55), (8, 0.3), (8, 0.55), (30, 0.1), (30, 0.3), (100, 0.1)]
 
     def test_oracle_reference_values(self):
@@ -540,6 +546,43 @@ class TestExactUniformOracle:
         length = math.floor(a)
         exact = uniform_sum_laplace(length, gamma)
         sd = math.sqrt(uniform_sum_laplace(length, 2.0 * gamma) - exact**2)
+        assert abs(est.value - exact) <= self.Z * sd / math.sqrt(self.REPS)
+
+
+class TestExactLinearOracle:
+    """On the tail-mc chain (linear, a = 0.5, uniform halfwidth 1, burn_in
+    1000) with f = first, the Laplace transform of S_A, the sum of the floor(A)
+    kept states, is the closed form of tests/oracles.py. Each estimate must
+    lie within Z standard deviations of it, the deviation taken at the exact
+    variance. A = 14 and 50 (n <= K = 128) sum a whole path; A = 200 finds
+    X_t by coupling from the past and streams its rows."""
+
+    CHAIN = ContractiveChainSpec(a=0.5, burn_in=1000)
+    REPS, Z = 20_000, 4.0
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 1.2])
+    @pytest.mark.parametrize("length", [1, 14, 50])
+    def test_at_a_zero_it_is_the_iid_transform(self, gamma, length):
+        exact = linear_uniform_sum_laplace(0.0, 1.0, 50, length, gamma)
+        assert math.isclose(exact, uniform_sum_laplace(length, gamma), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("length, gamma", [(14, 0.3), (50, 0.1), (200, 0.05)])
+    def test_laplace_estimates_match_the_exact_transform(self, monkeypatch, length, gamma):
+        streamed = []
+        simulate = concentration._simulate_chain_columns
+
+        def recording(*args, **kwargs):
+            streamed.append("sink" in kwargs)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(concentration, "_simulate_chain_columns", recording)
+        fspec = make_fspec("first", self.CHAIN)
+        (est,) = empirical_laplace(fspec, self.CHAIN, gamma, [(float(length), 1)],
+                                   reps=self.REPS, seed=3)
+        assert set(streamed) == {length > _bounding_rows(self.CHAIN.a)}
+        exact = linear_uniform_sum_laplace(0.5, 1.0, 1000, length, gamma)
+        sd = math.sqrt(linear_uniform_sum_laplace(0.5, 1.0, 1000, length, 2.0 * gamma)
+                       - exact**2)
         assert abs(est.value - exact) <= self.Z * sd / math.sqrt(self.REPS)
 
 
@@ -667,16 +710,28 @@ class TestCenteredSums:
         assert abs(est.value - float(want_values.mean())) <= 1e-15
 
     @pytest.mark.parametrize("name", FSPEC_NAMES)
-    @pytest.mark.parametrize("n", [1, SUM_ROWS - 1, SUM_ROWS, SUM_ROWS + 1, 3 * SUM_ROWS + 5])
+    @pytest.mark.parametrize("n", [1, BURN_ROWS - 1, BURN_ROWS, BURN_ROWS + 1,
+                                   3 * BURN_ROWS + 5])
     def test_chunked_sums_are_the_whole_path_sum(self, name, n):
+        # a block streams once n > K and X_t's burn_in - 1 + t rows pass K; a
+        # lone streamed column is then summed one BURN_ROWS-row piece at a
+        # time, the running sum added into the piece's first row
         fspec = make_fspec(name, self.CHAIN)
+        k = _bounding_rows(self.CHAIN.a)
         for width in (1, 7):
             for t in sorted({1, (n + 1) // 2, n}):
                 args = (fspec, self.CHAIN, self.SEED, Stream.CHAIN_TAIL, n, t, range(width))
                 rng = keyed_rng(self.SEED, Stream.CHAIN_TAIL, n, 0)
                 paths = _simulate_chain_columns(self.CHAIN, n, range(width), rng)
                 x_t = paths[t - 1]
-                want = fspec(paths, x_t[None, :]).sum(axis=0) - n * fspec.center(x_t)
+                f = fspec(paths, x_t[None, :])
+                streams = width == 1 and n > k and self.CHAIN.burn_in - 1 + t > k
+                sums = np.zeros(width)
+                for start in range(0, n, BURN_ROWS if streams else n):
+                    piece = f[start:start + BURN_ROWS] if streams else f
+                    piece[0] += sums
+                    sums = piece.sum(axis=0)
+                want = sums - n * fspec.center(x_t)
                 np.testing.assert_array_equal(_centered_sums(args), want)
 
     def test_block_peak_memory_is_one_innovation_draw(self):
@@ -706,7 +761,7 @@ class TestCenteredSums:
         assert peak <= 1.25 * n * width * 8
 
     def test_block_peak_memory_leaves_no_chunk_temporaries(self):
-        # the kept rows, then one reused (SUM_ROWS, width) buffer for f and a
+        # the kept rows, then one reused (BURN_ROWS, width) buffer for f and a
         # few rows: one more chunk-sized temporary would pass 2 buffers (a
         # bound of 1.05 (kept rows + 3 buffers) holds even with two of them)
         chain = ContractiveChainSpec(a=0.5, burn_in=1000)
@@ -718,7 +773,7 @@ class TestCenteredSums:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= n * width * 8 + 2 * SUM_ROWS * width * 8
+        assert peak <= n * width * 8 + 2 * BURN_ROWS * width * 8
 
 
 class TestStreamedSums:
@@ -779,7 +834,7 @@ class TestStreamedSums:
     def test_streamed_sums_are_the_whole_path_sums(self, monkeypatch, chain, burn_in, width):
         k = self.K
         self.check(monkeypatch, replace(chain, burn_in=burn_in),
-                   [k, k + 1, 3 * SUM_ROWS + 5, 2000],
+                   [k, k + 1, 3 * BURN_ROWS + 5, 2000],
                    lambda n: [1, k - 1, k, k + 1, (n + 1) // 2, n], width)
 
     @pytest.mark.parametrize("burn_in", [0, 1, 50, 1000])
@@ -820,7 +875,7 @@ class TestStreamedSums:
         chain = ContractiveChainSpec(a=0.5, burn_in=1000)
         fspec = make_fspec("odd-clip-damped", chain)
         width = 1000
-        bound = 2 * SUM_ROWS * width * 8
+        bound = 2 * BURN_ROWS * width * 8
         for n in (2000, 16000):
             tracemalloc.start()
             try:

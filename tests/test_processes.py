@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import fields, replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from betamix.processes import (
     Far1Spec,
     FunctionalPath,
     PsiSpec,
-    _ar1_path,
     _bounding_rows,
     _bump_operator,
     _draw_innovations,
@@ -31,7 +31,6 @@ from betamix.processes import (
     far1_scores,
     make_psi,
     make_regression_sample,
-    simulate_contractive_chain,
     simulate_far1,
     transfer_chain,
     trapezoid_weights,
@@ -85,28 +84,35 @@ def reference_draw(spec, rng, shape):
     return np.zeros(shape)
 
 
+def scalar_ar1(coef, drive, start):
+    """States y_0 = start, y_t = coef * y_{t-1} + drive[t-1] of a scalar AR(1),
+    stepped in Python floats, which round like float64."""
+    steps = accumulate(drive.tolist(), lambda y, d: coef * y + d, initial=start)
+    return np.fromiter(steps, dtype=float, count=drive.size + 1)
+
+
 def halving_spec(**kw):
     return ContractiveChainSpec(map="linear", a=0.5, innovation="none", burn_in=0, x0=1.0, **kw)
 
 
 class TestContractiveChain:
     def test_deterministic_contraction_is_exact(self):
-        path = simulate_contractive_chain(halving_spec(), 12, seed=0)
+        path = _simulate_chain_columns(halving_spec(), 12, range(1), np.random.default_rng(0))[:, 0]
         assert_array_equal(path, 2.0 ** -np.arange(12))
 
     def test_stationary_variance_matches_ar1_formula(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", halfwidth=1.0)
         n = 100_000
-        values = simulate_contractive_chain(spec, n, seed=2024)
+        values = _simulate_chain_columns(spec, n, range(1), np.random.default_rng(2024))[:, 0]
         target = (1.0 / 3.0) / (1.0 - 0.25)
         se = target * np.sqrt(2.0 / n * (1 + 0.25) / (1 - 0.25))
         assert abs(values.var() - target) < 3 * se
 
     def test_same_seed_identical_nearby_seed_differs(self):
         spec = ContractiveChainSpec(a=0.4, burn_in=5)
-        a = simulate_contractive_chain(spec, 50, seed=99)
-        b = simulate_contractive_chain(spec, 50, seed=99)
-        c = simulate_contractive_chain(spec, 50, seed=100)
+        a = _simulate_chain_columns(spec, 50, range(1), np.random.default_rng(99))[:, 0]
+        b = _simulate_chain_columns(spec, 50, range(1), np.random.default_rng(99))[:, 0]
+        c = _simulate_chain_columns(spec, 50, range(1), np.random.default_rng(100))[:, 0]
         assert_array_equal(a, b)
         assert np.any(a[:10] != c[:10])
 
@@ -124,18 +130,22 @@ class TestContractiveChain:
 
     @pytest.mark.parametrize("map_name", ["linear", "clipped-linear", "sine-perturbed"])
     def test_batch_columns_match_single_paths(self, map_name):
-        # column j is the recursion over column j of the block's single draw
+        # column j is the recursion over column j of the block's draws: the 6
+        # burn-in rows, then 150 kept rows in BURN_ROWS-row pieces; trunc =
+        # 2 sigma rejects about 5% of the normal proposals, so a truncated-
+        # Gaussian path is not that of one whole draw
         for innovation in ("truncated-gaussian", "uniform"):
             spec = ContractiveChainSpec(
                 map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
-                innovation=innovation, sigma=0.5, trunc=1.5, halfwidth=0.8, burn_in=7,
+                innovation=innovation, sigma=0.5, trunc=1.0, halfwidth=0.8, burn_in=7,
             )
-            batch = _simulate_chain_columns(spec, 40, range(3), np.random.default_rng(5))
-            eps = reference_draw(spec, np.random.default_rng(5), (46, 3))
-            assert_array_equal(batch, self._per_step_columns(spec, eps))
-            single = simulate_contractive_chain(spec, 40, 5)
-            eps = reference_draw(spec, np.random.default_rng(5), (46, 1))
-            assert_array_equal(single, self._per_step_columns(spec, eps)[:, 0])
+            for width in (3, 1):
+                got = _simulate_chain_columns(spec, 150, range(width), np.random.default_rng(5))
+                eps = self._chunked_draw(spec, 150, width, np.random.default_rng(5))
+                assert_array_equal(got, self._per_step_columns(spec, eps))
+                eps = reference_draw(spec, np.random.default_rng(5), (156, width))
+                whole = self._per_step_columns(spec, eps)
+                assert np.array_equal(got, whole) == (innovation == "uniform")
 
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("burn_in", [0, 1, 7])
@@ -230,11 +240,13 @@ class TestContractiveChain:
 
     @staticmethod
     def _chunked_draw(spec, n, width, rng):
-        """Reference draw order: the burn_in - 1 steps before the kept rows in
-        BURN_ROWS-row draws, then the rows of x_burn_in onwards in one draw."""
+        """Reference draw order: the burn_in - 1 steps before the kept rows,
+        then the rows of x_burn_in onwards (x_1 onwards when burn_in = 0),
+        each part in BURN_ROWS-row draws."""
         burn = max(spec.burn_in - 1, 0)
+        kept = spec.burn_in + n - 1 - burn
         sizes = [BURN_ROWS] * (burn // BURN_ROWS) + [burn % BURN_ROWS]
-        sizes.append(spec.burn_in + n - 1 - burn)
+        sizes += [BURN_ROWS] * (kept // BURN_ROWS) + [kept % BURN_ROWS]
         return np.concatenate([reference_draw(spec, rng, (rows, width)) for rows in sizes])
 
     @pytest.mark.parametrize("map_name", CHAIN_MAPS)
@@ -248,11 +260,11 @@ class TestContractiveChain:
             map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
             innovation="truncated-gaussian", sigma=1.0, trunc=1.0, burn_in=burn_in, x0=0.25,
         )
-        for n in (1, 40):
+        for n in (1, 40, 150):
             got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(8))
             eps = self._chunked_draw(spec, n, width, np.random.default_rng(8))
             assert_array_equal(got, self._two_array_states(spec, eps))
-            if burn_in > BURN_ROWS:
+            if burn_in > BURN_ROWS or n > BURN_ROWS:
                 whole = self._two_array_recursion(spec, n, width, np.random.default_rng(8))
                 assert not np.array_equal(got, whole)
 
@@ -324,7 +336,7 @@ class TestContractiveChain:
                                     burn_in=1000, x0=0.25)
         rng, want_rng = make_rng(), make_rng()
         got, rows = self._counted_rows(
-            monkeypatch, lambda: simulate_contractive_chain(spec, 30, rng))
+            monkeypatch, lambda: _simulate_chain_columns(spec, 30, range(1), rng)[:, 0])
         assert rows == 999 + 30
         assert_array_equal(got, self._two_array_recursion(spec, 30, 1, want_rng)[:, 0])
         assert end_state(rng) == end_state(want_rng)
@@ -342,7 +354,7 @@ class TestContractiveChain:
 
     def test_half_means_agree_under_stationarity(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=1000)
-        values = simulate_contractive_chain(spec, 100_000, seed=7)
+        values = _simulate_chain_columns(spec, 100_000, range(1), np.random.default_rng(7))[:, 0]
         half = len(values) // 2
         var_mean = (1.0 / 3.0) / (1 - 0.5) ** 2 / half
         combined_se = np.sqrt(2 * var_mean)
@@ -711,7 +723,7 @@ class TestFar1Scores:
     @staticmethod
     def _sequential_coords(spec, n, grid_size, rng):
         """Reference: one path drawn whole from `rng`, its scores run by
-        _ar1_path (separable) or its operator iterated curve by curve
+        scalar_ar1 (separable) or its operator iterated curve by curve
         (gaussian-bump)."""
         if spec.kernel == "gaussian-bump":
             return TestFar1._per_step_far1(spec, n, grid_size, rng)
@@ -726,7 +738,7 @@ class TestFar1Scores:
 
     @staticmethod
     def _sequential_scores(spec, n, grid_size, rng):
-        """Reference of a separable path: its kept scores, run by _ar1_path
+        """Reference of a separable path: its kept scores, run by scalar_ar1
         over the drive of one whole draw from `rng`, and its kept
         coefficient rows."""
         grid = uniform_grid(grid_size)
@@ -738,7 +750,7 @@ class TestFar1Scores:
         coeffs *= spec.noise_scale / modes
         phi_sq = float(wphi @ spec.eigenfunction(grid))
         start = 1.0 if spec.initial == "eigenfunction" else 0.0
-        c = _ar1_path(spec.rho * phi_sq, coeffs @ (basis @ wphi), start * phi_sq)
+        c = scalar_ar1(spec.rho * phi_sq, coeffs @ (basis @ wphi), start * phi_sq)
         kept = slice(max(spec.burn_in, 1) - 1, total - 1)
         return c[kept], coeffs[kept]
 
