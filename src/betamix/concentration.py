@@ -237,19 +237,13 @@ def _golden_section_log(func, lo: float, hi: float, rel_tol: float) -> tuple[flo
 
 
 # ---------------------------------------------------------------------------
-# Named aggregating functions f(x, y). All are bounded with a declared bound;
-# the odd-in-x ones are exactly centered (the supported chains have symmetric
-# stationary laws), ball-indicator under transfer_chain's stationary law.
+# Named aggregating functions f(x, y), each bounded with a declared bound and
+# varying in x. The odd-in-x ones are exactly centered (the supported chains
+# have symmetric stationary laws), ball-indicator by transfer_chain's law.
 # ---------------------------------------------------------------------------
-
-def _zero(x, y, out):
-    out.fill(0.0)
-    return out
-
 
 # each writes f(x, y) into `out`, an array of the broadcast shape, and returns it
 _F_FUNCS = {
-    "zero": _zero,
     "first": lambda x, y, out: np.multiply(x, 1.0, out=out),
     "odd-clip": lambda x, y, out: np.clip(x, -1.0, 1.0, out=out),  # x * 1 is x
     "odd-clip-damped": lambda x, y, out: np.divide(np.clip(x, -1.0, 1.0, out=out), 1.0 + y**2,

@@ -21,7 +21,7 @@ from .errors import ConfigError, DomainError, FitError, ValidationError
 from .mixing import FiniteChain, _reachable, fit_geometric_decay, markov_beta_lag
 
 CHAIN_MAPS = ("linear", "clipped-linear", "sine-perturbed")
-CHAIN_INNOVATIONS = ("uniform", "truncated-gaussian", "none")
+CHAIN_INNOVATIONS = ("uniform", "truncated-gaussian")
 FAR_KERNELS = ("separable", "gaussian-bump")
 PSI_NAMES = ("linear", "norm")
 Seed = Union[int, np.random.SeedSequence, np.random.Generator]
@@ -48,9 +48,8 @@ class ContractiveChainSpec:
 
     Supported maps: linear a*x, clipped-linear clip(a*x, +-clip_at), and
     sine-perturbed a*x + b*sin(x). Supported innovations: uniform on
-    [-halfwidth, halfwidth], truncated Gaussian (sd sigma, hard cutoff trunc),
-    and the degenerate "none" (deterministic; unit tests only, it violates the
-    absolutely-continuous-innovation condition for geometric mixing).
+    [-halfwidth, halfwidth] and truncated Gaussian (sd sigma, hard cutoff
+    trunc), both with the density that geometric mixing needs.
     """
 
     map: str = "linear"
@@ -105,9 +104,7 @@ class ContractiveChainSpec:
     def innovation_bound(self) -> float:
         if self.innovation == "uniform":
             return self.halfwidth
-        if self.innovation == "truncated-gaussian":
-            return self.trunc
-        return 0.0
+        return self.trunc
 
     def state_bound(self) -> float:
         """Almost-sure bound on |X_t| under stationarity (and from x0 = 0)."""
@@ -316,10 +313,7 @@ def _draw_innovations(spec: ContractiveChainSpec, rng: np.random.Generator,
     rejection draw, whose values depend on the blocks."""
     if spec.innovation == "uniform":
         return _uniform_fill(rng, spec.halfwidth, out)
-    if spec.innovation == "truncated-gaussian":
-        return _truncated_gaussian(spec.sigma, spec.trunc, rng, out)
-    out.fill(0.0)
-    return out
+    return _truncated_gaussian(spec.sigma, spec.trunc, rng, out)
 
 
 def _uniform_fill(rng: np.random.Generator, half: float, out: np.ndarray) -> np.ndarray:
@@ -388,9 +382,9 @@ def _simulate_chain_columns(
     rows (n - 1 after the x0 row when burn_in = 0) are drawn BURN_ROWS at a
     time, whatever the width or the innovation, where the recursion then
     writes their states, and each chunk is advanced while it is still in
-    cache. Uniform and "none" fills take their values in order, so the
-    chunks leave their paths those of one whole draw; a truncated-Gaussian
-    path is that of its rejection draws in BURN_ROWS-row pieces.
+    cache. Uniform fills take their values in order, so the chunks leave
+    their paths those of one whole draw; a truncated-Gaussian path is that
+    of its rejection draws in BURN_ROWS-row pieces.
 
     Without a sink the chunks are slices of the result. With one, each is
     drawn into one buffer and passed to the sink, which may overwrite it but
@@ -725,8 +719,6 @@ def transfer_chain(spec: ContractiveChainSpec) -> tuple[np.ndarray, np.ndarray, 
     midpoints x of TRANSFER_POINTS equal parts of cell i; the outer cells
     take the mass beyond [-S, S]. The arrays are read-only: the callers of
     a spec share them."""
-    if spec.innovation == "none":
-        raise DomainError("field 'process.innovation': 'none' has no density to discretise")
     span = spec.state_bound()
     if not math.isfinite(2.0 * span):
         raise DomainError(f"the state bound S = {span:.4g} overflows the cells of [-S, S]")

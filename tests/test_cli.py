@@ -1,10 +1,10 @@
 import ast
 import concurrent.futures
+import itertools
 import json
 import math
 import os
 import re
-import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -20,27 +20,18 @@ from hypothesis import strategies as st
 import betamix
 from betamix import cli, concentration, processes, seeding
 from betamix.cli import emit_plotdata, main
+from betamix.concentration import FSPEC_NAMES
 from betamix.config import KNOWN_KEYS, SUITES, parse_config_text, resolve_config
 from betamix.errors import ConfigError, FitError
-from betamix.processes import ContractiveChainSpec, Far1Spec
+from betamix.processes import CHAIN_INNOVATIONS, CHAIN_MAPS, ContractiveChainSpec, Far1Spec
 from betamix.regression import ForecastSummary
+from digests import ci_rows, reports, runs
 
 FAST_MIXING = ["--set", "mixing.joints=15", "--set", "mixing.chains=8"]
 
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-def ci_concentration_rows():
-    """(name, CLI arguments) of every concentration row of the worker-invariance
-    step of the tier1 workflow: `same_at_workers <name> $conc [flag ...]`."""
-    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
-    text = workflow.read_text().replace("\\\n", " ")
-    conc = shlex.split(re.search(r'conc="([^"]*)"', text).group(1))
-    rows = [line.split() for line in text.splitlines()]
-    return [(words[1], conc + words[3:]) for words in rows
-            if words[:1] == ["same_at_workers"] and words[2] == "$conc"]
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
@@ -286,6 +277,20 @@ class TestExitCodes:
         code = run_cli("verify-all", "--seed", "7", "--output", str(tmp_path), *FAST_MIXING)
         assert code == 0
 
+    # every pair of an f and an innovation, and of an innovation and a map
+    @pytest.mark.parametrize("fspec, innovation, map_name", [
+        (fspec, innovation, CHAIN_MAPS[i % len(CHAIN_MAPS)])
+        for i, (fspec, innovation) in enumerate(itertools.product(FSPEC_NAMES, CHAIN_INNOVATIONS))
+    ])
+    def test_every_accepted_name_can_pass_a_run(self, tmp_path, fspec, innovation, map_name):
+        # on CI's first concentration row; the truncated-Gaussian innovation
+        # is cut at one sd, as in CI's concentration-tg row
+        sets = [f"fspec={fspec}", f"process.innovation={innovation}", f"process.map={map_name}"]
+        if innovation == "truncated-gaussian":
+            sets += ["process.sigma=1", "process.trunc=1"]
+        argv = [*runs()["concentration"], *[word for kv in sets for word in ("--set", kv)]]
+        assert run_cli(*argv, "--workers", "1", "--output", str(tmp_path)) == 0
+
     def test_malformed_t_rule_index_exits_2(self, tmp_path, capsys):
         code = run_cli("fkr", "--seed", "1", "--output", str(tmp_path),
                        "--set", "grid.n=120,240", "--set", "t_rule=index:abc")
@@ -341,6 +346,8 @@ class TestExitCodes:
             (("concentration", "--set", "process.halfwidth=1e308"), "process.halfwidth"),
             (("concentration", "--set", "process.innovation=truncated-gaussian",
               "--set", "process.trunc=1e308", "--set", "process.sigma=1e308"), "process.trunc"),
+            (("concentration", "--set", "process.innovation=none"), "process.innovation"),
+            (("concentration", "--set", "fspec=zero"), "fspec"),
         ],
     )
     def test_invalid_grid_field_exits_2(self, tmp_path, capsys, argv, field):
@@ -356,22 +363,10 @@ class TestExitCodes:
         assert f"field {field!r}" in err
         assert "Traceback" not in err
         assert not output.exists()
-
-    def test_derived_bound_of_zero_exits_2_like_a_set_one(self, tmp_path, capsys):
-        # fspec=first takes B from the chain's state bound, 0 without innovations
-        sets = ["--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05",
-                "--set", "process.burn_in=10", "--set", "process.innovation=none",
-                "--set", "fspec=first"]
-        output = tmp_path / "out"
-        code = run_cli("concentration", "--seed", "5", "--reps", "200",
-                       "--output", str(output), *sets)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "field 'fspec'" in err and "bound.B" in err
-        assert not output.exists()
-        overrides = dict(pair.split("=", 1) for pair in sets[1::2])
-        assert resolve_config({}, dict(overrides, suite="concentration", seed="5",
-                                       **{"bound.B": "1.5"})).bound_b == 1.5
+        # a name outside a closed set names the choices that remain
+        choices = {"process.innovation": CHAIN_INNOVATIONS, "fspec": FSPEC_NAMES}
+        if field in choices:
+            assert f"choose from {choices[field]}" in err
 
     @pytest.mark.parametrize("case", ["output-is-file", "output-under-file",
                                       "plotdata-output-under-file", "config-not-utf8",
@@ -642,20 +637,15 @@ class TestDeterminism:
         monkeypatch.setattr(processes, "_burn_in_skip", lambda *args: (0, math.nan))
         assert run("full") == body
 
-    @pytest.mark.parametrize("name, argv", ci_concentration_rows(),
-                             ids=[name for name, _ in ci_concentration_rows()])
-    def test_streamed_blocks_write_the_whole_path_reports(self, tmp_path, monkeypatch,
-                                                          name, argv):
+    @pytest.mark.parametrize("name", [name for name, _ in ci_rows("conc")])
+    def test_streamed_blocks_write_the_whole_path_reports(self, tmp_path, monkeypatch, name):
         # each concentration row of CI's worker-invariance table, once as it
-        # runs and once with every block kept whole
-        def bodies(out):
-            assert run_cli(*argv, "--seed", "5", "--workers", "1", "--output", str(out)) == 0
-            return {csv: (out / csv).read_bytes()
-                    for csv in ("concentration_report.csv", "laplace_report.csv")}
-
-        streamed = bodies(tmp_path / "streamed")
+        # runs (the run whose digests test_report_digests checks) and once
+        # with every block kept whole
+        streamed = reports(name)
         monkeypatch.setattr(concentration, "_coupled_state", lambda *args: None)
-        assert bodies(tmp_path / "whole") == streamed
+        assert run_cli(*runs()[name], "--workers", "1", "--output", str(tmp_path)) == 0
+        assert {path.name: path.read_bytes() for path in tmp_path.glob("*.csv")} == streamed
 
     def test_fkr_seeds_404_to_407_write_distinct_reports(self, tmp_path):
         # the former seed ^ index streams wrote one body for all four seeds
@@ -876,21 +866,6 @@ class TestLaplaceSection:
         assert "grid.A" in capsys.readouterr().err
         assert blocks == []
         assert not (tmp_path / "concentration_report.csv").exists()
-
-    @pytest.mark.parametrize("sets", [["fspec=ball-indicator"], ["grid.A=14,20"]],
-                             ids=["ball-indicator", "grid.A"])
-    def test_chain_without_innovation_density_exits_1_naming_it(self, tmp_path, capsys, sets):
-        # the centering and the mixing fit both need the transfer operator
-        code = run_cli("concentration", "--seed", "1", "--reps", "100", "--output",
-                       str(tmp_path), "--set", "grid.n=50,100,200,400",
-                       "--set", "grid.epsilon=0.05", "--set", "process.burn_in=10",
-                       "--set", "process.innovation=none",
-                       *[a for kv in sets for a in ("--set", kv)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "error: field 'process.innovation': 'none' has no density" in err
-        assert "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
 
     def test_iid_chain_exits_1_saying_beta_is_0_at_every_lag(self, tmp_path, capsys):
         code = run_cli("concentration", "--seed", "1", "--reps", "100", "--output",

@@ -16,6 +16,7 @@ from betamix.cli import emit_plotdata
 from betamix.concentration import (
     FSPEC_NAMES,
     REP_BLOCK,
+    FSpec,
     MomentInputs,
     TailEstimate,
     calibrate_corollary,
@@ -297,11 +298,22 @@ class TestUnboundedBound:
             MomentInputs(m_pr=math.inf, m_k=1.0)
 
 
+def _zero(x, y, out):
+    out.fill(0.0)
+    return out
+
+
+@pytest.fixture
+def zero_fspec(monkeypatch):
+    """f = 0, through a test-local entry of the table of named f's."""
+    monkeypatch.setitem(concentration._F_FUNCS, "zero", _zero)
+    return FSpec(name="zero", bound=1.0)
+
+
 class TestEmpiricalTail:
-    def test_zero_function_never_deviates(self):
-        fspec = make_fspec("zero", UNIFORM_CHAIN)
+    def test_zero_function_never_deviates(self, zero_fspec):
         for eps in (1e-9, 0.1, 1.0):
-            te = empirical_tail_grid(fspec, UNIFORM_CHAIN, [(50, 10)], epsilons=[eps],
+            te = empirical_tail_grid(zero_fspec, UNIFORM_CHAIN, [(50, 10)], epsilons=[eps],
                                      reps=200, seed=3)[0][0]
             assert te.p_hat == 0.0
 
@@ -325,7 +337,7 @@ class TestEmpiricalTail:
         assert all(b <= a for a, b in zip(p, p[1:]))
 
     def test_one_list_per_epsilon_over_the_points_in_their_order(self):
-        fspec = make_fspec("zero", UNIFORM_CHAIN)
+        fspec = make_fspec("odd-clip", UNIFORM_CHAIN)
         by_eps = empirical_tail_grid(fspec, UNIFORM_CHAIN, [(60, 5), (20, 3), (40, 1)],
                                      epsilons=[0.3, 0.1], reps=100, seed=4)
         assert [[(te.epsilon, te.n) for te in tails] for tails in by_eps] == [
@@ -399,7 +411,7 @@ class TestEmpiricalTail:
                 assert np.intersect1d(devs[i], devs[j]).size == 0
 
     def test_t_out_of_range_rejected(self):
-        fspec = make_fspec("zero", UNIFORM_CHAIN)
+        fspec = make_fspec("odd-clip", UNIFORM_CHAIN)
         with pytest.raises(ValidationError):
             empirical_tail_grid(fspec, UNIFORM_CHAIN, [(10, 11)], epsilons=[0.1], reps=100,
                                 seed=0)
@@ -468,12 +480,6 @@ class TestOperatorCentering:
         fspec = make_fspec("ball-indicator", self.CHAINS[2])
         assert 0.0 < fspec.center(np.zeros(1))[0] < 1.0
 
-    def test_chain_without_innovation_density_is_rejected(self):
-        chain = ContractiveChainSpec(innovation="none", x0=1.0)
-        with pytest.raises(DomainError, match="field 'process.innovation': 'none' has no density"):
-            make_fspec("ball-indicator", chain)
-        assert make_fspec("odd-clip", chain).center(np.ones(3)).tolist() == [0.0] * 3
-
 
 class TestEmpiricalLaplace:
     def test_gamma_zero_is_exactly_one(self):
@@ -483,9 +489,8 @@ class TestEmpiricalLaplace:
         assert est.value == 1.0
         assert not est.overflowed
 
-    def test_zero_function_is_exactly_one(self):
-        fspec = make_fspec("zero", UNIFORM_CHAIN)
-        (est,) = empirical_laplace(fspec, UNIFORM_CHAIN, gamma=0.3, points=[(15.0, 3)],
+    def test_zero_function_is_exactly_one(self, zero_fspec):
+        (est,) = empirical_laplace(zero_fspec, UNIFORM_CHAIN, gamma=0.3, points=[(15.0, 3)],
                                    reps=200, seed=2)
         assert est.value == 1.0
 
@@ -888,7 +893,6 @@ class TestStreamedSums:
 
 # the allocating form of each f, the oracle of the in-place one
 ALLOCATING_F = {
-    "zero": lambda x, y: np.zeros(np.broadcast(x, y).shape),
     "first": lambda x, y: x * np.ones_like(y),
     "odd-clip": lambda x, y: np.clip(x, -1.0, 1.0) * np.ones_like(y),
     "odd-clip-damped": lambda x, y: np.clip(x, -1.0, 1.0) / (1.0 + y**2),

@@ -79,9 +79,7 @@ def reference_draw(spec, rng, shape):
     """The innovations of `shape` as NumPy's own allocating draws give them."""
     if spec.innovation == "uniform":
         return rng.uniform(-spec.halfwidth, spec.halfwidth, shape)
-    if spec.innovation == "truncated-gaussian":
-        return allocating_truncated_gaussian(spec.sigma, spec.trunc, rng, shape)
-    return np.zeros(shape)
+    return allocating_truncated_gaussian(spec.sigma, spec.trunc, rng, shape)
 
 
 def scalar_ar1(coef, drive, start):
@@ -92,11 +90,18 @@ def scalar_ar1(coef, drive, start):
 
 
 def halving_spec(**kw):
-    return ContractiveChainSpec(map="linear", a=0.5, innovation="none", burn_in=0, x0=1.0, **kw)
+    return ContractiveChainSpec(map="linear", a=0.5, burn_in=0, x0=1.0, **kw)
+
+
+def zero_innovations(spec, rng, out):
+    out.fill(0.0)
+    return out
 
 
 class TestContractiveChain:
-    def test_deterministic_contraction_is_exact(self):
+    def test_deterministic_contraction_is_exact(self, monkeypatch):
+        # with every innovation 0, x_k = a^k x0 exactly
+        monkeypatch.setattr(processes, "_draw_innovations", zero_innovations)
         path = _simulate_chain_columns(halving_spec(), 12, range(1), np.random.default_rng(0))[:, 0]
         assert_array_equal(path, 2.0 ** -np.arange(12))
 
@@ -202,19 +207,26 @@ class TestContractiveChain:
             assert_array_equal(got, want)
 
     @pytest.mark.parametrize("map_name", CHAIN_MAPS)
-    @pytest.mark.parametrize("innovation", ["uniform", "none"])
+    @pytest.mark.parametrize("innovation", ["uniform", "zero"])
     @pytest.mark.parametrize("burn_in", [2, BURN_ROWS - 1, BURN_ROWS, BURN_ROWS + 1,
                                          2 * BURN_ROWS + 1, 1000])
     @pytest.mark.parametrize("width", [1, 3])
-    def test_chunked_burn_in_is_the_whole_draw(self, map_name, innovation, burn_in, width):
-        # uniform values are taken in order, so splitting the draw keeps them
+    def test_chunked_burn_in_is_the_whole_draw(self, monkeypatch, map_name, innovation,
+                                               burn_in, width):
+        # uniform values are taken in order, so splitting the draw keeps them; with
+        # every innovation 0 the chunks carry the map step alone
         spec = ContractiveChainSpec(
             map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
-            innovation=innovation, halfwidth=0.8, burn_in=burn_in, x0=0.25,
+            halfwidth=0.8, burn_in=burn_in, x0=0.25,
         )
+        if innovation == "zero":
+            monkeypatch.setattr(processes, "_draw_innovations", zero_innovations)
         for n in (1, 40):
             got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(21))
-            want = self._two_array_recursion(spec, n, width, np.random.default_rng(21))
+            if innovation == "zero":
+                want = self._two_array_states(spec, np.zeros((burn_in + n - 1, width)))
+            else:
+                want = self._two_array_recursion(spec, n, width, np.random.default_rng(21))
             assert got.shape == (n, width)
             assert_array_equal(got, want)
 
@@ -344,8 +356,7 @@ class TestContractiveChain:
     @pytest.mark.parametrize("spec", [
         ContractiveChainSpec(map="sine-perturbed", a=0.5, b=0.3, burn_in=1000),
         ContractiveChainSpec(innovation="truncated-gaussian", burn_in=1000),
-        ContractiveChainSpec(innovation="none", burn_in=1000, x0=1.0),
-    ], ids=["sine-perturbed", "truncated-gaussian", "none"])
+    ], ids=["sine-perturbed", "truncated-gaussian"])
     def test_other_maps_and_innovations_draw_the_full_burn_in(self, monkeypatch, spec):
         _, rows = self._counted_rows(
             monkeypatch, lambda: _simulate_chain_columns(spec, 30, range(3),
@@ -587,10 +598,6 @@ class TestTransferChain:
         # at a = 0.999 the cells are 10 wide: 76 of them are in reach
         _, _, chain = transfer_chain(ContractiveChainSpec(a=0.999))
         assert chain.n_states == 76
-
-    def test_chain_without_innovation_density_is_rejected(self):
-        with pytest.raises(DomainError, match="field 'process.innovation'"):
-            estimate_chain_mixing(ContractiveChainSpec(innovation="none"))
 
     def test_state_bound_whose_double_overflows_is_rejected(self):
         # S = 1.6e308 is finite, but the cells of [-S, S] are not
