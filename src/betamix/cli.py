@@ -45,7 +45,7 @@ from .mixing import (
 )
 from .processes import FunctionalPath, uniform_grid
 from .regression import KernelSpec, RegressionFit, dynamic_forecast_experiment, m_constant
-from .seeding import Stream, _pool, keyed_rng, one_blas_thread, pool_size
+from .seeding import Stream, keyed_rng, one_blas_thread, parallel
 
 
 @dataclass(frozen=True)
@@ -182,15 +182,13 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict
     fspec = make_fspec(config.fspec_name, config.process)
     bound_b = config.bound_b if config.bound_b is not None else fspec.bound
     laplace = (laplace_section(fspec, config.process, bound_b, config.gamma, config.a_points,
-                               config.reps, config.seed, config.workers)
+                               config.reps, config.seed)
                if config.a_points else None)
     checks: list[Check] = []
     diagnostics: dict = {"rate_fits": []}
 
-    tails_by_eps = empirical_tail_grid(
-        fspec, config.process, config.n_points, config.epsilons, config.reps, config.seed,
-        workers=config.workers,
-    )
+    tails_by_eps = empirical_tail_grid(fspec, config.process, config.n_points, config.epsilons,
+                                       config.reps, config.seed)
     rows = []
     for eps, tails in zip(config.epsilons, tails_by_eps):
         bound_at = {}
@@ -244,8 +242,7 @@ FKR_HEADER = [
 def run_fkr_suite(config: ExperimentConfig) -> tuple[list[Check], dict, dict]:
     summaries = dynamic_forecast_experiment(
         config.process, config.psi, config.noise_sd, config.kernel, config.theta,
-        config.n_points, config.reps, config.seed, config.grid_size, config.workers,
-    )
+        config.n_points, config.reps, config.seed, config.grid_size)
     rows = [(s.n, level, error, s.median_f_error, s.median_g_error, s.undefined_fraction)
             for s in summaries for level, error in ((0.5, s.median_error), (0.9, s.q90_error))]
     # the checks compare ascending n, whatever the order of grid.n
@@ -340,15 +337,10 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     except OSError as exc:
         raise ConfigError(f"field 'output': cannot create {config.output}: {exc}") from exc
     execution = {"workers": config.workers, "blas_threads": one_blas_thread()}
-    try:
+    # leaving the block reaps the pool's workers, whose peaks RUSAGE_CHILDREN holds
+    with parallel(config.workers) as pool_facts:
         checks, reports, diagnostics = _SUITE_RUNNERS[config.suite](config)
-    finally:
-        execution["pools_opened"] = _pool.cache_info().currsize
-        if execution["pools_opened"]:
-            # reaped workers report their peak memory through RUSAGE_CHILDREN
-            _pool(config.workers).shutdown()
-            _pool.cache_clear()
-    execution["pool_workers"] = pool_size(config.workers) if execution["pools_opened"] else 0
+    execution.update(pool_facts)
     # ru_maxrss is in KiB on Linux
     peak_kib = max(resource.getrusage(who).ru_maxrss
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))

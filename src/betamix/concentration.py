@@ -338,12 +338,8 @@ def _centered_sums(args) -> np.ndarray:
 
 
 def tail_deviations(
-    fspec: FSpec,
-    process: ContractiveChainSpec,
-    points: Sequence[tuple[int, int]],
-    reps: int,
+    fspec: FSpec, process: ContractiveChainSpec, points: Sequence[tuple[int, int]], reps: int,
     seed: int,
-    workers: int = 1,
 ) -> list[np.ndarray]:
     """|n^-1 sum_k f(X_k, X_t) - E f(X_0, x)|_{x=X_t}| per replication, one
     array per (n, t) point of `points`, in their order.
@@ -352,7 +348,7 @@ def tail_deviations(
     identical for any worker count and any order of the points.
     """
     sums = replicate(_centered_sums, (fspec, process, seed, Stream.CHAIN_TAIL), points, reps,
-                     REP_BLOCK, workers)
+                     REP_BLOCK)
     return [np.abs(s / n) for s, (n, _) in zip(sums, points)]
 
 
@@ -369,26 +365,20 @@ def empirical_tail_grid(
     epsilons: Sequence[float],
     reps: int,
     seed: int,
-    workers: int = 1,
 ) -> list[list[TailEstimate]]:
     """Tail estimates over an epsilon grid at every (n, t) point: one list per
     epsilon, in its order, over the points in theirs. All the epsilons share
     one set of replications per point."""
     if reps < 100:
         raise ValidationError("reps must be >= 100")
-    devs = tail_deviations(fspec, process, points, reps, seed, workers)
+    devs = tail_deviations(fspec, process, points, reps, seed)
     return [[_tail_from_deviations(d, float(e), n) for d, (n, _) in zip(devs, points)]
             for e in epsilons]
 
 
 def empirical_laplace(
-    fspec: FSpec,
-    process: ContractiveChainSpec,
-    gamma: float,
-    points: Sequence[tuple[float, int]],
-    reps: int,
-    seed: int,
-    workers: int = 1,
+    fspec: FSpec, process: ContractiveChainSpec, gamma: float,
+    points: Sequence[tuple[float, int]], reps: int, seed: int,
 ) -> list[LaplaceEstimate]:
     """MC mean of exp(gamma * sum_{k=1..floor(A)} f(X_k, X_t)), centered, at
     every (A, t) point of `points`, in their order.
@@ -404,7 +394,7 @@ def empirical_laplace(
         raise ValidationError("reps must be >= 100")
     lengths = [(math.floor(a), t) for a, t in points]
     sums = replicate(_centered_sums, (fspec, process, seed, Stream.CHAIN_LAPLACE), lengths, reps,
-                     REP_BLOCK, workers)
+                     REP_BLOCK)
     with np.errstate(over="ignore"):
         values = [np.exp(gamma * s) for s in sums]
     return [LaplaceEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(reps)))
@@ -466,7 +456,7 @@ def calibrate_laplace_constant(
 
 def laplace_section(
     fspec: FSpec, process: ContractiveChainSpec, B: float, gamma: Optional[float],
-    points: Sequence[tuple[float, int]], reps: int, seed: int, workers: int = 1,
+    points: Sequence[tuple[float, int]], reps: int, seed: int,
 ) -> LaplaceSection:
     """The Laplace bound against its MC estimates at every (A, t) point, in
     the order of `points`. The mixing rate is fitted first and A and gamma
@@ -494,7 +484,7 @@ def laplace_section(
             f"min((1 and kappa1)/2, kappa1/(4 log A_max)) = {cap:.4g} "
             f"at the fitted kappa1 = {kappa1:.4g}"
         )
-    estimates = empirical_laplace(fspec, process, gamma, points, reps, seed, workers)
+    estimates = empirical_laplace(fspec, process, gamma, points, reps, seed)
     at_a_min = [e.value for e, a in zip(estimates, lengths) if a == a_min]
     c_value = calibrate_laplace_constant(at_a_min, kappa0, kappa1, gamma, B, a_min)
     bounds = [laplace_bound(kappa0=kappa0, kappa1=kappa1, C=c_value, gamma=gamma, B=B, A=a)

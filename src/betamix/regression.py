@@ -308,7 +308,6 @@ def dynamic_forecast_experiment(
     reps: int = 200,
     seed: int = 0,
     grid_size: int = 64,
-    workers: int = 1,
 ) -> list[ForecastSummary]:
     """Replicate the fit-and-forecast pipeline at every (n, t) point of
     `points`: one summary per point, in their order.
@@ -324,10 +323,8 @@ def dynamic_forecast_experiment(
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    by_point = replicate(
-        _forecast_block, (process, psi, noise_sd, kernel, theta, grid_size, seed),
-        points, reps, FORECAST_BLOCK, workers,
-    )
+    by_point = replicate(_forecast_block, (process, psi, noise_sd, kernel, theta, grid_size, seed),
+                         points, reps, FORECAST_BLOCK)
     summaries = []
     for rows, (n, _) in zip(by_point, points):
         undefined = float(rows[:, 0].mean())

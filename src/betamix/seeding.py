@@ -5,18 +5,19 @@ np.random.SeedSequence(seed, spawn_key=(stream, grid_value, block)), NumPy's
 scheme for independent parallel streams. Results depend on the fixed block
 sizes, never on execution order or worker count.
 
-A process runs its blocks on one execution context: BLAS on one thread (from
-the import of betamix, see `one_blas_thread`) and at most one process pool per
-worker count, opened (and its machinery imported) at the first parallel call
-and reused by every later one.
+A run executes its blocks in one context: BLAS on one thread (from the import
+of betamix, see `one_blas_thread`) and, inside a `parallel(workers)` block, at
+most one process pool. The block opens the pool (and imports its machinery) at
+the first parallel map, reuses it for every later one and shuts it down when
+it exits; outside any block every map runs inline.
 `replicate` is the driver of every Monte Carlo section: it checks each grid
 point's query index against its path length and sends all the blocks of the
-section's points through one map of that pool, longest path first.
+section's points through one map, longest path first.
 """
 
-import atexit
+import contextlib
+import contextvars
 import ctypes
-import functools
 import os
 from enum import IntEnum
 from typing import Optional, Sequence
@@ -93,35 +94,47 @@ def one_blas_thread() -> Optional[int]:
     return getter()
 
 
-def pool_size(workers: int) -> int:
-    """Worker processes a pool for `workers` opens: no more than the CPUs this
-    process may run on. Results do not depend on it."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(workers, len(os.sched_getaffinity(0)))
-    return min(workers, os.cpu_count() or 1)
+# the pool map of the innermost open `parallel` block; None runs maps inline
+_pool_map = contextvars.ContextVar("pool_map", default=None)
 
 
-@functools.cache
-def _pool(workers: int):
-    """The process's pool for `workers` workers, a ProcessPoolExecutor of
-    pool_size(workers) processes: under fork every one of them starts at the
-    first task. Each inherits OPENBLAS_NUM_THREADS=1 when betamix was imported
-    before numpy, and pins its own BLAS for a parent that imported numpy first.
+@contextlib.contextmanager
+def parallel(workers: int):
+    """Run every `replicate` inside the block on one pool of `workers` worker
+    processes, capped at the CPUs this process may run on; yield a dict of
+    `pools_opened` and `pool_workers`, filled in when the pool opens.
 
-    The pool machinery (`concurrent.futures.process`, `multiprocessing`) is
-    imported here, at the first parallel call, so a run on one worker never
-    loads it. The workers stop at `shutdown()`, which an `atexit` hook also
-    calls, so a pool still cached at exit is shut down before the
-    interpreter tears its modules down."""
-    from concurrent.futures import ProcessPoolExecutor
+    The pool opens, and its machinery (`concurrent.futures.process`,
+    `multiprocessing`) is imported, at the first map of more than one block;
+    later maps reuse it. Its workers inherit OPENBLAS_NUM_THREADS=1, or pin
+    their own BLAS for a parent that imported numpy first. Leaving the block,
+    also on an exception, shuts the pool down. Results do not depend on
+    `workers`."""
+    facts = {"pools_opened": 0, "pool_workers": 0}
+    pool = None
 
-    pool = ProcessPoolExecutor(max_workers=pool_size(workers), initializer=one_blas_thread)
-    atexit.register(pool.shutdown)
-    return pool
+    def pool_map(fn, items):
+        nonlocal pool
+        if pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            facts.update(pools_opened=1, pool_workers=min(workers, cpus))
+            pool = ProcessPoolExecutor(facts["pool_workers"], initializer=one_blas_thread)
+        return list(pool.map(fn, items))
+
+    token = _pool_map.set(pool_map if workers > 1 else None)
+    try:
+        yield facts
+    finally:
+        _pool_map.reset(token)
+        if pool is not None:
+            pool.shutdown()
 
 
 def replicate(block_fn, shared: tuple, points: Sequence[tuple[int, int]], reps: int,
-              block_size: int, workers: int) -> list[np.ndarray]:
+              block_size: int) -> list[np.ndarray]:
     """Run `block_fn((*shared, length, t, indices))` over fixed blocks of
     replications 0..reps-1 at every (path length, t) point of `points`, and
     return one array per point, in the order of `points`: its blocks' results
@@ -130,11 +143,11 @@ def replicate(block_fn, shared: tuple, points: Sequence[tuple[int, int]], reps: 
 
     The blocks are range(s, min(s + block_size, reps)) whatever the worker
     count, and each block keys its generators by its own position, so the
-    result is identical for any `workers` and any order of the points. All the
-    blocks of all the points go through one map of the process pool of
-    `workers` workers, or run here when workers = 1 or there is one block,
-    longest path first, so the last blocks of the map are short. The sort is
-    stable: points of equal length keep their order.
+    result is identical for any worker count and any order of the points.
+    All the blocks of all the points go through one map, longest path first,
+    so the last blocks of the map are short: over the pool of the enclosing
+    `parallel` block, or here outside one, at one worker or for one block.
+    The sort is stable: points of equal length keep their order.
     """
     for length, t in points:
         if not 1 <= t <= length:
@@ -143,8 +156,9 @@ def replicate(block_fn, shared: tuple, points: Sequence[tuple[int, int]], reps: 
     starts = range(0, reps, block_size)
     blocks = [(*shared, *points[i], range(s, min(s + block_size, reps)))
               for i in order for s in starts]
-    if workers > 1 and len(blocks) > 1:
-        parts = list(_pool(workers).map(block_fn, blocks))
+    pool_map = _pool_map.get()
+    if pool_map is not None and len(blocks) > 1:
+        parts = pool_map(block_fn, blocks)
     else:
         parts = [block_fn(b) for b in blocks]
     k = len(starts)

@@ -3,6 +3,7 @@ import concurrent.futures
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -45,31 +46,40 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
 
 
 def test_pool_machinery_loads_only_with_a_pool(tmp_path):
-    # a one-worker run never opens a pool, so it never imports one
+    # a one-worker run never opens a pool, and a two-worker run with no Monte
+    # Carlo section maps nothing, so neither imports one
     code = ("import sys, betamix.cli; "
             "loaded = lambda: [m for m in ('concurrent.futures.process', 'multiprocessing') "
             "if m in sys.modules]; "
             "print(loaded()); "
             "betamix.cli.main(['verify-all', '--seed', '3', '--output', sys.argv[1]]); "
+            "print(loaded()); "
+            "betamix.cli.main(['verify-all', '--seed', '3', '--workers', '2', "
+            "'--output', sys.argv[1] + '/w2']); "
             "print(loaded())")
     env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
-    lines = out.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "[]")
+    lines = [line for line in out.stdout.splitlines() if not line.startswith("[check]")]
+    assert lines == ["[]", "[]", "[]"]
     assert (tmp_path / "verify_report.csv").exists()
+    assert (tmp_path / "w2" / "verify_report.csv").exists()
 
 
-def test_cached_pool_exits_quietly():
-    # the pool is never shut down by the caller; holding seeding on sys keeps
-    # the pool alive past the interpreter's teardown of the pool's own module,
-    # as a test session's modules do
-    code = ("import sys; from betamix import seeding; sys.betamix_seeding = seeding; "
-            "print(list(seeding._pool(2).map(abs, [-1, 2])))")
+def test_block_pool_exits_quietly():
+    # holding seeding on sys keeps it past the interpreter's teardown of the
+    # pool's own module, as a test session's modules do; the block has shut
+    # its pool down before then, and no worker outlives it
+    code = ("import multiprocessing, operator, sys; from betamix import seeding; "
+            "sys.betamix_seeding = seeding\n"
+            "with seeding.parallel(2):\n"
+            "    (got,) = seeding.replicate(operator.itemgetter(-1), (), [(1, 1)], 2, 1)\n"
+            "print(got.tolist())\n"
+            "print(multiprocessing.active_children())")
     env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[1, 2]"
+    assert out.stdout.splitlines() == ["[0, 1]", "[]"]
     assert out.stderr == ""
 
 
@@ -923,15 +933,9 @@ class TestExecutionContext:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        seeding._pool.cache_clear()
-        try:
-            code = run_cli("concentration", "--seed", "2", "--reps", "1100",
-                           "--workers", "2", "--output", str(tmp_path), *self.CONCENTRATION)
-            manifest = json.loads((tmp_path / "concentration_manifest.json").read_text())
-        finally:
-            seeding._pool.cache_clear()
-            for pool in opened:
-                pool.shutdown()
+        code = run_cli("concentration", "--seed", "2", "--reps", "1100",
+                       "--workers", "2", "--output", str(tmp_path), *self.CONCENTRATION)
+        manifest = json.loads((tmp_path / "concentration_manifest.json").read_text())
         assert code in (0, 1)
         assert len(opened) == 1
         execution = manifest["execution"]
@@ -956,12 +960,8 @@ class TestExecutionContext:
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        seeding._pool.cache_clear()
-        try:
-            code = run_cli("concentration", "--seed", "2", "--reps", "1100",
-                           "--workers", "5000", "--output", str(tmp_path), *self.CONCENTRATION)
-        finally:
-            seeding._pool.cache_clear()
+        code = run_cli("concentration", "--seed", "2", "--reps", "1100",
+                       "--workers", "5000", "--output", str(tmp_path), *self.CONCENTRATION)
         cpus = len(os.sched_getaffinity(0))
         assert code in (0, 1)
         assert sizes == [cpus]
@@ -987,14 +987,10 @@ class TestExecutionContext:
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        seeding._pool.cache_clear()
-        try:
-            code = run_cli("concentration", "--seed", "2", "--reps", "1100", "--workers", "2",
-                           "--output", str(tmp_path), "--set", "grid.n=100,400,50,200",
-                           "--set", "grid.epsilon=0.05", "--set", "grid.A=14,20,14.5",
-                           "--set", "process.burn_in=100")
-        finally:
-            seeding._pool.cache_clear()
+        code = run_cli("concentration", "--seed", "2", "--reps", "1100", "--workers", "2",
+                       "--output", str(tmp_path), "--set", "grid.n=100,400,50,200",
+                       "--set", "grid.epsilon=0.05", "--set", "grid.A=14,20,14.5",
+                       "--set", "process.burn_in=100")
         assert code in (0, 1)
         tail, laplace = seeding.Stream.CHAIN_TAIL, seeding.Stream.CHAIN_LAPLACE
         assert maps == [
@@ -1020,39 +1016,40 @@ class TestExecutionContext:
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        seeding._pool.cache_clear()
-        try:
-            code = run_cli("fkr", "--seed", "2", "--reps", "100", "--workers", "2",
-                           "--output", str(tmp_path), "--set", "grid.n=100,300,200",
-                           "--set", "grid_size=16", "--set", "process.burn_in=50")
-        finally:
-            seeding._pool.cache_clear()
+        code = run_cli("fkr", "--seed", "2", "--reps", "100", "--workers", "2",
+                       "--output", str(tmp_path), "--set", "grid.n=100,300,200",
+                       "--set", "grid_size=16", "--set", "process.burn_in=50")
         assert code in (0, 1)
         assert maps == [[(n, start) for n in (300, 200, 100) for start in (0, 25, 50, 75)]]
 
     def test_w1_run_opens_no_pool(self, tmp_path):
-        seeding._pool.cache_clear()
         run_cli("mixing", "--seed", "4", "--output", str(tmp_path), *FAST_MIXING)
         manifest = json.loads((tmp_path / "mixing_manifest.json").read_text())
         assert manifest["execution"]["pools_opened"] == 0
         assert manifest["execution"]["pool_workers"] == 0
         assert manifest["execution"]["workers"] == 1
 
+    def test_library_pool_neither_outlives_its_block_nor_counts_in_a_run(self, tmp_path):
+        # a 2-worker map outside any run, then a one-worker run: the run's
+        # manifest counts no pool, and no worker process is left
+        with seeding.parallel(2):
+            (indices,) = seeding.replicate(_block_indices, (), [(1, 1)], 4, 1)
+        assert indices.tolist() == [0, 1, 2, 3]
+        run_cli("mixing", "--seed", "4", "--output", str(tmp_path), *FAST_MIXING)
+        execution = json.loads((tmp_path / "mixing_manifest.json").read_text())["execution"]
+        assert (execution["pools_opened"], execution["pool_workers"]) == (0, 0)
+        assert multiprocessing.active_children() == []
+
     def test_suite_that_raises_shuts_its_pool_down(self, tmp_path, monkeypatch):
         def opens_pool_then_fails(config):
-            seeding.replicate(_block_indices, (), [(1, 1)], 4, 1, 2)
+            seeding.replicate(_block_indices, (), [(1, 1)], 4, 1)
+            assert multiprocessing.active_children()
             raise FitError("no fit")
 
-        seeding._pool.cache_clear()
         monkeypatch.setitem(cli._SUITE_RUNNERS, "mixing", opens_pool_then_fails)
-        try:
-            assert run_cli("mixing", "--seed", "4", "--workers", "2",
-                           "--output", str(tmp_path / "fails")) == 1
-            assert seeding._pool.cache_info().currsize == 0
-        finally:
-            if seeding._pool.cache_info().currsize:
-                seeding._pool(2).shutdown()
-                seeding._pool.cache_clear()
+        assert run_cli("mixing", "--seed", "4", "--workers", "2",
+                       "--output", str(tmp_path / "fails")) == 1
+        assert multiprocessing.active_children() == []
 
     def test_pool_workers_run_blas_on_one_thread(self):
         if seeding.one_blas_thread() is None:
@@ -1061,12 +1058,10 @@ class TestExecutionContext:
         # a parent on 2 threads: only the pool's initializer can pin the workers
         setter(2)
         assert getter() == 2
-        seeding._pool.cache_clear()
         try:
-            (counts,) = seeding.replicate(_worker_blas_threads, (), [(1, 1)], 4, 1, 2)
+            with seeding.parallel(2):
+                (counts,) = seeding.replicate(_worker_blas_threads, (), [(1, 1)], 4, 1)
         finally:
-            seeding._pool(2).shutdown()
-            seeding._pool.cache_clear()
             setter(1)
         assert counts.tolist() == [1, 1, 1, 1]
 
@@ -1087,6 +1082,24 @@ class TestExecutionContext:
                              text=True, check=True, timeout=120)
         assert out.stdout.strip() == "4"
 
+    def test_numpy_first_fkr_run_pins_blas_and_keeps_its_report(self, tmp_path):
+        # numpy loads first under OPENBLAS_NUM_THREADS=4, so the variable stays 4
+        # and only one_blas_thread holds the run, and its pool workers, on one thread
+        if seeding.one_blas_thread() is None:
+            pytest.skip("no OpenBLAS thread setter in this numpy build")
+        code = ("import numpy, os, sys; from betamix.cli import main; "
+                "code = main(sys.argv[1:]); print(os.environ['OPENBLAS_NUM_THREADS']); "
+                "sys.exit(code)")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="4",
+                   PYTHONPATH=str(Path(betamix.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code, *runs()["fkr"], "--workers", "2",
+                              "--output", str(tmp_path)], env=env, capture_output=True,
+                             text=True, check=True, timeout=300)
+        assert out.stdout.splitlines()[-1] == "4"
+        execution = json.loads((tmp_path / "fkr_manifest.json").read_text())["execution"]
+        assert execution["blas_threads"] == 1
+        assert (tmp_path / "fkr_report.csv").read_bytes() == reports("fkr")["fkr_report.csv"]
+
 
 _THREADS_CHILD = """
 import json
@@ -1103,7 +1116,8 @@ def threads(args):
 
 if __name__ == "__main__":
     own = len(os.listdir("/proc/self/task"))
-    (workers,) = seeding.replicate(threads, (), [(1, 1)], 4, 1, 2)
+    with seeding.parallel(2):
+        (workers,) = seeding.replicate(threads, (), [(1, 1)], 4, 1)
     print(json.dumps({"threads": own, "variable": os.environ["OPENBLAS_NUM_THREADS"],
                       "workers": workers.tolist()}))
 """

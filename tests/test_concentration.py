@@ -53,7 +53,7 @@ from betamix.processes import (
     estimate_chain_mixing,
     transfer_chain,
 )
-from betamix.seeding import Stream, keyed_rng, replicate
+from betamix.seeding import Stream, keyed_rng, parallel, replicate
 from oracles import (
     linear_uniform_sum_laplace,
     truncate_scalar,
@@ -358,8 +358,9 @@ class TestEmpiricalTail:
     def test_worker_count_does_not_change_results(self):
         fspec = make_fspec("odd-clip-damped", ContractiveChainSpec(a=0.4, burn_in=20))
         args = (fspec, ContractiveChainSpec(a=0.4, burn_in=20), [(60, 30)], 2500, 77)
-        devs1 = tail_deviations(*args, workers=1)
-        devs2 = tail_deviations(*args, workers=2)
+        devs1 = tail_deviations(*args)
+        with parallel(2):
+            devs2 = tail_deviations(*args)
         np.testing.assert_array_equal(devs1, devs2)
 
     def test_replicate_returns_each_point_whatever_the_order_and_workers(self):
@@ -367,16 +368,18 @@ class TestEmpiricalTail:
         fspec = make_fspec("odd-clip-damped", chain)
         shared = (fspec, chain, 77, Stream.CHAIN_TAIL)
         points = [(30, 30), (90, 5), (60, 60)]
-        want = replicate(_centered_sums, shared, points, 2500, REP_BLOCK, 1)
-        for order in itertools.permutations(range(3)):
-            for workers in (1, 2):
-                got = replicate(_centered_sums, shared, [points[i] for i in order], 2500,
-                                REP_BLOCK, workers)
-                assert len(got) == 3
-                for i, sums in zip(order, got):
-                    np.testing.assert_array_equal(sums, want[i])
+        want = replicate(_centered_sums, shared, points, 2500, REP_BLOCK)
+        for workers in (1, 2):
+            with parallel(workers):
+                for order in itertools.permutations(range(3)):
+                    got = replicate(_centered_sums, shared, [points[i] for i in order], 2500,
+                                    REP_BLOCK)
+                    assert len(got) == 3
+                    for i, sums in zip(order, got):
+                        np.testing.assert_array_equal(sums, want[i])
         points = [(60, 30), (200, 7), (100, 100)]
-        devs = tail_deviations(fspec, chain, points, 1100, 77, workers=2)
+        with parallel(2):
+            devs = tail_deviations(fspec, chain, points, 1100, 77)
         for order in itertools.permutations(range(3)):
             got = tail_deviations(fspec, chain, [points[i] for i in order], 1100, 77)
             for i, d in zip(order, got):
@@ -390,10 +393,11 @@ class TestEmpiricalTail:
             return np.zeros(len(args[-1]))
 
         # the bad point comes last, after one that would run
-        for points in ([(5, 5), (3, 4)], [(5, 5), (5, 0)], [(0, 1)]):
-            for workers in (1, 2):
-                with pytest.raises(ValidationError, match=r"t = \d+ must lie in"):
-                    replicate(block, ("shared",), points, 10, 5, workers)
+        for workers in (1, 2):
+            with parallel(workers):
+                for points in ([(5, 5), (3, 4)], [(5, 5), (5, 0)], [(0, 1)]):
+                    with pytest.raises(ValidationError, match=r"t = \d+ must lie in"):
+                        replicate(block, ("shared",), points, 10, 5)
         assert calls == []
 
     def test_xor_related_master_seeds_draw_independent_samples(self):
@@ -505,7 +509,9 @@ class TestEmpiricalLaplace:
         chain = ContractiveChainSpec(a=0.4, burn_in=20)
         fspec = make_fspec("odd-clip-damped", chain)
         args = (fspec, chain, 0.2, [(20.0, 10)], 2500, 77)
-        assert empirical_laplace(*args, workers=1) == empirical_laplace(*args, workers=2)
+        with parallel(2):
+            at_two = empirical_laplace(*args)
+        assert empirical_laplace(*args) == at_two
 
 
 class TestExactUniformOracle:

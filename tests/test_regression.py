@@ -35,6 +35,7 @@ from betamix.regression import (
     estimate_small_ball,
     m_constant,
 )
+from betamix.seeding import parallel
 
 
 def constant_curve_fit(distances, responses, h=1.0, kernel="downslope-linear"):
@@ -481,8 +482,9 @@ class TestDynamicForecast:
             kernel=KernelSpec("downslope-linear"), theta=0.25,
             points=[(120, 120)], reps=60, seed=13, grid_size=16,
         )
-        a = dynamic_forecast_experiment(workers=1, **kwargs)
-        b = dynamic_forecast_experiment(workers=2, **kwargs)
+        a = dynamic_forecast_experiment(**kwargs)
+        with parallel(2):
+            b = dynamic_forecast_experiment(**kwargs)
         assert a == b
 
     def test_summaries_do_not_depend_on_the_order_of_the_points(self):
@@ -495,12 +497,11 @@ class TestDynamicForecast:
         points = [(120, 120), (160, 80), (100, 100)]
         want = dynamic_forecast_experiment(points=points, **kwargs)
         assert [s.n for s in want] == [120, 160, 100]
-        for order in itertools.permutations(range(3)):
-            for workers in (1, 2):
-                got = dynamic_forecast_experiment(
-                    points=[points[i] for i in order], workers=workers, **kwargs
-                )
-                assert got == [want[i] for i in order]
+        for workers in (1, 2):
+            with parallel(workers):
+                for order in itertools.permutations(range(3)):
+                    got = dynamic_forecast_experiment(points=[points[i] for i in order], **kwargs)
+                    assert got == [want[i] for i in order]
 
     def test_block_holds_no_curve_array(self):
         # one (3200, 64) curve array is 1.56 MiB; the block builds none
