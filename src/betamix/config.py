@@ -19,8 +19,8 @@ Schema (defaults in parentheses; -- means required):
     process.kind       contractive-chain for concentration, far1 for fkr;
                        any other value is an error          (the suite's)
     process.<field>    every field of processes.ContractiveChainSpec
-                       (concentration) and processes.Far1Spec (fkr) but
-                       x0, read as its default's type       (the field's)
+                       (concentration) and processes.Far1Spec (fkr),
+                       read as its default's type           (the field's)
 
     fspec              first | odd-clip | odd-clip-damped | sine-product |
                        ball-indicator                    (odd-clip-damped)
@@ -61,16 +61,10 @@ from .regression import MIN_REFERENCE_CURVES, KernelSpec
 _SUITE_PROCESS = {"concentration": "contractive-chain", "fkr": "far1"}
 
 
-def _spec_fields(spec: type) -> tuple:
-    """The fields of a process spec that a config sets: all but x0, the start
-    state that only the library sets."""
-    return tuple(f for f in fields(spec) if f.name != "x0")
-
-
 _DEFAULTS = {
     "process.kind": None,
     **{f"process.{f.name}": str(f.default) for spec in (ContractiveChainSpec, Far1Spec)
-       for f in _spec_fields(spec)},
+       for f in fields(spec)},
     "fspec": "odd-clip-damped",
     "t_rule": "last",
     "grid.n": "",
@@ -200,7 +194,7 @@ def _spec(spec: type, r: dict[str, str]):
     of the field's default."""
     parse = {str: lambda raw, _: raw, float: _to_float, int: _to_int}
     return spec(**{f.name: parse[type(f.default)](r[f"process.{f.name}"], f"process.{f.name}")
-                   for f in _spec_fields(spec)})
+                   for f in fields(spec)})
 
 
 def _n_points(r: dict[str, str], suite: str) -> tuple[tuple[int, int], ...]:

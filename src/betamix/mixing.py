@@ -20,6 +20,7 @@ from .errors import FitError, SizeError, ValidationError
 MASS_TOL = 1e-12      # distribution validation
 INEQ_TOL = 1e-10      # inequality verdicts
 ALPHABET_CAP = 12     # exhaustive subset enumeration limit per alphabet
+TABLE_SIDE_CAP = 16   # longest shorter side of a table _alpha_table enumerates
 BLOCK_FLOATS = 1 << 16  # subset sums held at once by _alpha_table (512 KiB)
 
 
@@ -182,7 +183,7 @@ def alpha_exact(j: FiniteJointDistribution) -> float:
     return _alpha_table(j.deviation)
 
 
-def _alpha_table(dev: np.ndarray, cap: int = 16) -> float:
+def _alpha_table(dev: np.ndarray) -> float:
     """max_{A, B} |sum_{A x B} dev| for a signed table with zero row/col sums.
 
     The table is turned so that its rows are the shorter side, and the row
@@ -210,8 +211,8 @@ def _alpha_table(dev: np.ndarray, cap: int = 16) -> float:
     if dev.shape[0] > dev.shape[1]:
         dev = dev.T
     m, cols = dev.shape
-    if m > cap:
-        raise SizeError(f"enumeration side {m} exceeds internal cap {cap}")
+    if m > TABLE_SIDE_CAP:
+        raise SizeError(f"enumeration side {m} exceeds internal cap {TABLE_SIDE_CAP}")
     low = min(m, max((BLOCK_FLOATS // max(cols, 1)).bit_length() - 1, 0))
     bases = _double_subset_sums(np.zeros((1 << (m - low), cols)), dev[low:])
     block = np.empty((1 << low, cols))

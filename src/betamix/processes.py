@@ -31,6 +31,7 @@ BURN_ROWS = 64  # innovation rows per block that _simulate_chain_columns draws a
 SKIP_ROWS = 64
 TRANSFER_CELLS = 200  # equal cells of [-S, S] in transfer_chain
 TRANSFER_POINTS = 8   # points per cell whose transition rows transfer_chain averages
+MIXING_LAGS = (1, 2, 3, 4, 5)  # the lags k of the beta(k) that estimate_chain_mixing fits
 
 
 def _require_finite(spec, names: Sequence[str]) -> None:
@@ -61,7 +62,6 @@ class ContractiveChainSpec:
     sigma: float = 1.0
     trunc: float = 3.0
     burn_in: int = 1000
-    x0: float = 0.0
 
     def __post_init__(self):
         if self.map not in CHAIN_MAPS:
@@ -73,7 +73,7 @@ class ContractiveChainSpec:
                 f"field 'process.innovation': unsupported value {self.innovation!r}; "
                 f"choose from {CHAIN_INNOVATIONS}"
             )
-        _require_finite(self, ("a", "b", "clip_at", "halfwidth", "sigma", "trunc", "x0"))
+        _require_finite(self, ("a", "b", "clip_at", "halfwidth", "sigma", "trunc"))
         for name in ("halfwidth", "trunc"):  # the draws span an interval of width 2 w
             if not math.isfinite(2.0 * getattr(self, name)):
                 raise ConfigError(f"field 'process.{name}': 2 * {name} must be finite")
@@ -107,7 +107,7 @@ class ContractiveChainSpec:
         return self.trunc
 
     def state_bound(self) -> float:
-        """Almost-sure bound on |X_t| under stationarity (and from x0 = 0)."""
+        """Almost-sure bound on |X_t| under stationarity, and at every t from x_0 = 0."""
         c = self.innovation_bound()
         if self.map == "clipped-linear":
             return self.clip_at + c
@@ -338,21 +338,21 @@ def _truncated_gaussian(sigma: float, trunc: float, rng: np.random.Generator,
     generator's state alone.
     """
     normal = trunc / sigma >= math.sqrt(math.pi / 2.0)
-    flat = out.reshape(-1)
-    if normal:
-        rng.standard_normal(out=flat)
-        flat *= sigma
-        todo = np.flatnonzero((flat > trunc) | (flat < -trunc))
-    else:
-        _uniform_fill(rng, trunc, flat)  # never leaves [-trunc, trunc]
-        todo = np.flatnonzero(rng.random(flat.size) >= _acceptance(flat, sigma))
-    while todo.size:  # redraw the rejected entries, in order
+
+    def propose(x: np.ndarray) -> np.ndarray:
+        """Fill x with proposals and return the mask of those kept."""
         if normal:
-            x = sigma * rng.standard_normal(todo.size)
-            keep = np.abs(x) <= trunc
-        else:
-            x = rng.uniform(-trunc, trunc, todo.size)
-            keep = rng.random(todo.size) < _acceptance(x, sigma)
+            rng.standard_normal(out=x)
+            x *= sigma
+            return (x >= -trunc) & (x <= trunc)
+        _uniform_fill(rng, trunc, x)  # never leaves [-trunc, trunc]
+        return rng.random(x.size) < _acceptance(x, sigma)
+
+    flat = out.reshape(-1)
+    todo = np.flatnonzero(~propose(flat))
+    while todo.size:  # redraw the rejected entries, in order
+        x = np.empty(todo.size)
+        keep = propose(x)
         flat[todo[keep]] = x[keep]
         todo = todo[~keep]
     return out
@@ -375,11 +375,11 @@ def _simulate_chain_columns(
     columns of an (n, len(seeds)) array; or, given a `sink`, passed to it in
     row order one chunk of rows at a time, and None returned.
 
-    Column j is x_t = psi(x_{t-1}) + eps_t from x_0 = x0, keeping
+    Column j is x_t = psi(x_{t-1}) + eps_t from x_0 = 0, keeping
     x_burn_in, ..., x_{burn_in + n - 1}. The innovations come from `rng` in
     row order. Only the state row of the burn-in is carried on, and most of
     a long one is not drawn at all (_chain_state, _coupled_state). The kept
-    rows (n - 1 after the x0 row when burn_in = 0) are drawn BURN_ROWS at a
+    rows (n - 1 after the x_0 row when burn_in = 0) are drawn BURN_ROWS at a
     time, whatever the width or the innovation, where the recursion then
     writes their states, and each chunk is advanced while it is still in
     cache. Uniform fills take their values in order, so the chunks leave
@@ -397,11 +397,11 @@ def _simulate_chain_columns(
     burn = max(spec.burn_in - 1, 0)  # steps before the draw that yields x_burn_in
     x = _coupled_state(spec, burn, width, rng)
     if x is None:
-        x = _chain_state(spec, burn, np.full(width, spec.x0), rng)
+        x = _chain_state(spec, burn, np.zeros(width), rng)
     # the result, or with a sink the buffer of the one chunk it is given
     paths = np.empty((n, width) if sink is None else (min(BURN_ROWS, n), width))
     step = (spec.a, None if spec.map == "linear" else spec.apply_map)
-    if spec.burn_in == 0:  # x0 itself is kept, as a chunk of one row
+    if spec.burn_in == 0:  # x_0 = 0 itself is kept, as a chunk of one row
         paths[0] = x
         if sink is not None:
             sink(paths[:1])
@@ -428,7 +428,7 @@ def _chain_state(spec: ContractiveChainSpec, rows: int, x: np.ndarray,
 
 def _coupled_state(spec: ContractiveChainSpec, rows: int, width: int,
                    rng: np.random.Generator) -> Optional[np.ndarray]:
-    """The states of `width` columns after `rows` innovation rows from x0,
+    """The states of `width` columns after `rows` innovation rows from 0,
     by coupling from the past (_burn_in_skip): the generator skips all but
     the last K rows, and chains from -S and S run through those. The
     generator is left after the rows. None, with the generator as it was,
@@ -438,7 +438,7 @@ def _coupled_state(spec: ContractiveChainSpec, rows: int, width: int,
     floating point: neither skips."""
     if spec.innovation != "uniform" or spec.map == "sine-perturbed":
         return None
-    skip, bound = _burn_in_skip(rows, spec.a, spec.x0, spec.state_bound(), [rng.bit_generator])
+    skip, bound = _burn_in_skip(rows, spec.a, 0.0, spec.state_bound(), [rng.bit_generator])
     if not skip:
         return None
     saved = rng.bit_generator.state
@@ -672,7 +672,7 @@ class PsiSpec:
     constant ||weight||), "norm" is the quadrature L2 norm (constant 1).
     """
 
-    name: str = "norm"
+    name: str
     weight: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -748,9 +748,9 @@ def transfer_chain(spec: ContractiveChainSpec) -> tuple[np.ndarray, np.ndarray, 
     return edges, cdf, chain
 
 
-def estimate_chain_mixing(spec: ContractiveChainSpec, lags: Sequence[int] = (1, 2, 3, 4, 5)):
+def estimate_chain_mixing(spec: ContractiveChainSpec):
     """Exponential-decay fit (kappa0, kappa1, R^2) of the exact lag
-    coefficients beta(k), k in `lags`, of transfer_chain's chain on all its
+    coefficients beta(k), k in MIXING_LAGS, of transfer_chain's chain on all its
     cells: the chain's own beta up to the discretisation, from no random
     draw. A constant map gives i.i.d. states and beta = 0: a FitError. A
     kappa1 of at most 1e-9, the fit's zero, is no decay (near a = -1 the
@@ -758,10 +758,10 @@ def estimate_chain_mixing(spec: ContractiveChainSpec, lags: Sequence[int] = (1, 
     _, _, chain = transfer_chain(spec)
     if (chain.transition == chain.transition[0]).all():
         raise FitError("beta is 0 at every lag: a constant map gives i.i.d. states, no decay")
-    fit = fit_geometric_decay(list(lags), [markov_beta_lag(chain, lag) for lag in lags])
+    fit = fit_geometric_decay(MIXING_LAGS, [markov_beta_lag(chain, lag) for lag in MIXING_LAGS])
     if fit.kappa1 <= 1e-9:
         raise DomainError(
-            f"field 'process.a': at a = {spec.a} the beta of the {chain.n_states} reachable "
-            f"cells does not decay over lags {list(lags)} (fitted kappa1 = {fit.kappa1:.3g}), "
-            "so the chain has no mixing rate to fit")
+            f"field 'process.a': at a = {spec.a} the beta of the {chain.n_states} reachable cells "
+            f"does not decay over lags {list(MIXING_LAGS)} (fitted kappa1 = {fit.kappa1:.3g}), so "
+            "the chain has no mixing rate to fit")
     return fit

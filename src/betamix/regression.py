@@ -305,9 +305,9 @@ def dynamic_forecast_experiment(
     kernel: KernelSpec,
     theta: float,
     points: Sequence[tuple[int, int]],
-    reps: int = 200,
-    seed: int = 0,
-    grid_size: int = 64,
+    reps: int,
+    seed: int,
+    grid_size: int,
 ) -> list[ForecastSummary]:
     """Replicate the fit-and-forecast pipeline at every (n, t) point of
     `points`: one summary per point, in their order.

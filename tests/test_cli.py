@@ -192,9 +192,8 @@ class TestConfigParsing:
             resolve_config({"suite": "everything", "seed": "1"})
 
     def test_process_keys_are_the_spec_fields_and_the_kind(self):
-        # x0, the start state, is set by library callers only
         spec_keys = {f"process.{f.name}" for spec in (ContractiveChainSpec, Far1Spec)
-                     for f in fields(spec) if f.name != "x0"}
+                     for f in fields(spec)}
         assert {k for k in KNOWN_KEYS if k.startswith("process.")} == spec_keys | {"process.kind"}
 
     @pytest.mark.parametrize("suite, spec", [("concentration", ContractiveChainSpec()),

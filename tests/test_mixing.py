@@ -125,9 +125,9 @@ class TestAlphaTable:
     def test_ibragimov_grouped_tables_bit_identical(self, monkeypatch):
         tables = []
 
-        def recording_alpha_table(dev, cap=16):
+        def recording_alpha_table(dev):
             tables.append(dev)
-            return _alpha_table(dev, cap)
+            return _alpha_table(dev)
 
         monkeypatch.setattr("betamix.mixing._alpha_table", recording_alpha_table)
         rng = np.random.default_rng(47)

@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from digests import ci_rows
+
 from betamix import processes
-from betamix.concentration import make_fspec
+from betamix.concentration import REP_BLOCK, make_fspec
+from betamix.config import resolve_config
 from betamix.errors import ConfigError, DomainError, FitError, ValidationError
 from betamix.mixing import fit_geometric_decay, markov_beta_lag
 from betamix.processes import (
@@ -89,21 +92,21 @@ def scalar_ar1(coef, drive, start):
     return np.fromiter(steps, dtype=float, count=drive.size + 1)
 
 
-def halving_spec(**kw):
-    return ContractiveChainSpec(map="linear", a=0.5, burn_in=0, x0=1.0, **kw)
-
-
-def zero_innovations(spec, rng, out):
-    out.fill(0.0)
-    return out
+def constant_innovations(value):
+    """A stand-in for _draw_innovations that fills every innovation with `value`."""
+    def fill(spec, rng, out):
+        out.fill(value)
+        return out
+    return fill
 
 
 class TestContractiveChain:
     def test_deterministic_contraction_is_exact(self, monkeypatch):
-        # with every innovation 0, x_k = a^k x0 exactly
-        monkeypatch.setattr(processes, "_draw_innovations", zero_innovations)
-        path = _simulate_chain_columns(halving_spec(), 12, range(1), np.random.default_rng(0))[:, 0]
-        assert_array_equal(path, 2.0 ** -np.arange(12))
+        # with every innovation 1, x_k = x_{k-1} / 2 + 1 = 2 - 2^(1-k) from x_0 = 0, exactly
+        monkeypatch.setattr(processes, "_draw_innovations", constant_innovations(1.0))
+        spec = ContractiveChainSpec(map="linear", a=0.5, burn_in=0)
+        path = _simulate_chain_columns(spec, 12, range(1), np.random.default_rng(0))[:, 0]
+        assert_array_equal(path, 2.0 - 2.0 ** (1 - np.arange(12)))
 
     def test_stationary_variance_matches_ar1_formula(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", halfwidth=1.0)
@@ -126,7 +129,7 @@ class TestContractiveChain:
         """Reference: each column of `eps` drives its own width-1 recursion."""
         want = np.empty((eps.shape[0] + 1, eps.shape[1]))
         for j in range(eps.shape[1]):
-            x = np.full(1, spec.x0)
+            x = np.zeros(1)
             want[0, j] = x[0]
             for t, e in enumerate(eps[:, j], start=1):
                 x = spec.apply_map(x) + e
@@ -157,11 +160,11 @@ class TestContractiveChain:
     @pytest.mark.parametrize("n", [1, 40])
     def test_linear_columns_are_the_per_step_recursion(self, width, burn_in, n):
         spec = ContractiveChainSpec(map="linear", a=-0.9, innovation="uniform",
-                                    halfwidth=0.8, burn_in=burn_in, x0=0.25)
+                                    halfwidth=0.8, burn_in=burn_in)
         draws = np.random.default_rng(13).uniform(-0.8, 0.8, size=(burn_in + n - 1, width))
         want = np.empty((n, width))
         for j in range(width):
-            x = np.float64(0.25)
+            x = np.float64(0.0)
             states = [x]
             for e in draws[:, j]:
                 x = spec.a * x + e
@@ -182,7 +185,7 @@ class TestContractiveChain:
         """The kept states of the recursion over all rows of `eps`."""
         total, width = eps.shape[0] + 1, eps.shape[1]
         full = np.empty((total, width))
-        x = np.full(width, spec.x0)
+        x = np.zeros(width)
         full[0] = x
         for t in range(1, total):
             x = spec.apply_map(x) + eps[t - 1]
@@ -198,7 +201,6 @@ class TestContractiveChain:
         spec = ContractiveChainSpec(
             map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
             innovation=innovation, sigma=0.5, trunc=1.5, halfwidth=0.8, burn_in=burn_in,
-            x0=0.25,
         )
         for n in (1, 40):
             got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(21))
@@ -207,24 +209,24 @@ class TestContractiveChain:
             assert_array_equal(got, want)
 
     @pytest.mark.parametrize("map_name", CHAIN_MAPS)
-    @pytest.mark.parametrize("innovation", ["uniform", "zero"])
+    @pytest.mark.parametrize("innovation", ["uniform", "constant"])
     @pytest.mark.parametrize("burn_in", [2, BURN_ROWS - 1, BURN_ROWS, BURN_ROWS + 1,
                                          2 * BURN_ROWS + 1, 1000])
     @pytest.mark.parametrize("width", [1, 3])
     def test_chunked_burn_in_is_the_whole_draw(self, monkeypatch, map_name, innovation,
                                                burn_in, width):
         # uniform values are taken in order, so splitting the draw keeps them; with
-        # every innovation 0 the chunks carry the map step alone
+        # every innovation 0.25 the chunks carry the map step and that constant alone
         spec = ContractiveChainSpec(
             map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
-            halfwidth=0.8, burn_in=burn_in, x0=0.25,
+            halfwidth=0.8, burn_in=burn_in,
         )
-        if innovation == "zero":
-            monkeypatch.setattr(processes, "_draw_innovations", zero_innovations)
+        if innovation == "constant":
+            monkeypatch.setattr(processes, "_draw_innovations", constant_innovations(0.25))
         for n in (1, 40):
             got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(21))
-            if innovation == "zero":
-                want = self._two_array_states(spec, np.zeros((burn_in + n - 1, width)))
+            if innovation == "constant":
+                want = self._two_array_states(spec, np.full((burn_in + n - 1, width), 0.25))
             else:
                 want = self._two_array_recursion(spec, n, width, np.random.default_rng(21))
             assert got.shape == (n, width)
@@ -242,7 +244,7 @@ class TestContractiveChain:
             for burn_in in (0, 1, 1000):
                 spec = ContractiveChainSpec(
                     map=map_name, a=-0.6, b=0.3 if map_name == "sine-perturbed" else 0.0,
-                    halfwidth=halfwidth, clip_at=0.5 * halfwidth, burn_in=burn_in, x0=0.25,
+                    halfwidth=halfwidth, clip_at=0.5 * halfwidth, burn_in=burn_in,
                 )
                 got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
                 got = _simulate_chain_columns(spec, n, range(width), got_rng)
@@ -270,7 +272,7 @@ class TestContractiveChain:
         # so each draw redraws its own rejects
         spec = ContractiveChainSpec(
             map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
-            innovation="truncated-gaussian", sigma=1.0, trunc=1.0, burn_in=burn_in, x0=0.25,
+            innovation="truncated-gaussian", sigma=1.0, trunc=1.0, burn_in=burn_in,
         )
         for n in (1, 40, 150):
             got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(8))
@@ -284,21 +286,20 @@ class TestContractiveChain:
     @given(
         a=st.one_of(st.just(0.0), st.floats(-0.99, 0.99)),  # K <= 6,209 rows
         map_name=st.sampled_from(["linear", "clipped-linear"]),
-        x0_scale=st.sampled_from([0.0, 0.3, -1.0, 4.0, -25.0]),
         halfwidth=st.floats(0.05, 5.0),
         burn_from_k=st.sampled_from([-1, 0, 1, 2, None]),
         width=st.sampled_from([1, 4]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_skipped_burn_in_is_the_full_draw(self, a, map_name, x0_scale, halfwidth,
-                                              burn_from_k, width, seed):
-        # x0 ranges past state_bound() on both sides; burn_in K + 2 is the
-        # first that skips, and None stands for the workloads' 1000
+    def test_skipped_burn_in_is_the_full_draw(self, a, map_name, halfwidth, burn_from_k,
+                                              width, seed):
+        # burn_in K + 2 is the first that skips, and None stands for the
+        # workloads' 1000; starts past the stationary bound are TestBurnInSkip's
+        # and TestFar1Scores'
         k = _bounding_rows(a)
         burn_in = 1000 if burn_from_k is None else k + burn_from_k
         spec = ContractiveChainSpec(map=map_name, a=a, innovation="uniform",
                                     halfwidth=halfwidth, clip_at=0.5, burn_in=burn_in)
-        spec = replace(spec, x0=x0_scale * spec.state_bound())
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _simulate_chain_columns(spec, 5, range(width), got_rng)
         assert_array_equal(got, self._two_array_recursion(spec, 5, width, want_rng))
@@ -319,17 +320,19 @@ class TestContractiveChain:
             out = run()
         return out, sum(rows)
 
-    @pytest.mark.parametrize("a, x0, drawn", [
-        (0.5, 0.0, 128 + 30), (0.5, 1e200, 128 + 999 + 30), (0.0, 1e308, 999 + 30),
+    @pytest.mark.parametrize("halfwidth, k, drawn", [
+        (1.0, 128, 128 + 30), (1.0, 1, 1 + 999 + 30), (6e307, 128, 999 + 30),
     ], ids=["skips", "bounds-apart", "bound-overflows"])
     def test_burn_in_draws_only_the_bounding_rows_unless_they_stay_apart(self, monkeypatch,
-                                                                        a, x0, drawn):
-        # the tail-mc chain: a 1e200 start leaves the bounds 1e162 apart after
-        # K = 128 rows, so the block restores the generator and draws it all;
-        # S = 2e308 is not a float, and 0 * inf would be NaN, so no bound is drawn
-        spec = ContractiveChainSpec(map="linear", a=a, innovation="uniform", halfwidth=1.0,
-                                    burn_in=1000, x0=x0)
+                                                                        halfwidth, k, drawn):
+        # the tail-mc chain draws K = 128 rows; with K patched to 1 the bounds
+        # from -4 and 4 stay 4 apart after their one row, so the block restores
+        # the generator and draws it all; at halfwidth 6e307 S = 1.2e308 and
+        # 2 S is not a float, so no bound is drawn
+        spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform",
+                                    halfwidth=halfwidth, burn_in=1000)
         assert _bounding_rows(spec.a) == 128
+        monkeypatch.setattr(processes, "_bounding_rows", lambda a: k)
         rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
         got, rows = self._counted_rows(
             monkeypatch, lambda: _simulate_chain_columns(spec, 30, range(1000), rng))
@@ -345,7 +348,7 @@ class TestContractiveChain:
     def test_generators_without_an_exact_advance_draw_the_full_burn_in(self, monkeypatch,
                                                                       make_rng):
         spec = ContractiveChainSpec(map="clipped-linear", a=-0.5, innovation="uniform",
-                                    burn_in=1000, x0=0.25)
+                                    burn_in=1000)
         rng, want_rng = make_rng(), make_rng()
         got, rows = self._counted_rows(
             monkeypatch, lambda: _simulate_chain_columns(spec, 30, range(1), rng)[:, 0])
@@ -362,6 +365,21 @@ class TestContractiveChain:
             monkeypatch, lambda: _simulate_chain_columns(spec, 30, range(3),
                                                          np.random.default_rng(4)))
         assert rows == 999 + 30
+
+    @pytest.mark.parametrize("name", [name for name, _ in ci_rows("conc")])
+    def test_kept_states_lie_within_the_state_bound(self, name):
+        # the chain of each concentration row of CI's worker-invariance table, at
+        # the row's burn_in and from its start x_0 = 0, in a one-column and a full
+        # block; `first` takes its B from this bound, so no state may round past it
+        argv = dict(ci_rows("conc"))[name]
+        sets = dict(argv[i + 1].split("=", 1) for i, word in enumerate(argv) if word == "--set")
+        row = resolve_config({}, {"suite": "concentration", "seed": "5", **sets}).process
+        bound = row.state_bound()
+        for spec in (row, replace(row, burn_in=0)):
+            for width in (1, REP_BLOCK):
+                states = _simulate_chain_columns(spec, 400, range(width),
+                                                 np.random.default_rng(width))
+                assert np.abs(states).max() <= bound, (spec, width, np.abs(states).max(), bound)
 
     def test_half_means_agree_under_stationarity(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", burn_in=1000)
@@ -382,7 +400,7 @@ class TestContractiveChain:
             ContractiveChainSpec(map="sine-perturbed", a=0.7, b=0.4)
 
     @pytest.mark.parametrize(
-        "field", ["a", "b", "clip_at", "halfwidth", "sigma", "trunc", "x0"]
+        "field", ["a", "b", "clip_at", "halfwidth", "sigma", "trunc"]
     )
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_fields_rejected(self, field, value):
@@ -447,18 +465,13 @@ class TestTruncatedGaussian:
         rng = np.random.default_rng(4)
         proposals = 0
 
-        # the first proposals fill the draw in place (uniform ones through
-        # random(out=...)); the redraws and the acceptance uniforms take a size
+        # every proposal fills its array in place (a uniform one through
+        # random(out=...)); the acceptance uniforms take a size
         class Counting:
-            def standard_normal(self, size=None, out=None):
+            def standard_normal(self, out):
                 nonlocal proposals
-                proposals += size if out is None else out.size
-                return rng.standard_normal(size, out=out)
-
-            def uniform(self, low, high, size):
-                nonlocal proposals
-                proposals += size
-                return rng.uniform(low, high, size)
+                proposals += out.size
+                return rng.standard_normal(out=out)
 
             def random(self, size=None, out=None):
                 nonlocal proposals
@@ -944,6 +957,20 @@ class TestFar1Scores:
         assert processes._far1_frame(spec, 16)[2] * (1 - 2**-53) == 1.0
         assert self._decision(monkeypatch, replace(ordinary, rho=1 - 2**-53)) == (0, math.inf)
 
+    @pytest.mark.parametrize("rho", [0.5, -0.7])
+    @pytest.mark.parametrize("n", [1, 30])
+    def test_start_past_the_stationary_bound_is_the_whole_draw(self, monkeypatch, rho, n):
+        # X_0 = phi puts the phi-score at c0 = <phi, phi>_w = 1, past its stationary
+        # bound at noise_scale 0.1 (0.346 at rho = 0.5, 0.577 at -0.7), so the
+        # bounding chains start from -2 c0 and 2 c0
+        spec = Far1Spec(rho=rho, noise_scale=0.1, burn_in=1000, initial="eigenfunction")
+        skip, bound = self._decision(monkeypatch, spec)
+        assert skip > 0 and bound == 2.0 * processes._far1_frame(spec, 16)[2]
+        streams, refs = ([(np.random.default_rng(6), 3), (np.random.default_rng(7), 2)]
+                         for _ in range(2))
+        got = far1_scores(spec, n, 16, streams)
+        self._assert_sequential(spec, n, streams, [g for g, _ in refs], *got)
+
     def test_gaussian_bump_path_takes_no_scores(self):
         spec = Far1Spec(kernel="gaussian-bump", burn_in=5)
         with pytest.raises(ValidationError, match="kept rows"):
@@ -963,14 +990,16 @@ class TestBurnInSkip:
         (128, 0.5, 0.0, 2.0, np.random.default_rng, 1, 0),
         (999, 1.0, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 0),
         (999, -1.5, 0.0, 2.0, np.random.default_rng, 1, 0),
-        (999, TAIL_MC.a, TAIL_MC.x0, TAIL_MC.state_bound(), np.random.default_rng, 1, 871),
+        (999, TAIL_MC.a, 0.0, TAIL_MC.state_bound(), np.random.default_rng, 1, 871),
         (999, 0.5, -3.0, 2.0, np.random.default_rng, 1, 871),
+        (999, -0.5, 3.0, 2.0, np.random.default_rng, 1, 871),
+        (999, 0.5, 1e308, 2.0, np.random.default_rng, 1, 0),
         (999, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 832),
         (128 + SKIP_ROWS, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, SKIP_ROWS),
         (127 + SKIP_ROWS, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 0),
     ], ids=["S-overflows", "MT19937", "PCG64DXSM", "PCG64-buffered-uint32", "rows-at-K",
             "coef-rounds-to-1", "coef-past-1", "tail-mc-chain", "start-past-stationary",
-            "forecast-path", "one-block-left", "no-block-left"])
+            "start-past-stationary-coef-below-0", "start-overflows", "forecast-path", "one-block-left", "no-block-left"])
     def test_decision(self, burn, coef, start, stationary, make_rng, block, skip):
         # K = 128 rows at coef 0.5; a chain skips whole rows, a FAR(1) path
         # whole SKIP_ROWS blocks; one generator that does not advance exactly
