@@ -291,7 +291,8 @@ def _mixing_fields(r: dict[str, str]) -> dict:
     for key, count in (("mixing.joints", joints), ("mixing.chains", chains)):
         if count < 1:
             raise ConfigError(f"field {key!r}: must be >= 1")
-    # a random model has at least 2 states; the exhaustive checks cap at 12
+    # a random model has at least 2 states; at most 12 keeps each exhaustive
+    # check small: alpha enumerates 2^12 row sets
     if not 2 <= max_states <= 12:
         raise ConfigError("field 'mixing.max_states': must lie in 2..12")
     return dict(mixing_joints=joints, mixing_chains=chains, mixing_max_states=max_states)

@@ -19,7 +19,6 @@ from .errors import FitError, SizeError, ValidationError
 
 MASS_TOL = 1e-12      # distribution validation
 INEQ_TOL = 1e-10      # inequality verdicts
-ALPHABET_CAP = 12     # exhaustive subset enumeration limit per alphabet
 TABLE_SIDE_CAP = 16   # longest shorter side of a table _alpha_table enumerates
 BLOCK_FLOATS = 1 << 16  # subset sums held at once by _alpha_table (512 KiB)
 
@@ -173,13 +172,9 @@ def alpha_exact(j: FiniteJointDistribution) -> float:
     max over A subset of the X-alphabet and B subset of the Y-alphabet of
     |P(A x B) - P(A) P(B)|. For fixed A the optimal B is the set of columns
     where the row-aggregated gap is positive (or negative), so enumerating
-    the 2^m subsets of one alphabet is exhaustive over both.
+    the 2^m subsets of one alphabet, the shorter, is exhaustive over both.
+    The shorter has at most TABLE_SIDE_CAP values (a SizeError above).
     """
-    m, ell = j.shape
-    if m > ALPHABET_CAP or ell > ALPHABET_CAP:
-        raise SizeError(
-            f"alphabets ({m}, {ell}) exceed enumeration cap {ALPHABET_CAP}"
-        )
     return _alpha_table(j.deviation)
 
 

@@ -82,8 +82,8 @@ class ContractiveChainSpec:
             raise ConfigError(
                 f"field 'process.a'{also_b}: Lipschitz constant {self.lipschitz} must be < 1"
             )
-        if self.burn_in < 0:
-            raise ConfigError("field 'process.burn_in': must be >= 0")
+        if self.burn_in < 1:
+            raise ConfigError("field 'process.burn_in': must be >= 1")
         if self.map == "clipped-linear" and self.clip_at <= 0:
             raise ConfigError("field 'process.clip_at': clipped-linear map needs clip_at > 0")
         if self.innovation == "uniform" and self.halfwidth <= 0:
@@ -251,7 +251,8 @@ class Far1Spec:
     eigenfunction below, so its paths reduce to a scalar AR(1) on the
     phi-coefficient; "gaussian-bump" is a full-rank Gaussian kernel scaled to
     norm rho. Innovations are a finite sine expansion with bounded uniform
-    coefficients, so sample paths are almost surely norm-bounded.
+    coefficients, so sample paths are almost surely norm-bounded. A path
+    starts at X_0 = 0 and keeps X_burn_in, ..., X_{burn_in + n - 1}.
     """
 
     kernel: str = "separable"
@@ -260,7 +261,6 @@ class Far1Spec:
     noise_scale: float = 0.3
     noise_terms: int = 8
     burn_in: int = 1000
-    initial: str = "zero"
 
     def __post_init__(self):
         if self.kernel not in FAR_KERNELS:
@@ -273,12 +273,10 @@ class Far1Spec:
             raise ConfigError(
                 f"field 'process.rho': operator norm bound {self.rho} violates |rho| < 1"
             )
-        if self.initial not in ("zero", "eigenfunction"):
-            raise ConfigError("field 'process.initial': must be 'zero' or 'eigenfunction'")
         # the bump kernel divides by 2 w^2
         if not (self.bump_width > 0 and 0.0 < 2.0 * self.bump_width * self.bump_width < math.inf):
             raise ConfigError("field 'process.bump_width': must be > 0 with 2 w^2 in (0, inf)")
-        for name, low in (("noise_terms", 1), ("noise_scale", 0), ("burn_in", 0)):
+        for name, low in (("noise_terms", 1), ("noise_scale", 0), ("burn_in", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"field 'process.{name}': must be >= {low}")
 
@@ -378,13 +376,13 @@ def _simulate_chain_columns(
     Column j is x_t = psi(x_{t-1}) + eps_t from x_0 = 0, keeping
     x_burn_in, ..., x_{burn_in + n - 1}. The innovations come from `rng` in
     row order. Only the state row of the burn-in is carried on, and most of
-    a long one is not drawn at all (_chain_state, _coupled_state). The kept
-    rows (n - 1 after the x_0 row when burn_in = 0) are drawn BURN_ROWS at a
-    time, whatever the width or the innovation, where the recursion then
-    writes their states, and each chunk is advanced while it is still in
-    cache. Uniform fills take their values in order, so the chunks leave
-    their paths those of one whole draw; a truncated-Gaussian path is that
-    of its rejection draws in BURN_ROWS-row pieces.
+    a long one is not drawn at all (_chain_state, _coupled_state). Every
+    kept row is a drawn state: the n rows are drawn BURN_ROWS at a time,
+    whatever the width or the innovation, where the recursion then writes
+    their states, and each chunk is advanced while it is still in cache.
+    Uniform fills take their values in order, so the chunks leave their
+    paths those of one whole draw; a truncated-Gaussian path is that of its
+    rejection draws in BURN_ROWS-row pieces.
 
     Without a sink the chunks are slices of the result. With one, each is
     drawn into one buffer and passed to the sink, which may overwrite it but
@@ -394,18 +392,14 @@ def _simulate_chain_columns(
     if n < 1:
         raise ValidationError("path length must be >= 1")
     width = len(seeds)
-    burn = max(spec.burn_in - 1, 0)  # steps before the draw that yields x_burn_in
+    burn = spec.burn_in - 1  # steps before the draw that yields x_burn_in
     x = _coupled_state(spec, burn, width, rng)
     if x is None:
         x = _chain_state(spec, burn, np.zeros(width), rng)
     # the result, or with a sink the buffer of the one chunk it is given
     paths = np.empty((n, width) if sink is None else (min(BURN_ROWS, n), width))
     step = (spec.a, None if spec.map == "linear" else spec.apply_map)
-    if spec.burn_in == 0:  # x_0 = 0 itself is kept, as a chunk of one row
-        paths[0] = x
-        if sink is not None:
-            sink(paths[:1])
-    for start in range(int(spec.burn_in == 0), n, BURN_ROWS):
+    for start in range(0, n, BURN_ROWS):
         out = paths[start:start + BURN_ROWS] if sink is None else paths[:n - start]
         x = _advance_chain(x, _draw_innovations(spec, rng, out), *step)[-1].copy()
         if sink is not None:
@@ -428,7 +422,7 @@ def _chain_state(spec: ContractiveChainSpec, rows: int, x: np.ndarray,
 
 def _coupled_state(spec: ContractiveChainSpec, rows: int, width: int,
                    rng: np.random.Generator) -> Optional[np.ndarray]:
-    """The states of `width` columns after `rows` innovation rows from 0,
+    """The states of `width` columns after `rows` innovation rows from x_0 = 0,
     by coupling from the past (_burn_in_skip): the generator skips all but
     the last K rows, and chains from -S and S run through those. The
     generator is left after the rows. None, with the generator as it was,
@@ -438,7 +432,7 @@ def _coupled_state(spec: ContractiveChainSpec, rows: int, width: int,
     floating point: neither skips."""
     if spec.innovation != "uniform" or spec.map == "sine-perturbed":
         return None
-    skip, bound = _burn_in_skip(rows, spec.a, 0.0, spec.state_bound(), [rng.bit_generator])
+    skip, bound = _burn_in_skip(rows, spec.a, spec.state_bound(), [rng.bit_generator])
     if not skip:
         return None
     saved = rng.bit_generator.state
@@ -458,15 +452,15 @@ def _bounding_rows(a: float) -> float:
     return 128 if a == 0 else max(128, math.ceil(90 * math.log(2) / -math.log(abs(a))))
 
 
-def _burn_in_skip(burn: int, coef: float, start: float, stationary: float,
+def _burn_in_skip(burn: int, coef: float, stationary: float,
                   gens: Sequence[np.random.BitGenerator], block: int = 1) -> tuple[int, float]:
     """(skip, S) for `burn` burn-in rows of x_t = f(x_{t-1}) + d_t from
-    x_0 = start, f being coef x or a clip of it, and |x_t| <= stationary
-    almost surely: the early rows that the paths drawn by `gens` need not
-    draw, the most whole `block`s that leave K = _bounding_rows(coef) rows or
-    more, and the start S = 2 max(|start|, stationary) of the bounding
-    chains. skip is 0 when S is not a float, when a generator does not
-    advance exactly, or when no block is left (always, once K = inf).
+    x_0 = 0, f being coef x or a clip of it, and |x_t| <= stationary almost
+    surely: the early rows that the paths drawn by `gens` need not draw, the
+    most whole `block`s that leave K = _bounding_rows(coef) rows or more,
+    and the start S = 2 stationary of the bounding chains. skip is 0 when S
+    is not a float, when a generator does not advance exactly, or when no
+    block is left (always, once K = inf).
 
     The sandwiching of coupling from the past (Propp and Wilson 1996): a PCG64
     uniform draw takes one 64-bit output per value, so advancing a generator
@@ -479,7 +473,7 @@ def _burn_in_skip(burn: int, coef: float, start: float, stationary: float,
     whose sign the bounds cannot tell, so _bounds_meet takes no zero end.
     """
     keep = _bounding_rows(coef)
-    bound = 2.0 * max(abs(start), stationary)
+    bound = 2.0 * stationary
     exact = all(isinstance(g, np.random.PCG64) and not g.state["has_uint32"] for g in gens)
     skips = burn > keep and math.isfinite(bound) and exact
     return (burn - keep) // block * block if skips else 0, bound
@@ -544,7 +538,7 @@ def _far1_rows(spec: Far1Spec, n: int) -> tuple[int, int]:
     """(first kept row, rows) of a path's coefficients: row t - 1 drives X_t."""
     if n < 1:
         raise ValidationError("path length must be >= 1")
-    return max(spec.burn_in, 1) - 1 if spec.kernel == "separable" else 0, spec.burn_in + n - 1
+    return spec.burn_in - 1 if spec.kernel == "separable" else 0, spec.burn_in + n - 1
 
 
 def _far1_coeffs(spec: Far1Spec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -558,12 +552,12 @@ def _far1_coeffs(spec: Far1Spec, rng: np.random.Generator, out: np.ndarray) -> n
 def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.ndarray, list]:
     """Draw FAR(1) paths of length n, `count` from each (generator, count) of
     `streams` in turn, as simulate_far1 draws them, and run all their
-    phi-score recursions c_t = rho <phi, phi>_w c_{t-1} + d_{t-1} together.
-    Path j's draw is split at its first kept row, with the values of one
-    draw, and states[j] is its generator state there. Only the drive
-    d = coeffs @ <b, phi>_w is kept, one product over all of its drawn rows;
-    the burn-in rows run in their own array, then the kept rows in place in
-    column j of `scores` (no rows for a gaussian-bump path).
+    phi-score recursions c_t = rho <phi, phi>_w c_{t-1} + d_{t-1} from
+    c_0 = 0 together. Path j's draw is split at its first kept row, with the
+    values of one draw, and states[j] is its generator state there. Only the
+    drive d = coeffs @ <b, phi>_w is kept, one product over all of its drawn
+    rows; the burn-in rows run in their own array, then the kept rows in
+    place in column j of `scores` (no rows for a gaussian-bump path).
 
     A long burn-in is mostly not drawn (_burn_in_skip): each path skips its
     first `skip` rows, a whole number of SKIP_ROWS blocks, so every drawn row
@@ -574,14 +568,14 @@ def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.nda
     """
     (first, rows), width = _far1_rows(spec, n), sum(count for _, count in streams)
     _, loading, phi_sq, _ = _far1_frame(spec, grid_size)
-    coef, c0 = spec.rho * phi_sq, float(spec.initial == "eigenfunction") * phi_sq  # X_0 = c0 phi
+    coef = spec.rho * phi_sq
     paths = [g for g, count in streams for _ in range(count)]
     # |d| <= sqrt(3) noise_scale sum_m |<b_m, phi>_w| / m, and no bound holds once coef rounds to 1
     drive_bound = math.sqrt(3.0) * spec.noise_scale * float(
         np.abs(loading) @ (1.0 / np.arange(1, spec.noise_terms + 1)))
     stationary = drive_bound / (1.0 - abs(coef)) if abs(coef) < 1.0 else math.inf
     gens = [g.bit_generator for g, _ in streams]
-    skip, bound = _burn_in_skip(first, coef, c0, stationary, gens, SKIP_ROWS)
+    skip, bound = _burn_in_skip(first, coef, stationary, gens, SKIP_ROWS)
     coeffs, burn = np.empty((rows, spec.noise_terms)), np.empty((first - skip, width))
     scores = np.empty((rows - first if spec.kernel == "separable" else 0, width))
     starts, states = [], []
@@ -598,7 +592,7 @@ def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.nda
     if not len(scores):
         return scores, states
     if not skip:
-        scores[0] = _advance_chain(np.full(width, c0), burn, coef)[-1] if first else c0
+        scores[0] = _advance_chain(np.zeros(width), burn, coef)[-1] if first else 0.0
     else:
         ends = _advance_chain(np.repeat([-bound, bound], width), np.tile(burn, 2), coef)[-1]
         scores[0], met = _bounds_meet(ends)
@@ -607,7 +601,7 @@ def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.nda
             end, gen.state = gen.state, starts[j]
             drive = _far1_coeffs(spec, paths[j], coeffs) @ loading
             gen.state = end
-            scores[0, j] = _advance_chain(np.full(1, c0), drive[:first, None], coef)[-1, 0]
+            scores[0, j] = _advance_chain(np.zeros(1), drive[:first, None], coef)[-1, 0]
     _advance_chain(scores[0], scores[1:], coef)
     return scores, states
 
@@ -618,7 +612,7 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed,
 
     The separable operator rho * phi <phi, .>_w has rank one, so its path is
     driven by the scalar c_t = <phi, X_t>_w, itself an AR(1) with coefficient
-    rho <phi, phi>_w, which far1_scores runs. Every kept curve
+    rho <phi, phi>_w, which far1_scores runs from X_0 = 0. Every kept curve
     X_t = rho c_{t-1} phi + sum_m coeffs_{t-1,m} b_m then lies in the span of
     the frame [phi; b_1; ...; b_M], and the path holds its coordinates
     (rho c_{t-1}, coeffs_{t-1}) and that frame: no curve is built until
@@ -645,18 +639,14 @@ def simulate_far1(spec: Far1Spec, n: int, grid_size: int, seed: Seed,
         # BLAS may round the last rows of this product otherwise than far1_scores' whole-path one
         if not (np.abs(gap) <= 1e-12 * np.abs(scores).max(initial=0.0)).all():
             raise ValidationError("the scores do not follow the phi-score recursion of the draws")
-        coords = np.zeros((n, 1 + spec.noise_terms))
-        lead = n - len(coeffs)  # 1 when burn_in = 0: X_0 = 1 or 0 times phi is kept
-        coords[:lead, 0] = float(spec.initial == "eigenfunction")
-        coords[lead:, 0] = spec.rho * scores
-        coords[lead:, 1:] = coeffs
+        coords = np.empty((n, 1 + spec.noise_terms))
+        coords[:, 0] = spec.rho * scores
+        coords[:, 1:] = coeffs
         return template._derive(coords=coords)
 
-    x = template.frame[0].copy() if spec.initial == "eigenfunction" else np.zeros(grid_size)
+    x = np.zeros(grid_size)
     noise = coeffs @ template.frame[1:]
     curves = np.empty((n, grid_size))
-    if spec.burn_in == 0:
-        curves[0] = x
     for t in range(1, rows + 1):
         x = op @ x + noise[t - 1]
         if t >= spec.burn_in:

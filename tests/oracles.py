@@ -65,8 +65,8 @@ def alpha_bruteforce(joint: np.ndarray) -> float:
     """max over all rectangle events A x B of |P(A x B) - P(A) P(B)|."""
     joint = np.asarray(joint, dtype=float)
     m, ell = joint.shape
-    if m > 5 or ell > 5:
-        raise ValueError("brute force limited to 5x5")
+    if m + ell > 15:
+        raise ValueError("brute force limited to 2^15 event pairs")
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     best = 0.0

@@ -357,6 +357,11 @@ class TestExitCodes:
               "--set", "process.trunc=1e308", "--set", "process.sigma=1e308"), "process.trunc"),
             (("concentration", "--set", "process.innovation=none"), "process.innovation"),
             (("concentration", "--set", "fspec=zero"), "fspec"),
+            (("concentration", "--set", "process.burn_in=0"), "process.burn_in"),
+            (("fkr", "--set", "grid.n=120,240", "--set", "process.burn_in=0"),
+             "process.burn_in"),
+            (("fkr", "--set", "grid.n=120,240", "--set", "process.initial=eigenfunction"),
+             "process.initial"),
         ],
     )
     def test_invalid_grid_field_exits_2(self, tmp_path, capsys, argv, field):

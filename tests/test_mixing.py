@@ -89,8 +89,14 @@ class TestAlphaExact:
         joint = random_joint(rng, 2, 5)
         assert abs(alpha_exact(FiniteJointDistribution(joint)) - alpha_bruteforce(joint)) < 1e-13
 
+    def test_long_alphabet_against_a_short_one(self):
+        # 2^2 column sets are enumerated, however long the 13 rows
+        joint = random_joint(np.random.default_rng(31), 13, 2)
+        assert abs(alpha_exact(FiniteJointDistribution(joint)) - alpha_bruteforce(joint)) < 1e-13
+
     def test_size_cap(self):
-        joint = np.full((13, 2), 1.0 / 26)
+        # a shorter side above TABLE_SIDE_CAP = 16 is not enumerated
+        joint = np.full((17, 17), 1.0 / 289)
         with pytest.raises(SizeError):
             alpha_exact(FiniteJointDistribution(joint))
 

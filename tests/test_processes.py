@@ -85,10 +85,10 @@ def reference_draw(spec, rng, shape):
     return allocating_truncated_gaussian(spec.sigma, spec.trunc, rng, shape)
 
 
-def scalar_ar1(coef, drive, start):
-    """States y_0 = start, y_t = coef * y_{t-1} + drive[t-1] of a scalar AR(1),
+def scalar_ar1(coef, drive):
+    """States y_0 = 0, y_t = coef * y_{t-1} + drive[t-1] of a scalar AR(1),
     stepped in Python floats, which round like float64."""
-    steps = accumulate(drive.tolist(), lambda y, d: coef * y + d, initial=start)
+    steps = accumulate(drive.tolist(), lambda y, d: coef * y + d, initial=0.0)
     return np.fromiter(steps, dtype=float, count=drive.size + 1)
 
 
@@ -102,11 +102,12 @@ def constant_innovations(value):
 
 class TestContractiveChain:
     def test_deterministic_contraction_is_exact(self, monkeypatch):
-        # with every innovation 1, x_k = x_{k-1} / 2 + 1 = 2 - 2^(1-k) from x_0 = 0, exactly
+        # with every innovation 1, x_k = x_{k-1} / 2 + 1 = 2 - 2^(1-k) from x_0 = 0,
+        # exactly; burn_in 1 keeps x_1, ..., x_12
         monkeypatch.setattr(processes, "_draw_innovations", constant_innovations(1.0))
-        spec = ContractiveChainSpec(map="linear", a=0.5, burn_in=0)
+        spec = ContractiveChainSpec(map="linear", a=0.5, burn_in=1)
         path = _simulate_chain_columns(spec, 12, range(1), np.random.default_rng(0))[:, 0]
-        assert_array_equal(path, 2.0 - 2.0 ** (1 - np.arange(12)))
+        assert_array_equal(path, 2.0 - 2.0 ** -np.arange(12))
 
     def test_stationary_variance_matches_ar1_formula(self):
         spec = ContractiveChainSpec(map="linear", a=0.5, innovation="uniform", halfwidth=1.0)
@@ -156,7 +157,7 @@ class TestContractiveChain:
                 assert np.array_equal(got, whole) == (innovation == "uniform")
 
     @pytest.mark.parametrize("width", [1, 3])
-    @pytest.mark.parametrize("burn_in", [0, 1, 7])
+    @pytest.mark.parametrize("burn_in", [1, 7, BURN_ROWS + 1])
     @pytest.mark.parametrize("n", [1, 40])
     def test_linear_columns_are_the_per_step_recursion(self, width, burn_in, n):
         spec = ContractiveChainSpec(map="linear", a=-0.9, innovation="uniform",
@@ -194,7 +195,7 @@ class TestContractiveChain:
 
     @pytest.mark.parametrize("map_name", CHAIN_MAPS)
     @pytest.mark.parametrize("innovation", CHAIN_INNOVATIONS)
-    @pytest.mark.parametrize("burn_in", [0, 1, 7])
+    @pytest.mark.parametrize("burn_in", [1, 2, 7])
     @pytest.mark.parametrize("width", [1, 3])
     def test_in_place_recursion_is_the_two_array_loop(self, map_name, innovation, burn_in,
                                                       width):
@@ -241,7 +242,7 @@ class TestContractiveChain:
         # halfwidth other than 1 the scale 2h u rounds; burn_in 1000 skips
         # most of a linear or clipped-linear burn-in
         for map_name in CHAIN_MAPS:
-            for burn_in in (0, 1, 1000):
+            for burn_in in (1, 1000):
                 spec = ContractiveChainSpec(
                     map=map_name, a=-0.6, b=0.3 if map_name == "sine-perturbed" else 0.0,
                     halfwidth=halfwidth, clip_at=0.5 * halfwidth, burn_in=burn_in,
@@ -255,16 +256,15 @@ class TestContractiveChain:
     @staticmethod
     def _chunked_draw(spec, n, width, rng):
         """Reference draw order: the burn_in - 1 steps before the kept rows,
-        then the rows of x_burn_in onwards (x_1 onwards when burn_in = 0),
-        each part in BURN_ROWS-row draws."""
-        burn = max(spec.burn_in - 1, 0)
-        kept = spec.burn_in + n - 1 - burn
+        then the n rows of x_burn_in onwards, each part in BURN_ROWS-row draws."""
+        burn = spec.burn_in - 1
         sizes = [BURN_ROWS] * (burn // BURN_ROWS) + [burn % BURN_ROWS]
-        sizes += [BURN_ROWS] * (kept // BURN_ROWS) + [kept % BURN_ROWS]
+        sizes += [BURN_ROWS] * (n // BURN_ROWS) + [n % BURN_ROWS]
         return np.concatenate([reference_draw(spec, rng, (rows, width)) for rows in sizes])
 
     @pytest.mark.parametrize("map_name", CHAIN_MAPS)
-    @pytest.mark.parametrize("burn_in", [0, 1, 2, BURN_ROWS, BURN_ROWS + 1, 200])
+    @pytest.mark.parametrize("burn_in", [1, 2, BURN_ROWS, BURN_ROWS + 1, 2 * BURN_ROWS + 1,
+                                         200])
     @pytest.mark.parametrize("width", [1, 3])
     def test_truncated_gaussian_draws_burn_in_chunks_then_kept_rows(self, map_name,
                                                                     burn_in, width):
@@ -294,8 +294,7 @@ class TestContractiveChain:
     def test_skipped_burn_in_is_the_full_draw(self, a, map_name, halfwidth, burn_from_k,
                                               width, seed):
         # burn_in K + 2 is the first that skips, and None stands for the
-        # workloads' 1000; starts past the stationary bound are TestBurnInSkip's
-        # and TestFar1Scores'
+        # workloads' 1000
         k = _bounding_rows(a)
         burn_in = 1000 if burn_from_k is None else k + burn_from_k
         spec = ContractiveChainSpec(map=map_name, a=a, innovation="uniform",
@@ -369,13 +368,13 @@ class TestContractiveChain:
     @pytest.mark.parametrize("name", [name for name, _ in ci_rows("conc")])
     def test_kept_states_lie_within_the_state_bound(self, name):
         # the chain of each concentration row of CI's worker-invariance table, at
-        # the row's burn_in and from its start x_0 = 0, in a one-column and a full
+        # the row's burn_in and at the shortest, 1, in a one-column and a full
         # block; `first` takes its B from this bound, so no state may round past it
         argv = dict(ci_rows("conc"))[name]
         sets = dict(argv[i + 1].split("=", 1) for i, word in enumerate(argv) if word == "--set")
         row = resolve_config({}, {"suite": "concentration", "seed": "5", **sets}).process
         bound = row.state_bound()
-        for spec in (row, replace(row, burn_in=0)):
+        for spec in (row, replace(row, burn_in=1)):
             for width in (1, REP_BLOCK):
                 states = _simulate_chain_columns(spec, 400, range(width),
                                                  np.random.default_rng(width))
@@ -421,6 +420,12 @@ class TestContractiveChain:
     def test_nonpositive_clip_level_rejected(self, value):
         with pytest.raises(ConfigError, match="process.clip_at"):
             ContractiveChainSpec(map="clipped-linear", clip_at=value)
+
+    @pytest.mark.parametrize("burn_in", [0, -1])
+    def test_burn_in_below_one_rejected(self, burn_in):
+        # the first kept state is x_burn_in, a draw: x_0 = 0 is never kept
+        with pytest.raises(ConfigError, match="process.burn_in.*>= 1"):
+            ContractiveChainSpec(burn_in=burn_in)
 
 
 class TestTruncatedGaussian:
@@ -620,14 +625,6 @@ class TestTransferChain:
 
 
 class TestFar1:
-    def test_eigenfunction_iteration(self):
-        spec = Far1Spec(kernel="separable", rho=0.5, noise_scale=0.0, burn_in=0,
-                        initial="eigenfunction")
-        path = simulate_far1(spec, 10, grid_size=32, seed=0)
-        phi = spec.eigenfunction(path.grid)
-        for k in range(10):
-            assert_allclose(path.curves[k], 0.5**k * phi, atol=1e-9)
-
     def test_zero_rho_gives_uncorrelated_scores(self):
         spec = Far1Spec(kernel="separable", rho=0.0, noise_scale=0.4, burn_in=50)
         path = simulate_far1(spec, 4000, grid_size=32, seed=5)
@@ -678,37 +675,39 @@ class TestFar1:
             -np.sqrt(3.0), np.sqrt(3.0), size=(total - 1, spec.noise_terms)
         )
         noise = (xi * (spec.noise_scale / modes)[None, :]) @ basis
-        x = phi.copy() if spec.initial == "eigenfunction" else np.zeros(grid_size)
+        x = np.zeros(grid_size)
         curves = np.empty((n, grid_size))
-        if spec.burn_in == 0:
-            curves[0] = x
         for t in range(1, total):
             x = apply_op(x) + noise[t - 1]
             if t >= spec.burn_in:
                 curves[t - spec.burn_in] = x
         return curves
 
-    @pytest.mark.parametrize("initial", ["zero", "eigenfunction"])
-    @pytest.mark.parametrize("burn_in", [0, 1, 5])
+    @pytest.mark.parametrize("rho", [0.7, -0.7])
+    @pytest.mark.parametrize("burn_in", [1, 2, 5])
     @pytest.mark.parametrize("n", [1, 2, 50])
-    def test_separable_matches_per_step_recursion(self, initial, burn_in, n):
-        spec = Far1Spec(kernel="separable", rho=0.7, noise_scale=0.3,
-                        burn_in=burn_in, initial=initial)
+    def test_separable_matches_per_step_recursion(self, rho, burn_in, n):
+        spec = Far1Spec(kernel="separable", rho=rho, noise_scale=0.3, burn_in=burn_in)
         path = simulate_far1(spec, n, grid_size=32, seed=21)
         want = self._per_step_far1(spec, n, 32, seed=21)
         assert path.curves.shape == want.shape
         assert_allclose(path.curves, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("burn_in, n", [(0, 1), (5, 50)])
+    @pytest.mark.parametrize("burn_in, n", [(1, 1), (5, 50)])
     def test_gaussian_bump_is_the_per_step_recursion(self, burn_in, n):
-        spec = Far1Spec(kernel="gaussian-bump", rho=0.8, bump_width=0.2,
-                        burn_in=burn_in, initial="eigenfunction")
+        spec = Far1Spec(kernel="gaussian-bump", rho=0.8, bump_width=0.2, burn_in=burn_in)
         path = simulate_far1(spec, n, grid_size=24, seed=4)
         assert_array_equal(path.curves, self._per_step_far1(spec, n, 24, seed=4))
 
     def test_contraction_violation_rejected(self):
         with pytest.raises(ConfigError):
             Far1Spec(rho=1.0)
+
+    @pytest.mark.parametrize("burn_in", [0, -1])
+    def test_burn_in_below_one_rejected(self, burn_in):
+        # the first kept curve is X_burn_in, a draw: X_0 = 0 is never kept
+        with pytest.raises(ConfigError, match="process.burn_in.*>= 1"):
+            Far1Spec(burn_in=burn_in)
 
     @pytest.mark.parametrize("field", ["rho", "bump_width", "noise_scale"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -748,13 +747,7 @@ class TestFar1Scores:
         if spec.kernel == "gaussian-bump":
             return TestFar1._per_step_far1(spec, n, grid_size, rng)
         scores, kept_coeffs = TestFar1Scores._sequential_scores(spec, n, grid_size, rng)
-        start = 1.0 if spec.initial == "eigenfunction" else 0.0
-        coords = np.zeros((n, 1 + spec.noise_terms))
-        lead = 1 if spec.burn_in == 0 else 0  # X_0 = start * phi is kept
-        coords[:lead, 0] = start
-        coords[lead:, 0] = spec.rho * scores
-        coords[lead:, 1:] = kept_coeffs
-        return coords
+        return np.column_stack([spec.rho * scores, kept_coeffs])
 
     @staticmethod
     def _sequential_scores(spec, n, grid_size, rng):
@@ -769,18 +762,16 @@ class TestFar1Scores:
         coeffs = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(total - 1, spec.noise_terms))
         coeffs *= spec.noise_scale / modes
         phi_sq = float(wphi @ spec.eigenfunction(grid))
-        start = 1.0 if spec.initial == "eigenfunction" else 0.0
-        c = scalar_ar1(spec.rho * phi_sq, coeffs @ (basis @ wphi), start * phi_sq)
-        kept = slice(max(spec.burn_in, 1) - 1, total - 1)
+        c = scalar_ar1(spec.rho * phi_sq, coeffs @ (basis @ wphi))
+        kept = slice(spec.burn_in - 1, total - 1)
         return c[kept], coeffs[kept]
 
     @pytest.mark.parametrize("counts", [(1,), (3, 2)])
     @pytest.mark.parametrize("n", [1, 2, 37])
-    @pytest.mark.parametrize("burn_in", [0, 1, 2, 50])
+    @pytest.mark.parametrize("burn_in", [1, 2, 50, 1000])  # 1000 skips separable burn-in
     @pytest.mark.parametrize("kernel", ["separable", "gaussian-bump"])
     def test_batch_paths_are_the_sequential_paths(self, kernel, burn_in, n, counts):
-        spec = Far1Spec(kernel=kernel, rho=0.7, noise_scale=0.3, burn_in=burn_in,
-                        initial="eigenfunction")
+        spec = Far1Spec(kernel=kernel, rho=0.7, noise_scale=0.3, burn_in=burn_in)
         gens, refs = ([np.random.default_rng(40 + s) for s in range(len(counts))]
                       for _ in range(2))
         scores, states = far1_scores(spec, n, 16, list(zip(gens, counts)))
@@ -795,7 +786,7 @@ class TestFar1Scores:
         assert [g.bit_generator.state for g in gens] == ends
 
     @pytest.mark.parametrize("kernel", ["separable", "gaussian-bump"])
-    @pytest.mark.parametrize("burn_in", [0, 1, 50])
+    @pytest.mark.parametrize("burn_in", [1, 2, 50])
     def test_lone_path_is_the_sequential_path(self, kernel, burn_in):
         spec = Far1Spec(kernel=kernel, burn_in=burn_in)
         rng = np.random.default_rng(9)
@@ -861,17 +852,16 @@ class TestFar1Scores:
     @given(
         rho=st.one_of(st.just(0.0), st.floats(-0.99, 0.99)),  # K <= 6,209 rows
         burn_from_k=st.sampled_from([1, 2, 64, 65, None]),
-        initial=st.sampled_from(["zero", "eigenfunction"]),
         counts=st.sampled_from([(1,), (3, 2)]),
         n=st.sampled_from([1, 7, 200]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_skipped_burn_in_is_the_whole_draw(self, rho, burn_from_k, initial, counts, n, seed):
+    def test_skipped_burn_in_is_the_whole_draw(self, rho, burn_from_k, counts, n, seed):
         # burn_in K + 65 is the first that skips a block of SKIP_ROWS rows, and
         # None stands for the workloads' 1000; rho < 0 swaps the bounds at each step
         coef = rho * processes._far1_frame(Far1Spec(rho=rho), 16)[2]
         burn_in = 1000 if burn_from_k is None else _bounding_rows(coef) + burn_from_k
-        spec = Far1Spec(rho=rho, burn_in=burn_in, initial=initial)
+        spec = Far1Spec(rho=rho, burn_in=burn_in)
         streams, refs = ([(np.random.default_rng(seed + s), count)
                           for s, count in enumerate(counts)] for _ in range(2))
         got = far1_scores(spec, n, 16, streams)
@@ -957,20 +947,6 @@ class TestFar1Scores:
         assert processes._far1_frame(spec, 16)[2] * (1 - 2**-53) == 1.0
         assert self._decision(monkeypatch, replace(ordinary, rho=1 - 2**-53)) == (0, math.inf)
 
-    @pytest.mark.parametrize("rho", [0.5, -0.7])
-    @pytest.mark.parametrize("n", [1, 30])
-    def test_start_past_the_stationary_bound_is_the_whole_draw(self, monkeypatch, rho, n):
-        # X_0 = phi puts the phi-score at c0 = <phi, phi>_w = 1, past its stationary
-        # bound at noise_scale 0.1 (0.346 at rho = 0.5, 0.577 at -0.7), so the
-        # bounding chains start from -2 c0 and 2 c0
-        spec = Far1Spec(rho=rho, noise_scale=0.1, burn_in=1000, initial="eigenfunction")
-        skip, bound = self._decision(monkeypatch, spec)
-        assert skip > 0 and bound == 2.0 * processes._far1_frame(spec, 16)[2]
-        streams, refs = ([(np.random.default_rng(6), 3), (np.random.default_rng(7), 2)]
-                         for _ in range(2))
-        got = far1_scores(spec, n, 16, streams)
-        self._assert_sequential(spec, n, streams, [g for g, _ in refs], *got)
-
     def test_gaussian_bump_path_takes_no_scores(self):
         spec = Far1Spec(kernel="gaussian-bump", burn_in=5)
         with pytest.raises(ValidationError, match="kept rows"):
@@ -982,32 +958,33 @@ class TestBurnInSkip:
 
     TAIL_MC = ContractiveChainSpec(map="linear", a=0.5, halfwidth=1.0, burn_in=1000)
 
-    @pytest.mark.parametrize("burn, coef, start, stationary, make_rng, block, skip", [
-        (999, 0.5, 0.0, 1e308, np.random.default_rng, 1, 0),
-        (999, 0.5, 0.0, 2.0, lambda s: np.random.Generator(np.random.MT19937(s)), 1, 0),
-        (999, 0.5, 0.0, 2.0, lambda s: np.random.Generator(np.random.PCG64DXSM(s)), 1, 0),
-        (999, 0.5, 0.0, 2.0, lambda s: _with_buffered_half(np.random.default_rng(s)), 1, 0),
-        (128, 0.5, 0.0, 2.0, np.random.default_rng, 1, 0),
-        (999, 1.0, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 0),
-        (999, -1.5, 0.0, 2.0, np.random.default_rng, 1, 0),
-        (999, TAIL_MC.a, 0.0, TAIL_MC.state_bound(), np.random.default_rng, 1, 871),
-        (999, 0.5, -3.0, 2.0, np.random.default_rng, 1, 871),
-        (999, -0.5, 3.0, 2.0, np.random.default_rng, 1, 871),
-        (999, 0.5, 1e308, 2.0, np.random.default_rng, 1, 0),
-        (999, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 832),
-        (128 + SKIP_ROWS, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, SKIP_ROWS),
-        (127 + SKIP_ROWS, 0.5, 0.0, 2.0, np.random.default_rng, SKIP_ROWS, 0),
+    @pytest.mark.parametrize("burn, coef, stationary, make_rng, block, skip", [
+        (999, 0.5, 1e308, np.random.default_rng, 1, 0),
+        (999, 0.5, 2.0, lambda s: np.random.Generator(np.random.MT19937(s)), 1, 0),
+        (999, 0.5, 2.0, lambda s: np.random.Generator(np.random.PCG64DXSM(s)), 1, 0),
+        (999, 0.5, 2.0, lambda s: _with_buffered_half(np.random.default_rng(s)), 1, 0),
+        (128, 0.5, 2.0, np.random.default_rng, 1, 0),
+        (999, 1.0, 2.0, np.random.default_rng, SKIP_ROWS, 0),
+        (999, -1.5, 2.0, np.random.default_rng, 1, 0),
+        (999, -0.5, 2.0, np.random.default_rng, 1, 871),
+        (999, TAIL_MC.a, TAIL_MC.state_bound(), np.random.default_rng, 1, 871),
+        (999, 0.5, math.inf, np.random.default_rng, 1, 0),
+        (999, 0.5, 0.0, np.random.default_rng, 1, 871),
+        (999, 0.5, 2.0, np.random.default_rng, SKIP_ROWS, 832),
+        (128 + SKIP_ROWS, 0.5, 2.0, np.random.default_rng, SKIP_ROWS, SKIP_ROWS),
+        (127 + SKIP_ROWS, 0.5, 2.0, np.random.default_rng, SKIP_ROWS, 0),
     ], ids=["S-overflows", "MT19937", "PCG64DXSM", "PCG64-buffered-uint32", "rows-at-K",
-            "coef-rounds-to-1", "coef-past-1", "tail-mc-chain", "start-past-stationary",
-            "start-past-stationary-coef-below-0", "start-overflows", "forecast-path", "one-block-left", "no-block-left"])
-    def test_decision(self, burn, coef, start, stationary, make_rng, block, skip):
+            "coef-rounds-to-1", "coef-past-1", "coef-below-0", "tail-mc-chain",
+            "stationary-inf", "stationary-zero", "forecast-path", "one-block-left", "no-block-left"])
+    def test_decision(self, burn, coef, stationary, make_rng, block, skip):
         # K = 128 rows at coef 0.5; a chain skips whole rows, a FAR(1) path
         # whole SKIP_ROWS blocks; one generator that does not advance exactly
-        # keeps every path on the full draw
+        # keeps every path on the full draw; far1_scores passes stationary = inf
+        # once rho <phi, phi>_w rounds to 1
         gens = [np.random.default_rng(1).bit_generator, make_rng(2).bit_generator]
-        got, bound = processes._burn_in_skip(burn, coef, start, stationary, gens, block)
+        got, bound = processes._burn_in_skip(burn, coef, stationary, gens, block)
         assert got == skip
-        assert bound == 2.0 * max(abs(start), stationary)
+        assert bound == 2.0 * stationary
 
     def test_bounds_meet_on_one_value_other_than_zero(self):
         # ends of the chains from -S, then from S: one nonzero value meets;
@@ -1113,12 +1090,11 @@ class TestDerivedPaths:
         assert path.take(5).n_curves == 1
         assert make_regression_sample(path, PsiSpec("norm"), 0.0, seed=0).responses.shape == (6,)
 
-    @pytest.mark.parametrize("initial, burn_in", [("zero", 10), ("eigenfunction", 0)])
-    def test_separable_far1_path_is_the_checked_constructors(self, monkeypatch, initial,
-                                                            burn_in):
+    @pytest.mark.parametrize("burn_in", [10, 1])
+    def test_separable_far1_path_is_the_checked_constructors(self, monkeypatch, burn_in):
         # simulate_far1 derives its path from _far1_frame's checked one; every
         # field must carry the bits the checked constructor gives it
-        spec = Far1Spec(burn_in=burn_in, initial=initial)
+        spec = Far1Spec(burn_in=burn_in)
         path = simulate_far1(spec, 6, grid_size=16, seed=3)
         template = processes._far1_frame(spec, 16)[0]
         checked = FunctionalPath(template.grid, path.coords, frame=template.frame)
