@@ -325,10 +325,8 @@ _SUITE_RUNNERS = {
 def run_suite(config: ExperimentConfig) -> SuiteResult:
     """Run one suite: write reports and a manifest, return checks + exit code.
 
-    The run has one execution context: BLAS on one thread, and at most one
-    process pool, shut down when the suite returns or raises. Importing
-    betamix before numpy loads OpenBLAS on one thread, in this process and in
-    every pool worker; `one_blas_thread` pins one that numpy loaded first.
+    BLAS runs on one thread (`one_blas_thread`), and the suite's maps on the
+    forked children of one `parallel` block.
     Reports are written once the whole suite has returned, so a run stopped
     by an error writes none.
     """
@@ -337,10 +335,10 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     except OSError as exc:
         raise ConfigError(f"field 'output': cannot create {config.output}: {exc}") from exc
     execution = {"workers": config.workers, "blas_threads": one_blas_thread()}
-    # leaving the block reaps the pool's workers, whose peaks RUSAGE_CHILDREN holds
-    with parallel(config.workers) as pool_facts:
+    # every map reaps its forked children, whose peaks RUSAGE_CHILDREN holds
+    with parallel(config.workers) as map_facts:
         checks, reports, diagnostics = _SUITE_RUNNERS[config.suite](config)
-    execution.update(pool_facts)
+    execution.update(map_facts)
     # ru_maxrss is in KiB on Linux
     peak_kib = max(resource.getrusage(who).ru_maxrss
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))

@@ -462,21 +462,24 @@ def _burn_in_skip(burn: int, coef: float, stationary: float,
     is not a float, when a generator does not advance exactly, or when no
     block is left (always, once K = inf).
 
-    The sandwiching of coupling from the past (Propp and Wilson 1996): a PCG64
-    uniform draw takes one 64-bit output per value, so advancing a generator
-    by the skipped rows' outputs skips them exactly, unless it holds a
-    buffered 32-bit half, which advance would drop. Chains from -S and S
-    bracket the unknown state after them. fl(coef x), the clip and fl(y + d)
-    are monotone in x (coef < 0 swaps the pair at each step, and it still
-    brackets), so where the pair ends on one value after the drawn rows, the
-    true chain ends there too. Equal values are equal bits except at zero,
-    whose sign the bounds cannot tell, so _bounds_meet takes no zero end.
+    The sandwiching of coupling from the past (Propp and Wilson 1996): a
+    generator that _advances_exactly skips the rows exactly. Chains from -S
+    and S bracket the unknown state after them. fl(coef x), the clip and
+    fl(y + d) are monotone in x (coef < 0 swaps the pair at each step, and it
+    still brackets), so where the pair ends on one value after the drawn
+    rows, the true chain ends there too. Equal values are equal bits except
+    at zero, whose sign the bounds cannot tell, so _bounds_meet takes no zero end.
     """
     keep = _bounding_rows(coef)
     bound = 2.0 * stationary
-    exact = all(isinstance(g, np.random.PCG64) and not g.state["has_uint32"] for g in gens)
-    skips = burn > keep and math.isfinite(bound) and exact
+    skips = burn > keep and math.isfinite(bound) and _advances_exactly(gens)
     return (burn - keep) // block * block if skips else 0, bound
+
+
+def _advances_exactly(gens: Sequence[np.random.BitGenerator]) -> bool:
+    """Whether advance(k) moves each of `gens` as k uniform draws do: a PCG64
+    takes one 64-bit output per value, and holds no 32-bit half to drop."""
+    return all(isinstance(g, np.random.PCG64) and not g.state["has_uint32"] for g in gens)
 
 
 def _bounds_meet(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -557,7 +560,8 @@ def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.nda
     values of one draw, and states[j] is its generator state there. Only the
     drive d = coeffs @ <b, phi>_w is kept, one product over all of its drawn
     rows; the burn-in rows run in their own array, then the kept rows in
-    place in column j of `scores` (no rows for a gaussian-bump path).
+    place in column j of `scores`. A gaussian-bump path keeps no score, and
+    its generator advances past its rows where that is exact.
 
     A long burn-in is mostly not drawn (_burn_in_skip): each path skips its
     first `skip` rows, a whole number of SKIP_ROWS blocks, so every drawn row
@@ -579,13 +583,17 @@ def far1_scores(spec: Far1Spec, n: int, grid_size: int, streams) -> tuple[np.nda
     coeffs, burn = np.empty((rows, spec.noise_terms)), np.empty((first - skip, width))
     scores = np.empty((rows - first if spec.kernel == "separable" else 0, width))
     starts, states = [], []
+    passes = not len(scores) and _advances_exactly(gens)
     for j, rng in enumerate(paths):
         if skip:
             starts.append(rng.bit_generator.state)
             rng.bit_generator.advance(skip * spec.noise_terms)
         _far1_coeffs(spec, rng, coeffs[skip:first])
         states.append(rng.bit_generator.state)
-        _far1_coeffs(spec, rng, coeffs[first:])
+        if passes:
+            rng.bit_generator.advance((rows - first) * spec.noise_terms)
+        else:
+            _far1_coeffs(spec, rng, coeffs[first:])
         if len(scores):
             drive = coeffs[skip:] @ loading
             burn[:, j], scores[1:, j] = drive[:first - skip], drive[first - skip:-1]

@@ -34,6 +34,10 @@ from .processes import (
 from .seeding import Stream, keyed_rng, replicate
 
 M_QUADRATURE_POINTS = 1000
+# m_constant's trapezoid nodes on [0, 1] and their weights, read-only
+_M_NODES = np.linspace(0.0, 1.0, M_QUADRATURE_POINTS)
+_M_WEIGHTS = trapezoid_weights(_M_NODES)
+_M_NODES.flags.writeable = _M_WEIGHTS.flags.writeable = False
 MIN_REFERENCE_CURVES = 100   # fewest reference curves a small-ball estimate takes
 FORECAST_BLOCK = 25       # replications per keyed generator of each stream
 
@@ -116,23 +120,13 @@ class RegressionFit:
         f_ref = float(f_ref)
         if not 0.0 <= f_ref <= 1.0:
             raise ValidationError(f"f_ref must be a fraction in [0, 1], got {f_ref}")
-        h = self.bandwidth
         if not isinstance(x, FunctionalPath):
             x = FunctionalPath(self.training.grid, x)
-        d = curve_distances(self.training, x)
-        wts = self.kernel.evaluate(d / h)
+        wts = self.kernel.evaluate(curve_distances(self.training, x) / self.bandwidth)
         denom = float(wts.sum())
-        n = self.training.n_curves
-        if f_ref > 0:
-            f_hat = denom / (n * f_ref)
-            g_hat = float(self.training.responses @ wts) / (n * f_ref)
-        else:
-            f_hat = math.nan
-            g_hat = math.nan
-        if denom > 0:
-            psi_hat = float(self.training.responses @ wts) / denom
-        else:
-            psi_hat = None
+        numer, scale = float(self.training.responses @ wts), self.training.n_curves * f_ref
+        f_hat, g_hat = (denom / scale, numer / scale) if f_ref > 0 else (math.nan, math.nan)
+        psi_hat = numer / denom if denom > 0 else None
         return NWEvaluation(psi_hat=psi_hat, f_hat=f_hat, g_hat=g_hat)
 
 
@@ -204,12 +198,11 @@ def m_constant(kernel: KernelSpec, tau: Callable[[np.ndarray], np.ndarray]) -> f
     The model requires the result to be positive; nonpositive values raise,
     and so does a tau value outside [0, 1], NaN included.
     """
-    s = np.linspace(0.0, 1.0, M_QUADRATURE_POINTS)
-    tau_vals = np.asarray(tau(s), dtype=float)
+    tau_vals = np.asarray(tau(_M_NODES), dtype=float)
     if not np.all((tau_vals >= -1e-9) & (tau_vals <= 1.0 + 1e-9)):
         raise ValidationError("tau must map [0, 1] into [0, 1]")
-    integrand = kernel.derivative(s) * tau_vals
-    m_value = kernel.at_one - float(trapezoid_weights(s) @ integrand)
+    integrand = kernel.derivative(_M_NODES) * tau_vals
+    m_value = kernel.at_one - float(_M_WEIGHTS @ integrand)
     if m_value <= 0:
         raise ModelViolationError(f"kernel constant M = {m_value} is not positive")
     return m_value

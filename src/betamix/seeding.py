@@ -6,21 +6,19 @@ scheme for independent parallel streams. Results depend on the fixed block
 sizes, never on execution order or worker count.
 
 A run executes its blocks in one context: BLAS on one thread (from the import
-of betamix, see `one_blas_thread`) and, inside a `parallel(workers)` block, at
-most one process pool. The block opens the pool (and imports its machinery) at
-the first parallel map, reuses it for every later one and shuts it down when
-it exits; outside any block every map runs inline.
-`replicate` is the driver of every Monte Carlo section: it checks each grid
-point's query index against its path length and sends all the blocks of the
-section's points through one map, longest path first.
+of betamix, see `one_blas_thread`) and, inside a `parallel(workers)` block,
+each map of more than one block, one per Monte Carlo section (`replicate`),
+on forked children that end with the map.
 """
 
 import contextlib
 import contextvars
 import ctypes
 import os
+import pickle
+import sys
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -94,43 +92,97 @@ def one_blas_thread() -> Optional[int]:
     return getter()
 
 
-# the pool map of the innermost open `parallel` block; None runs maps inline
-_pool_map = contextvars.ContextVar("pool_map", default=None)
+# the fork map of the innermost open `parallel` block; None runs maps inline
+_block_map = contextvars.ContextVar("block_map", default=None)
 
 
 @contextlib.contextmanager
 def parallel(workers: int):
-    """Run every `replicate` inside the block on one pool of `workers` worker
-    processes, capped at the CPUs this process may run on; yield a dict of
-    `pools_opened` and `pool_workers`, filled in when the pool opens.
+    """Run each `replicate` of more than one block inside the block on
+    min(workers, usable CPUs, blocks) forked children, or inline without
+    os.fork; yield a dict of `parallel_maps`, the maps run on children, and
+    `pool_workers`, the most children one map forked."""
+    facts = {"parallel_maps": 0, "pool_workers": 0}
 
-    The pool opens, and its machinery (`concurrent.futures.process`,
-    `multiprocessing`) is imported, at the first map of more than one block;
-    later maps reuse it. Its workers inherit OPENBLAS_NUM_THREADS=1, or pin
-    their own BLAS for a parent that imported numpy first. Leaving the block,
-    also on an exception, shuts the pool down. Results do not depend on
-    `workers`."""
-    facts = {"pools_opened": 0, "pool_workers": 0}
-    pool = None
+    def fork_map(fn, items, costs):
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        loads = [0] * min(workers, cpus, len(items))
+        shares = [[] for _ in loads]
+        for i, cost in enumerate(costs):  # each to the child with the least cost so far
+            child = loads.index(min(loads))
+            loads[child] += cost
+            shares[child].append(i)
+        facts["parallel_maps"] += 1
+        facts["pool_workers"] = max(facts["pool_workers"], len(shares))
+        return _fork_map(fn, items, shares)
 
-    def pool_map(fn, items):
-        nonlocal pool
-        if pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            facts.update(pools_opened=1, pool_workers=min(workers, cpus))
-            pool = ProcessPoolExecutor(facts["pool_workers"], initializer=one_blas_thread)
-        return list(pool.map(fn, items))
-
-    token = _pool_map.set(pool_map if workers > 1 else None)
+    token = _block_map.set(fork_map if workers > 1 and hasattr(os, "fork") else None)
     try:
         yield facts
     finally:
-        _pool_map.reset(token)
-        if pool is not None:
-            pool.shutdown()
+        _block_map.reset(token)
+
+
+def _fork_map(fn, items: Sequence, shares: Sequence[Sequence[int]]) -> list:
+    """[fn(item) for item in items], each share of item indices run by its own
+    forked child (`_run_share`). Stdout and stderr are flushed first, so no
+    child writes their text again. A child's exception is re-raised with its
+    own type, caused by its traceback in the child; a child without a whole
+    message raises ChildProcessError; and the children still running are
+    killed and reaped when the parent raises."""
+    import signal  # here, so that a run that never maps does not import it
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pipes, pids, results = [], [], {}
+    try:
+        for share in shares:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as sink:  # the parent's write end closes after the fork
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _run_share(fn, [items[i] for i in share], sink)
+        for share, pipe in zip(shares, pipes):
+            message = pipe.read()
+            pid, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if status:
+                raise ChildProcessError(f"worker {pid} ended without a result, exit code "
+                                        f"{os.waitstatus_to_exitcode(status)}")
+            value, error, trace = pickle.loads(message)
+            if error is not None:
+                raise error from ChildProcessError(f"worker {pid} raised:\n{trace}")
+            results.update(zip(share, value))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[i] for i in range(len(items))]
+
+
+def _run_share(fn, items: list, sink) -> NoReturn:
+    """A forked child of `_fork_map`: pickle its results, or the exception it
+    raised and its traceback, into `sink` and leave by os._exit, with 0 once
+    all is sent."""
+    try:
+        try:
+            one_blas_thread()
+            message = ([fn(item) for item in items], None, "")
+        except BaseException as exc:  # the parent re-raises it
+            import traceback
+
+            message = (None, exc, traceback.format_exc())
+        sys.stdout.flush()
+        sys.stderr.flush()
+        sink.write(pickle.dumps(message))
+        sink.flush()
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def replicate(block_fn, shared: tuple, points: Sequence[tuple[int, int]], reps: int,
@@ -145,8 +197,9 @@ def replicate(block_fn, shared: tuple, points: Sequence[tuple[int, int]], reps: 
     count, and each block keys its generators by its own position, so the
     result is identical for any worker count and any order of the points.
     All the blocks of all the points go through one map, longest path first,
-    so the last blocks of the map are short: over the pool of the enclosing
-    `parallel` block, or here outside one, at one worker or for one block.
+    each to the worker with the fewest path steps (length times replications)
+    so far: on the children of the enclosing `parallel` block, or here
+    outside one, at one worker or for one block.
     The sort is stable: points of equal length keep their order.
     """
     for length, t in points:
@@ -156,9 +209,9 @@ def replicate(block_fn, shared: tuple, points: Sequence[tuple[int, int]], reps: 
     starts = range(0, reps, block_size)
     blocks = [(*shared, *points[i], range(s, min(s + block_size, reps)))
               for i in order for s in starts]
-    pool_map = _pool_map.get()
-    if pool_map is not None and len(blocks) > 1:
-        parts = pool_map(block_fn, blocks)
+    fork_map = _block_map.get()
+    if fork_map is not None and len(blocks) > 1:
+        parts = fork_map(block_fn, blocks, [b[-3] * len(b[-1]) for b in blocks])
     else:
         parts = [block_fn(b) for b in blocks]
     k = len(starts)

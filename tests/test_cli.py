@@ -1,11 +1,10 @@
 import ast
-import concurrent.futures
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +22,7 @@ from betamix import cli, concentration, processes, seeding
 from betamix.cli import emit_plotdata, main
 from betamix.concentration import FSPEC_NAMES
 from betamix.config import KNOWN_KEYS, SUITES, parse_config_text, resolve_config
-from betamix.errors import ConfigError, FitError
+from betamix.errors import ConfigError, FitError, ValidationError
 from betamix.processes import CHAIN_INNOVATIONS, CHAIN_MAPS, ContractiveChainSpec, Far1Spec
 from betamix.regression import ForecastSummary
 from digests import ci_rows, reports, runs
@@ -46,9 +45,10 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
 
 
 def test_pool_machinery_loads_only_with_a_pool(tmp_path):
-    # a one-worker run never opens a pool, and a two-worker run with no Monte
-    # Carlo section maps nothing, so neither imports one
-    code = ("import sys, betamix.cli; "
+    # a one-worker run, a two-worker run with no Monte Carlo section, and a
+    # two-worker concentration run, whose sections fork their maps, all run
+    # without the process-pool machinery
+    code = ("import json, sys, betamix.cli; "
             "loaded = lambda: [m for m in ('concurrent.futures.process', 'multiprocessing') "
             "if m in sys.modules]; "
             "print(loaded()); "
@@ -56,31 +56,61 @@ def test_pool_machinery_loads_only_with_a_pool(tmp_path):
             "print(loaded()); "
             "betamix.cli.main(['verify-all', '--seed', '3', '--workers', '2', "
             "'--output', sys.argv[1] + '/w2']); "
-            "print(loaded())")
+            "print(loaded()); "
+            "betamix.cli.main(['concentration', '--seed', '3', '--reps', '1100', '--workers', "
+            "'2', '--output', sys.argv[1] + '/conc', '--set', 'grid.n=50,100', "
+            "'--set', 'grid.epsilon=0.1', '--set', 'process.burn_in=100']); "
+            "print(loaded()); "
+            "print(json.load(open(sys.argv[1] + '/conc/concentration_manifest.json'))"
+            "['execution']['parallel_maps'])")
     env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     lines = [line for line in out.stdout.splitlines() if not line.startswith("[check]")]
-    assert lines == ["[]", "[]", "[]"]
+    assert lines == ["[]", "[]", "[]", "[]", "1"]
     assert (tmp_path / "verify_report.csv").exists()
     assert (tmp_path / "w2" / "verify_report.csv").exists()
 
 
 def test_block_pool_exits_quietly():
-    # holding seeding on sys keeps it past the interpreter's teardown of the
-    # pool's own module, as a test session's modules do; the block has shut
-    # its pool down before then, and no worker outlives it
-    code = ("import multiprocessing, operator, sys; from betamix import seeding; "
+    # holding seeding on sys keeps it past the interpreter's teardown, as a
+    # test session's modules do; the map has reaped its children before
+    # then, and none outlives it
+    code = ("import operator, os, sys; from betamix import seeding; "
             "sys.betamix_seeding = seeding\n"
             "with seeding.parallel(2):\n"
             "    (got,) = seeding.replicate(operator.itemgetter(-1), (), [(1, 1)], 2, 1)\n"
             "print(got.tolist())\n"
-            "print(multiprocessing.active_children())")
+            "try:\n"
+            "    print(os.waitpid(-1, os.WNOHANG))\n"
+            "except ChildProcessError:\n"
+            "    print('no child')")
     env = dict(os.environ, PYTHONPATH=str(Path(betamix.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.splitlines() == ["[0, 1]", "[]"]
+    assert out.stdout.splitlines() == ["[0, 1]", "no child"]
     assert out.stderr == ""
+
+
+def test_unflushed_text_before_a_map_is_written_once():
+    # stdout is a buffered pipe, so the parent's print stays in its buffer
+    # until the map flushes it, and a child that inherited the buffer would
+    # write it again; each block's own print is flushed before its child exits
+    code = ("import numpy as np; from betamix import seeding\n"
+            "def block(args):\n"
+            "    print('block', args[-1].start)\n"
+            "    return np.asarray(args[-1])\n"
+            "print('before the map')\n"
+            "with seeding.parallel(2):\n"
+            "    (got,) = seeding.replicate(block, (), [(1, 1)], 4, 1)\n"
+            "print(got.tolist())")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(betamix.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    first, *blocks, last = out.stdout.splitlines()
+    assert (first, last) == ("before the map", "[0, 1, 2, 3]")
+    assert sorted(blocks) == [f"block {i}" for i in range(4)]
 
 
 def test_third_party_imports_are_the_declared_dependencies():
@@ -926,134 +956,125 @@ class TestExecutionContext:
     CONCENTRATION = ("--set", "grid.n=50,100,200,400", "--set", "grid.epsilon=0.05",
                      "--set", "grid.A=14,20", "--set", "process.burn_in=100")
 
-    def test_w2_run_opens_one_pool(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def inline_maps(self, monkeypatch):
+        # stubs seeding's fork map: it records each map's width and items
+        # and runs the items here, in order
+        maps = []
+
+        def inline_fork_map(fn, items, shares):
+            maps.append((len(shares), list(items)))
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(seeding, "_fork_map", inline_fork_map)
+        return maps
+
+    def test_w2_run_opens_one_pool(self, tmp_path, inline_maps):
         # 1100 reps make two replication blocks at every n and A, so each of
-        # the 6 grid points maps over the pool
-        opened = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        # the two sections, Laplace then tail, is one map over two children
         code = run_cli("concentration", "--seed", "2", "--reps", "1100",
                        "--workers", "2", "--output", str(tmp_path), *self.CONCENTRATION)
         manifest = json.loads((tmp_path / "concentration_manifest.json").read_text())
         assert code in (0, 1)
-        assert len(opened) == 1
+        width = min(2, len(os.sched_getaffinity(0)))
+        assert [(w, len(items)) for w, items in inline_maps] == [(width, 4), (width, 8)]
         execution = manifest["execution"]
         assert execution["workers"] == 2
-        assert execution["pools_opened"] == 1
-        assert execution["pool_workers"] == min(2, len(os.sched_getaffinity(0)))
+        assert execution["parallel_maps"] == 2
+        assert execution["pool_workers"] == width
         assert execution["blas_threads"] == seeding.one_blas_thread()
         assert execution["peak_rss_mb"] > 0
 
-    def test_pool_is_capped_at_the_usable_cpus(self, tmp_path, monkeypatch):
-        # the stub starts no process: it records its size and runs the blocks here
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers, initializer):
-                sizes.append(max_workers)
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    def test_pool_is_capped_at_the_usable_cpus(self, tmp_path, inline_maps):
+        # each map forks no more children than the CPUs, nor than its blocks
         code = run_cli("concentration", "--seed", "2", "--reps", "1100",
                        "--workers", "5000", "--output", str(tmp_path), *self.CONCENTRATION)
         cpus = len(os.sched_getaffinity(0))
         assert code in (0, 1)
-        assert sizes == [cpus]
+        assert [w for w, _ in inline_maps] == [min(cpus, 4), min(cpus, 8)]
         execution = json.loads((tmp_path / "concentration_manifest.json").read_text())["execution"]
         assert execution["workers"] == 5000
-        assert execution["pool_workers"] == cpus
+        assert execution["pool_workers"] == min(cpus, 8)
 
-    def test_each_section_is_one_map_longest_path_first(self, tmp_path, monkeypatch):
-        # the stub runs the blocks here and records each map's (stream, path
-        # length, first replication) per block; 14 and 14.5 share floor 14
-        maps = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer):
-                pass
-
-            def map(self, fn, items):
-                items = list(items)
-                maps.append([(item[3], item[4], item[-1].start) for item in items])
-                return map(fn, items)
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_each_section_is_one_map_longest_path_first(self, tmp_path, inline_maps):
+        # the stub records each map's (stream, path length, first replication)
+        # per block; 14 and 14.5 share floor 14
         code = run_cli("concentration", "--seed", "2", "--reps", "1100", "--workers", "2",
                        "--output", str(tmp_path), "--set", "grid.n=100,400,50,200",
                        "--set", "grid.epsilon=0.05", "--set", "grid.A=14,20,14.5",
                        "--set", "process.burn_in=100")
         assert code in (0, 1)
+        maps = [[(item[3], item[4], item[-1].start) for item in items] for _, items in inline_maps]
         tail, laplace = seeding.Stream.CHAIN_TAIL, seeding.Stream.CHAIN_LAPLACE
         assert maps == [
             [(laplace, m, start) for m in (20, 14, 14) for start in (0, 1000)],
             [(tail, n, start) for n in (400, 200, 100, 50) for start in (0, 1000)],
         ]
 
-    def test_fkr_is_one_map_longest_path_first(self, tmp_path, monkeypatch):
-        # the stub runs the blocks here and records the map's (path length,
-        # first replication) per block; 100 reps make 4 blocks per n
-        maps = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer):
-                pass
-
-            def map(self, fn, items):
-                items = list(items)
-                maps.append([(item[-3], item[-1].start) for item in items])
-                return map(fn, items)
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_fkr_is_one_map_longest_path_first(self, tmp_path, inline_maps):
+        # the stub records the map's (path length, first replication) per
+        # block; 100 reps make 4 blocks per n
         code = run_cli("fkr", "--seed", "2", "--reps", "100", "--workers", "2",
                        "--output", str(tmp_path), "--set", "grid.n=100,300,200",
                        "--set", "grid_size=16", "--set", "process.burn_in=50")
         assert code in (0, 1)
+        maps = [[(item[-3], item[-1].start) for item in items] for _, items in inline_maps]
         assert maps == [[(n, start) for n in (300, 200, 100) for start in (0, 25, 50, 75)]]
 
     def test_w1_run_opens_no_pool(self, tmp_path):
         run_cli("mixing", "--seed", "4", "--output", str(tmp_path), *FAST_MIXING)
         manifest = json.loads((tmp_path / "mixing_manifest.json").read_text())
-        assert manifest["execution"]["pools_opened"] == 0
+        assert manifest["execution"]["parallel_maps"] == 0
         assert manifest["execution"]["pool_workers"] == 0
         assert manifest["execution"]["workers"] == 1
 
     def test_library_pool_neither_outlives_its_block_nor_counts_in_a_run(self, tmp_path):
         # a 2-worker map outside any run, then a one-worker run: the run's
-        # manifest counts no pool, and no worker process is left
-        with seeding.parallel(2):
+        # manifest counts no map, and no child process is left
+        with seeding.parallel(2) as facts:
             (indices,) = seeding.replicate(_block_indices, (), [(1, 1)], 4, 1)
         assert indices.tolist() == [0, 1, 2, 3]
+        assert facts["parallel_maps"] == 1
         run_cli("mixing", "--seed", "4", "--output", str(tmp_path), *FAST_MIXING)
         execution = json.loads((tmp_path / "mixing_manifest.json").read_text())["execution"]
-        assert (execution["pools_opened"], execution["pool_workers"]) == (0, 0)
-        assert multiprocessing.active_children() == []
+        assert (execution["parallel_maps"], execution["pool_workers"]) == (0, 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_suite_that_raises_shuts_its_pool_down(self, tmp_path, monkeypatch):
-        def opens_pool_then_fails(config):
-            seeding.replicate(_block_indices, (), [(1, 1)], 4, 1)
-            assert multiprocessing.active_children()
+        pids = []
+
+        def maps_then_fails(config):
+            pids.extend(seeding.replicate(_block_pid, (), [(1, 1)], 4, 1)[0].tolist())
             raise FitError("no fit")
 
-        monkeypatch.setitem(cli._SUITE_RUNNERS, "mixing", opens_pool_then_fails)
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "mixing", maps_then_fails)
         assert run_cli("mixing", "--seed", "4", "--workers", "2",
                        "--output", str(tmp_path / "fails")) == 1
-        assert multiprocessing.active_children() == []
+        # the blocks ran in children of this process, and none is left
+        assert len(pids) == 4 and os.getpid() not in pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_block_error_reaches_the_caller_with_its_type(self):
+        with pytest.raises(ValidationError, match="^block 2 fails$") as raised:
+            with seeding.parallel(2):
+                seeding.replicate(_fails_at_block_2, (), [(1, 1)], 4, 1)
+        # its cause holds the traceback in the worker
+        assert "in _fails_at_block_2" in str(raised.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_worker_names_itself_and_leaves_no_child(self, tmp_path):
+        # the block at replication 1 kills its own worker, after writing its pid
+        with pytest.raises(ChildProcessError) as raised:
+            with seeding.parallel(2):
+                seeding.replicate(_killed_at_block_1, (str(tmp_path / "pid"),), [(1, 1)], 2, 1)
+        pid = (tmp_path / "pid").read_text()
+        assert f"worker {pid} ended without a result, exit code {-signal.SIGKILL}" \
+            in str(raised.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_pool_workers_run_blas_on_one_thread(self):
         if seeding.one_blas_thread() is None:
@@ -1129,6 +1150,27 @@ if __name__ == "__main__":
 
 def _block_indices(args):
     """Block function: the replication indices of its block."""
+    return np.asarray(args[-1])
+
+
+def _block_pid(args):
+    """Block function: the pid of the process running it, once per replication."""
+    return np.full(len(args[-1]), os.getpid())
+
+
+def _fails_at_block_2(args):
+    """Block function: raises a ValidationError in the block of replication 2."""
+    if args[-1].start == 2:
+        raise ValidationError("block 2 fails")
+    return np.asarray(args[-1])
+
+
+def _killed_at_block_1(args):
+    """Block function: writes its pid to args[0] and kills its own process in
+    the block of replication 1."""
+    if args[-1].start == 1:
+        Path(args[0]).write_text(str(os.getpid()))
+        os.kill(os.getpid(), signal.SIGKILL)
     return np.asarray(args[-1])
 
 

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from digests import ci_rows
+from digests import ci_rows, runs
 
 from betamix import processes
+from betamix.cli import main
 from betamix.concentration import REP_BLOCK, make_fspec
 from betamix.config import resolve_config
 from betamix.errors import ConfigError, DomainError, FitError, ValidationError
@@ -946,6 +947,34 @@ class TestFar1Scores:
         # rho <phi, phi>_w rounds to 1 on 16 points, where no stationary bound holds
         assert processes._far1_frame(spec, 16)[2] * (1 - 2**-53) == 1.0
         assert self._decision(monkeypatch, replace(ordinary, rho=1 - 2**-53)) == (0, math.inf)
+
+    @pytest.mark.parametrize("make_rng, passed", [
+        (lambda: np.random.default_rng(9), True),
+        (lambda: np.random.Generator(np.random.MT19937(9)), False),
+        (lambda: _with_buffered_half(np.random.default_rng(9)), False),
+    ], ids=["PCG64", "MT19937", "PCG64-buffered-uint32"])
+    def test_bump_paths_pass_over_their_rows(self, monkeypatch, make_rng, passed):
+        # a gaussian-bump path keeps no score, so far1_scores advances an exact
+        # generator past its rows and draws them only for any other
+        spec = Far1Spec(kernel="gaussian-bump", burn_in=50)
+        streams, refs = ([(np.random.default_rng(5), 2), (make_rng(), 3)] for _ in range(2))
+        (scores, states), drawn = self._counted_rows(
+            monkeypatch, lambda: far1_scores(spec, 30, 16, streams))
+        assert scores.shape == (0, 5)
+        assert drawn == (0 if passed else 5 * (50 + 29))
+        assert len(states) == 5
+        # each stream ends where drawing all its paths' rows would leave it
+        for ref, count in refs:
+            ref.random((count * (50 + 29), spec.noise_terms))
+        assert [end_state(g) for g, _ in streams] == [end_state(ref) for ref, _ in refs]
+
+    def test_bump_forecast_draws_each_row_once(self, monkeypatch, tmp_path):
+        # the tier1 workflow's fkr-bump row: 100 reps of a training and a
+        # reference path at n = 100 and 200, each of 50 + n - 1 rows
+        argv = [*runs()["fkr-bump"], "--workers", "1", "--output", str(tmp_path)]
+        code, drawn = self._counted_rows(monkeypatch, lambda: main(argv))
+        assert code == 0
+        assert drawn == 100 * 2 * (149 + 249) == 79_600
 
     def test_gaussian_bump_path_takes_no_scores(self):
         spec = Far1Spec(kernel="gaussian-bump", burn_in=5)
