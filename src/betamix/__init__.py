@@ -48,7 +48,6 @@ from .processes import (
     FunctionalPath,
     PsiSpec,
     estimate_chain_mixing,
-    make_psi,
     make_regression_sample,
     simulate_far1,
     trapezoid_weights,
@@ -74,7 +73,7 @@ __all__ = [
     "CheckResult", "FiniteChain", "FiniteJointDistribution", "MixingDecayFit", "alpha_exact",
     "beta_exact", "davydov_check", "fit_geometric_decay", "ibragimov_check", "markov_beta_lag",
     "ContractiveChainSpec", "Far1Spec", "FunctionalPath", "PsiSpec", "estimate_chain_mixing",
-    "make_psi", "make_regression_sample", "simulate_far1", "trapezoid_weights", "uniform_grid",
+    "make_regression_sample", "simulate_far1", "trapezoid_weights", "uniform_grid",
     "ForecastSummary", "KernelSpec", "NWEvaluation", "RegressionFit", "SmallBallModel",
     "bandwidth_schedule", "dynamic_forecast_experiment", "estimate_small_ball", "m_constant",
 ]

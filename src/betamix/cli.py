@@ -180,10 +180,8 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict
     grid floor and, with grid.A, the mixing fit, gamma, C, whether C sits on
     the grid floor, and each A's overflow flag."""
     fspec = make_fspec(config.fspec_name, config.process)
-    bound_b = config.bound_b if config.bound_b is not None else fspec.bound
-    laplace = (laplace_section(fspec, config.process, bound_b, config.gamma, config.a_points,
-                               config.reps, config.seed)
-               if config.a_points else None)
+    laplace = (laplace_section(fspec, config.process, config.gamma, config.a_points,
+                               config.reps, config.seed) if config.a_points else None)
     checks: list[Check] = []
     diagnostics: dict = {"rate_fits": []}
 
@@ -193,12 +191,12 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict
     for eps, tails in zip(config.epsilons, tails_by_eps):
         bound_at = {}
         try:
-            a1, fit = calibrate_corollary(tails, B=bound_b, epsilon=eps)
+            a1, fit = calibrate_corollary(tails, B=fspec.bound, epsilon=eps)
             diagnostics["rate_fits"].append({
                 "epsilon": eps, "a1": fit.a1_hat, "a2": fit.a2_hat, "r_squared": fit.r_squared,
                 "calibrated_a1_on_grid_floor": bool(a1 == _LOG_GRID[0]),
             })
-            bound_at = {te.n: corollary_bound(a1=a1, a2=fit.a2_hat, B=bound_b, epsilon=eps,
+            bound_at = {te.n: corollary_bound(a1=a1, a2=fit.a2_hat, B=fspec.bound, epsilon=eps,
                                               n=te.n)
                         for te in tails}
             # calibrate_corollary has raised a FitError for any a2 <= 0
@@ -209,7 +207,7 @@ def run_concentration_suite(config: ExperimentConfig) -> tuple[list[Check], dict
         except FitError as exc:
             checks.append(Check(name=f"rate_fit(eps={eps})", passed=False, detail=str(exc)))
             diagnostics["rate_fits"].append({"epsilon": eps, "error": str(exc)})
-        rows += [(f"tail(eps={eps})", te.n, te.epsilon, bound_b, te.p_hat, te.ci_half_width,
+        rows += [(f"tail(eps={eps})", te.n, te.epsilon, fspec.bound, te.p_hat, te.ci_half_width,
                   bound_at.get(te.n, math.nan), config.seed) for te in tails]
     reports = {"concentration_report.csv": (CONCENTRATION_HEADER, rows)}
 

@@ -116,7 +116,8 @@ def rate_argument(n, epsilon: float, B: float):
 def laplace_bound_terms(
     *, kappa0: float, kappa1: float, C: float, gamma: float, B: float, A: float
 ) -> tuple[float, float]:
-    """Both summands of the Laplace-transform bound, preconditions enforced."""
+    """Both summands of the Laplace-transform bound, preconditions enforced;
+    the second is +inf past the float range."""
     _require_above(0.0, kappa0=kappa0, kappa1=kappa1, C=C, B=B, A=A)
     if not A >= max(14.0, 2.0 * kappa1):
         raise DomainError(f"A = {A} violates A >= max(14, 2*kappa1) = {max(14.0, 2.0 * kappa1)}")
@@ -128,8 +129,14 @@ def laplace_bound_terms(
             f"min((1 and kappa1)/2, kappa1/(4 log A)) = {gamma_cap}"
         )
     term1 = 3.0 * kappa0 * math.exp(-kappa1 * A / (4.0 * log_a))
-    term2 = math.exp(C * gamma**2 * B**2 * A * log_a + gamma * B * A / log_a)
-    return term1, term2
+    try:
+        exponent = C * gamma**2 * B**2 * A * log_a + gamma * B * A / log_a
+    except OverflowError:
+        raise DomainError(f"gamma^2 B^2 overflows at gamma = {gamma:.4g}, B = {B:.4g}") from None
+    try:
+        return term1, math.exp(exponent)
+    except OverflowError:  # an infinite bound, as an overflowed estimate is infinite
+        return term1, math.inf
 
 
 def laplace_bound(*, kappa0: float, kappa1: float, C: float, gamma: float, B: float,
@@ -386,7 +393,7 @@ def empirical_laplace(
     The interval integral is realized as the discrete sum over k = 1..floor(A).
     All the points run through one `replicate` call, so the result is
     identical for any worker count and any order of the points. Overflow is
-    reported as an infinite value (`overflowed`), never an exception.
+    an infinite value (`overflowed`) or std error, never an exception or warning.
     """
     if gamma < 0:
         raise ValidationError("gamma must be >= 0")
@@ -395,11 +402,10 @@ def empirical_laplace(
     lengths = [(math.floor(a), t) for a, t in points]
     sums = replicate(_centered_sums, (fspec, process, seed, Stream.CHAIN_LAPLACE), lengths, reps,
                      REP_BLOCK)
-    with np.errstate(over="ignore"):
-        values = [np.exp(gamma * s) for s in sums]
-    return [LaplaceEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(reps)))
-            if np.all(np.isfinite(v)) else LaplaceEstimate(math.inf, math.inf)
-            for v in values]
+    with np.errstate(over="ignore"):  # finite values may still overflow their mean or std
+        return [LaplaceEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(reps)))
+                if np.all(np.isfinite(v)) else LaplaceEstimate(math.inf, math.inf)
+                for v in (np.exp(gamma * s) for s in sums)]
 
 
 def rate_fit(tails: Sequence[TailEstimate], B: float, epsilon: float) -> RateFit:
@@ -446,24 +452,26 @@ def calibrate_laplace_constant(
     A: float,
 ) -> float:
     """Smallest log-grid C whose Laplace bound dominates all observed values
-    at interval length A (the smallest admissible length)."""
-    for c in _LOG_GRID:
-        if laplace_bound(kappa0=kappa0, kappa1=kappa1, C=float(c), gamma=gamma, B=B,
-                         A=A) >= max(observed):
+    at interval length A (the smallest admissible length); an infinite value,
+    which an overflowing bound would dominate, calibrates none (a FitError)."""
+    top = max(observed)
+    for c in _LOG_GRID if math.isfinite(top) else ():
+        if laplace_bound(kappa0=kappa0, kappa1=kappa1, C=float(c), gamma=gamma, B=B, A=A) >= top:
             return float(c)
     raise FitError("no grid C makes the Laplace bound dominate the estimates")
 
 
 def laplace_section(
-    fspec: FSpec, process: ContractiveChainSpec, B: float, gamma: Optional[float],
+    fspec: FSpec, process: ContractiveChainSpec, gamma: Optional[float],
     points: Sequence[tuple[float, int]], reps: int, seed: int,
 ) -> LaplaceSection:
-    """The Laplace bound against its MC estimates at every (A, t) point, in
-    the order of `points`. The mixing rate is fitted first and A and gamma
-    are checked at the fitted kappa1 before any estimate runs: the smallest
-    A against max(14, 2 kappa1), gamma*B in (0, cap] at the largest A (a
-    DomainError names `grid.A` or `gamma`); `gamma=None` takes 0.9 of that
-    cap. C is calibrated on the estimates at the smallest A."""
+    """The Laplace bound at B = fspec.bound against its MC estimates at every
+    (A, t) point, in the order of `points`. The mixing rate is fitted first
+    and A and gamma are checked at the fitted kappa1 before any estimate
+    runs: the smallest A against max(14, 2 kappa1), gamma*B in (0, cap] at
+    the largest A (a DomainError names `grid.A` or `gamma`); `gamma=None`
+    takes 0.9 of that cap. C is calibrated on the estimates at the smallest A."""
+    B = fspec.bound
     lengths = [a for a, _ in points]
     a_min, a_max = min(lengths), max(lengths)
     mixing_fit = estimate_chain_mixing(process)

@@ -29,8 +29,8 @@ Schema (defaults in parentheses; -- means required):
     grid.epsilon       comma floats        (concentration, nonempty)
     grid.A             comma floats        (concentration laplace; empty)
                        (no value may repeat within a grid)
-    gamma              Laplace argument    (auto from fitted mixing rate)
-    bound.B            function bound override        (fspec's bound)
+    gamma              Laplace argument; gamma*B under its cap, B the
+                       fspec's bound      (auto from fitted mixing rate)
 
     kernel             uniform | downslope-linear | quadratic-decreasing
                                                     (downslope-linear)
@@ -71,7 +71,6 @@ _DEFAULTS = {
     "grid.epsilon": "",
     "grid.A": "",
     "gamma": "",
-    "bound.B": "",
     "kernel": "downslope-linear",
     "psi": "norm",
     "noise_sd": "0.1",
@@ -178,7 +177,6 @@ class ExperimentConfig:
     epsilons: tuple[float, ...] = ()
     a_points: tuple[tuple[float, int], ...] = ()   # (A, t) in ascending A
     gamma: Optional[float] = None      # None: derive from the fitted mixing rate
-    bound_b: Optional[float] = None    # None: the fspec's own bound
     psi: Optional[PsiSpec] = None
     kernel: Optional[KernelSpec] = None
     noise_sd: float = 0.0
@@ -206,15 +204,6 @@ def _n_points(r: dict[str, str], suite: str) -> tuple[tuple[int, int], ...]:
     return tuple((n, resolve_t(r["t_rule"], n)) for n in n_grid)
 
 
-def _optional_positive(r: dict[str, str], key: str) -> Optional[float]:
-    if not r[key].strip():
-        return None
-    value = _to_float(r[key], key)
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"field {key!r}: must be finite and > 0")
-    return value
-
-
 def _concentration_fields(r: dict[str, str]) -> dict:
     process = _spec(ContractiveChainSpec, r)
     if r["fspec"] not in FSPEC_NAMES:
@@ -232,14 +221,16 @@ def _concentration_fields(r: dict[str, str]) -> dict:
     # A >= 14 is the Laplace bound's fixed floor; A >= 2 kappa1 needs the fit
     if not all(math.isfinite(a) and a >= 14 for a in a_grid):
         raise ConfigError("field 'grid.A': every A must be finite and >= 14")
+    gamma = _to_float(r["gamma"], "gamma") if r["gamma"].strip() else None
+    if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
+        raise ConfigError("field 'gamma': must be finite and > 0")
     return dict(
         process=process,
         fspec_name=r["fspec"],
-        bound_b=_optional_positive(r, "bound.B"),
         n_points=_n_points(r, "concentration"),
         epsilons=epsilons,
         a_points=tuple((a, resolve_t(r["t_rule"], math.floor(a))) for a in sorted(a_grid)),
-        gamma=_optional_positive(r, "gamma"),
+        gamma=gamma,
     )
 
 

@@ -249,8 +249,9 @@ def line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     """(slope, intercept, R^2) of the least-squares line through (xs, ys), R^2 = 1
     for constant ys. Raises FitError when the fit fails or its slope is not finite."""
     # polyfit divides the xs by their norm: one that underflows hands LAPACK NaNs
-    if not 0.0 < float((xs * xs).sum()) < np.inf:
-        raise FitError("cannot fit a line: the sum of squares of the xs is 0 or not finite")
+    with np.errstate(over="ignore"):  # an overflowing sum is refused, not warned about
+        if not 0.0 < float((xs * xs).sum()) < np.inf:
+            raise FitError("cannot fit a line: the sum of squares of the xs is 0 or not finite")
     try:
         slope, intercept = np.polyfit(xs, ys, 1)
     except np.linalg.LinAlgError as exc:

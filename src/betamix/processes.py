@@ -668,6 +668,7 @@ class PsiSpec:
 
     "linear" is the quadrature inner product against `weight` (Lipschitz
     constant ||weight||), "norm" is the quadrature L2 norm (constant 1).
+    Called on a path, it gives psi of every curve from the coordinates alone.
     """
 
     name: str
@@ -679,17 +680,12 @@ class PsiSpec:
         if self.name == "linear" and self.weight is None:
             raise ConfigError("linear psi needs a weight curve")
 
-
-def make_psi(spec: PsiSpec, grid: np.ndarray) -> Callable[[FunctionalPath], np.ndarray]:
-    """Resolve a PsiSpec into the functional of every curve of a path on
-    `grid`. Both read the path's coordinates: "linear" through
-    FunctionalPath.inner, "norm" through FunctionalPath.distances."""
-    if spec.name == "linear":
-        weight = np.asarray(spec.weight, dtype=float)
-        if weight.shape != grid.shape:
+    def __call__(self, path: FunctionalPath) -> np.ndarray:
+        if self.name == "norm":
+            return path.distances()
+        if np.shape(self.weight) != path.grid.shape:
             raise ConfigError("psi weight curve must live on the path grid")
-        return lambda path: path.inner(weight)
-    return lambda path: path.distances()
+        return path.inner(self.weight)
 
 
 def make_regression_sample(
@@ -698,7 +694,7 @@ def make_regression_sample(
     """Fill responses Y_k = psi(X_k) + eps_k with centered Gaussian noise."""
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
-    signal = make_psi(psi, path.grid)(path)
+    signal = psi(path)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_sd, size=path.n_curves) if noise_sd > 0 else 0.0
     return path._derive(responses=signal + noise)

@@ -25,11 +25,9 @@ from .processes import (
     FunctionalPath,
     PsiSpec,
     far1_scores,
-    make_psi,
     make_regression_sample,
     simulate_far1,
     trapezoid_weights,
-    uniform_grid,
 )
 from .seeding import Stream, keyed_rng, replicate
 
@@ -76,11 +74,7 @@ class KernelSpec:
         return float(_KERNEL_FUNCS[self.name][0](np.float64(1.0)))
 
 
-def curve_distances(sample: FunctionalPath, query: FunctionalPath) -> np.ndarray:
-    """Trapezoid L2 distances from each curve of `sample` to the one curve of
-    `query`, by FunctionalPath.distances on their coordinates; the query must
-    be held in the sample's frame."""
-    return sample.distances(query)
+curve_distances = FunctionalPath.distances  # named here so perfbench/traced.py can wrap it
 
 
 @dataclass(frozen=True)
@@ -260,8 +254,6 @@ class ForecastSummary:
 
 def _forecast_block(args) -> np.ndarray:
     (process, psi, noise_sd, kernel, theta, grid_size, seed, n, t, indices) = args
-    grid = uniform_grid(grid_size)
-    psi_func = make_psi(psi, grid)
     block = indices.start // FORECAST_BLOCK
     streams = (Stream.FAR_PATH, Stream.REGRESSION_NOISE, Stream.REFERENCE_SAMPLE)
     path_rng, noise_rng, reference_rng = (keyed_rng(seed, s, n, block) for s in streams)
@@ -280,7 +272,7 @@ def _forecast_block(args) -> np.ndarray:
         ball = estimate_small_ball(ref_dists, [h])
         m_hat = m_constant(kernel, ball.tau)
         out = RegressionFit(kernel=kernel, bandwidth=h, training=sample).evaluate(x, ball.f_hat[0])
-        psi_true = float(psi_func(x)[0])
+        psi_true = float(psi(x)[0])
         err = abs(out.psi_hat - psi_true) if out.defined else math.nan
         rows[pos] = (
             0.0 if out.defined else 1.0,

@@ -162,7 +162,7 @@ def test_package_exports_only_its_classes_and_functions():
         "davydov_check", "dynamic_forecast_experiment", "empirical_laplace",
         "empirical_tail_grid", "estimate_chain_mixing", "estimate_small_ball",
         "fit_geometric_decay", "ibragimov_check", "laplace_bound", "laplace_section",
-        "m_constant", "make_fspec", "make_psi", "make_regression_sample", "markov_beta_lag",
+        "m_constant", "make_fspec", "make_regression_sample", "markov_beta_lag",
         "rate_argument", "rate_fit", "simulate_far1",
         "trapezoid_weights", "truncate", "unbounded_bound", "uniform_grid",
     ]
@@ -330,6 +330,18 @@ class TestExitCodes:
         argv = [*runs()["concentration"], *[word for kv in sets for word in ("--set", kv)]]
         assert run_cli(*argv, "--workers", "1", "--output", str(tmp_path)) == 0
 
+    def test_bound_b_in_a_config_file_is_an_unknown_key(self, tmp_path, capsys):
+        # f carries its bound: B is the fspec's own, and no key overrides it
+        config = tmp_path / "bound.cfg"
+        config.write_text("bound.B = 1.5\n")
+        output = tmp_path / "out"
+        code = run_cli("concentration", "--config", str(config), "--seed", "1",
+                       "--output", str(output), "--set", "grid.n=50,100,200,400",
+                       "--set", "grid.epsilon=0.05")
+        assert code == 2
+        assert "line 1: unknown key 'bound.B'" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_malformed_t_rule_index_exits_2(self, tmp_path, capsys):
         code = run_cli("fkr", "--seed", "1", "--output", str(tmp_path),
                        "--set", "grid.n=120,240", "--set", "t_rule=index:abc")
@@ -392,6 +404,7 @@ class TestExitCodes:
              "process.burn_in"),
             (("fkr", "--set", "grid.n=120,240", "--set", "process.initial=eigenfunction"),
              "process.initial"),
+            (("concentration", "--set", "grid.A=14", "--set", "bound.B=1.5"), "bound.B"),
         ],
     )
     def test_invalid_grid_field_exits_2(self, tmp_path, capsys, argv, field):
@@ -580,7 +593,7 @@ class TestDeterminism:
         assert body_a == body_b
 
     def test_reports_identical_across_worker_counts(self, tmp_path):
-        # 2500 reps span three replication blocks, so workers = 2 uses a pool
+        # 2500 reps span three replication blocks, so workers = 2 forks two children
         def run(workers):
             out = tmp_path / f"w{workers}"
             run_cli(
@@ -803,17 +816,18 @@ class TestLaplaceSection:
             {"epsilon": 0.05, "error": "need >= 4 tail points with 0 < p_hat < 1, have 3"}
         ]}
 
-    def test_underflowing_rate_fit_fails_its_check_and_writes_reports(self, tmp_path, capsys):
+    def test_laplace_bound_that_cannot_be_computed_exits_1_naming_it(self, tmp_path, capsys):
+        # fspec = first at halfwidth 1e-300 has B = 2e-300, so the default gamma is
+        # near 1e298 and its square overflows; pytest makes a RuntimeWarning an error
         code = run_cli("concentration", "--seed", "1", "--reps", "100", "--output",
                        str(tmp_path), "--set", "grid.n=50,100,200,400",
-                       "--set", "grid.epsilon=0.05", "--set", "bound.B=1e200")
-        out, err = capsys.readouterr()
+                       "--set", "grid.epsilon=0.05", "--set", "fspec=first",
+                       "--set", "process.halfwidth=1e-300", "--set", "grid.A=14")
+        err = capsys.readouterr().err
         assert code == 1
-        assert "[check] rate_fit(eps=0.05): FAIL (cannot fit a line" in out
+        assert "error: gamma^2 B^2 overflows at gamma = " in err
         assert "Traceback" not in err
-        assert len((tmp_path / "concentration_report.csv").read_text().splitlines()) == 5
-        manifest = json.loads((tmp_path / "concentration_manifest.json").read_text())
-        assert "error" in manifest["diagnostics"]["rate_fits"][0]
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_negative_rate_slope_fails_its_check_with_no_bound(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -1080,7 +1094,7 @@ class TestExecutionContext:
         if seeding.one_blas_thread() is None:
             pytest.skip("no OpenBLAS thread setter in this numpy build")
         setter, getter = seeding._openblas_thread_calls()
-        # a parent on 2 threads: only the pool's initializer can pin the workers
+        # a parent on 2 threads: each forked child pins itself (seeding._run_share)
         setter(2)
         assert getter() == 2
         try:
@@ -1109,7 +1123,7 @@ class TestExecutionContext:
 
     def test_numpy_first_fkr_run_pins_blas_and_keeps_its_report(self, tmp_path):
         # numpy loads first under OPENBLAS_NUM_THREADS=4, so the variable stays 4
-        # and only one_blas_thread holds the run, and its pool workers, on one thread
+        # and only one_blas_thread holds the run, and its forked workers, on one thread
         if seeding.one_blas_thread() is None:
             pytest.skip("no OpenBLAS thread setter in this numpy build")
         code = ("import numpy, os, sys; from betamix.cli import main; "

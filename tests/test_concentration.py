@@ -123,6 +123,17 @@ class TestLaplaceBound:
         with pytest.raises(DomainError, match="gamma"):
             laplace_bound(kappa0=1.0, kappa1=1.0, C=1.0, B=1.0, A=14.0, gamma=0.5)
 
+    def test_bound_past_the_float_range_is_infinite(self):
+        # admissible: gamma*B = 0.01 lies under the cap 1/(4 log 1e6) = 0.018
+        params = dict(kappa0=1.0, kappa1=1.0, C=1e16, gamma=0.01, B=1.0, A=1e6)
+        assert laplace_bound_terms(**params)[1] == math.inf
+        assert laplace_bound(**params) == math.inf
+
+    def test_gamma_whose_square_overflows_is_a_domain_error(self):
+        # gamma*B = 0.02 is admissible, but gamma^2 = 1e596 is no float
+        with pytest.raises(DomainError, match=r"gamma\^2 B\^2 overflows at gamma = 1e\+298"):
+            laplace_bound(kappa0=1.0, kappa1=1.0, C=1.0, gamma=1e298, B=2e-300, A=14.0)
+
     def test_monotone_in_kappa0_and_gamma(self):
         base = dict(kappa1=1.0, C=1.0, B=1.0, A=25.0)
         v = [laplace_bound(kappa0=k0, gamma=0.01, **base) for k0 in (0.5, 1.0, 2.0)]
@@ -611,7 +622,7 @@ class TestLaplaceSection:
 
     def run(self, gamma=None, points=POINTS):
         fspec = make_fspec("odd-clip", self.CHAIN)
-        return laplace_section(fspec, self.CHAIN, 1.0, gamma, points, reps=100, seed=6)
+        return laplace_section(fspec, self.CHAIN, gamma, points, reps=100, seed=6)
 
     def test_a_below_twice_fitted_kappa1_raises_before_any_estimate(self, monkeypatch,
                                                                      laplace_calls):
@@ -652,6 +663,16 @@ class TestLaplaceSection:
             if gamma is not None:
                 assert f"= {laplace_gamma_cap(1.0, 20.0):.4g} at" in str(info.value)
         assert laplace_calls == []
+
+    def test_f_above_its_declared_bound_overflows_to_infinite_values_quietly(self):
+        # odd-clip-damped reaches 1 where this f declares 1e-3, so gamma = 0.9 cap / 1e-3
+        # takes exp(gamma * sum) past the float range; pytest makes a RuntimeWarning an error
+        fspec = FSpec("odd-clip-damped", bound=1e-3)
+        (alone,) = laplace_section(fspec, self.CHAIN, None, [(14.0, 14)], 100, 6).estimates
+        assert math.isfinite(alone.value) and alone.std_error == math.inf
+        section = laplace_section(fspec, self.CHAIN, None, [(14.0, 14), (100.0, 100)], 100, 6)
+        assert math.isfinite(section.estimates[0].value) and section.estimates[1].overflowed
+        assert math.isfinite(section.bounds[0]) and section.bounds[1] == math.inf
 
     def test_descending_points_give_the_ascending_section_reversed(self):
         ascending, descending = self.run(), self.run(points=self.POINTS[::-1])
@@ -971,12 +992,16 @@ class TestRateFit:
         fit = rate_fit(tails, B=1.0, epsilon=0.1)
         assert fit.a2_hat == pytest.approx(1.0, abs=1e-9)
 
-    def test_underflowing_rate_arguments_raise_fit_error(self):
-        # B = 1e200 puts every x_n near 1e-202, whose squares underflow to 0
+    @pytest.mark.parametrize("B", [1e200, 1e-300], ids=["underflow", "overflow"])
+    def test_rate_arguments_whose_squares_leave_the_float_range_raise_fit_error(self, B):
+        # B = 1e200 puts every x_n near 1e-202, whose squares underflow to 0; B = 1e-300
+        # puts them near 1e301, whose squares overflow, and neither warns
         tails = [TailLike(n=n, p_hat=p) for n, p in ((200, 0.4), (400, 0.3), (800, 0.2),
                                                      (1600, 0.1))]
-        with pytest.raises(FitError, match="sum of squares"):
-            rate_fit(tails, B=1e200, epsilon=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="sum of squares"):
+                rate_fit(tails, B=B, epsilon=0.05)
 
     def test_too_few_points_rejected(self):
         tails = [TailLike(n=10, p_hat=0.5), TailLike(n=20, p_hat=0.0),
@@ -986,8 +1011,8 @@ class TestRateFit:
 
 
 # (n grid, epsilons, B) of the benchmark's tail-mc workload and of CI's
-# concentration runs, then every n of those and of the fkr grids at
-# eps = B = 1, where x_n is plotdata's x
+# concentration runs, CI's grid at an f bound B other than 1, then every n of
+# those and of the fkr grids at eps = B = 1, where x_n is plotdata's x
 RATE_GRIDS = [
     ((200, 400, 800, 1600, 3200), (0.03, 0.04, 0.05), 1.0),
     ((50, 100, 200, 400), (0.05, 0.1), 1.0),
@@ -1066,3 +1091,9 @@ class TestCalibration:
         c = calibrate_laplace_constant([1.05, 1.1], kappa0=1.0, kappa1=0.7,
                                        gamma=gamma, B=1.0, A=14.0)
         assert laplace_bound(kappa0=1.0, kappa1=0.7, C=c, gamma=gamma, B=1.0, A=14.0) >= 1.1
+
+    def test_infinite_estimate_calibrates_no_laplace_constant(self):
+        # past C = 5e4 this bound overflows to +inf, which would dominate it
+        with pytest.raises(FitError, match="no grid C"):
+            calibrate_laplace_constant([1.1, math.inf], kappa0=1.0, kappa1=0.7, gamma=0.02,
+                                       B=1.0, A=14.0)

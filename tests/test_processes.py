@@ -33,7 +33,6 @@ from betamix.processes import (
     _simulate_chain_columns,
     estimate_chain_mixing,
     far1_scores,
-    make_psi,
     make_regression_sample,
     simulate_far1,
     transfer_chain,
@@ -1060,6 +1059,11 @@ class TestRegressionSample:
             PsiSpec("quadratic")
         with pytest.raises(ConfigError):
             PsiSpec("linear")  # missing weight
+
+    def test_linear_psi_weight_off_the_path_grid_rejected(self):
+        path = FunctionalPath(grid=uniform_grid(16), coords=np.zeros((5, 16)))
+        with pytest.raises(ConfigError, match="path grid"):
+            PsiSpec("linear", weight=np.ones(8))(path)
 
 
 class TestGridValidation:

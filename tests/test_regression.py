@@ -17,7 +17,6 @@ from betamix.processes import (
     Far1Spec,
     FunctionalPath,
     PsiSpec,
-    make_psi,
     make_regression_sample,
     simulate_far1,
     trapezoid_weights,
@@ -136,9 +135,8 @@ class TestFrameGeometry:
         else:
             g = spec.eigenfunction(grid) if psi.endswith("eigenfunction") else np.ones(grid_size)
             spec_psi, want = PsiSpec("linear", weight=g), curves @ (w * g)
-        func = make_psi(spec_psi, grid)
         # a signed inner product has rounding error on the scale of its largest values
-        assert_allclose(func(path), want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
+        assert_allclose(spec_psi(path), want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
 
     def test_paths_in_different_frames_are_rejected(self):
         path = simulate_far1(Far1Spec(burn_in=5), 30, 16, seed=1)
@@ -433,7 +431,7 @@ class TestBandwidthSchedule:
         assert (tmp_path / report).exists()
 
     def test_forecast_block_leaves_numpy_ma_unloaded(self):
-        # np.quantile imports numpy.ma through np.unique in every pool worker
+        # np.quantile imports numpy.ma through np.unique in every forked worker
         code = ("import sys; from betamix.processes import Far1Spec, PsiSpec, uniform_grid; "
                 "from betamix.regression import FORECAST_BLOCK, KernelSpec, _forecast_block; "
                 "p = Far1Spec(rho=0.5, burn_in=1000); "
