@@ -45,7 +45,8 @@ class LaplaceEstimate(NamedTuple):
 
     @property
     def overflowed(self) -> bool:
-        return self.value == math.inf
+        """Whether the value or its std error overflowed to infinity."""
+        return math.inf in (self.value, self.std_error)
 
 
 class LaplaceSection(NamedTuple):

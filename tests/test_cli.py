@@ -44,7 +44,7 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_pool_machinery_loads_only_with_a_pool(tmp_path):
+def test_no_run_loads_the_process_pool_machinery(tmp_path):
     # a one-worker run, a two-worker run with no Monte Carlo section, and a
     # two-worker concentration run, whose sections fork their maps, all run
     # without the process-pool machinery
@@ -72,7 +72,7 @@ def test_pool_machinery_loads_only_with_a_pool(tmp_path):
     assert (tmp_path / "w2" / "verify_report.csv").exists()
 
 
-def test_block_pool_exits_quietly():
+def test_parallel_block_reaps_its_forked_children_quietly():
     # holding seeding on sys keeps it past the interpreter's teardown, as a
     # test session's modules do; the map has reaped its children before
     # then, and none outlives it
@@ -802,7 +802,8 @@ class TestLaplaceSection:
         assert diagnostics["gamma"] == float(laplace[0][2])
         assert diagnostics["C"] == float(laplace[0][6])
         assert diagnostics["laplace_overflows"] == [
-            {"A": float(r[1]), "overflowed": float(r[3]) == math.inf} for r in laplace
+            {"A": float(r[1]), "overflowed": math.inf in (float(r[3]), float(r[4]))}
+            for r in laplace
         ]
 
     def test_failed_rate_fit_is_recorded_with_its_reason(self, tmp_path):
@@ -983,7 +984,7 @@ class TestExecutionContext:
         monkeypatch.setattr(seeding, "_fork_map", inline_fork_map)
         return maps
 
-    def test_w2_run_opens_one_pool(self, tmp_path, inline_maps):
+    def test_w2_run_forks_one_map_per_section(self, tmp_path, inline_maps):
         # 1100 reps make two replication blocks at every n and A, so each of
         # the two sections, Laplace then tail, is one map over two children
         code = run_cli("concentration", "--seed", "2", "--reps", "1100",
@@ -999,7 +1000,7 @@ class TestExecutionContext:
         assert execution["blas_threads"] == seeding.one_blas_thread()
         assert execution["peak_rss_mb"] > 0
 
-    def test_pool_is_capped_at_the_usable_cpus(self, tmp_path, inline_maps):
+    def test_forked_children_are_capped_at_the_usable_cpus(self, tmp_path, inline_maps):
         # each map forks no more children than the CPUs, nor than its blocks
         code = run_cli("concentration", "--seed", "2", "--reps", "1100",
                        "--workers", "5000", "--output", str(tmp_path), *self.CONCENTRATION)
@@ -1035,14 +1036,14 @@ class TestExecutionContext:
         maps = [[(item[-3], item[-1].start) for item in items] for _, items in inline_maps]
         assert maps == [[(n, start) for n in (300, 200, 100) for start in (0, 25, 50, 75)]]
 
-    def test_w1_run_opens_no_pool(self, tmp_path):
+    def test_w1_run_forks_no_map(self, tmp_path):
         run_cli("mixing", "--seed", "4", "--output", str(tmp_path), *FAST_MIXING)
         manifest = json.loads((tmp_path / "mixing_manifest.json").read_text())
         assert manifest["execution"]["parallel_maps"] == 0
         assert manifest["execution"]["pool_workers"] == 0
         assert manifest["execution"]["workers"] == 1
 
-    def test_library_pool_neither_outlives_its_block_nor_counts_in_a_run(self, tmp_path):
+    def test_library_map_neither_outlives_its_block_nor_counts_in_a_run(self, tmp_path):
         # a 2-worker map outside any run, then a one-worker run: the run's
         # manifest counts no map, and no child process is left
         with seeding.parallel(2) as facts:
@@ -1055,7 +1056,7 @@ class TestExecutionContext:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_suite_that_raises_shuts_its_pool_down(self, tmp_path, monkeypatch):
+    def test_suite_that_raises_leaves_no_forked_child(self, tmp_path, monkeypatch):
         pids = []
 
         def maps_then_fails(config):
@@ -1090,7 +1091,7 @@ class TestExecutionContext:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_pool_workers_run_blas_on_one_thread(self):
+    def test_forked_workers_run_blas_on_one_thread(self):
         if seeding.one_blas_thread() is None:
             pytest.skip("no OpenBLAS thread setter in this numpy build")
         setter, getter = seeding._openblas_thread_calls()

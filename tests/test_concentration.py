@@ -670,6 +670,7 @@ class TestLaplaceSection:
         fspec = FSpec("odd-clip-damped", bound=1e-3)
         (alone,) = laplace_section(fspec, self.CHAIN, None, [(14.0, 14)], 100, 6).estimates
         assert math.isfinite(alone.value) and alone.std_error == math.inf
+        assert alone.overflowed  # an infinite std error overflowed as well
         section = laplace_section(fspec, self.CHAIN, None, [(14.0, 14), (100.0, 100)], 100, 6)
         assert math.isfinite(section.estimates[0].value) and section.estimates[1].overflowed
         assert math.isfinite(section.bounds[0]) and section.bounds[1] == math.inf
@@ -742,12 +743,12 @@ class TestCenteredSums:
         assert abs(est.value - float(want_values.mean())) <= 1e-15
 
     @pytest.mark.parametrize("name", FSPEC_NAMES)
-    @pytest.mark.parametrize("n", [1, BURN_ROWS - 1, BURN_ROWS, BURN_ROWS + 1,
-                                   3 * BURN_ROWS + 5])
+    @pytest.mark.parametrize("n", [1, 3 * BURN_ROWS + 5])
     def test_chunked_sums_are_the_whole_path_sum(self, name, n):
         # a block streams once n > K and X_t's burn_in - 1 + t rows pass K; a
         # lone streamed column is then summed one BURN_ROWS-row piece at a
-        # time, the running sum added into the piece's first row
+        # time, the running sum added into the piece's first row. A block of
+        # n <= K = 128 sums its whole path whatever n is
         fspec = make_fspec(name, self.CHAIN)
         k = _bounding_rows(self.CHAIN.a)
         for width in (1, 7):
@@ -860,14 +861,15 @@ class TestStreamedSums:
                 # X_t couples once its burn_in - 1 + t rows leave more than K
                 assert streamed == (n > self.K and chain.burn_in - 1 + t > self.K)
 
-    @pytest.mark.parametrize("width", [2, 7])
     @pytest.mark.parametrize("burn_in", [1, 50, K, 1000])
     @pytest.mark.parametrize("chain", CHAINS, ids=IDS)
-    def test_streamed_sums_are_the_whole_path_sums(self, monkeypatch, chain, burn_in, width):
+    def test_streamed_sums_are_the_whole_path_sums(self, monkeypatch, chain, burn_in):
+        # two or more columns sum in row order at any width; the block of
+        # 1000 below takes the width of a full replication block
         k = self.K
         self.check(monkeypatch, replace(chain, burn_in=burn_in),
                    [k, k + 1, 3 * BURN_ROWS + 5, 2000],
-                   lambda n: [1, k - 1, k, k + 1, (n + 1) // 2, n], width)
+                   lambda n: [1, k - 1, k, k + 1, (n + 1) // 2, n], 2)
 
     @pytest.mark.parametrize("burn_in", [1, 50, K, 1000])
     @pytest.mark.parametrize("chain", CHAINS, ids=IDS)

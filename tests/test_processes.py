@@ -126,53 +126,13 @@ class TestContractiveChain:
         assert np.any(a[:10] != c[:10])
 
     @staticmethod
-    def _per_step_columns(spec, eps):
-        """Reference: each column of `eps` drives its own width-1 recursion."""
-        want = np.empty((eps.shape[0] + 1, eps.shape[1]))
-        for j in range(eps.shape[1]):
-            x = np.zeros(1)
-            want[0, j] = x[0]
-            for t, e in enumerate(eps[:, j], start=1):
-                x = spec.apply_map(x) + e
-                want[t, j] = x[0]
-        return want[spec.burn_in:]
-
-    @pytest.mark.parametrize("map_name", ["linear", "clipped-linear", "sine-perturbed"])
-    def test_batch_columns_match_single_paths(self, map_name):
-        # column j is the recursion over column j of the block's draws: the 6
-        # burn-in rows, then 150 kept rows in BURN_ROWS-row pieces; trunc =
-        # 2 sigma rejects about 5% of the normal proposals, so a truncated-
-        # Gaussian path is not that of one whole draw
-        for innovation in ("truncated-gaussian", "uniform"):
-            spec = ContractiveChainSpec(
-                map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
-                innovation=innovation, sigma=0.5, trunc=1.0, halfwidth=0.8, burn_in=7,
-            )
-            for width in (3, 1):
-                got = _simulate_chain_columns(spec, 150, range(width), np.random.default_rng(5))
-                eps = self._chunked_draw(spec, 150, width, np.random.default_rng(5))
-                assert_array_equal(got, self._per_step_columns(spec, eps))
-                eps = reference_draw(spec, np.random.default_rng(5), (156, width))
-                whole = self._per_step_columns(spec, eps)
-                assert np.array_equal(got, whole) == (innovation == "uniform")
-
-    @pytest.mark.parametrize("width", [1, 3])
-    @pytest.mark.parametrize("burn_in", [1, 7, BURN_ROWS + 1])
-    @pytest.mark.parametrize("n", [1, 40])
-    def test_linear_columns_are_the_per_step_recursion(self, width, burn_in, n):
-        spec = ContractiveChainSpec(map="linear", a=-0.9, innovation="uniform",
-                                    halfwidth=0.8, burn_in=burn_in)
-        draws = np.random.default_rng(13).uniform(-0.8, 0.8, size=(burn_in + n - 1, width))
-        want = np.empty((n, width))
-        for j in range(width):
-            x = np.float64(0.0)
-            states = [x]
-            for e in draws[:, j]:
-                x = spec.a * x + e
-                states.append(x)
-            want[:, j] = states[burn_in:]
-        got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(13))
-        assert_array_equal(got, want)
+    def _chunked_draw(spec, n, width, rng):
+        """Reference draw order: the burn_in - 1 steps before the kept rows,
+        then the n rows of x_burn_in onwards, each part in BURN_ROWS-row draws."""
+        burn = spec.burn_in - 1
+        sizes = [BURN_ROWS] * (burn // BURN_ROWS) + [burn % BURN_ROWS]
+        sizes += [BURN_ROWS] * (n // BURN_ROWS) + [n % BURN_ROWS]
+        return np.concatenate([reference_draw(spec, rng, (rows, width)) for rows in sizes])
 
     @staticmethod
     def _two_array_recursion(spec, n, width, rng):
@@ -195,92 +155,27 @@ class TestContractiveChain:
 
     @pytest.mark.parametrize("map_name", CHAIN_MAPS)
     @pytest.mark.parametrize("innovation", CHAIN_INNOVATIONS)
-    @pytest.mark.parametrize("burn_in", [1, 2, 7])
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_in_place_recursion_is_the_two_array_loop(self, map_name, innovation, burn_in,
-                                                      width):
-        spec = ContractiveChainSpec(
-            map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
-            innovation=innovation, sigma=0.5, trunc=1.5, halfwidth=0.8, burn_in=burn_in,
-        )
-        for n in (1, 40):
-            got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(21))
-            want = self._two_array_recursion(spec, n, width, np.random.default_rng(21))
-            assert got.shape == (n, width)
-            assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("map_name", CHAIN_MAPS)
-    @pytest.mark.parametrize("innovation", ["uniform", "constant"])
-    @pytest.mark.parametrize("burn_in", [2, BURN_ROWS - 1, BURN_ROWS, BURN_ROWS + 1,
-                                         2 * BURN_ROWS + 1, 1000])
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_chunked_burn_in_is_the_whole_draw(self, monkeypatch, map_name, innovation,
-                                               burn_in, width):
-        # uniform values are taken in order, so splitting the draw keeps them; with
-        # every innovation 0.25 the chunks carry the map step and that constant alone
-        spec = ContractiveChainSpec(
-            map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
-            halfwidth=0.8, burn_in=burn_in,
-        )
-        if innovation == "constant":
-            monkeypatch.setattr(processes, "_draw_innovations", constant_innovations(0.25))
-        for n in (1, 40):
-            got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(21))
-            if innovation == "constant":
-                want = self._two_array_states(spec, np.full((burn_in + n - 1, width), 0.25))
-            else:
-                want = self._two_array_recursion(spec, n, width, np.random.default_rng(21))
-            assert got.shape == (n, width)
-            assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("halfwidth", [1.0, 0.3, 1e-3])
-    @pytest.mark.parametrize("n", [1, BURN_ROWS - 1, BURN_ROWS, BURN_ROWS + 1, 3 * BURN_ROWS + 5])
-    @pytest.mark.parametrize("width", [1, 3, 1000])
-    def test_uniform_blocks_are_numpys_whole_draw(self, halfwidth, n, width):
-        # the rows are filled and advanced BURN_ROWS at a time, with the values
-        # and the end state of one rng.uniform(-h, h) draw of all of them; at a
-        # halfwidth other than 1 the scale 2h u rounds; burn_in 1000 skips
-        # most of a linear or clipped-linear burn-in
-        for map_name in CHAIN_MAPS:
-            for burn_in in (1, 1000):
-                spec = ContractiveChainSpec(
-                    map=map_name, a=-0.6, b=0.3 if map_name == "sine-perturbed" else 0.0,
-                    halfwidth=halfwidth, clip_at=0.5 * halfwidth, burn_in=burn_in,
-                )
-                got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
-                got = _simulate_chain_columns(spec, n, range(width), got_rng)
-                want = self._two_array_recursion(spec, n, width, want_rng)
-                assert_array_equal(got, want)
-                assert end_state(got_rng) == end_state(want_rng)
-
-    @staticmethod
-    def _chunked_draw(spec, n, width, rng):
-        """Reference draw order: the burn_in - 1 steps before the kept rows,
-        then the n rows of x_burn_in onwards, each part in BURN_ROWS-row draws."""
-        burn = spec.burn_in - 1
-        sizes = [BURN_ROWS] * (burn // BURN_ROWS) + [burn % BURN_ROWS]
-        sizes += [BURN_ROWS] * (n // BURN_ROWS) + [n % BURN_ROWS]
-        return np.concatenate([reference_draw(spec, rng, (rows, width)) for rows in sizes])
-
-    @pytest.mark.parametrize("map_name", CHAIN_MAPS)
-    @pytest.mark.parametrize("burn_in", [1, 2, BURN_ROWS, BURN_ROWS + 1, 2 * BURN_ROWS + 1,
-                                         200])
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_truncated_gaussian_draws_burn_in_chunks_then_kept_rows(self, map_name,
-                                                                    burn_in, width):
-        # trunc = sigma takes uniform proposals and rejects about 20% of them,
-        # so each draw redraws its own rejects
-        spec = ContractiveChainSpec(
-            map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
-            innovation="truncated-gaussian", sigma=1.0, trunc=1.0, burn_in=burn_in,
-        )
-        for n in (1, 40, 150):
-            got = _simulate_chain_columns(spec, n, range(width), np.random.default_rng(8))
-            eps = self._chunked_draw(spec, n, width, np.random.default_rng(8))
+    def test_columns_are_the_recursion_over_the_chunked_draw(self, map_name, innovation):
+        # values and generator end state; the (burn_in, n, width) cases take no
+        # burn-in row, then a burn-in and kept rows of one whole piece each, then
+        # a burn-in whose last piece is one row and kept rows of four pieces, and
+        # burn_in 1000, whose linear and clipped-linear uniform blocks skip all
+        # but K rows. Uniform pieces are one whole draw, whose scale 2h u rounds
+        # at halfwidth 0.3; trunc / sigma = 1.25 takes uniform proposals, and
+        # each piece redraws its own rejects
+        for burn_in, n, width in [(1, 1, 1), (BURN_ROWS + 1, BURN_ROWS, 3),
+                                  (BURN_ROWS + 2, 3 * BURN_ROWS + 5, 1),
+                                  (1000, BURN_ROWS + 1, 3)]:
+            spec = ContractiveChainSpec(
+                map=map_name, a=-0.6, b=0.3 if map_name == "sine-perturbed" else 0.0,
+                innovation=innovation, halfwidth=0.3, clip_at=0.15, sigma=0.8, trunc=1.0,
+                burn_in=burn_in,
+            )
+            got_rng, want_rng = np.random.default_rng(burn_in), np.random.default_rng(burn_in)
+            got = _simulate_chain_columns(spec, n, range(width), got_rng)
+            eps = self._chunked_draw(spec, n, width, want_rng)
             assert_array_equal(got, self._two_array_states(spec, eps))
-            if burn_in > BURN_ROWS or n > BURN_ROWS:
-                whole = self._two_array_recursion(spec, n, width, np.random.default_rng(8))
-                assert not np.array_equal(got, whole)
+            assert end_state(got_rng) == end_state(want_rng)
 
     @settings(max_examples=60, deadline=None)
     @given(
