@@ -166,3 +166,66 @@ def linear_uniform_sum_laplace(a: float, halfwidth: float, burn_in: int, n: int,
         if x:
             log_value += math.log(math.sinh(x) / x)
     return math.exp(log_value)
+
+
+def allocating_truncated_gaussian(sigma, trunc, rng, shape):
+    """The rejection sampler as one fresh draw of `shape`: the oracle of the
+    in-place fill."""
+    normal = trunc / sigma >= math.sqrt(math.pi / 2.0)
+    if normal:
+        flat = rng.standard_normal(math.prod(shape))
+        flat *= sigma
+        todo = np.flatnonzero((flat > trunc) | (flat < -trunc))
+    else:
+        flat = rng.uniform(-trunc, trunc, math.prod(shape))
+        todo = np.flatnonzero(rng.random(flat.size) >= np.exp(-0.5 * (flat / sigma) ** 2))
+    while todo.size:
+        if normal:
+            x = sigma * rng.standard_normal(todo.size)
+            keep = np.abs(x) <= trunc
+        else:
+            x = rng.uniform(-trunc, trunc, todo.size)
+            keep = rng.random(todo.size) < np.exp(-0.5 * (x / sigma) ** 2)
+        flat[todo[keep]] = x[keep]
+        todo = todo[~keep]
+    return flat.reshape(shape)
+
+
+def reference_draw(spec, rng, shape):
+    """The innovations of `shape` as NumPy's own allocating draws give them."""
+    if spec.innovation == "uniform":
+        return rng.uniform(-spec.halfwidth, spec.halfwidth, shape)
+    return allocating_truncated_gaussian(spec.sigma, spec.trunc, rng, shape)
+
+
+def chunked_draw(spec, n, width, rng, rows):
+    """The innovations in a chain block's draw order: the burn_in - 1 steps
+    before the kept rows, then the n rows of x_burn_in onwards, each part in
+    `rows`-row draws."""
+    burn = spec.burn_in - 1
+    sizes = [rows] * (burn // rows) + [burn % rows] + [rows] * (n // rows) + [n % rows]
+    return np.concatenate([reference_draw(spec, rng, (size, width)) for size in sizes])
+
+
+def chain_states(spec, eps):
+    """The kept states of x_t = psi(x_{t-1}) + eps_t from x_0 = 0 over all
+    rows of `eps`, each state row written into a second array."""
+    total, width = eps.shape[0] + 1, eps.shape[1]
+    full = np.empty((total, width))
+    x = np.zeros(width)
+    full[0] = x
+    for t in range(1, total):
+        x = spec.apply_map(x) + eps[t - 1]
+        full[t] = x
+    return full[spec.burn_in:]
+
+
+def block_sums(f, rows):
+    """sum_k f_k over the rows of `f`, as a block of replications sums them:
+    in `rows`-row pieces, each piece's first row taking the running sum."""
+    sums = np.zeros(f.shape[1])
+    for start in range(0, len(f), rows):
+        piece = f[start:start + rows]
+        piece[0] += sums
+        sums = piece.sum(axis=0)
+    return sums

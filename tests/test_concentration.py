@@ -55,6 +55,9 @@ from betamix.processes import (
 )
 from betamix.seeding import Stream, keyed_rng, parallel, replicate
 from oracles import (
+    block_sums,
+    chain_states,
+    chunked_draw,
     linear_uniform_sum_laplace,
     truncate_scalar,
     uniform_mean_tail,
@@ -743,29 +746,24 @@ class TestCenteredSums:
         assert abs(est.value - float(want_values.mean())) <= 1e-15
 
     @pytest.mark.parametrize("name", FSPEC_NAMES)
-    @pytest.mark.parametrize("n", [1, 3 * BURN_ROWS + 5])
+    @pytest.mark.parametrize("n", [1, BURN_ROWS - 1, BURN_ROWS, BURN_ROWS + 1,
+                                   3 * BURN_ROWS + 5])
     def test_chunked_sums_are_the_whole_path_sum(self, name, n):
-        # a block streams once n > K and X_t's burn_in - 1 + t rows pass K; a
+        # a block streams once n > K = 128 and X_t's burn_in - 1 + t rows pass K; a
         # lone streamed column is then summed one BURN_ROWS-row piece at a
-        # time, the running sum added into the piece's first row. A block of
-        # n <= K = 128 sums its whole path whatever n is
+        # time, the running sum added into the piece's first row
         fspec = make_fspec(name, self.CHAIN)
-        k = _bounding_rows(self.CHAIN.a)
         for width in (1, 7):
             for t in sorted({1, (n + 1) // 2, n}):
-                args = (fspec, self.CHAIN, self.SEED, Stream.CHAIN_TAIL, n, t, range(width))
                 rng = keyed_rng(self.SEED, Stream.CHAIN_TAIL, n, 0)
-                paths = _simulate_chain_columns(self.CHAIN, n, range(width), rng)
+                paths = chain_states(self.CHAIN, chunked_draw(self.CHAIN, n, width, rng,
+                                                              BURN_ROWS))
                 x_t = paths[t - 1]
                 f = fspec(paths, x_t[None, :])
-                streams = width == 1 and n > k and self.CHAIN.burn_in - 1 + t > k
-                sums = np.zeros(width)
-                for start in range(0, n, BURN_ROWS if streams else n):
-                    piece = f[start:start + BURN_ROWS] if streams else f
-                    piece[0] += sums
-                    sums = piece.sum(axis=0)
-                want = sums - n * fspec.center(x_t)
-                np.testing.assert_array_equal(_centered_sums(args), want)
+                streams = width == 1 and n > 128 and self.CHAIN.burn_in - 1 + t > 128
+                want = block_sums(f, BURN_ROWS if streams else n) - n * fspec.center(x_t)
+                (devs,) = tail_deviations(fspec, self.CHAIN, [(n, t)], width, self.SEED)
+                np.testing.assert_array_equal(devs, np.abs(want / n))
 
     def test_block_peak_memory_is_one_innovation_draw(self):
         chain = ContractiveChainSpec(a=0.5, burn_in=1000)
@@ -861,15 +859,14 @@ class TestStreamedSums:
                 # X_t couples once its burn_in - 1 + t rows leave more than K
                 assert streamed == (n > self.K and chain.burn_in - 1 + t > self.K)
 
+    @pytest.mark.parametrize("width", [2, 7])
     @pytest.mark.parametrize("burn_in", [1, 50, K, 1000])
     @pytest.mark.parametrize("chain", CHAINS, ids=IDS)
-    def test_streamed_sums_are_the_whole_path_sums(self, monkeypatch, chain, burn_in):
-        # two or more columns sum in row order at any width; the block of
-        # 1000 below takes the width of a full replication block
+    def test_streamed_sums_are_the_whole_path_sums(self, monkeypatch, chain, burn_in, width):
         k = self.K
         self.check(monkeypatch, replace(chain, burn_in=burn_in),
                    [k, k + 1, 3 * BURN_ROWS + 5, 2000],
-                   lambda n: [1, k - 1, k, k + 1, (n + 1) // 2, n], 2)
+                   lambda n: [1, k - 1, k, k + 1, (n + 1) // 2, n], width)
 
     @pytest.mark.parametrize("burn_in", [1, 50, K, 1000])
     @pytest.mark.parametrize("chain", CHAINS, ids=IDS)

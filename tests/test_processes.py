@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from digests import ci_rows, runs
+from oracles import block_sums, chain_states, chunked_draw, reference_draw
 
 from betamix import processes
 from betamix.cli import main
-from betamix.concentration import REP_BLOCK, make_fspec
+from betamix.concentration import REP_BLOCK, make_fspec, tail_deviations
 from betamix.config import resolve_config
 from betamix.errors import ConfigError, DomainError, FitError, ValidationError
 from betamix.mixing import fit_geometric_decay, markov_beta_lag
@@ -39,6 +40,7 @@ from betamix.processes import (
     trapezoid_weights,
     uniform_grid,
 )
+from betamix.seeding import Stream, keyed_rng
 
 
 def _with_buffered_half(rng):
@@ -53,36 +55,6 @@ def end_state(rng):
     state = rng.bit_generator.state
     inner = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in state["state"].items()}
     return {**state, "state": inner}
-
-
-def allocating_truncated_gaussian(sigma, trunc, rng, shape):
-    """The rejection sampler as one fresh draw of `shape`: the oracle of the
-    in-place fill."""
-    normal = trunc / sigma >= math.sqrt(math.pi / 2.0)
-    if normal:
-        flat = rng.standard_normal(math.prod(shape))
-        flat *= sigma
-        todo = np.flatnonzero((flat > trunc) | (flat < -trunc))
-    else:
-        flat = rng.uniform(-trunc, trunc, math.prod(shape))
-        todo = np.flatnonzero(rng.random(flat.size) >= np.exp(-0.5 * (flat / sigma) ** 2))
-    while todo.size:
-        if normal:
-            x = sigma * rng.standard_normal(todo.size)
-            keep = np.abs(x) <= trunc
-        else:
-            x = rng.uniform(-trunc, trunc, todo.size)
-            keep = rng.random(todo.size) < np.exp(-0.5 * (x / sigma) ** 2)
-        flat[todo[keep]] = x[keep]
-        todo = todo[~keep]
-    return flat.reshape(shape)
-
-
-def reference_draw(spec, rng, shape):
-    """The innovations of `shape` as NumPy's own allocating draws give them."""
-    if spec.innovation == "uniform":
-        return rng.uniform(-spec.halfwidth, spec.halfwidth, shape)
-    return allocating_truncated_gaussian(spec.sigma, spec.trunc, rng, shape)
 
 
 def scalar_ar1(coef, drive):
@@ -126,32 +98,128 @@ class TestContractiveChain:
         assert np.any(a[:10] != c[:10])
 
     @staticmethod
-    def _chunked_draw(spec, n, width, rng):
-        """Reference draw order: the burn_in - 1 steps before the kept rows,
-        then the n rows of x_burn_in onwards, each part in BURN_ROWS-row draws."""
-        burn = spec.burn_in - 1
-        sizes = [BURN_ROWS] * (burn // BURN_ROWS) + [burn % BURN_ROWS]
-        sizes += [BURN_ROWS] * (n // BURN_ROWS) + [n % BURN_ROWS]
-        return np.concatenate([reference_draw(spec, rng, (rows, width)) for rows in sizes])
-
-    @staticmethod
     def _two_array_recursion(spec, n, width, rng):
         """Reference: the draw plus a second (burn_in + n, width) array that
         the recursion writes its states into."""
-        eps = reference_draw(spec, rng, (spec.burn_in + n - 1, width))
-        return TestContractiveChain._two_array_states(spec, eps)
+        return chain_states(spec, reference_draw(spec, rng, (spec.burn_in + n - 1, width)))
 
     @staticmethod
-    def _two_array_states(spec, eps):
-        """The kept states of the recursion over all rows of `eps`."""
-        total, width = eps.shape[0] + 1, eps.shape[1]
-        full = np.empty((total, width))
-        x = np.zeros(width)
-        full[0] = x
-        for t in range(1, total):
-            x = spec.apply_map(x) + eps[t - 1]
-            full[t] = x
-        return full[spec.burn_in:]
+    def _public_sums(spec, n, width, reference, t=1):
+        """The tail estimator's |x_burn_in + ... + x_{burn_in + n - 1}| / n
+        (f = first, exactly centred) per replication of one block of `width`,
+        and that of the states reference(rng) over the block's keyed generator.
+        The block sums its path whole, or in BURN_ROWS-row pieces once n > K =
+        128 and X_t couples: a uniform linear or clipped-linear chain, |a| <= 0.6,
+        whose X_t lies past K rows."""
+        (got,) = tail_deviations(make_fspec("first", spec), spec, [(n, t)], width, 21)
+        states = reference(keyed_rng(21, Stream.CHAIN_TAIL, n, 0))
+        couples = spec.innovation == "uniform" and spec.map != "sine-perturbed"
+        streams = couples and n > 128 and spec.burn_in - 1 + t > 128
+        return got, np.abs(block_sums(states, BURN_ROWS if streams else n) / n)
+
+    @classmethod
+    def _assert_chunked(cls, spec, n, width, whole=False):
+        """The block's sums are those of the chunked draw (or of one whole draw)."""
+        draw = cls._two_array_recursion if whole else (
+            lambda *args: chain_states(spec, chunked_draw(*args, BURN_ROWS)))
+        got, want = cls._public_sums(spec, n, width, lambda rng: draw(spec, n, width, rng))
+        assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("map_name", ["linear", "clipped-linear", "sine-perturbed"])
+    def test_batch_columns_match_single_paths(self, map_name):
+        # column j is the recursion over column j of the block's draws: the 6
+        # burn-in rows, then 150 kept rows in BURN_ROWS-row pieces; trunc =
+        # 2 sigma rejects about 5% of the normal proposals, so a truncated-
+        # Gaussian path is not that of one whole draw
+        for innovation in ("truncated-gaussian", "uniform"):
+            spec = ContractiveChainSpec(
+                map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
+                innovation=innovation, sigma=0.5, trunc=1.0, halfwidth=0.8, burn_in=7,
+            )
+            for width in (3, 1):
+                def columns(rng):
+                    eps = chunked_draw(spec, 150, width, rng, BURN_ROWS)
+                    return np.hstack([chain_states(spec, eps[:, [j]]) for j in range(width)])
+                got, want = self._public_sums(spec, 150, width, columns)
+                assert_array_equal(got, want)
+                whole = self._public_sums(spec, 150, width, lambda rng: self._two_array_recursion(
+                    spec, 150, width, rng))[1]
+                assert np.array_equal(got, whole) == (innovation == "uniform")
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("burn_in", [1, 7, BURN_ROWS + 1])
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_linear_columns_are_the_per_step_recursion(self, width, burn_in, n):
+        spec = ContractiveChainSpec(map="linear", a=-0.9, innovation="uniform",
+                                    halfwidth=0.8, burn_in=burn_in)
+
+        def per_step(rng):
+            draws = rng.uniform(-0.8, 0.8, size=(burn_in + n - 1, width))
+            return np.column_stack([scalar_ar1(spec.a, d) for d in draws.T])[burn_in:]
+        assert_array_equal(*self._public_sums(spec, n, width, per_step))
+
+    @pytest.mark.parametrize("map_name", CHAIN_MAPS)
+    @pytest.mark.parametrize("innovation", CHAIN_INNOVATIONS)
+    @pytest.mark.parametrize("burn_in", [1, 2, 7])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_in_place_recursion_is_the_two_array_loop(self, map_name, innovation, burn_in,
+                                                      width):
+        spec = ContractiveChainSpec(
+            map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
+            innovation=innovation, sigma=0.5, trunc=1.5, halfwidth=0.8, burn_in=burn_in,
+        )
+        for n in (1, 40):
+            self._assert_chunked(spec, n, width)
+
+    @pytest.mark.parametrize("map_name", CHAIN_MAPS)
+    @pytest.mark.parametrize("innovation", CHAIN_INNOVATIONS)
+    @pytest.mark.parametrize("burn_in", [2, BURN_ROWS - 1, BURN_ROWS, BURN_ROWS + 1,
+                                         2 * BURN_ROWS + 1, 1000])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_chunked_burn_in_is_the_whole_draw(self, map_name, innovation, burn_in, width):
+        # uniform values are taken in order, so splitting the draw keeps them;
+        # a truncated-Gaussian burn-in is its BURN_ROWS-row rejection draws
+        spec = ContractiveChainSpec(
+            map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
+            innovation=innovation, sigma=0.8, trunc=1.0, halfwidth=0.8, burn_in=burn_in,
+        )
+        for n in (1, 40):
+            self._assert_chunked(spec, n, width, whole=innovation == "uniform")
+
+    @pytest.mark.parametrize("halfwidth", [1.0, 0.3, 1e-3])
+    @pytest.mark.parametrize("n", [1, BURN_ROWS - 1, BURN_ROWS, BURN_ROWS + 1, 3 * BURN_ROWS + 5])
+    @pytest.mark.parametrize("width", [1, 3, 1000])
+    def test_uniform_blocks_are_numpys_whole_draw(self, halfwidth, n, width):
+        # the rows are filled and advanced BURN_ROWS at a time, with the values
+        # of one rng.uniform(-h, h) draw of all of them; at a halfwidth other
+        # than 1 the scale 2h u rounds; burn_in 1000 skips most of a linear or
+        # clipped-linear burn-in, and at n > K its block streams
+        for map_name in CHAIN_MAPS:
+            for burn_in in (1, 1000):
+                spec = ContractiveChainSpec(
+                    map=map_name, a=-0.6, b=0.3 if map_name == "sine-perturbed" else 0.0,
+                    halfwidth=halfwidth, clip_at=0.5 * halfwidth, burn_in=burn_in,
+                )
+                self._assert_chunked(spec, n, width, whole=True)
+
+    @pytest.mark.parametrize("map_name", CHAIN_MAPS)
+    @pytest.mark.parametrize("burn_in", [1, 2, BURN_ROWS, BURN_ROWS + 1, 2 * BURN_ROWS + 1,
+                                         200])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_truncated_gaussian_draws_burn_in_chunks_then_kept_rows(self, map_name,
+                                                                    burn_in, width):
+        # trunc = sigma takes uniform proposals and rejects about 20% of them,
+        # so each draw redraws its own rejects
+        spec = ContractiveChainSpec(
+            map=map_name, a=0.45, b=0.3 if map_name == "sine-perturbed" else 0.0,
+            innovation="truncated-gaussian", sigma=1.0, trunc=1.0, burn_in=burn_in,
+        )
+        for n in (1, 40, 150):
+            self._assert_chunked(spec, n, width)
+            if burn_in > BURN_ROWS or n > BURN_ROWS:
+                got, whole = self._public_sums(
+                    spec, n, width, lambda rng: self._two_array_recursion(spec, n, width, rng))
+                assert not np.array_equal(got, whole)
 
     @pytest.mark.parametrize("map_name", CHAIN_MAPS)
     @pytest.mark.parametrize("innovation", CHAIN_INNOVATIONS)
@@ -173,8 +241,8 @@ class TestContractiveChain:
             )
             got_rng, want_rng = np.random.default_rng(burn_in), np.random.default_rng(burn_in)
             got = _simulate_chain_columns(spec, n, range(width), got_rng)
-            eps = self._chunked_draw(spec, n, width, want_rng)
-            assert_array_equal(got, self._two_array_states(spec, eps))
+            eps = chunked_draw(spec, n, width, want_rng, BURN_ROWS)
+            assert_array_equal(got, chain_states(spec, eps))
             assert end_state(got_rng) == end_state(want_rng)
 
     @settings(max_examples=60, deadline=None)
