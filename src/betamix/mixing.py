@@ -91,8 +91,10 @@ class FiniteChain:
             raise ValidationError(
                 "transition graph is not irreducible; stationary law not unique"
             )
-        off = p - np.diag(np.diag(p))
-        system = (off - np.diag(off.sum(axis=1))).T
+        system = p.copy()  # Q, built in place, transposed
+        np.fill_diagonal(system, 0.0)
+        np.fill_diagonal(system, -system.sum(axis=1))
+        system = system.T
         system[-1] = 1.0
         pi = np.linalg.solve(system, np.eye(len(p))[-1])
         if not np.all(np.isfinite(pi)) or np.max(np.abs(pi @ p - pi)) > 1e-10:
@@ -240,8 +242,10 @@ def markov_beta_lag(c: FiniteChain, n: int) -> float:
     """
     if n < 1:
         raise ValidationError("lag must be >= 1")
-    pn = np.linalg.matrix_power(c.transition, n)
-    tv_rows = 0.5 * np.abs(pn - c.stationary[None, :]).sum(axis=1)
+    # matrix_power(P, 1) is P itself, which the in-place |P^n - pi| must not write
+    pn = c.transition.copy() if n == 1 else np.linalg.matrix_power(c.transition, n)
+    pn -= c.stationary
+    tv_rows = 0.5 * np.abs(pn, out=pn).sum(axis=1)
     return float(c.stationary @ tv_rows)
 
 

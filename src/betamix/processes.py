@@ -711,23 +711,36 @@ def transfer_chain(spec: ContractiveChainSpec) -> tuple[np.ndarray, np.ndarray, 
     innovation (a DomainError). Row i of its transition matrix is
     P(psi(x) + eps in cell j), from the innovation's CDF, averaged over the
     midpoints x of TRANSFER_POINTS equal parts of cell i; the outer cells
-    take the mass beyond [-S, S]. The arrays are read-only: the callers of
-    a spec share them."""
+    take the mass beyond [-S, S]. It is built in place: one reused buffer
+    holds each point's CDF term. The arrays are read-only: the callers of a
+    spec share them."""
     span = spec.state_bound()
     if not math.isfinite(2.0 * span):
         raise DomainError(f"the state bound S = {span:.4g} overflows the cells of [-S, S]")
     edges = np.linspace(-span, span, TRANSFER_CELLS + 1)
     x = np.linspace(-span, span, 2 * TRANSFER_CELLS * TRANSFER_POINTS + 1)[1::2]
     below = np.zeros((TRANSFER_CELLS, TRANSFER_CELLS - 1))
+    t = np.empty_like(below)  # each point's CDF term
     for point in x.reshape(TRANSFER_CELLS, TRANSFER_POINTS).T:  # one point of each cell
-        t = edges[1:-1] - spec.apply_map(point)[:, None]  # below[i, j] += P(eps <= t[i, j])
+        # below[i, j] += P(eps <= t[i, j])
+        np.subtract(edges[1:-1], spec.apply_map(point)[:, None], out=t)
         if spec.innovation == "uniform":
-            below += np.clip(t / (2.0 * spec.halfwidth) + 0.5, 0.0, 1.0)
+            np.divide(t, 2.0 * spec.halfwidth, out=t)
+            np.clip(np.add(t, 0.5, out=t), 0.0, 1.0, out=t)
         else:  # the normal CDF restricted to [-trunc, trunc], through math.erf
             scale = spec.sigma * math.sqrt(2.0)
-            erf = np.frompyfunc(math.erf, 1, 1)(np.clip(t, -spec.trunc, spec.trunc) / scale)
-            below += 0.5 + 0.5 * erf.astype(float) / math.erf(spec.trunc / scale)
-    rows = np.diff(below / TRANSFER_POINTS, prepend=0.0, append=1.0)
+            np.divide(np.clip(t, -spec.trunc, spec.trunc, out=t), scale, out=t)
+            for i in range(TRANSFER_CELLS):  # row by row: no view of t outlives the loop
+                t[i] = list(map(math.erf, t[i].tolist()))
+            np.divide(np.multiply(t, 0.5, out=t), math.erf(spec.trunc / scale), out=t)
+            np.add(t, 0.5, out=t)
+        below += t
+    del t  # each m x m array goes before the next is made
+    below /= TRANSFER_POINTS
+    rows = np.empty((TRANSFER_CELLS, TRANSFER_CELLS))  # the differences of [0, below, 1]
+    rows[:, 0], rows[:, -1] = below[:, 0], 1.0 - below[:, -1]
+    np.subtract(below[:, 1:], below[:, :-1], out=rows[:, 1:-1])
+    del below
     keep = _reachable(rows > 0)[np.searchsorted(edges, 0.0, "right") - 1]
     if keep.sum() < 2:  # one cell is a constant chain: beta would read 0, centring 1
         raise DomainError(
@@ -735,7 +748,7 @@ def transfer_chain(spec: ContractiveChainSpec) -> tuple[np.ndarray, np.ndarray, 
             f"{2.0 * span / TRANSFER_CELLS:.4g} wide against an innovation of width "
             f"{2.0 * spec.innovation_bound():.4g}, so only {keep.sum()} of the "
             f"{TRANSFER_CELLS} cells is reachable; the transfer operator needs 2 or more")
-    chain = FiniteChain(rows[np.ix_(keep, keep)])
+    chain = FiniteChain(rows if keep.all() else rows[np.ix_(keep, keep)])
     cdf = np.cumsum(np.bincount(np.flatnonzero(keep) + 1, chain.stationary, TRANSFER_CELLS + 1))
     for array in (edges, cdf, chain.transition, chain.stationary):
         array.flags.writeable = False

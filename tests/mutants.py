@@ -69,6 +69,9 @@ MUTANTS = [
      "range(adj.shape[0].bit_length())", "range(adj.shape[0].bit_length() - 1)"),
     ("reachability without the empty path", "mixing.py",
      "(adj | np.eye(adj.shape[0], dtype=bool))", "adj"),
+    ("beta at lag 1 without the copy", "mixing.py",
+     "c.transition.copy() if n == 1 else np.linalg.matrix_power(c.transition, n)",
+     "np.linalg.matrix_power(c.transition, n)"),
 ]
 
 

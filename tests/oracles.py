@@ -229,3 +229,37 @@ def block_sums(f, rows):
         piece[0] += sums
         sums = piece.sum(axis=0)
     return sums
+
+
+def allocating_transfer_rows(spec, cells, points):
+    """Ulam's transition rows of `spec`'s chain on all `cells` equal cells of
+    [-S, S], each point's CDF term a fresh array and the rows by np.diff: the
+    oracle of transfer_chain's in-place build."""
+    span = spec.state_bound()
+    edges = np.linspace(-span, span, cells + 1)
+    x = np.linspace(-span, span, 2 * cells * points + 1)[1::2]
+    below = np.zeros((cells, cells - 1))
+    for point in x.reshape(cells, points).T:
+        t = edges[1:-1] - spec.apply_map(point)[:, None]
+        if spec.innovation == "uniform":
+            below += np.clip(t / (2.0 * spec.halfwidth) + 0.5, 0.0, 1.0)
+        else:
+            scale = spec.sigma * math.sqrt(2.0)
+            erf = np.frompyfunc(math.erf, 1, 1)(np.clip(t, -spec.trunc, spec.trunc) / scale)
+            below += 0.5 + 0.5 * erf.astype(float) / math.erf(spec.trunc / scale)
+    return np.diff(below / points, prepend=0.0, append=1.0)
+
+
+def allocating_stationary(p):
+    """pi of the transition matrix p, solving the generator system built out of
+    place: the oracle of FiniteChain's in-place build."""
+    off = p - np.diag(np.diag(p))
+    system = (off - np.diag(off.sum(axis=1))).T
+    system[-1] = 1.0
+    return np.linalg.solve(system, np.eye(len(p))[-1])
+
+
+def allocating_beta_lag(p, pi, n):
+    """sum_x pi(x) TV(P^n(x, .), pi), |P^n - pi| a fresh array: the oracle of
+    markov_beta_lag."""
+    return float(pi @ (0.5 * np.abs(np.linalg.matrix_power(p, n) - pi[None, :]).sum(axis=1)))

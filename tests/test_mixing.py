@@ -21,7 +21,9 @@ from betamix.mixing import (
     ibragimov_check,
     markov_beta_lag,
 )
+from betamix.processes import ContractiveChainSpec, transfer_chain
 from oracles import (
+    allocating_beta_lag,
     alpha_bruteforce,
     event_beta,
     partition_beta,
@@ -336,6 +338,22 @@ class TestMarkovBetaLag:
             pn = np.linalg.matrix_power(TWO_STATE, n)
             explicit = FiniteJointDistribution(chain.stationary[:, None] * pn)
             assert abs(markov_beta_lag(chain, n) - beta_exact(explicit)) < 1e-13
+
+    @pytest.mark.parametrize("read_only", [False, True], ids=["caller", "transfer-chain"])
+    def test_lag_1_leaves_the_transition_as_it_was(self, read_only):
+        # matrix_power(P, 1) is P itself: a caller's float64 array, which the
+        # chain aliases, or transfer_chain's read-only one
+        if read_only:
+            _, _, chain = transfer_chain(ContractiveChainSpec(a=0.5))
+        else:
+            p = TWO_STATE.copy()
+            chain = FiniteChain(p)
+            assert chain.transition is p
+        before = chain.transition.copy()
+        beta = markov_beta_lag(chain, 1)
+        assert_array_equal(chain.transition, before, strict=True)
+        assert beta == allocating_beta_lag(before, chain.stationary, 1)
+        assert beta == pytest.approx(beta_exact(chain.lag_joint(1)), rel=1e-14)
 
     @pytest.mark.parametrize("states", [2, 3, 7, 16])
     def test_lag_joint_is_the_checked_law_bit_for_bit(self, states):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from digests import ci_rows, runs
-from oracles import block_sums, chain_states, chunked_draw, reference_draw
+from oracles import (allocating_beta_lag, allocating_stationary, allocating_transfer_rows,
+                     block_sums, chain_states, chunked_draw, reference_draw)
 
 from betamix import processes
 from betamix.cli import main
@@ -520,10 +521,43 @@ class TestTransferChain:
         assert_allclose(law[3:-3], chain.stationary, rtol=1e-9, atol=1e-16)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("spec", CHAINS, ids=IDS)
+    def test_chain_is_the_out_of_place_construction_bit_for_bit(self, spec):
+        _, cdf, chain = transfer_chain(spec)
+        keep = np.diff(cdf) > 0
+        assert keep.sum() == chain.n_states
+        rows = allocating_transfer_rows(spec, processes.TRANSFER_CELLS, processes.TRANSFER_POINTS)
+        assert_array_equal(chain.transition, rows[np.ix_(keep, keep)], strict=True)
+        assert_array_equal(chain.stationary, allocating_stationary(chain.transition), strict=True)
+        for lag in (1, 2, 3, 5):
+            assert markov_beta_lag(chain, lag) == allocating_beta_lag(
+                chain.transition, chain.stationary, lag)
+
     def test_cached_arrays_are_read_only(self):
         edges, cdf, chain = transfer_chain(self.CHAINS[0])
         for array in (edges, cdf, chain.transition, chain.stationary):
             assert not array.flags.writeable
+
+    # the tail-mc workload's chain, and the default truncated-Gaussian one, whose
+    # erf terms are Python floats
+    @pytest.mark.parametrize("spec", [ContractiveChainSpec(a=0.5, burn_in=1000),
+                                      ContractiveChainSpec(innovation="truncated-gaussian")],
+                             ids=["tail-mc", "truncated-gaussian"])
+    def test_operator_and_fit_peak_memory_are_a_few_matrices(self, spec):
+        # the fit's peak counts the operator that it reads from the cache
+        matrix = processes.TRANSFER_CELLS ** 2 * 8
+        transfer_chain.cache_clear()
+        tracemalloc.start()
+        try:
+            transfer_chain(spec)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            estimate_chain_mixing(spec)
+            fitted = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built <= 5 * matrix
+        assert fitted <= 3.5 * matrix
 
     def test_mixing_fit_draws_no_random_number(self, monkeypatch):
         def no_draws(*args, **kwargs):
