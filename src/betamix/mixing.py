@@ -79,7 +79,7 @@ class FiniteChain:
     entries (Q[x, y] = P[x, y] for x != y, Q[x, x] = -sum_{y != x} P[x, y]);
     Q never forms 1 - P[x, x], so a nearly decomposable chain loses no
     digits. Reducible chains (non-unique pi, a singular system) are rejected
-    before the solve.
+    before the solve: state 0 must reach, and be reached from, every state.
     """
 
     transition: np.ndarray
@@ -87,7 +87,7 @@ class FiniteChain:
 
     def __post_init__(self):
         p = _transition_matrix(self.transition)
-        if not _reachable(p > 0).all():
+        if not (_reachable(p > 0, 0).all() and _reachable((p > 0).T, 0).all()):
             raise ValidationError(
                 "transition graph is not irreducible; stationary law not unique"
             )
@@ -96,7 +96,7 @@ class FiniteChain:
         np.fill_diagonal(system, -system.sum(axis=1))
         system = system.T
         system[-1] = 1.0
-        pi = np.linalg.solve(system, np.eye(len(p))[-1])
+        pi = np.linalg.solve(system, (np.arange(len(p)) == len(p) - 1).astype(float))
         if not np.all(np.isfinite(pi)) or np.max(np.abs(pi @ p - pi)) > 1e-10:
             raise ValidationError("stationary vector is not finite or fails pi @ P = pi within 1e-10")
         # the tolerance admits the roundoff of the solve
@@ -137,8 +137,8 @@ class MixingDecayFit:
 
 def _transition_matrix(transition: np.ndarray) -> np.ndarray:
     p = np.asarray(transition, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValidationError("transition matrix must be square")
+    if p.ndim != 2 or p.shape[0] != p.shape[1] or p.size == 0:
+        raise ValidationError("transition matrix must be square with at least one state")
     if not np.all((p >= 0) & np.isfinite(p)):
         raise ValidationError("transition matrix has a negative or non-finite entry")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > MASS_TOL):
@@ -146,15 +146,15 @@ def _transition_matrix(transition: np.ndarray) -> np.ndarray:
     return p
 
 
-def _reachable(adj: np.ndarray) -> np.ndarray:
-    """reach[i, j]: the graph of `adj` has a path of 0 or more steps from i to j."""
-    # k squarings of adj | I cover every path of length <= 2^k; 2^bit_length(m) > m.
-    # The squares are float 0/1 matrices clamped at 1: BLAS sums at most m
-    # ones exactly, and it is faster than NumPy's boolean matmul.
-    reach = (adj | np.eye(adj.shape[0], dtype=bool)).astype(float)
-    for _ in range(adj.shape[0].bit_length()):
-        np.minimum(reach @ reach, 1.0, out=reach)
-    return reach > 0
+def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
+    """seen[j]: the graph of `adj` has a path of 0 or more steps from `start` to
+    j. Each step ORs the adjacency rows of the states that the last one found."""
+    new = np.arange(adj.shape[0]) == start
+    seen = new.copy()
+    while new.any():
+        new = adj[new].any(axis=0) & ~seen
+        seen |= new
+    return seen
 
 
 def beta_exact(j: FiniteJointDistribution) -> float:

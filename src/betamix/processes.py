@@ -705,9 +705,9 @@ def transfer_chain(spec: ContractiveChainSpec) -> tuple[np.ndarray, np.ndarray, 
     """Ulam's discretisation of the chain's transition kernel (Ulam 1960; Li
     1976): the edges of TRANSFER_CELLS equal cells of [-S, S], S the state
     bound, the CDF at the edges of the stationary law, uniform within each
-    cell, and the finite chain of the cells reachable from the cell of 0
-    (the rest would leave it reducible), of which there must be 2 or more: a
-    near-unit-root chain's S can make the cells far wider than the
+    cell, and the finite chain of the cells that a search from the cell of 0
+    reaches (the rest would leave it reducible), of which there must be 2 or
+    more: a near-unit-root chain's S can make the cells far wider than the
     innovation (a DomainError). Row i of its transition matrix is
     P(psi(x) + eps in cell j), from the innovation's CDF, averaged over the
     midpoints x of TRANSFER_POINTS equal parts of cell i; the outer cells
@@ -741,7 +741,7 @@ def transfer_chain(spec: ContractiveChainSpec) -> tuple[np.ndarray, np.ndarray, 
     rows[:, 0], rows[:, -1] = below[:, 0], 1.0 - below[:, -1]
     np.subtract(below[:, 1:], below[:, :-1], out=rows[:, 1:-1])
     del below
-    keep = _reachable(rows > 0)[np.searchsorted(edges, 0.0, "right") - 1]
+    keep = _reachable(rows > 0, np.searchsorted(edges, 0.0, "right") - 1)
     if keep.sum() < 2:  # one cell is a constant chain: beta would read 0, centring 1
         raise DomainError(
             f"field 'process.a': at a = {spec.a} the cells are 2S/{TRANSFER_CELLS} = "

@@ -65,10 +65,12 @@ MUTANTS = [
      "if dev.shape[0] > dev.shape[1]:", "if dev.shape[0] < dev.shape[1]:"),
     ("subset sums in ascending row order", "mixing.py",
      "enumerate(rows[::-1])", "enumerate(rows)"),
-    ("reachability one squaring short", "mixing.py",
-     "range(adj.shape[0].bit_length())", "range(adj.shape[0].bit_length() - 1)"),
-    ("reachability without the empty path", "mixing.py",
-     "(adj | np.eye(adj.shape[0], dtype=bool))", "adj"),
+    ("irreducible from the forward search only", "mixing.py",
+     "_reachable(p > 0, 0).all() and _reachable((p > 0).T, 0).all()", "_reachable(p > 0, 0).all()"),
+    ("reachability search leaves out its start", "mixing.py",
+     "seen = new.copy()", "seen = np.zeros_like(new)"),
+    ("reachability search stops after its first step", "mixing.py",
+     "while new.any():", "if new.any():"),
     ("beta at lag 1 without the copy", "mixing.py",
      "c.transition.copy() if n == 1 else np.linalg.matrix_power(c.transition, n)",
      "np.linalg.matrix_power(c.transition, n)"),

@@ -263,3 +263,12 @@ def allocating_beta_lag(p, pi, n):
     """sum_x pi(x) TV(P^n(x, .), pi), |P^n - pi| a fresh array: the oracle of
     markov_beta_lag."""
     return float(pi @ (0.5 * np.abs(np.linalg.matrix_power(p, n) - pi[None, :]).sum(axis=1)))
+
+
+def warshall_closure(adj):
+    """Reflexive-transitive closure of a boolean adjacency matrix, by Warshall's
+    algorithm: the oracle of _reachable, whose search from i is row i."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for k in range(len(adj)):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    return reach

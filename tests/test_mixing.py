@@ -30,6 +30,7 @@ from oracles import (
     product_expectation_bruteforce,
     random_joint,
     random_transition,
+    warshall_closure,
 )
 
 TWO_STATE = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -242,6 +243,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             FiniteChain.from_transition(np.asarray(transition))
 
+    def test_chain_that_state_0_reaches_but_cannot_return_to_rejected(self):
+        # 0 -> 1 -> 2 -> 3 -> 1: the cycle 1, 2, 3 has a stationary law, so a
+        # check of the search from 0 alone would pass this chain
+        p = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
+        assert _reachable(p > 0, 0).all() and not _reachable(p > 0, 1)[0]
+        with pytest.raises(ValidationError, match="not irreducible"):
+            FiniteChain(p)
+
+    @pytest.mark.parametrize("transition", [np.zeros((0, 0)), np.zeros((2, 3)), np.ones(2)])
+    def test_matrix_without_a_state_or_not_square_rejected(self, transition):
+        with pytest.raises(ValidationError, match="square with at least one state"):
+            FiniteChain(transition)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize(
         "build", ["joint", "chain_transition", "from_transition"]
@@ -270,14 +285,6 @@ class TestValidation:
             FiniteChain(TWO_STATE)
 
 
-def warshall_closure(adj):
-    """Reflexive-transitive closure of a boolean adjacency matrix, by Warshall's algorithm."""
-    reach = adj | np.eye(len(adj), dtype=bool)
-    for k in range(len(adj)):
-        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
-    return reach
-
-
 class TestReachable:
     @pytest.mark.parametrize("size", [1, 2, 5, 200])
     @pytest.mark.parametrize("density", [0.9, 0.02, 0.0], ids=["dense", "sparse", "empty"])
@@ -285,12 +292,14 @@ class TestReachable:
         rng = np.random.default_rng(size)
         for _ in range(5):
             adj = rng.random((size, size)) < density
-            assert_array_equal(_reachable(adj), warshall_closure(adj))
+            closure = warshall_closure(adj)
+            for start in range(size):
+                assert_array_equal(_reachable(adj, start), closure[start], strict=True)
 
     @pytest.mark.parametrize("size", [2, 5, 200])
     def test_disconnected_blocks_do_not_reach_each_other(self, size):
-        # a directed cycle (a long path at size 200, so the most squarings)
-        # on each half, and one edge from the first half into the second
+        # a directed cycle (a long path at size 200, so the most steps) on
+        # each half, and one edge from the first half into the second
         half = size // 2
         adj = np.zeros((size, size), dtype=bool)
         for lo, hi in ((0, half), (half, size)):
@@ -298,7 +307,8 @@ class TestReachable:
             adj[nodes, np.roll(nodes, -1)] = True
         adj[0, half] = True
         want = warshall_closure(adj)
-        assert_array_equal(_reachable(adj), want)
+        for start in range(size):
+            assert_array_equal(_reachable(adj, start), want[start], strict=True)
         assert want[:half, half:].all() and not want[half:, :half].any()
 
 
